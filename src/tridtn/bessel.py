@@ -1,124 +1,31 @@
-"""Modified Bessel functions K_0 and K_1, implemented from scratch.
+"""Modified Bessel functions K_0 and K_1 for the Green's representation.
 
 The interior Green's representation needs K_0 (the fundamental solution of
-the modified Helmholtz operator) and its radial derivative -K_1.  Both are
-built here from the classical ascending series for small argument and the
-divergent large-argument expansion with optimal truncation, so the package
-carries no special-function dependency in production code.
-
-Accuracy note: the two branches are joined at x = 8.5.  The ascending
-series loses digits like eps * e^{2x} to cancellation against I_n(x), while
-the asymptotic series at optimal truncation has relative error ~ e^{-2x};
-both are ~1e-8 at the joint, which is the best a double-precision
-single-switch scheme can do.
+the modified Helmholtz operator) and its radial derivative -K_1.  Both come
+from ``scipy.special``; this module adds the domain check x > 0.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
-EULER_GAMMA = 0.57721566490153286060651209008240243
 
-_SWITCH = 8.5
-_SERIES_TERMS = 60
-_ASYMPTOTIC_MAX_TERMS = 40
-
-
-def _i0_series(x: float) -> float:
-    q = 0.25 * x * x
-    term, acc = 1.0, 1.0
-    for m in range(1, _SERIES_TERMS):
-        term *= q / (m * m)
-        acc += term
-        if term < 1e-18 * acc:
-            break
-    return acc
-
-
-def _i1_series(x: float) -> float:
-    q = 0.25 * x * x
-    term, acc = 1.0, 1.0
-    for m in range(1, _SERIES_TERMS):
-        term *= q / (m * (m + 1))
-        acc += term
-        if term < 1e-18 * acc:
-            break
-    return 0.5 * x * acc
-
-
-def _k0_small(x: float) -> float:
-    # K0 = -(ln(x/2) + gamma) I0 + sum_{m>=1} H_m (x^2/4)^m / (m!)^2
-    q = 0.25 * x * x
-    term, acc, harmonic = 1.0, 0.0, 0.0
-    for m in range(1, _SERIES_TERMS):
-        term *= q / (m * m)
-        harmonic += 1.0 / m
-        acc += term * harmonic
-        if term * harmonic < 1e-18 * max(acc, 1.0):
-            break
-    return -(math.log(0.5 * x) + EULER_GAMMA) * _i0_series(x) + acc
-
-
-def _k1_small(x: float) -> float:
-    # K1 = ln(x/2) I1 + 1/x - (x/4) sum_{m>=0} [psi(m+1)+psi(m+2)] q^m / (m!(m+1)!)
-    q = 0.25 * x * x
-    term = 1.0  # q^m / (m! (m+1)!)
-    psi_sum = -2.0 * EULER_GAMMA + 1.0  # psi(1) + psi(2)
-    acc = term * psi_sum
-    for m in range(1, _SERIES_TERMS):
-        term *= q / (m * (m + 1))
-        psi_sum += 1.0 / m + 1.0 / (m + 1)
-        acc += term * psi_sum
-        if term * abs(psi_sum) < 1e-18 * max(abs(acc), 1.0):
-            break
-    return math.log(0.5 * x) * _i1_series(x) + 1.0 / x - 0.25 * x * acc
-
-
-def _k_asymptotic(x: float, nu: int) -> float:
-    # sqrt(pi/2x) e^{-x} [1 + sum_j prod_i (4nu^2-(2i-1)^2) / (j! (8x)^j)],
-    # truncated at the smallest term (the series is divergent).
-    four_nu2 = 4.0 * nu * nu
-    term, acc = 1.0, 1.0
-    best = abs(term)
-    for j in range(1, _ASYMPTOTIC_MAX_TERMS):
-        term *= (four_nu2 - (2 * j - 1) ** 2) / (8.0 * x * j)
-        if abs(term) >= best:
-            break
-        best = abs(term)
-        acc += term
-    return math.sqrt(0.5 * math.pi / x) * math.exp(-x) * acc
-
-
-def _k_scalar(x: float, nu: int) -> float:
-    if not (x > 0.0):
+def _checked(x) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if not np.all(arr > 0.0):
         raise DomainError("modified Bessel K requires x > 0")
-    if x <= _SWITCH:
-        return _k0_small(x) if nu == 0 else _k1_small(x)
-    return _k_asymptotic(x, nu)
+    return arr
 
 
 def bessel_k0(x):
     """K_0(x) for x > 0; accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return _k_scalar(float(arr), 0)
-    out = np.empty(arr.shape)
-    flat_in, flat_out = arr.ravel(), out.ravel()
-    for i, v in enumerate(flat_in):
-        flat_out[i] = _k_scalar(float(v), 0)
-    return out
+    out = special.k0(_checked(x))
+    return out if np.ndim(out) else float(out)
 
 
 def bessel_k1(x):
     """K_1(x) = -K_0'(x) for x > 0; accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return _k_scalar(float(arr), 1)
-    out = np.empty(arr.shape)
-    flat_in, flat_out = arr.ravel(), out.ravel()
-    for i, v in enumerate(flat_in):
-        flat_out[i] = _k_scalar(float(v), 1)
-    return out
+    out = special.k1(_checked(x))
+    return out if np.ndim(out) else float(out)

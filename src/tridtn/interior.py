@@ -26,7 +26,7 @@ import numpy as np
 
 from .bessel import bessel_k0, bessel_k1
 from .errors import AccuracyError, DomainError, ParameterError
-from .geometry import ALPHA, ALPHA_BAR, SQRT3, TriangleGeometry, mu
+from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, TriangleGeometry, mu
 from .poincare import (
     _delta_prime_scaled,
     _delta_scaled,
@@ -35,14 +35,15 @@ from .poincare import (
     quadratic_mode_root,
 )
 from .quadrature import _leggauss
+from .relations import GlobalRelation
 from .scaledc import Scaled
 from .spectral import Kind, SideSampler
 
-#: Rotation factors a_j multiplying k in rho~_j(k) = rho_j(a_j k).
-_RAY_ROT = (1.0 + 0.0j, ALPHA_BAR, ALPHA)
-
 #: Ray arguments of l_1, l_2, l_3.
 RAY_ARGS = (-math.pi / 2.0, math.pi / 6.0, 5.0 * math.pi / 6.0)
+
+#: Gauss-Legendre order of the ray panels.
+RAY_ORDER = 24
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class RayContour:
     side_length: float
     truncation: float
     r_min: float = 0.0
-    order: int = 16
+    order: int = RAY_ORDER
     growth: float = 4.0
 
     def radii(self):
@@ -192,8 +193,7 @@ class RayContour:
 
 
 def _distance_to_side(geom: TriangleGeometry, z: complex, j: int) -> float:
-    rot = (1.0 + 0.0j, ALPHA_BAR, ALPHA)[j - 1]
-    return geom.inradius - (z * np.conj(rot)).real
+    return geom.inradius - (z * np.conj(SIDE_ROT[j])).real
 
 
 def _ray_phase(k, z, lam) -> Scaled:
@@ -202,34 +202,11 @@ def _ray_phase(k, z, lam) -> Scaled:
     return Scaled.from_exp(1j * k * z + lam * np.conj(z) / (1j * k))
 
 
-class _RhoTilde:
-    """Scaled evaluators of rho~_j(k) = E(-i a_j k)[i/2 Psi_j + Phi_j](a_j k)."""
-
-    def __init__(self, traces: TraceSet, lam: float):
-        side_length = traces.geometry.side_length
-        self.lam = lam
-        self.side_length = side_length
-        self._psi = [
-            SideSampler(t, Kind.PSI, lam, side_length) for t in traces.neumann
-        ]
-        self._phi = [
-            SideSampler(t, Kind.PHI, lam, side_length) for t in traces.dirichlet
-        ]
-
-    def eval(self, side: int, k) -> Scaled:
-        arg = _RAY_ROT[side - 1] * np.asarray(k, dtype=complex)
-        env = Scaled.from_exp(mu(-1j * arg, self.lam) * (self.side_length / (2.0 * SQRT3)))
-        j = side - 1
-        return env * (
-            0.5j * self._psi[j].eval_scaled(arg) + self._phi[j].eval_scaled(arg)
-        )
-
-
 def fokas_eval(
     traces: TraceSet,
     lam: float,
     z,
-    order: int = 24,
+    order: int = RAY_ORDER,
     tail: float = 36.0,
 ) -> float:
     """q(z) from the ray representation (lam > 0 only).
@@ -242,7 +219,7 @@ def fokas_eval(
         raise ParameterError("the ray representation requires lam > 0")
     geom = traces.geometry
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
-    rho = _RhoTilde(traces, lam)
+    rho = GlobalRelation(traces.dirichlet, traces.neumann, lam, geom.side_length)
     total = 0.0 + 0.0j
     for j in (1, 2, 3):
         dist = _distance_to_side(geom, point.z, j)
@@ -250,7 +227,7 @@ def fokas_eval(
             side_length=geom.side_length, truncation=tail / dist, order=order
         )
         k, w = contour.nodes(j)
-        vals = _ray_phase(k, point.z, lam) * rho.eval(j, k)
+        vals = _ray_phase(k, point.z, lam) * rho.rho_scaled(j, SIDE_ROT[j] * k)
         total += np.sum(w / k * np.asarray(vals.to_complex(), dtype=complex))
     return float((total / (2j * math.pi)).real)
 
@@ -275,7 +252,7 @@ def symmetric_interior(
     z,
     geometry: TriangleGeometry | None = None,
     n_max: int = 64,
-    order: int = 16,
+    order: int = RAY_ORDER,
     tail: float = 36.0,
 ) -> float:
     """q(z) for the symmetric Dirichlet problem directly from the data f.
@@ -299,7 +276,7 @@ def symmetric_interior(
         dist = _distance_to_side(geom, point.z, j)
         contour = RayContour(side_length=side_length, truncation=tail / dist, order=order)
         k, w = contour.nodes(j)
-        arg = _RAY_ROT[j - 1] * k
+        arg = SIDE_ROT[j] * k
         env = Scaled.from_exp(mu(-1j * arg, lam) * (side_length / (2.0 * SQRT3)))
         # known F part of rho~_j
         vals = _ray_phase(k, point.z, lam) * env * sampler.eval_scaled(arg)

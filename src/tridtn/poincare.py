@@ -30,15 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, RootFindError
-from .geometry import ALPHA, ALPHA_BAR, mu
+from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
 from .problems import BCKind, ProblemSpec
 from .quadrature import QuadratureRule
-from .relations import eliminate_second_side
+from .relations import ARG_FACTORS, ELIMINATION_CYCLE, RELATION_ROWS, ProblemSamplers
 from .scaledc import Scaled
 from .series import quadratic_mode_root
 from .spectral import Kind, SideSampler
 from .symbols import SideSymbol
-from .traces import BoundaryTrace
+from .traces import ContourResidueTrace
 
 RAY_UP = cmath.exp(1j * np.pi / 6.0)
 RAY_DOWN = cmath.exp(7j * np.pi / 6.0)
@@ -218,7 +218,7 @@ def symmetric_dirichlet_integral(
     n_max: int = 64,
     t_factor: float = T_FACTOR,
     order: int = PANEL_ORDER,
-) -> BoundaryTrace:
+) -> ContourResidueTrace:
     """Residue/contour form of the symmetric Dirichlet Neumann trace.
 
     Dual to ``series.symmetric_dirichlet_dtn``: the known part is a contour
@@ -230,55 +230,34 @@ def symmetric_dirichlet_integral(
         raise ParameterError("the integral path requires lambda >= 0")
     sampler = SideSampler(data, Kind.F_DIRICHLET, lam, side_length)
     grids, fold = _ray_grids(lam, side_length, t_factor, order)
-    roots = dirichlet_mode_roots(lam, side_length, n_max)
 
     # contour data on the two rays (drop any k = 0 node; only lam = 0 edge)
-    ray_data = []
+    ts, weighted = [], []
     for t_ray, w_ray, k_ray in grids:
         keep = np.abs(k_ray) > 0
         gd = _symmetric_g_scaled(sampler, k_ray[keep], lam, side_length) / _delta_scaled(
             k_ray[keep], lam, side_length
         )
-        ray_data.append((t_ray[keep], w_ray[keep], np.asarray(gd.to_complex(), dtype=complex)))
+        ts.append(t_ray[keep])
+        weighted.append((-1j * fold / (2.0 * np.pi)) * w_ray[keep] * gd.to_complex())
 
     # residue data: coefficient and exponent rate mu(ab k) per root
-    res_rate, res_coeff = [], []
-    for root in roots:
-        k = root.k
-        g = _symmetric_g_scaled(sampler, k, lam, side_length)
-        dprime = _delta_prime_scaled(k, lam, side_length)
-        m_ab = mu(ALPHA_BAR * k, lam)
-        if root.plus:
-            denom = 1.0 - Scaled.from_exp(m_ab * side_length)
-            sign = -1.0
-        else:
-            denom = 1.0 - Scaled.from_exp(-m_ab * side_length)
-            sign = 1.0
-        fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
-        coeff = (fold * sign * 1j * ALPHA_BAR * fac) * g / (dprime * denom)
-        res_rate.append(m_ab)
-        res_coeff.append(coeff)
-
-    def value(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.zeros(s_arr.shape)
-        for t_ray, w_ray, vals in ray_data:
-            phases = np.exp(1j * np.multiply.outer(s_arr, t_ray))
-            out += np.real((-1j * fold / (2.0 * np.pi)) * (phases @ (w_ray * vals)))
-        total = np.zeros(s_arr.shape, dtype=complex)
-        for rate, coeff in zip(res_rate, res_coeff):
-            term = coeff * Scaled.from_exp(-rate * s_arr)
-            total = total + np.asarray(term.to_complex(), dtype=complex)
-        result = out + np.real(total)
-        return result if np.ndim(s) else float(result[0])
-
-    def derivative(s, h=1e-5):
-        lo = np.asarray(value(np.asarray(s) - h))
-        hi = np.asarray(value(np.asarray(s) + h))
-        out = (hi - lo) / (2.0 * h)
-        return out if np.ndim(s) else float(out)
-
-    return BoundaryTrace(side=1, value=value, derivative=derivative)
+    roots = list(dirichlet_mode_roots(lam, side_length, n_max))
+    k = np.array([root.k for root in roots], dtype=complex)
+    sign = np.where([root.plus for root in roots], -1.0, 1.0)
+    g = _symmetric_g_scaled(sampler, k, lam, side_length)
+    dprime = _delta_prime_scaled(k, lam, side_length)
+    m_ab = mu(ALPHA_BAR * k, lam)
+    denom = 1.0 - Scaled.from_exp(-sign * m_ab * side_length)
+    fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
+    coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g / (dprime * denom)
+    return ContourResidueTrace(
+        side=1,
+        t=np.concatenate(ts),
+        weighted=np.concatenate(weighted),
+        rates=m_ab,
+        coeffs=coeffs,
+    )
 
 
 # -- closed-form elimination (verification mirror) -------------------------
@@ -481,9 +460,8 @@ def _mode_equation_entire(symbols, k: complex, lam: float, side_length: float) -
         prod_a *= sym.hbar(a) * sym.h(ab)
         prod_b *= sym.h(a) * sym.hbar(ab)
     val = Scaled.from_exp(-w) * prod_a - Scaled.from_exp(w) * prod_b
-    norm = val.normalized()
-    # winding only needs the phase; return the unit-scale mantissa
-    return complex(np.ravel(norm.m)[0])
+    # winding only needs the phase, which the mantissa carries
+    return complex(val.m)
 
 
 def _audit_root_count(roots: HalfPlaneRootSet, lam: float, side_length: float):
@@ -519,99 +497,55 @@ def _audit_root_count(roots: HalfPlaneRootSet, lam: float, side_length: float):
         )
 
 
-_ROT_BASE = (1.0 + 0.0j, ALPHA_BAR, ALPHA)
-_ROT_CONJ = (1.0 + 0.0j, ALPHA, ALPHA_BAR)
-_ARG_FACTORS = (1.0 + 0.0j, ALPHA, ALPHA_BAR)
-
-
-def _arg_slot(arg: complex, k: complex) -> int:
-    ratio = arg / k
-    for slot, fac in enumerate(_ARG_FACTORS):
-        if abs(ratio - fac) < 1e-9:
-            return slot
-    raise DomainError("rotated argument left the three-point orbit")
-
-
 class ScaledElimination:
     """T(k)/(H_2(abar k) D(k)) in exponent-carrying arithmetic.
 
-    The six global-relation rows each couple exactly two of the rotated
-    unknowns Y_j(alpha k), Y_j(abar k), so they form a single 6-cycle.
-    Walking the cycle by back-substitution expresses Y_2(abar k) through the
-    data transforms alone; every intermediate is a ratio of well-scaled
-    quantities, which keeps the result relatively accurate at arbitrarily
-    large |k| (or near k = 0), where the plain double-precision solve of the
-    assembled system loses all digits to its exponential dynamic range.
+    Walking the 6-cycle of the global-relation rows (``ELIMINATION_CYCLE``)
+    by back-substitution expresses Y_2(abar k) through the data transforms
+    alone; every intermediate is a ratio of well-scaled quantities, which
+    keeps the result relatively accurate at arbitrarily large |k| (or near
+    k = 0), where the plain double-precision solve of the assembled system
+    loses all digits to its exponential dynamic range.
     """
 
     def __init__(self, problem: ProblemSpec):
         self.problem = problem
         self.lam = problem.lam
         self.side_length = problem.side_length
-        self._syms = [problem.side(j).symbol(self.lam) for j in (1, 2, 3)]
-        self._samplers = [
-            SideSampler(
-                problem.side(j).data,
-                Kind.F_ROBIN,
-                self.lam,
-                self.side_length,
-                beta=problem.side(j).beta,
-            )
+        self._samplers = ProblemSamplers(problem)
+
+    def inhom(self, k) -> Scaled:
+        """The inhomogeneity at a scalar k or along a 1-D array of k."""
+        k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
+        fac = self.side_length / (2.0 * SQRT3)
+        syms, data = self._samplers.symbols, self._samplers.data
+        # F_j(alpha^u k) enters one base and one conjugate row each
+        transforms = {
+            (j, u): data[j - 1].eval_scaled(ARG_FACTORS[u] * k_arr)
             for j in (1, 2, 3)
-        ]
+            for u in range(3)
+        }
+        coeffs, rhs = [], []
+        for row in RELATION_ROWS:
+            sign = 1j if row.conj else -1j
+            row_coeffs, row_rhs = [], Scaled.of(0.0)
+            for j, factor, u in row.terms:
+                arg = factor * k_arr
+                pref = Scaled.from_exp(mu(sign * arg, self.lam) * fac)
+                sym = syms[j - 1]
+                row_coeffs.append(pref * (sym.hbar(arg) if row.conj else sym.h(arg)))
+                row_rhs = row_rhs + pref * transforms[(j, u)]
+            coeffs.append(row_coeffs)
+            rhs.append(row_rhs)
 
-    def inhom(self, k: complex) -> Scaled:
-        lam = self.lam
-        fac = self.side_length / (2.0 * math.sqrt(3.0))
-        rows = []
-        for conj in (False, True):
-            rot = _ROT_CONJ if conj else _ROT_BASE
-            sign = 1j if conj else -1j
-            for slot in range(3):
-                w = _ARG_FACTORS[slot] * k
-                unknowns = {}
-                data = Scaled.of(0.0)
-                for j in (1, 2, 3):
-                    arg = rot[j - 1] * w
-                    pref = Scaled.from_exp(mu(sign * arg, lam) * fac)
-                    sym = self._syms[j - 1]
-                    hval = sym.hbar(arg) if conj else sym.h(arg)
-                    uslot = _arg_slot(arg, k)
-                    if uslot != 0:
-                        unknowns[(j, uslot)] = pref * hval
-                    fval = self._samplers[j - 1].eval_scaled(arg)
-                    fval = Scaled(
-                        m=complex(np.asarray(fval.m).ravel()[0]),
-                        sigma=float(np.asarray(fval.sigma).ravel()[0]),
-                    )
-                    data = data + pref * fval
-                rows.append((unknowns, data))
-
-        by_unknown = {}
-        for idx, (unknowns, _) in enumerate(rows):
-            for u in unknowns:
-                by_unknown.setdefault(u, []).append(idx)
-
-        start = (2, 2)  # Y_2(abar k)
-        u, row = start, by_unknown[start][0]
         prod = Scaled.of(1.0)
         acc = Scaled.of(0.0)
-        for _ in range(6):
-            unknowns, data = rows[row]
-            c_self = unknowns[u]
-            (u_next,) = [x for x in unknowns if x != u]
-            acc = acc + prod * (-(data / c_self))
-            prod = prod * (-(unknowns[u_next] / c_self))
-            u = u_next
-            row = next(i for i in by_unknown[u] if i != row)
-        if u != start:
-            raise DomainError("relation rows did not close into a 6-cycle")
-        return acc / (1.0 - prod)
-
-
-def scaled_inhomogeneity(problem: ProblemSpec, k: complex) -> Scaled:
-    """One-off evaluation; see ScaledElimination."""
-    return ScaledElimination(problem).inhom(k)
+        for r, own, nxt in ELIMINATION_CYCLE:
+            c_self = coeffs[r][own]
+            acc = acc + prod * (-(rhs[r] / c_self))
+            prod = prod * (-(coeffs[r][nxt] / c_self))
+        out = acc / (1.0 - prod)
+        return out if np.ndim(k) else Scaled(out.m[0], out.sigma[0])
 
 
 def root_circle_radius(k0: complex, lam: float, side_length: float) -> float:
@@ -635,12 +569,8 @@ def residue_of_inhomogeneity(
     accurate for the simple poles at the D-roots.
     """
     elim = problem if isinstance(problem, ScaledElimination) else ScaledElimination(problem)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    acc = Scaled.of(0.0)
-    for th in theta:
-        z = k0 + radius * cmath.exp(1j * th)
-        acc = acc + elim.inhom(z) * (radius * cmath.exp(1j * th))
-    return complex(acc.to_complex()) / nodes
+    offsets = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    return complex((elim.inhom(k0 + offsets) * offsets).sum().to_complex()) / nodes
 
 
 def mixed_nr_trace(
@@ -648,7 +578,7 @@ def mixed_nr_trace(
     count: int = 40,
     t_factor: float = T_FACTOR,
     order: int = PANEL_ORDER,
-) -> BoundaryTrace:
+) -> ContourResidueTrace:
     """Dirichlet trace on side 2 of the mixed Neumann-Robin problem.
 
     ``problem`` must carry the Robin condition with gamma = sqrt(3 lambda)
@@ -661,53 +591,25 @@ def mixed_nr_trace(
     _validate_mixed(problem)
     elim = ScaledElimination(problem)
     grids, _ = _ray_grids(lam, side_length, t_factor, order)
-    ray_data = []
-    for t_ray, w_ray, k_ray in grids:
-        vals = np.array([complex(elim.inhom(kk).to_complex()) for kk in k_ray])
-        ray_data.append((t_ray, w_ray, vals))
+    weighted = [w * elim.inhom(k).to_complex() / (2.0 * np.pi) for _, w, k in grids]
 
-    roots = d_root_set(lam, side_length, count)
-    syms = _mixed_symbols(lam)
-    res_rate, res_coeff = [], []
-    factor = side_length / (2.0 * math.sqrt(3.0))
-    for root in roots:
-        k = root.k
-        res = residue_of_inhomogeneity(
-            elim, k, root_circle_radius(k, lam, side_length)
-        )
-        m_ab = mu(ALPHA_BAR * k, lam)
-        fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
-        if root.plus:
-            e6 = Scaled.from_exp(6.0 * mu(1j * ALPHA * k, lam) * factor)
-            denom = 1.0 + e6 * (1.0 / syms[0].p(ALPHA * k))
-            pref = ALPHA_BAR
-        else:
-            e6 = Scaled.from_exp(6.0 * mu(-1j * ALPHA * k, lam) * factor)
-            denom = 1.0 + syms[0].p(ALPHA * k) * e6
-            pref = -ALPHA_BAR
-        res_rate.append(m_ab)
-        res_coeff.append((pref * fac * res) / denom)
-
-    def value(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.zeros(s_arr.shape)
-        for t_ray, w_ray, vals in ray_data:
-            phases = np.exp(1j * np.multiply.outer(s_arr, t_ray))
-            out += np.real(phases @ (w_ray * vals)) / (2.0 * np.pi)
-        total = np.zeros(s_arr.shape, dtype=complex)
-        for rate, coeff in zip(res_rate, res_coeff):
-            term = coeff * Scaled.from_exp(-rate * s_arr)
-            total = total + np.asarray(term.to_complex(), dtype=complex)
-        result = out + np.real(total)
-        return result if np.ndim(s) else float(result[0])
-
-    def derivative(s, h=1e-5):
-        lo = np.asarray(value(np.asarray(s) - h))
-        hi = np.asarray(value(np.asarray(s) + h))
-        out = (hi - lo) / (2.0 * h)
-        return out if np.ndim(s) else float(out)
-
-    return BoundaryTrace(side=2, value=value, derivative=derivative)
+    roots = list(d_root_set(lam, side_length, count))
+    k = np.array([root.k for root in roots], dtype=complex)
+    res = np.array(
+        [residue_of_inhomogeneity(elim, kk, root_circle_radius(kk, lam, side_length)) for kk in k]
+    )
+    sign = np.where([root.plus for root in roots], 1.0, -1.0)
+    p1 = _mixed_symbols(lam)[0].p(ALPHA * k)
+    e6 = Scaled.from_exp(6.0 * mu(sign * 1j * ALPHA * k, lam) * side_length / (2.0 * SQRT3))
+    denom = 1.0 + e6 * np.where(sign > 0, 1.0 / p1, p1)
+    fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
+    return ContourResidueTrace(
+        side=2,
+        t=np.concatenate([t_ray for t_ray, _, _ in grids]),
+        weighted=np.concatenate(weighted),
+        rates=mu(ALPHA_BAR * k, lam),
+        coeffs=(sign * ALPHA_BAR * fac * res) / denom,
+    )
 
 
 def _validate_mixed(problem: ProblemSpec):

@@ -23,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolvabilityError
-from .geometry import ALPHA, ALPHA_BAR, exp_E
-from .problems import BCKind, ProblemSpec
+from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, exp_E, mu
+from .problems import ProblemSpec
+from .scaledc import Scaled
 from .spectral import Kind, SideSampler, corner_term
-
-_GR_ROT = (1.0 + 0.0j, ALPHA_BAR, ALPHA)
-_SGR_ROT = (1.0 + 0.0j, ALPHA, ALPHA_BAR)
 
 
 # -- rho functions and the residual audit ----------------------------------
@@ -45,32 +43,96 @@ class GlobalRelation:
             SideSampler(t, Kind.PHI, lam, side_length) for t in dirichlet
         ]
 
-    def rho(self, side: int, k: complex) -> complex:
-        """rho_j(k) = E(-ik) [ (i/2) PSI_j(k) + PHI_j(k) ]."""
-        if k == 0:
+    def rho_scaled(self, side: int, k) -> Scaled:
+        """rho_j(k) = E(-ik) [ (i/2) PSI_j(k) + PHI_j(k) ] as a 1-D Scaled array."""
+        k = np.atleast_1d(np.asarray(k, dtype=complex))
+        if np.any(k == 0):
             raise DomainError("rho undefined at k = 0")
         j = side - 1
-        return exp_E(-1j * k, self.lam, self.side_length) * (
-            0.5j * self._psi[j].eval(k) + self._phi[j].eval(k)
-        )
+        env = Scaled.from_exp(mu(-1j * k, self.lam) * (self.side_length / (2.0 * SQRT3)))
+        return env * (0.5j * self._psi[j].eval_scaled(k) + self._phi[j].eval_scaled(k))
 
-    def rho_tilde(self, side: int, k: complex) -> complex:
+    def rho(self, side: int, k):
+        """rho_j(k) collapsed to complex."""
+        out = self.rho_scaled(side, k).to_complex()
+        return out if np.ndim(k) else complex(out[0])
+
+    def rho_tilde(self, side: int, k):
         """rho rotated to the common argument: rho_j(a_j k)."""
-        return self.rho(side, _GR_ROT[side - 1] * k)
+        return self.rho(side, SIDE_ROT[side] * k)
 
-    def residual(self, k: complex):
-        """(|sum_j rho_tilde_j(k)|, scale) with scale = max_j |rho_tilde_j|."""
-        vals = [self.rho_tilde(j, k) for j in (1, 2, 3)]
-        scale = max(max(abs(v) for v in vals), 1e-300)
-        return abs(sum(vals)), scale
+    def relative_residual(self, ks):
+        """|sum_j rho~_j(k)| / max_j |rho~_j(k)| on a 1-D array of k (0 where
+        every rho~_j vanishes)."""
+        ks = np.asarray(ks, dtype=complex).ravel()
+        vals = [self.rho_scaled(j, SIDE_ROT[j] * ks) for j in (1, 2, 3)]
+        scale = np.maximum.reduce([v.abs_log() for v in vals])
+        with np.errstate(invalid="ignore"):
+            out = np.exp((vals[0] + vals[1] + vals[2]).abs_log() - scale)
+        return np.where(scale == -np.inf, 0.0, out)
 
     def residual_audit(self, ks):
-        """Max relative residual over a sample of spectral points."""
-        worst = 0.0
-        for k in np.asarray(ks, dtype=complex).ravel():
-            r, scale = self.residual(k)
-            worst = max(worst, r / scale)
-        return worst
+        """Max relative residual over a sample of spectral points; NaN when
+        any residual is NaN."""
+        return float(np.max(self.relative_residual(ks), initial=0.0))
+
+
+# -- the six relation rows -------------------------------------------------
+#: Argument factors alpha^n of the rotated unknowns X_j(alpha^n k), indexed
+#: by the unknown slot n (k, alpha k, alpha_bar k).
+ARG_FACTORS = (1.0 + 0.0j, ALPHA, ALPHA_BAR)
+_ARG_NAMES = ("k", "alpha*k", "abar*k")
+
+
+@dataclass(frozen=True)
+class RelationRow:
+    """One global-relation row: the base (``conj=False``) or Schwarz-conjugate
+    relation evaluated at ARG_FACTORS[slot] k.  ``terms`` holds one
+    (side j, factor f, unknown slot) triple per side: side j enters at
+    argument f k = ARG_FACTORS[unknown slot] k."""
+
+    conj: bool
+    slot: int
+    terms: tuple
+
+
+def _relation_rows():
+    rows = []
+    # per-side rotations as powers of alpha: (1, abar, alpha) in the base
+    # relation, (1, alpha, abar) in its Schwarz conjugate
+    for conj, powers in ((False, (0, 2, 1)), (True, (0, 1, 2))):
+        for slot in range(3):
+            slots = [(slot + p) % 3 for p in powers]
+            terms = tuple((j, ARG_FACTORS[u], u) for j, u in zip((1, 2, 3), slots))
+            rows.append(RelationRow(conj=conj, slot=slot, terms=terms))
+    return tuple(rows)
+
+
+def _elimination_cycle(rows):
+    """Back-substitution order (row, self term, next term) for Y_2(abar k).
+
+    Each row couples exactly two of the six unknowns at alpha k and
+    alpha_bar k, so the rows form a single 6-cycle; walking it from
+    Y_2(abar k) expresses that unknown through the data alone.
+    """
+    unknowns = [
+        {(j, u): i for i, (j, _, u) in enumerate(row.terms) if u} for row in rows
+    ]
+    start = u = (2, 2)
+    row = next(r for r, us in enumerate(unknowns) if u in us)
+    steps = []
+    for _ in range(len(rows)):
+        (u_next,) = [x for x in unknowns[row] if x != u]
+        steps.append((row, unknowns[row][u], unknowns[row][u_next]))
+        u = u_next
+        row = next(r for r, us in enumerate(unknowns) if u in us and r != row)
+    if u != start:
+        raise RuntimeError("relation rows do not close into a 6-cycle")
+    return tuple(steps)
+
+
+RELATION_ROWS = _relation_rows()
+ELIMINATION_CYCLE = _elimination_cycle(RELATION_ROWS)
 
 
 # -- the 6x9 relation system ----------------------------------------------
@@ -86,15 +148,11 @@ class RelationSystem:
     row_labels: tuple
 
 
-_ARG_NAMES = {0: "k", 1: "alpha*k", 2: "abar*k"}
-_ARG_FACTORS = (1.0 + 0.0j, ALPHA, ALPHA_BAR)
-
-
 def _column(side_j: int, arg_slot: int) -> int:
     return 3 * arg_slot + (side_j - 1)
 
 
-class _ProblemSamplers:
+class ProblemSamplers:
     """Cached data transforms of one problem's side data."""
 
     def __init__(self, problem: ProblemSpec):
@@ -132,7 +190,7 @@ def relation_system(
     """
     if k == 0:
         raise DomainError("relation system undefined at k = 0")
-    samplers = _ProblemSamplers(problem)
+    samplers = ProblemSamplers(problem)
     lam, l = problem.lam, problem.side_length
     report = problem.admissibility()
     if samplers.kind == "poincare" and corner_values is None:
@@ -143,46 +201,41 @@ def relation_system(
 
     matrix = np.zeros((6, 9), dtype=complex)
     rhs = np.zeros(6, dtype=complex)
-    row_labels = []
-    for conj_row, rot in ((False, _GR_ROT), (True, _SGR_ROT)):
-        for base_slot in range(3):
-            row = 3 * conj_row + base_slot
-            w = _ARG_FACTORS[base_slot] * k
-            row_labels.append(
-                ("conj " if conj_row else "") + f"relation at {_ARG_NAMES[base_slot]}"
-            )
-            for j in (1, 2, 3):
-                arg = rot[j - 1] * w
-                arg_slot = _slot_of(arg, k)
-                sign = 1j if conj_row else -1j
-                pref = exp_E(sign * arg, lam, l)
-                if samplers.kind == "dirichlet":
-                    coeff = -0.5j if conj_row else 0.5j
-                    matrix[row, _column(j, arg_slot)] += pref * coeff
-                    rhs[row] -= pref * samplers.data[j - 1].eval(arg)
-                else:
-                    sym = samplers.symbols[j - 1]
-                    hval = sym.hbar(arg) if conj_row else sym.h(arg)
-                    matrix[row, _column(j, arg_slot)] += pref * hval
-                    known = samplers.data[j - 1].eval(arg)
-                    if corner_values is not None:
-                        side = problem.side(j)
-                        known += corner_term(
-                            _CornerOnly(corner_values[j - 1]),
-                            arg,
-                            lam,
-                            l,
-                            side.beta,
-                            conjugated=conj_row,
-                        )
-                    rhs[row] -= pref * known
+    for r, row in enumerate(RELATION_ROWS):
+        for j, factor, slot in row.terms:
+            arg = factor * k
+            pref = exp_E((1j if row.conj else -1j) * arg, lam, l)
+            if samplers.kind == "dirichlet":
+                coeff = -0.5j if row.conj else 0.5j
+                matrix[r, _column(j, slot)] += pref * coeff
+                rhs[r] -= pref * samplers.data[j - 1].eval(arg)
+            else:
+                sym = samplers.symbols[j - 1]
+                hval = sym.hbar(arg) if row.conj else sym.h(arg)
+                matrix[r, _column(j, slot)] += pref * hval
+                known = samplers.data[j - 1].eval(arg)
+                if corner_values is not None:
+                    side = problem.side(j)
+                    known += corner_term(
+                        _CornerOnly(corner_values[j - 1]),
+                        arg,
+                        lam,
+                        l,
+                        side.beta,
+                        conjugated=row.conj,
+                    )
+                rhs[r] -= pref * known
     labels = tuple(
         f"{'PSI' if samplers.kind == 'dirichlet' else 'Y'}{j}({_ARG_NAMES[slot]})"
         for slot in range(3)
         for j in (1, 2, 3)
     )
+    row_labels = tuple(
+        ("conj " if row.conj else "") + f"relation at {_ARG_NAMES[row.slot]}"
+        for row in RELATION_ROWS
+    )
     return RelationSystem(
-        matrix=matrix, rhs=rhs, unknown_labels=labels, row_labels=tuple(row_labels)
+        matrix=matrix, rhs=rhs, unknown_labels=labels, row_labels=row_labels
     )
 
 
@@ -194,14 +247,6 @@ class _CornerOnly:
 
     def value(self, s):
         return self._lo if s < 0 else self._hi
-
-
-def _slot_of(arg: complex, k: complex) -> int:
-    ratio = arg / k
-    for slot, fac in enumerate(_ARG_FACTORS):
-        if abs(ratio - fac) < 1e-9:
-            return slot
-    raise AssertionError("rotated argument left the three-point orbit")
 
 
 # -- numeric elimination ---------------------------------------------------

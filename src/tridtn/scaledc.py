@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _COLLAPSE_LIMIT = 700.0  # exp() overflow guard
+_LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -22,6 +23,9 @@ class Scaled:
 
     m: np.ndarray
     sigma: np.ndarray
+
+    # numpy operands defer to the reflected Scaled operators
+    __array_ufunc__ = None
 
     @classmethod
     def of(cls, value) -> "Scaled":
@@ -75,10 +79,22 @@ class Scaled:
         return _coerce(other) + (-self)
 
     def normalized(self) -> "Scaled":
-        """Fold the mantissa magnitude into sigma (mantissa on unit circle)."""
-        mag = np.abs(self.m)
-        safe = np.where(mag > 0.0, mag, 1.0)
-        return Scaled(self.m / safe, self.sigma + np.log(safe))
+        """Fold the mantissa magnitude into sigma, leaving the larger
+        mantissa component in [1/2, 1).
+
+        The rescaling is by an exact power of two, so subnormal mantissas
+        stay finite where dividing by |m| would overflow.
+        """
+        m = np.asarray(self.m, dtype=complex)
+        _, e = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)))
+        mant = np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e)
+        return Scaled(mant, self.sigma + e * _LN2)
+
+    def sum(self) -> "Scaled":
+        """Sum over all elements, rescaled to the largest exponent."""
+        norm = self.normalized()
+        top = np.max(norm.sigma)
+        return Scaled(np.sum(norm.m * np.exp(norm.sigma - top)), top)
 
     def to_complex(self):
         """Collapse to complex; raises OverflowError if exp(sigma) overflows."""

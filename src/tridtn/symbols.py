@@ -8,15 +8,24 @@ global relation through
     P(k)    = H(k) / Hbar(k),
 
 where Hbar is the Schwarz conjugate, Hbar(k) = conj(H(conj(k))) for real
-parameters.  Analytic k-derivatives are provided for the root finding and
-residue computations downstream.
+parameters.  H, Hbar and P accept scalars or arrays of k.  Analytic
+k-derivatives are provided for the root finding and residue computations
+downstream.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
+
+
+def _reject_zero(k, what: str):
+    # scalars skip the array reduction: the root audit calls H per point
+    if (k == 0).any() if isinstance(k, np.ndarray) else k == 0:
+        raise DomainError(f"{what} undefined at k = 0")
 
 
 @dataclass(frozen=True)
@@ -31,15 +40,13 @@ class SideSymbol:
     def phase(self) -> complex:
         return cmath.exp(1j * self.beta)
 
-    def h(self, k: complex) -> complex:
-        if k == 0:
-            raise DomainError("H(k) undefined at k = 0")
+    def h(self, k):
+        _reject_zero(k, "H(k)")
         w = k * self.phase
         return w + self.lam / w - self.gamma
 
-    def hbar(self, k: complex) -> complex:
-        if k == 0:
-            raise DomainError("Hbar(k) undefined at k = 0")
+    def hbar(self, k):
+        _reject_zero(k, "Hbar(k)")
         w = k / self.phase
         return w + self.lam / w - self.gamma
 

@@ -3,8 +3,10 @@
 A trace is a real-valued function of the side arclength s in [-l/2, l/2]
 together with its tangential derivative.  Series solvers return
 ``FourierSeriesTrace`` objects whose carriers are exp(-2 pi i m s / (3 l));
-the plain ``BoundaryTrace`` wraps arbitrary callables (manufactured
-solutions, parsed expressions, interpolated grid data).
+the contour solvers return ``ContourResidueTrace`` objects (a generalized
+Fourier integral plus residue exponentials); the plain ``BoundaryTrace``
+wraps arbitrary callables (manufactured solutions, parsed expressions,
+interpolated grid data).
 """
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .scaledc import Scaled
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,42 @@ class FourierSeriesTrace:
         """Average over the side (the m = 0 coefficient, real part)."""
         sel = self.modes == 0
         return float(np.real(self.coeffs[sel].sum()))
+
+
+@dataclass(frozen=True)
+class ContourResidueTrace:
+    """Real part of sum_n weighted[n] e^{i t[n] s} + sum_r coeffs[r] e^{-rates[r] s}.
+
+    The first sum is the quadrature of a Fourier integral over the
+    truncated contour, with the weights and the 1/(2 pi) already folded into
+    ``weighted``; the second collects the residues at the mode roots, whose
+    coefficients are ``Scaled`` because they may lie far outside the double
+    range while each product with its exponential stays moderate.
+    """
+
+    side: int
+    t: np.ndarray
+    weighted: np.ndarray
+    rates: np.ndarray
+    coeffs: Scaled
+
+    def _synthesis(self, s, weighted, coeffs):
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        theta = np.multiply.outer(s_arr, self.t)
+        out = np.cos(theta) @ weighted.real - np.sin(theta) @ weighted.imag
+        residues = coeffs * Scaled.from_exp(-np.multiply.outer(s_arr, self.rates))
+        out = out + np.real(np.sum(residues.to_complex(), axis=-1))
+        return out if np.ndim(s) else float(out[0])
+
+    def value(self, s):
+        return self._synthesis(s, self.weighted, self.coeffs)
+
+    def derivative(self, s):
+        """Analytic d/ds: a factor i t on the contour, -rate on the residues."""
+        return self._synthesis(s, 1j * self.t * self.weighted, -self.rates * self.coeffs)
+
+    def __call__(self, s):
+        return self.value(s)
 
 
 def sample_grid(side_length: float, n: int = 512, corner_margin: float = 0.02):

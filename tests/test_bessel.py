@@ -20,6 +20,7 @@ def test_against_mpmath(nu, fn):
             np.geomspace(1e-6, 0.5, 40),
             np.linspace(0.5, 20.0, 120),
             np.geomspace(20.0, 600.0, 40),
+            [8.4965],
         ]
     )
     for x in xs:

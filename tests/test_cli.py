@@ -147,3 +147,5 @@ def test_solver_choice_validation(tmp_path):
     cfg = write_cfg(tmp_path, sym_dirichlet_cfg())
     assert main(["solve", "--config", cfg, "--solver", "greens"]) == 2
     assert main(["interior", "--config", cfg, "--solver", "integral"]) == 2
+    with pytest.raises(SystemExit):
+        main(["oracle", "--config", cfg, "--solver", "fd-oracle"])

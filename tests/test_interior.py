@@ -100,6 +100,16 @@ def test_symmetric_interior_manufactured(geom, rng):
         assert abs(got - sol.q(z)) < 1e-5 * max(1.0, abs(sol.q(z)))
 
 
+def test_symmetric_interior_default_order_near_side(geom):
+    """At 0.1 l from side 1 the default ray panels still meet 1e-5."""
+    lam = 1.0
+    sol = symmetric_corner_compatible(lam, 1.0)
+    d, _ = all_traces(sol, geom)
+    for z in (geom.inradius - 0.1 + 0.2j, geom.inradius - 0.1 - 0.2j):
+        got = symmetric_interior(d[0], lam, z, geometry=geom, n_max=48)
+        assert abs(got - sol.q(z)) < 1e-5 * max(1.0, abs(sol.q(z)))
+
+
 def test_ray_contour_covers_truncation():
     contour = RayContour(side_length=1.0, truncation=30.0)
     r, w = contour.radii()

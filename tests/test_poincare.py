@@ -8,6 +8,7 @@ from tridtn.errors import DomainError, ParameterError
 from tridtn.geometry import ALPHA, ALPHA_BAR, mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
 from tridtn.poincare import (
+    ScaledElimination,
     argument_principle_count,
     closed_form_d,
     closed_form_d_prime,
@@ -22,8 +23,11 @@ from tridtn.poincare import (
     symmetric_dirichlet_integral,
 )
 from tridtn.problems import mixed_nr_problem
+from tridtn.relations import eliminate_second_side
 from tridtn.series import symmetric_dirichlet_dtn
 from tridtn.symbols import SideSymbol
+
+from conftest import spectral_points
 
 
 def test_ray_radius_inverts_mu():
@@ -73,6 +77,8 @@ def test_symmetric_dual_representation(geom):
     s = np.linspace(-0.35, 0.35, 29)
     err = np.max(np.abs(series.value(s) - integral.value(s)))
     assert err < 1e-5
+    d_err = np.max(np.abs(integral.derivative(s) - n[0].derivative(s)))
+    assert d_err < 1e-5
 
 
 def test_closed_form_d_and_derivative():
@@ -119,8 +125,7 @@ def test_argument_principle_plain_zero():
     assert count == 2
 
 
-def test_mixed_nr_trace_against_oracle(geom):
-    lam = 1.0
+def _mixed_problem(geom, lam=1.0):
     sol = symmetric_corner_compatible(lam, 1.0)
     gamma = math.sqrt(3.0 * lam)
     problem = mixed_nr_problem(
@@ -130,11 +135,32 @@ def test_mixed_nr_trace_against_oracle(geom):
         all_traces(sol, geom)[1][1],
         all_traces(sol, geom)[1][2],
     )
+    return sol, problem
+
+
+def test_mixed_nr_trace_against_oracle(geom):
+    sol, problem = _mixed_problem(geom)
     trace = mixed_nr_trace(problem, count=16, t_factor=40.0)
     d = all_traces(sol, geom)[0]
     s = np.linspace(-0.3, 0.3, 13)
     err = np.max(np.abs(trace.value(s) - d[1](s)))
     assert err < 1e-3  # loose operating point; the tight one runs in acceptance
+    d_err = np.max(np.abs(trace.derivative(s) - d[1].derivative(s)))
+    assert d_err < 2e-3
+
+
+def test_array_inhom_matches_scalar_and_solve(geom, rng):
+    """The array cycle walk equals per-point calls and, at moderate |k|,
+    the inhomogeneity of the plain 6x6 elimination."""
+    _, problem = _mixed_problem(geom)
+    elim = ScaledElimination(problem)
+    ks = np.concatenate([spectral_points(rng, 12), [40.0 - 25.0j, 0.02 + 0.01j]])
+    got = np.asarray(elim.inhom(ks).to_complex())
+    one_by_one = np.array([complex(elim.inhom(k).to_complex()) for k in ks])
+    assert np.allclose(got, one_by_one, rtol=1e-12, atol=0.0)
+    for k, val in zip(ks[:12], got):
+        want = eliminate_second_side(problem, k).inhom
+        assert abs(val - want) <= 1e-10 * abs(want)
 
 
 def test_mixed_nr_requires_matching_gamma(geom):

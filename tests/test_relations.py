@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from tridtn.errors import DomainError
-from tridtn.geometry import TriangleGeometry
+from tridtn.expressions import expression_trace
+from tridtn.geometry import ALPHA, ALPHA_BAR, TriangleGeometry
 from tridtn.oracle import all_traces, poincare_trace
 from tridtn.problems import ProblemSpec, SideCondition, BCKind, dirichlet_problem
-from tridtn.relations import GlobalRelation, eliminate_second_side, relation_system
+from tridtn.relations import (
+    ARG_FACTORS,
+    ELIMINATION_CYCLE,
+    RELATION_ROWS,
+    GlobalRelation,
+    eliminate_second_side,
+    relation_system,
+)
 
 from conftest import manufactured_families, spectral_points
 
@@ -21,13 +29,41 @@ def test_global_relation_residual(lam, geom, rng):
         assert rel.residual_audit(ks) < 1e-10
 
 
+def test_residual_audit_reports_nan_data(rng):
+    """Data that evaluate to inf give NaN residuals, which the audit keeps."""
+    bad = [expression_trace("1/(s-s)", j, 1.0) for j in (1, 2, 3)]
+    rel = GlobalRelation(bad, bad, 1.0, 1.0)
+    with np.errstate(all="ignore"):
+        assert math.isnan(rel.residual_audit(spectral_points(rng, 5)))
+
+
+def test_residual_audit_large_lambda(rng):
+    """At lam = 1e6 the rho values leave the double range; the audit is
+    formed in exponent-carrying arithmetic and stays finite."""
+    data = [expression_trace("cos(2*pi*s/l)", j, 1.0) for j in (1, 2, 3)]
+    rel = GlobalRelation(data, data, 1e6, 1.0)
+    with np.errstate(over="ignore"):
+        assert math.isfinite(rel.residual_audit(spectral_points(rng, 3)))
+
+
+def test_relation_rows_match_rotations():
+    """Row (conj, slot) evaluates side j at a_j ARG_FACTORS[slot] k with
+    a = (1, abar, alpha) in the base relation and its conjugate in the
+    Schwarz-conjugate one; the eliminated unknowns close into one 6-cycle."""
+    rots = {False: (1.0, ALPHA_BAR, ALPHA), True: (1.0, ALPHA, ALPHA_BAR)}
+    assert len(RELATION_ROWS) == 6
+    for row in RELATION_ROWS:
+        for j, factor, slot in row.terms:
+            assert factor == ARG_FACTORS[slot]
+            assert abs(rots[row.conj][j - 1] * ARG_FACTORS[row.slot] - factor) < 1e-15
+    assert sorted(step[0] for step in ELIMINATION_CYCLE) == list(range(6))
+
+
 def test_rho_tilde_is_rotated_rho(geom):
     sol = manufactured_families(1.0)[0]
     d, n = all_traces(sol, geom)
     rel = GlobalRelation(d, n, 1.0, 1.0)
     k = 1.1 - 0.6j
-    from tridtn.geometry import ALPHA, ALPHA_BAR
-
     assert abs(rel.rho_tilde(1, k) - rel.rho(1, k)) == 0.0
     assert abs(rel.rho_tilde(2, k) - rel.rho(2, ALPHA_BAR * k)) == 0.0
     assert abs(rel.rho_tilde(3, k) - rel.rho(3, ALPHA * k)) == 0.0

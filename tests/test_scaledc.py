@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tridtn.scaledc import Scaled
 
@@ -10,6 +10,7 @@ moderate = st.complex_numbers(
 
 
 @given(a=moderate, b=moderate)
+@example(a=1j, b=5e-324 + 1j)  # a - b is subnormal
 def test_arithmetic_matches_complex(a, b):
     sa, sb = Scaled.of(a), Scaled.of(b)
     assert abs(complex((sa * sb).to_complex()) - a * b) <= 1e-9 * abs(a * b)
