@@ -14,7 +14,9 @@ Subcommands:
 
 Configuration is a single JSON document (schema in the README); every run
 writes a manifest that reproduces it byte-for-byte.  Exit codes: 0 on
-success, 2 for configuration errors, 3 for numerical failures.
+success, 2 for configuration errors, 3 for numerical failures (a typed
+solver error, an overflow or a non-finite output value); every output is
+computed and checked before the first file is written.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, TriDtnError
+from .errors import ConfigError, NonFiniteError, TriDtnError
 from .expressions import expression_trace
 from .fdgrid import fd_solve
 from .geometry import TriangleGeometry
@@ -42,7 +44,14 @@ from .series import (
 )
 from .traces import BoundaryTrace
 
-_SOLVERS = ("series", "integral", "greens", "fokas")
+#: the solvers each subcommand accepts (from --solver or the config key
+#: "solver"); the first is its default.  verify runs no solver.
+_SOLVERS = {
+    "solve": ("series", "integral"),
+    "interior": ("greens", "fokas"),
+    "sweep": ("series", "integral"),
+    "oracle": ("series", "integral"),
+}
 
 
 # -- configuration ----------------------------------------------------------
@@ -165,10 +174,24 @@ def _sample_grid(side_length: float, n_samples: int):
     return np.linspace(-side_length / 2.0, side_length / 2.0, n_samples + 1)
 
 
+def _finite(values, what: str):
+    """``values`` as a float array; NonFiniteError if any is NaN or infinite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError(f"{what} is not finite")
+    return values
+
+
+def _trace_values(computed: dict, s) -> dict:
+    """Each computed trace on the whole grid ``s``, checked finite."""
+    return {j: _finite(trace(s), f"side {j} trace") for j, trace in computed.items()}
+
+
 def write_trace_csv(path: Path, s_grid, columns: dict):
+    """One row per s with the value arrays ``columns`` (side -> values)."""
     with open(path, "w", newline="\n") as stream:
         stream.write("s," + ",".join(f"side{j}" for j in sorted(columns)) + "\n")
-        cols = [np.asarray([float(columns[j](s)) for s in s_grid]) for j in sorted(columns)]
+        cols = [columns[j] for j in sorted(columns)]
         for row, s in enumerate(s_grid):
             vals = ",".join(f"{c[row]:.17e}" for c in cols)
             stream.write(f"{s:.17e},{vals}\n")
@@ -206,16 +229,16 @@ def _full_trace_audit(spec, computed, cfg, seed: int):
 # -- subcommands ------------------------------------------------------------
 def _cmd_solve(cfg, args, out_dir: Path) -> int:
     spec = build_problem(cfg)
-    solver = args.solver or cfg.get("solver", "series")
-    if solver not in ("series", "integral"):
-        raise ConfigError(f"solver {solver!r} is not a trace solver (use 'interior')")
     n = int(args.truncation or cfg.get("truncation", 64))
     order = args.quadrature or cfg.get("quadrature")
-    computed, details = _solve_traces(spec, cfg, solver, n, order)
+    computed, details = _solve_traces(spec, cfg, args.solver, n, order)
     n_samples = int(cfg.get("samples", 256))
     s_grid = _sample_grid(spec.side_length, n_samples)
-    write_trace_csv(out_dir / "traces.csv", s_grid, computed)
+    columns = _trace_values(computed, s_grid)
     audit = _full_trace_audit(spec, computed, cfg, args.seed)
+    if audit is not None:
+        _finite(audit, "residual audit")
+    write_trace_csv(out_dir / "traces.csv", s_grid, columns)
     manifest = {
         "command": "solve",
         "config": cfg,
@@ -252,7 +275,7 @@ def _cmd_verify(cfg, args, out_dir: Path) -> int:
     rng = np.random.default_rng(args.seed)
     ks = _audit_points(rng, geom.side_length, int(cfg.get("audit_points", 50)))
     rel = GlobalRelation(dirichlet, neumann, lam, geom.side_length)
-    residuals = rel.relative_residual(ks)
+    residuals = _finite(rel.relative_residual(ks), "relative residual")
     worst = float(np.max(residuals))
     with open(out_dir / "audit.csv", "w", newline="\n") as stream:
         stream.write("re_k,im_k,relative_residual\n")
@@ -271,9 +294,6 @@ def _cmd_verify(cfg, args, out_dir: Path) -> int:
 
 def _cmd_interior(cfg, args, out_dir: Path) -> int:
     spec = build_problem(cfg)
-    solver = args.solver or cfg.get("solver", "greens")
-    if solver not in ("greens", "fokas"):
-        raise ConfigError("interior evaluation needs solver 'greens' or 'fokas'")
     n = int(args.truncation or cfg.get("truncation", 64))
     computed, details = _solve_traces(cfg=cfg, spec=spec, solver="series", n=n, order=None)
     kinds = [side.kind for side in spec.sides]
@@ -295,27 +315,25 @@ def _cmd_interior(cfg, args, out_dir: Path) -> int:
     divisions = int(cfg.get("interior", {}).get("divisions", 8))
     margin = margin_frac * spec.side_length
     geom = spec.geometry
-    evaluator = greens_eval if solver == "greens" else fokas_eval
-    rows = []
+    evaluator = greens_eval if args.solver == "greens" else fokas_eval
     from .fdgrid import TriangularGrid
 
     lattice = TriangularGrid(spec.side_length, divisions)
-    for (i, j) in lattice.nodes():
-        z = lattice.point(i, j)
-        if geom.boundary_margin(z) >= margin:
-            rows.append((z, evaluator(traces, spec.lam, z)))
+    points = [lattice.point(i, j) for (i, j) in lattice.nodes()]
+    points = [z for z in points if geom.boundary_margin(z) >= margin]
+    values = _finite([evaluator(traces, spec.lam, z) for z in points], "interior values")
     with open(out_dir / "interior.csv", "w", newline="\n") as stream:
         stream.write("x,y,value\n")
-        for z, v in rows:
+        for z, v in zip(points, values):
             stream.write(f"{z.real:.17e},{z.imag:.17e},{v:.17e}\n")
     manifest = {
         "command": "interior",
         "config": cfg,
         "details": details,
         "margin": margin,
-        "points": len(rows),
+        "points": len(points),
         "seed": args.seed,
-        "solver": solver,
+        "solver": args.solver,
         "version": __version__,
     }
     write_manifest(out_dir / "manifest.json", manifest)
@@ -324,7 +342,6 @@ def _cmd_interior(cfg, args, out_dir: Path) -> int:
 
 def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     spec = build_problem(cfg)
-    solver = args.solver or cfg.get("solver", "series")
     ladder = cfg.get("sweep", [16, 32, 64])
     if not isinstance(ladder, list) or len(ladder) < 2:
         raise ConfigError("config key 'sweep' must list at least two truncations")
@@ -333,10 +350,8 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     s_grid = _sample_grid(spec.side_length, n_samples)
     runs = {}
     for n in ladder:
-        computed, _ = _solve_traces(spec, cfg, solver, n, None)
-        runs[n] = {
-            j: np.asarray([float(tr(s)) for s in s_grid]) for j, tr in computed.items()
-        }
+        computed, _ = _solve_traces(spec, cfg, args.solver, n, None)
+        runs[n] = _trace_values(computed, s_grid)
     finest = runs[ladder[-1]]
     with open(out_dir / "sweep.csv", "w", newline="\n") as stream:
         stream.write("truncation,max_diff_to_finest\n")
@@ -358,23 +373,21 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
 
 def _cmd_oracle(cfg, args, out_dir: Path) -> int:
     spec = build_problem(cfg)
-    solver = args.solver or cfg.get("solver", "series")
     n = int(args.truncation or cfg.get("truncation", 64))
-    computed, details = _solve_traces(spec, cfg, solver, n, None)
+    computed, details = _solve_traces(spec, cfg, args.solver, n, None)
     h = float(cfg.get("oracle", {}).get("h", spec.side_length / 64))
     grid_solution = fd_solve(spec, h)
     margin = float(cfg.get("oracle", {}).get("corner_margin", 0.02)) * spec.side_length
+    deltas = {}
+    for j in sorted(computed):
+        s, fd_vals = grid_solution.traces[j]
+        keep = (s > -spec.side_length / 2 + margin) & (s < spec.side_length / 2 - margin)
+        deltas[j] = float(np.max(np.abs(computed[j](s[keep]) - fd_vals[keep])))
+    _finite(list(deltas.values()), "oracle difference")
+    worst = max(deltas.values(), default=0.0)
     with open(out_dir / "oracle.csv", "w", newline="\n") as stream:
         stream.write("side,max_abs_difference\n")
-        worst = 0.0
-        for j in sorted(computed):
-            s, fd_vals = grid_solution.traces[j]
-            keep = (s > -spec.side_length / 2 + margin) & (
-                s < spec.side_length / 2 - margin
-            )
-            ours = np.asarray([float(computed[j](x)) for x in s[keep]])
-            delta = float(np.max(np.abs(ours - fd_vals[keep])))
-            worst = max(worst, delta)
+        for j, delta in deltas.items():
             stream.write(f"{j},{delta:.17e}\n")
     manifest = {
         "command": "oracle",
@@ -406,28 +419,42 @@ def build_parser() -> argparse.ArgumentParser:
         "equilateral triangle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every_solver = tuple(dict.fromkeys(s for names in _SOLVERS.values() for s in names))
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--solver", choices=_SOLVERS, default=None)
+        if name in _SOLVERS:
+            p.add_argument("--solver", choices=every_solver, default=None)
         p.add_argument("--truncation", type=int, default=None)
         p.add_argument("--quadrature", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
     return parser
 
 
+def _pick_solver(command: str, requested) -> str:
+    accepted = _SOLVERS[command]
+    solver = requested or accepted[0]
+    if solver not in accepted:
+        raise ConfigError(
+            f"{command} accepts solver {' or '.join(map(repr, accepted))}, not {solver!r}"
+        )
+    return solver
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.command in _SOLVERS:
+            args.solver = _pick_solver(args.command, args.solver or cfg.get("solver"))
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except TriDtnError as exc:
+    except (TriDtnError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

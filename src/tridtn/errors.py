@@ -42,6 +42,10 @@ class AccuracyError(TriDtnError, ArithmeticError):
     tolerance (e.g. interior evaluation too close to the boundary)."""
 
 
+class NonFiniteError(TriDtnError, ArithmeticError):
+    """A computed output value is NaN or infinite."""
+
+
 class ConfigError(TriDtnError, ValueError):
     """Malformed configuration document or CLI request."""
 

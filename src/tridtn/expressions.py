@@ -276,11 +276,22 @@ def parse_expression(text: str) -> Node:
 
 
 def expression_trace(text: str, side: int, side_length: float) -> BoundaryTrace:
-    """A BoundaryTrace evaluating the expression with its symbolic d/ds."""
+    """A BoundaryTrace evaluating the expression with its symbolic d/ds.
+
+    Both return float arrays shaped like ``s`` (a float for scalar ``s``),
+    constant expressions included.  Evaluation follows numpy semantics for
+    scalar ``s`` too, so a division by zero or an overflow yields inf or
+    NaN, not an exception; callers check their results for finiteness.
+    """
     ast = parse_expression(text)
     dast = ast.diff()
-    return BoundaryTrace(
-        side=side,
-        value=lambda s: ast(s, side_length),
-        derivative=lambda s: dast(s, side_length),
-    )
+
+    def on_grid(node):
+        def evaluate(s):
+            s = np.asarray(s, dtype=float)
+            out = np.array(np.broadcast_to(node(s, side_length), s.shape), dtype=float)
+            return out if out.ndim else float(out)
+
+        return evaluate
+
+    return BoundaryTrace(side=side, value=on_grid(ast), derivative=on_grid(dast))

@@ -34,7 +34,7 @@ from .poincare import (
     dirichlet_mode_roots,
     quadratic_mode_root,
 )
-from .quadrature import _leggauss
+from .quadrature import QuadratureRule
 from .relations import GlobalRelation
 from .scaledc import Scaled
 from .spectral import Kind, SideSampler
@@ -106,19 +106,6 @@ def kernel_K(x, lam):
 
 
 # -- Green's representation ------------------------------------------------
-def _side_rule(side_length: float, margin: float, order: int):
-    """Composite per-side Gauss-Legendre rule resolving scale ``margin``."""
-    n_panels = max(4, int(math.ceil(side_length / margin)))
-    base_x, base_w = _leggauss(order)
-    edges = np.linspace(-side_length / 2.0, side_length / 2.0, n_panels + 1)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * base_x)
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def greens_eval(traces: TraceSet, lam: float, z, order: int = 16) -> float:
     """q(z) from the boundary-integral representation.
 
@@ -133,7 +120,11 @@ def greens_eval(traces: TraceSet, lam: float, z, order: int = 16) -> float:
             "evaluation point is too close to the boundary for the "
             f"Green's quadrature (margin {point.margin:.3e})"
         )
-    s, w = _side_rule(geom.side_length, point.margin, order)
+    # composite per-side rule resolving the scale of the margin
+    n_panels = max(4, int(math.ceil(geom.side_length / point.margin)))
+    half = geom.side_length / 2.0
+    rule = QuadratureRule.panels(np.linspace(-half, half, n_panels + 1), order)
+    s, w = rule.nodes, rule.weights
     total = 0.0
     root = 2.0 * math.sqrt(lam) if lam > 0.0 else 0.0
     for j in (1, 2, 3):
@@ -149,8 +140,8 @@ def greens_eval(traces: TraceSet, lam: float, z, order: int = 16) -> float:
         else:
             kval = -np.log(r_dist)
             dk = -proj / r_dist**2
-        qn = np.asarray([traces.neumann[j - 1](si) for si in s], dtype=float)
-        qd = np.asarray([traces.dirichlet[j - 1](si) for si in s], dtype=float)
+        qn = np.asarray(traces.neumann[j - 1](s), dtype=float)
+        qd = np.asarray(traces.dirichlet[j - 1](s), dtype=float)
         total += float(np.sum(w * (kval * qn - qd * dk)))
     return total / (2.0 * math.pi)
 
@@ -173,17 +164,12 @@ class RayContour:
     def radii(self):
         r_min = self.r_min or 1e-6 * (2.0 * SQRT3 / self.side_length)
         cap = 5.0 / self.side_length
-        base_x, base_w = _leggauss(self.order)
-        nodes, weights = [], []
-        lo = r_min
-        while lo < self.truncation:
-            width = min((self.growth - 1.0) * lo, cap)
-            hi = min(lo + width, self.truncation)
-            half = 0.5 * (hi - lo)
-            nodes.append(0.5 * (lo + hi) + half * base_x)
-            weights.append(half * base_w)
-            lo = hi
-        return np.concatenate(nodes), np.concatenate(weights)
+        edges = [r_min]
+        while edges[-1] < self.truncation:
+            lo = edges[-1]
+            edges.append(min(lo + min((self.growth - 1.0) * lo, cap), self.truncation))
+        rule = QuadratureRule.panels(edges, self.order)
+        return rule.nodes, rule.weights
 
     def nodes(self, ray: int):
         """(k, dk-weights) along ray ``ray`` (1, 2 or 3)."""
@@ -233,19 +219,6 @@ def fokas_eval(
 
 
 # -- the symmetric Dirichlet problem ---------------------------------------
-def _symmetric_g_conj_scaled(sampler, k, lam, side_length) -> Scaled:
-    """The Schwarz conjugate conj(G(conj k)) for real symmetric data."""
-    half = side_length / 2.0
-    k = np.asarray(k, dtype=complex)
-    m = mu(k, lam)
-    m_a = mu(ALPHA * k, lam)
-    out = (Scaled.from_exp(m_a * half) + Scaled.from_exp(-m_a * half)) * sampler.eval_scaled(k)
-    out = out + (Scaled.from_exp(m * half) + Scaled.from_exp(-m * half)) * sampler.eval_scaled(
-        ALPHA * k
-    )
-    return out + 2.0 * sampler.eval_scaled(ALPHA_BAR * k)
-
-
 def symmetric_interior(
     f,
     lam: float,
@@ -290,36 +263,33 @@ def symmetric_interior(
                 w / k * np.asarray(vals.to_complex(), dtype=complex)
             ) / (4.0 * math.pi)
         if j == 3:
-            extra = _symmetric_g_conj_scaled(sampler, k, lam, side_length) / _delta_scaled(
-                k, lam, side_length
-            )
+            # the Schwarz conjugate conj(G(conj k)) for real symmetric data
+            g_conj = _symmetric_g_scaled(sampler, np.conj(k), lam, side_length).conj()
+            extra = g_conj / _delta_scaled(k, lam, side_length)
             vals = _ray_phase(k, point.z, lam) * env * extra
             total += (2j) * np.sum(
                 w / k * np.asarray(vals.to_complex(), dtype=complex)
             ) / (4.0 * math.pi)
 
     # residue series over the mode roots s_n
-    roots = dirichlet_mode_roots(lam, side_length, n_max)
-    short = side_length / SQRT3  # E^2(w) = exp(mu(w) l / sqrt(3))
-    res = 0.0 + 0.0j
-    for root in roots:
-        k = root.k
-        g = _symmetric_g_scaled(sampler, k, lam, side_length)
-        denom = (
-            k
-            * _delta_prime_scaled(k, lam, side_length)
-            * _delta_scaled(ALPHA_BAR * k, lam, side_length)
-        )
-        phase = _ray_phase(k, point.z, lam)
-        if root.plus:
-            env = Scaled.from_exp(mu(1j * k, lam) * short)
-        else:
-            env = 0.5 * (
-                Scaled.from_exp(mu(1j * ALPHA * k, lam) * short)
-                + Scaled.from_exp(mu(1j * ALPHA_BAR * k, lam) * short)
-            )
-        term = phase * env * g / denom
-        res += complex(np.ravel(np.asarray(term.to_complex()))[0])
+    roots = list(dirichlet_mode_roots(lam, side_length, n_max))
+    k = np.array([root.k for root in roots], dtype=complex)
+    plus = np.array([root.plus for root in roots])
+    g = _symmetric_g_scaled(sampler, k, lam, side_length)
+    denom = (
+        k
+        * _delta_prime_scaled(k, lam, side_length)
+        * _delta_scaled(ALPHA_BAR * k, lam, side_length)
+    )
+    # E^2(w) = exp(mu(w) l / sqrt(3)): E^2(i k) on s_n^+, the mean of
+    # E^2(i alpha k) and E^2(i alpha_bar k) on s_n^- (the two halves agree,
+    # and average exactly, on s_n^+)
+    short = side_length / SQRT3
+    env = 0.5 * (
+        Scaled.from_exp(mu(1j * np.where(plus, k, ALPHA * k), lam) * short)
+        + Scaled.from_exp(mu(1j * np.where(plus, k, ALPHA_BAR * k), lam) * short)
+    )
+    res = np.sum((_ray_phase(k, point.z, lam) * env * g / denom).to_complex())
     return float((total + res).real)
 
 

@@ -84,13 +84,9 @@ def ray_radius(t, lam: float):
 
 def contour_nodes(side_length: float, t_factor: float = T_FACTOR, order: int = PANEL_ORDER):
     """Gauss-Legendre panels on [0, T] with T = t_factor (2 pi / l)."""
-    width = 2.0 * np.pi / side_length
-    ts, ws = [], []
-    for p in range(int(round(t_factor))):
-        rule = QuadratureRule.gauss(p * width, (p + 1) * width, order)
-        ts.append(rule.nodes)
-        ws.append(rule.weights)
-    return np.concatenate(ts), np.concatenate(ws)
+    edges = np.arange(int(round(t_factor)) + 1) * (2.0 * np.pi / side_length)
+    rule = QuadratureRule.panels(edges, order)
+    return rule.nodes, rule.weights
 
 
 def _taper(x):
@@ -157,7 +153,7 @@ def inversion_integral(
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     out = np.zeros(s_arr.shape)
     for sign in (1.0, -1.0):
-        k = np.array([quadratic_mode_root(-1j * sign * tt, lam) for tt in t])
+        k = quadratic_mode_root(-1j * sign * t, lam)
         vals = np.asarray(evaluator(k), dtype=complex)
         phases = np.exp(1j * sign * np.multiply.outer(s_arr, t))
         out += np.real(phases @ (w * vals)) / (2.0 * np.pi)
@@ -336,8 +332,7 @@ def argument_principle_count(
     pts = []
     for z0, z1 in zip(corners[:-1], corners[1:]):
         pts.append(z0 + (z1 - z0) * np.arange(samples_per_edge) / samples_per_edge)
-    pts = np.concatenate(pts)
-    return int(round(_winding([func(z) for z in pts])))
+    return int(round(_winding(func(np.concatenate(pts)))))
 
 
 def _winding(vals):
@@ -442,8 +437,9 @@ def d_root_set(
     return roots
 
 
-def _mode_equation_entire(symbols, k: complex, lam: float, side_length: float) -> complex:
-    """Entire function whose zeros are exactly the D(k) = 0 mode roots.
+def _mode_equation_entire(symbols, k, lam: float, side_length: float):
+    """Entire function whose zeros are exactly the D(k) = 0 mode roots,
+    elementwise over an array of k.
 
     Clearing the P-ratio poles of D leaves
     B(k) = e^3(-k) prod_j Hbar_j(ak) H_j(abk) - e^3(k) prod_j H_j(ak) Hbar_j(abk),
@@ -461,7 +457,7 @@ def _mode_equation_entire(symbols, k: complex, lam: float, side_length: float) -
         prod_b *= sym.h(a) * sym.hbar(ab)
     val = Scaled.from_exp(-w) * prod_a - Scaled.from_exp(w) * prod_b
     # winding only needs the phase, which the mantissa carries
-    return complex(val.m)
+    return val.m
 
 
 def _audit_root_count(roots: HalfPlaneRootSet, lam: float, side_length: float):
@@ -487,8 +483,7 @@ def _audit_root_count(roots: HalfPlaneRootSet, lam: float, side_length: float):
     inner_min = float(np.min(np.abs(ks)))
     if r0 >= inner_min:
         raise RootFindError("audit exclusion circle would swallow a kept root")
-    theta = 2.0 * np.pi * np.arange(4000) / 4000
-    circle = int(round(_winding([func(r0 * cmath.exp(1j * th)) for th in theta])))
+    circle = int(round(_winding(func(r0 * np.exp(2j * np.pi * np.arange(4000) / 4000)))))
     got = rect - circle
     if got != len(all_roots):
         raise RootFindError(

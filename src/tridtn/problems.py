@@ -75,8 +75,8 @@ class ProblemSpec:
     def __post_init__(self):
         if len(self.sides) != 3:
             raise ParameterError("exactly three side conditions are required")
-        if not math.isfinite(self.lam):
-            raise ParameterError("lambda must be finite")
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ParameterError(f"lambda must be finite and >= 0, got {self.lam}")
         kinds = {side.kind for side in self.sides}
         if BCKind.DIRICHLET in kinds and len(kinds) > 1:
             raise ParameterError(

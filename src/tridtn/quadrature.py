@@ -8,7 +8,6 @@ leave transform values unchanged to roundoff (checked in the test suite).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +34,16 @@ class QuadratureRule:
     weights: np.ndarray
 
     @classmethod
+    def panels(cls, edges, order: int) -> "QuadratureRule":
+        """Composite rule: one Gauss-Legendre panel of ``order`` nodes
+        between each pair of consecutive ``edges``."""
+        x, w = _leggauss(order)
+        edges = np.asarray(edges, dtype=float)
+        half = 0.5 * np.diff(edges)[:, None]
+        mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+        return cls(nodes=(mid + half * x).ravel(), weights=(half * w).ravel())
+
+    @classmethod
     def gauss(cls, a: float, b: float, order: int) -> "QuadratureRule":
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
@@ -42,17 +51,8 @@ class QuadratureRule:
         if order > 4 * _PANEL_ORDER:
             # composite panels: same node count, linear setup cost
             n_panels = (order + _PANEL_ORDER - 1) // _PANEL_ORDER
-            edges = np.linspace(a, b, n_panels + 1)
-            x, w = _leggauss(_PANEL_ORDER)
-            half = 0.5 * np.diff(edges)
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            nodes = (mid[:, None] + half[:, None] * x).ravel()
-            weights = (half[:, None] * w).ravel()
-            return cls(nodes=nodes, weights=weights)
-        x, w = _leggauss(order)
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        return cls(nodes=mid + half * x, weights=half * w)
+            return cls.panels(np.linspace(a, b, n_panels + 1), _PANEL_ORDER)
+        return cls.panels((a, b), order)
 
     @classmethod
     def side(cls, side_length: float, order: int) -> "QuadratureRule":
@@ -63,9 +63,10 @@ class QuadratureRule:
         return self.weights @ values
 
 
-def order_for_mu(mu_value: complex, side_length: float, base: int = DEFAULT_ORDER) -> int:
-    """Quadrature order for an integrand exp(mu s) * (smooth data)."""
-    theta = abs(mu_value) * side_length
-    raw = max(base, int(math.ceil(0.6 * theta)) + 16)
+def order_for_mu(mu_value, side_length: float, base: int = DEFAULT_ORDER):
+    """Quadrature order for an integrand exp(mu s) * (smooth data), elementwise."""
+    theta = np.abs(mu_value) * side_length
+    raw = np.maximum(base, np.ceil(0.6 * theta) + 16)
     # quantize upward so batched evaluations share cached rules
-    return min(MAX_ORDER, 64 * ((raw + 63) // 64))
+    out = np.minimum(MAX_ORDER, 64 * np.ceil(raw / 64)).astype(int)
+    return out if out.ndim else int(out)

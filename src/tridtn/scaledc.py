@@ -78,6 +78,10 @@ class Scaled:
     def __rsub__(self, other):
         return _coerce(other) + (-self)
 
+    def conj(self) -> "Scaled":
+        """Complex conjugate (sigma is real)."""
+        return Scaled(np.conj(self.m), self.sigma)
+
     def normalized(self) -> "Scaled":
         """Fold the mantissa magnitude into sigma, leaving the larger
         mantissa component in [1/2, 1).

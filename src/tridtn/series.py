@@ -48,26 +48,33 @@ RESONANCE_RTOL = 1e-10
 CHAIN_WEIGHTS = {1: (1.0, 1.0), 2: (ALPHA_BAR, ALPHA), 3: (ALPHA, ALPHA_BAR)}
 
 
-def quadratic_mode_root(mu_value: complex, lam: float) -> complex:
-    """The root of k + lambda/k = mu_value on the outer branch.
+def quadratic_mode_root(mu_value, lam: float):
+    """The root of k + lambda/k = mu_value on the outer branch, elementwise.
 
     Of the two roots (whose product is lambda) the one with larger modulus
     is returned, so |k| >= sqrt(lambda); ties are broken toward larger real
     part, then larger imaginary part.
     """
-    disc = np.sqrt(complex(mu_value) ** 2 - 4.0 * lam + 0j)
-    k1 = 0.5 * (mu_value + disc)
-    k2 = 0.5 * (mu_value - disc)
-    key = lambda k: (abs(k), k.real, k.imag)
-    k = max(k1, k2, key=key)
-    if k == 0:
+    mu_arr = np.asarray(mu_value, dtype=complex)
+    disc = np.sqrt(mu_arr * mu_arr - 4.0 * lam + 0j)
+    k1 = 0.5 * (mu_arr + disc)
+    k2 = 0.5 * (mu_arr - disc)
+    a1, a2 = np.abs(k1), np.abs(k2)
+    second = (a2 > a1) | (a2 == a1) & (
+        (k2.real > k1.real) | (k2.real == k1.real) & (k2.imag > k1.imag)
+    )
+    k = np.where(second, k2, k1)
+    if np.any(k == 0):
         raise ParameterError("mode root degenerates to k = 0")
-    return k
+    return k if k.ndim else complex(k)
 
 
-def _collapse(x: Scaled) -> complex:
-    """Collapse a scalar-shaped Scaled value to a plain complex number."""
-    return complex(np.ravel(np.asarray(x.to_complex()))[0])
+def _check_resonance(resonant, labels, what: str):
+    if np.any(resonant):
+        raise ResonanceError(
+            f"lambda sits at (or near) an interior {what} eigenvalue",
+            modes=[int(m) for m in labels[resonant]],
+        )
 
 
 def _e_scaled(k, lam, side_length) -> Scaled:
@@ -98,6 +105,15 @@ def _finalize(side, side_length, modes, coeffs) -> FourierSeriesTrace:
     )
 
 
+def _mode_roots(lam: float, period: float, m_max: int):
+    """Labels m = -m_max..m_max, the mask of the modes that have a root and
+    those roots, k + lambda/k = 2 pi i m / period.  At lambda = 0 the m = 0
+    mode has none (its coefficient is fixed to zero by the callers)."""
+    m = np.arange(-m_max, m_max + 1)
+    live = (m != 0) | (lam != 0.0)
+    return m, live, quadratic_mode_root(2j * np.pi * m[live] / period, lam)
+
+
 def symmetric_dirichlet_dtn(
     data, lam: float, side_length: float, n_max: int = 64, order=None
 ) -> FourierSeriesTrace:
@@ -109,33 +125,22 @@ def symmetric_dirichlet_dtn(
     period-3l labelling).
     """
     sampler = SideSampler(data, Kind.F_DIRICHLET, lam, side_length)
-    half = side_length / 2.0
-    modes, coeffs, resonant = [], [], []
-    for n in range(-n_max, n_max + 1):
-        if n == 0 and lam == 0.0:
-            # the mean of the Neumann trace vanishes by the divergence theorem
-            modes.append(0)
-            coeffs.append(0.0)
-            continue
-        s_n = quadratic_mode_root(2j * np.pi * n / side_length, lam)
-        w = mu(ALPHA_BAR * s_n, lam) * half
-        sinh = 0.5 * (Scaled.from_exp(w) - Scaled.from_exp(-w))
-        cosh = 0.5 * (Scaled.from_exp(w) + Scaled.from_exp(-w))
-        if sinh.abs_log() < math.log(RESONANCE_RTOL) + abs(w.real):
-            resonant.append(n)
-            continue
-        g = (
-            2.0 * cosh * sampler.eval_scaled(s_n, order=order)
-            + (2.0 * cmath.exp(1j * np.pi * n)) * sampler.eval_scaled(ALPHA_BAR * s_n, order=order)
-            + 2.0 * sampler.eval_scaled(ALPHA * s_n, order=order)
-        )
-        modes.append(3 * n)
-        coeffs.append(_collapse((1j / side_length) * g / sinh))
-    if resonant:
-        raise ResonanceError(
-            "lambda sits at (or near) an interior Dirichlet eigenvalue", modes=resonant
-        )
-    return _finalize(1, side_length, modes, coeffs)
+    # at lambda = 0 the mean of the Neumann trace vanishes by the divergence
+    # theorem: the n = 0 coefficient is zero
+    n, live, s_n = _mode_roots(lam, side_length, n_max)
+    w = mu(ALPHA_BAR * s_n, lam) * (side_length / 2.0)
+    sinh = 0.5 * (Scaled.from_exp(w) - Scaled.from_exp(-w))
+    cosh = 0.5 * (Scaled.from_exp(w) + Scaled.from_exp(-w))
+    resonant = sinh.abs_log() < math.log(RESONANCE_RTOL) + np.abs(w.real)
+    _check_resonance(resonant, n[live], "Dirichlet")
+    g = (
+        2.0 * cosh * sampler.eval_scaled(s_n, order=order)
+        + (2.0 * np.exp(1j * np.pi * n[live])) * sampler.eval_scaled(ALPHA_BAR * s_n, order=order)
+        + 2.0 * sampler.eval_scaled(ALPHA * s_n, order=order)
+    )
+    coeffs = np.zeros(n.shape, dtype=complex)
+    coeffs[live] = ((1j / side_length) * g / sinh).to_complex()
+    return _finalize(1, side_length, 3 * n, coeffs)
 
 
 def _chain_traces(side_length, modes, m_coeffs):
@@ -159,7 +164,7 @@ def _mode_denominator(m, k, lam, side_length):
     e_plus = _e_scaled(ALPHA_BAR * k, lam, side_length)
     e_minus = _e_scaled(-ALPHA_BAR * k, lam, side_length)
     den = (ALPHA_BAR**m) * e_plus - e_minus
-    scale = max(e_plus.abs_log(), e_minus.abs_log())
+    scale = np.maximum(e_plus.abs_log(), e_minus.abs_log())
     return den, den.abs_log() < math.log(RESONANCE_RTOL) + scale
 
 
@@ -170,44 +175,34 @@ def general_dirichlet_dtn(
 
     ``data`` is a triple of Dirichlet traces (f_1, f_2, f_3), continuous at
     the vertices.  Returns the three Neumann traces as period-3l Fourier
-    series.
+    series.  At lambda = 0 the m = 0 coefficient, the total Neumann flux,
+    is zero.
     """
     if len(data) != 3:
         raise ParameterError("expected one Dirichlet trace per side")
     f = [SideSampler(t, Kind.F_DIRICHLET, lam, side_length) for t in data]
-    modes, m_coeffs, resonant = [], [], []
-    for m in range(-m_max, m_max + 1):
-        if m == 0 and lam == 0.0:
-            # M(k_0) is the total Neumann flux, which vanishes at lambda = 0
-            modes.append(0)
-            m_coeffs.append(0.0)
-            continue
-        k = quadratic_mode_root(2j * np.pi * m / (3.0 * side_length), lam)
-        den, is_resonant = _mode_denominator(m, k, lam, side_length)
-        if is_resonant:
-            resonant.append(m)
-            continue
-        a, ab = ALPHA * k, ALPHA_BAR * k
-        ep = _e_scaled(k, lam, side_length)
-        em = _e_scaled(-k, lam, side_length)
-        ep_ab = _e_scaled(ab, lam, side_length)
-        em_ab = _e_scaled(-ab, lam, side_length)
-        f_at = lambda j, kk: f[j].eval_scaled(kk, order=order)
-        x = (em * em * ep_ab + em_ab) * (f_at(0, k) + ep * ep * f_at(2, k))
-        x = x + em * em * (em * em * ep_ab * ep**6 + em_ab) * f_at(1, k)
-        x = x + 2.0 * ep * ep * f_at(0, a) + 2.0 * f_at(1, a) + 2.0 * em * em * f_at(2, a)
-        x = x + em**3 * (
-            2.0 * ep * ep * f_at(0, ab)
-            + (ep**6 + 1.0) * f_at(1, ab)
-            + 2.0 * em * em * ep**6 * f_at(2, ab)
-        )
-        modes.append(m)
-        m_coeffs.append(_collapse(2j * x / den))
-    if resonant:
-        raise ResonanceError(
-            "lambda sits at (or near) an interior Dirichlet eigenvalue", modes=resonant
-        )
-    return _chain_traces(side_length, modes, m_coeffs)
+    m, live, k = _mode_roots(lam, 3.0 * side_length, m_max)
+    den, resonant = _mode_denominator(m[live], k, lam, side_length)
+    _check_resonance(resonant, m[live], "Dirichlet")
+    a, ab = ALPHA * k, ALPHA_BAR * k
+    ep = _e_scaled(k, lam, side_length)
+    em = _e_scaled(-k, lam, side_length)
+    ep_ab = _e_scaled(ab, lam, side_length)
+    em_ab = _e_scaled(-ab, lam, side_length)
+    f_k, f_a, f_ab = (
+        [sampler.eval_scaled(kk, order=order) for sampler in f] for kk in (k, a, ab)
+    )
+    x = (em * em * ep_ab + em_ab) * (f_k[0] + ep * ep * f_k[2])
+    x = x + em * em * (em * em * ep_ab * ep**6 + em_ab) * f_k[1]
+    x = x + 2.0 * ep * ep * f_a[0] + 2.0 * f_a[1] + 2.0 * em * em * f_a[2]
+    x = x + em**3 * (
+        2.0 * ep * ep * f_ab[0]
+        + (ep**6 + 1.0) * f_ab[1]
+        + 2.0 * em * em * ep**6 * f_ab[2]
+    )
+    m_coeffs = np.zeros(m.shape, dtype=complex)
+    m_coeffs[live] = (2j * x / den).to_complex()
+    return _chain_traces(side_length, m, m_coeffs)
 
 
 def neumann_to_dirichlet(
@@ -217,7 +212,8 @@ def neumann_to_dirichlet(
 
     ``data`` is a triple of Neumann traces (f_1, f_2, f_3).  At lambda = 0
     the data must satisfy the zero-total-flux compatibility condition and
-    the result is gauged to zero mean over the whole boundary.
+    the result is gauged to zero mean over the whole boundary (the m = 0
+    coefficient, the free boundary mean, is zero).
     """
     if len(data) != 3:
         raise ParameterError("expected one Neumann trace per side")
@@ -226,51 +222,35 @@ def neumann_to_dirichlet(
     ]
     if lam == 0.0:
         rule = QuadratureRule.side(side_length, 128)
-        vals = [
-            np.broadcast_to(
-                np.asarray(t.value(rule.nodes), dtype=float), rule.nodes.shape
-            )
-            for t in data
-        ]
+        vals = [np.asarray(t.value(rule.nodes), dtype=float) for t in data]
         total = sum(rule.integrate(v) for v in vals)
         scale = max(np.max(np.abs(v)) for v in vals)
         if abs(total) > 1e-8 * max(1.0, scale * side_length):
             raise SolvabilityError(
                 "lambda = 0 Neumann data violates the zero-total-flux condition"
             )
-    modes, n_coeffs, resonant = [], [], []
-    for m in range(-m_max, m_max + 1):
-        if m == 0 and lam == 0.0:
-            # the boundary mean of q is a free constant; gauge it to zero
-            modes.append(0)
-            n_coeffs.append(0.0)
-            continue
-        k = quadratic_mode_root(2j * np.pi * m / (3.0 * side_length), lam)
-        den, is_resonant = _mode_denominator(m, k, lam, side_length)
-        if is_resonant:
-            resonant.append(m)
-            continue
-        a, ab = ALPHA * k, ALPHA_BAR * k
-        ep = _e_scaled(k, lam, side_length)
-        em = _e_scaled(-k, lam, side_length)
-        e3a_m = _big_e_scaled(-1j * a, lam, side_length) ** 3
-        e3a_p = _big_e_scaled(1j * a, lam, side_length) ** 3
-        e3ab_m = _big_e_scaled(-1j * ab, lam, side_length) ** 3
-        e3ab_p = _big_e_scaled(1j * ab, lam, side_length) ** 3
-        f_at = lambda j, kk: f[j].eval_scaled(kk, order=order)
-        rhs = em * (e3a_m + e3a_p) * f_at(0, k)
-        rhs = rhs + (e3ab_m + e3ab_p) * f_at(1, k)
-        rhs = rhs + ep * (e3a_m + e3a_p) * f_at(2, k)
-        rhs = rhs + 2.0 * ep * ep * f_at(0, a) + 2.0 * f_at(1, a) + 2.0 * em * em * f_at(2, a)
-        rhs = rhs + 2.0 * em * f_at(0, ab) + (ep**3 + em**3) * f_at(1, ab) + 2.0 * ep * f_at(2, ab)
-        t_n = -1.0 * rhs / mu(1j * k, lam)
-        modes.append(m)
-        n_coeffs.append(_collapse(2.0 * t_n / den))
-    if resonant:
-        raise ResonanceError(
-            "lambda sits at (or near) an interior Neumann eigenvalue", modes=resonant
-        )
-    return _chain_traces(side_length, modes, n_coeffs)
+    m, live, k = _mode_roots(lam, 3.0 * side_length, m_max)
+    den, resonant = _mode_denominator(m[live], k, lam, side_length)
+    _check_resonance(resonant, m[live], "Neumann")
+    a, ab = ALPHA * k, ALPHA_BAR * k
+    ep = _e_scaled(k, lam, side_length)
+    em = _e_scaled(-k, lam, side_length)
+    e3a_m = _big_e_scaled(-1j * a, lam, side_length) ** 3
+    e3a_p = _big_e_scaled(1j * a, lam, side_length) ** 3
+    e3ab_m = _big_e_scaled(-1j * ab, lam, side_length) ** 3
+    e3ab_p = _big_e_scaled(1j * ab, lam, side_length) ** 3
+    f_k, f_a, f_ab = (
+        [sampler.eval_scaled(kk, order=order) for sampler in f] for kk in (k, a, ab)
+    )
+    rhs = em * (e3a_m + e3a_p) * f_k[0]
+    rhs = rhs + (e3ab_m + e3ab_p) * f_k[1]
+    rhs = rhs + ep * (e3a_m + e3a_p) * f_k[2]
+    rhs = rhs + 2.0 * ep * ep * f_a[0] + 2.0 * f_a[1] + 2.0 * em * em * f_a[2]
+    rhs = rhs + 2.0 * em * f_ab[0] + (ep**3 + em**3) * f_ab[1] + 2.0 * ep * f_ab[2]
+    t_n = -1.0 * rhs / mu(1j * k, lam)
+    n_coeffs = np.zeros(m.shape, dtype=complex)
+    n_coeffs[live] = (2.0 * t_n / den).to_complex()
+    return _chain_traces(side_length, m, n_coeffs)
 
 
 # -- oblique Robin modes ---------------------------------------------------
@@ -378,4 +358,4 @@ def robin_moment(
     den = (ALPHA_BAR**m) * (sym.p(k) / sym.p(ALPHA * k)) * _e_scaled(
         ALPHA_BAR * k, lam, side_length
     ) - _e_scaled(-ALPHA_BAR * k, lam, side_length)
-    return k, _collapse(2.0 * math.sin(beta) * t_val / den)
+    return k, (2.0 * math.sin(beta) * t_val / den).to_complex()

@@ -16,8 +16,8 @@ not.  The corner term of a Poincare-type side is
     C(k) = (e^{i beta}/(2 sin beta)) [e(-k) q(-l/2) - e(k) q(l/2)].
 
 ``SideSampler`` caches quadrature samples of one trace so that batches of
-spectral points reuse them; the inner sums run through the kernels module
-(numba or numpy lane).
+spectral points reuse them; the inner sums are one ``exp_weighted_sum``
+per quadrature rule.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .geometry import exp_e, mu
-from .kernels import exp_weighted_sum
 from .quadrature import QuadratureRule, order_for_mu
 from .scaledc import Scaled
 
@@ -52,6 +51,15 @@ MU_INVARIANT_KINDS = (Kind.PSI, Kind.F_ROBIN, Kind.Y)
 def _check_k(k):
     if k == 0:
         raise DomainError("spectral transforms are undefined at k = 0")
+
+
+def exp_weighted_sum(mu, s, fw, shift=None):
+    """sum_j fw[j] exp(mu[i] (s[j] - shift[i])) over j, for 1-D arrays
+    (``shift`` defaults to zeros); one entry per ``mu``."""
+    arg = np.multiply.outer(mu, s)
+    if shift is not None:
+        arg -= (mu * shift)[:, None]
+    return np.exp(arg) @ fw
 
 
 @dataclass
@@ -108,6 +116,29 @@ class SideSampler:
             self._cache[key] = got
         return got
 
+    def _rule_keys(self, mus, order, shift):
+        """Per point (layer level, end, order); level 0 is the full side.
+
+        A point whose shift sits at its dominant endpoint and whose
+        |Re mu| l exceeds 360 is integrated over a dyadic endpoint window
+        only (see ``_layer_samples``).
+        """
+        zeros = np.zeros(mus.shape, dtype=int)
+        if order is not None:
+            return zeros, zeros, zeros + int(order)
+        hint = int(getattr(self.trace, "quadrature_hint", 0) or 0)
+        re = np.abs(mus.real) * self.side_length
+        end = np.where(mus.real > 0, 1, -1)
+        orders = np.maximum(order_for_mu(mus, self.side_length), hint)
+        if shift is None:
+            return zeros, zeros, orders
+        layer = (re > 360.0) & (shift == end * (self.side_length / 2.0))
+        level = np.where(layer, np.floor(np.log2(np.maximum(re, 360.0) / 180.0)), 0).astype(int)
+        layer_orders = np.maximum(
+            order_for_mu(mus, self.side_length / 2.0**level), (hint >> level) + 8
+        )
+        return level, np.where(layer, end, 0), np.where(layer, layer_orders, orders)
+
     def eval(self, k, order: int | None = None, shift=None):
         """Transform at spectral points ``k`` (scalar or 1-D array).
 
@@ -117,49 +148,29 @@ class SideSampler:
         k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
         if np.any(k_arr == 0):
             raise DomainError("spectral transforms are undefined at k = 0")
-        mus = np.atleast_1d(mu(k_arr, self.lam))
+        mus = mu(k_arr, self.lam)
         shift_arr = None if shift is None else np.atleast_1d(np.asarray(shift, dtype=float))
-        half = self.side_length / 2.0
-        hint = int(getattr(self.trace, "quadrature_hint", 0) or 0)
-        groups = {}
-        for idx, m in enumerate(mus):
-            re = abs(m.real) * self.side_length
-            end = 1 if m.real > 0 else -1
-            if (
-                order is None
-                and re > 360.0
-                and shift_arr is not None
-                and shift_arr[idx] == end * half
-            ):
-                level = int(math.floor(math.log2(re / 180.0)))
-                o = order_for_mu(m, self.side_length / 2.0**level)
-                o = max(o, (hint >> level) + 8)
-                key = ("layer", level, end, o)
-            elif order is None:
-                key = ("full", max(order_for_mu(m, self.side_length), hint))
-            else:
-                key = ("full", int(order))
-            groups.setdefault(key, []).append(idx)
+        keys, group = np.unique(
+            np.stack(self._rule_keys(mus, order, shift_arr)), axis=1, return_inverse=True
+        )
+        group = group.ravel()
         out = np.empty(mus.shape, dtype=complex)
-        for key, idxs in groups.items():
-            sel = np.asarray(idxs)
-            if key[0] == "layer":
-                rule, g, dg = self._layer_samples(key[1], key[2], key[3])
+        for i, (level, end, o) in enumerate(keys.T.tolist()):
+            sel = group == i
+            if level:
+                rule, g, dg = self._layer_samples(level, end, o)
             else:
-                rule, g, dg = self._samples(key[1])
+                rule, g, dg = self._samples(o)
+            sh = None if shift_arr is None else shift_arr[sel]
             if self.kind in _NEEDS_DERIVATIVE:
                 # fw depends on k through lambda/k; fold the k-independent part
-                base = rule.weights * (0.5 * dg)
-                extra = rule.weights * g
-                sh = None if shift_arr is None else shift_arr[sel]
-                out[sel] = exp_weighted_sum(mus[sel], rule.nodes, base, sh)
-                corr = exp_weighted_sum(mus[sel], rule.nodes, extra, sh)
+                out[sel] = exp_weighted_sum(mus[sel], rule.nodes, rule.weights * (0.5 * dg), sh)
+                corr = exp_weighted_sum(mus[sel], rule.nodes, rule.weights * g, sh)
                 out[sel] += (self.lam / k_arr[sel]) * corr
             else:
                 fw = rule.weights * g
                 if self.kind in _NEEDS_BETA:
                     fw = fw / (2.0 * math.sin(self.beta))
-                sh = None if shift_arr is None else shift_arr[sel]
                 out[sel] = exp_weighted_sum(mus[sel], rule.nodes, fw, sh)
         return out if np.ndim(k) else complex(out[0])
 

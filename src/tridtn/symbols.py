@@ -23,8 +23,7 @@ from .errors import DomainError
 
 
 def _reject_zero(k, what: str):
-    # scalars skip the array reduction: the root audit calls H per point
-    if (k == 0).any() if isinstance(k, np.ndarray) else k == 0:
+    if np.any(k == 0):
         raise DomainError(f"{what} undefined at k = 0")
 
 

@@ -81,6 +81,29 @@ def test_numerical_failure_exit_code(tmp_path):
     assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_negative_lambda_is_config_error(tmp_path):
+    cfg = sym_dirichlet_cfg()
+    cfg["lam"] = -2
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert not (out / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("data", ["exp(1400*s)", "exp(1415*s)", "1/(s-s)"])
+def test_non_finite_numerics_exit_3_and_write_nothing(tmp_path, data):
+    # overflow of a collapsed coefficient, and data that evaluate to inf or
+    # NaN: typed numerical failures, and no partial output
+    cfg = sym_dirichlet_cfg()
+    for entry in cfg["bc"]:
+        entry["data"] = data
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 3
+    assert not (out / "traces.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_bad_expression_is_config_error(tmp_path):
     cfg = sym_dirichlet_cfg()
     cfg["bc"][0]["data"] = "sin(s"
@@ -147,5 +170,7 @@ def test_solver_choice_validation(tmp_path):
     cfg = write_cfg(tmp_path, sym_dirichlet_cfg())
     assert main(["solve", "--config", cfg, "--solver", "greens"]) == 2
     assert main(["interior", "--config", cfg, "--solver", "integral"]) == 2
+    assert main(["sweep", "--config", cfg, "--solver", "greens"]) == 2
+    assert main(["oracle", "--config", cfg, "--solver", "greens"]) == 2
     with pytest.raises(SystemExit):
         main(["oracle", "--config", cfg, "--solver", "fd-oracle"])

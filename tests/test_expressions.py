@@ -102,3 +102,9 @@ def test_expression_trace_vectorised():
     assert np.max(np.abs(vals - np.cos(2 * np.pi * s))) < 1e-14
     d = trace.d(s)
     assert np.max(np.abs(d + 2 * np.pi * np.sin(2 * np.pi * s))) < 1e-12
+    # a constant expression is shaped like s too, and a float for scalar s
+    const = expression_trace("2.5", 1, 1.0)
+    grid = s[:10].reshape(2, 5)
+    assert const(grid).shape == grid.shape and np.all(const(grid) == 2.5)
+    assert const.d(grid).shape == grid.shape and np.all(const.d(grid) == 0.0)
+    assert const(0.1) == 2.5 and isinstance(const(0.1), float)

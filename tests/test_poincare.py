@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from tridtn.errors import DomainError, ParameterError
+from tridtn.errors import DomainError, ParameterError, RootFindError
 from tridtn.geometry import ALPHA, ALPHA_BAR, mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
 from tridtn.poincare import (
+    HalfPlaneRootSet,
     ScaledElimination,
+    _audit_root_count,
     argument_principle_count,
     closed_form_d,
     closed_form_d_prime,
@@ -123,6 +125,39 @@ def test_argument_principle_plain_zero():
     # z^2 - 1 has two zeros in a box around the origin
     count = argument_principle_count(lambda z: z * z - 1.0, (-2, 2, -1, 1))
     assert count == 2
+
+
+def test_argument_principle_one_array_call():
+    sizes = []
+
+    def func(z):
+        sizes.append(np.size(z))
+        return z - 0.25j
+
+    assert argument_principle_count(func, (-1, 1, -1, 1), samples_per_edge=50) == 1
+    assert sizes == [200]
+
+
+def test_audit_rejects_a_missing_root():
+    roots = d_root_set(1.0, 1.0, count=4, audit=False)
+    _audit_root_count(roots, 1.0, 1.0)
+    ks = np.array([root.k for root in roots])
+
+    def inside_the_others(i):
+        others = np.delete(ks, i)
+        return (
+            others.real.min() < ks[i].real < others.real.max()
+            and others.imag.min() < ks[i].imag < others.imag.max()
+        )
+
+    # leave out a root that the audit box of the others still encloses
+    drop = next(i for i in range(ks.size) if inside_the_others(i))
+    kept = [root for i, root in enumerate(roots) if i != drop]
+    short = HalfPlaneRootSet(
+        plus=tuple(r for r in kept if r.plus), minus=tuple(r for r in kept if not r.plus)
+    )
+    with pytest.raises(RootFindError):
+        _audit_root_count(short, 1.0, 1.0)
 
 
 def _mixed_problem(geom, lam=1.0):

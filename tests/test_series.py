@@ -32,6 +32,37 @@ def test_quadratic_mode_root_branch():
         quadratic_mode_root(0.0, 0.0)
 
 
+def _scalar_mode_root(mu_value, lam):
+    """The per-point rule the array version replaced, kept as the reference."""
+    disc = np.sqrt(complex(mu_value) ** 2 - 4.0 * lam + 0j)
+    k1 = 0.5 * (mu_value + disc)
+    k2 = 0.5 * (mu_value - disc)
+    return max(k1, k2, key=lambda k: (abs(k), k.real, k.imag))
+
+
+def test_quadratic_mode_root_array_matches_scalar_rule():
+    for lam in (0.0, 0.7, 2.0):
+        # the mode grid of the series maps (mu = 0 only where k != 0) and
+        # real mu with |mu| < 2 sqrt(lam), where |k1| = |k2| and Re k1 =
+        # Re k2, so the tie-break on Im k decides
+        mus = 2j * np.pi * np.arange(-12, 13) / 3.0
+        mus = np.concatenate([mus[mus != 0] if lam == 0.0 else mus, np.linspace(-1.0, 1.0, 8)])
+        got = quadratic_mode_root(mus, lam)
+        want = np.array([_scalar_mode_root(m, lam) for m in mus])
+        assert np.array_equal(got, want)
+    # at mu = 0 the root is +i sqrt(lambda), for arrays and scalars alike
+    assert quadratic_mode_root(np.zeros(2, dtype=complex), 2.0)[1] == 1j * np.sqrt(2.0)
+    assert quadratic_mode_root(0.0, 2.0) == 1j * np.sqrt(2.0)
+    # general complex mu: the same branch, up to the rounding of mu^2
+    rng = np.random.default_rng(5)
+    mus = 4.0 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
+    got = quadratic_mode_root(mus, 1.3)
+    want = np.array([_scalar_mode_root(m, 1.3) for m in mus])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+    with pytest.raises(ParameterError):
+        quadratic_mode_root(np.array([1j, 0.0]), 0.0)
+
+
 def test_symmetric_dirichlet_corner_compatible(geom):
     lam = 1.0
     sol = symmetric_corner_compatible(lam, 1.0)
