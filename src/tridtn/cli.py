@@ -15,14 +15,17 @@ Subcommands:
 Configuration is a single JSON document (schema in the README); every run
 writes a manifest that reproduces it byte-for-byte.  Exit codes: 0 on
 success, 2 for configuration errors, 3 for numerical failures (a typed
-solver error, an overflow or a non-finite output value); every output is
-computed and checked before the first file is written.
+solver error, an overflow or a non-finite output value).  Every output is
+computed and checked before the first file is written, and the files are
+written under temporary names and renamed into place only once all of them
+are complete, so a failed run leaves no output behind.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -130,7 +133,7 @@ def _is_symmetric(cfg: dict) -> bool:
 
 
 # -- solver dispatch --------------------------------------------------------
-def _solve_traces(spec: ProblemSpec, cfg: dict, solver: str, n: int, order):
+def _solve_traces(spec: ProblemSpec, cfg: dict, solver: str, n: int):
     """Returns (dict side -> computed BoundaryTrace, manifest details)."""
     kinds = [side.kind for side in spec.sides]
     details = {"solver": solver, "truncation": n}
@@ -145,17 +148,17 @@ def _solve_traces(spec: ProblemSpec, cfg: dict, solver: str, n: int, order):
             return {1: trace, 2: trace, 3: trace}, details
         if _is_symmetric(cfg):
             trace = symmetric_dirichlet_dtn(
-                data[0], spec.lam, spec.side_length, n_max=n, order=order
+                data[0], spec.lam, spec.side_length, n_max=n
             )
             return {1: trace, 2: trace, 3: trace}, details
         out = general_dirichlet_dtn(
-            data, spec.lam, spec.side_length, m_max=n, order=order
+            data, spec.lam, spec.side_length, m_max=n
         )
         return dict(zip((1, 2, 3), out)), details
     if all(k == BCKind.NEUMANN for k in kinds):
         data = tuple(side.data for side in spec.sides)
         out = neumann_to_dirichlet(
-            data, spec.lam, spec.side_length, m_max=n, order=order
+            data, spec.lam, spec.side_length, m_max=n
         )
         return dict(zip((1, 2, 3), out)), details
     if kinds == [BCKind.ROBIN, BCKind.NEUMANN, BCKind.NEUMANN]:
@@ -187,20 +190,23 @@ def _trace_values(computed: dict, s) -> dict:
     return {j: _finite(trace(s), f"side {j} trace") for j, trace in computed.items()}
 
 
-def write_trace_csv(path: Path, s_grid, columns: dict):
-    """One row per s with the value arrays ``columns`` (side -> values)."""
-    with open(path, "w", newline="\n") as stream:
-        stream.write("s," + ",".join(f"side{j}" for j in sorted(columns)) + "\n")
-        cols = [columns[j] for j in sorted(columns)]
-        for row, s in enumerate(s_grid):
-            vals = ",".join(f"{c[row]:.17e}" for c in cols)
-            stream.write(f"{s:.17e},{vals}\n")
-
-
-def write_manifest(path: Path, manifest: dict):
-    with open(path, "w", newline="\n") as stream:
-        json.dump(manifest, stream, sort_keys=True, indent=2)
-        stream.write("\n")
+def _write_outputs(out_dir: Path, outputs: dict):
+    """Write each output (file name -> text) to a temporary file in
+    ``out_dir``, then rename them all into place; an OSError leaves no
+    output and no temporary file behind and is a ConfigError."""
+    temps = {}
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in outputs.items():
+            temps[name] = out_dir / f".{name}.{os.getpid()}.tmp"
+            temps[name].write_text(text, newline="\n")
+        for name, tmp in temps.items():
+            os.replace(tmp, out_dir / name)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc}") from exc
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
 
 
 def _audit_points(rng, side_length: float, count: int):
@@ -227,32 +233,27 @@ def _full_trace_audit(spec, computed, cfg, seed: int):
 
 
 # -- subcommands ------------------------------------------------------------
-def _cmd_solve(cfg, args, out_dir: Path) -> int:
+def _cmd_solve(cfg, args):
     spec = build_problem(cfg)
     n = int(args.truncation or cfg.get("truncation", 64))
-    order = args.quadrature or cfg.get("quadrature")
-    computed, details = _solve_traces(spec, cfg, args.solver, n, order)
+    computed, details = _solve_traces(spec, cfg, args.solver, n)
     n_samples = int(cfg.get("samples", 256))
     s_grid = _sample_grid(spec.side_length, n_samples)
     columns = _trace_values(computed, s_grid)
     audit = _full_trace_audit(spec, computed, cfg, args.seed)
     if audit is not None:
         _finite(audit, "residual audit")
-    write_trace_csv(out_dir / "traces.csv", s_grid, columns)
-    manifest = {
-        "command": "solve",
-        "config": cfg,
-        "details": details,
-        "residual_audit": audit,
-        "samples": n_samples,
-        "seed": args.seed,
-        "version": __version__,
-    }
-    write_manifest(out_dir / "manifest.json", manifest)
-    return 0
+    sides = sorted(columns)
+    rows = [
+        f"{s:.17e}," + ",".join(f"{columns[j][row]:.17e}" for j in sides)
+        for row, s in enumerate(s_grid)
+    ]
+    header = "s," + ",".join(f"side{j}" for j in sides)
+    fields = {"details": details, "residual_audit": audit, "samples": n_samples}
+    return "traces.csv", header, rows, fields
 
 
-def _cmd_verify(cfg, args, out_dir: Path) -> int:
+def _cmd_verify(cfg, args):
     if "complement" not in cfg or len(cfg["complement"]) != 3:
         raise ConfigError("verify needs a 'complement' list with the other trace kind")
     geom = TriangleGeometry(float(cfg["side_length"]))
@@ -277,25 +278,15 @@ def _cmd_verify(cfg, args, out_dir: Path) -> int:
     rel = GlobalRelation(dirichlet, neumann, lam, geom.side_length)
     residuals = _finite(rel.relative_residual(ks), "relative residual")
     worst = float(np.max(residuals))
-    with open(out_dir / "audit.csv", "w", newline="\n") as stream:
-        stream.write("re_k,im_k,relative_residual\n")
-        for k, r in zip(ks, residuals):
-            stream.write(f"{k.real:.17e},{k.imag:.17e},{r:.17e}\n")
-    manifest = {
-        "command": "verify",
-        "config": cfg,
-        "seed": args.seed,
-        "version": __version__,
-        "worst_relative_residual": worst,
-    }
-    write_manifest(out_dir / "manifest.json", manifest)
-    return 0
+    rows = [f"{k.real:.17e},{k.imag:.17e},{r:.17e}" for k, r in zip(ks, residuals)]
+    header = "re_k,im_k,relative_residual"
+    return "audit.csv", header, rows, {"worst_relative_residual": worst}
 
 
-def _cmd_interior(cfg, args, out_dir: Path) -> int:
+def _cmd_interior(cfg, args):
     spec = build_problem(cfg)
     n = int(args.truncation or cfg.get("truncation", 64))
-    computed, details = _solve_traces(cfg=cfg, spec=spec, solver="series", n=n, order=None)
+    computed, details = _solve_traces(spec, cfg, "series", n)
     kinds = [side.kind for side in spec.sides]
     if all(k == BCKind.DIRICHLET for k in kinds):
         traces = TraceSet(
@@ -322,25 +313,12 @@ def _cmd_interior(cfg, args, out_dir: Path) -> int:
     points = [lattice.point(i, j) for (i, j) in lattice.nodes()]
     points = [z for z in points if geom.boundary_margin(z) >= margin]
     values = _finite([evaluator(traces, spec.lam, z) for z in points], "interior values")
-    with open(out_dir / "interior.csv", "w", newline="\n") as stream:
-        stream.write("x,y,value\n")
-        for z, v in zip(points, values):
-            stream.write(f"{z.real:.17e},{z.imag:.17e},{v:.17e}\n")
-    manifest = {
-        "command": "interior",
-        "config": cfg,
-        "details": details,
-        "margin": margin,
-        "points": len(points),
-        "seed": args.seed,
-        "solver": args.solver,
-        "version": __version__,
-    }
-    write_manifest(out_dir / "manifest.json", manifest)
-    return 0
+    rows = [f"{z.real:.17e},{z.imag:.17e},{v:.17e}" for z, v in zip(points, values)]
+    fields = {"details": details, "margin": margin, "points": len(points), "solver": args.solver}
+    return "interior.csv", "x,y,value", rows, fields
 
 
-def _cmd_sweep(cfg, args, out_dir: Path) -> int:
+def _cmd_sweep(cfg, args):
     spec = build_problem(cfg)
     ladder = cfg.get("sweep", [16, 32, 64])
     if not isinstance(ladder, list) or len(ladder) < 2:
@@ -350,31 +328,20 @@ def _cmd_sweep(cfg, args, out_dir: Path) -> int:
     s_grid = _sample_grid(spec.side_length, n_samples)
     runs = {}
     for n in ladder:
-        computed, _ = _solve_traces(spec, cfg, args.solver, n, None)
+        computed, _ = _solve_traces(spec, cfg, args.solver, n)
         runs[n] = _trace_values(computed, s_grid)
     finest = runs[ladder[-1]]
-    with open(out_dir / "sweep.csv", "w", newline="\n") as stream:
-        stream.write("truncation,max_diff_to_finest\n")
-        for n in ladder[:-1]:
-            delta = max(
-                float(np.max(np.abs(runs[n][j] - finest[j]))) for j in finest
-            )
-            stream.write(f"{n},{delta:.17e}\n")
-    manifest = {
-        "command": "sweep",
-        "config": cfg,
-        "ladder": ladder,
-        "seed": args.seed,
-        "version": __version__,
-    }
-    write_manifest(out_dir / "manifest.json", manifest)
-    return 0
+    rows = []
+    for n in ladder[:-1]:
+        delta = max(float(np.max(np.abs(runs[n][j] - finest[j]))) for j in finest)
+        rows.append(f"{n},{delta:.17e}")
+    return "sweep.csv", "truncation,max_diff_to_finest", rows, {"ladder": ladder}
 
 
-def _cmd_oracle(cfg, args, out_dir: Path) -> int:
+def _cmd_oracle(cfg, args):
     spec = build_problem(cfg)
     n = int(args.truncation or cfg.get("truncation", 64))
-    computed, details = _solve_traces(spec, cfg, args.solver, n, None)
+    computed, details = _solve_traces(spec, cfg, args.solver, n)
     h = float(cfg.get("oracle", {}).get("h", spec.side_length / 64))
     grid_solution = fd_solve(spec, h)
     margin = float(cfg.get("oracle", {}).get("corner_margin", 0.02)) * spec.side_length
@@ -385,24 +352,18 @@ def _cmd_oracle(cfg, args, out_dir: Path) -> int:
         deltas[j] = float(np.max(np.abs(computed[j](s[keep]) - fd_vals[keep])))
     _finite(list(deltas.values()), "oracle difference")
     worst = max(deltas.values(), default=0.0)
-    with open(out_dir / "oracle.csv", "w", newline="\n") as stream:
-        stream.write("side,max_abs_difference\n")
-        for j, delta in deltas.items():
-            stream.write(f"{j},{delta:.17e}\n")
-    manifest = {
-        "command": "oracle",
-        "config": cfg,
+    rows = [f"{j},{delta:.17e}" for j, delta in deltas.items()]
+    fields = {
         "details": details,
         "gauge_fixed": grid_solution.gauge_fixed,
         "grid_spacing": h,
-        "seed": args.seed,
-        "version": __version__,
         "worst_difference": worst,
     }
-    write_manifest(out_dir / "manifest.json", manifest)
-    return 0
+    return "oracle.csv", "side,max_abs_difference", rows, fields
 
 
+#: each subcommand returns (CSV file name, header, rows, manifest fields); the
+#: manifest also records the command, the config, the seed and the version
 _COMMANDS = {
     "solve": _cmd_solve,
     "verify": _cmd_verify,
@@ -427,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name in _SOLVERS:
             p.add_argument("--solver", choices=every_solver, default=None)
         p.add_argument("--truncation", type=int, default=None)
-        p.add_argument("--quadrature", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -448,9 +408,17 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command in _SOLVERS:
             args.solver = _pick_solver(args.command, args.solver or cfg.get("solver"))
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args, out_dir)
+        name, header, rows, fields = _COMMANDS[args.command](cfg, args)
+        manifest = {"command": args.command, "config": cfg, "seed": args.seed}
+        manifest.update(fields, version=__version__)
+        _write_outputs(
+            Path(args.out),
+            {
+                name: "".join(f"{line}\n" for line in (header, *rows)),
+                "manifest.json": json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+            },
+        )
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

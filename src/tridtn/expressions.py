@@ -281,7 +281,8 @@ def expression_trace(text: str, side: int, side_length: float) -> BoundaryTrace:
     Both return float arrays shaped like ``s`` (a float for scalar ``s``),
     constant expressions included.  Evaluation follows numpy semantics for
     scalar ``s`` too, so a division by zero or an overflow yields inf or
-    NaN, not an exception; callers check their results for finiteness.
+    NaN, silently, not an exception or a warning; callers check their
+    results for finiteness.
     """
     ast = parse_expression(text)
     dast = ast.diff()
@@ -289,7 +290,8 @@ def expression_trace(text: str, side: int, side_length: float) -> BoundaryTrace:
     def on_grid(node):
         def evaluate(s):
             s = np.asarray(s, dtype=float)
-            out = np.array(np.broadcast_to(node(s, side_length), s.shape), dtype=float)
+            with np.errstate(all="ignore"):
+                out = np.array(np.broadcast_to(node(s, side_length), s.shape), dtype=float)
             return out if out.ndim else float(out)
 
         return evaluate

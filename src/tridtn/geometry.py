@@ -91,10 +91,6 @@ class TriangleGeometry:
     def inradius(self) -> float:
         return self.side_length / (2.0 * SQRT3)
 
-    @property
-    def area(self) -> float:
-        return SQRT3 * self.side_length**2 / 4.0
-
     # -- sides ------------------------------------------------------------
     def side_point(self, side: int, s):
         """Point z(s) on side ``side`` (1, 2 or 3); vectorised in ``s``."""

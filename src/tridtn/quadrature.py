@@ -1,10 +1,10 @@
-"""Gauss-Legendre quadrature on a side interval [-l/2, l/2].
+"""Gauss-Legendre quadrature rules.
 
-The transform integrands are exp(mu s) times smooth data, so the rule order
-is scaled with |mu| l: the oscillatory part needs roughly four nodes per
-period and the rule also has to track the exponential boundary layer of the
-real part.  ``order_for_mu`` encodes that policy; doubling its answer must
-leave transform values unchanged to roundoff (checked in the test suite).
+``QuadratureRule.gauss`` and ``side`` give one rule on an interval (the
+spectral transforms sample each side trace on ``side`` rules of doubling
+order); ``panels`` builds composite rules for the Green's-function sides,
+the contour rays and the interior rays.  Nodes and weights are computed
+by Newton's method on the Legendre recurrence and cached per order.
 """
 from __future__ import annotations
 
@@ -13,14 +13,29 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_ORDER = 64
-MAX_ORDER = 8192
-_PANEL_ORDER = 256
+
+def _legendre_and_derivative(n: int, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 
 @lru_cache(maxsize=256)
 def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
+    """Nodes and weights on [-1, 1]: Tricomi's asymptotic nodes after three
+    Newton steps on the recurrence, and weights 2 / ((1 - x^2) P_n'(x)^2)
+    at those nodes.  The cost grows as order^2, and the weights keep their
+    relative accuracy at high order (numpy's and scipy's lose digits there:
+    1e-10 and 1e-9 relative at order 512)."""
+    theta = np.pi * (4.0 * np.arange(order, 0, -1) - 1.0) / (4.0 * order + 2.0)
+    x = np.cos(theta) * (1.0 - (order - 1.0) / (8.0 * order**3))
+    for _ in range(3):
+        p, dp = _legendre_and_derivative(order, x)
+        x = x - p / dp
+    dp = _legendre_and_derivative(order, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -47,11 +62,6 @@ class QuadratureRule:
     def gauss(cls, a: float, b: float, order: int) -> "QuadratureRule":
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        order = min(order, MAX_ORDER)
-        if order > 4 * _PANEL_ORDER:
-            # composite panels: same node count, linear setup cost
-            n_panels = (order + _PANEL_ORDER - 1) // _PANEL_ORDER
-            return cls.panels(np.linspace(a, b, n_panels + 1), _PANEL_ORDER)
         return cls.panels((a, b), order)
 
     @classmethod
@@ -61,12 +71,3 @@ class QuadratureRule:
 
     def integrate(self, values: np.ndarray):
         return self.weights @ values
-
-
-def order_for_mu(mu_value, side_length: float, base: int = DEFAULT_ORDER):
-    """Quadrature order for an integrand exp(mu s) * (smooth data), elementwise."""
-    theta = np.abs(mu_value) * side_length
-    raw = np.maximum(base, np.ceil(0.6 * theta) + 16)
-    # quantize upward so batched evaluations share cached rules
-    out = np.minimum(MAX_ORDER, 64 * np.ceil(raw / 64)).astype(int)
-    return out if out.ndim else int(out)

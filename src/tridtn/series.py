@@ -115,7 +115,7 @@ def _mode_roots(lam: float, period: float, m_max: int):
 
 
 def symmetric_dirichlet_dtn(
-    data, lam: float, side_length: float, n_max: int = 64, order=None
+    data, lam: float, side_length: float, n_max: int = 64
 ) -> FourierSeriesTrace:
     """Neumann trace for identical Dirichlet data on all three sides.
 
@@ -134,9 +134,9 @@ def symmetric_dirichlet_dtn(
     resonant = sinh.abs_log() < math.log(RESONANCE_RTOL) + np.abs(w.real)
     _check_resonance(resonant, n[live], "Dirichlet")
     g = (
-        2.0 * cosh * sampler.eval_scaled(s_n, order=order)
-        + (2.0 * np.exp(1j * np.pi * n[live])) * sampler.eval_scaled(ALPHA_BAR * s_n, order=order)
-        + 2.0 * sampler.eval_scaled(ALPHA * s_n, order=order)
+        2.0 * cosh * sampler.eval_scaled(s_n)
+        + (2.0 * np.exp(1j * np.pi * n[live])) * sampler.eval_scaled(ALPHA_BAR * s_n)
+        + 2.0 * sampler.eval_scaled(ALPHA * s_n)
     )
     coeffs = np.zeros(n.shape, dtype=complex)
     coeffs[live] = ((1j / side_length) * g / sinh).to_complex()
@@ -169,7 +169,7 @@ def _mode_denominator(m, k, lam, side_length):
 
 
 def general_dirichlet_dtn(
-    data, lam: float, side_length: float, m_max: int = 96, order=None
+    data, lam: float, side_length: float, m_max: int = 96
 ):
     """Neumann traces for arbitrary Dirichlet data on the three sides.
 
@@ -190,7 +190,7 @@ def general_dirichlet_dtn(
     ep_ab = _e_scaled(ab, lam, side_length)
     em_ab = _e_scaled(-ab, lam, side_length)
     f_k, f_a, f_ab = (
-        [sampler.eval_scaled(kk, order=order) for sampler in f] for kk in (k, a, ab)
+        [sampler.eval_scaled(kk) for sampler in f] for kk in (k, a, ab)
     )
     x = (em * em * ep_ab + em_ab) * (f_k[0] + ep * ep * f_k[2])
     x = x + em * em * (em * em * ep_ab * ep**6 + em_ab) * f_k[1]
@@ -206,7 +206,7 @@ def general_dirichlet_dtn(
 
 
 def neumann_to_dirichlet(
-    data, lam: float, side_length: float, m_max: int = 96, order=None
+    data, lam: float, side_length: float, m_max: int = 96
 ):
     """Dirichlet traces for Neumann data on the three sides.
 
@@ -240,7 +240,7 @@ def neumann_to_dirichlet(
     e3ab_m = _big_e_scaled(-1j * ab, lam, side_length) ** 3
     e3ab_p = _big_e_scaled(1j * ab, lam, side_length) ** 3
     f_k, f_a, f_ab = (
-        [sampler.eval_scaled(kk, order=order) for sampler in f] for kk in (k, a, ab)
+        [sampler.eval_scaled(kk) for sampler in f] for kk in (k, a, ab)
     )
     rhs = em * (e3a_m + e3a_p) * f_k[0]
     rhs = rhs + (e3ab_m + e3ab_p) * f_k[1]
@@ -334,7 +334,6 @@ def robin_moment(
     side_length: float,
     beta: float,
     gamma: float,
-    order=None,
 ):
     """Generalized moment of the Dirichlet traces at a Robin mode.
 

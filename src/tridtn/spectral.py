@@ -15,22 +15,43 @@ not.  The corner term of a Poincare-type side is
 
     C(k) = (e^{i beta}/(2 sin beta)) [e(-k) q(-l/2) - e(k) q(l/2)].
 
-``SideSampler`` caches quadrature samples of one trace so that batches of
-spectral points reuse them; the inner sums are one ``exp_weighted_sum``
-per quadrature rule.
+``SideSampler`` samples its trace once, on Gauss-Legendre nodes of the
+side, doubling the node count until the Legendre coefficients have decayed
+to a plateau (the standardChop test of Aurentz & Trefethen, "Chopping a
+Chebyshev series", ACM TOMS 2017).  With h = l/2 every transform of the
+chopped series is exact,
+
+    int_{-h}^{h} e^{mu s} P_n(s/h) ds = 2 h i_n(mu h),
+
+with i_n the modified spherical Bessel function of the first kind (the
+transform scheme of Smitheman, Spence & Fokas, IMA J. Numer. Anal. 2010).
+The i_n are carried as e^{-|Re z|} i_n(z), so ``eval_scaled`` never
+overflows, and each sum over n is one three-term recurrence that takes one
+step per degree over the whole array of spectral points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NonFiniteError, ParameterError
 from .geometry import exp_e, mu
-from .quadrature import QuadratureRule, order_for_mu
+from .quadrature import QuadratureRule
 from .scaledc import Scaled
+
+#: standardChop tolerance: clean data are cut near CHOP_TOL^(7/6) (1e-14) of
+#: their largest Legendre coefficient, and data whose samples lost digits
+#: to cancellation (a small sum of large terms) still show a plateau up to
+#: CHOP_TOL^(2/3) (1e-8); at 2^-52 such data never plateau
+CHOP_TOL = 2.0**-40
+#: largest number of samples per side; a trace whose coefficients have not
+#: reached their plateau by then is used with the coefficients it has
+MAX_DEGREE = 2048
+_FIRST_DEGREE = 32
 
 
 class Kind(str, Enum):
@@ -49,22 +70,121 @@ MU_INVARIANT_KINDS = (Kind.PSI, Kind.F_ROBIN, Kind.Y)
 
 
 def _check_k(k):
-    if k == 0:
+    if np.any(np.asarray(k) == 0):
         raise DomainError("spectral transforms are undefined at k = 0")
 
 
-def exp_weighted_sum(mu, s, fw, shift=None):
-    """sum_j fw[j] exp(mu[i] (s[j] - shift[i])) over j, for 1-D arrays
-    (``shift`` defaults to zeros); one entry per ``mu``."""
-    arg = np.multiply.outer(mu, s)
-    if shift is not None:
-        arg -= (mu * shift)[:, None]
-    return np.exp(arg) @ fw
+# -- Legendre series of the samples ------------------------------------------
+@lru_cache(maxsize=16)
+def _analysis_matrix(n: int):
+    """Rows (k + 1/2) w_j P_k(x_j) over the n Gauss nodes x_j of [-1, 1]:
+    they map samples at the nodes to the Legendre coefficients of the
+    polynomial of degree n - 1 that interpolates them."""
+    rule = QuadratureRule.gauss(-1.0, 1.0, n)
+    rows = np.ones((n, n))
+    rows[1] = rule.nodes
+    for k in range(1, n - 1):
+        rows[k + 1] = ((2 * k + 1) * rule.nodes * rows[k] - k * rows[k - 1]) / (k + 1)
+    rows *= (np.arange(n) + 0.5)[:, None] * rule.weights
+    rows.setflags(write=False)
+    return rows
+
+
+def _chop(coeffs):
+    """Number of leading coefficients to keep, or None if the series has not
+    decayed to a plateau yet (Aurentz & Trefethen's standardChop)."""
+    n, tol = len(coeffs), CHOP_TOL
+    envelope = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if envelope[0] == 0.0:
+        return 1
+    envelope = envelope / envelope[0]
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = envelope[j - 1], envelope[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plateau = (e1 == 0.0) | (e2 > 3.0 * (1.0 - np.log(e1) / math.log(tol)) * e1)
+    if not plateau.any():
+        return None
+    j2 = int(j2[np.argmax(plateau)])
+    j3 = int(np.count_nonzero(envelope >= tol ** (7.0 / 6.0)))
+    if j3 < j2:
+        j2 = j3 + 1
+        envelope[j2 - 1] = tol ** (7.0 / 6.0)
+    biased = np.log10(envelope[:j2]) + np.linspace(0.0, -math.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(biased)), 1)
+
+
+# -- sums against modified spherical Bessel functions --------------------------
+def _i0_i1(z):
+    """e^{-|Re z|} i_0(z) and e^{-|Re z|} i_1(z)."""
+    sigma = np.abs(z.real)
+    ep, em = np.exp(z - sigma), np.exp(-z - sigma)
+    small = sigma < 1.0
+    sinh = np.where(small, np.sinh(np.where(small, z, 0.0)) * np.exp(-sigma), 0.5 * (ep - em))
+    nonzero = np.where(z == 0.0, 1.0, z)
+    i0 = np.where(z == 0.0, 1.0, sinh / nonzero)
+    return i0, (0.5 * (ep + em) - i0) / nonzero
+
+
+def _forward_sum(coeffs, z):
+    """sum_n coeffs[n] e^{-|Re z|} i_n(z) by the forward recurrence."""
+    inv = 1.0 / z
+    f_prev, f = _i0_i1(z)
+    acc = f_prev[:, None] * coeffs[0] + f[:, None] * coeffs[1]
+    for n in range(1, len(coeffs) - 1):
+        f_prev, f = f, f_prev - ((2 * n + 1) * inv) * f
+        acc += f[:, None] * coeffs[n + 1]
+    return acc
+
+
+def _miller_sum(coeffs, z):
+    """sum_n coeffs[n] e^{-|Re z|} i_n(z) by Miller's backward recurrence.
+
+    The ratios i_n/i_{n-1} run down from a degree where i_n is negligible,
+    past the turning point |z| and its Airy layer or, for large Re z, past
+    the Gaussian decay i_n/i_0 ~ exp(-n^2 Re z/(2|z|^2)).  The sum is nested
+    in the ratios (Horner form, so nothing overflows) and normalised by the
+    larger of i_0 and i_1 (i_0 vanishes at z = i pi m).
+    """
+    az = np.abs(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decay = np.sqrt(len(coeffs) ** 2 + 36.0 * az**2 / np.abs(z.real)) + 8.0
+    top = int(np.ceil(np.max(np.fmin(az + 8.0 * np.cbrt(az) + 16.0, decay))))
+    padded = np.zeros((top + 1, coeffs.shape[1]))
+    padded[: min(top + 1, len(coeffs))] = coeffs[: top + 1]
+    ratio = np.zeros(z.shape, dtype=complex)
+    acc = np.zeros((z.size, coeffs.shape[1]), dtype=complex) + padded[top]
+    for n in range(top, 0, -1):
+        ratio = z / ((2 * n + 1) + z * ratio)
+        acc = padded[n - 1] + ratio[:, None] * acc
+    i0, i1 = _i0_i1(z)
+    by_i1 = (np.abs(i1) > np.abs(i0)) & (az > 1.0)  # below 1, i_1 cancels
+    return np.where(by_i1, i1 / np.where(by_i1, ratio, 1.0), i0)[:, None] * acc
+
+
+def _bessel_sums(coeffs, z):
+    """sum_n coeffs[n] i_n(z) for a 1-D array z, one column per column of
+    ``coeffs``, as (m, sigma) with the sums m e^{sigma}.
+
+    The forward recurrence amplifies rounding by about
+    exp(N^2 |Re z| / (2 |z|^2)) over N degrees, so it serves only |z| > N
+    with that factor below e^4; every other point takes Miller's recurrence.
+    """
+    scale = np.max(np.abs(coeffs)) or 1.0
+    az, n_deg = np.abs(z), len(coeffs)
+    forward = (az > n_deg) & (n_deg**2 * np.abs(z.real) <= 8.0 * az**2)
+    out = np.empty((z.size, coeffs.shape[1]), dtype=complex)
+    if forward.any():
+        out[forward] = _forward_sum(coeffs / scale, z[forward])
+    if not forward.all():
+        out[~forward] = _miller_sum(coeffs / scale, z[~forward])
+    return out, np.abs(z.real) + math.log(scale)
 
 
 @dataclass
 class SideSampler:
-    """Cached quadrature samples of one trace for batched transforms."""
+    """One trace's chopped Legendre series, for batched transforms."""
 
     trace: object
     kind: Kind
@@ -79,120 +199,71 @@ class SideSampler:
                 raise ParameterError(f"kind {self.kind.value} requires beta")
             if math.sin(self.beta) == 0.0:
                 raise ParameterError("sin(beta) must be nonzero")
-        self._cache = {}
+        self._coeffs = None
 
-    def _samples(self, order: int):
-        got = self._cache.get(order)
-        if got is None:
-            rule = QuadratureRule.side(self.side_length, order)
-            got = self._sample_rule(rule)
-            self._cache[order] = got
-        return got
+    def _series(self):
+        """Legendre coefficients in s/(l/2) of the integrand columns g, or
+        g'/2 and g for the PHI kinds, times 2 (l/2) (and 1/(2 sin beta))."""
+        factor = self.side_length
+        if self.kind in _NEEDS_BETA:
+            factor /= 2.0 * math.sin(self.beta)
+        n = _FIRST_DEGREE
+        while True:
+            nodes = QuadratureRule.side(self.side_length, n).nodes
+            columns = [self.trace.value(nodes)]
+            if self.kind in _NEEDS_DERIVATIVE:
+                columns.insert(0, 0.5 * np.asarray(self.trace.derivative(nodes)))
+            samples = np.stack([np.broadcast_to(c, nodes.shape) for c in columns], axis=1)
+            with np.errstate(all="ignore"):
+                coeffs = _analysis_matrix(n) @ (factor * samples.astype(float))
+            if not np.all(np.isfinite(coeffs)):
+                raise NonFiniteError(
+                    f"side {getattr(self.trace, 'side', '?')} trace is not finite "
+                    f"where the {self.kind.value} transform samples it"
+                )
+            keep = [_chop(column) for column in coeffs.T]
+            if None not in keep:
+                return coeffs[: max(2, *keep)]
+            if n >= MAX_DEGREE:
+                return coeffs
+            n *= 2
 
-    def _sample_rule(self, rule):
-        g = np.asarray(self.trace.value(rule.nodes), dtype=float)
-        if self.kind in _NEEDS_DERIVATIVE:
-            dg = np.asarray(self.trace.derivative(rule.nodes), dtype=float)
-        else:
-            dg = None
-        return (rule, g, dg)
-
-    def _layer_samples(self, level: int, end: int, order: int):
-        """Samples on the dyadic endpoint window [end(l/2 - w), end l/2].
-
-        For |Re mu| l >> 1 the integrand exp(mu s) f(s) lives in a boundary
-        layer at the dominant endpoint; integrating only that window keeps
-        the node count bounded while the dropped remainder is below
-        exp(-|Re mu| w) relative.
-        """
-        key = (level, end, order)
-        got = self._cache.get(key)
-        if got is None:
-            half = self.side_length / 2.0
-            w = self.side_length / (2.0**level)
-            a, b = (half - w, half) if end > 0 else (-half, -half + w)
-            rule = QuadratureRule.gauss(a, b, order)
-            got = self._sample_rule(rule)
-            self._cache[key] = got
-        return got
-
-    def _rule_keys(self, mus, order, shift):
-        """Per point (layer level, end, order); level 0 is the full side.
-
-        A point whose shift sits at its dominant endpoint and whose
-        |Re mu| l exceeds 360 is integrated over a dyadic endpoint window
-        only (see ``_layer_samples``).
-        """
-        zeros = np.zeros(mus.shape, dtype=int)
-        if order is not None:
-            return zeros, zeros, zeros + int(order)
-        hint = int(getattr(self.trace, "quadrature_hint", 0) or 0)
-        re = np.abs(mus.real) * self.side_length
-        end = np.where(mus.real > 0, 1, -1)
-        orders = np.maximum(order_for_mu(mus, self.side_length), hint)
-        if shift is None:
-            return zeros, zeros, orders
-        layer = (re > 360.0) & (shift == end * (self.side_length / 2.0))
-        level = np.where(layer, np.floor(np.log2(np.maximum(re, 360.0) / 180.0)), 0).astype(int)
-        layer_orders = np.maximum(
-            order_for_mu(mus, self.side_length / 2.0**level), (hint >> level) + 8
-        )
-        return level, np.where(layer, end, 0), np.where(layer, layer_orders, orders)
-
-    def eval(self, k, order: int | None = None, shift=None):
+    def eval(self, k, shift=None):
         """Transform at spectral points ``k`` (scalar or 1-D array).
 
         With ``shift`` given (array matching k), returns the shifted value
         int e^{mu (s - shift)} (...) ds = e^{-mu shift} * transform.
         """
         k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
-        if np.any(k_arr == 0):
-            raise DomainError("spectral transforms are undefined at k = 0")
+        _check_k(k_arr)
+        if self._coeffs is None:
+            self._coeffs = self._series()
         mus = mu(k_arr, self.lam)
-        shift_arr = None if shift is None else np.atleast_1d(np.asarray(shift, dtype=float))
-        keys, group = np.unique(
-            np.stack(self._rule_keys(mus, order, shift_arr)), axis=1, return_inverse=True
-        )
-        group = group.ravel()
-        out = np.empty(mus.shape, dtype=complex)
-        for i, (level, end, o) in enumerate(keys.T.tolist()):
-            sel = group == i
-            if level:
-                rule, g, dg = self._layer_samples(level, end, o)
-            else:
-                rule, g, dg = self._samples(o)
-            sh = None if shift_arr is None else shift_arr[sel]
-            if self.kind in _NEEDS_DERIVATIVE:
-                # fw depends on k through lambda/k; fold the k-independent part
-                out[sel] = exp_weighted_sum(mus[sel], rule.nodes, rule.weights * (0.5 * dg), sh)
-                corr = exp_weighted_sum(mus[sel], rule.nodes, rule.weights * g, sh)
-                out[sel] += (self.lam / k_arr[sel]) * corr
-            else:
-                fw = rule.weights * g
-                if self.kind in _NEEDS_BETA:
-                    fw = fw / (2.0 * math.sin(self.beta))
-                out[sel] = exp_weighted_sum(mus[sel], rule.nodes, fw, sh)
+        sums, sigma = _bessel_sums(self._coeffs, mus * (self.side_length / 2.0))
+        vals = sums[:, 0]
+        if self.kind in _NEEDS_DERIVATIVE:
+            vals = vals + (self.lam / k_arr) * sums[:, 1]
+        if shift is not None:
+            sigma = sigma - mus * np.asarray(shift, dtype=float)
+        out = vals * np.exp(sigma)
         return out if np.ndim(k) else complex(out[0])
 
-    def eval_scaled(self, k, order: int | None = None):
+    def eval_scaled(self, k):
         """Transform as a Scaled value, stable for large |Re mu|."""
         k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
-        mus = np.atleast_1d(mu(k_arr, self.lam))
-        half = self.side_length / 2.0
-        shift = np.where(mus.real > 0.0, half, np.where(mus.real < 0.0, -half, 0.0))
-        vals = np.atleast_1d(self.eval(k_arr, order=order, shift=shift))
-        out = Scaled(
-            m=vals * np.exp(1j * (mus * shift).imag), sigma=(mus * shift).real
-        )
-        return out
+        mus = mu(k_arr, self.lam)
+        # shifted to the dominant end, eval leaves only the phase of e^{-mu shift}
+        shift = np.sign(mus.real) * (self.side_length / 2.0)
+        vals = self.eval(k_arr, shift=shift)
+        return Scaled(m=vals * np.exp(1j * (mus * shift).imag), sigma=(mus * shift).real)
 
 
-def spectral_transform(trace, kind, k, lam, side_length, beta=None, order=None):
+def spectral_transform(trace, kind, k, lam, side_length, beta=None):
     """One-off transform evaluation (see module docstring for kinds)."""
     sampler = SideSampler(
         trace=trace, kind=Kind(kind), lam=lam, side_length=side_length, beta=beta
     )
-    return sampler.eval(k, order=order)
+    return sampler.eval(k)
 
 
 def corner_term(trace, k, lam, side_length, beta, conjugated: bool = False):

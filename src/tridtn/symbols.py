@@ -63,9 +63,3 @@ class SideSymbol:
     def dp(self, k: complex) -> complex:
         hb = self.hbar(k)
         return (self.dh(k) * hb - self.h(k) * self.dhbar(k)) / (hb * hb)
-
-    def h_product(self, k: complex) -> complex:
-        """H(k) H(alpha k) H(alpha_bar k), which collapses to
-        k^3 e^{3 i beta} + lambda^3/(k^3 e^{3 i beta}) + 3 lambda gamma - gamma^3."""
-        w3 = (k * self.phase) ** 3
-        return w3 + self.lam**3 / w3 + 3.0 * self.lam * self.gamma - self.gamma**3

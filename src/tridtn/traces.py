@@ -7,11 +7,15 @@ the contour solvers return ``ContourResidueTrace`` objects (a generalized
 Fourier integral plus residue exponentials); the plain ``BoundaryTrace``
 wraps arbitrary callables (manufactured solutions, parsed expressions,
 interpolated grid data).
+
+The spectral transforms see every trace only through ``value`` and
+``derivative`` on Gauss-Legendre nodes of the side; they find the node
+count a trace needs from its Legendre coefficients, so a trace carries no
+resolution hint of its own.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -75,20 +79,6 @@ class FourierSeriesTrace:
         """Carrier rates kappa_m = -2 pi i m / (3 l)."""
         return -2j * np.pi * self.modes / (3.0 * self.side_length)
 
-    @property
-    def quadrature_hint(self) -> int:
-        """Minimum node count resolving the fastest carrier over one side.
-
-        The highest mode completes |m|/3 oscillations per side length; a
-        Gauss-Legendre rule needs a little over pi/2 nodes per cycle, so two
-        per cycle plus a safety margin keeps transforms of the synthesized
-        series at quadrature accuracy.
-        """
-        if self.modes.size == 0:
-            return 0
-        cycles = float(np.max(np.abs(self.modes))) / 3.0
-        return int(math.ceil(2.0 * cycles)) + 16
-
     def synthesis(self, s):
         """Complex mode sum before taking the real part."""
         s = np.asarray(s, dtype=float)
@@ -108,17 +98,6 @@ class FourierSeriesTrace:
 
     def __call__(self, s):
         return self.value(s)
-
-    def d(self, s):
-        return self.derivative(s)
-
-    def as_boundary_trace(self) -> BoundaryTrace:
-        return BoundaryTrace(side=self.side, value=self.value, derivative=self.derivative)
-
-    def mean(self) -> float:
-        """Average over the side (the m = 0 coefficient, real part)."""
-        sel = self.modes == 0
-        return float(np.real(self.coeffs[sel].sum()))
 
 
 @dataclass(frozen=True)
@@ -161,15 +140,3 @@ def sample_grid(side_length: float, n: int = 512, corner_margin: float = 0.02):
     """Uniform s-grid excluding a relative margin at both corners."""
     half = side_length / 2.0 - corner_margin * side_length
     return np.linspace(-half, half, n)
-
-
-def compare_traces(a, b, side_length: float, n: int = 512, corner_margin: float = 0.02):
-    """Max-norm discrepancy of two traces away from the corners.
-
-    ``a`` and ``b`` may be BoundaryTrace/FourierSeriesTrace objects or plain
-    callables of s.
-    """
-    s = sample_grid(side_length, n=n, corner_margin=corner_margin)
-    va = np.asarray(a(s), dtype=float)
-    vb = np.asarray(b(s), dtype=float)
-    return float(np.max(np.abs(va - vb)))

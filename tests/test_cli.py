@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,17 +92,72 @@ def test_negative_lambda_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("data", ["exp(1400*s)", "exp(1415*s)", "1/(s-s)"])
-def test_non_finite_numerics_exit_3_and_write_nothing(tmp_path, data):
+def test_non_finite_numerics_exit_3_and_write_nothing(tmp_path, capsys, data):
     # overflow of a collapsed coefficient, and data that evaluate to inf or
-    # NaN: typed numerical failures, and no partial output
+    # NaN: typed numerical failures, one line on stderr, no partial output
     cfg = sym_dirichlet_cfg()
     for entry in cfg["bc"]:
         entry["data"] = data
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "o"
-    assert main(["solve", "--config", path, "--out", str(out)]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", path, "--out", str(out)]) == 3
+    # a warning would print its own lines to stderr outside the test run
+    lines = [str(w.message) for w in caught] + capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), lines
     assert not (out / "traces.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # every output goes to a temporary file first; a write error is a
+    # "cannot write" config error and leaves neither outputs nor temp files
+    write_text = Path.write_text
+
+    def fail_on_manifest(path, text, **kwargs):
+        if "manifest" in path.name:
+            raise OSError("disk full")
+        return write_text(path, text, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_on_manifest)
+    cfg = write_cfg(tmp_path, sym_dirichlet_cfg())
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_cfg(tmp_path, sym_dirichlet_cfg())
+    assert main(["solve", "--config", cfg, "--out", str(blocker / "run")]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_solve_spline_samples_match_expressions(tmp_path):
+    # {"samples": file} data (a cubic spline through the rows) against the
+    # same field as three different expressions; both take the general map
+    s = np.linspace(-0.5, 0.5, 201)
+    table = tmp_path / "cos.csv"
+    rows = "".join(f"{x:.17e},{math.cos(2 * math.pi * x):.17e}\n" for x in s)
+    table.write_text("s,value\n" + rows)
+    spline = {"lam": 1.0, "side_length": 1.0, "truncation": 64, "samples": 32}
+    spline["bc"] = [{"kind": "dirichlet", "data": {"samples": str(table)}} for _ in range(3)]
+    exprs = dict(spline)
+    exprs["bc"] = [
+        {"kind": "dirichlet", "data": text}
+        for text in ("cos(2*pi*s/l)", "cos(-2*pi*s/l)", "cos(2*pi*s)")
+    ]
+    runs = []
+    for name, cfg in (("spline", spline), ("exprs", exprs)):
+        out = tmp_path / name
+        path = write_cfg(tmp_path, cfg, f"{name}.json")
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        assert math.isfinite(json.loads((out / "manifest.json").read_text())["residual_audit"])
+        runs.append(np.loadtxt(out / "traces.csv", delimiter=",", skiprows=1))
+    assert np.max(np.abs(runs[0] - runs[1])) < 1e-5
 
 
 def test_bad_expression_is_config_error(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tridtn.errors import DomainError
+from tridtn.errors import DomainError, NonFiniteError
 from tridtn.expressions import expression_trace
 from tridtn.geometry import ALPHA, ALPHA_BAR, TriangleGeometry
 from tridtn.oracle import all_traces, poincare_trace
@@ -30,11 +30,12 @@ def test_global_relation_residual(lam, geom, rng):
 
 
 def test_residual_audit_reports_nan_data(rng):
-    """Data that evaluate to inf give NaN residuals, which the audit keeps."""
+    """Data that evaluate to inf or NaN stop the audit with a typed error
+    that names the side and the transform kind."""
     bad = [expression_trace("1/(s-s)", j, 1.0) for j in (1, 2, 3)]
     rel = GlobalRelation(bad, bad, 1.0, 1.0)
-    with np.errstate(all="ignore"):
-        assert math.isnan(rel.residual_audit(spectral_points(rng, 5)))
+    with pytest.raises(NonFiniteError, match="side 1 .* psi"):
+        rel.residual_audit(spectral_points(rng, 5))
 
 
 def test_residual_audit_large_lambda(rng):

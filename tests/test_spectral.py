@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -98,18 +99,65 @@ def test_beta_required():
         SideSampler(exp_trace(0.1), Kind.Y, 1.0, 1.0, beta=0.0)
 
 
-def test_fourier_trace_quadrature_hint():
-    # a high-mode series must be resolved automatically by the transform
-    m = 90  # 30 oscillations per side
-    trace = FourierSeriesTrace(
-        side=1, side_length=1.0, modes=np.array([m, -m]), coeffs=np.array([0.5, 0.5])
-    )
-    assert trace.quadrature_hint >= 2 * m / 3
-    sampler = SideSampler(trace, Kind.PSI, 1.0, 1.0)
-    k = 0.9 + 0.4j
-    auto = sampler.eval(k)
-    brute = sampler.eval(k, order=1024)
-    assert abs(auto - brute) < 1e-11 * max(1.0, abs(brute))
+def _atom_transform(atoms, kind, k, lam, half, beta):
+    """Closed-form transform of sum_j a_j e^{r_j s} over [-half, half], in mpmath."""
+    k = mpmath.mpc(k)
+    m = k + lam / k
+    total = 0
+    for a, r in atoms:
+        a, r = mpmath.mpc(a), mpmath.mpc(r)
+        w = m + r
+        moment = 2 * mpmath.sinh(w * half) / w if w != 0 else 2 * mpmath.mpf(half)
+        factor = r / 2 + lam / k if kind in (Kind.PHI, Kind.F_DIRICHLET) else 1
+        total += a * factor * moment
+    if kind in (Kind.F_ROBIN, Kind.Y):
+        total /= 2 * mpmath.sin(beta)
+    return total
+
+
+def _reference_traces():
+    c = 0.7
+    yield exp_trace(c), [(1, c)]
+    # the modes +-m make whole periods on the side, which integrate to zero
+    # at mu = 0 for g and g' alike; the mean (m = 0) and the odd m = 1 term
+    # keep the transforms away from zero there, so relative errors exist
+    for m in (90, 192):
+        modes = np.array([m, 1, 0, -m])
+        coeffs = np.array([0.5, 0.3j, 0.3, 0.5])
+        trace = FourierSeriesTrace(side=1, side_length=1.0, modes=modes, coeffs=coeffs)
+        rates = -2j * math.pi * modes / 3.0
+        # Re(c e^{rs}) = (c e^{rs} + conj(c) e^{conj(r) s}) / 2
+        yield trace, [(a / 2, r) for a, r in zip(coeffs, rates)] + [
+            (a.conjugate() / 2, r.conjugate()) for a, r in zip(coeffs, rates)
+        ]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+def test_transform_reference(lam):
+    # every kind against mpmath closed forms, |k| from 1e-3 to 1e4, on an
+    # exp atom and on Fourier traces of 30 and 64 oscillations per side
+    beta, half = 0.9, 0.5
+    radii = [1e-3, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4]
+    ks = np.array([r * cmath.exp(2j * math.pi * j / 8) for r in radii for j in range(8)])
+    bound = 1e-12 * np.maximum(1.0, np.abs(mu(ks, lam)) * 2 * half / 100.0)
+    in_range = np.abs(mu(ks, lam).real) * half < 700.0
+    with mpmath.workdps(30):
+        for trace, atoms in _reference_traces():
+            for kind in Kind:
+                sampler = SideSampler(trace, kind, lam, 2 * half, beta=beta)
+                plain = np.full(ks.shape, np.nan, dtype=complex)
+                plain[in_range] = sampler.eval(ks[in_range])
+                scaled = sampler.eval_scaled(ks)
+                log_mod, phase = scaled.abs_log(), np.angle(scaled.m)
+                for i, k in enumerate(ks):
+                    want = _atom_transform(atoms, kind, complex(k), lam, half, beta)
+                    d_log = abs(log_mod[i] - float(mpmath.log(abs(want))))
+                    turn = phase[i] - float(mpmath.arg(want))
+                    d_phase = abs(cmath.phase(cmath.exp(1j * turn)))
+                    assert max(d_log, d_phase) <= bound[i], (kind, k, d_log, d_phase)
+                    if in_range[i]:
+                        err = abs(mpmath.mpc(plain[i]) - want) / abs(want)
+                        assert err <= bound[i], (kind, k, float(err))
 
 
 def test_spectral_transform_wrapper():
