@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NonFiniteError, TriDtnError
 from .expressions import expression_trace
-from .fdgrid import fd_solve
+from .fdgrid import TriangularGrid, fd_solve
 from .geometry import TriangleGeometry
 from .interior import TraceSet, fokas_eval, greens_eval
 from .poincare import mixed_nr_trace, symmetric_dirichlet_integral
@@ -104,6 +104,8 @@ def build_problem(cfg: dict) -> ProblemSpec:
             kind = BCKind(entry["kind"])
         except ValueError as exc:
             raise ConfigError(f"side {side}: unknown bc kind {entry['kind']!r}") from exc
+        if kind == BCKind.POINCARE:
+            raise ConfigError(f"side {side}: no subcommand solves a 'poincare' side")
         trace = _data_trace(entry, side, geom.side_length)
         kwargs = {}
         if "gamma" in entry:
@@ -215,20 +217,25 @@ def _audit_points(rng, side_length: float, count: int):
     return radii * np.exp(1j * angles)
 
 
+def _full_traces(spec, computed):
+    """(Dirichlet, Neumann) traces of all three sides, from the data and the
+    computed traces; None for mixed runs, which produce a single side."""
+    known = tuple(spec.side(j).data for j in (1, 2, 3))
+    found = tuple(computed.get(j) for j in (1, 2, 3))
+    kinds = {side.kind for side in spec.sides}
+    if kinds == {BCKind.DIRICHLET}:
+        return known, found
+    return (found, known) if kinds == {BCKind.NEUMANN} else None
+
+
 def _full_trace_audit(spec, computed, cfg, seed: int):
     """Global-relation residual of known data plus computed traces."""
-    kinds = [side.kind for side in spec.sides]
-    if all(k == BCKind.DIRICHLET for k in kinds):
-        dirichlet = [spec.side(j).data for j in (1, 2, 3)]
-        neumann = [computed[j] for j in (1, 2, 3)]
-    elif all(k == BCKind.NEUMANN for k in kinds):
-        dirichlet = [computed[j] for j in (1, 2, 3)]
-        neumann = [spec.side(j).data for j in (1, 2, 3)]
-    else:
-        return None  # mixed runs produce a single side; no full trace set
+    full = _full_traces(spec, computed)
+    if full is None:
+        return None
     rng = np.random.default_rng(seed)
     ks = _audit_points(rng, spec.side_length, 20)
-    rel = GlobalRelation(dirichlet, neumann, spec.lam, spec.side_length)
+    rel = GlobalRelation(*full, spec.lam, spec.side_length)
     return float(rel.residual_audit(ks))
 
 
@@ -285,34 +292,23 @@ def _cmd_verify(cfg, args):
 
 def _cmd_interior(cfg, args):
     spec = build_problem(cfg)
+    if args.solver == "fokas" and spec.lam == 0.0:
+        raise ConfigError("interior --solver fokas needs lam > 0 (the ray representation)")
     n = int(args.truncation or cfg.get("truncation", 64))
     computed, details = _solve_traces(spec, cfg, "series", n)
-    kinds = [side.kind for side in spec.sides]
-    if all(k == BCKind.DIRICHLET for k in kinds):
-        traces = TraceSet(
-            geometry=spec.geometry,
-            dirichlet=tuple(spec.side(j).data for j in (1, 2, 3)),
-            neumann=tuple(computed[j] for j in (1, 2, 3)),
-        )
-    elif all(k == BCKind.NEUMANN for k in kinds):
-        traces = TraceSet(
-            geometry=spec.geometry,
-            dirichlet=tuple(computed[j] for j in (1, 2, 3)),
-            neumann=tuple(spec.side(j).data for j in (1, 2, 3)),
-        )
-    else:
+    full = _full_traces(spec, computed)
+    if full is None:
         raise ConfigError("interior evaluation needs a Dirichlet or Neumann problem")
+    traces = TraceSet(spec.geometry, *full)
     margin_frac = float(cfg.get("interior", {}).get("margin", 0.1))
     divisions = int(cfg.get("interior", {}).get("divisions", 8))
     margin = margin_frac * spec.side_length
     geom = spec.geometry
     evaluator = greens_eval if args.solver == "greens" else fokas_eval
-    from .fdgrid import TriangularGrid
-
     lattice = TriangularGrid(spec.side_length, divisions)
-    points = [lattice.point(i, j) for (i, j) in lattice.nodes()]
-    points = [z for z in points if geom.boundary_margin(z) >= margin]
-    values = _finite([evaluator(traces, spec.lam, z) for z in points], "interior values")
+    points = lattice.point(*lattice.nodes())
+    points = points[geom.boundary_margin(points) >= margin]
+    values = _finite(evaluator(traces, spec.lam, points), "interior values")
     rows = [f"{z.real:.17e},{z.imag:.17e},{v:.17e}" for z, v in zip(points, values)]
     fields = {"details": details, "margin": margin, "points": len(points), "solver": args.solver}
     return "interior.csv", "x,y,value", rows, fields

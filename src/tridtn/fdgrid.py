@@ -20,12 +20,10 @@ s = l/2 - j h.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import cg
 
 from .errors import DomainError, ParameterError, SolvabilityError
@@ -33,6 +31,12 @@ from .geometry import SQRT3, TriangleGeometry
 from .problems import BCKind, ProblemSpec
 
 _NEIGHBOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+
+#: the lattice edges leaving a node towards later nodes
+_EDGE_STEPS = ((1, 0), (0, 1), (1, -1))
+
+#: the two inward lattice directions of each side, at +-60 degrees to it
+_INWARD_STEPS = {1: ((-1, 0), (0, -1)), 2: ((0, 1), (-1, 1)), 3: ((1, 0), (1, -1))}
 
 
 @dataclass(frozen=True)
@@ -47,43 +51,34 @@ class TriangularGrid:
         return self.side_length / self.m
 
     def nodes(self):
-        """All (i, j) lattice indices inside the closed triangle."""
-        return [(i, j) for i in range(self.m + 1) for j in range(self.m + 1 - i)]
+        """Index arrays (i, j) of the lattice nodes inside the closed
+        triangle, i outer and j inner."""
+        i, j = np.indices((self.m + 1, self.m + 1))
+        inside = i + j <= self.m
+        return i[inside], j[inside]
 
-    def point(self, i: int, j: int) -> complex:
+    def point(self, i, j):
+        """Lattice points P(i, j) (vectorised in i and j)."""
         geom = TriangleGeometry(self.side_length)
-        return geom.z3 + (i * (geom.z2 - geom.z3) + j * (geom.z1 - geom.z3)) / self.m
+        step = i * (geom.z2 - geom.z3) + j * (geom.z1 - geom.z3)
+        return geom.z3 + (step.real / self.m + 1j * (step.imag / self.m))
 
-    def sides_of(self, i: int, j: int):
-        """The (possibly empty) list of sides the node lies on."""
-        out = []
-        if i + j == self.m:
-            out.append(1)
-        if j == 0:
-            out.append(2)
-        if i == 0:
-            out.append(3)
-        return out
+    def on_sides(self, i, j):
+        """Boolean array (3, ...): row ``side - 1`` marks the nodes on a side."""
+        return np.array([i + j == self.m, j == 0, i == 0])
 
-    def arclength(self, side: int, i: int, j: int) -> float:
-        half = self.side_length / 2.0
+    def side_nodes(self, side: int):
+        """Index arrays (i, j) and arclengths s of a side's nodes, ordered by
+        increasing s, corners included."""
+        half, h, t = self.side_length / 2.0, self.h, np.arange(self.m + 1)
         if side == 1:
-            return half - i * self.h
+            i = self.m - t
+            return i, t, half - i * h
         if side == 2:
-            return -half + i * self.h
+            return t, np.zeros_like(t), -half + t * h
         if side == 3:
-            return half - j * self.h
-        raise ValueError(f"side index must be 1, 2 or 3, got {side}")
-
-    def side_indices(self, side: int):
-        """Boundary (i, j) pairs of a side ordered by increasing s,
-        corners included."""
-        if side == 1:
-            return [(i, self.m - i) for i in range(self.m, -1, -1)]
-        if side == 2:
-            return [(i, 0) for i in range(self.m + 1)]
-        if side == 3:
-            return [(0, j) for j in range(self.m, -1, -1)]
+            j = self.m - t
+            return np.zeros_like(t), j, half - j * h
         raise ValueError(f"side index must be 1, 2 or 3, got {side}")
 
 
@@ -92,24 +87,23 @@ class GridSolution:
     """FD solution plus the extracted complementary boundary traces."""
 
     grid: TriangularGrid
-    values: dict
+    values: np.ndarray  # (m + 1) x (m + 1) node values, NaN where i + j > m
     traces: dict  # side -> (s array, trace array)
     gauge_fixed: bool = False
     cg_residual: float = 0.0
 
     def trace_callable(self, side: int):
+        from scipy.interpolate import CubicSpline
+
         s, v = self.traces[side]
         return CubicSpline(s, v)
-
-    def __call__(self, i: int, j: int) -> float:
-        return self.values[(i, j)]
 
     def export_csv(self, stream):
         """Write ``x,y,value`` rows (header first) in lattice order."""
         stream.write("x,y,value\n")
-        for (i, j) in sorted(self.values):
-            z = self.grid.point(i, j)
-            stream.write(f"{z.real:.17e},{z.imag:.17e},{self.values[(i, j)]:.17e}\n")
+        i, j = self.grid.nodes()
+        for z, v in zip(self.grid.point(i, j), self.values[i, j]):
+            stream.write(f"{z.real:.17e},{z.imag:.17e},{v:.17e}\n")
 
 
 def _check_spacing(side_length: float, h: float) -> int:
@@ -119,6 +113,20 @@ def _check_spacing(side_length: float, h: float) -> int:
             f"grid spacing {h} does not divide the side length {side_length}"
         )
     return m
+
+
+def _numbering(grid: TriangularGrid, i, j):
+    """Index array of the (m + 3) x (m + 3) lattice padded by one node: entry
+    [i + 1, j + 1] numbers the given nodes in order, -1 everywhere else."""
+    number = np.full((grid.m + 3, grid.m + 3), -1)
+    number[i + 1, j + 1] = np.arange(i.size)
+    return number
+
+
+def _side_data(spec: ProblemSpec, grid: TriangularGrid, side: int):
+    """A side's node indices and data, by increasing s: one data call."""
+    i, j, s = grid.side_nodes(side)
+    return i, j, np.broadcast_to(np.asarray(spec.side(side).data(s), dtype=float), s.shape)
 
 
 def fd_solve(spec: ProblemSpec, h: float, tol: float = 1e-12) -> GridSolution:
@@ -138,44 +146,34 @@ def fd_solve(spec: ProblemSpec, h: float, tol: float = 1e-12) -> GridSolution:
 
 
 # -- Dirichlet --------------------------------------------------------------
-def _boundary_value(spec: ProblemSpec, grid: TriangularGrid, i: int, j: int) -> float:
-    side = grid.sides_of(i, j)[0]
-    return float(spec.side(side).data(grid.arclength(side, i, j)))
-
-
 def _solve_dirichlet(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> GridSolution:
     m, h, lam = grid.m, grid.h, spec.lam
-    index = {}
-    for (i, j) in grid.nodes():
-        if not grid.sides_of(i, j):
-            index[(i, j)] = len(index)
-    n = len(index)
-    diag = 6.0 + 6.0 * lam * h * h
-    rows, cols, vals = [], [], []
+    # boundary data on the lattice; a corner takes the data of its first side
+    values = np.full((m + 1, m + 1), np.nan)
+    for side in (3, 2, 1):
+        i, j, data = _side_data(spec, grid, side)
+        values[i, j] = data
+    i, j = grid.nodes()
+    interior = (i > 0) & (j > 0) & (i + j < m)
+    i, j = i[interior], j[interior]
+    number = _numbering(grid, i, j)
+    n = i.size
+    rows, cols = [np.arange(n)], [np.arange(n)]
+    vals = [np.full(n, 6.0 + 6.0 * lam * h * h)]
     b = np.zeros(n)
-    for (i, j), row in index.items():
-        rows.append(row)
-        cols.append(row)
-        vals.append(diag)
-        for di, dj in _NEIGHBOR_STEPS:
-            ni, nj = i + di, j + dj
-            if (ni, nj) in index:
-                rows.append(row)
-                cols.append(index[(ni, nj)])
-                vals.append(-1.0)
-            else:
-                b[row] += _boundary_value(spec, grid, ni, nj)
-    a_mat = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    for di, dj in _NEIGHBOR_STEPS:
+        col = number[i + di + 1, j + dj + 1]
+        inner = col >= 0
+        rows.append(np.flatnonzero(inner))
+        cols.append(col[inner])
+        vals.append(np.full(rows[-1].size, -1.0))
+        b += np.where(inner, 0.0, values[i + di, j + dj])
+    a_mat = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
     u, residual = _cg_solve(a_mat, b, tol)
-
-    values = {}
-    for (i, j) in grid.nodes():
-        values[(i, j)] = (
-            u[index[(i, j)]] if (i, j) in index else _boundary_value(spec, grid, i, j)
-        )
-    traces = {
-        side: _extract_neumann(grid, values, side) for side in (1, 2, 3)
-    }
+    values[i, j] = u
+    traces = {side: _extract_neumann(grid, values, side) for side in (1, 2, 3)}
     return GridSolution(grid=grid, values=values, traces=traces, cg_residual=residual)
 
 
@@ -185,82 +183,79 @@ def _extract_neumann(grid: TriangularGrid, values, side: int):
     The two inward lattice directions of a side node make +-60 degrees
     with the side, so the sum of their directional derivatives is
     sqrt(3) d/dn(inward).  Each directional derivative uses the 3-point
-    one-sided difference along its (exact) lattice line; nodes whose
-    second-step neighbors leave the triangle are skipped.
+    one-sided difference along its (exact) lattice line; the corners and
+    the nodes next to them, whose second-step neighbors leave the
+    triangle, are skipped.
     """
-    h = grid.h
-    dirs = {
-        1: ((-1, 0), (0, -1)),
-        2: ((0, 1), (-1, 1)),
-        3: ((1, 0), (1, -1)),
-    }[side]
-    s_list, q_list = [], []
-    for (i, j) in grid.side_indices(side):
-        if len(grid.sides_of(i, j)) > 1:
-            continue
-        acc, ok = 0.0, True
-        for di, dj in dirs:
-            p1, p2 = (i + di, j + dj), (i + 2 * di, j + 2 * dj)
-            if p1 not in values or p2 not in values:
-                ok = False
-                break
-            acc += -3.0 * values[(i, j)] + 4.0 * values[p1] - values[p2]
-        if not ok:
-            continue
-        s_list.append(grid.arclength(side, i, j))
-        q_list.append(-acc / (2.0 * SQRT3 * h))
-    order = np.argsort(s_list)
-    return np.asarray(s_list)[order], np.asarray(q_list)[order]
+    i, j, s = (a[2:-2] for a in grid.side_nodes(side))
+    acc = 0.0
+    for di, dj in _INWARD_STEPS[side]:
+        acc = acc + (
+            -3.0 * values[i, j]
+            + 4.0 * values[i + di, j + dj]
+            - values[i + 2 * di, j + 2 * dj]
+        )
+    return s, -acc / (2.0 * SQRT3 * grid.h)
 
 
 # -- Neumann / Robin --------------------------------------------------------
 def _solve_flux(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> GridSolution:
     m, h, lam = grid.m, grid.h, spec.lam
-    node_list = grid.nodes()
-    index = {node: r for r, node in enumerate(node_list)}
-    n = len(node_list)
-
-    # lumped cell areas: full hexagon cell inside, clipped on the boundary
-    tri_area = SQRT3 / 4.0 * h * h
-    lhs = sparse.lil_matrix((n, n))
-    mass = np.zeros(n)
-    b = np.zeros(n)
+    i, j = grid.nodes()
+    number = _numbering(grid, i, j)
+    n = i.size
+    sides = grid.on_sides(i, j)
 
     # stiffness: 1/sqrt(3) per interior lattice edge, 1/(2 sqrt(3)) per
-    # boundary edge (one adjacent triangle only)
-    for (i, j), row in index.items():
-        for di, dj in ((1, 0), (0, 1), (1, -1)):
-            nb = (i + di, j + dj)
-            if nb not in index:
-                continue
-            col = index[nb]
-            on_boundary = bool(
-                set(grid.sides_of(i, j)) & set(grid.sides_of(*nb))
-            )
-            w = (0.5 if on_boundary else 1.0) / SQRT3
-            lhs[row, row] += w
-            lhs[col, col] += w
-            lhs[row, col] -= w
-            lhs[col, row] -= w
+    # boundary edge (one adjacent triangle only); edges[step] holds the
+    # weight of the edge leaving each node along step, 0 where there is none
+    edges, rows, cols, vals = {}, [], [], []
+    for di, dj in _EDGE_STEPS:
+        col = number[i + di + 1, j + dj + 1]
+        exists = col >= 0
+        on_boundary = np.any(sides & grid.on_sides(i + di, j + dj), axis=0)
+        edges[di, dj] = np.where(exists, np.where(on_boundary, 0.5, 1.0) / SQRT3, 0.0)
+        w = edges[di, dj][exists]
+        rows += [np.flatnonzero(exists), col[exists]]
+        cols += [col[exists], np.flatnonzero(exists)]
+        vals += [-w, -w]
+    # each diagonal adds its edges in the lattice order of their first
+    # nodes, the order in which a loop over nodes and their edges adds them
+    diag = np.zeros(n)
+    for di, dj in ((1, 0), (1, -1), (0, 1)):
+        first = number[i - di + 1, j - dj + 1]
+        diag += np.where(first >= 0, edges[di, dj][first], 0.0)
+    for step in _EDGE_STEPS:
+        diag += edges[step]
 
-    # lumped mass: one third of each adjacent triangle
-    for (i, j), row in index.items():
-        mass[row] = _adjacent_triangles(grid, i, j) * tri_area / 3.0
-        lhs[row, row] += 4.0 * lam * mass[row]
+    # lumped mass: one third of each adjacent triangle; six lattice triangles
+    # meet at an interior node, three at a side node and one at a corner
+    tri_area = SQRT3 / 4.0 * h * h
+    mass = np.array([6, 3, 1])[np.sum(sides, axis=0)] * tri_area / 3.0
+    diag += 4.0 * lam * mass
 
     # boundary data and Robin terms, lumped per boundary edge
+    b = np.zeros(n)
+    weight = np.full(m + 1, h)
+    weight[[0, -1]] = h / 2.0
     for side_no in (1, 2, 3):
         cond = spec.side(side_no)
         gamma = cond.gamma if cond.kind == BCKind.ROBIN else 0.0
-        for (i, j) in grid.side_indices(side_no):
-            row = index[(i, j)]
-            weight = h if len(grid.sides_of(i, j)) == 1 else h / 2.0
-            s = grid.arclength(side_no, i, j)
-            b[row] += weight * float(cond.data(s))
-            if gamma:
-                lhs[row, row] += gamma * weight
+        si, sj, data = _side_data(spec, grid, side_no)
+        row = number[si + 1, sj + 1]
+        b[row] += weight * data
+        if gamma:
+            diag[row] += gamma * weight
+    lhs = sparse.csr_matrix(
+        (
+            np.concatenate([diag, *vals]),
+            (np.concatenate([np.arange(n), *rows]), np.concatenate([np.arange(n), *cols])),
+        ),
+        shape=(n, n),
+    )
 
-    if lam == 0.0 and all(s.gamma == 0.0 for s in spec.sides):
+    gauge_fixed = lam == 0.0 and all(s.gamma == 0.0 for s in spec.sides)
+    if gauge_fixed:
         # pure Neumann at lam = 0: kernel is the constant vector
         total = float(np.sum(b))
         scale = float(np.sum(np.abs(b))) if n else 1.0
@@ -273,25 +268,16 @@ def _solve_flux(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> GridSolu
                 f"compatibility condition (sum {total:.3e})"
             )
         b -= total / n
-        u, residual = _cg_solve(sparse.csr_matrix(lhs), b, tol)
+    u, residual = _cg_solve(lhs, b, tol)
+    if gauge_fixed:
         u -= np.mean(u)
-        gauge_fixed = True
-    else:
-        u, residual = _cg_solve(sparse.csr_matrix(lhs), b, tol)
-        gauge_fixed = False
 
-    values = {node: u[row] for node, row in index.items()}
+    values = np.full((m + 1, m + 1), np.nan)
+    values[i, j] = u
     traces = {}
     for side_no in (1, 2, 3):
-        pairs = [
-            (grid.arclength(side_no, i, j), values[(i, j)])
-            for (i, j) in grid.side_indices(side_no)
-        ]
-        pairs.sort()
-        traces[side_no] = (
-            np.asarray([p[0] for p in pairs]),
-            np.asarray([p[1] for p in pairs]),
-        )
+        si, sj, s = grid.side_nodes(side_no)
+        traces[side_no] = (s, values[si, sj])
     return GridSolution(
         grid=grid,
         values=values,
@@ -299,20 +285,6 @@ def _solve_flux(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> GridSolu
         gauge_fixed=gauge_fixed,
         cg_residual=residual,
     )
-
-
-def _adjacent_triangles(grid: TriangularGrid, i: int, j: int) -> int:
-    """Number of lattice triangles meeting at node (i, j)."""
-    count = 0
-    # upward triangles (corners (a,b), (a+1,b), (a,b+1))
-    for a, bq in ((i, j), (i - 1, j), (i, j - 1)):
-        if a >= 0 and bq >= 0 and a + bq <= grid.m - 1:
-            count += 1
-    # downward triangles (corners (a+1,b), (a,b+1), (a+1,b+1))
-    for a, bq in ((i - 1, j), (i, j - 1), (i - 1, j - 1)):
-        if a >= 0 and bq >= 0 and a + bq <= grid.m - 2:
-            count += 1
-    return count
 
 
 def _cg_solve(a_mat, b, tol):

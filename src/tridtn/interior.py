@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,19 +49,24 @@ RAY_ORDER = 24
 
 @dataclass(frozen=True)
 class InteriorPoint:
-    """An evaluation point strictly inside the triangle."""
+    """An evaluation point strictly inside the triangle, or an array of
+    such points with their margins."""
 
-    z: complex
-    margin: float
+    z: complex | np.ndarray
+    margin: float | np.ndarray
 
     @classmethod
-    def locate(cls, z: complex, geometry: TriangleGeometry) -> "InteriorPoint":
+    def locate(cls, z, geometry: TriangleGeometry) -> "InteriorPoint":
         margin = geometry.boundary_margin(z)
-        if margin <= 0.0:
+        outside = np.asarray(margin) <= 0.0
+        if outside.any():
+            first = np.argmax(outside.ravel())
             raise DomainError(
-                f"evaluation point {z} lies outside the triangle "
-                f"(margin {margin:.3e})"
+                f"evaluation point {np.ravel(z)[first]} lies outside the "
+                f"triangle (margin {np.ravel(margin)[first]:.3e})"
             )
+        if np.ndim(z):
+            return cls(z=np.asarray(z, dtype=complex), margin=margin)
         return cls(z=complex(z), margin=float(margin))
 
 
@@ -106,44 +112,56 @@ def kernel_K(x, lam):
 
 
 # -- Green's representation ------------------------------------------------
-def greens_eval(traces: TraceSet, lam: float, z, order: int = 16) -> float:
-    """q(z) from the boundary-integral representation.
+def greens_eval(traces: TraceSet, lam: float, z, order: int = 16):
+    """q(z) from the boundary-integral representation, at a point (a float)
+    or an array of points (an array shaped like ``z``).
 
     The normal kernel derivative is analytic: for lam > 0,
     d/dn' K_0(2 sqrt(lam) R) = -2 sqrt(lam) K_1(2 sqrt(lam) R) (n'.(r'-r))/R,
     and for lam = 0 the kernel is -ln R with d/dn' = -(n'.(r'-r))/R^2.
+    Points that share a panel count share a rule: each side's traces are
+    evaluated once on the nodes of every rule, and each rule sums a
+    points-by-nodes kernel.
     """
     geom = traces.geometry
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
-    if point.margin < 1e-3 * geom.side_length:
+    zs, margins = np.asarray(point.z).ravel(), np.asarray(point.margin).ravel()
+    if (margins < 1e-3 * geom.side_length).any():
         raise AccuracyError(
             "evaluation point is too close to the boundary for the "
-            f"Green's quadrature (margin {point.margin:.3e})"
+            f"Green's quadrature (margin {np.min(margins):.3e})"
         )
     # composite per-side rule resolving the scale of the margin
-    n_panels = max(4, int(math.ceil(geom.side_length / point.margin)))
+    n_panels = np.maximum(4, np.ceil(geom.side_length / margins).astype(int))
     half = geom.side_length / 2.0
-    rule = QuadratureRule.panels(np.linspace(-half, half, n_panels + 1), order)
-    s, w = rule.nodes, rule.weights
-    total = 0.0
+    groups = sorted(set(n_panels.tolist()))
+    rules = [QuadratureRule.panels(np.linspace(-half, half, n + 1), order) for n in groups]
+    s_all = np.concatenate([np.empty(0), *(rule.nodes for rule in rules)])
+    ends = accumulate(rule.nodes.size for rule in rules)
+    qn = [np.asarray(trace(s_all), dtype=float) for trace in traces.neumann]
+    qd = [np.asarray(trace(s_all), dtype=float) for trace in traces.dirichlet]
     root = 2.0 * math.sqrt(lam) if lam > 0.0 else 0.0
-    for j in (1, 2, 3):
-        zp = geom.side_point(j, s)
-        n_hat = geom.side_normal(j)
-        diff = zp - point.z
-        r_dist = np.abs(diff)
-        # n'.(r' - r) as a real inner product of complex directions
-        proj = np.real(np.conj(n_hat) * diff)
-        if lam > 0.0:
-            kval = bessel_k0(root * r_dist)
-            dk = -root * bessel_k1(root * r_dist) * proj / r_dist
-        else:
-            kval = -np.log(r_dist)
-            dk = -proj / r_dist**2
-        qn = np.asarray(traces.neumann[j - 1](s), dtype=float)
-        qd = np.asarray(traces.dirichlet[j - 1](s), dtype=float)
-        total += float(np.sum(w * (kval * qn - qd * dk)))
-    return total / (2.0 * math.pi)
+    out = np.empty(zs.size)
+    for n, rule, end in zip(groups, rules, ends):
+        nodes = slice(end - rule.nodes.size, end)
+        pick = n_panels == n
+        z_col = zs[pick][:, None]
+        total = 0.0
+        for j in (1, 2, 3):
+            diff = geom.side_point(j, rule.nodes) - z_col
+            r_dist = np.abs(diff)
+            # n'.(r' - r) as a real inner product of complex directions
+            proj = np.real(np.conj(geom.side_normal(j)) * diff)
+            if lam > 0.0:
+                kval = bessel_k0(root * r_dist)
+                dk = -root * bessel_k1(root * r_dist) * proj / r_dist
+            else:
+                kval = -np.log(r_dist)
+                dk = -proj / r_dist**2
+            integrand = kval * qn[j - 1][nodes] - qd[j - 1][nodes] * dk
+            total = total + np.sum(rule.weights * integrand, axis=1)
+        out[pick] = total / (2.0 * math.pi)
+    return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])
 
 
 # -- the ray representation ------------------------------------------------
@@ -194,28 +212,35 @@ def fokas_eval(
     z,
     order: int = RAY_ORDER,
     tail: float = 36.0,
-) -> float:
-    """q(z) from the ray representation (lam > 0 only).
+):
+    """q(z) from the ray representation (lam > 0 only), at a point (a float)
+    or an array of points (an array shaped like ``z``).
 
     On ray l_j the integrand decays like exp{-(r + lam/r) d_j} with d_j the
     distance from z to side j, which sets both the truncation radius and an
-    a-priori tail bound.
+    a-priori tail bound.  One global relation serves every point, and each
+    ray evaluates rho~_j once on the nodes of all points.
     """
     if lam <= 0.0:
         raise ParameterError("the ray representation requires lam > 0")
     geom = traces.geometry
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
+    zs = np.ravel(point.z)
     rho = GlobalRelation(traces.dirichlet, traces.neumann, lam, geom.side_length)
-    total = 0.0 + 0.0j
+    total = np.zeros(zs.size, dtype=complex)
     for j in (1, 2, 3):
-        dist = _distance_to_side(geom, point.z, j)
-        contour = RayContour(
-            side_length=geom.side_length, truncation=tail / dist, order=order
-        )
-        k, w = contour.nodes(j)
-        vals = _ray_phase(k, point.z, lam) * rho.rho_scaled(j, SIDE_ROT[j] * k)
-        total += np.sum(w / k * np.asarray(vals.to_complex(), dtype=complex))
-    return float((total / (2j * math.pi)).real)
+        rays = [
+            RayContour(side_length=geom.side_length, truncation=tail / dist, order=order).nodes(j)
+            for dist in _distance_to_side(geom, zs, j)
+        ]
+        sizes = [k.size for k, _ in rays]
+        k = np.concatenate([np.empty(0), *(k for k, _ in rays)])
+        w = np.concatenate([np.empty(0), *(w for _, w in rays)])
+        vals = _ray_phase(k, np.repeat(zs, sizes), lam) * rho.rho_scaled(j, SIDE_ROT[j] * k)
+        terms = w / k * np.asarray(vals.to_complex(), dtype=complex)
+        total += [np.sum(t) for t in np.split(terms, np.cumsum(sizes)[:-1])]
+    out = (total / (2j * math.pi)).real
+    return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])
 
 
 # -- the symmetric Dirichlet problem ---------------------------------------

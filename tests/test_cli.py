@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -208,6 +209,64 @@ def test_interior_subcommand(tmp_path):
     rows = (out / "interior.csv").read_text().splitlines()
     assert rows[0] == "x,y,value"
     assert len(rows) > 1
+
+
+def test_interior_values_match_per_point_evaluation(tmp_path):
+    """One evaluator call on the lattice writes what per-point calls give."""
+    from tridtn.cli import build_problem
+    from tridtn.fdgrid import TriangularGrid
+    from tridtn.interior import TraceSet, greens_eval
+    from tridtn.series import symmetric_dirichlet_dtn
+
+    cfg = sym_dirichlet_cfg(truncation=16)
+    cfg["interior"] = {"margin": 0.1, "divisions": 8}
+    out = tmp_path / "i"
+    assert main(["interior", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    table = np.loadtxt(out / "interior.csv", delimiter=",", skiprows=1, ndmin=2)
+    spec = build_problem(cfg)
+    trace = symmetric_dirichlet_dtn(spec.side(1).data, 1.0, 1.0, n_max=16)
+    traces = TraceSet(spec.geometry, tuple(s.data for s in spec.sides), (trace,) * 3)
+    lattice = TriangularGrid(1.0, 8)
+    i, j = lattice.nodes()
+    points = [complex(z) for z in lattice.point(i, j) if spec.geometry.boundary_margin(z) >= 0.1]
+    assert np.array_equal(table[:, 0] + 1j * table[:, 1], points)
+    expected = [greens_eval(traces, 1.0, z) for z in points]
+    assert np.max(np.abs(table[:, 2] - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_fokas_interior_at_lambda_zero_is_config_error(tmp_path, capsys):
+    cfg = sym_dirichlet_cfg(truncation=8)
+    cfg["lam"] = 0.0
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "i"
+    assert main(["interior", "--solver", "fokas", "--config", path, "--out", str(out)]) == 2
+    assert "lam > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_poincare_side_is_config_error(tmp_path, capsys):
+    cfg = sym_dirichlet_cfg(truncation=8)
+    cfg["bc"][1] = {"kind": "poincare", "data": "0", "beta": 1.0471975511965976}
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 2
+    assert "side 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    import subprocess
+    import sys
+
+    code = "import sys, tridtn.cli; print('scipy.interpolate' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_oracle_subcommand(tmp_path):

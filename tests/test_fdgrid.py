@@ -34,7 +34,8 @@ def trace_error(solution, exact_traces, side_length, margin=0.02):
 
 def test_grid_bookkeeping():
     grid = TriangularGrid(1.0, 8)
-    assert len(grid.nodes()) == 45
+    i, j = grid.nodes()
+    assert len(i) == len(j) == 45
     geom = TriangleGeometry(1.0)
     # corner nodes land on the vertices
     assert abs(grid.point(0, 0) - geom.z3) < 1e-15
@@ -42,9 +43,118 @@ def test_grid_bookkeeping():
     assert abs(grid.point(0, 8) - geom.z1) < 1e-15
     # side/arclength maps agree with the geometry
     for side in (1, 2, 3):
-        for (i, j) in grid.side_indices(side):
-            s = grid.arclength(side, i, j)
-            assert abs(grid.point(i, j) - geom.side_point(side, s)) < 1e-13
+        i, j, s = grid.side_nodes(side)
+        assert np.all(np.diff(s) > 0)
+        assert np.all(np.abs(grid.point(i, j) - geom.side_point(side, s)) < 1e-13)
+
+
+# -- per-node reference assembly ---------------------------------------------
+def _node_sides(m, i, j):
+    return [side for side, on in ((1, i + j == m), (2, j == 0), (3, i == 0)) if on]
+
+
+def _arclength(m, side, i, j):
+    h = 1.0 / m
+    return {1: 0.5 - i * h, 2: -0.5 + i * h, 3: 0.5 - j * h}[side]
+
+
+def _side_nodes(m, side):
+    return {
+        1: [(i, m - i) for i in range(m, -1, -1)],
+        2: [(i, 0) for i in range(m + 1)],
+        3: [(0, j) for j in range(m, -1, -1)],
+    }[side]
+
+
+def _loop_system(spec, m):
+    """The lattice matrix and right-hand side of a unit-side problem,
+    assembled one node and one edge at a time."""
+    from scipy import sparse
+
+    h, lam = 1.0 / m, spec.lam
+    nodes = [(i, j) for i in range(m + 1) for j in range(m + 1 - i)]
+
+    def data(i, j, side=None):
+        side = side or _node_sides(m, i, j)[0]
+        return float(spec.side(side).data(_arclength(m, side, i, j)))
+
+    if spec.is_dirichlet:
+        index = {}
+        for node in nodes:
+            if not _node_sides(m, *node):
+                index[node] = len(index)
+        a_mat = sparse.lil_matrix((len(index), len(index)))
+        b = np.zeros(len(index))
+        for (i, j), row in index.items():
+            a_mat[row, row] = 6.0 + 6.0 * lam * h * h
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)):
+                if (i + di, j + dj) in index:
+                    a_mat[row, index[(i + di, j + dj)]] = -1.0
+                else:
+                    b[row] += data(i + di, j + dj)
+        return sparse.csr_matrix(a_mat), b
+    index = {node: row for row, node in enumerate(nodes)}
+    a_mat = sparse.lil_matrix((len(nodes), len(nodes)))
+    b = np.zeros(len(nodes))
+    for (i, j), row in index.items():
+        for nb in ((i + 1, j), (i, j + 1), (i + 1, j - 1)):
+            if nb in index:
+                shared = set(_node_sides(m, i, j)) & set(_node_sides(m, *nb))
+                w = (0.5 if shared else 1.0) / math.sqrt(3.0)
+                col = index[nb]
+                a_mat[row, row] += w
+                a_mat[col, col] += w
+                a_mat[row, col] -= w
+                a_mat[col, row] -= w
+    for (i, j), row in index.items():
+        up = sum(a >= 0 and c >= 0 and a + c <= m - 1 for a, c in ((i, j), (i - 1, j), (i, j - 1)))
+        down = sum(
+            a >= 0 and c >= 0 and a + c <= m - 2 for a, c in ((i - 1, j), (i, j - 1), (i - 1, j - 1))
+        )
+        a_mat[row, row] += 4.0 * lam * (up + down) * (math.sqrt(3.0) / 4.0 * h * h) / 3.0
+    for side in (1, 2, 3):
+        cond = spec.side(side)
+        for (i, j) in _side_nodes(m, side):
+            weight = h if len(_node_sides(m, i, j)) == 1 else h / 2.0
+            b[index[(i, j)]] += weight * data(i, j, side)
+            if cond.kind == BCKind.ROBIN:
+                a_mat[index[(i, j)], index[(i, j)]] += cond.gamma * weight
+    return sparse.csr_matrix(a_mat), b
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin"])
+def test_array_assembly_matches_node_loops(kind, monkeypatch):
+    """fd_solve hands conjugate gradients the system that per-node and
+    per-edge loops assemble."""
+    import tridtn.fdgrid as fdgrid
+    from tridtn.oracle import symmetric_corner_compatible
+
+    lam, geom, m = 1.0, TriangleGeometry(1.0), 8
+    sol = symmetric_corner_compatible(lam, 1.0)
+    d, n = all_traces(sol, geom)
+    spec = {
+        "dirichlet": lambda: dirichlet_problem(lam, geom, d),
+        "neumann": lambda: neumann_problem(lam, geom, n),
+        "robin": lambda: mixed_nr_problem(
+            lam, geom, poincare_trace(sol, geom, 1, math.pi / 2.0, math.sqrt(3.0)), n[1], n[2]
+        ),
+    }[kind]()
+    systems = []
+
+    def spy(a_mat, b, **kwargs):
+        systems.append((a_mat, b.copy()))
+        return fdgrid_cg(a_mat, b, **kwargs)
+
+    fdgrid_cg = fdgrid.cg
+    monkeypatch.setattr(fdgrid, "cg", spy)
+    fd_solve(spec, 1.0 / m)
+    (a_mat, b), = systems
+    a_ref, b_ref = _loop_system(spec, m)
+    assert a_mat.shape == a_ref.shape
+    assert (a_mat != a_ref).nnz == 0
+    # the loops read the data one node at a time, fd_solve one side at a
+    # time; the manufactured traces round differently on arrays and scalars
+    assert np.max(np.abs(b - b_ref)) <= 1e-14 * np.max(np.abs(b_ref))
 
 
 def test_spacing_check():

@@ -75,6 +75,31 @@ def test_greens_margin_guard(geom):
         greens_eval(traces, 1.0, z)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_evaluators_take_arrays_of_points(lam, geom, rng):
+    """An array of points gives what per-point calls give, in its shape;
+    the margins span several panel counts of the Green's rule."""
+    sol = manufactured_families(lam)[0]
+    traces = TraceSet.from_solution(sol, geom)
+    points = np.array(interior_points(geom, rng, 8, margin=0.04))
+    evaluators = [(greens_eval, points)]
+    if lam > 0.0:
+        evaluators.append((fokas_eval, points[:4]))
+    for evaluate, pts in evaluators:
+        single = [evaluate(traces, lam, z) for z in pts]
+        assert all(type(v) is float for v in single)
+        together = evaluate(traces, lam, pts.reshape(2, -1))
+        assert together.shape == (2, pts.size // 2)
+        assert np.max(np.abs(together.ravel() - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+def test_array_of_points_outside_rejected(geom):
+    sol = manufactured_families(1.0)[0]
+    traces = TraceSet.from_solution(sol, geom)
+    with pytest.raises(DomainError, match="outside"):
+        greens_eval(traces, 1.0, np.array([0.05 + 0.02j, 1.0 + 1.0j]))
+
+
 def test_fokas_eval_manufactured(geom, rng):
     lam = 1.0
     for sol in manufactured_families(lam)[:2]:
