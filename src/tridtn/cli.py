@@ -74,7 +74,35 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"config is missing required key {key!r}")
     if not isinstance(cfg["bc"], list) or len(cfg["bc"]) != 3:
         raise ConfigError("config key 'bc' must list exactly three sides")
+    for key in ("lam", "side_length"):
+        value = cfg[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)):
+            raise ConfigError(f"config key {key!r} must be a finite number, not {value!r}")
+    if cfg["side_length"] <= 0:
+        raise ConfigError(f"config key 'side_length' must be > 0, not {cfg['side_length']!r}")
+    for key in ("truncation", "samples"):
+        if key in cfg:
+            _check_count(f"config key {key!r}", cfg[key])
+    if "sweep" in cfg:
+        if not isinstance(cfg["sweep"], list) or len(cfg["sweep"]) < 2:
+            raise ConfigError("config key 'sweep' must list at least two truncations")
+        for n in cfg["sweep"]:
+            _check_count("each entry of config key 'sweep'", n)
     return cfg
+
+
+def _check_count(what: str, value):
+    """A truncation or sample count must be an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{what} must be an integer >= 1, not {value!r}")
+
+
+def _truncation(cfg: dict, args) -> int:
+    if args.truncation is None:
+        return cfg.get("truncation", 64)
+    _check_count("--truncation", args.truncation)
+    return args.truncation
 
 
 def _data_trace(entry: dict, side: int, side_length: float) -> BoundaryTrace:
@@ -242,9 +270,9 @@ def _full_trace_audit(spec, computed, cfg, seed: int):
 # -- subcommands ------------------------------------------------------------
 def _cmd_solve(cfg, args):
     spec = build_problem(cfg)
-    n = int(args.truncation or cfg.get("truncation", 64))
+    n = _truncation(cfg, args)
     computed, details = _solve_traces(spec, cfg, args.solver, n)
-    n_samples = int(cfg.get("samples", 256))
+    n_samples = cfg.get("samples", 256)
     s_grid = _sample_grid(spec.side_length, n_samples)
     columns = _trace_values(computed, s_grid)
     audit = _full_trace_audit(spec, computed, cfg, args.seed)
@@ -294,12 +322,10 @@ def _cmd_interior(cfg, args):
     spec = build_problem(cfg)
     if args.solver == "fokas" and spec.lam == 0.0:
         raise ConfigError("interior --solver fokas needs lam > 0 (the ray representation)")
-    n = int(args.truncation or cfg.get("truncation", 64))
-    computed, details = _solve_traces(spec, cfg, "series", n)
-    full = _full_traces(spec, computed)
-    if full is None:
+    if {side.kind for side in spec.sides} not in ({BCKind.DIRICHLET}, {BCKind.NEUMANN}):
         raise ConfigError("interior evaluation needs a Dirichlet or Neumann problem")
-    traces = TraceSet(spec.geometry, *full)
+    computed, details = _solve_traces(spec, cfg, "series", _truncation(cfg, args))
+    traces = TraceSet(spec.geometry, *_full_traces(spec, computed))
     margin_frac = float(cfg.get("interior", {}).get("margin", 0.1))
     divisions = int(cfg.get("interior", {}).get("divisions", 8))
     margin = margin_frac * spec.side_length
@@ -316,11 +342,8 @@ def _cmd_interior(cfg, args):
 
 def _cmd_sweep(cfg, args):
     spec = build_problem(cfg)
-    ladder = cfg.get("sweep", [16, 32, 64])
-    if not isinstance(ladder, list) or len(ladder) < 2:
-        raise ConfigError("config key 'sweep' must list at least two truncations")
-    ladder = sorted(int(n) for n in ladder)
-    n_samples = int(cfg.get("samples", 256))
+    ladder = sorted(cfg.get("sweep", [16, 32, 64]))
+    n_samples = cfg.get("samples", 256)
     s_grid = _sample_grid(spec.side_length, n_samples)
     runs = {}
     for n in ladder:
@@ -336,7 +359,7 @@ def _cmd_sweep(cfg, args):
 
 def _cmd_oracle(cfg, args):
     spec = build_problem(cfg)
-    n = int(args.truncation or cfg.get("truncation", 64))
+    n = _truncation(cfg, args)
     computed, details = _solve_traces(spec, cfg, args.solver, n)
     h = float(cfg.get("oracle", {}).get("h", spec.side_length / 64))
     grid_solution = fd_solve(spec, h)

@@ -266,7 +266,7 @@ def symmetric_interior(
     geom = geometry or TriangleGeometry()
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
     side_length = geom.side_length
-    sampler = SideSampler(f, Kind.F_DIRICHLET, lam, side_length)
+    sampler = SideSampler(f, Kind.PHI, lam, side_length)
     margin = point.margin
 
     total = 0.0 + 0.0j

@@ -224,7 +224,7 @@ def symmetric_dirichlet_integral(
     """
     if lam < 0:
         raise ParameterError("the integral path requires lambda >= 0")
-    sampler = SideSampler(data, Kind.F_DIRICHLET, lam, side_length)
+    sampler = SideSampler(data, Kind.PHI, lam, side_length)
     grids, fold = _ray_grids(lam, side_length, t_factor, order)
 
     # contour data on the two rays (drop any k = 0 node; only lam = 0 edge)
@@ -513,10 +513,10 @@ class ScaledElimination:
         """The inhomogeneity at a scalar k or along a 1-D array of k."""
         k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
         fac = self.side_length / (2.0 * SQRT3)
-        syms, data = self._samplers.symbols, self._samplers.data
+        syms, data, scale = self._samplers.symbols, self._samplers.data, self._samplers.scale
         # F_j(alpha^u k) enters one base and one conjugate row each
         transforms = {
-            (j, u): data[j - 1].eval_scaled(ARG_FACTORS[u] * k_arr)
+            (j, u): scale[j - 1] * data[j - 1].eval_scaled(ARG_FACTORS[u] * k_arr)
             for j in (1, 2, 3)
             for u in range(3)
         }

@@ -18,6 +18,7 @@ counterpart of the closed-form elimination identity.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +52,6 @@ class GlobalRelation:
         j = side - 1
         env = Scaled.from_exp(mu(-1j * k, self.lam) * (self.side_length / (2.0 * SQRT3)))
         return env * (0.5j * self._psi[j].eval_scaled(k) + self._phi[j].eval_scaled(k))
-
-    def rho(self, side: int, k):
-        """rho_j(k) collapsed to complex."""
-        out = self.rho_scaled(side, k).to_complex()
-        return out if np.ndim(k) else complex(out[0])
-
-    def rho_tilde(self, side: int, k):
-        """rho rotated to the common argument: rho_j(a_j k)."""
-        return self.rho(side, SIDE_ROT[side] * k)
 
     def relative_residual(self, ks):
         """|sum_j rho~_j(k)| / max_j |rho~_j(k)| on a 1-D array of k (0 where
@@ -153,29 +145,20 @@ def _column(side_j: int, arg_slot: int) -> int:
 
 
 class ProblemSamplers:
-    """Cached data transforms of one problem's side data."""
+    """Cached data transforms of one problem's side data: PHI of Dirichlet
+    data, or PSI of Poincare data, whose transform F_j is
+    ``scale[j - 1]`` PSI_j with scale 1/(2 sin beta_j)."""
 
     def __init__(self, problem: ProblemSpec):
         self.problem = problem
         lam, l = problem.lam, problem.side_length
-        if problem.is_dirichlet:
-            self.kind = "dirichlet"
-            self.data = [
-                SideSampler(problem.side(j).data, Kind.PHI, lam, l) for j in (1, 2, 3)
-            ]
-        else:
-            self.kind = "poincare"
-            self.data = [
-                SideSampler(
-                    problem.side(j).data,
-                    Kind.F_ROBIN,
-                    lam,
-                    l,
-                    beta=problem.side(j).beta,
-                )
-                for j in (1, 2, 3)
-            ]
-            self.symbols = [problem.side(j).symbol(lam) for j in (1, 2, 3)]
+        sides = [problem.side(j) for j in (1, 2, 3)]
+        self.kind = "dirichlet" if problem.is_dirichlet else "poincare"
+        kind = Kind.PHI if problem.is_dirichlet else Kind.PSI
+        self.data = [SideSampler(side.data, kind, lam, l) for side in sides]
+        if not problem.is_dirichlet:
+            self.scale = [1.0 / (2.0 * math.sin(side.beta)) for side in sides]
+            self.symbols = [side.symbol(lam) for side in sides]
 
 
 def relation_system(
@@ -213,15 +196,14 @@ def relation_system(
                 sym = samplers.symbols[j - 1]
                 hval = sym.hbar(arg) if row.conj else sym.h(arg)
                 matrix[r, _column(j, slot)] += pref * hval
-                known = samplers.data[j - 1].eval(arg)
+                known = samplers.scale[j - 1] * samplers.data[j - 1].eval(arg)
                 if corner_values is not None:
-                    side = problem.side(j)
                     known += corner_term(
-                        _CornerOnly(corner_values[j - 1]),
+                        *corner_values[j - 1],
                         arg,
                         lam,
                         l,
-                        side.beta,
+                        problem.side(j).beta,
                         conjugated=row.conj,
                     )
                 rhs[r] -= pref * known
@@ -237,16 +219,6 @@ def relation_system(
     return RelationSystem(
         matrix=matrix, rhs=rhs, unknown_labels=labels, row_labels=row_labels
     )
-
-
-class _CornerOnly:
-    """Minimal trace adapter that only knows its endpoint values."""
-
-    def __init__(self, endpoints):
-        self._lo, self._hi = endpoints
-
-    def value(self, s):
-        return self._lo if s < 0 else self._hi
 
 
 # -- numeric elimination ---------------------------------------------------

@@ -124,7 +124,7 @@ def symmetric_dirichlet_dtn(
     period-l Fourier series (modes are multiples of three in the shared
     period-3l labelling).
     """
-    sampler = SideSampler(data, Kind.F_DIRICHLET, lam, side_length)
+    sampler = SideSampler(data, Kind.PHI, lam, side_length)
     # at lambda = 0 the mean of the Neumann trace vanishes by the divergence
     # theorem: the n = 0 coefficient is zero
     n, live, s_n = _mode_roots(lam, side_length, n_max)
@@ -180,7 +180,7 @@ def general_dirichlet_dtn(
     """
     if len(data) != 3:
         raise ParameterError("expected one Dirichlet trace per side")
-    f = [SideSampler(t, Kind.F_DIRICHLET, lam, side_length) for t in data]
+    f = [SideSampler(t, Kind.PHI, lam, side_length) for t in data]
     m, live, k = _mode_roots(lam, 3.0 * side_length, m_max)
     den, resonant = _mode_denominator(m[live], k, lam, side_length)
     _check_resonance(resonant, m[live], "Dirichlet")
@@ -217,9 +217,7 @@ def neumann_to_dirichlet(
     """
     if len(data) != 3:
         raise ParameterError("expected one Neumann trace per side")
-    f = [
-        SideSampler(t, Kind.F_ROBIN, lam, side_length, beta=np.pi / 2.0) for t in data
-    ]
+    f = [SideSampler(t, Kind.PSI, lam, side_length) for t in data]
     if lam == 0.0:
         rule = QuadratureRule.side(side_length, 128)
         vals = [np.asarray(t.value(rule.nodes), dtype=float) for t in data]
@@ -247,7 +245,8 @@ def neumann_to_dirichlet(
     rhs = rhs + ep * (e3a_m + e3a_p) * f_k[2]
     rhs = rhs + 2.0 * ep * ep * f_a[0] + 2.0 * f_a[1] + 2.0 * em * em * f_a[2]
     rhs = rhs + 2.0 * em * f_ab[0] + (ep**3 + em**3) * f_ab[1] + 2.0 * ep * f_ab[2]
-    t_n = -1.0 * rhs / mu(1j * k, lam)
+    # the Neumann data transforms F_j = PSI_j / (2 sin(pi/2)) = PSI_j / 2
+    t_n = -0.5 * rhs / mu(1j * k, lam)
     n_coeffs = np.zeros(m.shape, dtype=complex)
     n_coeffs[live] = (2.0 * t_n / den).to_complex()
     return _chain_traces(side_length, m, n_coeffs)
@@ -305,8 +304,9 @@ def robin_mode_root(
 def oblique_robin_t(k, f_samplers, lam: float, side_length: float, beta: float, gamma: float):
     """The known forcing T(k) of the oblique Robin elimination, Scaled.
 
-    ``f_samplers`` are the three F_ROBIN samplers of the Poincare data; beta
-    and gamma must be shared by the three sides.
+    ``f_samplers`` are the three PSI samplers of the Poincare data, whose
+    transforms F_j are PSI_j/(2 sin beta); beta and gamma must be shared by
+    the three sides.
     """
     sym = SideSymbol(lam, beta, gamma)
     a, ab = ALPHA * k, ALPHA_BAR * k
@@ -324,7 +324,7 @@ def oblique_robin_t(k, f_samplers, lam: float, side_length: float, beta: float, 
     combo = combo + ((pab - 1.0) / pa) * em * f_at(0, ab)
     combo = combo + ((pa / pab) * ep**3 - (pab / pa**2) * em**3) * f_at(1, ab)
     combo = combo + ((pab - 1.0) / pab) * ep * f_at(2, ab)
-    return combo / sym.hbar(k)
+    return combo / (2.0 * math.sin(beta) * sym.hbar(k))
 
 
 def robin_moment(
@@ -350,9 +350,7 @@ def robin_moment(
         raise ParameterError("sin(beta) must be nonzero")
     k = robin_mode_root(m, lam, side_length, beta, gamma)
     sym = SideSymbol(lam, beta, gamma)
-    f = [
-        SideSampler(t, Kind.F_ROBIN, lam, side_length, beta=beta) for t in data
-    ]
+    f = [SideSampler(t, Kind.PSI, lam, side_length) for t in data]
     t_val = oblique_robin_t(k, f, lam, side_length, beta, gamma)
     den = (ALPHA_BAR**m) * (sym.p(k) / sym.p(ALPHA * k)) * _e_scaled(
         ALPHA_BAR * k, lam, side_length

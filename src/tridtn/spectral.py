@@ -1,25 +1,27 @@
 """Spectral (half-Fourier) transforms of boundary traces.
 
-All transforms are integrals over one side of exp(mu(k) s) times a local
-combination of the trace and its derivative, with mu(k) = k + lambda/k:
+The global relation couples two transforms per side: integrals over the
+side of exp(mu(k) s), mu(k) = k + lambda/k, against the trace g,
 
-    PSI(k)       = int e^{mu s} g(s) ds                    (g: Neumann trace)
-    PHI(k)       = int e^{mu s} [g'(s)/2 + (lambda/k) g(s)] ds   (g: Dirichlet)
-    F_DIRICHLET  = same kernel as PHI applied to Dirichlet data
-    F_ROBIN(k)   = (1/(2 sin beta)) int e^{mu s} g(s) ds   (g: Poincare data)
-    Y(k)         = (1/(2 sin beta)) int e^{mu s} g(s) ds   (g: Dirichlet trace)
+    PSI(k) = int e^{mu s} g(s) ds                            (Neumann value)
+    PHI(k) = int e^{mu s} [g'(s)/2 + (lambda/k) g(s)] ds     (Dirichlet value)
 
-PSI, F_ROBIN and Y depend on k only through mu(k) and are therefore
-invariant under k -> lambda/k; PHI carries an explicit lambda/k term and is
-not.  The corner term of a Poincare-type side is
+PSI depends on k only through mu(k) and is therefore invariant under
+k -> lambda/k; PHI carries an explicit lambda/k term and is not.  The data
+transform F_j of a Poincare-type side and the unknown Y_j are PSI/(2 sin
+beta), a factor that the callers who know beta apply.  The corner term of a
+Poincare-type side is
 
     C(k) = (e^{i beta}/(2 sin beta)) [e(-k) q(-l/2) - e(k) q(l/2)].
 
-``SideSampler`` samples its trace once, on Gauss-Legendre nodes of the
-side, doubling the node count until the Legendre coefficients have decayed
-to a plateau (the standardChop test of Aurentz & Trefethen, "Chopping a
-Chebyshev series", ACM TOMS 2017).  With h = l/2 every transform of the
-chopped series is exact,
+Both kinds are views of one Legendre series per trace.  A trace is sampled
+on Gauss-Legendre nodes of the side, doubling the node count until the
+Legendre coefficients have decayed to a plateau (the standardChop test of
+Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 2017): once
+for g and, the first time a PHI view asks for it, once for g'.  Each column
+is chopped on its own and cached on the trace (``trace.legendre``), so every
+sampler of that trace object, whatever its kind or lambda, reuses it.  With
+h = l/2 every transform of the chopped series is exact,
 
     int_{-h}^{h} e^{mu s} P_n(s/h) ds = 2 h i_n(mu h),
 
@@ -57,16 +59,6 @@ _FIRST_DEGREE = 32
 class Kind(str, Enum):
     PSI = "psi"
     PHI = "phi"
-    F_DIRICHLET = "f_dirichlet"
-    F_ROBIN = "f_robin"
-    Y = "y"
-
-
-_NEEDS_DERIVATIVE = {Kind.PHI, Kind.F_DIRICHLET}
-_NEEDS_BETA = {Kind.F_ROBIN, Kind.Y}
-
-#: kinds whose evaluator depends on k only through mu(k)
-MU_INVARIANT_KINDS = (Kind.PSI, Kind.F_ROBIN, Kind.Y)
 
 
 def _check_k(k):
@@ -182,51 +174,58 @@ def _bessel_sums(coeffs, z):
     return out, np.abs(z.real) + math.log(scale)
 
 
+def _legendre(trace, column: str, side_length: float, kind: Kind):
+    """Chopped Legendre coefficients in s/(l/2) of ``trace.value`` or
+    ``trace.derivative`` (``column``) on a side of length l, computed once
+    per trace object and side length and cached on the trace."""
+    key = (column, side_length)
+    if key in trace.legendre:
+        return trace.legendre[key]
+    n = _FIRST_DEGREE
+    while True:
+        nodes = QuadratureRule.side(side_length, n).nodes
+        samples = np.broadcast_to(getattr(trace, column)(nodes), nodes.shape)
+        with np.errstate(all="ignore"):
+            coeffs = _analysis_matrix(n) @ samples.astype(float)
+        if not np.all(np.isfinite(coeffs)):
+            raise NonFiniteError(
+                f"side {trace.side} trace is not finite "
+                f"where the {kind.value} transform samples it"
+            )
+        keep = _chop(coeffs)
+        if keep is not None or n >= MAX_DEGREE:
+            break
+        n *= 2
+    trace.legendre[key] = coeffs if keep is None else coeffs[: max(2, keep)]
+    return trace.legendre[key]
+
+
 @dataclass
 class SideSampler:
-    """One trace's chopped Legendre series, for batched transforms."""
+    """The PSI or PHI view of one trace's Legendre series, for batched
+    transforms."""
 
     trace: object
     kind: Kind
     lam: float
     side_length: float
-    beta: float | None = None
 
     def __post_init__(self):
         self.kind = Kind(self.kind)
-        if self.kind in _NEEDS_BETA:
-            if self.beta is None:
-                raise ParameterError(f"kind {self.kind.value} requires beta")
-            if math.sin(self.beta) == 0.0:
-                raise ParameterError("sin(beta) must be nonzero")
         self._coeffs = None
 
     def _series(self):
-        """Legendre coefficients in s/(l/2) of the integrand columns g, or
-        g'/2 and g for the PHI kinds, times 2 (l/2) (and 1/(2 sin beta))."""
-        factor = self.side_length
-        if self.kind in _NEEDS_BETA:
-            factor /= 2.0 * math.sin(self.beta)
-        n = _FIRST_DEGREE
-        while True:
-            nodes = QuadratureRule.side(self.side_length, n).nodes
-            columns = [self.trace.value(nodes)]
-            if self.kind in _NEEDS_DERIVATIVE:
-                columns.insert(0, 0.5 * np.asarray(self.trace.derivative(nodes)))
-            samples = np.stack([np.broadcast_to(c, nodes.shape) for c in columns], axis=1)
-            with np.errstate(all="ignore"):
-                coeffs = _analysis_matrix(n) @ (factor * samples.astype(float))
-            if not np.all(np.isfinite(coeffs)):
-                raise NonFiniteError(
-                    f"side {getattr(self.trace, 'side', '?')} trace is not finite "
-                    f"where the {self.kind.value} transform samples it"
-                )
-            keep = [_chop(column) for column in coeffs.T]
-            if None not in keep:
-                return coeffs[: max(2, *keep)]
-            if n >= MAX_DEGREE:
-                return coeffs
-            n *= 2
+        """The integrand columns g, and g'/2 for PHI, as Legendre
+        coefficients in s/(l/2) times 2 (l/2), zero-padded to one degree."""
+        columns = [_legendre(self.trace, "value", self.side_length, self.kind)]
+        if self.kind is Kind.PHI:
+            columns.append(
+                0.5 * _legendre(self.trace, "derivative", self.side_length, self.kind)
+            )
+        coeffs = np.zeros((max(map(len, columns)), len(columns)))
+        for j, column in enumerate(columns):
+            coeffs[: len(column), j] = self.side_length * column
+        return coeffs
 
     def eval(self, k, shift=None):
         """Transform at spectral points ``k`` (scalar or 1-D array).
@@ -241,8 +240,8 @@ class SideSampler:
         mus = mu(k_arr, self.lam)
         sums, sigma = _bessel_sums(self._coeffs, mus * (self.side_length / 2.0))
         vals = sums[:, 0]
-        if self.kind in _NEEDS_DERIVATIVE:
-            vals = vals + (self.lam / k_arr) * sums[:, 1]
+        if self.kind is Kind.PHI:
+            vals = sums[:, 1] + (self.lam / k_arr) * vals
         if shift is not None:
             sigma = sigma - mus * np.asarray(shift, dtype=float)
         out = vals * np.exp(sigma)
@@ -258,28 +257,18 @@ class SideSampler:
         return Scaled(m=vals * np.exp(1j * (mus * shift).imag), sigma=(mus * shift).real)
 
 
-def spectral_transform(trace, kind, k, lam, side_length, beta=None):
-    """One-off transform evaluation (see module docstring for kinds)."""
-    sampler = SideSampler(
-        trace=trace, kind=Kind(kind), lam=lam, side_length=side_length, beta=beta
-    )
-    return sampler.eval(k)
-
-
-def corner_term(trace, k, lam, side_length, beta, conjugated: bool = False):
+def corner_term(q_lo, q_hi, k, lam, side_length, beta, conjugated: bool = False):
     """Corner term C(k) of a Poincare-type side.
 
-    ``trace`` must be the Dirichlet trace of the side.  With
-    ``conjugated=True`` the Schwarz-conjugate variant (e^{-i beta} prefactor)
-    is returned, as needed in the conjugated relation rows for real data.
+    ``q_lo`` and ``q_hi`` are the values q(-l/2) and q(l/2) of the side's
+    Dirichlet trace.  With ``conjugated=True`` the Schwarz-conjugate variant
+    (e^{-i beta} prefactor) is returned, as needed in the conjugated
+    relation rows for real data.
     """
     _check_k(k)
     sb = math.sin(beta)
     if sb == 0.0:
         raise ParameterError("sin(beta) must be nonzero")
-    half = side_length / 2.0
-    q_lo = float(trace.value(-half))
-    q_hi = float(trace.value(half))
     phase = np.exp(-1j * beta) if conjugated else np.exp(1j * beta)
     return (phase / (2.0 * sb)) * (
         exp_e(-k, lam, side_length) * q_lo - exp_e(k, lam, side_length) * q_hi

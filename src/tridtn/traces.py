@@ -11,11 +11,11 @@ interpolated grid data).
 The spectral transforms see every trace only through ``value`` and
 ``derivative`` on Gauss-Legendre nodes of the side; they find the node
 count a trace needs from its Legendre coefficients, so a trace carries no
-resolution hint of its own.
+resolution hint of its own, only the cache of those coefficients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,16 @@ from .scaledc import Scaled
 
 
 @dataclass(frozen=True)
-class BoundaryTrace:
+class _Trace:
+    """Base of the trace types.  ``legendre`` holds the chopped Legendre
+    coefficients of ``value`` and ``derivative`` that ``spectral`` computes,
+    keyed by column and side length, so they live as long as the trace."""
+
+    legendre: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class BoundaryTrace(_Trace):
     """Real function on one side: ``value(s)`` and its derivative in s."""
 
     side: int
@@ -53,7 +62,7 @@ class BoundaryTrace:
 
 
 @dataclass(frozen=True)
-class FourierSeriesTrace:
+class FourierSeriesTrace(_Trace):
     """Real part of sum_m coeff[m] exp(-2 pi i m s / (3 l)).
 
     ``modes`` holds the integer labels m; for single-side (period-l) series
@@ -101,7 +110,7 @@ class FourierSeriesTrace:
 
 
 @dataclass(frozen=True)
-class ContourResidueTrace:
+class ContourResidueTrace(_Trace):
     """Real part of sum_n weighted[n] e^{i t[n] s} + sum_r coeffs[r] e^{-rates[r] s}.
 
     The first sum is the quadrature of a Fourier integral over the

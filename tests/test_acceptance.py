@@ -164,7 +164,7 @@ def test_criterion_05_dual_representation_and_elimination():
     problem = ProblemSpec(lam=lam, geometry=geom, sides=sides)
     sym = SideSymbol(lam, beta, gamma)
     syms = (sym, sym, sym)
-    y = [SideSampler(t, Kind.Y, lam, L, beta=beta) for t in d]
+    psi = [SideSampler(t, Kind.PSI, lam, L) for t in d]
     rng = np.random.default_rng(5)
     elim_err = 0.0
     for _ in range(20):
@@ -176,9 +176,10 @@ def test_criterion_05_dual_representation_and_elimination():
         for j in range(3):
             elim_err = max(elim_err, _rel(closed_coeffs[j], numeric.coeffs[j]))
         # the closed-form inhomogeneity, realized through the exact unknowns
-        inhom = y[1].eval(ALPHA_BAR * k) - sum(
-            closed_coeffs[j] * y[j].eval(k) for j in range(3)
-        )
+        # Y_j = PSI_j / (2 sin beta) of the Dirichlet traces
+        inhom = (
+            psi[1].eval(ALPHA_BAR * k) - sum(closed_coeffs[j] * psi[j].eval(k) for j in range(3))
+        ) / (2.0 * math.sin(beta))
         elim_err = max(elim_err, _rel(inhom, numeric.inhom))
     ok = dual_err <= 1e-6 and elim_err <= 1e-8
     _report(5, ok, f"dual {dual_err:.2e}, elimination {elim_err:.2e}")

@@ -244,6 +244,59 @@ def test_fokas_interior_at_lambda_zero_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_interior_rejects_mixed_problem_before_solving(tmp_path, monkeypatch, capsys):
+    import tridtn.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the mixed solve ran")
+
+    monkeypatch.setattr(cli, "mixed_nr_trace", no_solve)
+    cfg = sym_dirichlet_cfg(truncation=8)
+    cfg["bc"] = [
+        {"kind": "robin", "data": "1", "gamma": math.sqrt(3.0)},
+        {"kind": "neumann", "data": "0"},
+        {"kind": "neumann", "data": "0"},
+    ]
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "i"
+    assert main(["interior", "--config", path, "--out", str(out)]) == 2
+    assert "Dirichlet or Neumann" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("lam", "abc"),
+        ("lam", float("inf")),
+        ("lam", True),
+        ("side_length", 0),
+        ("side_length", -1.0),
+        ("side_length", float("nan")),
+        ("truncation", -3),
+        ("truncation", 0),
+        ("truncation", 8.5),
+        ("--truncation", 0),
+        ("samples", 0),
+        ("samples", 1.5),
+        ("sweep", [8, 0]),
+        ("sweep", [8, "16"]),
+    ],
+)
+def test_bad_numeric_key_is_config_error(tmp_path, capsys, key, value):
+    cfg = sym_dirichlet_cfg(truncation=8)
+    option = [key, str(value)] if key.startswith("--") else []
+    if not option:
+        cfg[key] = value
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    command = "sweep" if key == "sweep" else "solve"
+    assert main([command, "--config", path, "--out", str(out), *option]) == 2
+    err = capsys.readouterr().err
+    assert key.lstrip("-") in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_poincare_side_is_config_error(tmp_path, capsys):
     cfg = sym_dirichlet_cfg(truncation=8)
     cfg["bc"][1] = {"kind": "poincare", "data": "0", "beta": 1.0471975511965976}

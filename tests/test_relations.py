@@ -6,7 +6,7 @@ import pytest
 from tridtn.errors import DomainError, NonFiniteError
 from tridtn.expressions import expression_trace
 from tridtn.geometry import ALPHA, ALPHA_BAR, TriangleGeometry
-from tridtn.oracle import all_traces, poincare_trace
+from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
 from tridtn.problems import ProblemSpec, SideCondition, BCKind, dirichlet_problem
 from tridtn.relations import (
     ARG_FACTORS,
@@ -16,6 +16,8 @@ from tridtn.relations import (
     eliminate_second_side,
     relation_system,
 )
+from tridtn.series import general_dirichlet_dtn, symmetric_dirichlet_dtn
+from tridtn.traces import BoundaryTrace
 
 from conftest import manufactured_families, spectral_points
 
@@ -27,6 +29,42 @@ def test_global_relation_residual(lam, geom, rng):
         d, n = all_traces(sol, geom)
         rel = GlobalRelation(d, n, lam, 1.0)
         assert rel.residual_audit(ks) < 1e-10
+
+
+def _counting(trace, calls):
+    """``trace`` with value/derivative callables that log each sample size."""
+    return BoundaryTrace(
+        side=trace.side,
+        value=lambda s: calls.append(("value", np.size(s))) or trace.value(s),
+        derivative=lambda s: calls.append(("derivative", np.size(s))) or trace.derivative(s),
+    )
+
+
+def test_audit_reuses_the_series_of_the_dtn_map(geom, rng):
+    """The residual audit reads the Legendre series that the DtN map sampled
+    from the same data traces: no further trace evaluations."""
+    lam = 1.0
+    d, _ = all_traces(manufactured_families(lam)[0], geom)
+    calls = []
+    data = [_counting(t, calls) for t in d]
+    neumann = general_dirichlet_dtn(data, lam, 1.0, m_max=32)
+    sampled = len(calls)
+    GlobalRelation(data, neumann, lam, 1.0).residual_audit(spectral_points(rng, 5))
+    assert sampled > 0 and len(calls) == sampled
+
+
+def test_shared_trace_of_symmetric_solve_sampled_once(geom, rng):
+    """The three sides of a symmetric run share one trace and one series."""
+    lam = 1.0
+    d, _ = all_traces(symmetric_corner_compatible(lam, 1.0), geom)
+    data_calls, found_calls = [], []
+    data = _counting(d[0], data_calls)
+    found = _counting(symmetric_dirichlet_dtn(data, lam, 1.0, n_max=16), found_calls)
+    sampled = len(data_calls)
+    GlobalRelation([data] * 3, [found] * 3, lam, 1.0).residual_audit(spectral_points(rng, 5))
+    assert len(data_calls) == sampled
+    # one doubling sequence of node counts, not three
+    assert found_calls and len(set(found_calls)) == len(found_calls)
 
 
 def test_residual_audit_reports_nan_data(rng):
@@ -60,22 +98,12 @@ def test_relation_rows_match_rotations():
     assert sorted(step[0] for step in ELIMINATION_CYCLE) == list(range(6))
 
 
-def test_rho_tilde_is_rotated_rho(geom):
-    sol = manufactured_families(1.0)[0]
-    d, n = all_traces(sol, geom)
-    rel = GlobalRelation(d, n, 1.0, 1.0)
-    k = 1.1 - 0.6j
-    assert abs(rel.rho_tilde(1, k) - rel.rho(1, k)) == 0.0
-    assert abs(rel.rho_tilde(2, k) - rel.rho(2, ALPHA_BAR * k)) == 0.0
-    assert abs(rel.rho_tilde(3, k) - rel.rho(3, ALPHA * k)) == 0.0
-
-
 def test_rho_rejects_origin(geom):
     sol = manufactured_families(1.0)[0]
     d, n = all_traces(sol, geom)
     rel = GlobalRelation(d, n, 1.0, 1.0)
     with pytest.raises(DomainError):
-        rel.rho(1, 0.0)
+        rel.rho_scaled(1, 0.0)
 
 
 def test_relation_system_consistency_dirichlet(geom, rng):
@@ -118,7 +146,9 @@ def test_elimination_reproduces_psi2(geom, rng):
 
 
 def test_poincare_rows_need_corner_values(geom):
-    """Non-cancelling corner terms must be rejected without corner data."""
+    """Non-cancelling corner terms must be rejected without corner data;
+    with the corner values of the Dirichlet traces the rows annihilate the
+    exact unknowns Y_j = PSI_j / (2 sin beta_j)."""
     lam = 1.0
     sol = manufactured_families(lam)[0]
     # betas differing by an odd multiple of pi/3 are admissible but the
@@ -141,3 +171,20 @@ def test_poincare_rows_need_corner_values(geom):
 
     with pytest.raises(SolvabilityError):
         relation_system(problem, 1.0 + 0.5j)
+
+    from tridtn.spectral import Kind, SideSampler
+
+    d, _ = all_traces(sol, geom)
+    psi = [SideSampler(t, Kind.PSI, lam, 1.0) for t in d]
+    corners = [(float(t.value(-0.5)), float(t.value(0.5))) for t in d]
+    for k in (1.0 + 0.5j, -0.7 + 1.9j, 2.4 - 0.3j):
+        system = relation_system(problem, k, corner_values=corners)
+        x = np.array(
+            [
+                psi[j].eval(fac * k) / (2.0 * math.sin(beta))
+                for fac in (1.0, ALPHA, ALPHA_BAR)
+                for j, beta in enumerate((b1, b2, b3))
+            ]
+        )
+        resid = system.matrix @ x - system.rhs
+        assert np.max(np.abs(resid)) <= 1e-10 * max(1.0, np.max(np.abs(system.rhs)))

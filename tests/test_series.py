@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from tridtn.errors import ParameterError, SolvabilityError
-from tridtn.oracle import all_traces, symmetric_corner_compatible
+from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
+from tridtn.problems import BCKind, SideCondition
 from tridtn.series import (
     general_dirichlet_dtn,
     neumann_to_dirichlet,
     quadratic_mode_root,
+    robin_moment,
     symmetric_dirichlet_dtn,
 )
+from tridtn.spectral import Kind, SideSampler
 from tridtn.traces import BoundaryTrace, sample_grid
 
 from conftest import manufactured_families
@@ -142,6 +145,31 @@ def test_lambda_zero_gauge(geom):
     assert abs(offsets[0] - offsets[2]) < 1e-5
     for j in range(3):
         assert np.max(np.abs(qd[j].value(s) - d[j](s) - offsets[j])) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "lam, beta, gamma", [(1.0, np.pi / 2.0, 0.0), (1.0, 1.0, 0.5), (2.0, 1.2, 0.3)]
+)
+def test_robin_moment_matches_manufactured(lam, beta, gamma, geom):
+    """The moment int e^{mu(k_m) s} [q1 + w^-1 q2 + w q3] ds, w = e^{2 pi i m/3},
+    from the Poincare data of a plane wave against its Dirichlet traces."""
+    sol = manufactured_families(lam)[0]
+    d, _ = all_traces(sol, geom)
+    data = [poincare_trace(sol, geom, j, beta, gamma) for j in (1, 2, 3)]
+    psi = [SideSampler(t, Kind.PSI, lam, 1.0) for t in d]
+    for m in (1, 2, 4, -5):
+        k, got = robin_moment(m, data, lam, 1.0, beta, gamma)
+        w = np.exp(2j * np.pi * m / 3.0)
+        want = psi[0].eval(k) + psi[1].eval(k) / w + w * psi[2].eval(k)
+        assert abs(got - want) <= 1e-10 * abs(want), (m, abs(got - want) / abs(want))
+
+
+def test_sin_beta_zero_rejected():
+    data = [BoundaryTrace.zero(j) for j in (1, 2, 3)]
+    with pytest.raises(ParameterError):
+        SideCondition(BCKind.POINCARE, data[0], beta=0.0)
+    with pytest.raises(ParameterError):
+        robin_moment(1, data, 1.0, 1.0, beta=0.0, gamma=0.0)
 
 
 def test_sample_grid_margins():

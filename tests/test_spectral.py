@@ -5,9 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from tridtn.errors import DomainError, ParameterError
+from tridtn.errors import DomainError
 from tridtn.geometry import mu
-from tridtn.spectral import MU_INVARIANT_KINDS, Kind, SideSampler, spectral_transform
+from tridtn.spectral import Kind, SideSampler
 from tridtn.traces import BoundaryTrace, FourierSeriesTrace
 
 
@@ -44,24 +44,14 @@ def test_phi_matches_closed_form(rng):
         assert abs(sampler.eval(k) - want) < 1e-12 * max(1.0, abs(want))
 
 
-def test_f_robin_scaling(rng):
-    beta = 0.9
-    sampler = SideSampler(exp_trace(0.3), Kind.F_ROBIN, 1.0, 1.0, beta=beta)
-    plain = SideSampler(exp_trace(0.3), Kind.PSI, 1.0, 1.0)
-    k = 1.1 + 0.7j
-    assert abs(sampler.eval(k) - plain.eval(k) / (2.0 * math.sin(beta))) < 1e-13
-
-
 def test_mu_inversion_invariance(rng):
     lam = 1.7
     trace = exp_trace(0.5)
-    for kind in MU_INVARIANT_KINDS:
-        beta = 1.0 if kind in (Kind.F_ROBIN, Kind.Y) else None
-        sampler = SideSampler(trace, kind, lam, 1.0, beta=beta)
-        for _ in range(10):
-            k = rng.uniform(0.3, 3.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            a, b = sampler.eval(k), sampler.eval(lam / k)
-            assert abs(a - b) < 1e-11 * max(1.0, abs(a))
+    sampler = SideSampler(trace, Kind.PSI, lam, 1.0)
+    for _ in range(10):
+        k = rng.uniform(0.3, 3.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        a, b = sampler.eval(k), sampler.eval(lam / k)
+        assert abs(a - b) < 1e-11 * max(1.0, abs(a))
 
 
 def test_eval_scaled_consistency(rng):
@@ -92,14 +82,7 @@ def test_k_zero_rejected():
         sampler.eval(0.0)
 
 
-def test_beta_required():
-    with pytest.raises(ParameterError):
-        SideSampler(exp_trace(0.1), Kind.F_ROBIN, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        SideSampler(exp_trace(0.1), Kind.Y, 1.0, 1.0, beta=0.0)
-
-
-def _atom_transform(atoms, kind, k, lam, half, beta):
+def _atom_transform(atoms, kind, k, lam, half):
     """Closed-form transform of sum_j a_j e^{r_j s} over [-half, half], in mpmath."""
     k = mpmath.mpc(k)
     m = k + lam / k
@@ -108,10 +91,8 @@ def _atom_transform(atoms, kind, k, lam, half, beta):
         a, r = mpmath.mpc(a), mpmath.mpc(r)
         w = m + r
         moment = 2 * mpmath.sinh(w * half) / w if w != 0 else 2 * mpmath.mpf(half)
-        factor = r / 2 + lam / k if kind in (Kind.PHI, Kind.F_DIRICHLET) else 1
+        factor = r / 2 + lam / k if kind is Kind.PHI else 1
         total += a * factor * moment
-    if kind in (Kind.F_ROBIN, Kind.Y):
-        total /= 2 * mpmath.sin(beta)
     return total
 
 
@@ -136,7 +117,7 @@ def _reference_traces():
 def test_transform_reference(lam):
     # every kind against mpmath closed forms, |k| from 1e-3 to 1e4, on an
     # exp atom and on Fourier traces of 30 and 64 oscillations per side
-    beta, half = 0.9, 0.5
+    half = 0.5
     radii = [1e-3, 1e-1, 1.0, 10.0, 1e2, 1e3, 1e4]
     ks = np.array([r * cmath.exp(2j * math.pi * j / 8) for r in radii for j in range(8)])
     bound = 1e-12 * np.maximum(1.0, np.abs(mu(ks, lam)) * 2 * half / 100.0)
@@ -144,13 +125,13 @@ def test_transform_reference(lam):
     with mpmath.workdps(30):
         for trace, atoms in _reference_traces():
             for kind in Kind:
-                sampler = SideSampler(trace, kind, lam, 2 * half, beta=beta)
+                sampler = SideSampler(trace, kind, lam, 2 * half)
                 plain = np.full(ks.shape, np.nan, dtype=complex)
                 plain[in_range] = sampler.eval(ks[in_range])
                 scaled = sampler.eval_scaled(ks)
                 log_mod, phase = scaled.abs_log(), np.angle(scaled.m)
                 for i, k in enumerate(ks):
-                    want = _atom_transform(atoms, kind, complex(k), lam, half, beta)
+                    want = _atom_transform(atoms, kind, complex(k), lam, half)
                     d_log = abs(log_mod[i] - float(mpmath.log(abs(want))))
                     turn = phase[i] - float(mpmath.arg(want))
                     d_phase = abs(cmath.phase(cmath.exp(1j * turn)))
@@ -159,10 +140,3 @@ def test_transform_reference(lam):
                         err = abs(mpmath.mpc(plain[i]) - want) / abs(want)
                         assert err <= bound[i], (kind, k, float(err))
 
-
-def test_spectral_transform_wrapper():
-    c, lam = 0.25, 0.8
-    trace = exp_trace(c)
-    k = 1.2 - 0.3j
-    got = spectral_transform(trace, Kind.PSI, k, lam, 1.0)
-    assert abs(got - closed_psi(k, lam, c)) < 1e-12
