@@ -32,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NonFiniteError, TriDtnError
+from .errors import ConfigError, DomainError, NonFiniteError, TriDtnError
 from .expressions import expression_trace
-from .fdgrid import TriangularGrid, fd_solve
+from .fdgrid import TriangularGrid, _check_spacing, fd_solve
 from .geometry import TriangleGeometry
 from .interior import TraceSet, fokas_eval, greens_eval
 from .poincare import mixed_nr_trace, symmetric_dirichlet_integral
@@ -72,16 +72,11 @@ def load_config(path: str) -> dict:
     for key in ("lam", "side_length", "bc"):
         if key not in cfg:
             raise ConfigError(f"config is missing required key {key!r}")
-    if not isinstance(cfg["bc"], list) or len(cfg["bc"]) != 3:
-        raise ConfigError("config key 'bc' must list exactly three sides")
-    for key in ("lam", "side_length"):
-        value = cfg[key]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value)):
-            raise ConfigError(f"config key {key!r} must be a finite number, not {value!r}")
-    if cfg["side_length"] <= 0:
-        raise ConfigError(f"config key 'side_length' must be > 0, not {cfg['side_length']!r}")
-    for key in ("truncation", "samples"):
+    if not _three_objects(cfg["bc"]):
+        raise ConfigError("config key 'bc' must list exactly three side objects")
+    lam = _number("lam", cfg["lam"], lambda x: x >= 0, " >= 0")
+    side_length = _number("side_length", cfg["side_length"], lambda x: x > 0, " > 0")
+    for key in ("truncation", "samples", "audit_points"):
         if key in cfg:
             _check_count(f"config key {key!r}", cfg[key])
     if "sweep" in cfg:
@@ -89,7 +84,35 @@ def load_config(path: str) -> dict:
             raise ConfigError("config key 'sweep' must list at least two truncations")
         for n in cfg["sweep"]:
             _check_count("each entry of config key 'sweep'", n)
+    for key in ("interior", "oracle"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ConfigError(f"config key {key!r} must be an object")
+    interior, oracle = cfg.get("interior", {}), cfg.get("oracle", {})
+    if "divisions" in interior:
+        _check_count("config key 'interior.divisions'", interior["divisions"])
+    _number("interior.margin", interior.get("margin", 0.1), lambda x: 0 < x < 0.5 / math.sqrt(3.0),
+            " in (0, 1/(2 sqrt 3)), below the inradius over l")
+    _number("oracle.corner_margin", oracle.get("corner_margin", 0.02), lambda x: 0 <= x < 0.5,
+            " in [0, 0.5)")
+    if "h" in oracle:
+        try:
+            _check_spacing(side_length, _number("oracle.h", oracle["h"]))
+        except DomainError as exc:
+            raise ConfigError(f"config key 'oracle.h': {exc}") from exc
     return cfg
+
+
+def _number(key: str, value, within=lambda x: True, bounds: str = ""):
+    """``value``, which must be a finite number (not a boolean) for which
+    ``within`` holds; ``bounds`` says what that asks."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and within(value)):
+        raise ConfigError(f"config key {key!r} must be a finite number{bounds}, not {value!r}")
+    return value
+
+
+def _three_objects(value) -> bool:
+    return isinstance(value, list) and len(value) == 3 and all(isinstance(e, dict) for e in value)
 
 
 def _check_count(what: str, value):
@@ -126,7 +149,7 @@ def build_problem(cfg: dict) -> ProblemSpec:
     geom = TriangleGeometry(float(cfg["side_length"]))
     sides = []
     for side, entry in enumerate(cfg["bc"], start=1):
-        if not isinstance(entry, dict) or "kind" not in entry:
+        if "kind" not in entry:
             raise ConfigError(f"side {side}: each bc entry needs a 'kind'")
         try:
             kind = BCKind(entry["kind"])
@@ -135,12 +158,12 @@ def build_problem(cfg: dict) -> ProblemSpec:
         if kind == BCKind.POINCARE:
             raise ConfigError(f"side {side}: no subcommand solves a 'poincare' side")
         trace = _data_trace(entry, side, geom.side_length)
-        kwargs = {}
-        if "gamma" in entry:
-            kwargs["gamma"] = float(entry["gamma"])
-        if "beta" in entry:
-            kwargs["beta"] = float(entry["beta"])
         try:
+            kwargs = {
+                key: float(_number(f"bc.{key}", entry[key]))
+                for key in ("gamma", "beta")
+                if key in entry
+            }
             sides.append(SideCondition(kind, trace, **kwargs))
         except TriDtnError as exc:
             raise ConfigError(f"side {side}: {exc}") from exc
@@ -289,18 +312,13 @@ def _cmd_solve(cfg, args):
 
 
 def _cmd_verify(cfg, args):
-    if "complement" not in cfg or len(cfg["complement"]) != 3:
-        raise ConfigError("verify needs a 'complement' list with the other trace kind")
-    geom = TriangleGeometry(float(cfg["side_length"]))
-    lam = float(cfg["lam"])
-    first = [
-        _data_trace(entry, j, geom.side_length)
-        for j, entry in enumerate(cfg["bc"], start=1)
-    ]
-    second = [
-        _data_trace(entry, j, geom.side_length)
-        for j, entry in enumerate(cfg["complement"], start=1)
-    ]
+    if not _three_objects(cfg.get("complement")):
+        raise ConfigError("verify needs a 'complement' list of three sides of the other trace kind")
+    lam, side_length = float(cfg["lam"]), float(cfg["side_length"])
+    first, second = (
+        [_data_trace(entry, j, side_length) for j, entry in enumerate(cfg[key], start=1)]
+        for key in ("bc", "complement")
+    )
     kinds = {entry.get("kind") for entry in cfg["bc"]}
     if kinds == {"dirichlet"}:
         dirichlet, neumann = first, second
@@ -309,8 +327,8 @@ def _cmd_verify(cfg, args):
     else:
         raise ConfigError("verify expects 'bc' to be all dirichlet or all neumann")
     rng = np.random.default_rng(args.seed)
-    ks = _audit_points(rng, geom.side_length, int(cfg.get("audit_points", 50)))
-    rel = GlobalRelation(dirichlet, neumann, lam, geom.side_length)
+    ks = _audit_points(rng, side_length, cfg.get("audit_points", 50))
+    rel = GlobalRelation(dirichlet, neumann, lam, side_length)
     residuals = _finite(rel.relative_residual(ks), "relative residual")
     worst = float(np.max(residuals))
     rows = [f"{k.real:.17e},{k.imag:.17e},{r:.17e}" for k, r in zip(ks, residuals)]
@@ -324,16 +342,15 @@ def _cmd_interior(cfg, args):
         raise ConfigError("interior --solver fokas needs lam > 0 (the ray representation)")
     if {side.kind for side in spec.sides} not in ({BCKind.DIRICHLET}, {BCKind.NEUMANN}):
         raise ConfigError("interior evaluation needs a Dirichlet or Neumann problem")
+    margin = cfg.get("interior", {}).get("margin", 0.1) * spec.side_length
+    lattice = TriangularGrid(spec.side_length, cfg.get("interior", {}).get("divisions", 8))
+    points = lattice.point(*lattice.nodes())
+    points = points[spec.geometry.boundary_margin(points) >= margin]
+    if points.size == 0:
+        raise ConfigError("no 'interior.divisions' lattice point lies 'interior.margin' inside")
     computed, details = _solve_traces(spec, cfg, "series", _truncation(cfg, args))
     traces = TraceSet(spec.geometry, *_full_traces(spec, computed))
-    margin_frac = float(cfg.get("interior", {}).get("margin", 0.1))
-    divisions = int(cfg.get("interior", {}).get("divisions", 8))
-    margin = margin_frac * spec.side_length
-    geom = spec.geometry
     evaluator = greens_eval if args.solver == "greens" else fokas_eval
-    lattice = TriangularGrid(spec.side_length, divisions)
-    points = lattice.point(*lattice.nodes())
-    points = points[geom.boundary_margin(points) >= margin]
     values = _finite(evaluator(traces, spec.lam, points), "interior values")
     rows = [f"{z.real:.17e},{z.imag:.17e},{v:.17e}" for z, v in zip(points, values)]
     fields = {"details": details, "margin": margin, "points": len(points), "solver": args.solver}

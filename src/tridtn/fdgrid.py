@@ -20,6 +20,7 @@ s = l/2 - j h.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,9 @@ class GridSolution:
 
 
 def _check_spacing(side_length: float, h: float) -> int:
+    """m = l / h; DomainError unless h > 0 divides l into at least 4 steps."""
+    if not (math.isfinite(h) and h > 0):
+        raise DomainError(f"grid spacing {h} must be a finite number > 0")
     m = round(side_length / h)
     if m < 4 or abs(side_length / m - h) > 1e-9 * h:
         raise DomainError(

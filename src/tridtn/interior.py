@@ -267,7 +267,6 @@ def symmetric_interior(
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
     side_length = geom.side_length
     sampler = SideSampler(f, Kind.PHI, lam, side_length)
-    margin = point.margin
 
     total = 0.0 + 0.0j
     for j in (1, 2, 3):
@@ -276,30 +275,22 @@ def symmetric_interior(
         k, w = contour.nodes(j)
         arg = SIDE_ROT[j] * k
         env = Scaled.from_exp(mu(-1j * arg, lam) * (side_length / (2.0 * SQRT3)))
-        # known F part of rho~_j
-        vals = _ray_phase(k, point.z, lam) * env * sampler.eval_scaled(arg)
-        total += np.sum(w / k * np.asarray(vals.to_complex(), dtype=complex)) / (2j * math.pi)
+        # known F part of rho~_j, and on rays 2 and 3 the G/Delta terms
+        part = sampler.eval_scaled(arg)
         if j == 2:
-            extra = _symmetric_g_scaled(sampler, k, lam, side_length) / _delta_scaled(
+            part = part + _symmetric_g_scaled(sampler, k, lam, side_length) / _delta_scaled(
                 k, lam, side_length
             )
-            vals = _ray_phase(k, point.z, lam) * env * extra
-            total += (-2j) * np.sum(
-                w / k * np.asarray(vals.to_complex(), dtype=complex)
-            ) / (4.0 * math.pi)
         if j == 3:
             # the Schwarz conjugate conj(G(conj k)) for real symmetric data
             g_conj = _symmetric_g_scaled(sampler, np.conj(k), lam, side_length).conj()
-            extra = g_conj / _delta_scaled(k, lam, side_length)
-            vals = _ray_phase(k, point.z, lam) * env * extra
-            total += (2j) * np.sum(
-                w / k * np.asarray(vals.to_complex(), dtype=complex)
-            ) / (4.0 * math.pi)
+            part = part - g_conj / _delta_scaled(k, lam, side_length)
+        vals = _ray_phase(k, point.z, lam) * env * part
+        total += np.sum(w / k * np.asarray(vals.to_complex(), dtype=complex)) / (2j * math.pi)
 
     # residue series over the mode roots s_n
-    roots = list(dirichlet_mode_roots(lam, side_length, n_max))
-    k = np.array([root.k for root in roots], dtype=complex)
-    plus = np.array([root.plus for root in roots])
+    roots = dirichlet_mode_roots(lam, side_length, n_max)
+    k, plus = roots.k, roots.plus
     g = _symmetric_g_scaled(sampler, k, lam, side_length)
     denom = (
         k

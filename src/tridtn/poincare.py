@@ -18,7 +18,8 @@ half-plane.  Three entry points:
 * ``mixed_nr_trace`` -- the Dirichlet trace on side 2 of the mixed
   Neumann-Robin problem (Robin gamma = sqrt(3 lambda) on side 1).
 
-Mode roots are certified by defining-equation residuals and audited with
+Mode roots are found for all modes at once and kept as arrays
+(``ModeRootSet``), certified by defining-equation residuals and audited with
 argument-principle winding counts (``argument_principle_count``).
 """
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .problems import BCKind, ProblemSpec
 from .quadrature import QuadratureRule
 from .relations import ARG_FACTORS, ELIMINATION_CYCLE, RELATION_ROWS, ProblemSamplers
 from .scaledc import Scaled
-from .series import quadratic_mode_root
+from .series import _mode_roots, _newton, quadratic_mode_root
 from .spectral import Kind, SideSampler
 from .symbols import SideSymbol
 from .traces import ContourResidueTrace
@@ -58,20 +59,35 @@ class ModeRoot:
     label: int = 0
 
 
-@dataclass(frozen=True)
-class HalfPlaneRootSet:
-    plus: tuple
-    minus: tuple
+@dataclass(frozen=True, eq=False)
+class ModeRootSet:
+    """Certified mode roots as arrays, the D+ roots first and each
+    half-plane in mode order; iterating yields ``ModeRoot`` records."""
+
+    k: np.ndarray
+    residual: np.ndarray
+    plus: np.ndarray
+    label: np.ndarray
+
+    @classmethod
+    def of(cls, k, residual, label) -> "ModeRootSet":
+        """Roots listed in mode order, split into D+ and D-."""
+        plus = in_upper_half(k)
+        order = np.argsort(~plus, kind="stable")
+        return cls(k[order], residual[order], plus[order], label[order])
+
+    def __len__(self):
+        return self.k.size
 
     def __iter__(self):
-        return iter(self.plus + self.minus)
+        return map(ModeRoot, *(a.tolist() for a in (self.k, self.residual, self.plus, self.label)))
 
 
-def in_upper_half(k: complex, tol: float = 1e-10) -> bool:
-    """True for k in D+; raises if k sits on the contour within tol."""
+def in_upper_half(k, tol: float = 1e-10):
+    """True for k in D+, elementwise; raises if a k sits on the contour within tol."""
     # rotate so the contour becomes the real axis: k e^{-i pi/6}
-    w = complex(k) * cmath.exp(-1j * np.pi / 6.0)
-    if abs(w.imag) <= tol * max(1.0, abs(w)):
+    w = np.asarray(k, dtype=complex) * cmath.exp(-1j * np.pi / 6.0)
+    if np.any(np.abs(w.imag) <= tol * np.maximum(1.0, np.abs(w))):
         raise DomainError("mode root lies on the inversion contour")
     return w.imag > 0
 
@@ -178,33 +194,26 @@ def _delta_prime_scaled(k, lam, side_length) -> Scaled:
 def _symmetric_g_scaled(sampler, k, lam, side_length) -> Scaled:
     """G(k) = (e(ab k) + e(-ab k)) F(k) + (e(k) + e(-k)) F(ab k) + 2 F(a k)."""
     half = side_length / 2.0
-    m = mu(np.asarray(k, dtype=complex), lam)
-    m_ab = mu(ALPHA_BAR * np.asarray(k, dtype=complex), lam)
+    k = np.asarray(k, dtype=complex)
+    m, m_ab = mu(k, lam), mu(ALPHA_BAR * k, lam)
     out = (Scaled.from_exp(m_ab * half) + Scaled.from_exp(-m_ab * half)) * sampler.eval_scaled(k)
     out = out + (Scaled.from_exp(m * half) + Scaled.from_exp(-m * half)) * sampler.eval_scaled(
-        ALPHA_BAR * np.asarray(k, dtype=complex)
+        ALPHA_BAR * k
     )
-    return out + 2.0 * sampler.eval_scaled(ALPHA * np.asarray(k, dtype=complex))
+    return out + 2.0 * sampler.eval_scaled(ALPHA * k)
 
 
-def dirichlet_mode_roots(lam: float, side_length: float, n_max: int) -> HalfPlaneRootSet:
-    """The roots s_n of e^2(k) = 1 (mu = 2 pi i n / l), both branches."""
-    plus, minus = [], []
-    for n in range(-n_max, n_max + 1):
-        if n == 0 and lam == 0:
-            continue  # the n = 0 root collapses to k = 0 for Laplace
-        mu_n = 2j * np.pi * n / side_length
-        outer = quadratic_mode_root(mu_n, lam)
-        branches = [outer]
-        if lam > 0 and abs(lam / outer - outer) > 1e-12 * abs(outer):
-            branches.append(lam / outer)
-        for k in branches:
-            if k == 0:
-                continue
-            resid = abs(mu(k, lam) - mu_n) / max(1.0, abs(mu_n))
-            root = ModeRoot(k=k, residual=resid, plus=in_upper_half(k), label=n)
-            (plus if root.plus else minus).append(root)
-    return HalfPlaneRootSet(plus=tuple(plus), minus=tuple(minus))
+def dirichlet_mode_roots(lam: float, side_length: float, n_max: int) -> ModeRootSet:
+    """The roots s_n of e^2(k) = 1 (mu = 2 pi i n / l), both branches where
+    distinct; at lambda = 0 the inner one is k = 0 and n = 0 has none."""
+    n, live, outer = _mode_roots(lam, side_length, n_max)
+    k = np.stack([outer, lam / outer], axis=-1)
+    keep = np.ones(k.shape, dtype=bool)
+    keep[:, 1] = (lam > 0) & (np.abs(k[:, 1] - outer) > 1e-12 * np.abs(outer))
+    k, n = k[keep], np.repeat(n[live], 2)[keep.ravel()]
+    mu_n = 2j * np.pi * n / side_length
+    resid = np.abs(mu(k, lam) - mu_n) / np.maximum(1.0, np.abs(mu_n))
+    return ModeRootSet.of(k, resid, n)
 
 
 def symmetric_dirichlet_integral(
@@ -228,19 +237,17 @@ def symmetric_dirichlet_integral(
     grids, fold = _ray_grids(lam, side_length, t_factor, order)
 
     # contour data on the two rays (drop any k = 0 node; only lam = 0 edge)
-    ts, weighted = [], []
-    for t_ray, w_ray, k_ray in grids:
-        keep = np.abs(k_ray) > 0
-        gd = _symmetric_g_scaled(sampler, k_ray[keep], lam, side_length) / _delta_scaled(
-            k_ray[keep], lam, side_length
-        )
-        ts.append(t_ray[keep])
-        weighted.append((-1j * fold / (2.0 * np.pi)) * w_ray[keep] * gd.to_complex())
+    t, w, k_ray = (np.concatenate(parts) for parts in zip(*grids))
+    keep = np.abs(k_ray) > 0
+    gd = _symmetric_g_scaled(sampler, k_ray[keep], lam, side_length) / _delta_scaled(
+        k_ray[keep], lam, side_length
+    )
+    weighted = (-1j * fold / (2.0 * np.pi)) * w[keep] * gd.to_complex()
 
     # residue data: coefficient and exponent rate mu(ab k) per root
-    roots = list(dirichlet_mode_roots(lam, side_length, n_max))
-    k = np.array([root.k for root in roots], dtype=complex)
-    sign = np.where([root.plus for root in roots], -1.0, 1.0)
+    roots = dirichlet_mode_roots(lam, side_length, n_max)
+    k = roots.k
+    sign = np.where(roots.plus, -1.0, 1.0)
     g = _symmetric_g_scaled(sampler, k, lam, side_length)
     dprime = _delta_prime_scaled(k, lam, side_length)
     m_ab = mu(ALPHA_BAR * k, lam)
@@ -249,21 +256,22 @@ def symmetric_dirichlet_integral(
     coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g / (dprime * denom)
     return ContourResidueTrace(
         side=1,
-        t=np.concatenate(ts),
-        weighted=np.concatenate(weighted),
+        t=t[keep],
+        weighted=weighted,
         rates=m_ab,
         coeffs=coeffs,
     )
 
 
 # -- closed-form elimination (verification mirror) -------------------------
-def closed_form_elimination(symbols, k: complex, lam: float, side_length: float):
-    """D(k) and Gamma_j(k) of the eliminated relation, from side symbols.
+def closed_form_elimination(symbols, k, lam: float, side_length: float):
+    """D(k) and Gamma_j(k) of the eliminated relation, from side symbols,
+    at a scalar k or elementwise over an array of k.
 
     Verification mirror of the numeric route: the eliminated relation reads
     D(k) H_2(ab k) Y_2(ab k) = sum_j Gamma_j(k) H_j(k) Y_j(k) + T(k) + C(k).
     """
-    e = lambda kk: cmath.exp(mu(kk, lam) * side_length / 2.0)
+    e = lambda kk: np.exp(mu(kk, lam) * side_length / 2.0)
     a, ab = ALPHA * k, ALPHA_BAR * k
     pk = [sym.p(k) for sym in symbols]
     pa = [sym.p(a) for sym in symbols]
@@ -289,14 +297,14 @@ def closed_form_elimination(symbols, k: complex, lam: float, side_length: float)
     return d, (g1, g2, g3)
 
 
-def closed_form_d(symbols, k: complex, lam: float, side_length: float) -> complex:
+def closed_form_d(symbols, k, lam: float, side_length: float):
     return closed_form_elimination(symbols, k, lam, side_length)[0]
 
 
-def closed_form_d_prime(symbols, k: complex, lam: float, side_length: float) -> complex:
-    """Analytic derivative of D(k), for Newton polishing and residues."""
+def closed_form_d_prime(symbols, k, lam: float, side_length: float):
+    """Analytic derivative of D(k), for Newton polishing, elementwise."""
     a, ab = ALPHA * k, ALPHA_BAR * k
-    e3p = cmath.exp(1.5 * mu(k, lam) * side_length)
+    e3p = np.exp(1.5 * mu(k, lam) * side_length)
     e3m = 1.0 / e3p
     de3 = 1.5 * side_length * (1.0 - lam / (k * k))  # log-derivative of e^3(k)
     pa = [sym.p(a) for sym in symbols]
@@ -312,37 +320,40 @@ def closed_form_d_prime(symbols, k: complex, lam: float, side_length: float) -> 
     return dr1 * s_val + r1 * ds
 
 
-def argument_principle_count(
-    func, box, samples_per_edge: int = 400
-) -> int:
+#: the most points a winding count samples its contour at
+MAX_WINDING_POINTS = 1 << 18
+
+
+def argument_principle_count(func, box, samples_per_edge: int = 400) -> int:
     """Winding number of ``func`` around the rectangle ``box``.
 
     ``box`` = (re_min, re_max, im_min, im_max); the count equals the number
     of zeros inside (for an analytic function with no poles), evaluated by
-    accumulating the argument of ``func`` along the edges.
+    accumulating the argument of ``func`` along the edges from at least
+    ``samples_per_edge`` points per edge (see ``_winding``).
     """
     re0, re1, im0, im1 = box
-    corners = [
-        complex(re0, im0),
-        complex(re1, im0),
-        complex(re1, im1),
-        complex(re0, im1),
-        complex(re0, im0),
-    ]
-    pts = []
-    for z0, z1 in zip(corners[:-1], corners[1:]):
-        pts.append(z0 + (z1 - z0) * np.arange(samples_per_edge) / samples_per_edge)
-    return int(round(_winding(func(np.concatenate(pts)))))
+    corners = np.array([complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)])
+    steps = np.roll(corners, -1) - corners
+    edges = lambda n: (corners[:, None] + steps[:, None] * (np.arange(n) / n)).ravel()
+    return _winding(func, edges, samples_per_edge)
 
 
-def _winding(vals):
-    vals = np.asarray(vals, dtype=complex)
-    if np.any(vals == 0):
-        raise RootFindError("argument-principle contour hits a zero")
-    args = np.angle(vals)
-    d = np.diff(np.concatenate([args, args[:1]]))
-    d = (d + np.pi) % (2.0 * np.pi) - np.pi
-    return float(np.sum(d) / (2.0 * np.pi))
+def _winding(func, path, n: int) -> int:
+    """Winding number of ``func`` along the closed polygon ``path(n)``, with
+    n doubled until no step of the argument exceeds pi/2 (a step beyond pi
+    aliases), up to ``MAX_WINDING_POINTS`` points."""
+    while True:
+        vals = np.asarray(func(path(n)), dtype=complex)
+        if np.any(vals == 0):
+            raise RootFindError("argument-principle contour hits a zero")
+        args = np.angle(vals)
+        d = (np.diff(args, append=args[:1]) + np.pi) % (2.0 * np.pi) - np.pi
+        if np.max(np.abs(d)) <= np.pi / 2.0:
+            return int(round(np.sum(d) / (2.0 * np.pi)))
+        if 2 * vals.size > MAX_WINDING_POINTS:
+            raise RootFindError(f"argument-principle contour unresolved at {vals.size} points")
+        n *= 2
 
 
 def _mixed_symbols(lam: float):
@@ -360,15 +371,15 @@ def d_root_set(
     count: int,
     tol: float = 1e-12,
     audit: bool = True,
-) -> HalfPlaneRootSet:
+) -> ModeRootSet:
     """Certified roots of D(k) = 0 for the mixed Neumann-Robin problem.
 
     Every mode has mu on the imaginary axis, where the mode equation is a
     monotone phase condition with exactly one solution per integer index;
     solving it for |m| <= count and mapping each mu to both k-branches
-    therefore yields the complete root set in the window.  Roots are
-    polished on D itself with the analytic derivative, classified into
-    D+/D-, and, with ``audit=True``, cross-checked against
+    therefore yields the complete root set in the window.  All roots are
+    polished at once on D itself with the analytic derivative, classified
+    into D+/D-, and, with ``audit=True``, cross-checked against
     argument-principle winding numbers.
     """
     if lam <= 0:
@@ -380,60 +391,43 @@ def d_root_set(
     # theta(y) = 2 pi m, one root per integer m.  (Continuation in gamma
     # from the Neumann seeds alone misses the pair of modes that enters
     # through mu = 0, so the phase equation is solved directly.)
-    def theta(y):
-        return (
-            3.0 * side_length * y
-            + 2.0 * math.atan(y / rl)
-            + 2.0 * math.atan(y / (2.0 * rl))
-        )
-
-    def dtheta(y):
-        return (
-            3.0 * side_length
-            + 2.0 * rl / (y * y + lam)
-            + 4.0 * rl / (y * y + 4.0 * lam)
-        )
+    def phase_step(y):
+        theta = 3.0 * side_length * y + 2.0 * np.arctan(y / rl) + 2.0 * np.arctan(y / (2.0 * rl))
+        dtheta = 3.0 * side_length + 2.0 * rl / (y * y + lam) + 4.0 * rl / (y * y + 4.0 * lam)
+        return (theta - target) / dtheta
 
     syms = _mixed_symbols(lam)
-    plus, minus = [], []
-    for m in range(-count, count + 1):
-        target = 2.0 * np.pi * m
-        y = target / (3.0 * side_length)
-        for _ in range(80):
-            step = (theta(y) - target) / dtheta(y)
-            y -= step
-            if abs(step) < 1e-15 * max(1.0, abs(y)):
-                break
-        else:
-            raise RootFindError(f"phase equation failed to converge at m={m}")
-        mu_m = 1j * y
-        if m == 0:
-            branches = [1j * rl, -1j * rl]
-        else:
-            outer = quadratic_mode_root(mu_m, lam)
-            branches = [outer, lam / outer]
-        for k in branches:
-            # polish on D itself and certify
-            for _ in range(40):
-                val = closed_form_d(syms, k, lam, side_length)
-                dv = closed_form_d_prime(syms, k, lam, side_length)
-                step = val / dv
-                k = k - step
-                if abs(step) < 1e-15 * max(1.0, abs(k)):
-                    break
-            scale = abs(cmath.exp(1.5 * mu(k, lam) * side_length)) + abs(
-                cmath.exp(-1.5 * mu(k, lam) * side_length)
-            )
-            resid = abs(closed_form_d(syms, k, lam, side_length)) / scale
-            if resid > tol:
-                raise RootFindError(f"D-root residual {resid:.2e} above tolerance")
-            root = ModeRoot(k=k, residual=resid, plus=in_upper_half(k), label=m)
-            bucket = plus if root.plus else minus
-            if all(abs(k - other.k) > 1e-8 * max(1.0, abs(k)) for other in bucket):
-                bucket.append(root)
-    roots = HalfPlaneRootSet(plus=tuple(plus), minus=tuple(minus))
+    m = np.arange(-count, count + 1)
+    target = 2.0 * np.pi * m
+    y, converged = _newton(phase_step, target / (3.0 * side_length), 80, 1e-15)
+    if not converged:
+        raise RootFindError("phase equation failed to converge")
+    # both k-branches of each mode (at m = 0 the tie-break of the outer
+    # branch gives i sqrt(lambda)), polished on D itself and certified;
+    # an overflow or NaN shows up as a residual that is not <= tol
+    outer = quadratic_mode_root(1j * y, lam)
+    with np.errstate(all="ignore"):
+        k, _ = _newton(
+            lambda k: closed_form_d(syms, k, lam, side_length)
+            / closed_form_d_prime(syms, k, lam, side_length),
+            np.stack([outer, lam / outer], axis=-1).ravel(),
+            40,
+            1e-15,
+        )
+        w = 1.5 * mu(k, lam) * side_length
+        scale = np.abs(np.exp(w)) + np.abs(np.exp(-w))
+        resid = np.abs(closed_form_d(syms, k, lam, side_length)) / scale
+    failed = ~(resid <= tol)
+    if failed.any():
+        raise RootFindError(f"D-root residual {np.max(resid[failed]):.2e} above tolerance")
+    # a root within 1e-8 relative of an earlier root in its half-plane is
+    # the same root reached from two seeds
+    plus = in_upper_half(k)
+    near = np.abs(np.subtract.outer(k, k)) <= 1e-8 * np.maximum(1.0, np.abs(k))[:, None]
+    keep = ~np.any(np.tril(near & np.equal.outer(plus, plus), -1), axis=1)
+    roots = ModeRootSet.of(k[keep], resid[keep], np.repeat(m, 2)[keep])
     if audit:
-        _audit_root_count(roots, lam, side_length)
+        _audit_root_count(roots.k, lam, side_length)
     return roots
 
 
@@ -460,19 +454,13 @@ def _mode_equation_entire(symbols, k, lam: float, side_length: float):
     return val.m
 
 
-def _audit_root_count(roots: HalfPlaneRootSet, lam: float, side_length: float):
+def _audit_root_count(ks, lam: float, side_length: float):
+    """RootFindError unless argument-principle winding counts the roots ``ks``."""
     syms = _mixed_symbols(lam)
-    all_roots = list(roots)
-    ks = np.array([r.k for r in all_roots])
     # pad by half the vertical mode spacing so the box boundary stays
     # between consecutive roots
     pad = 0.5 * np.pi / (3.0 * side_length)
-    box = (
-        float(np.min(ks.real)) - 0.5,
-        float(np.max(ks.real)) + 0.5,
-        float(np.min(ks.imag)) - pad,
-        float(np.max(ks.imag)) + pad,
-    )
+    box = (ks.real.min() - 0.5, ks.real.max() + 0.5, ks.imag.min() - pad, ks.imag.max() + pad)
     func = lambda z: _mode_equation_entire(syms, z, lam, side_length)
     rect = argument_principle_count(func, box, samples_per_edge=2000)
     # k = 0 is an essential point of the mode function and the lambda/k
@@ -480,14 +468,13 @@ def _audit_root_count(roots: HalfPlaneRootSet, lam: float, side_length: float):
     # sitting between the innermost kept root and the first excluded image
     y_edge = max(abs(box[2]), abs(box[3]))
     r0 = lam / y_edge
-    inner_min = float(np.min(np.abs(ks)))
-    if r0 >= inner_min:
+    if r0 >= np.min(np.abs(ks)):
         raise RootFindError("audit exclusion circle would swallow a kept root")
-    circle = int(round(_winding(func(r0 * np.exp(2j * np.pi * np.arange(4000) / 4000)))))
+    circle = _winding(func, lambda n: r0 * np.exp(2j * np.pi * np.arange(n) / n), 4000)
     got = rect - circle
-    if got != len(all_roots):
+    if got != ks.size:
         raise RootFindError(
-            f"argument-principle count {got} != {len(all_roots)} found roots "
+            f"argument-principle count {got} != {ks.size} found roots "
             "(possible missed or spurious roots)"
         )
 
@@ -504,14 +491,13 @@ class ScaledElimination:
     """
 
     def __init__(self, problem: ProblemSpec):
-        self.problem = problem
         self.lam = problem.lam
         self.side_length = problem.side_length
         self._samplers = ProblemSamplers(problem)
 
     def inhom(self, k) -> Scaled:
-        """The inhomogeneity at a scalar k or along a 1-D array of k."""
-        k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
+        """The inhomogeneity at a scalar k or elementwise over an array of k."""
+        k_arr = np.asarray(k, dtype=complex).ravel()
         fac = self.side_length / (2.0 * SQRT3)
         syms, data, scale = self._samplers.symbols, self._samplers.data, self._samplers.scale
         # F_j(alpha^u k) enters one base and one conjugate row each
@@ -540,32 +526,28 @@ class ScaledElimination:
             acc = acc + prod * (-(rhs[r] / c_self))
             prod = prod * (-(coeffs[r][nxt] / c_self))
         out = acc / (1.0 - prod)
-        return out if np.ndim(k) else Scaled(out.m[0], out.sigma[0])
+        return Scaled(out.m.reshape(np.shape(k)), out.sigma.reshape(np.shape(k)))
 
 
-def root_circle_radius(k0: complex, lam: float, side_length: float) -> float:
-    """Safe residue-circle radius around the D-root ``k0``.
+def root_circle_radius(k0, lam: float, side_length: float):
+    """Safe residue-circle radius around each D-root in ``k0``.
 
     The mode roots are uniformly spaced in mu; pulling the spacing back
     through dk/dmu = 1/(1 - lambda/k^2) keeps the circle clear of the
     neighbouring poles even where the lambda/k branch clusters near zero.
     """
     spacing = 2.0 * np.pi / (3.0 * side_length)
-    pullback = abs(1.0 - lam / (k0 * k0))
-    return 0.3 * min(spacing / max(pullback, 1e-30), abs(k0))
+    pullback = np.abs(1.0 - lam / (k0 * k0))
+    return 0.3 * np.minimum(spacing / np.maximum(pullback, 1e-30), np.abs(k0))
 
 
-def residue_of_inhomogeneity(
-    problem: ProblemSpec, k0: complex, radius: float, nodes: int = 32
-) -> complex:
-    """Residue at ``k0`` of the elimination inhomogeneity T/(H_2(ab k) D(k)).
-
-    Extracted by trapezoid quadrature on a small circle, which is spectrally
-    accurate for the simple poles at the D-roots.
-    """
-    elim = problem if isinstance(problem, ScaledElimination) else ScaledElimination(problem)
-    offsets = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    return complex((elim.inhom(k0 + offsets) * offsets).sum().to_complex()) / nodes
+def residue_of_inhomogeneity(elim: ScaledElimination, k0, radius, nodes: int = 32):
+    """Residues at the D-roots ``k0`` of the elimination inhomogeneity
+    T/(H_2(ab k) D(k)), by trapezoid quadrature on circles of the given radii
+    (spectrally accurate for simple poles), in one call of ``elim.inhom``."""
+    offsets = np.multiply.outer(radius, np.exp(2j * np.pi * np.arange(nodes) / nodes))
+    vals = elim.inhom(np.asarray(k0, dtype=complex)[..., None] + offsets)
+    return (vals * offsets).sum().to_complex() / nodes
 
 
 def mixed_nr_trace(
@@ -588,12 +570,10 @@ def mixed_nr_trace(
     grids, _ = _ray_grids(lam, side_length, t_factor, order)
     weighted = [w * elim.inhom(k).to_complex() / (2.0 * np.pi) for _, w, k in grids]
 
-    roots = list(d_root_set(lam, side_length, count))
-    k = np.array([root.k for root in roots], dtype=complex)
-    res = np.array(
-        [residue_of_inhomogeneity(elim, kk, root_circle_radius(kk, lam, side_length)) for kk in k]
-    )
-    sign = np.where([root.plus for root in roots], 1.0, -1.0)
+    roots = d_root_set(lam, side_length, count)
+    k = roots.k
+    res = residue_of_inhomogeneity(elim, k, root_circle_radius(k, lam, side_length))
+    sign = np.where(roots.plus, 1.0, -1.0)
     p1 = _mixed_symbols(lam)[0].p(ALPHA * k)
     e6 = Scaled.from_exp(6.0 * mu(sign * 1j * ALPHA * k, lam) * side_length / (2.0 * SQRT3))
     denom = 1.0 + e6 * np.where(sign > 0, 1.0 / p1, p1)

@@ -95,10 +95,10 @@ class Scaled:
         return Scaled(mant, self.sigma + e * _LN2)
 
     def sum(self) -> "Scaled":
-        """Sum over all elements, rescaled to the largest exponent."""
+        """Sum over the last axis, rescaled to the largest exponent."""
         norm = self.normalized()
-        top = np.max(norm.sigma)
-        return Scaled(np.sum(norm.m * np.exp(norm.sigma - top)), top)
+        top = np.max(norm.sigma, axis=-1)
+        return Scaled(np.sum(norm.m * np.exp(norm.sigma - top[..., None]), axis=-1), top)
 
     def to_complex(self):
         """Collapse to complex; raises OverflowError if exp(sigma) overflows."""

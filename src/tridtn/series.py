@@ -276,7 +276,7 @@ def robin_mode_root(
     for g in np.linspace(0.0, gamma, steps + 1)[1:] if gamma != 0.0 else (0.0,):
         sym = SideSymbol(lam, beta, float(g))
 
-        def value_and_deriv(kk):
+        def newton_step(kk):
             a, ab = ALPHA * kk, ALPHA_BAR * kk
             e2 = cmath.exp(mu(kk, lam) * ell)
             pa, pab = sym.p(a), sym.p(ab)
@@ -286,19 +286,24 @@ def robin_mode_root(
                 + ALPHA * sym.dp(a) / pa
                 - ALPHA_BAR * sym.dp(ab) / pab
             )
-            return val, (val + target) * logderiv
+            return val / ((val + target) * logderiv)
 
-        converged = False
-        for _ in range(80):
-            val, dv = value_and_deriv(k)
-            step = val / dv
-            k = k - step
-            if abs(step) < tol * max(1.0, abs(k)):
-                converged = True
-                break
+        k, converged = _newton(newton_step, k, 80, tol)
         if not converged:
             raise RootFindError(f"Robin mode root m={m} failed to converge")
     return k
+
+
+def _newton(step, x, iterations: int, tol: float):
+    """Newton iteration x <- x - step(x), elementwise over an array or on a
+    scalar, until every step is below tol relative; returns x and whether
+    that happened within ``iterations``."""
+    for _ in range(iterations):
+        dx = step(x)
+        x = x - dx
+        if np.all(np.abs(dx) < tol * np.maximum(1.0, np.abs(x))):
+            return x, True
+    return x, False
 
 
 def oblique_robin_t(k, f_samplers, lam: float, side_length: float, beta: float, gamma: float):

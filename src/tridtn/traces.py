@@ -23,16 +23,18 @@ import numpy as np
 from .scaledc import Scaled
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Trace:
     """Base of the trace types.  ``legendre`` holds the chopped Legendre
     coefficients of ``value`` and ``derivative`` that ``spectral`` computes,
-    keyed by column and side length, so they live as long as the trace."""
+    keyed by column and side length, so they live as long as the trace.
+    Traces compare by identity (``eq=False`` here and on every subclass):
+    their fields are arrays and callables."""
 
-    legendre: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    legendre: dict = field(default_factory=dict, init=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryTrace(_Trace):
     """Real function on one side: ``value(s)`` and its derivative in s."""
 
@@ -61,7 +63,7 @@ class BoundaryTrace(_Trace):
         return cls.constant(side, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierSeriesTrace(_Trace):
     """Real part of sum_m coeff[m] exp(-2 pi i m s / (3 l)).
 
@@ -109,7 +111,7 @@ class FourierSeriesTrace(_Trace):
         return self.value(s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContourResidueTrace(_Trace):
     """Real part of sum_n weighted[n] e^{i t[n] s} + sum_r coeffs[r] e^{-rates[r] s}.
 

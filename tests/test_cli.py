@@ -281,20 +281,55 @@ def test_interior_rejects_mixed_problem_before_solving(tmp_path, monkeypatch, ca
         ("samples", 1.5),
         ("sweep", [8, 0]),
         ("sweep", [8, "16"]),
+        ("lam", -2.0),
+        ("audit_points", 0),
+        ("audit_points", 2.5),
+        ("interior", 3),
+        ("interior.divisions", 0),
+        ("interior.divisions", "x"),
+        ("interior.divisions", 1),
+        ("interior.margin", 0.9),
+        ("interior.margin", 0.25),
+        ("interior.margin", 0),
+        ("interior.margin", float("nan")),
+        ("oracle", [1]),
+        ("oracle.h", 0),
+        ("oracle.h", 2),
+        ("oracle.h", -0.25),
+        ("oracle.h", float("inf")),
+        ("oracle.h", "x"),
+        ("oracle.corner_margin", 0.6),
+        ("oracle.corner_margin", -0.1),
+        ("bc", ["dirichlet"] * 3),
+        ("bc.gamma", "x"),
+        ("bc.beta", None),
     ],
 )
 def test_bad_numeric_key_is_config_error(tmp_path, capsys, key, value):
     cfg = sym_dirichlet_cfg(truncation=8)
+    cfg["complement"] = [{"kind": "neumann", "data": "0"} for _ in range(3)]
     option = [key, str(value)] if key.startswith("--") else []
-    if not option:
+    group, _, inner = key.partition(".")
+    if inner:
+        for entry in cfg["bc"] if group == "bc" else [cfg.setdefault(group, {})]:
+            entry[inner] = value
+    elif not option:
         cfg[key] = value
     path = write_cfg(tmp_path, cfg)
-    out = tmp_path / "o"
-    command = "sweep" if key == "sweep" else "solve"
-    assert main([command, "--config", path, "--out", str(out), *option]) == 2
-    err = capsys.readouterr().err
-    assert key.lstrip("-") in err and "Traceback" not in err
-    assert not out.exists()
+    # lam reaches every subcommand; verify reads it without building a problem
+    commands = {
+        "sweep": ["sweep"],
+        "audit_points": ["verify"],
+        "interior": ["interior"],
+        "oracle": ["oracle"],
+        "lam": ["solve", "verify"],
+    }.get(group, ["solve"])
+    for command in commands:
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out), *option]) == 2
+        err = capsys.readouterr().err
+        assert key.lstrip("-") in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_poincare_side_is_config_error(tmp_path, capsys):

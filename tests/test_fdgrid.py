@@ -166,6 +166,9 @@ def test_spacing_check():
         fd_solve(spec, 0.31)
     with pytest.raises(DomainError):
         fd_solve(spec, 0.5)  # m = 2 < 4
+    for h in (0.0, -0.25, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            fd_solve(spec, h)
 
 
 def test_poincare_sides_rejected():

@@ -7,8 +7,8 @@ import pytest
 from tridtn.errors import DomainError, ParameterError, RootFindError
 from tridtn.geometry import ALPHA, ALPHA_BAR, mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
+import tridtn.poincare as poincare
 from tridtn.poincare import (
-    HalfPlaneRootSet,
     ScaledElimination,
     _audit_root_count,
     argument_principle_count,
@@ -21,6 +21,7 @@ from tridtn.poincare import (
     inversion_integral,
     mixed_nr_trace,
     ray_radius,
+    residue_of_inhomogeneity,
     root_circle_radius,
     symmetric_dirichlet_integral,
 )
@@ -94,6 +95,12 @@ def test_closed_form_d_and_derivative():
     h = 1e-6
     fd = (closed_form_d(syms, k + h, lam, 1.0) - closed_form_d(syms, k - h, lam, 1.0)) / (2 * h)
     assert abs(closed_form_d_prime(syms, k, lam, 1.0) - fd) < 1e-5 * max(1.0, abs(fd))
+    # elementwise over arrays; a scalar k still gives a complex value
+    ks = np.array([k, 0.3 - 1.2j, -2.0 + 0.4j])
+    assert isinstance(closed_form_d(syms, k, lam, 1.0), complex)
+    for f in (closed_form_d, closed_form_d_prime):
+        one_by_one = [f(syms, kk, lam, 1.0) for kk in ks]
+        assert np.allclose(f(syms, ks, lam, 1.0), one_by_one, rtol=1e-14, atol=0.0)
 
 
 def test_d_root_set_certified_and_audited():
@@ -139,9 +146,8 @@ def test_argument_principle_one_array_call():
 
 
 def test_audit_rejects_a_missing_root():
-    roots = d_root_set(1.0, 1.0, count=4, audit=False)
-    _audit_root_count(roots, 1.0, 1.0)
-    ks = np.array([root.k for root in roots])
+    ks = d_root_set(1.0, 1.0, count=4, audit=False).k
+    _audit_root_count(ks, 1.0, 1.0)
 
     def inside_the_others(i):
         others = np.delete(ks, i)
@@ -152,12 +158,35 @@ def test_audit_rejects_a_missing_root():
 
     # leave out a root that the audit box of the others still encloses
     drop = next(i for i in range(ks.size) if inside_the_others(i))
-    kept = [root for i, root in enumerate(roots) if i != drop]
-    short = HalfPlaneRootSet(
-        plus=tuple(r for r in kept if r.plus), minus=tuple(r for r in kept if not r.plus)
-    )
     with pytest.raises(RootFindError):
-        _audit_root_count(short, 1.0, 1.0)
+        _audit_root_count(np.delete(ks, drop), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("lam, count", [(5.0, 64), (10.0, 32)])
+def test_audit_resolves_fast_phase_near_the_origin(lam, count):
+    # 2000 samples per box edge alias the argument near k = 0 here
+    roots = d_root_set(lam, 1.0, count, audit=True)
+    assert len(roots) == 2 * (2 * count + 1)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_d_root_records(lam):
+    roots = d_root_set(lam, 1.0, 8)
+    records = list(roots)
+    assert len(records) == len(roots) == 34
+    assert all(root.residual <= 1e-12 for root in records)
+    # D+ first, each half-plane in mode order
+    assert [r.plus for r in records] == sorted((r.plus for r in records), reverse=True)
+    for half in (True, False):
+        labels = [r.label for r in records if r.plus == half]
+        assert labels == sorted(labels)
+    assert np.array_equal([r.k for r in records], roots.k)
+
+
+def test_d_root_set_refuses_nan(monkeypatch):
+    monkeypatch.setattr(poincare, "closed_form_d", lambda syms, k, lam, l: k * np.nan)
+    with pytest.raises(RootFindError):
+        d_root_set(1.0, 1.0, 4, audit=False)
 
 
 def _mixed_problem(geom, lam=1.0):
@@ -196,6 +225,34 @@ def test_array_inhom_matches_scalar_and_solve(geom, rng):
     for k, val in zip(ks[:12], got):
         want = eliminate_second_side(problem, k).inhom
         assert abs(val - want) <= 1e-10 * abs(want)
+
+
+def test_mixed_nr_trace_makes_three_inhom_calls(geom, monkeypatch):
+    _, problem = _mixed_problem(geom)
+    calls = []
+    inhom = ScaledElimination.inhom
+
+    def counted(self, k):
+        calls.append(np.shape(k))
+        return inhom(self, k)
+
+    monkeypatch.setattr(ScaledElimination, "inhom", counted)
+    mixed_nr_trace(problem, count=8, t_factor=4.0)
+    assert len(calls) == 3  # two rays, then every residue circle at once
+    assert calls[-1] == (34, 32)
+
+
+def test_array_residues_match_per_root_trapezoid(geom):
+    _, problem = _mixed_problem(geom)
+    elim = ScaledElimination(problem)
+    k = d_root_set(1.0, 1.0, 6).k
+    radius = root_circle_radius(k, 1.0, 1.0)
+    got = residue_of_inhomogeneity(elim, k, radius)
+    nodes = 32
+    for k0, r, val in zip(k, radius, got):
+        offsets = r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        want = np.sum(elim.inhom(k0 + offsets).to_complex() * offsets) / nodes
+        assert abs(val - want) <= 1e-13 * abs(want)
 
 
 def test_mixed_nr_requires_matching_gamma(geom):

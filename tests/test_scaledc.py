@@ -53,3 +53,13 @@ def test_array_broadcasting():
     y = x * Scaled.of(2.0)
     vals = np.asarray(y.to_complex())
     assert np.max(np.abs(vals - 2.0 * np.exp(w))) < 1e-12
+
+
+def test_sum_reduces_the_last_axis():
+    w = np.array([[800.0 + 0.1j, 799.0, 1.0], [-3.0, 2.0j, 0.5]])
+    got = Scaled.from_exp(w).sum()
+    assert got.m.shape == (2,)
+    # exp(800) overflows; the exponent carries it
+    want = 800.0 + np.log(abs(np.exp(0.1j) + np.exp(-1.0)))
+    assert abs(got.abs_log()[0] - want) < 1e-12 * want
+    assert abs(Scaled(got.m[1], got.sigma[1]).to_complex() - np.sum(np.exp(w[1]))) < 1e-12

@@ -12,7 +12,8 @@ from tridtn.series import (
     symmetric_dirichlet_dtn,
 )
 from tridtn.spectral import Kind, SideSampler
-from tridtn.traces import BoundaryTrace, sample_grid
+from tridtn.scaledc import Scaled
+from tridtn.traces import BoundaryTrace, ContourResidueTrace, FourierSeriesTrace, sample_grid
 
 from conftest import manufactured_families
 
@@ -175,3 +176,19 @@ def test_sin_beta_zero_rejected():
 def test_sample_grid_margins():
     s = sample_grid(1.0, n=11, corner_margin=0.1)
     assert s[0] >= -0.4 - 1e-12 and s[-1] <= 0.4 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FourierSeriesTrace(1, 1.0, [0, 3], [1.0, 2.0]),
+        lambda: ContourResidueTrace(2, np.ones(2), np.ones(2), np.ones(1), Scaled.of(np.ones(1))),
+        lambda: BoundaryTrace.constant(1, 2.0),
+    ],
+    ids=["series", "contour", "boundary"],
+)
+def test_traces_compare_by_identity(build):
+    trace, twin = build(), build()
+    assert trace == trace and hash(trace) == hash(trace)
+    assert trace != twin
+    assert len({trace, twin}) == 2
