@@ -31,6 +31,8 @@ from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, TriangleGeometry, mu
 from .poincare import (
     _delta_prime_scaled,
     _delta_scaled,
+    _rotations,
+    _symmetric_g,
     _symmetric_g_scaled,
     dirichlet_mode_roots,
     quadratic_mode_root,
@@ -275,16 +277,17 @@ def symmetric_interior(
         k, w = contour.nodes(j)
         arg = SIDE_ROT[j] * k
         env = Scaled.from_exp(mu(-1j * arg, lam) * (side_length / (2.0 * SQRT3)))
-        # known F part of rho~_j, and on rays 2 and 3 the G/Delta terms
-        part = sampler.eval_scaled(arg)
-        if j == 2:
-            part = part + _symmetric_g_scaled(sampler, k, lam, side_length) / _delta_scaled(
-                k, lam, side_length
-            )
-        if j == 3:
-            # the Schwarz conjugate conj(G(conj k)) for real symmetric data
-            g_conj = _symmetric_g_scaled(sampler, np.conj(k), lam, side_length).conj()
-            part = part - g_conj / _delta_scaled(k, lam, side_length)
+        # known F part of rho~_j, and on rays 2 and 3 the G/Delta terms, from
+        # one transform evaluation per ray
+        if j == 1:
+            part = sampler.eval_scaled(arg)
+        else:
+            g_arg = k if j == 2 else np.conj(k)
+            f = sampler.eval_scaled(np.concatenate([arg[None], _rotations(g_arg)]))
+            g = _symmetric_g(f[1:], g_arg, lam, side_length)
+            # on ray 3 the Schwarz conjugate conj(G(conj k)) for real symmetric data
+            g = g if j == 2 else -g.conj()
+            part = f[0] + g / _delta_scaled(k, lam, side_length)
         vals = _ray_phase(k, point.z, lam) * env * part
         total += np.sum(w / k * np.asarray(vals.to_complex(), dtype=complex)) / (2j * math.pi)
 
@@ -334,9 +337,11 @@ def eigensolution_mode_root(n: int, lam: float, sign: int, side_length: float = 
     if n == 0 and lam == 0.0:
         raise DomainError("the n = 0 mode root collapses to k = 0 for lam = 0")
     outer = quadratic_mode_root(2j * math.pi * n / side_length, lam)
-    for s_n in (outer, lam / outer if outer != 0 else outer):
+    for s_n in (outer, lam / outer):
+        if s_n == 0:
+            continue  # lam = 0: the inner branch is k = 0, which is no root
         yv = (s_n / 1j).real
         branch = 1 if -(yv + lam / yv) > 0 else -1
         if branch == (1 if sign >= 0 else -1):
             return s_n
-    raise DomainError("no mode-root branch matches the requested sign")
+    raise DomainError(f"no mode-root branch matches sign {sign} for n = {n}, lam = {lam}")

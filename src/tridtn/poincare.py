@@ -36,8 +36,8 @@ from .problems import BCKind, ProblemSpec
 from .quadrature import QuadratureRule
 from .relations import ARG_FACTORS, ELIMINATION_CYCLE, RELATION_ROWS, ProblemSamplers
 from .scaledc import Scaled
-from .series import _mode_roots, _newton, quadratic_mode_root
-from .spectral import Kind, SideSampler
+from .series import _mode_roots, _newton, _rotations, quadratic_mode_root
+from .spectral import Kind, SideSampler, transforms
 from .symbols import SideSymbol
 from .traces import ContourResidueTrace
 
@@ -191,16 +191,20 @@ def _delta_prime_scaled(k, lam, side_length) -> Scaled:
     return fac * (Scaled.from_exp(m * half) + Scaled.from_exp(-m * half))
 
 
-def _symmetric_g_scaled(sampler, k, lam, side_length) -> Scaled:
-    """G(k) = (e(ab k) + e(-ab k)) F(k) + (e(k) + e(-k)) F(ab k) + 2 F(a k)."""
+def _symmetric_g(f, k, lam, side_length) -> Scaled:
+    """G(k) = (e(ab k) + e(-ab k)) F(k) + (e(k) + e(-k)) F(ab k) + 2 F(a k),
+    from ``f``, the transforms F at ``_rotations(k)``."""
     half = side_length / 2.0
-    k = np.asarray(k, dtype=complex)
     m, m_ab = mu(k, lam), mu(ALPHA_BAR * k, lam)
-    out = (Scaled.from_exp(m_ab * half) + Scaled.from_exp(-m_ab * half)) * sampler.eval_scaled(k)
-    out = out + (Scaled.from_exp(m * half) + Scaled.from_exp(-m * half)) * sampler.eval_scaled(
-        ALPHA_BAR * k
-    )
-    return out + 2.0 * sampler.eval_scaled(ALPHA * k)
+    out = (Scaled.from_exp(m_ab * half) + Scaled.from_exp(-m_ab * half)) * f[0]
+    out = out + (Scaled.from_exp(m * half) + Scaled.from_exp(-m * half)) * f[1]
+    return out + 2.0 * f[2]
+
+
+def _symmetric_g_scaled(sampler, k, lam, side_length) -> Scaled:
+    """G(k) of the symmetric Dirichlet data of ``sampler``."""
+    k = np.asarray(k, dtype=complex)
+    return _symmetric_g(sampler.eval_scaled(_rotations(k)), k, lam, side_length)
 
 
 def dirichlet_mode_roots(lam: float, side_length: float, n_max: int) -> ModeRootSet:
@@ -236,31 +240,24 @@ def symmetric_dirichlet_integral(
     sampler = SideSampler(data, Kind.PHI, lam, side_length)
     grids, fold = _ray_grids(lam, side_length, t_factor, order)
 
-    # contour data on the two rays (drop any k = 0 node; only lam = 0 edge)
+    # G on the two rays (whose Gauss nodes avoid t = 0, so k = 0 too) and at
+    # the mode roots, in one evaluation
     t, w, k_ray = (np.concatenate(parts) for parts in zip(*grids))
-    keep = np.abs(k_ray) > 0
-    gd = _symmetric_g_scaled(sampler, k_ray[keep], lam, side_length) / _delta_scaled(
-        k_ray[keep], lam, side_length
-    )
-    weighted = (-1j * fold / (2.0 * np.pi)) * w[keep] * gd.to_complex()
-
-    # residue data: coefficient and exponent rate mu(ab k) per root
     roots = dirichlet_mode_roots(lam, side_length, n_max)
     k = roots.k
+    g = _symmetric_g_scaled(sampler, np.concatenate([k_ray, k]), lam, side_length)
+    gd = g[: t.size] / _delta_scaled(k_ray, lam, side_length)
+    weighted = (-1j * fold / (2.0 * np.pi)) * w * gd.to_complex()
+
+    # residue data: coefficient and exponent rate mu(ab k) per root
     sign = np.where(roots.plus, -1.0, 1.0)
-    g = _symmetric_g_scaled(sampler, k, lam, side_length)
+    g = g[t.size :]
     dprime = _delta_prime_scaled(k, lam, side_length)
     m_ab = mu(ALPHA_BAR * k, lam)
     denom = 1.0 - Scaled.from_exp(-sign * m_ab * side_length)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
     coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g / (dprime * denom)
-    return ContourResidueTrace(
-        side=1,
-        t=t[keep],
-        weighted=weighted,
-        rates=m_ab,
-        coeffs=coeffs,
-    )
+    return ContourResidueTrace(side=1, t=t, weighted=weighted, rates=m_ab, coeffs=coeffs)
 
 
 # -- closed-form elimination (verification mirror) -------------------------
@@ -501,11 +498,7 @@ class ScaledElimination:
         fac = self.side_length / (2.0 * SQRT3)
         syms, data, scale = self._samplers.symbols, self._samplers.data, self._samplers.scale
         # F_j(alpha^u k) enters one base and one conjugate row each
-        transforms = {
-            (j, u): scale[j - 1] * data[j - 1].eval_scaled(ARG_FACTORS[u] * k_arr)
-            for j in (1, 2, 3)
-            for u in range(3)
-        }
+        f = transforms(data, np.multiply.outer(ARG_FACTORS, k_arr))
         coeffs, rhs = [], []
         for row in RELATION_ROWS:
             sign = 1j if row.conj else -1j
@@ -515,7 +508,7 @@ class ScaledElimination:
                 pref = Scaled.from_exp(mu(sign * arg, self.lam) * fac)
                 sym = syms[j - 1]
                 row_coeffs.append(pref * (sym.hbar(arg) if row.conj else sym.h(arg)))
-                row_rhs = row_rhs + pref * transforms[(j, u)]
+                row_rhs = row_rhs + pref * (scale[j - 1] * f[j - 1, u])
             coeffs.append(row_coeffs)
             rhs.append(row_rhs)
 

@@ -27,7 +27,7 @@ from .errors import DomainError, SolvabilityError
 from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, exp_E, mu
 from .problems import ProblemSpec
 from .scaledc import Scaled
-from .spectral import Kind, SideSampler, corner_term
+from .spectral import Kind, SideSampler, corner_term, transforms
 
 
 # -- rho functions and the residual audit ----------------------------------
@@ -44,20 +44,23 @@ class GlobalRelation:
             SideSampler(t, Kind.PHI, lam, side_length) for t in dirichlet
         ]
 
+    def _rho(self, k, psi, phi) -> Scaled:
+        env = Scaled.from_exp(mu(-1j * k, self.lam) * (self.side_length / (2.0 * SQRT3)))
+        return env * (0.5j * psi + phi)
+
     def rho_scaled(self, side: int, k) -> Scaled:
         """rho_j(k) = E(-ik) [ (i/2) PSI_j(k) + PHI_j(k) ] as a 1-D Scaled array."""
         k = np.atleast_1d(np.asarray(k, dtype=complex))
-        if np.any(k == 0):
-            raise DomainError("rho undefined at k = 0")
-        j = side - 1
-        env = Scaled.from_exp(mu(-1j * k, self.lam) * (self.side_length / (2.0 * SQRT3)))
-        return env * (0.5j * self._psi[j].eval_scaled(k) + self._phi[j].eval_scaled(k))
+        psi, phi = transforms([self._psi[side - 1], self._phi[side - 1]], k)
+        return self._rho(k, psi, phi)
 
     def relative_residual(self, ks):
         """|sum_j rho~_j(k)| / max_j |rho~_j(k)| on a 1-D array of k (0 where
         every rho~_j vanishes)."""
-        ks = np.asarray(ks, dtype=complex).ravel()
-        vals = [self.rho_scaled(j, SIDE_ROT[j] * ks) for j in (1, 2, 3)]
+        args = np.stack([SIDE_ROT[j] * np.asarray(ks, dtype=complex).ravel() for j in (1, 2, 3)])
+        # every sampler at every side's arguments; side j reads its own
+        values = transforms(self._psi + self._phi, args)
+        vals = [self._rho(args[j], values[j, j], values[3 + j, j]) for j in range(3)]
         scale = np.maximum.reduce([v.abs_log() for v in vals])
         with np.errstate(invalid="ignore"):
             out = np.exp((vals[0] + vals[1] + vals[2]).abs_log() - scale)
@@ -182,31 +185,25 @@ def relation_system(
                 "corner terms do not cancel; corner_values are required"
             )
 
+    # data transforms per side j at every argument ARG_FACTORS[slot] k
+    data = transforms(samplers.data, np.array(ARG_FACTORS) * k).to_complex()
     matrix = np.zeros((6, 9), dtype=complex)
     rhs = np.zeros(6, dtype=complex)
     for r, row in enumerate(RELATION_ROWS):
         for j, factor, slot in row.terms:
             arg = factor * k
             pref = exp_E((1j if row.conj else -1j) * arg, lam, l)
+            known = data[j - 1, slot]
             if samplers.kind == "dirichlet":
-                coeff = -0.5j if row.conj else 0.5j
-                matrix[r, _column(j, slot)] += pref * coeff
-                rhs[r] -= pref * samplers.data[j - 1].eval(arg)
+                matrix[r, _column(j, slot)] += pref * (-0.5j if row.conj else 0.5j)
             else:
                 sym = samplers.symbols[j - 1]
-                hval = sym.hbar(arg) if row.conj else sym.h(arg)
-                matrix[r, _column(j, slot)] += pref * hval
-                known = samplers.scale[j - 1] * samplers.data[j - 1].eval(arg)
+                matrix[r, _column(j, slot)] += pref * (sym.hbar(arg) if row.conj else sym.h(arg))
+                known = samplers.scale[j - 1] * known
                 if corner_values is not None:
-                    known += corner_term(
-                        *corner_values[j - 1],
-                        arg,
-                        lam,
-                        l,
-                        problem.side(j).beta,
-                        conjugated=row.conj,
-                    )
-                rhs[r] -= pref * known
+                    q, beta = corner_values[j - 1], problem.side(j).beta
+                    known += corner_term(*q, arg, lam, l, beta, conjugated=row.conj)
+            rhs[r] -= pref * known
     labels = tuple(
         f"{'PSI' if samplers.kind == 'dirichlet' else 'Y'}{j}({_ARG_NAMES[slot]})"
         for slot in range(3)

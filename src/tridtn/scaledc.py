@@ -38,6 +38,10 @@ class Scaled:
         w = np.asarray(w, dtype=complex)
         return cls(m=np.exp(1j * w.imag), sigma=np.asarray(w.real, dtype=float))
 
+    def __getitem__(self, index) -> "Scaled":
+        m, sigma = np.broadcast_arrays(self.m, self.sigma)
+        return Scaled(m[index], sigma[index])
+
     def __mul__(self, other):
         other = _coerce(other)
         return Scaled(self.m * other.m, self.sigma + other.sigma)

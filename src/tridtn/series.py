@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import ParameterError, ResonanceError, RootFindError, SolvabilityEr
 from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
 from .scaledc import Scaled
 from .quadrature import QuadratureRule
-from .spectral import Kind, SideSampler
+from .spectral import Kind, SideSampler, transforms
 from .symbols import SideSymbol
 from .traces import FourierSeriesTrace, sample_grid
 
@@ -87,22 +88,22 @@ def _big_e_scaled(k, lam, side_length) -> Scaled:
     return Scaled.from_exp(mu(k, lam) * (side_length / (2.0 * SQRT3)))
 
 
+def _rotations(k):
+    """The rotated arguments k, alpha_bar k, alpha k, stacked."""
+    return np.stack([k, ALPHA_BAR * k, ALPHA * k])
+
+
+def _transforms_by_argument(samplers, k):
+    """The samplers' transforms at each of ``_rotations(k)``, in one call."""
+    values = transforms(samplers, _rotations(np.asarray(k, dtype=complex)))
+    return values[:, 0], values[:, 1], values[:, 2]
+
+
 def _finalize(side, side_length, modes, coeffs) -> FourierSeriesTrace:
-    trace = FourierSeriesTrace(
-        side=side,
-        side_length=side_length,
-        modes=np.asarray(modes, dtype=int),
-        coeffs=np.asarray(coeffs, dtype=complex),
-    )
+    """The series trace, with the imbalance of its complex synthesis."""
+    trace = FourierSeriesTrace(side, side_length, modes, coeffs)
     s = sample_grid(side_length, n=257, corner_margin=0.0)
-    imbalance = float(np.max(np.abs(np.imag(trace.synthesis(s)))))
-    return FourierSeriesTrace(
-        side=side,
-        side_length=side_length,
-        modes=trace.modes,
-        coeffs=trace.coeffs,
-        imbalance=imbalance,
-    )
+    return replace(trace, imbalance=float(np.max(np.abs(np.imag(trace.synthesis(s))))))
 
 
 def _mode_roots(lam: float, period: float, m_max: int):
@@ -133,11 +134,8 @@ def symmetric_dirichlet_dtn(
     cosh = 0.5 * (Scaled.from_exp(w) + Scaled.from_exp(-w))
     resonant = sinh.abs_log() < math.log(RESONANCE_RTOL) + np.abs(w.real)
     _check_resonance(resonant, n[live], "Dirichlet")
-    g = (
-        2.0 * cosh * sampler.eval_scaled(s_n)
-        + (2.0 * np.exp(1j * np.pi * n[live])) * sampler.eval_scaled(ALPHA_BAR * s_n)
-        + 2.0 * sampler.eval_scaled(ALPHA * s_n)
-    )
+    f_k, f_ab, f_a = sampler.eval_scaled(_rotations(s_n))
+    g = 2.0 * cosh * f_k + (2.0 * np.exp(1j * np.pi * n[live])) * f_ab + 2.0 * f_a
     coeffs = np.zeros(n.shape, dtype=complex)
     coeffs[live] = ((1j / side_length) * g / sinh).to_complex()
     return _finalize(1, side_length, 3 * n, coeffs)
@@ -189,9 +187,7 @@ def general_dirichlet_dtn(
     em = _e_scaled(-k, lam, side_length)
     ep_ab = _e_scaled(ab, lam, side_length)
     em_ab = _e_scaled(-ab, lam, side_length)
-    f_k, f_a, f_ab = (
-        [sampler.eval_scaled(kk) for sampler in f] for kk in (k, a, ab)
-    )
+    f_k, f_ab, f_a = _transforms_by_argument(f, k)
     x = (em * em * ep_ab + em_ab) * (f_k[0] + ep * ep * f_k[2])
     x = x + em * em * (em * em * ep_ab * ep**6 + em_ab) * f_k[1]
     x = x + 2.0 * ep * ep * f_a[0] + 2.0 * f_a[1] + 2.0 * em * em * f_a[2]
@@ -237,9 +233,7 @@ def neumann_to_dirichlet(
     e3a_p = _big_e_scaled(1j * a, lam, side_length) ** 3
     e3ab_m = _big_e_scaled(-1j * ab, lam, side_length) ** 3
     e3ab_p = _big_e_scaled(1j * ab, lam, side_length) ** 3
-    f_k, f_a, f_ab = (
-        [sampler.eval_scaled(kk) for sampler in f] for kk in (k, a, ab)
-    )
+    f_k, f_ab, f_a = _transforms_by_argument(f, k)
     rhs = em * (e3a_m + e3a_p) * f_k[0]
     rhs = rhs + (e3ab_m + e3ab_p) * f_k[1]
     rhs = rhs + ep * (e3a_m + e3a_p) * f_k[2]
@@ -319,16 +313,16 @@ def oblique_robin_t(k, f_samplers, lam: float, side_length: float, beta: float, 
     ep = _e_scaled(k, lam, side_length)
     em = _e_scaled(-k, lam, side_length)
     e3 = lambda kk: _big_e_scaled(kk, lam, side_length) ** 3
-    f_at = lambda j, kk: f_samplers[j].eval_scaled(kk)
-    combo = em * (e3(-1j * a) - (pab / pa**2) * e3(1j * a)) * f_at(0, k)
-    combo = combo + ((pab / pa) * e3(-1j * ab) - (1.0 / pab) * e3(1j * ab)) * f_at(1, k)
-    combo = combo + ep * ((pa / pab) * e3(-1j * a) - (1.0 / pa) * e3(1j * a)) * f_at(2, k)
-    combo = combo + ((pa - 1.0) / pab) * ep * ep * f_at(0, a)
-    combo = combo + ((pa - 1.0) / pa) * f_at(1, a)
-    combo = combo + (pab * (pa - 1.0) / pa**2) * em * em * f_at(2, a)
-    combo = combo + ((pab - 1.0) / pa) * em * f_at(0, ab)
-    combo = combo + ((pa / pab) * ep**3 - (pab / pa**2) * em**3) * f_at(1, ab)
-    combo = combo + ((pab - 1.0) / pab) * ep * f_at(2, ab)
+    f_k, f_ab, f_a = _transforms_by_argument(f_samplers, k)
+    combo = em * (e3(-1j * a) - (pab / pa**2) * e3(1j * a)) * f_k[0]
+    combo = combo + ((pab / pa) * e3(-1j * ab) - (1.0 / pab) * e3(1j * ab)) * f_k[1]
+    combo = combo + ep * ((pa / pab) * e3(-1j * a) - (1.0 / pa) * e3(1j * a)) * f_k[2]
+    combo = combo + ((pa - 1.0) / pab) * ep * ep * f_a[0]
+    combo = combo + ((pa - 1.0) / pa) * f_a[1]
+    combo = combo + (pab * (pa - 1.0) / pa**2) * em * em * f_a[2]
+    combo = combo + ((pab - 1.0) / pa) * em * f_ab[0]
+    combo = combo + ((pa / pab) * ep**3 - (pab / pa**2) * em**3) * f_ab[1]
+    combo = combo + ((pab - 1.0) / pab) * ep * f_ab[2]
     return combo / (2.0 * math.sin(beta) * sym.hbar(k))
 
 

@@ -27,16 +27,17 @@ h = l/2 every transform of the chopped series is exact,
 
 with i_n the modified spherical Bessel function of the first kind (the
 transform scheme of Smitheman, Spence & Fokas, IMA J. Numer. Anal. 2010).
-The i_n are carried as e^{-|Re z|} i_n(z), so ``eval_scaled`` never
-overflows, and each sum over n is one three-term recurrence that takes one
-step per degree over the whole array of spectral points.
+The i_n are carried as e^{-|Re z|} i_n(z), so no transform overflows.
+There is one three-term recurrence per transform set: ``transforms`` stacks
+the columns of all its samplers, each sampler's normalised on its own, and
+``SideSampler.eval_scaled`` and ``eval`` are one-sampler views of it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -119,18 +120,19 @@ def _i0_i1(z):
     return i0, (0.5 * (ep + em) - i0) / nonzero
 
 
-def _forward_sum(coeffs, z):
+def _forward_sum(coeffs, z, lengths):
     """sum_n coeffs[n] e^{-|Re z|} i_n(z) by the forward recurrence."""
     inv = 1.0 / z
     f_prev, f = _i0_i1(z)
     acc = f_prev[:, None] * coeffs[0] + f[:, None] * coeffs[1]
     for n in range(1, len(coeffs) - 1):
         f_prev, f = f, f_prev - ((2 * n + 1) * inv) * f
-        acc += f[:, None] * coeffs[n + 1]
+        cols = np.count_nonzero(lengths > n + 1)  # the columns still running
+        acc[:, :cols] += f[:, None] * coeffs[n + 1, :cols]
     return acc
 
 
-def _miller_sum(coeffs, z):
+def _miller_sum(coeffs, z, lengths):
     """sum_n coeffs[n] e^{-|Re z|} i_n(z) by Miller's backward recurrence.
 
     The ratios i_n/i_{n-1} run down from a degree where i_n is negligible,
@@ -149,29 +151,37 @@ def _miller_sum(coeffs, z):
     acc = np.zeros((z.size, coeffs.shape[1]), dtype=complex) + padded[top]
     for n in range(top, 0, -1):
         ratio = z / ((2 * n + 1) + z * ratio)
-        acc = padded[n - 1] + ratio[:, None] * acc
+        cols = np.count_nonzero(lengths > n - 1)
+        acc[:, :cols] *= ratio[:, None]
+        acc[:, :cols] += padded[n - 1, :cols]
     i0, i1 = _i0_i1(z)
     by_i1 = (np.abs(i1) > np.abs(i0)) & (az > 1.0)  # below 1, i_1 cancels
     return np.where(by_i1, i1 / np.where(by_i1, ratio, 1.0), i0)[:, None] * acc
 
 
 def _bessel_sums(coeffs, z):
-    """sum_n coeffs[n] i_n(z) for a 1-D array z, one column per column of
-    ``coeffs``, as (m, sigma) with the sums m e^{sigma}.
+    """sum_n coeffs[n] e^{-|Re z|} i_n(z) for a 1-D array z, one column per
+    column of ``coeffs``.
 
     The forward recurrence amplifies rounding by about
     exp(N^2 |Re z| / (2 |z|^2)) over N degrees, so it serves only |z| > N
     with that factor below e^4; every other point takes Miller's recurrence.
+    Each column's terms stop at its own last nonzero coefficient, so short
+    columns stacked beside long ones cost only their own degrees.
     """
-    scale = np.max(np.abs(coeffs)) or 1.0
+    # an all-zero column counts as full length, harmlessly
+    lengths = len(coeffs) - np.argmax(coeffs[::-1] != 0.0, axis=0)
+    order = np.argsort(-lengths, kind="stable")
+    coeffs, lengths = coeffs[:, order], lengths[order]
     az, n_deg = np.abs(z), len(coeffs)
     forward = (az > n_deg) & (n_deg**2 * np.abs(z.real) <= 8.0 * az**2)
     out = np.empty((z.size, coeffs.shape[1]), dtype=complex)
     if forward.any():
-        out[forward] = _forward_sum(coeffs / scale, z[forward])
+        out[forward] = _forward_sum(coeffs, z[forward], lengths)
     if not forward.all():
-        out[~forward] = _miller_sum(coeffs / scale, z[~forward])
-    return out, np.abs(z.real) + math.log(scale)
+        out[~forward] = _miller_sum(coeffs, z[~forward], lengths)
+    out[:, order] = out.copy()
+    return out
 
 
 def _legendre(trace, column: str, side_length: float, kind: Kind):
@@ -212,49 +222,56 @@ class SideSampler:
 
     def __post_init__(self):
         self.kind = Kind(self.kind)
-        self._coeffs = None
 
-    def _series(self):
+    @cached_property
+    def _columns(self):
         """The integrand columns g, and g'/2 for PHI, as Legendre
-        coefficients in s/(l/2) times 2 (l/2), zero-padded to one degree."""
-        columns = [_legendre(self.trace, "value", self.side_length, self.kind)]
-        if self.kind is Kind.PHI:
-            columns.append(
-                0.5 * _legendre(self.trace, "derivative", self.side_length, self.kind)
-            )
-        coeffs = np.zeros((max(map(len, columns)), len(columns)))
-        for j, column in enumerate(columns):
-            coeffs[: len(column), j] = self.side_length * column
-        return coeffs
+        coefficients in s/(l/2) times 2 (l/2) divided by their largest
+        modulus, and the log of that divisor."""
+        names = ("value", "derivative")[: 1 + (self.kind is Kind.PHI)]
+        columns = [
+            _legendre(self.trace, name, self.side_length, self.kind) * (self.side_length * w)
+            for name, w in zip(names, (1.0, 0.5))
+        ]
+        scale = max(np.max(np.abs(column)) for column in columns) or 1.0
+        return [column / scale for column in columns], math.log(scale)
 
-    def eval(self, k, shift=None):
-        """Transform at spectral points ``k`` (scalar or 1-D array).
+    def eval(self, k):
+        """Transform at spectral points ``k`` as plain complex values."""
+        return self.eval_scaled(k).to_complex()
 
-        With ``shift`` given (array matching k), returns the shifted value
-        int e^{mu (s - shift)} (...) ds = e^{-mu shift} * transform.
-        """
-        k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
-        _check_k(k_arr)
-        if self._coeffs is None:
-            self._coeffs = self._series()
-        mus = mu(k_arr, self.lam)
-        sums, sigma = _bessel_sums(self._coeffs, mus * (self.side_length / 2.0))
-        vals = sums[:, 0]
-        if self.kind is Kind.PHI:
-            vals = sums[:, 1] + (self.lam / k_arr) * vals
-        if shift is not None:
-            sigma = sigma - mus * np.asarray(shift, dtype=float)
-        out = vals * np.exp(sigma)
-        return out if np.ndim(k) else complex(out[0])
+    def eval_scaled(self, k) -> Scaled:
+        """Transform at spectral points ``k`` as a Scaled value shaped like k,
+        stable for large |Re mu|."""
+        return transforms([self], k)[0]
 
-    def eval_scaled(self, k):
-        """Transform as a Scaled value, stable for large |Re mu|."""
-        k_arr = np.atleast_1d(np.asarray(k, dtype=complex))
-        mus = mu(k_arr, self.lam)
-        # shifted to the dominant end, eval leaves only the phase of e^{-mu shift}
-        shift = np.sign(mus.real) * (self.side_length / 2.0)
-        vals = self.eval(k_arr, shift=shift)
-        return Scaled(m=vals * np.exp(1j * (mus * shift).imag), sigma=(mus * shift).real)
+
+def transforms(samplers, k) -> Scaled:
+    """Transforms of every sampler at every point of ``k``, a Scaled value of
+    shape ``(len(samplers),) + k.shape``, from one Bessel recurrence over
+    the samplers' stacked columns; the samplers must share lam and side
+    length."""
+    lam, side_length = samplers[0].lam, samplers[0].side_length
+    if any(s.lam != lam or s.side_length != side_length for s in samplers):
+        raise ParameterError("batched transforms need one lam and one side length")
+    k = np.asarray(k, dtype=complex)
+    _check_k(k)
+    series = [s._columns for s in samplers]
+    columns = [column for sampler_columns, _ in series for column in sampler_columns]
+    stacked = np.zeros((max(map(len, columns)), len(columns)))
+    for j, column in enumerate(columns):
+        stacked[: len(column), j] = column
+    # each sampler's g column, followed by its g'/2 column for PHI
+    first = np.cumsum([0] + [len(sampler_columns) for sampler_columns, _ in series[:-1]])
+    ks = k.ravel()
+    z = mu(ks, lam) * (side_length / 2.0)
+    sums = _bessel_sums(stacked, z).T
+    m = sums[first]
+    phi = np.array([s.kind is Kind.PHI for s in samplers])
+    m[phi] = sums[first[phi] + 1] + (lam / ks) * m[phi]
+    sigma = np.abs(z.real) + np.array([log_scale for _, log_scale in series])[:, None]
+    shape = (len(samplers),) + k.shape
+    return Scaled(m.reshape(shape), sigma.reshape(shape))
 
 
 def corner_term(q_lo, q_hi, k, lam, side_length, beta, conjugated: bool = False):

@@ -4,7 +4,8 @@ A trace is a real-valued function of the side arclength s in [-l/2, l/2]
 together with its tangential derivative.  Series solvers return
 ``FourierSeriesTrace`` objects whose carriers are exp(-2 pi i m s / (3 l));
 the contour solvers return ``ContourResidueTrace`` objects (a generalized
-Fourier integral plus residue exponentials); the plain ``BoundaryTrace``
+Fourier integral, folded onto its distinct nonnegative frequencies, plus
+residue exponentials); the plain ``BoundaryTrace``
 wraps arbitrary callables (manufactured solutions, parsed expressions,
 interpolated grid data).
 
@@ -120,6 +121,9 @@ class ContourResidueTrace(_Trace):
     ``weighted``; the second collects the residues at the mode roots, whose
     coefficients are ``Scaled`` because they may lie far outside the double
     range while each product with its exponential stays moderate.
+    As Re[w e^{-i t s}] = Re[conj(w) e^{i t s}], a node (t < 0, w) is stored
+    as (|t|, conj w) and equal nodes are merged: ``t`` is strictly increasing
+    and >= 0, and a grid shared by two rays is summed once per frequency.
     """
 
     side: int
@@ -127,6 +131,14 @@ class ContourResidueTrace(_Trace):
     weighted: np.ndarray
     rates: np.ndarray
     coeffs: Scaled
+
+    def __post_init__(self):
+        t, w = np.asarray(self.t, dtype=float), np.asarray(self.weighted, dtype=complex)
+        t_abs, index = np.unique(np.abs(t), return_inverse=True)
+        folded = np.zeros(t_abs.shape, dtype=complex)
+        np.add.at(folded, index, np.where(t < 0, np.conj(w), w))
+        object.__setattr__(self, "t", t_abs)
+        object.__setattr__(self, "weighted", folded)
 
     def _synthesis(self, s, weighted, coeffs):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))

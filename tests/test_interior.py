@@ -156,6 +156,13 @@ def test_eigensolution_matches_mode_root(geom, rng):
                 assert abs(direct - via_root) < 1e-10 * max(1.0, abs(direct))
 
 
+def test_eigensolution_mode_root_without_inner_branch():
+    # at lam = 0 the inner branch is k = 0, which no sign selects
+    assert abs(eigensolution_mode_root(2, 0.0, -1) - 4j * math.pi) < 1e-12
+    with pytest.raises(DomainError, match="n = 2, lam = 0"):
+        eigensolution_mode_root(2, 0.0, 1)
+
+
 def test_eigensolution_solves_pde():
     lam, n, h = 1.0, 2, 1e-4
     f = lambda z: eigensolution(n, lam, 1, z, 1.0)

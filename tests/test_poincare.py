@@ -27,8 +27,10 @@ from tridtn.poincare import (
 )
 from tridtn.problems import mixed_nr_problem
 from tridtn.relations import eliminate_second_side
+from tridtn.scaledc import Scaled
 from tridtn.series import symmetric_dirichlet_dtn
 from tridtn.symbols import SideSymbol
+from tridtn.traces import ContourResidueTrace
 
 from conftest import spectral_points
 
@@ -268,3 +270,23 @@ def test_mixed_nr_requires_matching_gamma(geom):
     problem = ProblemSpec(lam=lam, geometry=geom, sides=sides)
     with pytest.raises(ParameterError):
         mixed_nr_trace(problem, count=4)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_folded_contour_trace_matches_unfolded_sum(lam, rng):
+    grids, _ = poincare._ray_grids(lam, 1.0, poincare.T_FACTOR, poincare.PANEL_ORDER)
+    t = np.concatenate([t_ray for t_ray, _, _ in grids])
+    assert t.size == (1280 if lam == 0.0 else 2560)
+    w = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+    rates = np.array([0.3 + 2.0j, -1.0 - 5.0j])
+    coeffs = np.array([0.2 - 0.1j, 0.05j])
+    trace = ContourResidueTrace(side=1, t=t, weighted=w, rates=rates, coeffs=Scaled.of(coeffs))
+    assert trace.t.size == 640
+    assert trace.t[0] >= 0.0 and np.all(np.diff(trace.t) > 0.0)
+    s = np.linspace(-0.5, 0.5, 41)
+    waves = np.exp(1j * np.multiply.outer(s, t))
+    residues = np.exp(-np.multiply.outer(s, rates))
+    value = np.real(waves @ w + residues @ coeffs)
+    derivative = np.real(waves @ (1j * t * w) - residues @ (rates * coeffs))
+    assert np.max(np.abs(trace.value(s) - value)) <= 1e-13 * np.sum(np.abs(w))
+    assert np.max(np.abs(trace.derivative(s) - derivative)) <= 1e-13 * np.sum(np.abs(t * w))

@@ -5,17 +5,25 @@ import mpmath
 import numpy as np
 import pytest
 
-from tridtn.errors import DomainError
+import tridtn.spectral as spectral
+from tridtn.errors import DomainError, ParameterError
 from tridtn.geometry import mu
-from tridtn.spectral import Kind, SideSampler
+from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
+from tridtn.poincare import ScaledElimination, _symmetric_g_scaled
+from tridtn.problems import mixed_nr_problem
+from tridtn.relations import GlobalRelation
+from tridtn.series import general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
+from tridtn.spectral import Kind, SideSampler, transforms
 from tridtn.traces import BoundaryTrace, FourierSeriesTrace
 
+from conftest import manufactured_families, spectral_points
 
-def exp_trace(c, side=1):
+
+def exp_trace(c, side=1, amplitude=1.0):
     return BoundaryTrace(
         side=side,
-        value=lambda s: np.exp(c * np.asarray(s)),
-        derivative=lambda s: c * np.exp(c * np.asarray(s)),
+        value=lambda s: amplitude * np.exp(c * np.asarray(s)),
+        derivative=lambda s: amplitude * c * np.exp(c * np.asarray(s)),
     )
 
 
@@ -140,3 +148,96 @@ def test_transform_reference(lam):
                         err = abs(mpmath.mpc(plain[i]) - want) / abs(want)
                         assert err <= bound[i], (kind, k, float(err))
 
+
+
+# -- batched transforms --------------------------------------------------------
+def _assert_same_scaled(got, want):
+    """Equal to 1e-13 relative in mantissa, with an equal abs_log."""
+    assert got.m.shape == want.m.shape
+    assert np.all(np.abs(got.m - want.m) <= 1e-13 * np.abs(want.m))
+    assert np.all(np.abs(got.abs_log() - want.abs_log()) <= 1e-13)
+
+
+def _batch():
+    """A mix of PSI and PHI samplers of different chopped degree."""
+    wave = FourierSeriesTrace(
+        side=2, side_length=1.0, modes=[90, 1, 0, -90], coeffs=[0.5, 0.3j, 0.3, 0.5]
+    )
+    kinds = (Kind.PSI, Kind.PHI, Kind.PHI, Kind.PSI)
+    traces = (exp_trace(0.7), exp_trace(-0.4), wave, wave)
+    return [SideSampler(trace, kind, 1.0, 1.0) for trace, kind in zip(traces, kinds)]
+
+
+def test_transforms_match_per_sampler_evaluation(rng):
+    samplers = _batch()
+    k = spectral_points(rng, 30, r_hi=40.0).reshape(3, 10)
+    got = transforms(samplers, k)
+    assert got.m.shape == (4, 3, 10)
+    degrees = {len(sampler.trace.legendre[("value", 1.0)]) for sampler in samplers}
+    assert len(degrees) > 1
+    for j, sampler in enumerate(samplers):
+        _assert_same_scaled(got[j], sampler.eval_scaled(k))
+
+
+def test_transforms_beyond_the_double_range():
+    samplers = _batch()
+    k = np.array([2000.0, -1800.0 + 50.0j, 1500.0 + 10.0j])
+    assert np.all(np.abs(mu(k, 1.0).real) * 0.5 > 700.0)
+    got = transforms(samplers, k)
+    assert np.all(np.isfinite(got.m)) and np.all(got.abs_log() > 700.0)
+    for j, sampler in enumerate(samplers):
+        _assert_same_scaled(got[j], sampler.eval_scaled(k))
+
+
+def test_transforms_normalise_each_sampler(rng):
+    tiny, huge = (
+        SideSampler(exp_trace(0.3, amplitude=a), Kind.PHI, 1.0, 1.0) for a in (1e-200, 1e200)
+    )
+    k = spectral_points(rng, 12)
+    got = transforms([tiny, huge], k)
+    for j, sampler in enumerate((tiny, huge)):
+        _assert_same_scaled(got[j], sampler.eval_scaled(k))
+    # the same trace 400 decades apart: the small one keeps its digits
+    ratio = (got[0] / got[1]).normalized()
+    assert np.allclose(ratio.sigma + np.log(np.abs(ratio.m)), -400.0 * math.log(10.0), rtol=1e-13)
+
+
+def test_transforms_reject_bad_input():
+    samplers = _batch()
+    with pytest.raises(DomainError):
+        transforms(samplers, np.array([1.0, 0.0]))
+    with pytest.raises(ParameterError):
+        transforms(samplers + [SideSampler(exp_trace(0.1), Kind.PSI, 2.0, 1.0)], 1.0)
+    with pytest.raises(ParameterError):
+        transforms(samplers + [SideSampler(exp_trace(0.1), Kind.PSI, 1.0, 2.0)], 1.0)
+
+
+def test_one_bessel_recurrence_per_transform_set(monkeypatch, geom, rng):
+    calls = []
+    bessel_sums = spectral._bessel_sums
+
+    def counted(coeffs, z):
+        calls.append(z.size)
+        return bessel_sums(coeffs, z)
+
+    monkeypatch.setattr(spectral, "_bessel_sums", counted)
+    lam = 1.0
+    d, n = all_traces(manufactured_families(lam)[0], geom)
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert count(lambda: symmetric_dirichlet_dtn(d[0], lam, 1.0, n_max=8)) == 1
+    assert count(lambda: general_dirichlet_dtn(d, lam, 1.0, m_max=8)) == 1
+    assert count(lambda: neumann_to_dirichlet(n, lam, 1.0, m_max=8)) == 1
+    relation = GlobalRelation(d, n, lam, 1.0)
+    assert count(lambda: relation.relative_residual(spectral_points(rng, 20))) == 1
+    sampler = SideSampler(d[0], Kind.PHI, lam, 1.0)
+    assert count(lambda: _symmetric_g_scaled(sampler, spectral_points(rng, 20), lam, 1.0)) == 1
+    sol = symmetric_corner_compatible(lam, 1.0)
+    traces = all_traces(sol, geom)[1]
+    robin = poincare_trace(sol, geom, 1, math.pi / 2.0, math.sqrt(3.0 * lam))
+    elim = ScaledElimination(mixed_nr_problem(lam, geom, robin, traces[1], traces[2]))
+    assert count(lambda: elim.inhom(spectral_points(rng, 20).reshape(4, 5))) == 1
