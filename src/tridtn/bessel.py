@@ -1,13 +1,14 @@
 """Modified Bessel functions K_0 and K_1 for the Green's representation.
 
 The interior Green's representation needs K_0 (the fundamental solution of
-the modified Helmholtz operator) and its radial derivative -K_1.  Both come
-from ``scipy.special``; this module adds the domain check x > 0.
+the modified Helmholtz operator) and its radial derivative -K_1.  Both are
+``scipy.special.k0`` and ``k1``, imported on the first call so that
+importing this module loads no scipy; this module adds the domain check
+x > 0.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -21,11 +22,15 @@ def _checked(x) -> np.ndarray:
 
 def bessel_k0(x):
     """K_0(x) for x > 0; accepts scalars or arrays."""
-    out = special.k0(_checked(x))
+    from scipy.special import k0
+
+    out = k0(_checked(x))
     return out if np.ndim(out) else float(out)
 
 
 def bessel_k1(x):
     """K_1(x) = -K_0'(x) for x > 0; accepts scalars or arrays."""
-    out = special.k1(_checked(x))
+    from scipy.special import k1
+
+    out = k1(_checked(x))
     return out if np.ndim(out) else float(out)

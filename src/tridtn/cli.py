@@ -187,38 +187,31 @@ def _is_symmetric(cfg: dict) -> bool:
 
 # -- solver dispatch --------------------------------------------------------
 def _solve_traces(spec: ProblemSpec, cfg: dict, solver: str, n: int):
-    """Returns (dict side -> computed BoundaryTrace, manifest details)."""
+    """Returns (dict side -> computed BoundaryTrace, manifest details); the
+    details name the solver that ran."""
     kinds = [side.kind for side in spec.sides]
+    data = tuple(side.data for side in spec.sides)
+    if kinds == [BCKind.ROBIN, BCKind.NEUMANN, BCKind.NEUMANN]:
+        # the mixed problem has one solver, the contour integral
+        count = max(n, 8)
+        trace = mixed_nr_trace(spec, count=count)
+        return {2: trace}, {"solver": "integral", "truncation": count}
     details = {"solver": solver, "truncation": n}
-    if all(k == BCKind.DIRICHLET for k in kinds):
-        data = tuple(side.data for side in spec.sides)
-        if solver == "integral":
-            if not _is_symmetric(cfg):
-                raise ConfigError("the integral solver needs symmetric Dirichlet data")
-            trace = symmetric_dirichlet_integral(
-                data[0], spec.lam, spec.side_length, n_max=n
-            )
-            return {1: trace, 2: trace, 3: trace}, details
-        if _is_symmetric(cfg):
-            trace = symmetric_dirichlet_dtn(
-                data[0], spec.lam, spec.side_length, n_max=n
-            )
-            return {1: trace, 2: trace, 3: trace}, details
-        out = general_dirichlet_dtn(
-            data, spec.lam, spec.side_length, m_max=n
-        )
+    dirichlet = all(k == BCKind.DIRICHLET for k in kinds)
+    if solver == "integral":
+        if not (dirichlet and _is_symmetric(cfg)):
+            raise ConfigError("the integral solver needs symmetric Dirichlet data")
+        trace = symmetric_dirichlet_integral(data[0], spec.lam, spec.side_length, n_max=n)
+        return {1: trace, 2: trace, 3: trace}, details
+    if dirichlet and _is_symmetric(cfg):
+        trace = symmetric_dirichlet_dtn(data[0], spec.lam, spec.side_length, n_max=n)
+        return {1: trace, 2: trace, 3: trace}, details
+    if dirichlet:
+        out = general_dirichlet_dtn(data, spec.lam, spec.side_length, m_max=n)
         return dict(zip((1, 2, 3), out)), details
     if all(k == BCKind.NEUMANN for k in kinds):
-        data = tuple(side.data for side in spec.sides)
-        out = neumann_to_dirichlet(
-            data, spec.lam, spec.side_length, m_max=n
-        )
+        out = neumann_to_dirichlet(data, spec.lam, spec.side_length, m_max=n)
         return dict(zip((1, 2, 3), out)), details
-    if kinds == [BCKind.ROBIN, BCKind.NEUMANN, BCKind.NEUMANN]:
-        count = max(n, 8)
-        details["truncation"] = count
-        trace = mixed_nr_trace(spec, count=count)
-        return {2: trace}, details
     raise ConfigError(
         "unsupported side-condition combination: "
         + ", ".join(k.value for k in kinds)
@@ -444,7 +437,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.command in _SOLVERS:
             args.solver = _pick_solver(args.command, args.solver or cfg.get("solver"))
-        name, header, rows, fields = _COMMANDS[args.command](cfg, args)
+        # every output is checked finite before it is written, so numpy's
+        # floating-point warnings would only add stderr lines to the exit code
+        with np.errstate(all="ignore"):
+            name, header, rows, fields = _COMMANDS[args.command](cfg, args)
         manifest = {"command": args.command, "config": cfg, "seed": args.seed}
         manifest.update(fields, version=__version__)
         _write_outputs(

@@ -12,7 +12,10 @@ corners this coincides with reflecting ghost nodes through the side and
 eliminating them symmetrically, and at the corners it supplies the
 consistent corner equation that plain ghost reflection leaves ambiguous.
 The system is symmetric positive definite for lam > 0 (or gamma > 0) and
-is solved by diagonally preconditioned conjugate gradients.
+is solved by diagonally preconditioned conjugate gradients.  The sparse
+matrices and the solver come from ``scipy.sparse`` and
+``scipy.sparse.linalg``, imported on the first solve, so importing this
+module loads no scipy.
 
 Index-to-side bookkeeping: i + j = M is side (1) with s = l/2 - i h,
 j = 0 is side (2) with s = -l/2 + i h, and i = 0 is side (3) with
@@ -24,12 +27,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import cg
 
 from .errors import DomainError, ParameterError, SolvabilityError
 from .geometry import SQRT3, TriangleGeometry
 from .problems import BCKind, ProblemSpec
+
+#: the finest lattice: m = 1024 has half a million nodes, 8x finer than
+#: the acceptance spacing l/128
+MAX_DIVISIONS = 1024
 
 _NEIGHBOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
@@ -108,13 +113,16 @@ class GridSolution:
 
 
 def _check_spacing(side_length: float, h: float) -> int:
-    """m = l / h; DomainError unless h > 0 divides l into at least 4 steps."""
+    """m = l / h; DomainError unless h > 0 divides l into 4 to MAX_DIVISIONS
+    steps."""
     if not (math.isfinite(h) and h > 0):
         raise DomainError(f"grid spacing {h} must be a finite number > 0")
-    m = round(side_length / h)
+    steps = side_length / h
+    m = round(steps) if steps <= MAX_DIVISIONS else 0
     if m < 4 or abs(side_length / m - h) > 1e-9 * h:
         raise DomainError(
-            f"grid spacing {h} does not divide the side length {side_length}"
+            f"grid spacing {h} does not divide the side length {side_length} "
+            f"into 4 to {MAX_DIVISIONS} steps"
         )
     return m
 
@@ -172,6 +180,8 @@ def _solve_dirichlet(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> Gri
         cols.append(col[inner])
         vals.append(np.full(rows[-1].size, -1.0))
         b += np.where(inner, 0.0, values[i + di, j + dj])
+    from scipy import sparse
+
     a_mat = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
@@ -250,6 +260,8 @@ def _solve_flux(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> GridSolu
         b[row] += weight * data
         if gamma:
             diag[row] += gamma * weight
+    from scipy import sparse
+
     lhs = sparse.csr_matrix(
         (
             np.concatenate([diag, *vals]),
@@ -291,7 +303,17 @@ def _solve_flux(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> GridSolu
     )
 
 
+def cg(*args, **kwargs):
+    """``scipy.sparse.linalg.cg``, imported on the first solve.  Every solve
+    calls it through this module-level name."""
+    from scipy.sparse.linalg import cg as scipy_cg
+
+    return scipy_cg(*args, **kwargs)
+
+
 def _cg_solve(a_mat, b, tol):
+    from scipy import sparse
+
     diag = a_mat.diagonal()
     precond = sparse.diags(1.0 / diag)
     u, info = cg(a_mat, b, rtol=tol, atol=0.0, M=precond, maxiter=20 * len(b))

@@ -265,6 +265,10 @@ def transforms(samplers, k) -> Scaled:
     first = np.cumsum([0] + [len(sampler_columns) for sampler_columns, _ in series[:-1]])
     ks = k.ravel()
     z = mu(ks, lam) * (side_length / 2.0)
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteError(
+            f"mu(k) l/2 is not finite at lam {lam}, side length {side_length}"
+        )
     sums = _bessel_sums(stacked, z).T
     m = sums[first]
     phi = np.array([s.kind is Kind.PHI for s in samplers])

@@ -1,4 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -35,3 +39,17 @@ def rng():
 
 def exact_trace_pair(sol, geom):
     return all_traces(sol, geom)
+
+
+def fresh_python(code: str, cwd=None) -> str:
+    """Run ``code`` in a fresh interpreter that sees the test's sys.path;
+    returns its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    return done.stdout

@@ -8,6 +8,8 @@ from scipy import special
 from tridtn.bessel import bessel_k0, bessel_k1
 from tridtn.errors import DomainError
 
+from conftest import fresh_python
+
 
 def _mp_k(nu, x):
     return float(mpmath.besselk(nu, mpmath.mpf(x)))
@@ -98,3 +100,17 @@ def test_array_shape_roundtrip():
     out = bessel_k0(xs)
     assert out.shape == xs.shape
     assert isinstance(bessel_k0(1.0), float)
+
+
+def test_first_call_in_fresh_interpreter_matches_scipy_bitwise():
+    # bessel imports scipy.special on its first call; the values are
+    # scipy's own, scalars as floats and arrays element for element
+    xs = [1e-6, 0.25, 1.0, 8.4965, 40.0, 600.0]
+    code = (
+        "import numpy as np; from tridtn.bessel import bessel_k0, bessel_k1; "
+        f"xs = {xs!r}; "
+        "print(' '.join(float(v).hex() for f in (bessel_k0, bessel_k1) "
+        "for v in [*map(f, xs), *f(np.array(xs))]))"
+    )
+    want = [float(v).hex() for f in (special.k0, special.k1) for v in [*f(xs), *f(xs)]]
+    assert fresh_python(code).split() == want

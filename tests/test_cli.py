@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import warnings
 from pathlib import Path
 
@@ -8,6 +7,8 @@ import numpy as np
 import pytest
 
 from tridtn.cli import main
+
+from conftest import fresh_python
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -342,19 +343,50 @@ def test_poincare_side_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
-    import subprocess
-    import sys
+#: the scipy modules a fresh ``import tridtn.cli`` leaves out: each is loaded
+#: by the code path that calls it
+LAZY_SCIPY = (
+    "scipy.interpolate",
+    "scipy.sparse",
+    "scipy.sparse.linalg",
+    "scipy.linalg",
+    "scipy.special",
+)
 
-    code = "import sys, tridtn.cli; print('scipy.interpolate' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+
+def test_cli_import_leaves_out_lazy_scipy_modules():
+    code = f"import sys, tridtn.cli; print([m for m in {LAZY_SCIPY!r} if m in sys.modules])"
+    assert fresh_python(code).strip() == "[]"
+
+
+def test_fresh_process_imports_scipy_on_the_paths_that_call_it(tmp_path):
+    # one fresh process runs a series solve, which loads no scipy module,
+    # then a Green's interior run and the FD oracle, which import theirs on
+    # first use; each writes what an in-process run (with every scipy
+    # module already loaded) writes
+    cfg = sym_dirichlet_cfg(truncation=32)
+    cfg["oracle"] = {"h": 1.0 / 16}
+    path = write_cfg(tmp_path, cfg)
+    runs = [
+        (["solve"], "traces.csv", []),
+        (["interior", "--solver", "greens"], "interior.csv", ["scipy", "scipy.special"]),
+        (["oracle"], "oracle.csv",
+         ["scipy", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg", "scipy.special"]),
+    ]
+    argvs = [[*argv, "--config", path, "--out", f"fresh-{i}"] for i, (argv, _, _) in enumerate(runs)]
+    code = (
+        "import sys\nfrom tridtn.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    rc = main(argv)\n"
+        f"    print(rc, sorted(m for m in sys.modules if m in ('scipy', *{LAZY_SCIPY!r})))\n"
     )
-    assert done.stdout.strip() == "False"
+    lines = fresh_python(code, cwd=tmp_path).splitlines()
+    assert lines == [f"0 {loads!r}" for _, _, loads in runs]
+    for i, (argv, output, _) in enumerate(runs):
+        here = tmp_path / f"here-{i}"
+        assert main([*argv, "--config", path, "--out", str(here)]) == 0
+        for name in (output, "manifest.json"):
+            assert (tmp_path / f"fresh-{i}" / name).read_bytes() == (here / name).read_bytes()
 
 
 def test_oracle_subcommand(tmp_path):
@@ -377,3 +409,33 @@ def test_solver_choice_validation(tmp_path):
     assert main(["oracle", "--config", cfg, "--solver", "greens"]) == 2
     with pytest.raises(SystemExit):
         main(["oracle", "--config", cfg, "--solver", "fd-oracle"])
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "oracle"])
+def test_integral_solver_on_neumann_config_is_config_error(tmp_path, capsys, command):
+    # the integral solver covers symmetric Dirichlet data only; it must not
+    # run the series map and label it "integral"
+    cfg = sym_dirichlet_cfg(truncation=8)
+    cfg.update(sweep=[4, 8], oracle={"h": 1.0 / 16})
+    for entry in cfg["bc"]:
+        entry["kind"] = "neumann"
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main([command, "--config", path, "--out", str(out), "--solver", "integral"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "integral solver" in err
+    assert not out.exists()
+
+
+def test_mixed_manifest_names_the_contour_solver(tmp_path):
+    cfg = sym_dirichlet_cfg(truncation=8, samples=16)
+    cfg["bc"] = [
+        {"kind": "robin", "data": "1", "gamma": math.sqrt(3.0)},
+        {"kind": "neumann", "data": "0"},
+        {"kind": "neumann", "data": "0"},
+    ]
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    details = json.loads((out / "manifest.json").read_text())["details"]
+    assert details == {"solver": "integral", "truncation": 8}

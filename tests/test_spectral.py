@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tridtn.spectral as spectral
-from tridtn.errors import DomainError, ParameterError
+from tridtn.errors import DomainError, NonFiniteError, ParameterError
 from tridtn.geometry import mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
 from tridtn.poincare import ScaledElimination, _symmetric_g_scaled
@@ -210,6 +210,10 @@ def test_transforms_reject_bad_input():
         transforms(samplers + [SideSampler(exp_trace(0.1), Kind.PSI, 2.0, 1.0)], 1.0)
     with pytest.raises(ParameterError):
         transforms(samplers + [SideSampler(exp_trace(0.1), Kind.PSI, 1.0, 2.0)], 1.0)
+    # mu(k) = k + lam/k overflows below k = lam/DBL_MAX, and at k = inf
+    for k in (1e-320, math.inf):
+        with pytest.raises(NonFiniteError), np.errstate(all="ignore"):
+            transforms(samplers, np.array([1.0, k]))
 
 
 def test_one_bessel_recurrence_per_transform_set(monkeypatch, geom, rng):
