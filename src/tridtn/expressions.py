@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     offset: int
@@ -57,10 +57,8 @@ def _tokenize(text: str):
             if text[pos:].strip() == "":
                 break
             raise ExpressionError(f"unexpected character {text[stripped]!r}", stripped)
-        for kind in ("num", "name", "op"):
-            if match.group(kind) is not None:
-                out.append(Token(kind, match.group(kind), match.start(kind)))
-                break
+        kind = match.lastgroup
+        out.append(Token(kind, match.group(kind), match.start(kind)))
         pos = match.end()
     out.append(Token("end", "", len(text)))
     return out
@@ -127,7 +125,8 @@ class BinOp(Node):
             return a * b
         if self.op == "/":
             return a / b
-        return a**b
+        # numpy, not Python, float semantics: an overflow gives inf
+        return np.power(a, b)
 
     def diff(self):
         a, b, da, db = self.left, self.right, self.left.diff(), self.right.diff()

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,9 +37,9 @@ from .errors import ParameterError, ResonanceError, RootFindError, SolvabilityEr
 from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
 from .scaledc import Scaled
 from .quadrature import QuadratureRule
-from .spectral import Kind, SideSampler, transforms
+from .spectral import Kind, SideSampler, series_legendre, transforms
 from .symbols import SideSymbol
-from .traces import FourierSeriesTrace, sample_grid
+from .traces import FourierSeriesTrace
 
 #: relative threshold below which a mode denominator counts as resonant
 RESONANCE_RTOL = 1e-10
@@ -100,10 +99,11 @@ def _transforms_by_argument(samplers, k):
 
 
 def _finalize(side, side_length, modes, coeffs) -> FourierSeriesTrace:
-    """The series trace, with the imbalance of its complex synthesis."""
-    trace = FourierSeriesTrace(side, side_length, modes, coeffs)
-    s = sample_grid(side_length, n=257, corner_margin=0.0)
-    return replace(trace, imbalance=float(np.max(np.abs(np.imag(trace.synthesis(s))))))
+    """The series trace, with the imbalance bound sum_n |Im a_n| over the
+    Legendre coefficients a_n of its complex synthesis: |P_n| <= 1 on the
+    side, so it bounds the imaginary part of the synthesis there."""
+    imbalance = float(np.sum(np.abs(series_legendre(modes, coeffs).imag)))
+    return FourierSeriesTrace(side, side_length, modes, coeffs, imbalance)
 
 
 def _mode_roots(lam: float, period: float, m_max: int):
@@ -113,6 +113,18 @@ def _mode_roots(lam: float, period: float, m_max: int):
     m = np.arange(-m_max, m_max + 1)
     live = (m != 0) | (lam != 0.0)
     return m, live, quadratic_mode_root(2j * np.pi * m[live] / period, lam)
+
+
+def _series_mode_roots(lam: float, side_length: float, period: float, m_max: int):
+    """``_mode_roots`` for the series maps, which take the m = 0 mode as at
+    lambda = 0 also once its w = mu(alpha_bar k_0) l/2 = sqrt(3 lambda) l/2
+    falls below RESONANCE_RTOL: its denominator, 2 sinh(w), is then a
+    removable zero, and the coefficient has reached its lambda = 0 value to
+    within that threshold."""
+    m, live, k = _mode_roots(lam, period, m_max)
+    if math.sqrt(3.0 * lam) * (side_length / 2.0) < RESONANCE_RTOL:
+        k, live = k[m[live] != 0], live & (m != 0)
+    return m, live, k
 
 
 def symmetric_dirichlet_dtn(
@@ -128,7 +140,7 @@ def symmetric_dirichlet_dtn(
     sampler = SideSampler(data, Kind.PHI, lam, side_length)
     # at lambda = 0 the mean of the Neumann trace vanishes by the divergence
     # theorem: the n = 0 coefficient is zero
-    n, live, s_n = _mode_roots(lam, side_length, n_max)
+    n, live, s_n = _series_mode_roots(lam, side_length, side_length, n_max)
     w = mu(ALPHA_BAR * s_n, lam) * (side_length / 2.0)
     sinh = 0.5 * (Scaled.from_exp(w) - Scaled.from_exp(-w))
     cosh = 0.5 * (Scaled.from_exp(w) + Scaled.from_exp(-w))
@@ -173,13 +185,14 @@ def general_dirichlet_dtn(
 
     ``data`` is a triple of Dirichlet traces (f_1, f_2, f_3), continuous at
     the vertices.  Returns the three Neumann traces as period-3l Fourier
-    series.  At lambda = 0 the m = 0 coefficient, the total Neumann flux,
+    series.  At lambda = 0, and where ``_series_mode_roots`` takes the
+    m = 0 mode at lambda = 0, the m = 0 coefficient, the total Neumann flux,
     is zero.
     """
     if len(data) != 3:
         raise ParameterError("expected one Dirichlet trace per side")
     f = [SideSampler(t, Kind.PHI, lam, side_length) for t in data]
-    m, live, k = _mode_roots(lam, 3.0 * side_length, m_max)
+    m, live, k = _series_mode_roots(lam, side_length, 3.0 * side_length, m_max)
     den, resonant = _mode_denominator(m[live], k, lam, side_length)
     _check_resonance(resonant, m[live], "Dirichlet")
     a, ab = ALPHA * k, ALPHA_BAR * k
@@ -209,12 +222,16 @@ def neumann_to_dirichlet(
     ``data`` is a triple of Neumann traces (f_1, f_2, f_3).  At lambda = 0
     the data must satisfy the zero-total-flux compatibility condition and
     the result is gauged to zero mean over the whole boundary (the m = 0
-    coefficient, the free boundary mean, is zero).
+    coefficient, the free boundary mean, is zero).  The same holds at a
+    lambda > 0 so small that ``_series_mode_roots`` takes the m = 0 mode
+    at lambda = 0, where the mean, of order flux / lambda, would be set by
+    the rounding of the flux.
     """
     if len(data) != 3:
         raise ParameterError("expected one Neumann trace per side")
     f = [SideSampler(t, Kind.PSI, lam, side_length) for t in data]
-    if lam == 0.0:
+    m, live, k = _series_mode_roots(lam, side_length, 3.0 * side_length, m_max)
+    if not live[m_max]:  # the m = 0 mode is taken at lambda = 0
         rule = QuadratureRule.side(side_length, 128)
         vals = [np.asarray(t.value(rule.nodes), dtype=float) for t in data]
         total = sum(rule.integrate(v) for v in vals)
@@ -223,7 +240,6 @@ def neumann_to_dirichlet(
             raise SolvabilityError(
                 "lambda = 0 Neumann data violates the zero-total-flux condition"
             )
-    m, live, k = _mode_roots(lam, 3.0 * side_length, m_max)
     den, resonant = _mode_denominator(m[live], k, lam, side_length)
     _check_resonance(resonant, m[live], "Neumann")
     a, ab = ALPHA * k, ALPHA_BAR * k

@@ -14,14 +14,19 @@ Poincare-type side is
 
     C(k) = (e^{i beta}/(2 sin beta)) [e(-k) q(-l/2) - e(k) q(l/2)].
 
-Both kinds are views of one Legendre series per trace.  A trace is sampled
-on Gauss-Legendre nodes of the side, doubling the node count until the
-Legendre coefficients have decayed to a plateau (the standardChop test of
-Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 2017): once
-for g and, the first time a PHI view asks for it, once for g'.  Each column
-is chopped on its own and cached on the trace (``trace.legendre``), so every
-sampler of that trace object, whatever its kind or lambda, reuses it.  With
-h = l/2 every transform of the chopped series is exact,
+Both kinds are views of one Legendre series per trace, in x = s/(l/2):
+one column for g and, the first time a PHI view asks for it, one for g'.
+An exponential-sum trace, Re sum_j w_j e^{kappa_j s} (a Fourier series, or
+contour nodes plus residues), has its columns exactly from the Rayleigh
+expansion e^{zx} = sum_n (2n+1) i_n(z) P_n(x) (DLMF 10.60):
+a_n = (2n+1) sum_j w_j i_n(kappa_j l/2), from one table of the i_n built by
+Miller's ratio recurrence.  Any other trace is sampled on Gauss-Legendre
+nodes of the side, doubling the node count until the Legendre coefficients
+have decayed to a plateau.  Both are cut by the standardChop test of
+Aurentz & Trefethen ("Chopping a Chebyshev series", ACM TOMS 2017).  Each
+column is chopped on its own and cached on the trace (``trace.legendre``),
+so every sampler of that trace object, whatever its kind or lambda, reuses
+it.  With h = l/2 every transform of the chopped series is exact,
 
     int_{-h}^{h} e^{mu s} P_n(s/h) ds = 2 h i_n(mu h),
 
@@ -45,14 +50,16 @@ from .errors import DomainError, NonFiniteError, ParameterError
 from .geometry import exp_e, mu
 from .quadrature import QuadratureRule
 from .scaledc import Scaled
+from .traces import ContourResidueTrace, FourierSeriesTrace
 
 #: standardChop tolerance: clean data are cut near CHOP_TOL^(7/6) (1e-14) of
 #: their largest Legendre coefficient, and data whose samples lost digits
 #: to cancellation (a small sum of large terms) still show a plateau up to
 #: CHOP_TOL^(2/3) (1e-8); at 2^-52 such data never plateau
 CHOP_TOL = 2.0**-40
-#: largest number of samples per side; a trace whose coefficients have not
-#: reached their plateau by then is used with the coefficients it has
+#: largest number of samples per side and of Legendre coefficients per
+#: column; a trace whose coefficients have not reached their plateau by then
+#: is used with the coefficients it has
 MAX_DEGREE = 2048
 _FIRST_DEGREE = 32
 
@@ -120,6 +127,18 @@ def _i0_i1(z):
     return i0, (0.5 * (ep + em) - i0) / nonzero
 
 
+def _top_degree(z, degree: int) -> int:
+    """A degree at which Miller's recurrence may start for every point of
+    z so that its ratios i_n/i_{n-1} are accurate to rounding at n <= degree:
+    past the turning point |z| and its Airy layer or, for large Re z, past
+    the Gaussian decay i_n/i_0 ~ exp(-n^2 Re z/(2|z|^2)) by a factor e^-18
+    beyond ``degree``."""
+    az = np.abs(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decay = np.sqrt(degree**2 + 36.0 * az**2 / np.abs(z.real)) + 8.0
+    return int(np.ceil(np.max(np.fmin(az + 8.0 * np.cbrt(az) + 16.0, decay))))
+
+
 def _forward_sum(coeffs, z, lengths):
     """sum_n coeffs[n] e^{-|Re z|} i_n(z) by the forward recurrence."""
     inv = 1.0 / z
@@ -135,16 +154,12 @@ def _forward_sum(coeffs, z, lengths):
 def _miller_sum(coeffs, z, lengths):
     """sum_n coeffs[n] e^{-|Re z|} i_n(z) by Miller's backward recurrence.
 
-    The ratios i_n/i_{n-1} run down from a degree where i_n is negligible,
-    past the turning point |z| and its Airy layer or, for large Re z, past
-    the Gaussian decay i_n/i_0 ~ exp(-n^2 Re z/(2|z|^2)).  The sum is nested
+    The ratios i_n/i_{n-1} run down from ``_top_degree``.  The sum is nested
     in the ratios (Horner form, so nothing overflows) and normalised by the
     larger of i_0 and i_1 (i_0 vanishes at z = i pi m).
     """
     az = np.abs(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        decay = np.sqrt(len(coeffs) ** 2 + 36.0 * az**2 / np.abs(z.real)) + 8.0
-    top = int(np.ceil(np.max(np.fmin(az + 8.0 * np.cbrt(az) + 16.0, decay))))
+    top = _top_degree(z, len(coeffs))
     padded = np.zeros((top + 1, coeffs.shape[1]))
     padded[: min(top + 1, len(coeffs))] = coeffs[: top + 1]
     ratio = np.zeros(z.shape, dtype=complex)
@@ -184,28 +199,121 @@ def _bessel_sums(coeffs, z):
     return out
 
 
-def _legendre(trace, column: str, side_length: float, kind: Kind):
-    """Chopped Legendre coefficients in s/(l/2) of ``trace.value`` or
-    ``trace.derivative`` (``column``) on a side of length l, computed once
-    per trace object and side length and cached on the trace."""
-    key = (column, side_length)
-    if key in trace.legendre:
-        return trace.legendre[key]
+# -- Legendre series of exponential sums ------------------------------------
+def _bessel_table(z):
+    """Rows n = 0, 1, ... of e^{-|Re z|} i_n(z), one column per point of a
+    1-D array z, from the ratios of one Miller recurrence normalised as in
+    ``_miller_sum``.  The rows end at the Miller start that keeps the ratios
+    accurate up to where i_n has decayed by e^-18, so the last rows have
+    decayed by about e^-36, below rounding; MAX_DEGREE rows at most."""
+    top = _top_degree(z, _top_degree(z, 0))
+    table = np.empty((min(top + 1, MAX_DEGREE), z.size), dtype=complex)
+    ratio = np.zeros(z.shape, dtype=complex)
+    for n in range(top, 0, -1):
+        ratio = z / ((2 * n + 1) + z * ratio)
+        if n < len(table):
+            table[n] = ratio
+    i0, i1 = _i0_i1(z)
+    by_i1 = (np.abs(i1) > np.abs(i0)) & (np.abs(z) > 1.0)  # below 1, i_1 cancels
+    table[1] = np.where(by_i1, i1, i0 * table[1])
+    np.cumprod(table[1:], axis=0, out=table[1:])
+    table[0] = i0
+    return table
+
+
+def _rayleigh(sums):
+    """(2n + 1) sums[n]: the Legendre coefficients on [-1, 1] of
+    sum_j w_j e^{z_j x} from sums[n] = sum_j w_j i_n(z_j), by the Rayleigh
+    expansion e^{zx} = sum_n (2n + 1) i_n(z) P_n(x) (DLMF 10.60)."""
+    return (2 * np.arange(len(sums)) + 1) * sums
+
+
+@lru_cache(maxsize=16)
+def _series_table(m_max: int):
+    """``_bessel_table`` at the series arguments -i pi m/3, m = 0..m_max."""
+    table = _bessel_table(-1j * np.pi * np.arange(m_max + 1) / 3.0)
+    table.setflags(write=False)
+    return table
+
+
+def series_legendre(modes, weights):
+    """Legendre coefficients in s/(l/2), complex, of
+    sum_m weights[m] exp(-2 pi i m s/(3 l)) on its side of length l.
+
+    The arguments -i pi m/3 depend on neither l nor lambda, so their Bessel
+    table is cached by max |m|; a negative label reads the column of |m|,
+    as i_n(-z) = (-1)^n i_n(z).
+    """
+    modes = np.asarray(modes)
+    table = _series_table(int(np.max(np.abs(modes))))
+    signed = np.zeros((2, table.shape[1]), dtype=complex)
+    np.add.at(signed, ((modes < 0).astype(int), np.abs(modes)), weights)
+    sums = np.empty(len(table), dtype=complex)
+    sums[0::2] = table[0::2] @ (signed[0] + signed[1])
+    sums[1::2] = table[1::2] @ (signed[0] - signed[1])
+    return _rayleigh(sums)
+
+
+def _exponential_legendre(trace, column: str, side_length: float):
+    """Legendre coefficients in s/(l/2), complex, of the exponential sum
+    that ``trace.exponentials(column)`` gives, on a side of length l."""
+    pieces = trace.exponentials(column)
+    if isinstance(trace, FourierSeriesTrace) and side_length == trace.side_length:
+        ((_, weights),) = pieces
+        return series_legendre(trace.modes, weights)
+    z = [rates * (side_length / 2.0) for rates, _ in pieces]
+    # the table carries e^{-|Re z|}, so the weights take e^{|Re z|}
+    weights = [
+        Scaled(w.m, w.sigma + np.abs(zj.real)).to_complex()
+        if isinstance(w, Scaled)
+        else w * np.exp(np.abs(zj.real))
+        for zj, (_, w) in zip(z, pieces)
+    ]
+    z = np.concatenate(z)
+    return _rayleigh(_bessel_table(z) @ np.concatenate(weights))
+
+
+# -- one Legendre series per trace --------------------------------------------
+def _samplings(trace, column: str, side_length: float):
+    """Legendre coefficients of the interpolants of ``trace.<column>`` on
+    n = _FIRST_DEGREE, 2 _FIRST_DEGREE, ..., MAX_DEGREE Gauss nodes of the
+    side."""
     n = _FIRST_DEGREE
-    while True:
+    while n <= MAX_DEGREE:
         nodes = QuadratureRule.side(side_length, n).nodes
         samples = np.broadcast_to(getattr(trace, column)(nodes), nodes.shape)
         with np.errstate(all="ignore"):
             coeffs = _analysis_matrix(n) @ samples.astype(float)
+        yield coeffs
+        n *= 2
+
+
+def _legendre(trace, column: str, side_length: float, kind: Kind):
+    """Chopped Legendre coefficients in s/(l/2) of ``trace.value`` or
+    ``trace.derivative`` (``column``) on a side of length l, computed once
+    per trace object and side length and cached on the trace.
+
+    An exponential-sum trace (series or contour-plus-residue) has them from
+    its Rayleigh expansion, the real parts of ``_exponential_legendre``; any
+    other trace is sampled at doubling node counts until they plateau.
+    """
+    key = (column, side_length)
+    if key in trace.legendre:
+        return trace.legendre[key]
+    if isinstance(trace, (FourierSeriesTrace, ContourResidueTrace)):
+        with np.errstate(all="ignore"):
+            candidates = [_exponential_legendre(trace, column, side_length).real]
+    else:
+        candidates = _samplings(trace, column, side_length)
+    for coeffs in candidates:
         if not np.all(np.isfinite(coeffs)):
             raise NonFiniteError(
                 f"side {trace.side} trace is not finite "
-                f"where the {kind.value} transform samples it"
+                f"where the {kind.value} transform reads it"
             )
         keep = _chop(coeffs)
-        if keep is not None or n >= MAX_DEGREE:
+        if keep is not None:
             break
-        n *= 2
     trace.legendre[key] = coeffs if keep is None else coeffs[: max(2, keep)]
     return trace.legendre[key]
 

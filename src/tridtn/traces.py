@@ -9,10 +9,13 @@ residue exponentials); the plain ``BoundaryTrace``
 wraps arbitrary callables (manufactured solutions, parsed expressions,
 interpolated grid data).
 
-The spectral transforms see every trace only through ``value`` and
-``derivative`` on Gauss-Legendre nodes of the side; they find the node
-count a trace needs from its Legendre coefficients, so a trace carries no
-resolution hint of its own, only the cache of those coefficients.
+The spectral transforms see a trace only through the Legendre series of
+its ``value`` and ``derivative``.  The two exponential-sum traces give
+theirs exactly, through ``exponentials``: the rates kappa_j and weights w_j
+of Re sum_j w_j e^{kappa_j s}.  A ``BoundaryTrace`` is sampled on
+Gauss-Legendre nodes of the side until its coefficients reach a plateau.  A
+trace carries no resolution hint of its own, only the cache of those
+coefficients.
 """
 from __future__ import annotations
 
@@ -69,9 +72,10 @@ class FourierSeriesTrace(_Trace):
     """Real part of sum_m coeff[m] exp(-2 pi i m s / (3 l)).
 
     ``modes`` holds the integer labels m; for single-side (period-l) series
-    all labels are multiples of three.  ``imbalance`` records the maximum
-    modulus of the imaginary part of the complex synthesis on a sample grid;
-    for real data it should sit at roundoff level.
+    all labels are multiples of three.  ``imbalance`` is a bound on the
+    modulus of the imaginary part of the complex synthesis over the side:
+    sum_n |Im a_n| over its Legendre coefficients a_n, as |P_n| <= 1 there.
+    For real data it should sit at roundoff level.
     """
 
     side: int
@@ -107,6 +111,13 @@ class FourierSeriesTrace(_Trace):
             np.exp(np.multiply.outer(s, self.carriers)) @ (self.carriers * self.coeffs)
         )
         return out if out.ndim else float(out)
+
+    def exponentials(self, column: str):
+        """``column`` ("value" or "derivative") as Re sum_j w_j e^{kappa_j s}:
+        one (kappa, w) piece, the carriers with weights coeffs, times the
+        carriers for the derivative."""
+        weights = self.coeffs if column == "value" else self.carriers * self.coeffs
+        return ((self.carriers, weights),)
 
     def __call__(self, s):
         return self.value(s)
@@ -154,6 +165,16 @@ class ContourResidueTrace(_Trace):
     def derivative(self, s):
         """Analytic d/ds: a factor i t on the contour, -rate on the residues."""
         return self._synthesis(s, 1j * self.t * self.weighted, -self.rates * self.coeffs)
+
+    def exponentials(self, column: str):
+        """``column`` ("value" or "derivative") as Re sum_j w_j e^{kappa_j s}:
+        a contour piece (i t, weighted) and a residue piece (-rates, coeffs),
+        whose ``Scaled`` weights may lie outside the double range; the
+        derivative multiplies each weight by its kappa."""
+        pieces = ((1j * self.t, self.weighted), (-self.rates, self.coeffs))
+        if column == "value":
+            return pieces
+        return tuple((kappa, kappa * w) for kappa, w in pieces)
 
     def __call__(self, s):
         return self.value(s)

@@ -112,6 +112,43 @@ def test_non_finite_numerics_exit_3_and_write_nothing(tmp_path, capsys, data):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, tail",
+    [("dirichlet", ""), ("dirichlet", " + s^2 - l^2/4"), ("neumann", "")],
+    ids=["symmetric", "general", "neumann"],
+)
+def test_tiny_positive_lambda_is_solved_as_lambda_zero(tmp_path, kind, tail):
+    # the m = 0 mode's denominator 2 sinh(sqrt(3 lam) l/2) vanishes with its
+    # numerator; below the resonance threshold the mode is taken at lam = 0
+    runs = []
+    for lam in (0.0, 5e-324, 1e-300, 1e-20):
+        cfg = sym_dirichlet_cfg()
+        cfg["lam"] = lam
+        for entry, extra in zip(cfg["bc"], ("", tail, "")):
+            entry["kind"], entry["data"] = kind, entry["data"] + extra
+        out = tmp_path / f"lam{lam}"
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        runs.append(np.loadtxt(out / "traces.csv", delimiter=",", skiprows=1))
+    for run in runs[1:]:
+        assert np.max(np.abs(run - runs[0])) <= 1e-10
+
+
+@pytest.mark.parametrize("data, side_length", [("cos(2*pi*s/l)", 1e300), ("10^400", 1.0)])
+def test_expression_overflow_names_the_side(tmp_path, capsys, data, side_length):
+    # an overflowing power is inf, as in numpy, so the failure is reported
+    # by the stage that meets it, not as a bare OverflowError
+    cfg = sym_dirichlet_cfg()
+    cfg["side_length"] = side_length
+    for entry in cfg["bc"]:
+        entry["data"] = data
+    path = write_cfg(tmp_path, cfg)
+    code = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert code in (0, 3)
+    if code == 3:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "side" in lines[0], lines
+
+
 def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
     # every output goes to a temporary file first; a write error is a
     # "cannot write" config error and leaves neither outputs nor temp files

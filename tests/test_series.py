@@ -178,6 +178,18 @@ def test_sample_grid_margins():
     assert s[0] >= -0.4 - 1e-12 and s[-1] <= 0.4 + 1e-12
 
 
+def test_imbalance_bounds_the_imaginary_synthesis(geom):
+    # sum |Im a_n| over the Legendre coefficients bounds max |Im synthesis|
+    lam = 1.0
+    d, n = all_traces(manufactured_families(lam)[0], geom)
+    common = all_traces(symmetric_corner_compatible(lam, 1.0), geom)[0][0]
+    sym = symmetric_dirichlet_dtn(common, lam, 1.0)
+    s = sample_grid(1.0, n=257, corner_margin=0.0)
+    for trace in (sym, *general_dirichlet_dtn(d, lam, 1.0), *neumann_to_dirichlet(n, lam, 1.0)):
+        roundoff = np.finfo(float).eps * np.sum(np.abs(trace.coeffs))
+        assert trace.imbalance + roundoff >= np.max(np.abs(trace.synthesis(s).imag))
+
+
 @pytest.mark.parametrize(
     "build",
     [

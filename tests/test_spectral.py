@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import mpmath
@@ -7,11 +8,17 @@ import pytest
 
 import tridtn.spectral as spectral
 from tridtn.errors import DomainError, NonFiniteError, ParameterError
-from tridtn.geometry import mu
+from tridtn.geometry import TriangleGeometry, mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
-from tridtn.poincare import ScaledElimination, _symmetric_g_scaled
+from tridtn.poincare import (
+    ScaledElimination,
+    _symmetric_g_scaled,
+    mixed_nr_trace,
+    symmetric_dirichlet_integral,
+)
 from tridtn.problems import mixed_nr_problem
 from tridtn.relations import GlobalRelation
+from tridtn.scaledc import Scaled
 from tridtn.series import general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
 from tridtn.spectral import Kind, SideSampler, transforms
 from tridtn.traces import BoundaryTrace, FourierSeriesTrace
@@ -245,3 +252,116 @@ def test_one_bessel_recurrence_per_transform_set(monkeypatch, geom, rng):
     robin = poincare_trace(sol, geom, 1, math.pi / 2.0, math.sqrt(3.0 * lam))
     elim = ScaledElimination(mixed_nr_problem(lam, geom, robin, traces[1], traces[2]))
     assert count(lambda: elim.inhom(spectral_points(rng, 20).reshape(4, 5))) == 1
+
+
+# -- Legendre series of exponential-sum traces -----------------------------------
+def _symmetric_series(lam):
+    # at n_max = 16 both paths cut a real tail near 1e-9 at 12 coefficients
+    # (_chop takes it for a plateau) and the 32-node samples alias it into
+    # the kept ones, so the sampled series is no reference to 1e-13 there
+    d = all_traces(symmetric_corner_compatible(lam, 1.0), TriangleGeometry(1.0))[0]
+    return symmetric_dirichlet_dtn(d[0], lam, 1.0, n_max=8)
+
+
+def _general_series():
+    d = all_traces(manufactured_families(1.0)[0], TriangleGeometry(1.0))[0]
+    trace = general_dirichlet_dtn(d, 1.0, 1.0, m_max=16)[1]
+    assert np.any(trace.modes < 0)
+    return trace
+
+
+def _contour_trace():
+    d = all_traces(symmetric_corner_compatible(1.0, 1.0), TriangleGeometry(1.0))[0]
+    return symmetric_dirichlet_integral(d[0], 1.0, 1.0, n_max=16, t_factor=10.0)
+
+
+def _mixed_trace():
+    lam, geom = 1.0, TriangleGeometry(1.0)
+    sol = symmetric_corner_compatible(lam, 1.0)
+    traces = all_traces(sol, geom)[1]
+    robin = poincare_trace(sol, geom, 1, math.pi / 2.0, math.sqrt(3.0 * lam))
+    trace = mixed_nr_trace(mixed_nr_problem(lam, geom, robin, traces[1], traces[2]), 4, 4.0)
+    assert isinstance(trace.coeffs, Scaled) and trace.rates.size
+    return trace
+
+
+EXPONENTIAL_SUM_TRACES = {
+    "symmetric-lam0": lambda: _symmetric_series(0.0),
+    "symmetric-lam1": lambda: _symmetric_series(1.0),
+    "general": _general_series,
+    "contour": _contour_trace,
+    "mixed": _mixed_trace,
+}
+
+
+@pytest.mark.parametrize("name", list(EXPONENTIAL_SUM_TRACES))
+def test_rayleigh_columns_match_the_sampled_series(name):
+    # the same trace behind a BoundaryTrace is sampled on Gauss nodes
+    trace = EXPONENTIAL_SUM_TRACES[name]()
+    sampled = BoundaryTrace(trace.side, trace.value, trace.derivative)
+    for column in ("value", "derivative"):
+        got = spectral._legendre(trace, column, 1.0, Kind.PSI)
+        want = spectral._legendre(sampled, column, 1.0, Kind.PSI)
+        n = max(len(got), len(want))
+        diff = np.pad(got, (0, n - len(got))) - np.pad(want, (0, n - len(want)))
+        assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(want)), column
+    if isinstance(trace, FourierSeriesTrace):
+        # the cached table of |m|, signed by (-1)^n for negative labels,
+        # against the table of the series' own arguments
+        z = trace.carriers * (trace.side_length / 2.0)
+        direct = spectral._rayleigh(spectral._bessel_table(z) @ trace.coeffs)
+        got = spectral.series_legendre(trace.modes, trace.coeffs)
+        assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+def test_series_solve_samples_no_series_trace(tmp_path, monkeypatch):
+    # the residual audit and the imbalance take the series' Legendre columns
+    # from its Rayleigh expansion: neither calls the series' synthesis
+    import tridtn.cli as cli
+    import tridtn.series as series
+
+    active, entered, calls = [], set(), []
+
+    def counted(name, method):
+        def run(self, *args, **kwargs):
+            if active:
+                calls.append((active[-1], name))
+            return method(self, *args, **kwargs)
+
+        return run
+
+    def watched(fn):
+        def run(*args, **kwargs):
+            active.append(fn.__name__)
+            entered.add(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+
+        return run
+
+    for name in ("value", "derivative", "synthesis"):
+        method = getattr(FourierSeriesTrace, name)
+        monkeypatch.setattr(FourierSeriesTrace, name, counted(name, method))
+    monkeypatch.setattr(cli, "_full_trace_audit", watched(cli._full_trace_audit))
+    monkeypatch.setattr(series, "_finalize", watched(series._finalize))
+    wave = "cos(2*pi*s/l)"
+    for j, (kind, sides) in enumerate(
+        [
+            ("dirichlet", [wave] * 3),  # the symmetric map
+            ("dirichlet", [wave, wave + " + s^2 - l^2/4", wave]),  # the general map
+            ("neumann", [wave] * 3),
+        ]
+    ):
+        cfg = {
+            "lam": 1.0,
+            "side_length": 1.0,
+            "truncation": 16,
+            "bc": [{"kind": kind, "data": text} for text in sides],
+        }
+        path = tmp_path / f"cfg{j}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / f"o{j}")]) == 0
+    assert entered == {"_full_trace_audit", "_finalize"}
+    assert calls == []
