@@ -45,7 +45,7 @@ from .series import (
     neumann_to_dirichlet,
     symmetric_dirichlet_dtn,
 )
-from .traces import BoundaryTrace
+from .traces import BoundaryTrace, sample_grid
 
 #: the solvers each subcommand accepts (from --solver or the config key
 #: "solver"); the first is its default.  verify runs no solver.
@@ -219,10 +219,6 @@ def _solve_traces(spec: ProblemSpec, cfg: dict, solver: str, n: int):
 
 
 # -- output helpers ---------------------------------------------------------
-def _sample_grid(side_length: float, n_samples: int):
-    return np.linspace(-side_length / 2.0, side_length / 2.0, n_samples + 1)
-
-
 def _finite(values, what: str):
     """``values`` as a float array; NonFiniteError if any is NaN or infinite."""
     values = np.asarray(values, dtype=float)
@@ -232,8 +228,10 @@ def _finite(values, what: str):
 
 
 def _trace_values(computed: dict, s) -> dict:
-    """Each computed trace on the whole grid ``s``, checked finite."""
-    return {j: _finite(trace(s), f"side {j} trace") for j, trace in computed.items()}
+    """Each distinct computed trace on the whole grid ``s``, once, checked finite."""
+    first_side = {trace: j for j, trace in reversed(computed.items())}
+    values = {trace: _finite(trace(s), f"side {j} trace") for trace, j in first_side.items()}
+    return {j: values[trace] for j, trace in computed.items()}
 
 
 def _write_outputs(out_dir: Path, outputs: dict):
@@ -289,7 +287,7 @@ def _cmd_solve(cfg, args):
     n = _truncation(cfg, args)
     computed, details = _solve_traces(spec, cfg, args.solver, n)
     n_samples = cfg.get("samples", 256)
-    s_grid = _sample_grid(spec.side_length, n_samples)
+    s_grid = sample_grid(spec.side_length, n_samples + 1, corner_margin=0.0)
     columns = _trace_values(computed, s_grid)
     audit = _full_trace_audit(spec, computed, cfg, args.seed)
     if audit is not None:
@@ -354,7 +352,7 @@ def _cmd_sweep(cfg, args):
     spec = build_problem(cfg)
     ladder = sorted(cfg.get("sweep", [16, 32, 64]))
     n_samples = cfg.get("samples", 256)
-    s_grid = _sample_grid(spec.side_length, n_samples)
+    s_grid = sample_grid(spec.side_length, n_samples + 1, corner_margin=0.0)
     runs = {}
     for n in ladder:
         computed, _ = _solve_traces(spec, cfg, args.solver, n)

@@ -12,11 +12,10 @@ Grammar (standard precedence, ^ binds tightest and is right-associative):
 Errors carry the byte offset of the offending token.  Every AST node can
 differentiate itself with respect to s (the side-length symbol l is a
 constant), which is what feeds the Phi transforms of expression-specified
-Dirichlet data.
+Dirichlet data.  Numbers, pi and l evaluate as numpy floats, so 1/0 is inf.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,7 +80,7 @@ class Num(Node):
     value: float
 
     def __call__(self, s, side_length):
-        return self.value
+        return np.float64(self.value)
 
     def diff(self):
         return Num(0.0)
@@ -97,9 +96,7 @@ class Sym(Node):
     def __call__(self, s, side_length):
         if self.name == "s":
             return s
-        if self.name == "pi":
-            return math.pi
-        return side_length
+        return np.float64(np.pi if self.name == "pi" else side_length)
 
     def diff(self):
         return Num(1.0 if self.name == "s" else 0.0)
@@ -113,6 +110,7 @@ class BinOp(Node):
     op: str
     left: Node
     right: Node
+    offset: int = 0  # of the operator in the text, named when d/ds of a '^' fails
 
     def __call__(self, s, side_length):
         a = self.left(s, side_length)
@@ -137,12 +135,10 @@ class BinOp(Node):
         if self.op == "/":
             num = BinOp("-", BinOp("*", da, b), BinOp("*", a, db))
             return BinOp("/", num, BinOp("^", b, Num(2.0)))
-        if not isinstance(b, Num):
-            raise ExpressionError("d/ds of a power needs a constant exponent", 0)
+        if not _free_of_s(b):
+            raise ExpressionError("d/ds of a power needs a constant exponent", self.offset)
         # d/ds a^c = c a^(c-1) a'
-        return BinOp(
-            "*", BinOp("*", b, BinOp("^", a, Num(b.value - 1.0))), da
-        )
+        return BinOp("*", BinOp("*", b, BinOp("^", a, BinOp("-", b, Num(1.0)))), da)
 
     def pretty(self):
         return f"({self.left.pretty()} {self.op} {self.right.pretty()})"
@@ -186,6 +182,12 @@ class Call(Node):
 
     def pretty(self):
         return f"{self.func}({self.arg.pretty()})"
+
+
+def _free_of_s(node: Node) -> bool:
+    if isinstance(node, Sym):
+        return node.name != "s"
+    return all(_free_of_s(child) for child in vars(node).values() if isinstance(child, Node))
 
 
 # -- parser ----------------------------------------------------------------
@@ -239,8 +241,8 @@ class _Parser:
     def power(self) -> Node:
         node = self.atom()
         if self.current.kind == "op" and self.current.text == "^":
-            self.advance()
-            node = BinOp("^", node, self.factor())
+            offset = self.advance().offset
+            node = BinOp("^", node, self.factor(), offset)
         return node
 
     def atom(self) -> Node:

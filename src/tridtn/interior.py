@@ -95,24 +95,6 @@ class TraceSet:
         )
 
 
-# -- kernel ----------------------------------------------------------------
-def kernel_K(x, lam):
-    """Radial kernel of the Green's representation.
-
-    K_0(x) for lam > 0 and -ln(x) for lam = 0 (where the representation
-    uses K(|r - r'|) directly instead of K(2 sqrt(lam)|r - r'|)).
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("kernel_K requires x > 0")
-    if lam < 0.0:
-        raise DomainError("kernel_K supports lam >= 0 only")
-    if lam == 0.0:
-        out = -np.log(arr)
-        return out if arr.ndim else float(out)
-    return bessel_k0(arr)
-
-
 # -- Green's representation ------------------------------------------------
 def greens_eval(traces: TraceSet, lam: float, z, order: int = 16):
     """q(z) from the boundary-integral representation, at a point (a float)

@@ -2,7 +2,8 @@
 
 A trace is a real-valued function of the side arclength s in [-l/2, l/2]
 together with its tangential derivative.  Series solvers return
-``FourierSeriesTrace`` objects whose carriers are exp(-2 pi i m s / (3 l));
+``FourierSeriesTrace`` objects whose carriers exp(-2 pi i m s / (3 l)) are
+integer powers of one exponential per point, and are evaluated as such;
 the contour solvers return ``ContourResidueTrace`` objects (a generalized
 Fourier integral, folded onto its distinct nonnegative frequencies, plus
 residue exponentials); the plain ``BoundaryTrace``
@@ -72,7 +73,13 @@ class FourierSeriesTrace(_Trace):
     """Real part of sum_m coeff[m] exp(-2 pi i m s / (3 l)).
 
     ``modes`` holds the integer labels m; for single-side (period-l) series
-    all labels are multiples of three.  ``imbalance`` is a bound on the
+    all labels are multiples of three.  With g the gcd of the labels, each
+    point s takes one exponential W = exp(-2 pi i g s / (3 l)), its phase
+    formed in long double and split hi + lo so that the rounding of W, which
+    W^k carries k-fold, is that of exp alone.  ``synthesis`` and
+    ``derivative`` build W^0, ..., W^(max|m|/g) by one cumulative product
+    from W^0 and sum the labels m >= 0 against these powers, the labels
+    m < 0 against their conjugates.  ``imbalance`` is a bound on the
     modulus of the imaginary part of the complex synthesis over the side:
     sum_n |Im a_n| over its Legendre coefficients a_n, as |P_n| <= 1 there.
     For real data it should sit at roundoff level.
@@ -95,22 +102,32 @@ class FourierSeriesTrace(_Trace):
         """Carrier rates kappa_m = -2 pi i m / (3 l)."""
         return -2j * np.pi * self.modes / (3.0 * self.side_length)
 
-    def synthesis(self, s):
-        """Complex mode sum before taking the real part."""
+    def _power_sum(self, s, weights):
+        """sum_m weights[m] W^(m/g), shaped like s (a complex for scalar s)."""
         s = np.asarray(s, dtype=float)
-        out = np.exp(np.multiply.outer(s, self.carriers)) @ self.coeffs
+        g = int(np.gcd.reduce(self.modes)) or 1
+        power, behind = np.abs(self.modes) // g, (self.modes < 0).astype(int)
+        theta = s * (-8 * np.arctan(np.longdouble(1)) * g / (3 * np.longdouble(self.side_length)))
+        hi = theta.astype(float)
+        table = np.empty(s.shape + (power.max(initial=0) + 1,), dtype=complex)
+        table[..., 0] = 1.0
+        table[..., 1:] = (np.exp(1j * hi) * (1 + 1j * (theta - hi).astype(float)))[..., None]
+        np.cumprod(table, axis=-1, out=table)
+        split = np.zeros((2, table.shape[-1]), dtype=complex)
+        np.add.at(split, (behind, power), np.where(behind, np.conj(weights), weights))
+        both = table @ split.T
+        out = both[..., 0] + np.conj(both[..., 1])
         return out if out.ndim else complex(out)
 
+    def synthesis(self, s):
+        """Complex mode sum before taking the real part."""
+        return self._power_sum(s, self.coeffs)
+
     def value(self, s):
-        out = np.real(self.synthesis(s))
-        return out if np.ndim(out) else float(out)
+        return np.real(self.synthesis(s))
 
     def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.real(
-            np.exp(np.multiply.outer(s, self.carriers)) @ (self.carriers * self.coeffs)
-        )
-        return out if out.ndim else float(out)
+        return np.real(self._power_sum(s, self.carriers * self.coeffs))
 
     def exponentials(self, column: str):
         """``column`` ("value" or "derivative") as Re sum_j w_j e^{kappa_j s}:

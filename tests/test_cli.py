@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tridtn.cli import main
+from tridtn.cli import _trace_values, main
+from tridtn.traces import BoundaryTrace
 
 from conftest import fresh_python
 
@@ -147,6 +148,36 @@ def test_expression_overflow_names_the_side(tmp_path, capsys, data, side_length)
     if code == 3:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "side" in lines[0], lines
+
+
+@pytest.mark.parametrize("data", ["1/0", "1/(l-l)", "1/(pi-pi)*s"])
+@pytest.mark.parametrize("command", ["solve", "verify", "interior", "oracle"])
+def test_constant_division_by_zero_exits_3_naming_the_side(tmp_path, capsys, command, data):
+    # constants divide as numpy floats: the data are inf or NaN, and the
+    # stage that reads them names their side, with no ZeroDivisionError
+    cfg = sym_dirichlet_cfg()
+    cfg["bc"][1]["data"] = data
+    cfg["complement"] = [{"kind": "neumann", "data": "0"}] * 3
+    cfg["oracle"] = {"h": 1.0 / 8}
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    lines = [str(w.message) for w in caught] + capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(lines) == 1 and "side 2" in lines[0], lines
+    assert not out.exists()
+
+
+def test_trace_values_evaluates_a_shared_trace_once():
+    calls = []
+    shared = BoundaryTrace(1, lambda s: calls.append(len(s)) or np.cos(s), np.sin)
+    other = BoundaryTrace(3, np.sin, np.cos)
+    s = np.linspace(-0.5, 0.5, 9)
+    values = _trace_values({1: shared, 2: shared, 3: other}, s)
+    assert calls == [9]
+    assert values[1] is values[2] and np.array_equal(values[1], np.cos(s))
+    assert np.array_equal(values[3], np.sin(s))
 
 
 def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):

@@ -56,6 +56,37 @@ def test_power_derivative_needs_constant_exponent():
         parse_expression("2^s").diff()
 
 
+@pytest.mark.parametrize("text", ["s^-1", "(s+2)^(1/2)", "s^(l/2)"])
+def test_power_derivative_takes_any_exponent_free_of_s(text):
+    # d/ds a^c = c a^(c-1) a' for every exponent c that does not read s
+    trace = expression_trace(text, 1, 1.5)
+    s, h = np.array([0.2, 0.35, 0.5]), 1e-5
+    central = (trace.value(s + h) - trace.value(s - h)) / (2.0 * h)
+    assert np.allclose(trace.derivative(s), central, rtol=1e-7, atol=0.0)
+
+
+def test_power_derivative_error_points_at_its_power():
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("2^s").diff()
+    assert err.value.offset == 1
+    with pytest.raises(ExpressionError) as err:
+        parse_expression("s + cos(s)^(l*s)").diff()
+    assert err.value.offset == 10
+
+
+def test_constant_division_by_zero_follows_numpy():
+    # numbers, pi and l are numpy floats, so 1/0 is inf and 0/0 is NaN, as
+    # for s-dependent data, instead of a ZeroDivisionError
+    s = np.array([-0.2, 0.0, 0.3])
+    for text, want in [("1/0", np.inf), ("1/(l-l)", np.inf), ("-1/(pi-pi)", -np.inf),
+                       ("0/0", np.nan)]:
+        trace = expression_trace(text, 1, 1.0)
+        assert np.array_equal(trace(s), np.full(3, want), equal_nan=True)
+        assert np.array_equal(trace(0.1), want, equal_nan=True)
+    assert np.array_equal(expression_trace("1/(pi-pi)*s", 1, 1.0)(s), [-np.inf, np.nan, np.inf],
+                          equal_nan=True)
+
+
 @given(
     s=st.floats(-0.5, 0.5),
     text=st.sampled_from(

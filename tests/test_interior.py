@@ -13,7 +13,6 @@ from tridtn.interior import (
     eigensolution_mode_root,
     fokas_eval,
     greens_eval,
-    kernel_K,
     symmetric_interior,
 )
 from tridtn.oracle import all_traces, symmetric_corner_compatible
@@ -35,15 +34,6 @@ def test_interior_point_locate(geom):
     assert p.margin > 0
     with pytest.raises(DomainError):
         InteriorPoint.locate(1.0 + 1.0j, geom)
-
-
-def test_kernel_k_branches():
-    assert abs(kernel_K(1.0, 0.0) - 0.0) < 1e-15
-    assert kernel_K(0.5, 2.0) > 0
-    with pytest.raises(DomainError):
-        kernel_K(0.0, 1.0)
-    with pytest.raises(DomainError):
-        kernel_K(1.0, -1.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])

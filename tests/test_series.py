@@ -190,6 +190,50 @@ def test_imbalance_bounds_the_imaginary_synthesis(geom):
         assert trace.imbalance + roundoff >= np.max(np.abs(trace.synthesis(s).imag))
 
 
+def _extended_sums(trace, s):
+    """sum_m kappa_m^p coeffs[m] e^{kappa_m s}, kappa_m = -2 pi i m/(3 l), for
+    p = 0 and 1, summed in np.clongdouble from the double s and labels."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    kappa = 1j * (-2 * pi / (3 * np.longdouble(trace.side_length))) * trace.modes.astype(np.longdouble)
+    terms = np.exp(np.multiply.outer(np.asarray(s, dtype=np.longdouble), kappa))
+    coeffs = trace.coeffs.astype(np.clongdouble)
+    return terms @ coeffs, terms @ (kappa * coeffs)
+
+
+@pytest.mark.parametrize("m", [16, 64, 256])
+@pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("step", [1, 3], ids=["general", "symmetric"])
+def test_series_evaluation_matches_extended_precision(geom, step, lam, m):
+    # value, derivative and synthesis of solver traces against the same
+    # series summed in np.clongdouble, within 1e-14 of the largest reference
+    # value on the side; the general trace comes from corner-singular data,
+    # whose modes decay slowly, and runs over every label up to m
+    if step == 1:
+        data = all_traces(manufactured_families(lam)[0], geom)[0]
+        trace = general_dirichlet_dtn(data, lam, 1.0, m_max=m)[0]
+    else:
+        common = all_traces(symmetric_corner_compatible(lam, 1.0), geom)[0][0]
+        trace = symmetric_dirichlet_dtn(common, lam, 1.0, n_max=m)
+    assert np.gcd.reduce(trace.modes) == step and np.max(trace.modes) == step * m
+    side = np.linspace(-0.5, 0.5, 257)
+    grid = np.random.default_rng(7).uniform(-0.5, 0.5, size=(4, 8))
+    points = (0.5, -0.37, side, grid)
+    references = []
+    for s in points:
+        total, slope = _extended_sums(trace, s)
+        references.append({"value": total.real, "derivative": slope.real, "synthesis": total})
+    for name, on_side in references[2].items():
+        scale = np.max(np.abs(on_side))
+        for s, reference in zip(points, references):
+            got = getattr(trace, name)(s)
+            if np.ndim(s):
+                assert isinstance(got, np.ndarray) and got.shape == np.shape(s)
+            else:
+                assert type(got) is (complex if name == "synthesis" else float)
+            err = np.max(np.abs(got - reference[name]))
+            assert err <= 1e-14 * scale, (name, np.shape(s), float(err / scale))
+
+
 @pytest.mark.parametrize(
     "build",
     [
