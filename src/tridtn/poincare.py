@@ -10,17 +10,16 @@ lower ray arg k = 7 pi/6 carries t < 0, with radius r(t) =
 
 and the solvers below combine a contour integral of the known part of an
 eliminated global relation with residue sums over the mode roots in each
-half-plane.  Three entry points:
+half-plane.  Two entry points:
 
-* ``inversion_integral`` -- plain inversion of a mu-invariant transform;
 * ``symmetric_dirichlet_integral`` -- the residue/contour form of the
   symmetric Dirichlet Neumann trace (dual to the series solver);
 * ``mixed_nr_trace`` -- the Dirichlet trace on side 2 of the mixed
   Neumann-Robin problem (Robin gamma = sqrt(3 lambda) on side 1).
 
 Mode roots are found for all modes at once and kept as arrays
-(``ModeRootSet``), certified by defining-equation residuals and audited with
-argument-principle winding counts (``argument_principle_count``).
+(``ModeRootSet``), certified by defining-equation residuals; the mixed
+problem's roots are audited by an argument-principle count in the mu-plane.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, RootFindError
+from .errors import AccuracyError, DomainError, ParameterError, RootFindError
 from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
 from .problems import BCKind, ProblemSpec
 from .quadrature import QuadratureRule
@@ -47,6 +46,11 @@ RAY_DOWN = cmath.exp(7j * np.pi / 6.0)
 #: default contour truncation T = 40 (2 pi / l), panels of width 2 pi / l
 T_FACTOR = 40.0
 PANEL_ORDER = 16
+
+#: the lambda l^2 over which ``mixed_nr_trace`` is certified: at count 64 and
+#: T = 40 it errs on |s| <= 0.45 l by at most 2.2e-4 of the largest datum or
+#: exact trace value on the side (criterion-6 fields; 7e-4 at 1e-5)
+MIXED_LAM_RANGE = (1e-4, 1e3)
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,11 @@ class ModeRootSet:
 
 
 def in_upper_half(k, tol: float = 1e-10):
-    """True for k in D+, elementwise; raises if a k sits on the contour within tol."""
+    """True for k in D+, elementwise; raises if a k sits on the contour, a
+    line through k = 0, within tol in angle (k = 0 included)."""
     # rotate so the contour becomes the real axis: k e^{-i pi/6}
     w = np.asarray(k, dtype=complex) * cmath.exp(-1j * np.pi / 6.0)
-    if np.any(np.abs(w.imag) <= tol * np.maximum(1.0, np.abs(w))):
+    if np.any(np.abs(w.imag) <= tol * np.abs(w)):
         raise DomainError("mode root lies on the inversion contour")
     return w.imag > 0
 
@@ -146,34 +151,6 @@ def _ray_grids(lam: float, side_length: float, t_factor: float, order: int):
         (-t, w, t * RAY_DOWN),
     ]
     return grids, 2.0
-
-
-def inversion_integral(
-    evaluator,
-    s,
-    lam: float,
-    side_length: float,
-    t_factor: float = T_FACTOR,
-    order: int = PANEL_ORDER,
-):
-    """Invert a mu-invariant transform at arclength(s) ``s``.
-
-    ``evaluator(k)`` must return the transform of the sought trace at
-    spectral points k (array-valued); it may be any of the mu-invariant
-    kinds, evaluated here on the outer branch of mu = -i t.  Returns
-    (1/2 pi) int e^{i t s} evaluator(k(-i t)) dt over the truncated t-line.
-    """
-    if lam < 0:
-        raise ParameterError("the integral path requires lambda >= 0")
-    t, w = contour_nodes(side_length, t_factor, order)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.zeros(s_arr.shape)
-    for sign in (1.0, -1.0):
-        k = quadratic_mode_root(-1j * sign * t, lam)
-        vals = np.asarray(evaluator(k), dtype=complex)
-        phases = np.exp(1j * sign * np.multiply.outer(s_arr, t))
-        out += np.real(phases @ (w * vals)) / (2.0 * np.pi)
-    return out if np.ndim(s) else float(out[0])
 
 
 # -- symmetric Dirichlet ---------------------------------------------------
@@ -322,26 +299,18 @@ MAX_WINDING_POINTS = 1 << 18
 
 
 def argument_principle_count(func, box, samples_per_edge: int = 400) -> int:
-    """Winding number of ``func`` around the rectangle ``box``.
-
-    ``box`` = (re_min, re_max, im_min, im_max); the count equals the number
-    of zeros inside (for an analytic function with no poles), evaluated by
-    accumulating the argument of ``func`` along the edges from at least
-    ``samples_per_edge`` points per edge (see ``_winding``).
-    """
+    """Number of zeros of ``func`` (analytic, no poles) inside the rectangle
+    ``box`` = (re_min, re_max, im_min, im_max): its winding number along the
+    edges from n = ``samples_per_edge`` points per edge, n doubled until no
+    argument step exceeds pi/2 (one beyond pi aliases), up to
+    ``MAX_WINDING_POINTS`` points."""
     re0, re1, im0, im1 = box
     corners = np.array([complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)])
     steps = np.roll(corners, -1) - corners
-    edges = lambda n: (corners[:, None] + steps[:, None] * (np.arange(n) / n)).ravel()
-    return _winding(func, edges, samples_per_edge)
-
-
-def _winding(func, path, n: int) -> int:
-    """Winding number of ``func`` along the closed polygon ``path(n)``, with
-    n doubled until no step of the argument exceeds pi/2 (a step beyond pi
-    aliases), up to ``MAX_WINDING_POINTS`` points."""
+    n = samples_per_edge
     while True:
-        vals = np.asarray(func(path(n)), dtype=complex)
+        path = (corners[:, None] + steps[:, None] * (np.arange(n) / n)).ravel()
+        vals = np.asarray(func(path), dtype=complex)
         if np.any(vals == 0):
             raise RootFindError("argument-principle contour hits a zero")
         args = np.angle(vals)
@@ -371,13 +340,14 @@ def d_root_set(
 ) -> ModeRootSet:
     """Certified roots of D(k) = 0 for the mixed Neumann-Robin problem.
 
-    Every mode has mu on the imaginary axis, where the mode equation is a
-    monotone phase condition with exactly one solution per integer index;
-    solving it for |m| <= count and mapping each mu to both k-branches
-    therefore yields the complete root set in the window.  All roots are
-    polished at once on D itself with the analytic derivative, classified
-    into D+/D-, and, with ``audit=True``, cross-checked against
-    argument-principle winding numbers.
+    The mode function (``_mode_equation_entire``) is invariant under
+    k -> lambda/k, so each mode is one mu = k + lambda/k, on the imaginary
+    axis, where the mode equation is a monotone phase condition with one
+    solution per integer m, |m| <= count.  The outer k-branch of each mu is
+    polished on D with the analytic derivative and the inner one is
+    lambda/outer; both are certified by their residual and classified into
+    D+/D-, and with ``audit=True`` the modes are counted in the mu-plane
+    (``_audit_root_count``).
     """
     if lam <= 0:
         raise ParameterError("the mixed Neumann-Robin mode set requires lambda > 0")
@@ -394,37 +364,35 @@ def d_root_set(
         return (theta - target) / dtheta
 
     syms = _mixed_symbols(lam)
-    m = np.arange(-count, count + 1)
+    # the modes m = +-(count + 1) only place the edges of the audit box
+    m = np.arange(-count - 1, count + 2)
     target = 2.0 * np.pi * m
     y, converged = _newton(phase_step, target / (3.0 * side_length), 80, 1e-15)
     if not converged:
         raise RootFindError("phase equation failed to converge")
-    # both k-branches of each mode (at m = 0 the tie-break of the outer
-    # branch gives i sqrt(lambda)), polished on D itself and certified;
-    # an overflow or NaN shows up as a residual that is not <= tol
-    outer = quadratic_mode_root(1j * y, lam)
+    # the outer branch of each kept mode (at m = 0 the tie-break gives
+    # i sqrt(lambda)), polished on D; an overflow or NaN shows up as a
+    # residual that is not <= tol
+    outer = quadratic_mode_root(1j * y[1:-1], lam)
     with np.errstate(all="ignore"):
-        k, _ = _newton(
+        outer, _ = _newton(
             lambda k: closed_form_d(syms, k, lam, side_length)
             / closed_form_d_prime(syms, k, lam, side_length),
-            np.stack([outer, lam / outer], axis=-1).ravel(),
+            outer,
             40,
             1e-15,
         )
+        k = np.stack([outer, lam / outer], axis=-1).ravel()
         w = 1.5 * mu(k, lam) * side_length
         scale = np.abs(np.exp(w)) + np.abs(np.exp(-w))
         resid = np.abs(closed_form_d(syms, k, lam, side_length)) / scale
     failed = ~(resid <= tol)
     if failed.any():
         raise RootFindError(f"D-root residual {np.max(resid[failed]):.2e} above tolerance")
-    # a root within 1e-8 relative of an earlier root in its half-plane is
-    # the same root reached from two seeds
-    plus = in_upper_half(k)
-    near = np.abs(np.subtract.outer(k, k)) <= 1e-8 * np.maximum(1.0, np.abs(k))[:, None]
-    keep = ~np.any(np.tril(near & np.equal.outer(plus, plus), -1), axis=1)
-    roots = ModeRootSet.of(k[keep], resid[keep], np.repeat(m, 2)[keep])
+    roots = ModeRootSet.of(k, resid, np.repeat(m[1:-1], 2))
     if audit:
-        _audit_root_count(roots.k, lam, side_length)
+        edges = (0.5 * (y[0] + y[1]), 0.5 * (y[-2] + y[-1]))
+        _audit_root_count(roots.k, lam, side_length, edges)
     return roots
 
 
@@ -451,27 +419,21 @@ def _mode_equation_entire(symbols, k, lam: float, side_length: float):
     return val.m
 
 
-def _audit_root_count(ks, lam: float, side_length: float):
-    """RootFindError unless argument-principle winding counts the roots ``ks``."""
+def _audit_root_count(ks, lam: float, side_length: float, edges):
+    """RootFindError unless the roots ``ks`` pair up as (k, lambda/k), one
+    pair per zero of the mode function in the box |Re mu| l <= 1/2,
+    edges[0] <= Im mu <= edges[1]; as a function of mu it has no essential
+    point (k = 0 maps to mu = infinity), so the box needs no exclusion."""
+    # sorted by Im mu, the two branches of each mode sit side by side
+    pairs = ks[np.argsort(mu(ks, lam).imag, kind="stable")]
+    if pairs.size % 2 or np.any(np.abs(pairs[::2] * pairs[1::2] - lam) > 1e-8 * lam):
+        raise RootFindError("D-roots do not pair up as (k, lambda/k)")
     syms = _mixed_symbols(lam)
-    # pad by half the vertical mode spacing so the box boundary stays
-    # between consecutive roots
-    pad = 0.5 * np.pi / (3.0 * side_length)
-    box = (ks.real.min() - 0.5, ks.real.max() + 0.5, ks.imag.min() - pad, ks.imag.max() + pad)
-    func = lambda z: _mode_equation_entire(syms, z, lam, side_length)
-    rect = argument_principle_count(func, box, samples_per_edge=2000)
-    # k = 0 is an essential point of the mode function and the lambda/k
-    # images of the modes beyond the box cluster there; carve out a circle
-    # sitting between the innermost kept root and the first excluded image
-    y_edge = max(abs(box[2]), abs(box[3]))
-    r0 = lam / y_edge
-    if r0 >= np.min(np.abs(ks)):
-        raise RootFindError("audit exclusion circle would swallow a kept root")
-    circle = _winding(func, lambda n: r0 * np.exp(2j * np.pi * np.arange(n) / n), 4000)
-    got = rect - circle
-    if got != ks.size:
+    func = lambda z: _mode_equation_entire(syms, quadratic_mode_root(z, lam), lam, side_length)
+    got = argument_principle_count(func, (-0.5 / side_length, 0.5 / side_length, *edges))
+    if got != pairs.size // 2:
         raise RootFindError(
-            f"argument-principle count {got} != {ks.size} found roots "
+            f"argument-principle count {got} != {pairs.size // 2} found modes "
             "(possible missed or spurious roots)"
         )
 
@@ -554,11 +516,19 @@ def mixed_nr_trace(
     ``problem`` must carry the Robin condition with gamma = sqrt(3 lambda)
     on side 1 and Neumann conditions on sides 2 and 3.  The trace combines
     the contour integral of the elimination inhomogeneity with residue sums
-    over the certified D-roots in the two half-planes.
+    over the certified D-roots in the two half-planes.  Outside
+    ``MIXED_LAM_RANGE`` of lambda l^2 it raises ``AccuracyError``.
     """
     lam = problem.lam
     side_length = problem.geometry.side_length
     _validate_mixed(problem)
+    lo, hi = MIXED_LAM_RANGE
+    scaled_lam = lam * side_length * side_length
+    if not lo <= scaled_lam <= hi:
+        raise AccuracyError(
+            f"mixed Neumann-Robin trace: lambda l^2 = {scaled_lam:.3g} lies "
+            f"outside the certified range [{lo:g}, {hi:g}]"
+        )
     elim = ScaledElimination(problem)
     grids, _ = _ray_grids(lam, side_length, t_factor, order)
     weighted = [w * elim.inhom(k).to_complex() / (2.0 * np.pi) for _, w, k in grids]

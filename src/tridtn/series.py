@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, ResonanceError, RootFindError, SolvabilityError
+from .errors import AccuracyError, ParameterError, ResonanceError, RootFindError, SolvabilityError
 from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
 from .scaledc import Scaled
 from .quadrature import QuadratureRule
@@ -43,6 +43,13 @@ from .traces import FourierSeriesTrace
 
 #: relative threshold below which a mode denominator counts as resonant
 RESONANCE_RTOL = 1e-10
+
+#: the rounding of the total flux, in units of eps times the perimeter times
+#: the largest datum (measured: 1.2 for cos data on all sides)
+FLUX_ULPS = 8.0
+#: the largest error, relative to the trace scale, that the rounding of the
+#: total flux may put into the boundary mean of ``neumann_to_dirichlet``
+MEAN_RTOL = 1e-6
 
 #: chain weights (c1, c2) distributing M(k_{3n-1}), M(k_{3n-2}) to the sides
 CHAIN_WEIGHTS = {1: (1.0, 1.0), 2: (ALPHA_BAR, ALPHA), 3: (ALPHA, ALPHA_BAR)}
@@ -225,21 +232,14 @@ def neumann_to_dirichlet(
     coefficient, the free boundary mean, is zero).  The same holds at a
     lambda > 0 so small that ``_series_mode_roots`` takes the m = 0 mode
     at lambda = 0, where the mean, of order flux / lambda, would be set by
-    the rounding of the flux.
+    the rounding of the flux; just above it, ``_check_flux`` raises
+    ``AccuracyError`` while that rounding still moves the mean.
     """
     if len(data) != 3:
         raise ParameterError("expected one Neumann trace per side")
     f = [SideSampler(t, Kind.PSI, lam, side_length) for t in data]
     m, live, k = _series_mode_roots(lam, side_length, 3.0 * side_length, m_max)
-    if not live[m_max]:  # the m = 0 mode is taken at lambda = 0
-        rule = QuadratureRule.side(side_length, 128)
-        vals = [np.asarray(t.value(rule.nodes), dtype=float) for t in data]
-        total = sum(rule.integrate(v) for v in vals)
-        scale = max(np.max(np.abs(v)) for v in vals)
-        if abs(total) > 1e-8 * max(1.0, scale * side_length):
-            raise SolvabilityError(
-                "lambda = 0 Neumann data violates the zero-total-flux condition"
-            )
+    _check_flux(data, lam, side_length, at_zero=not live[m_max])
     den, resonant = _mode_denominator(m[live], k, lam, side_length)
     _check_resonance(resonant, m[live], "Neumann")
     a, ab = ALPHA * k, ALPHA_BAR * k
@@ -260,6 +260,35 @@ def neumann_to_dirichlet(
     n_coeffs = np.zeros(m.shape, dtype=complex)
     n_coeffs[live] = (2.0 * t_n / den).to_complex()
     return _chain_traces(side_length, m, n_coeffs)
+
+
+def _check_flux(data, lam: float, side_length: float, at_zero: bool):
+    """The total flux of the Neumann ``data`` sets the boundary mean,
+    flux / (4 lambda area).  With the m = 0 mode taken at lambda = 0
+    (``at_zero``) the flux must vanish (SolvabilityError).  Above that, its
+    rounding, FLUX_ULPS eps 3 l max|f_j|, moves the mean by ``share`` of
+    l max|f_j|: AccuracyError once that move exceeds MEAN_RTOL of the larger
+    of l max|f_j| and the mean.  The data are sampled only where
+    share > MEAN_RTOL."""
+    if not at_zero:
+        four_lam_area = SQRT3 * lam * side_length * side_length
+        share = 3.0 * FLUX_ULPS * np.finfo(float).eps / four_lam_area
+        if share <= MEAN_RTOL:
+            return
+    rule = QuadratureRule.side(side_length, 128)
+    vals = [np.asarray(t.value(rule.nodes), dtype=float) for t in data]
+    total = sum(rule.integrate(v) for v in vals)
+    scale = side_length * max(np.max(np.abs(v)) for v in vals)
+    if at_zero:
+        if abs(total) > 1e-8 * max(1.0, scale):
+            raise SolvabilityError(
+                "lambda = 0 Neumann data violates the zero-total-flux condition"
+            )
+    elif share * scale > MEAN_RTOL * max(scale, abs(total) / four_lam_area):
+        raise AccuracyError(
+            f"Neumann-to-Dirichlet map: at lambda = {lam:.3g} the rounding of the total "
+            f"flux moves the boundary mean, flux / (4 lambda area), by up to {share * scale:.1e}"
+        )
 
 
 # -- oblique Robin modes ---------------------------------------------------

@@ -134,6 +134,60 @@ def test_tiny_positive_lambda_is_solved_as_lambda_zero(tmp_path, kind, tail):
         assert np.max(np.abs(run - runs[0])) <= 1e-10
 
 
+@pytest.mark.parametrize("lam", [5e-20, 1e-18, 1e-16, 1e-14])
+def test_small_lambda_neumann_mean_is_accurate_or_refused(tmp_path, capsys, lam):
+    # just above the lambda = 0 threshold the boundary mean, flux/(4 lam
+    # area), is set by the rounding of a zero flux unless it is refused
+    runs = {}
+    for key in (1e-8, lam):
+        cfg = sym_dirichlet_cfg()
+        cfg["lam"] = key
+        for entry in cfg["bc"]:
+            entry["kind"] = "neumann"
+        out = tmp_path / f"lam{key}"
+        code = main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        if code == 0:
+            runs[key] = np.loadtxt(out / "traces.csv", delimiter=",", skiprows=1)
+    assert 1e-8 in runs
+    if lam in runs:
+        assert np.max(np.abs(runs[lam] - runs[1e-8])) <= 1e-6
+    else:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "Neumann-to-Dirichlet map" in lines[0], lines
+        assert not (tmp_path / f"lam{lam}").exists()
+
+
+def mixed_cfg(lam):
+    cfg = sym_dirichlet_cfg()
+    del cfg["truncation"]  # the CLI default
+    cfg["lam"] = lam
+    cfg["bc"] = [
+        {"kind": "robin", "data": "cos(2*pi*s/l)", "gamma": math.sqrt(3.0 * lam)},
+        {"kind": "neumann", "data": "s"},
+        {"kind": "neumann", "data": "0"},
+    ]
+    return cfg
+
+
+def test_mixed_solve_at_large_lambda(tmp_path):
+    # the mode roots are counted in mu = k + lam/k, where no essential
+    # point sits near the audit box, so lam = 100 is certified
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write_cfg(tmp_path, mixed_cfg(100.0)), "--out", str(out)]) == 0
+    traces = np.loadtxt(out / "traces.csv", delimiter=",", skiprows=1)
+    assert traces.shape == (33, 2) and np.all(np.isfinite(traces))
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e6])
+def test_mixed_solve_outside_the_lambda_range_exits_3(tmp_path, capsys, lam):
+    out = tmp_path / "o"
+    assert main(["solve", "--config", write_cfg(tmp_path, mixed_cfg(lam)), "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "mixed Neumann-Robin trace" in lines[0], lines
+    assert "certified range" in lines[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("data, side_length", [("cos(2*pi*s/l)", 1e300), ("10^400", 1.0)])
 def test_expression_overflow_names_the_side(tmp_path, capsys, data, side_length):
     # an overflowing power is inf, as in numpy, so the failure is reported

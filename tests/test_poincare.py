@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from tridtn.errors import DomainError, ParameterError, RootFindError
+from tridtn.errors import AccuracyError, DomainError, ParameterError, RootFindError
+from tridtn.expressions import expression_trace
 from tridtn.geometry import ALPHA, ALPHA_BAR, mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
 import tridtn.poincare as poincare
@@ -18,7 +19,6 @@ from tridtn.poincare import (
     d_root_set,
     dirichlet_mode_roots,
     in_upper_half,
-    inversion_integral,
     mixed_nr_trace,
     ray_radius,
     residue_of_inhomogeneity,
@@ -50,27 +50,20 @@ def test_in_upper_half():
         in_upper_half(cmath.exp(1j * math.pi / 6.0))
 
 
+def test_in_upper_half_is_scale_free():
+    # the contour is a line through k = 0: a tiny inner root off it is no
+    # contour point, and k = 0 itself is
+    assert in_upper_half(1e-12j) and not in_upper_half(-1e-12j)
+    with pytest.raises(DomainError):
+        in_upper_half(0.0)
+
+
 def test_dirichlet_mode_roots_certified():
     roots = dirichlet_mode_roots(1.0, 1.0, 12)
     assert len(list(roots)) > 0
     for root in roots:
         assert root.residual < 1e-12
         assert abs(mu(root.k, 1.0) - 2j * math.pi * root.label) < 1e-10
-
-
-def test_inversion_integral_recovers_trace(rng):
-    """Inverting the PSI transform of a smooth compactly-centred bump
-    reproduces the bump away from the corners."""
-    from tridtn.spectral import Kind, SideSampler
-    from tridtn.traces import BoundaryTrace
-
-    lam = 1.0
-    value = lambda s: np.exp(-40.0 * np.asarray(s) ** 2)
-    deriv = lambda s: -80.0 * np.asarray(s) * np.exp(-40.0 * np.asarray(s) ** 2)
-    trace = BoundaryTrace(side=1, value=value, derivative=deriv)
-    sampler = SideSampler(trace, Kind.PSI, lam, 1.0)
-    got = inversion_integral(sampler.eval, 0.13, lam, 1.0, t_factor=80.0)
-    assert abs(got - value(0.13)) < 1e-6
 
 
 def test_symmetric_dual_representation(geom):
@@ -147,28 +140,64 @@ def test_argument_principle_one_array_call():
     assert sizes == [200]
 
 
-def test_audit_rejects_a_missing_root():
-    ks = d_root_set(1.0, 1.0, count=4, audit=False).k
-    _audit_root_count(ks, 1.0, 1.0)
-
-    def inside_the_others(i):
-        others = np.delete(ks, i)
-        return (
-            others.real.min() < ks[i].real < others.real.max()
-            and others.imag.min() < ks[i].imag < others.imag.max()
-        )
-
-    # leave out a root that the audit box of the others still encloses
-    drop = next(i for i in range(ks.size) if inside_the_others(i))
-    with pytest.raises(RootFindError):
-        _audit_root_count(np.delete(ks, drop), 1.0, 1.0)
+def _audit_inputs(monkeypatch, lam, count):
+    """The roots of ``d_root_set`` and the arguments it passes its audit."""
+    seen = []
+    monkeypatch.setattr(poincare, "_audit_root_count", lambda *args: seen.append(args))
+    roots = d_root_set(lam, 1.0, count)
+    monkeypatch.undo()
+    return roots, seen[0]
 
 
-@pytest.mark.parametrize("lam, count", [(5.0, 64), (10.0, 32)])
+def test_audit_rejects_a_missing_root(monkeypatch):
+    roots, (ks, lam, side_length, edges) = _audit_inputs(monkeypatch, 1.0, 4)
+    _audit_root_count(ks, lam, side_length, edges)
+    interior = np.flatnonzero(roots.label == 2)
+    # one branch of a pair left out: the other has no partner lambda/k
+    with pytest.raises(RootFindError, match="pair"):
+        _audit_root_count(np.delete(ks, interior[0]), lam, side_length, edges)
+    # one branch of each of two modes left out: an even set, still unpaired
+    other = np.flatnonzero(roots.label == -1)[0]
+    with pytest.raises(RootFindError, match="pair"):
+        _audit_root_count(np.delete(ks, [interior[0], other]), lam, side_length, edges)
+    # a whole interior mode pair left out: the mu-plane count sees the mode
+    with pytest.raises(RootFindError, match="count"):
+        _audit_root_count(np.delete(ks, interior), lam, side_length, edges)
+
+
+def test_audit_box_lies_midway_between_modes(monkeypatch):
+    roots, (_, lam, side_length, edges) = _audit_inputs(monkeypatch, 1e-3, 0)
+    # count 0: the one mode mu = 0, and the box edges halfway to m = +-1,
+    # which a fixed pad of a quarter spacing would overshoot at small lambda
+    assert np.allclose(mu(roots.k, lam), 0.0, atol=1e-12)
+    outer = d_root_set(lam, side_length, 1).k
+    y1 = np.max(mu(outer, lam).imag)
+    assert edges == pytest.approx((-0.5 * y1, 0.5 * y1), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "lam, count", [(5.0, 64), (10.0, 32), (1e-6, 40), (100.0, 64), (1000.0, 64)]
+)
 def test_audit_resolves_fast_phase_near_the_origin(lam, count):
-    # 2000 samples per box edge alias the argument near k = 0 here
+    # in the k-plane the lambda/k images of the modes cluster at the
+    # essential point k = 0; in mu the audit box has no such point
     roots = d_root_set(lam, 1.0, count, audit=True)
     assert len(roots) == 2 * (2 * count + 1)
+    # the audit only checks the set: each inner root is lambda/outer, never
+    # polished on its own, so none lands on another mode's root and is lost
+    unaudited = d_root_set(lam, 1.0, count, audit=False).k
+    assert np.unique(unaudited).size == len(roots)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0, 100.0, 1000.0])
+def test_d_root_set_over_counts_and_lambdas(lam):
+    for count in (0, 4, 8, 64):
+        roots = d_root_set(lam, 1.0, count, audit=True)
+        assert len(roots) == 2 * (2 * count + 1)
+        assert np.max(roots.residual) <= 1e-12
+        # the two branches of each mode share mu and multiply to lambda
+        pairs = roots.k[np.argsort(mu(roots.k, lam).imag)].reshape(-1, 2)
+        assert np.allclose(pairs[:, 0] * pairs[:, 1], lam, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -255,6 +284,29 @@ def test_array_residues_match_per_root_trapezoid(geom):
         offsets = r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
         want = np.sum(elim.inhom(k0 + offsets).to_complex() * offsets) / nodes
         assert abs(val - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 100.0, 1000.0])
+def test_mixed_nr_trace_over_its_lambda_range(geom, lam):
+    # criterion-6 fields at the CLI default count; at large lambda they span
+    # many decades along a side, so the error is relative to the data scale
+    sol, problem = _mixed_problem(geom, lam)
+    d, n = all_traces(sol, geom)
+    trace = mixed_nr_trace(problem, count=64)
+    side = np.linspace(-0.5, 0.5, 1001)
+    scale = max(
+        np.max(np.abs(f(side))) for f in (problem.side(1).data, n[1], n[2], d[1])
+    )
+    s = np.linspace(-0.45, 0.45, 129)
+    assert np.max(np.abs(trace.value(s) - d[1](s))) <= 5e-4 * scale
+
+
+@pytest.mark.parametrize("lam", [1e-5, 1e-6, 2e3, 1e6])
+def test_mixed_nr_trace_refuses_lambda_outside_its_range(geom, lam):
+    data = [expression_trace(text, j, 1.0) for j, text in enumerate(("1", "s", "0"), start=1)]
+    problem = mixed_nr_problem(lam, geom, *data)
+    with pytest.raises(AccuracyError, match="mixed Neumann-Robin trace.*certified range"):
+        mixed_nr_trace(problem, count=8)
 
 
 def test_mixed_nr_requires_matching_gamma(geom):
