@@ -1,23 +1,20 @@
-"""Boundary-data expressions: parsing, evaluation, symbolic d/ds.
+"""Boundary-data expressions: parsing, symbolic d/ds, compiled evaluation.
 
-Grammar (standard precedence, ^ binds tightest and is right-associative):
-
-    expr   := term  (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?
-    atom   := NUMBER | 's' | 'pi' | 'l' | FUNC '(' expr ')' | '(' expr ')'
-    FUNC   := sin | cos | exp | sinh | cosh
-
-Errors carry the byte offset of the offending token.  Every AST node can
-differentiate itself with respect to s (the side-length symbol l is a
-constant), which is what feeds the Phi transforms of expression-specified
-Dirichlet data.  Numbers, pi and l evaluate as numpy floats, so 1/0 is inf.
+Literals, ``s``, ``pi``, the side length ``l`` and ``sin cos exp sinh cosh``
+of a parenthesised argument, joined by ``+ -`` (loosest), ``* /`` and ``^``
+(tightest, right-associative); a unary minus binds between ``* /`` and
+``^``, so ``-s^2`` is -(s^2).  ``parse_expression`` reads them by precedence
+climbing (Pratt, "Top down operator precedence", 1973) into a tree of
+``Node`` records; its errors carry the byte offset of the offending token.
+``Node.diff`` is d/ds, for the Phi transforms of Dirichlet data, and
+``_compile`` turns a tree into nested closures once, so an evaluation does
+no per-node dispatch.  Numbers, pi and l are numpy floats: 1/0 is inf.
 """
 from __future__ import annotations
 
+import functools
+import operator
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,276 +22,179 @@ import numpy as np
 from .errors import ExpressionError
 from .traces import BoundaryTrace
 
-# numpy ufuncs so traces evaluate on arrays of quadrature nodes directly
-_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-}
-
+#: each function: its numpy ufunc, so that arrays of nodes evaluate at once,
+#: and its derivative as (sign, function)
+_FUNCS = {"sin": (np.sin, 1, "cos"), "cos": (np.cos, -1, "sin"), "exp": (np.exp, 1, "exp"),
+          "sinh": (np.sinh, 1, "cosh"), "cosh": (np.cosh, 1, "sinh")}
+#: each binary operator: its binding power (a unary minus binds at 3) and its
+#: operation; '^' is right-associative and, as np.power, overflows to inf
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul),
+           "/": (2, operator.truediv), "^": (4, np.power)}
+#: the deepest nesting a parse accepts, each operator, function call and pair
+#: of parentheses one level.  A derivative is at most about three times deeper,
+#: so a tree at this depth stays well inside Python's recursion limit of 1000.
+MAX_DEPTH = 100
+#: one token after optional whitespace; "bad" is a character no token starts
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<end>\Z)|(?P<bad>.))",
+    re.DOTALL,
 )
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    offset: int
+Token = NamedTuple("Token", [("kind", str), ("text", str), ("offset", int)])
 
 
 def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            stripped = len(text) - len(text[pos:].lstrip())
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionError(f"unexpected character {text[stripped]!r}", stripped)
-        kind = match.lastgroup
-        out.append(Token(kind, match.group(kind), match.start(kind)))
-        pos = match.end()
-    out.append(Token("end", "", len(text)))
-    return out
+    tokens = [Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+              for m in _TOKEN_RE.finditer(text)]
+    for tok in tokens:
+        if tok.kind == "bad":
+            raise ExpressionError(f"unexpected character {tok.text!r}", tok.offset)
+    return tokens
 
 
-# -- AST -------------------------------------------------------------------
-class Node:
-    def __call__(self, s: float, side_length: float) -> float:
-        raise NotImplementedError
+class Node(NamedTuple):
+    """One expression node: ``op`` 'num' (its ``value``), 's', 'pi', 'l', 'neg',
+    a function or a binary operator (at ``offset`` in the text) on ``args``.
+    A call compiles the tree each time; ``expression_trace`` compiles once."""
+
+    op: str
+    args: tuple = ()
+    value: float = 0.0
+    offset: int = 0
+
+    def __call__(self, s, side_length):
+        return _compile(self, {})(s, side_length)
 
     def diff(self) -> "Node":
-        raise NotImplementedError
-
-    def pretty(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Num(Node):
-    value: float
-
-    def __call__(self, s, side_length):
-        return np.float64(self.value)
-
-    def diff(self):
-        return Num(0.0)
-
-    def pretty(self):
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class Sym(Node):
-    name: str  # 's', 'pi' or 'l'
-
-    def __call__(self, s, side_length):
-        if self.name == "s":
-            return s
-        return np.float64(np.pi if self.name == "pi" else side_length)
-
-    def diff(self):
-        return Num(1.0 if self.name == "s" else 0.0)
-
-    def pretty(self):
-        return self.name
-
-
-@dataclass(frozen=True)
-class BinOp(Node):
-    op: str
-    left: Node
-    right: Node
-    offset: int = 0  # of the operator in the text, named when d/ds of a '^' fails
-
-    def __call__(self, s, side_length):
-        a = self.left(s, side_length)
-        b = self.right(s, side_length)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
+        """d/ds of this node, as a tree."""
+        if not self.args:
+            return Node("num", value=1.0 if self.op == "s" else 0.0)
+        d = tuple(arg.diff() for arg in self.args)
+        if self.op in ("neg", "+", "-"):
+            return Node(self.op, d)
+        if self.op in _FUNCS:
+            _, sign, name = _FUNCS[self.op]
+            outer = Node(name, self.args)
+            return Node("*", (Node("neg", (outer,)) if sign < 0 else outer, d[0]))
+        (a, b), (da, db) = self.args, d
+        if self.op == "^":
+            if not _free_of_s(b):
+                raise ExpressionError("d/ds of a power needs a constant exponent", self.offset)
+            # d/ds a^c = c a^(c-1) a'
+            exponent = Node("-", (b, Node("num", value=1.0)))
+            return Node("*", (Node("*", (b, Node("^", (a, exponent)))), da))
+        cross = (Node("*", (da, b)), Node("*", (a, db)))
         if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        # numpy, not Python, float semantics: an overflow gives inf
-        return np.power(a, b)
-
-    def diff(self):
-        a, b, da, db = self.left, self.right, self.left.diff(), self.right.diff()
-        if self.op in "+-":
-            return BinOp(self.op, da, db)
-        if self.op == "*":
-            return BinOp("+", BinOp("*", da, b), BinOp("*", a, db))
-        if self.op == "/":
-            num = BinOp("-", BinOp("*", da, b), BinOp("*", a, db))
-            return BinOp("/", num, BinOp("^", b, Num(2.0)))
-        if not _free_of_s(b):
-            raise ExpressionError("d/ds of a power needs a constant exponent", self.offset)
-        # d/ds a^c = c a^(c-1) a'
-        return BinOp("*", BinOp("*", b, BinOp("^", a, BinOp("-", b, Num(1.0)))), da)
-
-    def pretty(self):
-        return f"({self.left.pretty()} {self.op} {self.right.pretty()})"
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    arg: Node
-
-    def __call__(self, s, side_length):
-        return -self.arg(s, side_length)
-
-    def diff(self):
-        return Neg(self.arg.diff())
-
-    def pretty(self):
-        return f"(-{self.arg.pretty()})"
-
-
-@dataclass(frozen=True)
-class Call(Node):
-    func: str
-    arg: Node
-
-    def __call__(self, s, side_length):
-        return _FUNCS[self.func](self.arg(s, side_length))
-
-    def diff(self):
-        inner = self.arg.diff()
-        if self.func == "sin":
-            outer: Node = Call("cos", self.arg)
-        elif self.func == "cos":
-            outer = Neg(Call("sin", self.arg))
-        elif self.func == "exp":
-            outer = Call("exp", self.arg)
-        elif self.func == "sinh":
-            outer = Call("cosh", self.arg)
-        else:  # cosh
-            outer = Call("sinh", self.arg)
-        return BinOp("*", outer, inner)
-
-    def pretty(self):
-        return f"{self.func}({self.arg.pretty()})"
+            return Node("+", cross)
+        return Node("/", (Node("-", cross), Node("^", (b, Node("num", value=2.0)))))
 
 
 def _free_of_s(node: Node) -> bool:
-    if isinstance(node, Sym):
-        return node.name != "s"
-    return all(_free_of_s(child) for child in vars(node).values() if isinstance(child, Node))
+    return node.op != "s" and all(_free_of_s(arg) for arg in node.args)
 
 
-# -- parser ----------------------------------------------------------------
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.current
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str):
-        tok = self.current
-        if tok.kind != "op" or tok.text != text:
-            raise ExpressionError(f"expected {text!r}", tok.offset)
-        return self.advance()
-
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.current
-        if tok.kind != "end":
-            raise ExpressionError(f"unexpected token {tok.text!r}", tok.offset)
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.current.kind == "op" and self.current.text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Node:
-        if self.current.kind == "op" and self.current.text == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        if self.current.kind == "op" and self.current.text == "^":
-            offset = self.advance().offset
-            node = BinOp("^", node, self.factor(), offset)
-        return node
-
-    def atom(self) -> Node:
-        tok = self.current
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if tok.text in ("s", "pi", "l"):
-                return Sym(tok.text)
-            if tok.text in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(tok.text, arg)
-            raise ExpressionError(f"unknown identifier {tok.text!r}", tok.offset)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(
-            f"expected a value, got {tok.text!r}" if tok.text else "unexpected end of input",
-            tok.offset,
-        )
+def _compile(node: Node, memo: dict):
+    """The tree as nested closures ``f(s, side_length)``, operands bound as
+    default arguments: cells would more than double the objects the garbage
+    collector tracks.  ``memo`` maps the ids of nodes of live trees to their
+    closures, so the subtrees a derivative shares with its tree compile once."""
+    if id(node) in memo:
+        return memo[id(node)]
+    op, a = node.op, _compile(node.args[0], memo) if node.args else None
+    if op == "s":
+        f = lambda s, side_length: s
+    elif op == "l":
+        f = lambda s, side_length: np.float64(side_length)
+    elif not node.args:
+        f = lambda s, side_length, c=np.float64(np.pi if op == "pi" else node.value): c
+    elif op == "neg":
+        f = lambda s, side_length, a=a: -a(s, side_length)
+    elif op in _FUNCS:
+        f = lambda s, side_length, a=a, g=_FUNCS[op][0]: g(a(s, side_length))
+    else:
+        b, g = _compile(node.args[1], memo), _BINARY[op][1]
+        f = lambda s, side_length, a=a, b=b, g=g: g(a(s, side_length), b(s, side_length))
+    memo[id(node)] = f
+    return f
 
 
 def parse_expression(text: str) -> Node:
-    """Parse ``text`` into an AST; raises ExpressionError with byte offset."""
-    return _Parser(_tokenize(text)).parse()
+    """Parse ``text`` into a tree; raises ExpressionError with byte offset."""
+    tokens = _tokenize(text)
+    pos = 0
+
+    def expect(op: str):
+        nonlocal pos
+        if tokens[pos].text != op:
+            raise ExpressionError(f"expected {op!r}", tokens[pos].offset)
+        pos += 1
+
+    def nested(depth: int, tok: Token) -> int:
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", tok.offset)
+        return depth
+
+    # operand and binary return (node, depth) of text starting ``level`` deep
+    def operand(level: int) -> tuple:
+        nonlocal pos
+        tok = tokens[pos]
+        nested(level, tok)
+        pos += 1
+        if tok.text == "-":
+            node, depth = binary(3, level + 1)
+            return Node("neg", (node,)), nested(depth + 1, tok)
+        if tok.kind == "num":
+            return Node("num", value=float(tok.text)), 1
+        if tok.text in ("s", "pi", "l"):
+            return Node(tok.text), 1
+        call = tok.text in _FUNCS
+        if call or tok.text == "(":
+            if call:
+                expect("(")
+            node, depth = binary(1, level + 1)
+            expect(")")
+            return (Node(tok.text, (node,)) if call else node), nested(depth + 1, tok)
+        if tok.kind == "name":
+            raise ExpressionError(f"unknown identifier {tok.text!r}", tok.offset)
+        got = f"expected a value, got {tok.text!r}" if tok.text else "unexpected end of input"
+        raise ExpressionError(got, tok.offset)
+
+    def binary(min_power: int, level: int) -> tuple:
+        """An operand and the operators after it binding at least ``min_power``."""
+        nonlocal pos
+        node, depth = operand(level)
+        while _BINARY.get(tokens[pos].text, (0,))[0] >= min_power:
+            tok, power = tokens[pos], _BINARY[tokens[pos].text][0]
+            pos += 1
+            right, right_depth = binary(power + (tok.text != "^"), level + 1)
+            node = Node(tok.text, (node, right), offset=tok.offset)
+            depth = nested(1 + max(depth, right_depth), tok)
+        return node, depth
+
+    node = binary(1, 1)[0]
+    if tokens[pos].kind != "end":
+        raise ExpressionError(f"unexpected token {tokens[pos].text!r}", tokens[pos].offset)
+    return node
 
 
 def expression_trace(text: str, side: int, side_length: float) -> BoundaryTrace:
-    """A BoundaryTrace evaluating the expression with its symbolic d/ds.
-
-    Both return float arrays shaped like ``s`` (a float for scalar ``s``),
-    constant expressions included.  Evaluation follows numpy semantics for
-    scalar ``s`` too, so a division by zero or an overflow yields inf or
-    NaN, silently, not an exception or a warning; callers check their
-    results for finiteness.
-    """
+    """A BoundaryTrace evaluating the expression and its d/ds as float arrays
+    shaped like ``s`` (a float for scalar ``s``), with numpy semantics: a
+    division by zero or an overflow yields inf or NaN silently, and callers
+    check their results.  The derivative is built on its first call, so a
+    d/ds that fails (a power whose exponent reads s) is an ExpressionError
+    only where a transform reads it."""
     ast = parse_expression(text)
-    dast = ast.diff()
+    memo = {}
+    value = _compile(ast, memo)
+    # a copy: the derivative tree, and the ids of its nodes, die once compiled
+    derivative = functools.cache(lambda: _compile(ast.diff(), dict(memo)))
 
-    def on_grid(node):
-        def evaluate(s):
-            s = np.asarray(s, dtype=float)
-            with np.errstate(all="ignore"):
-                out = np.array(np.broadcast_to(node(s, side_length), s.shape), dtype=float)
-            return out if out.ndim else float(out)
+    def on_grid(func, s):
+        s = np.asarray(s, dtype=float)
+        with np.errstate(all="ignore"):
+            out = np.array(np.broadcast_to(func(s, side_length), s.shape), dtype=float)
+        return out if out.ndim else float(out)
 
-        return evaluate
-
-    return BoundaryTrace(side=side, value=on_grid(ast), derivative=on_grid(dast))
+    return BoundaryTrace(side=side, value=lambda s: on_grid(value, s),
+                         derivative=lambda s: on_grid(derivative(), s))

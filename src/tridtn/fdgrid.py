@@ -98,19 +98,6 @@ class GridSolution:
     gauge_fixed: bool = False
     cg_residual: float = 0.0
 
-    def trace_callable(self, side: int):
-        from scipy.interpolate import CubicSpline
-
-        s, v = self.traces[side]
-        return CubicSpline(s, v)
-
-    def export_csv(self, stream):
-        """Write ``x,y,value`` rows (header first) in lattice order."""
-        stream.write("x,y,value\n")
-        i, j = self.grid.nodes()
-        for z, v in zip(self.grid.point(i, j), self.values[i, j]):
-            stream.write(f"{z.real:.17e},{z.imag:.17e},{v:.17e}\n")
-
 
 def _check_spacing(side_length: float, h: float) -> int:
     """m = l / h; DomainError unless h > 0 divides l into 4 to MAX_DIVISIONS

@@ -35,7 +35,6 @@ from .poincare import (
     _symmetric_g,
     _symmetric_g_scaled,
     dirichlet_mode_roots,
-    quadratic_mode_root,
 )
 from .quadrature import QuadratureRule
 from .relations import GlobalRelation
@@ -292,38 +291,3 @@ def symmetric_interior(
     )
     res = np.sum((_ray_phase(k, point.z, lam) * env * g / denom).to_complex())
     return float((total + res).real)
-
-
-# -- separable eigensolutions ----------------------------------------------
-def eigensolution(n: int, lam: float, sign: int, z, side_length: float = 1.0) -> complex:
-    """Separable eigensolution exp{+-2 sqrt((n pi/l)^2 + lam) x - 2 i n pi y / l}.
-
-    Equals exp{i s_n z + (lam/(i s_n)) zbar} for the mode root s_n on the
-    branch selected by ``sign``.
-    """
-    rate = (n * math.pi / side_length) ** 2 + lam
-    if rate < 0.0:
-        raise DomainError("eigensolution requires (n pi / l)^2 + lam >= 0")
-    x, y = z.real, z.imag
-    growth = 2.0 * math.sqrt(rate) * x
-    if sign >= 0:
-        out = cmath.exp(growth - 2j * n * math.pi * y / side_length)
-    else:
-        out = cmath.exp(-growth - 2j * n * math.pi * y / side_length)
-    return out
-
-
-def eigensolution_mode_root(n: int, lam: float, sign: int, side_length: float = 1.0) -> complex:
-    """The root s_n whose exponential exp{i s_n z + (lam/is_n) zbar}
-    reproduces ``eigensolution(n, lam, sign, .)``."""
-    if n == 0 and lam == 0.0:
-        raise DomainError("the n = 0 mode root collapses to k = 0 for lam = 0")
-    outer = quadratic_mode_root(2j * math.pi * n / side_length, lam)
-    for s_n in (outer, lam / outer):
-        if s_n == 0:
-            continue  # lam = 0: the inner branch is k = 0, which is no root
-        yv = (s_n / 1j).real
-        branch = 1 if -(yv + lam / yv) > 0 else -1
-        if branch == (1 if sign >= 0 else -1):
-            return s_n
-    raise DomainError(f"no mode-root branch matches sign {sign} for n = {n}, lam = {lam}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tridtn.cli import _trace_values, main
+from tridtn.expressions import MAX_DEPTH
 from tridtn.traces import BoundaryTrace
 
 from conftest import fresh_python
@@ -289,6 +290,65 @@ def test_bad_expression_is_config_error(tmp_path):
     cfg["bc"][0]["data"] = "sin(s"
     path = write_cfg(tmp_path, cfg)
     assert main(["solve", "--config", path]) == 2
+
+
+def _run_one_line(tmp_path, capsys, cfg, command="solve"):
+    """Exit code and stderr lines of one run; a failed run must leave no files."""
+    tmp_path.mkdir(exist_ok=True)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    lines = [str(w.message) for w in caught] + capsys.readouterr().err.splitlines()
+    if code:
+        assert len(lines) == 1 and "Traceback" not in lines[0], lines
+        assert not out.exists() or not any(out.iterdir())
+    return code, lines, out
+
+
+def test_expression_depth_limit(tmp_path, capsys):
+    # cos(2*pi*s/l) is five levels deep, and each '/1' adds one; at the limit
+    # the run is the plain expression's, past it one config-error line
+    plain = sym_dirichlet_cfg()
+    code, _, out = _run_one_line(tmp_path, capsys, plain)
+    assert code == 0
+    want = (out / "traces.csv").read_bytes()
+    for extra, expected in [(MAX_DEPTH - 5, 0), (MAX_DEPTH - 4, 2)]:
+        cfg = sym_dirichlet_cfg()
+        for entry in cfg["bc"]:
+            entry["data"] += "/1" * extra
+        code, lines, out = _run_one_line(tmp_path / str(extra), capsys, cfg)
+        assert code == expected
+        if code == 0:
+            assert (out / "traces.csv").read_bytes() == want
+        else:
+            assert f"nested deeper than {MAX_DEPTH} levels (at offset 203)" in lines[0], lines
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "sweep", "interior", "oracle"])
+def test_derivative_is_read_only_for_dirichlet_data(tmp_path, capsys, command):
+    # d/ds of 2^s fails; Neumann data never read their derivative, so only
+    # the Dirichlet run is a config error naming the '^'
+    for kind, other in [("neumann", "dirichlet"), ("dirichlet", "neumann")]:
+        cfg = {
+            "lam": 1.0,
+            "side_length": 1.0,
+            "bc": [{"kind": kind, "data": "2^s"} for _ in range(3)],
+            "complement": [{"kind": other, "data": "0"} for _ in range(3)],
+            "truncation": 16,
+            "samples": 16,
+            "sweep": [4, 8],
+            "audit_points": 5,
+            "oracle": {"h": 1.0 / 16},
+        }
+        code, lines, out = _run_one_line(tmp_path / kind, capsys, cfg, command)
+        if kind == "neumann":
+            assert code == 0
+            rows = [f for f in out.iterdir() if f.suffix == ".csv"][0].read_text().splitlines()[1:]
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+        else:
+            assert code == 2
+            assert lines[0].endswith("d/ds of a power needs a constant exponent (at offset 1)")
 
 
 def test_verify_subcommand(tmp_path):

@@ -23,8 +23,8 @@ KEYS = {
     "side_length": ([1.0, 0.5, 2.0, 1e-300, 1e300], [0, -1.0, "l", MISSING]),
     "data": (
         ["cos(2*pi*s/l)", "1", "s^2 - 1/12", "exp(s)", "exp(1400*s)", "exp(800*s)^2", "1/(s-s)",
-         "10^400", "1/0", "1/(l-l)"],
-        ["sin(", "s + @", 7, {"samples": "missing.csv"}],
+         "10^400", "1/0", "1/(l-l)", "2^s"],
+        ["sin(", "s + @", 7, {"samples": "missing.csv"}, "(" * 250 + "s" + ")" * 250],
     ),
     "kinds": (
         [("dirichlet",) * 3, ("neumann",) * 3, ("robin", "neumann", "neumann")],

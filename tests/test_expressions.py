@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tridtn.errors import ExpressionError
-from tridtn.expressions import expression_trace, parse_expression
+from tridtn.expressions import MAX_DEPTH, expression_trace, parse_expression
 
 
 def ev(text, s=0.0, l=1.0):
@@ -108,21 +108,77 @@ def test_symbolic_derivative_matches_central_difference(s, text):
     assert abs(d(s, 1.0) - fd) < 1e-5 * max(1.0, abs(fd))
 
 
-@given(
-    text=st.sampled_from(
-        [
-            "sin(2*pi*s/l)",
-            "-s^2 + 3*s",
-            "exp(s)*cos(s) - 1/(2+s)",
-            "2^3^2 + s",
-        ]
-    )
+#: well-formed expressions of the grammar.  Literals are floats, so that
+#: Python's evaluation of the same text does no integer arithmetic.
+_grammar = st.recursive(
+    st.sampled_from(["s", "pi", "l", "0.5", "1.5", "2.0", ".25", "3e-1"]),
+    lambda inner: st.one_of(
+        # a chain a op b op c ..., where precedence and associativity matter
+        st.lists(st.sampled_from("+-*/^"), min_size=1, max_size=3).flatmap(
+            lambda ops: st.lists(inner, min_size=len(ops) + 1, max_size=len(ops) + 1).map(
+                lambda args: " ".join(x for pair in zip(args, ops) for x in pair) + f" {args[-1]}"
+            )
+        ),
+        inner.map("-{}".format),
+        inner.map("({})".format),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sinh", "cosh"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+    ),
+    max_leaves=12,
 )
-def test_pretty_round_trip(text):
-    node = parse_expression(text)
-    again = parse_expression(node.pretty())
-    for s in (-0.4, 0.0, 0.3):
-        assert abs(node(s, 1.0) - again(s, 1.0)) < 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_grammar, s=st.floats(-0.5, 0.5), l=st.floats(0.5, 2.0))
+def test_parse_matches_python_evaluation(text, s, l):
+    # Python gives unary minus and ** the precedence and associativity the
+    # grammar gives unary minus and ^, so the same text must agree
+    s, l = np.float64(s), np.float64(l)
+    names = {name: getattr(np, name) for name in ("sin", "cos", "exp", "sinh", "cosh")}
+    names.update(s=s, l=l, pi=np.float64(np.pi))
+    with np.errstate(all="ignore"):
+        try:
+            want = eval(text.replace("^", "**"), {"__builtins__": {}}, names)
+        except (ZeroDivisionError, OverflowError):
+            want = None
+        got = parse_expression(text)(s, l)
+    assume(isinstance(want, float) and math.isfinite(want) and math.isfinite(got))
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (text, got, want)
+
+
+def test_depth_limit():
+    # a tree at the limit parses, differentiates and evaluates inside
+    # Python's default recursion limit; its derivative is the deepest kind
+    # (each '/' adds three levels to d/ds)
+    at_limit = "s" + "/1.5" * (MAX_DEPTH - 1)
+    trace = expression_trace(at_limit, 1, 1.0)
+    assert trace(0.3) == pytest.approx(0.3 / 1.5 ** (MAX_DEPTH - 1))
+    assert trace.d(0.3) == pytest.approx(1.5 ** -(MAX_DEPTH - 1))
+    assert parse_expression("(" * (MAX_DEPTH - 1) + "s" + ")" * (MAX_DEPTH - 1))(0.3, 1.0) == 0.3
+    # one level past it is refused at the token that goes past
+    for text, offset in [
+        ("(" * MAX_DEPTH + "s" + ")" * MAX_DEPTH, MAX_DEPTH),
+        ("(" * 250 + "s" + ")" * 250, MAX_DEPTH),
+        ("s" + "+s" * MAX_DEPTH, 2 * MAX_DEPTH - 1),
+        ("s" + "+s" * 2999, 2 * MAX_DEPTH - 1),
+        ("-" * 5000 + "s", MAX_DEPTH),
+        ("(" + "s+" * (MAX_DEPTH - 1) + "s)", 0),
+    ]:
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text)
+        assert err.value.offset == offset
+        message = f"expression nested deeper than {MAX_DEPTH} levels (at offset {offset})"
+        assert str(err.value) == message
+
+
+def test_derivative_is_built_on_first_use():
+    # d/ds of 2^s fails, but only when something reads the derivative
+    trace = expression_trace("2^s", 1, 1.0)
+    assert trace(1.0) == 2.0
+    with pytest.raises(ExpressionError) as err:
+        trace.d(0.0)
+    assert err.value.offset == 1
 
 
 def test_expression_trace_vectorised():

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -299,24 +298,3 @@ def test_mixed_robin_neumann_converges():
         out = fd_solve(spec, 1.0 / m)
         errs.append(trace_error(out, d, 1.0))
     assert 3.0 <= errs[0] / errs[1] <= 5.0
-
-
-def test_export_csv_shape():
-    sol = manufactured_families(1.0)[0]
-    geom = TriangleGeometry(1.0)
-    d, _ = all_traces(sol, geom)
-    out = fd_solve(dirichlet_problem(1.0, geom, d), 1.0 / 8)
-    buf = io.StringIO()
-    out.export_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 1 + 45
-
-
-def test_trace_callable_interpolates():
-    sol = manufactured_families(1.0)[0]
-    geom = TriangleGeometry(1.0)
-    d, n = all_traces(sol, geom)
-    out = fd_solve(dirichlet_problem(1.0, geom, d), 1.0 / 32)
-    fn = out.trace_callable(2)
-    assert abs(fn(0.11) - n[1](0.11)) < 5e-3

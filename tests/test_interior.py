@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from tridtn.errors import AccuracyError, DomainError, ParameterError
-from tridtn.geometry import TriangleGeometry, mu
+from tridtn.geometry import TriangleGeometry
 from tridtn.interior import (
     InteriorPoint,
     RayContour,
     TraceSet,
-    eigensolution,
-    eigensolution_mode_root,
     fokas_eval,
     greens_eval,
     symmetric_interior,
@@ -132,32 +130,3 @@ def test_ray_contour_covers_truncation():
     assert abs(np.sum(w) - (30.0 - r[0] + w[0] * 0)) < 1.0  # weights sum ~ length
     k, kw = contour.nodes(2)
     assert abs(np.angle(k[0]) - math.pi / 6.0) < 1e-12
-
-
-def test_eigensolution_matches_mode_root(geom, rng):
-    lam = 1.0
-    for n in (-2, 1, 3):
-        for sign in (1, -1):
-            s_n = eigensolution_mode_root(n, lam, sign, 1.0)
-            assert abs(mu(s_n, lam) - 2j * math.pi * n) < 1e-10
-            for z in interior_points(geom, rng, 3):
-                direct = eigensolution(n, lam, sign, z, 1.0)
-                via_root = np.exp(1j * s_n * z + lam * np.conj(z) / (1j * s_n))
-                assert abs(direct - via_root) < 1e-10 * max(1.0, abs(direct))
-
-
-def test_eigensolution_mode_root_without_inner_branch():
-    # at lam = 0 the inner branch is k = 0, which no sign selects
-    assert abs(eigensolution_mode_root(2, 0.0, -1) - 4j * math.pi) < 1e-12
-    with pytest.raises(DomainError, match="n = 2, lam = 0"):
-        eigensolution_mode_root(2, 0.0, 1)
-
-
-def test_eigensolution_solves_pde():
-    lam, n, h = 1.0, 2, 1e-4
-    f = lambda z: eigensolution(n, lam, 1, z, 1.0)
-    z0 = 0.05 + 0.02j
-    lap = (
-        f(z0 + h) + f(z0 - h) + f(z0 + 1j * h) + f(z0 - 1j * h) - 4.0 * f(z0)
-    ) / h**2
-    assert abs(lap - 4.0 * lam * f(z0)) < 1e-4 * max(1.0, abs(f(z0)))
