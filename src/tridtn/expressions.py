@@ -55,7 +55,8 @@ def _tokenize(text: str):
 class Node(NamedTuple):
     """One expression node: ``op`` 'num' (its ``value``), 's', 'pi', 'l', 'neg',
     a function or a binary operator (at ``offset`` in the text) on ``args``.
-    A call compiles the tree each time; ``expression_trace`` compiles once."""
+    A call compiles the tree each time and evaluates it at ``s`` as numpy
+    floats, so 0/0 is NaN as in ``expression_trace``, which compiles once."""
 
     op: str
     args: tuple = ()
@@ -63,7 +64,8 @@ class Node(NamedTuple):
     offset: int = 0
 
     def __call__(self, s, side_length):
-        return _compile(self, {})(s, side_length)
+        with np.errstate(all="ignore"):
+            return _compile(self, {})(np.asarray(s, dtype=float)[()], side_length)
 
     def diff(self) -> "Node":
         """d/ds of this node, as a tree."""

@@ -9,8 +9,9 @@ lower ray arg k = 7 pi/6 carries t < 0, with radius r(t) =
     D+ = { pi/6 < arg k < 7 pi/6 },      D- = the complement,
 
 and the solvers below combine a contour integral of the known part of an
-eliminated global relation with residue sums over the mode roots in each
-half-plane.  Two entry points:
+eliminated global relation (for the mixed problem the cycle walk of
+``relations.ScaledElimination``, re-exported here) with residue sums over
+the mode roots in each half-plane.  Two entry points:
 
 * ``symmetric_dirichlet_integral`` -- the residue/contour form of the
   symmetric Dirichlet Neumann trace (dual to the series solver);
@@ -33,10 +34,10 @@ from .errors import AccuracyError, DomainError, ParameterError, RootFindError
 from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
 from .problems import BCKind, ProblemSpec
 from .quadrature import QuadratureRule
-from .relations import ARG_FACTORS, ELIMINATION_CYCLE, RELATION_ROWS, ProblemSamplers
+from .relations import ScaledElimination  # re-exported: callers patch and import it here
 from .scaledc import Scaled
 from .series import _mode_roots, _newton, _rotations, quadratic_mode_root
-from .spectral import Kind, SideSampler, transforms
+from .spectral import Kind, SideSampler
 from .symbols import SideSymbol
 from .traces import ContourResidueTrace
 
@@ -438,52 +439,6 @@ def _audit_root_count(ks, lam: float, side_length: float, edges):
         )
 
 
-class ScaledElimination:
-    """T(k)/(H_2(abar k) D(k)) in exponent-carrying arithmetic.
-
-    Walking the 6-cycle of the global-relation rows (``ELIMINATION_CYCLE``)
-    by back-substitution expresses Y_2(abar k) through the data transforms
-    alone; every intermediate is a ratio of well-scaled quantities, which
-    keeps the result relatively accurate at arbitrarily large |k| (or near
-    k = 0), where the plain double-precision solve of the assembled system
-    loses all digits to its exponential dynamic range.
-    """
-
-    def __init__(self, problem: ProblemSpec):
-        self.lam = problem.lam
-        self.side_length = problem.side_length
-        self._samplers = ProblemSamplers(problem)
-
-    def inhom(self, k) -> Scaled:
-        """The inhomogeneity at a scalar k or elementwise over an array of k."""
-        k_arr = np.asarray(k, dtype=complex).ravel()
-        fac = self.side_length / (2.0 * SQRT3)
-        syms, data, scale = self._samplers.symbols, self._samplers.data, self._samplers.scale
-        # F_j(alpha^u k) enters one base and one conjugate row each
-        f = transforms(data, np.multiply.outer(ARG_FACTORS, k_arr))
-        coeffs, rhs = [], []
-        for row in RELATION_ROWS:
-            sign = 1j if row.conj else -1j
-            row_coeffs, row_rhs = [], Scaled.of(0.0)
-            for j, factor, u in row.terms:
-                arg = factor * k_arr
-                pref = Scaled.from_exp(mu(sign * arg, self.lam) * fac)
-                sym = syms[j - 1]
-                row_coeffs.append(pref * (sym.hbar(arg) if row.conj else sym.h(arg)))
-                row_rhs = row_rhs + pref * (scale[j - 1] * f[j - 1, u])
-            coeffs.append(row_coeffs)
-            rhs.append(row_rhs)
-
-        prod = Scaled.of(1.0)
-        acc = Scaled.of(0.0)
-        for r, own, nxt in ELIMINATION_CYCLE:
-            c_self = coeffs[r][own]
-            acc = acc + prod * (-(rhs[r] / c_self))
-            prod = prod * (-(coeffs[r][nxt] / c_self))
-        out = acc / (1.0 - prod)
-        return Scaled(out.m.reshape(np.shape(k)), out.sigma.reshape(np.shape(k)))
-
-
 def root_circle_radius(k0, lam: float, side_length: float):
     """Safe residue-circle radius around each D-root in ``k0``.
 
@@ -556,13 +511,15 @@ def _validate_mixed(problem: ProblemSpec):
         raise ParameterError("the mixed Neumann-Robin solver requires lambda > 0")
     sides = problem.sides
     g = math.sqrt(3.0 * lam)
+    # the mode roots are those of beta = pi/2 on every side
     ok = (
         sides[0].kind in (BCKind.ROBIN, BCKind.POINCARE)
+        and abs(sides[0].beta - math.pi / 2.0) <= 1e-10
         and abs(sides[0].gamma - g) <= 1e-10 * max(1.0, g)
         and sides[1].kind == BCKind.NEUMANN
         and sides[2].kind == BCKind.NEUMANN
     )
     if not ok:
         raise ParameterError(
-            "expected Robin gamma = sqrt(3 lambda) on side 1 and Neumann on sides 2, 3"
+            "expected Robin beta = pi/2, gamma = sqrt(3 lambda) on side 1 and Neumann on sides 2, 3"
         )

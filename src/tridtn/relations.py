@@ -1,5 +1,5 @@
-"""The global relation: rho functions, residual audits and the 6x9
-relation system with its numeric elimination.
+"""The global relation: rho functions, residual audits, and the one
+assembly and one elimination of its six rows.
 
 For a side triple with spectral functions X_j (PSI for Dirichlet unknowns,
 Y for Poincare-type unknowns) the base relation evaluated at k reads
@@ -8,13 +8,20 @@ Y for Poincare-type unknowns) the base relation evaluated at k reads
 
 with rotation factors (a_1, a_2, a_3) = (1, alpha_bar, alpha), coefficients
 c_j = i/2 (Dirichlet unknowns PSI_j) or c_j = H_j (Poincare unknowns Y_j),
-and known parts g_j = PHI_j resp. F_j + C_j.  The Schwarz-conjugate relation
-(valid for real data) replaces E(-i .) by E(+i .), H by Hbar, C by Cbar and
-rotates with (1, alpha, alpha_bar).  Evaluating both families at k, alpha k,
-alpha_bar k yields six equations in the nine unknowns X_j at the three
-rotated arguments; eliminating the six unknowns at alpha k and alpha_bar k
-expresses X_2(alpha_bar k) through the three X_j(k), which is the numeric
-counterpart of the closed-form elimination identity.
+and known parts g_j = PHI_j resp. F_j + C_j, with the corner term
+C_j(k) = (e^{i beta}/(2 sin beta)) [e(-k) q(-l/2) - e(k) q(l/2)].  The
+Schwarz-conjugate relation (valid for real data) replaces E(-i .) by
+E(+i .), i/2 by -i/2, H by Hbar, C by Cbar and rotates with (1, alpha,
+alpha_bar).  Both families at k, alpha k, alpha_bar k are the six rows of
+RELATION_ROWS, in the nine unknowns X_j at the three rotated arguments.
+``relation_rows`` assembles them at arrays of k in ``Scaled`` arithmetic,
+and ``walk_cycle`` eliminates the six unknowns at alpha k and alpha_bar k
+along ELIMINATION_CYCLE, expressing X_2(alpha_bar k) through the three
+X_j(k).  Every user reads these two: the inhomogeneity of the contour
+solvers (``ScaledElimination``), the moments that the series maps and the
+oblique Robin modes read at mode roots (``mode_moment``), and the 6x9
+system (``relation_system``), whose dense solve (``eliminate_second_side``)
+is the reference for the walk.
 """
 from __future__ import annotations
 
@@ -24,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolvabilityError
-from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, exp_E, mu
+from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, mu
 from .problems import ProblemSpec
 from .scaledc import Scaled
-from .spectral import Kind, SideSampler, corner_term, transforms
+from .spectral import Kind, SideSampler, transforms
 
 
 # -- rho functions and the residual audit ----------------------------------
@@ -130,6 +137,137 @@ RELATION_ROWS = _relation_rows()
 ELIMINATION_CYCLE = _elimination_cycle(RELATION_ROWS)
 
 
+# -- one assembly of the six rows, one walk of their cycle ------------------
+_CONJ = np.array([int(row.conj) for row in RELATION_ROWS])
+#: the unknown slot of each row's side-j term, and where that slot is k itself
+_SLOTS = np.array([[u for _, _, u in row.terms] for row in RELATION_ROWS])
+_AT_K = _SLOTS == 0
+
+
+class ProblemSamplers:
+    """Cached data transforms of one problem's sides and the row coefficients
+    of its unknowns: PHI of Dirichlet data, with the unknowns PSI_j at +-i/2,
+    or PSI of Poincare data, whose transform F_j is ``scale[j - 1]`` PSI_j
+    with scale 1/(2 sin beta_j), with the unknowns Y_j at H_j (Hbar_j in the
+    conjugate rows).  ``symbols`` is None for a Dirichlet problem."""
+
+    def __init__(self, problem: ProblemSpec):
+        self.problem = problem
+        self.lam, self.side_length = problem.lam, problem.side_length
+        dirichlet = problem.is_dirichlet
+        kind = Kind.PHI if dirichlet else Kind.PSI
+        self.data = [SideSampler(side.data, kind, self.lam, self.side_length) for side in problem.sides]
+        self.symbols = None if dirichlet else [side.symbol(self.lam) for side in problem.sides]
+        self.scale = np.array(
+            [1.0 if dirichlet else 0.5 / math.sin(side.beta) for side in problem.sides]
+        )
+
+
+def relation_rows(samplers: ProblemSamplers, k, corner_values=None):
+    """The six global-relation rows at every point of the 1-D array ``k``,
+    in exponent-carrying arithmetic: row r of RELATION_ROWS reads
+
+        sum_j coeffs[r, j - 1] X_j(f_rj k) = rhs[r],
+
+    f_rj the factor of its side-j term, with ``coeffs`` of shape (6, 3, N)
+    and ``rhs`` of shape (6, N).  Each term carries the prefactor E(-i f_rj k)
+    (E(+i f_rj k) in the conjugate rows); the right side holds minus the data
+    transforms, plus the corner terms when ``corner_values`` gives each
+    side's (q(-l/2), q(l/2))."""
+    lam, l = samplers.lam, samplers.side_length
+    args = np.multiply.outer(ARG_FACTORS, k)
+    # the six prefactors, E(-i a) and E(+i a) at a = ARG_FACTORS[slot] k
+    pref = Scaled.from_exp(mu(np.multiply.outer((-1j, 1j), args), lam) * (l / (2.0 * SQRT3)))
+    known = transforms(samplers.data, args) * samplers.scale[:, None, None]
+    conj, sides = _CONJ[:, None], np.arange(3)
+    pref = pref[conj, _SLOTS]
+    if samplers.symbols is None:
+        coeffs = pref * np.where(_CONJ, -0.5j, 0.5j)[:, None, None]
+    else:
+        h = np.array(
+            [[(sym.hbar if c else sym.h)(args) for sym in samplers.symbols] for c in (0, 1)]
+        )
+        coeffs = pref * h[conj, sides, _SLOTS]
+    terms = pref * known[sides, _SLOTS]
+    if corner_values is not None:
+        # C_j(a) = (e^{+-i beta_j}/(2 sin beta_j)) [e(-a) q_j(-l/2) - e(a) q_j(l/2)]
+        q = np.asarray(corner_values, dtype=float)[:, :, None, None]
+        half = mu(args, lam) * (l / 2.0)
+        edges = Scaled.from_exp(-half) * q[:, 0] - Scaled.from_exp(half) * q[:, 1]
+        beta = np.array([side.beta for side in samplers.problem.sides])
+        phase = np.exp(np.multiply.outer((1j, -1j), beta)) * samplers.scale
+        terms = terms + pref * (phase[:, :, None, None] * edges)[conj, sides, _SLOTS]
+    return coeffs, -(terms[:, 0] + terms[:, 1] + terms[:, 2])
+
+
+def walk_cycle(coeffs, rhs):
+    """Eliminate the six unknowns at alpha k and alpha_bar k from the rows
+    (``relation_rows``) by walking ELIMINATION_CYCLE from X_2(abar k): each
+    row gives its own unknown through the next one, so with ``prod`` the
+    product of the six coupling ratios
+
+        X_2(abar k) (1 - prod) = acc,
+
+    the terms of the unknowns at k left in ``rhs``.  ``rhs`` stacks any
+    number of right-hand sides, shape (6, ...) broadcasting against k."""
+    prod, acc = Scaled.of(1.0), Scaled.of(0.0)
+    for r, own, nxt in ELIMINATION_CYCLE:
+        c_self = coeffs[r, own]
+        acc = acc + prod * (rhs[r] / c_self)
+        prod = prod * (-(coeffs[r, nxt] / c_self))
+    return acc, prod
+
+
+def eliminate_rows(samplers: ProblemSamplers, k):
+    """(acc, couplings, prod) with X_2(abar k)(1 - prod) = acc + sum_j
+    couplings[j - 1] X_j(k) at every point of the 1-D array ``k``: the data
+    and the three unknowns at k walk the cycle as four stacked right-hand
+    sides, each unknown's column holding minus its coefficient in the two
+    rows that read it at k and an exact zero (sigma = -inf) in the others."""
+    coeffs, rhs = relation_rows(samplers, k)
+    at_k = _AT_K[..., None]
+    stacked = Scaled(
+        np.concatenate([rhs.m[:, None], np.where(at_k, -coeffs.m, 0.0)], axis=1),
+        np.concatenate([rhs.sigma[:, None], np.where(at_k, coeffs.sigma, -np.inf)], axis=1),
+    )
+    acc, prod = walk_cycle(coeffs, stacked)
+    return acc[0], acc[1:], prod
+
+
+def mode_moment(problem: ProblemSpec, k) -> Scaled:
+    """The moment sum_j (A_j scale_j)/(A_1 scale_1) PSI_j(k) of the unknown
+    traces (Neumann for a Dirichlet problem, Dirichlet for a Poincare one),
+    X_j = scale_j PSI_j, at mode roots ``k`` (a 1-D array): there the loop
+    product is 1, the eliminated relation leaves 0 = acc + sum_j A_j X_j(k),
+    and the moment is -acc/(A_1 scale_1)."""
+    samplers = ProblemSamplers(problem)
+    acc, couplings, _ = eliminate_rows(samplers, k)
+    return -acc / (couplings[0] * samplers.scale[0])
+
+
+class ScaledElimination:
+    """The inhomogeneity of the eliminated relation, X_2(abar k) at zero
+    unknowns X_j(k), acc/(1 - prod) of the cycle walk over the data column;
+    for a Poincare problem it is T(k)/(H_2(abar k) D(k)).
+
+    Every intermediate of the walk is a ratio of well-scaled quantities,
+    which keeps the result relatively accurate at arbitrarily large |k| (or
+    near k = 0), where the plain double-precision solve of the assembled
+    system (``eliminate_second_side``) loses all digits to its exponential
+    dynamic range.
+    """
+
+    def __init__(self, problem: ProblemSpec):
+        self._samplers = ProblemSamplers(problem)
+
+    def inhom(self, k) -> Scaled:
+        """The inhomogeneity at a scalar k or elementwise over an array of k."""
+        k = np.asarray(k, dtype=complex)
+        acc, prod = walk_cycle(*relation_rows(self._samplers, k.ravel()))
+        out = acc / (1.0 - prod)
+        return Scaled(out.m.reshape(k.shape), out.sigma.reshape(k.shape))
+
+
 # -- the 6x9 relation system ----------------------------------------------
 @dataclass(frozen=True)
 class RelationSystem:
@@ -143,31 +281,11 @@ class RelationSystem:
     row_labels: tuple
 
 
-def _column(side_j: int, arg_slot: int) -> int:
-    return 3 * arg_slot + (side_j - 1)
-
-
-class ProblemSamplers:
-    """Cached data transforms of one problem's side data: PHI of Dirichlet
-    data, or PSI of Poincare data, whose transform F_j is
-    ``scale[j - 1]`` PSI_j with scale 1/(2 sin beta_j)."""
-
-    def __init__(self, problem: ProblemSpec):
-        self.problem = problem
-        lam, l = problem.lam, problem.side_length
-        sides = [problem.side(j) for j in (1, 2, 3)]
-        self.kind = "dirichlet" if problem.is_dirichlet else "poincare"
-        kind = Kind.PHI if problem.is_dirichlet else Kind.PSI
-        self.data = [SideSampler(side.data, kind, lam, l) for side in sides]
-        if not problem.is_dirichlet:
-            self.scale = [1.0 / (2.0 * math.sin(side.beta)) for side in sides]
-            self.symbols = [side.symbol(lam) for side in sides]
-
-
 def relation_system(
     problem: ProblemSpec, k: complex, corner_values=None
 ) -> RelationSystem:
-    """Assemble the 6x9 global-relation system at spectral point k.
+    """The 6x9 global-relation system at spectral point k, filled from
+    ``relation_rows``.
 
     ``corner_values``: optional per-side (q(-l/2), q(l/2)) triples for the
     corner terms of Poincare-type rows.  When omitted, the corner terms are
@@ -177,35 +295,18 @@ def relation_system(
     if k == 0:
         raise DomainError("relation system undefined at k = 0")
     samplers = ProblemSamplers(problem)
-    lam, l = problem.lam, problem.side_length
-    report = problem.admissibility()
-    if samplers.kind == "poincare" and corner_values is None:
-        if not report.corner_cancelling:
+    dirichlet = samplers.symbols is None
+    if not dirichlet and corner_values is None:
+        if not problem.admissibility().corner_cancelling:
             raise SolvabilityError(
                 "corner terms do not cancel; corner_values are required"
             )
-
-    # data transforms per side j at every argument ARG_FACTORS[slot] k
-    data = transforms(samplers.data, np.array(ARG_FACTORS) * k).to_complex()
+    coeffs, rhs = relation_rows(samplers, np.array([k], dtype=complex), corner_values)
     matrix = np.zeros((6, 9), dtype=complex)
-    rhs = np.zeros(6, dtype=complex)
-    for r, row in enumerate(RELATION_ROWS):
-        for j, factor, slot in row.terms:
-            arg = factor * k
-            pref = exp_E((1j if row.conj else -1j) * arg, lam, l)
-            known = data[j - 1, slot]
-            if samplers.kind == "dirichlet":
-                matrix[r, _column(j, slot)] += pref * (-0.5j if row.conj else 0.5j)
-            else:
-                sym = samplers.symbols[j - 1]
-                matrix[r, _column(j, slot)] += pref * (sym.hbar(arg) if row.conj else sym.h(arg))
-                known = samplers.scale[j - 1] * known
-                if corner_values is not None:
-                    q, beta = corner_values[j - 1], problem.side(j).beta
-                    known += corner_term(*q, arg, lam, l, beta, conjugated=row.conj)
-            rhs[r] -= pref * known
+    # X_j(ARG_FACTORS[slot] k) is column 3 slot + j - 1
+    matrix[np.arange(6)[:, None], 3 * _SLOTS + np.arange(3)] = coeffs.to_complex()[..., 0]
     labels = tuple(
-        f"{'PSI' if samplers.kind == 'dirichlet' else 'Y'}{j}({_ARG_NAMES[slot]})"
+        f"{'PSI' if dirichlet else 'Y'}{j}({_ARG_NAMES[slot]})"
         for slot in range(3)
         for j in (1, 2, 3)
     )
@@ -214,7 +315,7 @@ def relation_system(
         for row in RELATION_ROWS
     )
     return RelationSystem(
-        matrix=matrix, rhs=rhs, unknown_labels=labels, row_labels=row_labels
+        matrix=matrix, rhs=rhs.to_complex()[:, 0], unknown_labels=labels, row_labels=row_labels
     )
 
 
@@ -232,7 +333,8 @@ def eliminate_second_side(
     problem: ProblemSpec, k: complex, corner_values=None
 ) -> Elimination:
     """Solve the six relations for the unknowns at alpha k / alpha_bar k and
-    return the row expressing X_2(alpha_bar k) through the X_j(k)."""
+    return the row expressing X_2(alpha_bar k) through the X_j(k): the dense
+    reference for the cycle walk."""
     system = relation_system(problem, k, corner_values=corner_values)
     mat, rhs = system.matrix, system.rhs
     scale = np.max(np.abs(mat), axis=1)
@@ -241,7 +343,7 @@ def eliminate_second_side(
     rhs = rhs / scale
     a = mat[:, 3:9]
     b = mat[:, 0:3]
-    target = _column(2, 2) - 3  # X_2(abar k) within the eliminated block
+    target = 4  # X_2(abar k), column 3 * 2 + 1 of the system
     sol_inhom = np.linalg.solve(a, rhs)
     sol_coupling = np.linalg.solve(a, b)
     cond = float(np.linalg.cond(a))

@@ -22,9 +22,12 @@ move to transcendental points: ``robin_mode_root`` tracks them from the
 gamma = 0 seeds and ``robin_moment`` returns the generalized moment of the
 unknown Dirichlet traces at such a mode.
 
-All coefficient formulas are assembled in exponent-carrying (``Scaled``)
-arithmetic, since the individual e/E factors overflow double precision long
-before the coefficient ratios do.
+The general maps and the Robin moments read one formula: at a mode root
+the cycle walk of the six global-relation rows (``relations.mode_moment``)
+leaves 0 = acc + sum_j A_j X_j(k), and the moment of the unknowns is
+-acc/(A_1 scale_1), all in exponent-carrying (``Scaled``) arithmetic, since
+the individual e/E factors overflow double precision long before the
+ratios do.
 """
 from __future__ import annotations
 
@@ -34,10 +37,12 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, ParameterError, ResonanceError, RootFindError, SolvabilityError
-from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
-from .scaledc import Scaled
+from .geometry import ALPHA, ALPHA_BAR, SQRT3, TriangleGeometry, mu
+from .problems import BCKind, ProblemSpec, SideCondition, dirichlet_problem, neumann_problem
 from .quadrature import QuadratureRule
-from .spectral import Kind, SideSampler, series_legendre, transforms
+from .relations import mode_moment
+from .scaledc import Scaled
+from .spectral import Kind, SideSampler, series_legendre
 from .symbols import SideSymbol
 from .traces import FourierSeriesTrace
 
@@ -89,20 +94,9 @@ def _e_scaled(k, lam, side_length) -> Scaled:
     return Scaled.from_exp(mu(k, lam) * (side_length / 2.0))
 
 
-def _big_e_scaled(k, lam, side_length) -> Scaled:
-    """E(k) = exp(mu(k) l / (2 sqrt(3))) as a Scaled value."""
-    return Scaled.from_exp(mu(k, lam) * (side_length / (2.0 * SQRT3)))
-
-
 def _rotations(k):
     """The rotated arguments k, alpha_bar k, alpha k, stacked."""
     return np.stack([k, ALPHA_BAR * k, ALPHA * k])
-
-
-def _transforms_by_argument(samplers, k):
-    """The samplers' transforms at each of ``_rotations(k)``, in one call."""
-    values = transforms(samplers, _rotations(np.asarray(k, dtype=complex)))
-    return values[:, 0], values[:, 1], values[:, 2]
 
 
 def _finalize(side, side_length, modes, coeffs) -> FourierSeriesTrace:
@@ -160,22 +154,6 @@ def symmetric_dirichlet_dtn(
     return _finalize(1, side_length, 3 * n, coeffs)
 
 
-def _chain_traces(side_length, modes, m_coeffs):
-    """Distribute the shared coefficient sequence to the three sides."""
-    modes = np.asarray(modes, dtype=int)
-    m_coeffs = np.asarray(m_coeffs, dtype=complex)
-    out = []
-    for side in (1, 2, 3):
-        c1, c2 = CHAIN_WEIGHTS[side]
-        weight = np.where(
-            modes % 3 == 0, 1.0, np.where(modes % 3 == 2, c1, c2)
-        ).astype(complex)
-        out.append(
-            _finalize(side, side_length, modes, weight * m_coeffs / (3.0 * side_length))
-        )
-    return tuple(out)
-
-
 def _mode_denominator(m, k, lam, side_length):
     """alpha_bar^m e(alpha_bar k) - e(-alpha_bar k), Scaled, with resonance test."""
     e_plus = _e_scaled(ALPHA_BAR * k, lam, side_length)
@@ -183,6 +161,27 @@ def _mode_denominator(m, k, lam, side_length):
     den = (ALPHA_BAR**m) * e_plus - e_minus
     scale = np.maximum(e_plus.abs_log(), e_minus.abs_log())
     return den, den.abs_log() < math.log(RESONANCE_RTOL) + scale
+
+
+def _chain_series(problem: ProblemSpec, m_max: int):
+    """The three traces of the period-3l coefficient sequence that the sides
+    share through CHAIN_WEIGHTS: at each live mode, the moment of the
+    unknowns (``relations.mode_moment``), after the resonance test and, for
+    Neumann data, the flux check; a mode without a root keeps 0."""
+    lam, l, dirichlet = problem.lam, problem.side_length, problem.is_dirichlet
+    m, live, k = _series_mode_roots(lam, l, 3.0 * l, m_max)
+    if not dirichlet:
+        _check_flux([side.data for side in problem.sides], lam, l, at_zero=not live[m_max])
+    _, resonant = _mode_denominator(m[live], k, lam, l)
+    _check_resonance(resonant, m[live], "Dirichlet" if dirichlet else "Neumann")
+    moments = np.zeros(m.shape, dtype=complex)
+    moments[live] = mode_moment(problem, k).to_complex()
+    out = []
+    for side in (1, 2, 3):
+        c1, c2 = CHAIN_WEIGHTS[side]
+        weight = np.where(m % 3 == 0, 1.0, np.where(m % 3 == 2, c1, c2))
+        out.append(_finalize(side, l, m, weight * moments / (3.0 * l)))
+    return tuple(out)
 
 
 def general_dirichlet_dtn(
@@ -198,27 +197,7 @@ def general_dirichlet_dtn(
     """
     if len(data) != 3:
         raise ParameterError("expected one Dirichlet trace per side")
-    f = [SideSampler(t, Kind.PHI, lam, side_length) for t in data]
-    m, live, k = _series_mode_roots(lam, side_length, 3.0 * side_length, m_max)
-    den, resonant = _mode_denominator(m[live], k, lam, side_length)
-    _check_resonance(resonant, m[live], "Dirichlet")
-    a, ab = ALPHA * k, ALPHA_BAR * k
-    ep = _e_scaled(k, lam, side_length)
-    em = _e_scaled(-k, lam, side_length)
-    ep_ab = _e_scaled(ab, lam, side_length)
-    em_ab = _e_scaled(-ab, lam, side_length)
-    f_k, f_ab, f_a = _transforms_by_argument(f, k)
-    x = (em * em * ep_ab + em_ab) * (f_k[0] + ep * ep * f_k[2])
-    x = x + em * em * (em * em * ep_ab * ep**6 + em_ab) * f_k[1]
-    x = x + 2.0 * ep * ep * f_a[0] + 2.0 * f_a[1] + 2.0 * em * em * f_a[2]
-    x = x + em**3 * (
-        2.0 * ep * ep * f_ab[0]
-        + (ep**6 + 1.0) * f_ab[1]
-        + 2.0 * em * em * ep**6 * f_ab[2]
-    )
-    m_coeffs = np.zeros(m.shape, dtype=complex)
-    m_coeffs[live] = (2j * x / den).to_complex()
-    return _chain_traces(side_length, m, m_coeffs)
+    return _chain_series(dirichlet_problem(lam, TriangleGeometry(side_length), data), m_max)
 
 
 def neumann_to_dirichlet(
@@ -237,29 +216,7 @@ def neumann_to_dirichlet(
     """
     if len(data) != 3:
         raise ParameterError("expected one Neumann trace per side")
-    f = [SideSampler(t, Kind.PSI, lam, side_length) for t in data]
-    m, live, k = _series_mode_roots(lam, side_length, 3.0 * side_length, m_max)
-    _check_flux(data, lam, side_length, at_zero=not live[m_max])
-    den, resonant = _mode_denominator(m[live], k, lam, side_length)
-    _check_resonance(resonant, m[live], "Neumann")
-    a, ab = ALPHA * k, ALPHA_BAR * k
-    ep = _e_scaled(k, lam, side_length)
-    em = _e_scaled(-k, lam, side_length)
-    e3a_m = _big_e_scaled(-1j * a, lam, side_length) ** 3
-    e3a_p = _big_e_scaled(1j * a, lam, side_length) ** 3
-    e3ab_m = _big_e_scaled(-1j * ab, lam, side_length) ** 3
-    e3ab_p = _big_e_scaled(1j * ab, lam, side_length) ** 3
-    f_k, f_ab, f_a = _transforms_by_argument(f, k)
-    rhs = em * (e3a_m + e3a_p) * f_k[0]
-    rhs = rhs + (e3ab_m + e3ab_p) * f_k[1]
-    rhs = rhs + ep * (e3a_m + e3a_p) * f_k[2]
-    rhs = rhs + 2.0 * ep * ep * f_a[0] + 2.0 * f_a[1] + 2.0 * em * em * f_a[2]
-    rhs = rhs + 2.0 * em * f_ab[0] + (ep**3 + em**3) * f_ab[1] + 2.0 * ep * f_ab[2]
-    # the Neumann data transforms F_j = PSI_j / (2 sin(pi/2)) = PSI_j / 2
-    t_n = -0.5 * rhs / mu(1j * k, lam)
-    n_coeffs = np.zeros(m.shape, dtype=complex)
-    n_coeffs[live] = (2.0 * t_n / den).to_complex()
-    return _chain_traces(side_length, m, n_coeffs)
+    return _chain_series(neumann_problem(lam, TriangleGeometry(side_length), data), m_max)
 
 
 def _check_flux(data, lam: float, side_length: float, at_zero: bool):
@@ -345,32 +302,6 @@ def _newton(step, x, iterations: int, tol: float):
     return x, False
 
 
-def oblique_robin_t(k, f_samplers, lam: float, side_length: float, beta: float, gamma: float):
-    """The known forcing T(k) of the oblique Robin elimination, Scaled.
-
-    ``f_samplers`` are the three PSI samplers of the Poincare data, whose
-    transforms F_j are PSI_j/(2 sin beta); beta and gamma must be shared by
-    the three sides.
-    """
-    sym = SideSymbol(lam, beta, gamma)
-    a, ab = ALPHA * k, ALPHA_BAR * k
-    pa, pab = sym.p(a), sym.p(ab)
-    ep = _e_scaled(k, lam, side_length)
-    em = _e_scaled(-k, lam, side_length)
-    e3 = lambda kk: _big_e_scaled(kk, lam, side_length) ** 3
-    f_k, f_ab, f_a = _transforms_by_argument(f_samplers, k)
-    combo = em * (e3(-1j * a) - (pab / pa**2) * e3(1j * a)) * f_k[0]
-    combo = combo + ((pab / pa) * e3(-1j * ab) - (1.0 / pab) * e3(1j * ab)) * f_k[1]
-    combo = combo + ep * ((pa / pab) * e3(-1j * a) - (1.0 / pa) * e3(1j * a)) * f_k[2]
-    combo = combo + ((pa - 1.0) / pab) * ep * ep * f_a[0]
-    combo = combo + ((pa - 1.0) / pa) * f_a[1]
-    combo = combo + (pab * (pa - 1.0) / pa**2) * em * em * f_a[2]
-    combo = combo + ((pab - 1.0) / pa) * em * f_ab[0]
-    combo = combo + ((pa / pab) * ep**3 - (pab / pa**2) * em**3) * f_ab[1]
-    combo = combo + ((pab - 1.0) / pab) * ep * f_ab[2]
-    return combo / (2.0 * math.sin(beta) * sym.hbar(k))
-
-
 def robin_moment(
     m: int,
     data,
@@ -390,13 +321,7 @@ def robin_moment(
     """
     if len(data) != 3:
         raise ParameterError("expected one data trace per side")
-    if math.sin(beta) == 0.0:
-        raise ParameterError("sin(beta) must be nonzero")
+    sides = tuple(SideCondition(BCKind.POINCARE, t, beta=beta, gamma=gamma) for t in data)
+    problem = ProblemSpec(lam, TriangleGeometry(side_length), sides)
     k = robin_mode_root(m, lam, side_length, beta, gamma)
-    sym = SideSymbol(lam, beta, gamma)
-    f = [SideSampler(t, Kind.PSI, lam, side_length) for t in data]
-    t_val = oblique_robin_t(k, f, lam, side_length, beta, gamma)
-    den = (ALPHA_BAR**m) * (sym.p(k) / sym.p(ALPHA * k)) * _e_scaled(
-        ALPHA_BAR * k, lam, side_length
-    ) - _e_scaled(-ALPHA_BAR * k, lam, side_length)
-    return k, (2.0 * math.sin(beta) * t_val / den).to_complex()
+    return k, mode_moment(problem, np.array([k]))[0].to_complex()

@@ -9,10 +9,7 @@ side of exp(mu(k) s), mu(k) = k + lambda/k, against the trace g,
 PSI depends on k only through mu(k) and is therefore invariant under
 k -> lambda/k; PHI carries an explicit lambda/k term and is not.  The data
 transform F_j of a Poincare-type side and the unknown Y_j are PSI/(2 sin
-beta), a factor that the callers who know beta apply.  The corner term of a
-Poincare-type side is
-
-    C(k) = (e^{i beta}/(2 sin beta)) [e(-k) q(-l/2) - e(k) q(l/2)].
+beta), a factor that the callers who know beta apply.
 
 Both kinds are views of one Legendre series per trace, in x = s/(l/2):
 one column for g and, the first time a PHI view asks for it, one for g'.
@@ -47,7 +44,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, ParameterError
-from .geometry import exp_e, mu
+from .geometry import mu
 from .quadrature import QuadratureRule
 from .scaledc import Scaled
 from .traces import ContourResidueTrace, FourierSeriesTrace
@@ -384,21 +381,3 @@ def transforms(samplers, k) -> Scaled:
     sigma = np.abs(z.real) + np.array([log_scale for _, log_scale in series])[:, None]
     shape = (len(samplers),) + k.shape
     return Scaled(m.reshape(shape), sigma.reshape(shape))
-
-
-def corner_term(q_lo, q_hi, k, lam, side_length, beta, conjugated: bool = False):
-    """Corner term C(k) of a Poincare-type side.
-
-    ``q_lo`` and ``q_hi`` are the values q(-l/2) and q(l/2) of the side's
-    Dirichlet trace.  With ``conjugated=True`` the Schwarz-conjugate variant
-    (e^{-i beta} prefactor) is returned, as needed in the conjugated
-    relation rows for real data.
-    """
-    _check_k(k)
-    sb = math.sin(beta)
-    if sb == 0.0:
-        raise ParameterError("sin(beta) must be nonzero")
-    phase = np.exp(-1j * beta) if conjugated else np.exp(1j * beta)
-    return (phase / (2.0 * sb)) * (
-        exp_e(-k, lam, side_length) * q_lo - exp_e(k, lam, side_length) * q_hi
-    )

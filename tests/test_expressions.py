@@ -87,6 +87,17 @@ def test_constant_division_by_zero_follows_numpy():
                           equal_nan=True)
 
 
+
+def test_tree_call_follows_numpy_at_a_python_float():
+    # a tree called at a Python float evaluates at a numpy float, as
+    # expression_trace does at its arrays: 0/0 is NaN and 1/0 is inf
+    got = parse_expression("s/s")(0.0, 1.0)
+    assert isinstance(got, np.float64) and np.isnan(got)
+    assert parse_expression("1/(s-s)")(0.3, 1.0) == np.inf
+    assert np.isnan(expression_trace("s/s", 1, 1.0)(0.0))
+    assert type(parse_expression("s")(0.3, 1.0)) is np.float64
+
+
 @given(
     s=st.floats(-0.5, 0.5),
     text=st.sampled_from(

@@ -324,6 +324,26 @@ def test_mixed_nr_requires_matching_gamma(geom):
         mixed_nr_trace(problem, count=4)
 
 
+def test_mixed_nr_requires_a_normal_derivative_on_side_1(geom):
+    # an oblique Poincare side 1 with the matching gamma: the mode roots are
+    # those of beta = pi/2, so beta = 1.0 would err by 9e-2 without a word
+    lam = 1.0
+    sol, problem = _mixed_problem(geom, lam)
+    from tridtn.problems import BCKind, ProblemSpec, SideCondition
+
+    gamma = math.sqrt(3.0 * lam)
+    for beta, raises in ((1.0, True), (math.pi / 2.0, False)):
+        side1 = SideCondition(
+            BCKind.POINCARE, poincare_trace(sol, geom, 1, beta, gamma), beta=beta, gamma=gamma
+        )
+        oblique = ProblemSpec(lam=lam, geometry=geom, sides=(side1,) + problem.sides[1:])
+        if raises:
+            with pytest.raises(ParameterError, match="beta = pi/2"):
+                mixed_nr_trace(oblique, count=4, t_factor=4.0)
+        else:
+            mixed_nr_trace(oblique, count=4, t_factor=4.0)
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_folded_contour_trace_matches_unfolded_sum(lam, rng):
     grids, _ = poincare._ray_grids(lam, 1.0, poincare.T_FACTOR, poincare.PANEL_ORDER)

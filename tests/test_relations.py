@@ -7,12 +7,14 @@ from tridtn.errors import DomainError, NonFiniteError
 from tridtn.expressions import expression_trace
 from tridtn.geometry import ALPHA, ALPHA_BAR, TriangleGeometry
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
-from tridtn.problems import ProblemSpec, SideCondition, BCKind, dirichlet_problem
+from tridtn.problems import ProblemSpec, SideCondition, BCKind, dirichlet_problem, mixed_nr_problem
 from tridtn.relations import (
     ARG_FACTORS,
     ELIMINATION_CYCLE,
     RELATION_ROWS,
     GlobalRelation,
+    ProblemSamplers,
+    eliminate_rows,
     eliminate_second_side,
     relation_system,
 )
@@ -188,3 +190,63 @@ def test_poincare_rows_need_corner_values(geom):
         )
         resid = system.matrix @ x - system.rhs
         assert np.max(np.abs(resid)) <= 1e-10 * max(1.0, np.max(np.abs(system.rhs)))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_scaled_elimination_of_a_dirichlet_problem_matches_the_dense_solve(geom, rng, lam):
+    """The cycle walk over Dirichlet rows (unknowns PSI_j at +-i/2) gives the
+    inhomogeneity of the dense 6x6 elimination, and its couplings
+    A_j/(1 - prod) the dense coefficients."""
+    from tridtn.poincare import ScaledElimination
+
+    d, _ = all_traces(manufactured_families(lam)[1], geom)
+    problem = dirichlet_problem(lam, geom, d)
+    ks = spectral_points(rng, 12)
+    got = ScaledElimination(problem).inhom(ks).to_complex()
+    acc, couplings, prod = eliminate_rows(ProblemSamplers(problem), ks)
+    coeffs = (couplings / (1.0 - prod)).to_complex()
+    assert np.allclose((acc / (1.0 - prod)).to_complex(), got, rtol=1e-14, atol=0.0)
+    for i, k in enumerate(ks):
+        want = eliminate_second_side(problem, k)
+        assert abs(got[i] - want.inhom) <= 1e-10 * abs(want.inhom)
+        assert np.allclose(coeffs[:, i], want.coeffs, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+def test_cycle_at_the_general_mode_roots(geom, lam):
+    """At k + lambda/k = 2 pi i m/(3 l) the loop product is 1, and the
+    couplings A_j/A_1 are the inverses of the chain weights that distribute
+    the shared coefficients to the sides."""
+    from tridtn.series import CHAIN_WEIGHTS, _series_mode_roots
+
+    d, _ = all_traces(manufactured_families(lam)[0], geom)
+    m, live, k = _series_mode_roots(lam, 1.0, 3.0, 96)
+    _, couplings, prod = eliminate_rows(ProblemSamplers(dirichlet_problem(lam, geom, d)), k)
+    assert np.max(np.abs(prod.to_complex() - 1.0)) < 1e-12
+    m = m[live]
+    for side in (2, 3):
+        c1, c2 = CHAIN_WEIGHTS[side]
+        weight = np.where(m % 3 == 0, 1.0, np.where(m % 3 == 2, c1, c2))
+        ratio = (couplings[side - 1] / couplings[0]).to_complex()
+        assert np.max(np.abs(ratio * weight - 1.0)) < 1e-12
+
+
+def test_rows_are_assembled_once_for_every_user(geom, rng, monkeypatch):
+    """The 6x9 system, the series maps, the Robin moments and the mixed
+    inhomogeneity all read ``relation_rows``."""
+    from tridtn import relations
+    from tridtn.poincare import ScaledElimination
+    from tridtn.series import neumann_to_dirichlet, robin_moment
+
+    calls = []
+    rows = relations.relation_rows
+    monkeypatch.setattr(relations, "relation_rows", lambda *a, **kw: calls.append(1) or rows(*a, **kw))
+    sol = manufactured_families(1.0)[0]
+    d, n = all_traces(sol, geom)
+    relation_system(dirichlet_problem(1.0, geom, d), 1.0 + 0.5j)
+    general_dirichlet_dtn(d, 1.0, 1.0, m_max=4)
+    neumann_to_dirichlet(n, 1.0, 1.0, m_max=4)
+    robin_moment(1, [poincare_trace(sol, geom, j, 1.0, 0.5) for j in (1, 2, 3)], 1.0, 1.0, 1.0, 0.5)
+    robin = poincare_trace(sol, geom, 1, math.pi / 2.0, math.sqrt(3.0))
+    ScaledElimination(mixed_nr_problem(1.0, geom, robin, n[1], n[2])).inhom(spectral_points(rng, 3))
+    assert len(calls) == 5

@@ -97,6 +97,13 @@ def test_symmetric_generic_rate_is_algebraic(geom):
     assert errs[0] / errs[2] < 64.0
 
 
+def _largest(traces, s):
+    """The largest |value| of the three exact traces on the grid: the
+    corner-smooth traces at lambda = 1 are only 2e-7 to 2e-6 in size, so
+    errors are bounded relative to it."""
+    return max(np.max(np.abs(t(s))) for t in traces)
+
+
 @pytest.mark.parametrize("lam", [1.0])
 def test_general_dirichlet_round_trip(lam, geom):
     from tridtn.oracle import corner_smooth_solution
@@ -106,10 +113,10 @@ def test_general_dirichlet_round_trip(lam, geom):
     s = margin_grid()
     qn = general_dirichlet_dtn(d, lam, 1.0, m_max=96)
     for j in range(3):
-        assert np.max(np.abs(qn[j].value(s) - n[j](s))) < 1e-6
+        assert np.max(np.abs(qn[j].value(s) - n[j](s))) < 1e-6 * _largest(n, s)
     back = neumann_to_dirichlet(qn, lam, 1.0, m_max=96)
     for j in range(3):
-        assert np.max(np.abs(back[j].value(s) - d[j](s))) < 1e-5
+        assert np.max(np.abs(back[j].value(s) - d[j](s))) < 1e-5 * _largest(d, s)
 
 
 def test_neumann_to_dirichlet_direct(geom):
@@ -121,7 +128,7 @@ def test_neumann_to_dirichlet_direct(geom):
     qd = neumann_to_dirichlet(n, lam, 1.0, m_max=96)
     s = margin_grid()
     for j in range(3):
-        assert np.max(np.abs(qd[j].value(s) - d[j](s))) < 1e-6
+        assert np.max(np.abs(qd[j].value(s) - d[j](s))) < 1e-6 * _largest(d, s)
 
 
 def test_lambda_zero_flux_compatibility(geom):
@@ -158,7 +165,7 @@ def test_robin_moment_matches_manufactured(lam, beta, gamma, geom):
     d, _ = all_traces(sol, geom)
     data = [poincare_trace(sol, geom, j, beta, gamma) for j in (1, 2, 3)]
     psi = [SideSampler(t, Kind.PSI, lam, 1.0) for t in d]
-    for m in (1, 2, 4, -5):
+    for m in (1, 2, 4, -5, 16, -31):
         k, got = robin_moment(m, data, lam, 1.0, beta, gamma)
         w = np.exp(2j * np.pi * m / 3.0)
         want = psi[0].eval(k) + psi[1].eval(k) / w + w * psi[2].eval(k)
