@@ -99,16 +99,22 @@ def in_upper_half(k, tol: float = 1e-10):
 
 
 def ray_radius(t, lam: float):
-    """Radius r(t) with mu(-i r) = -i t, i.e. r - lambda/r = t, r > 0."""
+    """Radius r(t) with mu(-i r) = -i t, i.e. r - lambda/r = t, r > 0; for
+    t < 0 as 2 lambda/(sqrt(t^2 + 4 lambda) - t), free of cancellation."""
     t = np.asarray(t, dtype=float)
-    return 0.5 * (t + np.sqrt(t * t + 4.0 * lam))
+    root = np.sqrt(t * t + 4.0 * lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t < 0.0, 2.0 * lam / (root - t), 0.5 * (t + root))
 
 
 def contour_nodes(side_length: float, t_factor: float = T_FACTOR, order: int = PANEL_ORDER):
-    """Gauss-Legendre panels on [0, T] with T = t_factor (2 pi / l)."""
-    edges = np.arange(int(round(t_factor)) + 1) * (2.0 * np.pi / side_length)
-    rule = QuadratureRule.panels(edges, order)
-    return rule.nodes, rule.weights
+    """Gauss-Legendre panels of width step = 2 pi / l on [0, T], T = t_factor
+    step, as a lattice: offsets (one panel's nodes), step, and the nodes
+    t[p, j] = offsets[j] + p step and their weights, shaped (panels, order)."""
+    step = 2.0 * np.pi / side_length
+    rule = QuadratureRule.panels((0.0, step), order)
+    t = rule.nodes + step * np.arange(int(round(t_factor)))[:, None]
+    return rule.nodes, step, t, np.broadcast_to(rule.weights, t.shape)
 
 
 def _taper(x):
@@ -128,30 +134,28 @@ def _taper(x):
 
 
 def _ray_grids(lam: float, side_length: float, t_factor: float, order: int):
-    """Fourier nodes per ray: (t, w, k) pairs for the upper and lower ray.
+    """Offsets, step and tapered weights of the ``contour_nodes`` lattice t,
+    the points k (pieces, panels, order) of the Fourier nodes sign * t on
+    the rays, each piece's sign, and the fold factor.
 
     For lam > 0 each ray covers the whole t-line (the radius r(t) runs over
-    all of (0, inf) as t does over R), so both rays carry two-sided grids
-    and the fold factor is 1.  At lam = 0 the upper ray only reaches t >= 0
-    and the lower only t <= 0: each ray is a half-cover and the fold factor
-    doubles.
+    all of (0, inf) as t does over R): four pieces, fold factor 1.  At lam = 0
+    the upper ray only reaches t >= 0 and the lower only t <= 0: each ray is
+    a half-cover and the fold factor doubles.
     """
-    t, w = contour_nodes(side_length, t_factor, order)
-    t_max = t_factor * 2.0 * np.pi / side_length
-    w = w * _taper(t / t_max)
+    offsets, step, t, w = contour_nodes(side_length, t_factor, order)
+    w = w * _taper(t / (t_factor * 2.0 * np.pi / side_length))
     if lam > 0:
-        t_full = np.concatenate([-t[::-1], t])
-        w_full = np.concatenate([w[::-1], w])
-        grids = [
-            (t_full, w_full, ray_radius(t_full, lam) * RAY_UP),
-            (t_full, w_full, ray_radius(-t_full, lam) * RAY_DOWN),
-        ]
-        return grids, 1.0
-    grids = [
-        (t, w, t * RAY_UP),
-        (-t, w, t * RAY_DOWN),
-    ]
-    return grids, 2.0
+        out, inner = ray_radius(t, lam), ray_radius(-t, lam)
+        k = np.stack([out * RAY_UP, inner * RAY_UP, inner * RAY_DOWN, out * RAY_DOWN])
+        return offsets, step, w, k, np.array([1.0, -1.0, 1.0, -1.0]), 1.0
+    return offsets, step, w, np.stack([t * RAY_UP, t * RAY_DOWN]), np.array([1.0, -1.0]), 2.0
+
+
+def _folded(nodes, signs):
+    """Node weights of the pieces of ``_ray_grids`` summed onto the lattice
+    t >= 0, a piece on -t conjugated: Re[w e^{-i t s}] = Re[conj(w) e^{i t s}]."""
+    return np.sum(np.where(signs[:, None, None] > 0, nodes, np.conj(nodes)), axis=0)
 
 
 # -- symmetric Dirichlet ---------------------------------------------------
@@ -216,26 +220,26 @@ def symmetric_dirichlet_integral(
     if lam < 0:
         raise ParameterError("the integral path requires lambda >= 0")
     sampler = SideSampler(data, Kind.PHI, lam, side_length)
-    grids, fold = _ray_grids(lam, side_length, t_factor, order)
+    offsets, step, w, k_ray, signs, fold = _ray_grids(lam, side_length, t_factor, order)
 
     # G on the two rays (whose Gauss nodes avoid t = 0, so k = 0 too) and at
     # the mode roots, in one evaluation
-    t, w, k_ray = (np.concatenate(parts) for parts in zip(*grids))
+    k_ray = k_ray.ravel()
     roots = dirichlet_mode_roots(lam, side_length, n_max)
     k = roots.k
     g = _symmetric_g_scaled(sampler, np.concatenate([k_ray, k]), lam, side_length)
-    gd = g[: t.size] / _delta_scaled(k_ray, lam, side_length)
-    weighted = (-1j * fold / (2.0 * np.pi)) * w * gd.to_complex()
+    gd = g[: k_ray.size] / _delta_scaled(k_ray, lam, side_length)
+    nodes = (-1j * fold / (2.0 * np.pi)) * w * gd.to_complex().reshape(signs.shape + w.shape)
 
     # residue data: coefficient and exponent rate mu(ab k) per root
     sign = np.where(roots.plus, -1.0, 1.0)
-    g = g[t.size :]
+    g = g[k_ray.size :]
     dprime = _delta_prime_scaled(k, lam, side_length)
     m_ab = mu(ALPHA_BAR * k, lam)
     denom = 1.0 - Scaled.from_exp(-sign * m_ab * side_length)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
     coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g / (dprime * denom)
-    return ContourResidueTrace(side=1, t=t, weighted=weighted, rates=m_ab, coeffs=coeffs)
+    return ContourResidueTrace(1, offsets, step, _folded(nodes, signs), m_ab, coeffs)
 
 
 # -- closed-form elimination (verification mirror) -------------------------
@@ -485,8 +489,9 @@ def mixed_nr_trace(
             f"outside the certified range [{lo:g}, {hi:g}]"
         )
     elim = ScaledElimination(problem)
-    grids, _ = _ray_grids(lam, side_length, t_factor, order)
-    weighted = [w * elim.inhom(k).to_complex() / (2.0 * np.pi) for _, w, k in grids]
+    offsets, step, w, k_ray, signs, _ = _ray_grids(lam, side_length, t_factor, order)
+    rays = [elim.inhom(k).to_complex() for k in np.split(k_ray, 2)]
+    weighted = _folded(w * np.concatenate(rays) / (2.0 * np.pi), signs)
 
     roots = d_root_set(lam, side_length, count)
     k = roots.k
@@ -496,13 +501,8 @@ def mixed_nr_trace(
     e6 = Scaled.from_exp(6.0 * mu(sign * 1j * ALPHA * k, lam) * side_length / (2.0 * SQRT3))
     denom = 1.0 + e6 * np.where(sign > 0, 1.0 / p1, p1)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
-    return ContourResidueTrace(
-        side=2,
-        t=np.concatenate([t_ray for t_ray, _, _ in grids]),
-        weighted=np.concatenate(weighted),
-        rates=mu(ALPHA_BAR * k, lam),
-        coeffs=(sign * ALPHA_BAR * fac * res) / denom,
-    )
+    coeffs = (sign * ALPHA_BAR * fac * res) / denom
+    return ContourResidueTrace(2, offsets, step, weighted, mu(ALPHA_BAR * k, lam), coeffs)
 
 
 def _validate_mixed(problem: ProblemSpec):

@@ -29,7 +29,8 @@ it.  With h = l/2 every transform of the chopped series is exact,
 
 with i_n the modified spherical Bessel function of the first kind (the
 transform scheme of Smitheman, Spence & Fokas, IMA J. Numer. Anal. 2010).
-The i_n are carried as e^{-|Re z|} i_n(z), so no transform overflows.
+The i_n are carried as e^{-|Re z|} i_n(z), so no transform overflows; i_0
+and i_1 are seeded from one expm1 of -2|Re z| and the cos and sin of Im z.
 There is one three-term recurrence per transform set: ``transforms`` stacks
 the columns of all its samplers, each sampler's normalised on its own, and
 ``SideSampler.eval_scaled`` and ``eval`` are one-sampler views of it.
@@ -114,14 +115,18 @@ def _chop(coeffs):
 
 # -- sums against modified spherical Bessel functions --------------------------
 def _i0_i1(z):
-    """e^{-|Re z|} i_0(z) and e^{-|Re z|} i_1(z)."""
-    sigma = np.abs(z.real)
-    ep, em = np.exp(z - sigma), np.exp(-z - sigma)
-    small = sigma < 1.0
-    sinh = np.where(small, np.sinh(np.where(small, z, 0.0)) * np.exp(-sigma), 0.5 * (ep - em))
-    nonzero = np.where(z == 0.0, 1.0, z)
-    i0 = np.where(z == 0.0, 1.0, sinh / nonzero)
-    return i0, (0.5 * (ep + em) - i0) / nonzero
+    """e^{-|Re z|} i_0(z) and e^{-|Re z|} i_1(z), from e^{-|x|} sinh z = sh cos y
+    + i ch sin y and e^{-|x|} cosh z = ch cos y + i sh sin y, z = x + iy, with
+    sh, ch = e^{-|x|} (sinh x, cosh x) from one expm1(-2|x|): no cancellation."""
+    em = np.expm1(-2.0 * np.abs(z.real))
+    sh, ch = np.copysign(-0.5 * em, z.real), 1.0 + 0.5 * em
+    cos, sin = np.cos(z.imag), np.sin(z.imag)
+    sinh, cosh = np.empty_like(z), np.empty_like(z)
+    sinh.real, sinh.imag, cosh.real, cosh.imag = sh * cos, ch * sin, ch * cos, sh * sin
+    zero = z == 0.0
+    inv = 1.0 / np.where(zero, 1.0, z)
+    i0 = np.where(zero, 1.0, sinh * inv)
+    return i0, (cosh - i0) * inv
 
 
 def _top_degree(z, degree: int) -> int:
@@ -137,19 +142,21 @@ def _top_degree(z, degree: int) -> int:
 
 
 def _forward_sum(coeffs, z, lengths):
-    """sum_n coeffs[n] e^{-|Re z|} i_n(z) by the forward recurrence."""
+    """sum_n coeffs[n] e^{-|Re z|} i_n(z) by the forward recurrence, shaped
+    (columns, points)."""
     inv = 1.0 / z
     f_prev, f = _i0_i1(z)
-    acc = f_prev[:, None] * coeffs[0] + f[:, None] * coeffs[1]
+    acc = coeffs[0, :, None] * f_prev + coeffs[1, :, None] * f
     for n in range(1, len(coeffs) - 1):
         f_prev, f = f, f_prev - ((2 * n + 1) * inv) * f
         cols = np.count_nonzero(lengths > n + 1)  # the columns still running
-        acc[:, :cols] += f[:, None] * coeffs[n + 1, :cols]
+        acc[:cols] += coeffs[n + 1, :cols, None] * f
     return acc
 
 
 def _miller_sum(coeffs, z, lengths):
-    """sum_n coeffs[n] e^{-|Re z|} i_n(z) by Miller's backward recurrence.
+    """sum_n coeffs[n] e^{-|Re z|} i_n(z) by Miller's backward recurrence,
+    shaped (columns, points).
 
     The ratios i_n/i_{n-1} run down from ``_top_degree``.  The sum is nested
     in the ratios (Horner form, so nothing overflows) and normalised by the
@@ -160,19 +167,19 @@ def _miller_sum(coeffs, z, lengths):
     padded = np.zeros((top + 1, coeffs.shape[1]))
     padded[: min(top + 1, len(coeffs))] = coeffs[: top + 1]
     ratio = np.zeros(z.shape, dtype=complex)
-    acc = np.zeros((z.size, coeffs.shape[1]), dtype=complex) + padded[top]
+    acc = np.zeros((coeffs.shape[1], z.size), dtype=complex) + padded[top, :, None]
     for n in range(top, 0, -1):
         ratio = z / ((2 * n + 1) + z * ratio)
         cols = np.count_nonzero(lengths > n - 1)
-        acc[:, :cols] *= ratio[:, None]
-        acc[:, :cols] += padded[n - 1, :cols]
+        acc[:cols] *= ratio
+        acc[:cols] += padded[n - 1, :cols, None]
     i0, i1 = _i0_i1(z)
     by_i1 = (np.abs(i1) > np.abs(i0)) & (az > 1.0)  # below 1, i_1 cancels
-    return np.where(by_i1, i1 / np.where(by_i1, ratio, 1.0), i0)[:, None] * acc
+    return np.where(by_i1, i1 / np.where(by_i1, ratio, 1.0), i0) * acc
 
 
 def _bessel_sums(coeffs, z):
-    """sum_n coeffs[n] e^{-|Re z|} i_n(z) for a 1-D array z, one column per
+    """sum_n coeffs[n] e^{-|Re z|} i_n(z) for a 1-D array z, one row per
     column of ``coeffs``.
 
     The forward recurrence amplifies rounding by about
@@ -187,12 +194,12 @@ def _bessel_sums(coeffs, z):
     coeffs, lengths = coeffs[:, order], lengths[order]
     az, n_deg = np.abs(z), len(coeffs)
     forward = (az > n_deg) & (n_deg**2 * np.abs(z.real) <= 8.0 * az**2)
-    out = np.empty((z.size, coeffs.shape[1]), dtype=complex)
+    out = np.empty((coeffs.shape[1], z.size), dtype=complex)
     if forward.any():
-        out[forward] = _forward_sum(coeffs, z[forward], lengths)
+        out[:, forward] = _forward_sum(coeffs, z[forward], lengths)
     if not forward.all():
-        out[~forward] = _miller_sum(coeffs, z[~forward], lengths)
-    out[:, order] = out.copy()
+        out[:, ~forward] = _miller_sum(coeffs, z[~forward], lengths)
+    out[order] = out.copy()
     return out
 
 
@@ -374,7 +381,7 @@ def transforms(samplers, k) -> Scaled:
         raise NonFiniteError(
             f"mu(k) l/2 is not finite at lam {lam}, side length {side_length}"
         )
-    sums = _bessel_sums(stacked, z).T
+    sums = _bessel_sums(stacked, z)
     m = sums[first]
     phi = np.array([s.kind is Kind.PHI for s in samplers])
     m[phi] = sums[first[phi] + 1] + (lam / ks) * m[phi]

@@ -3,10 +3,11 @@
 A trace is a real-valued function of the side arclength s in [-l/2, l/2]
 together with its tangential derivative.  Series solvers return
 ``FourierSeriesTrace`` objects whose carriers exp(-2 pi i m s / (3 l)) are
-integer powers of one exponential per point, and are evaluated as such;
-the contour solvers return ``ContourResidueTrace`` objects (a generalized
-Fourier integral, folded onto its distinct nonnegative frequencies, plus
-residue exponentials); the plain ``BoundaryTrace``
+integer powers of one exponential per point; the contour solvers return
+``ContourResidueTrace`` objects, a generalized Fourier integral on the
+lattice of its Gauss panels, whose carriers are powers of one exponential
+per point times those of one panel, plus residue exponentials.  Both are
+evaluated from those powers (``_powers``).  The plain ``BoundaryTrace``
 wraps arbitrary callables (manufactured solutions, parsed expressions,
 interpolated grid data).
 
@@ -107,12 +108,8 @@ class FourierSeriesTrace(_Trace):
         s = np.asarray(s, dtype=float)
         g = int(np.gcd.reduce(self.modes)) or 1
         power, behind = np.abs(self.modes) // g, (self.modes < 0).astype(int)
-        theta = s * (-8 * np.arctan(np.longdouble(1)) * g / (3 * np.longdouble(self.side_length)))
-        hi = theta.astype(float)
-        table = np.empty(s.shape + (power.max(initial=0) + 1,), dtype=complex)
-        table[..., 0] = 1.0
-        table[..., 1:] = (np.exp(1j * hi) * (1 + 1j * (theta - hi).astype(float)))[..., None]
-        np.cumprod(table, axis=-1, out=table)
+        rate = -8 * np.arctan(np.longdouble(1)) * g / (3 * np.longdouble(self.side_length))
+        table = _powers(s, rate, power.max(initial=0) + 1)
         split = np.zeros((2, table.shape[-1]), dtype=complex)
         np.add.at(split, (behind, power), np.where(behind, np.conj(weights), weights))
         both = table @ split.T
@@ -142,39 +139,37 @@ class FourierSeriesTrace(_Trace):
 
 @dataclass(frozen=True, eq=False)
 class ContourResidueTrace(_Trace):
-    """Real part of sum_n weighted[n] e^{i t[n] s} + sum_r coeffs[r] e^{-rates[r] s}.
+    """Real part of sum_{p,j} weighted[p, j] e^{i t[p,j] s} + sum_r coeffs[r] e^{-rates[r] s}.
 
-    The first sum is the quadrature of a Fourier integral over the
-    truncated contour, with the weights and the 1/(2 pi) already folded into
-    ``weighted``; the second collects the residues at the mode roots, whose
-    coefficients are ``Scaled`` because they may lie far outside the double
-    range while each product with its exponential stays moderate.
-    As Re[w e^{-i t s}] = Re[conj(w) e^{i t s}], a node (t < 0, w) is stored
-    as (|t|, conj w) and equal nodes are merged: ``t`` is strictly increasing
-    and >= 0, and a grid shared by two rays is summed once per frequency.
+    The first sum is the quadrature of a Fourier integral over the truncated
+    contour, folded onto the lattice t[p, j] = offsets[j] + p step of [0, T]
+    (a node at -t is stored at t with its weight conjugated), with the
+    weights and the 1/(2 pi) already in ``weighted`` (panels, order).  Each
+    point s takes one carrier W = e^{i step s} and sums the panel sums
+    sum_j weighted[p, j] e^{i offsets[j] s} against its powers W^p
+    (``_powers``).  The second sum collects the residues at the mode roots,
+    whose coefficients are ``Scaled`` because they may lie far outside the
+    double range while each product with its exponential stays moderate.
     """
 
     side: int
-    t: np.ndarray
+    offsets: np.ndarray
+    step: float
     weighted: np.ndarray
     rates: np.ndarray
     coeffs: Scaled
 
-    def __post_init__(self):
-        t, w = np.asarray(self.t, dtype=float), np.asarray(self.weighted, dtype=complex)
-        t_abs, index = np.unique(np.abs(t), return_inverse=True)
-        folded = np.zeros(t_abs.shape, dtype=complex)
-        np.add.at(folded, index, np.where(t < 0, np.conj(w), w))
-        object.__setattr__(self, "t", t_abs)
-        object.__setattr__(self, "weighted", folded)
+    @property
+    def t(self):
+        return self.offsets + self.step * np.arange(len(self.weighted))[:, None]
 
     def _synthesis(self, s, weighted, coeffs):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        theta = np.multiply.outer(s_arr, self.t)
-        out = np.cos(theta) @ weighted.real - np.sin(theta) @ weighted.imag
-        residues = coeffs * Scaled.from_exp(-np.multiply.outer(s_arr, self.rates))
+        s = np.asarray(s, dtype=float)
+        panels = np.exp(1j * np.multiply.outer(s, self.offsets)) @ weighted.T
+        out = np.sum(_powers(s, np.longdouble(self.step), len(weighted)) * panels, axis=-1).real
+        residues = coeffs * Scaled.from_exp(-np.multiply.outer(s, self.rates))
         out = out + np.real(np.sum(residues.to_complex(), axis=-1))
-        return out if np.ndim(s) else float(out[0])
+        return out if out.ndim else float(out)
 
     def value(self, s):
         return self._synthesis(s, self.weighted, self.coeffs)
@@ -185,16 +180,28 @@ class ContourResidueTrace(_Trace):
 
     def exponentials(self, column: str):
         """``column`` ("value" or "derivative") as Re sum_j w_j e^{kappa_j s}:
-        a contour piece (i t, weighted) and a residue piece (-rates, coeffs),
-        whose ``Scaled`` weights may lie outside the double range; the
-        derivative multiplies each weight by its kappa."""
-        pieces = ((1j * self.t, self.weighted), (-self.rates, self.coeffs))
+        a contour piece (i t, weighted) over the lattice and a residue piece
+        (-rates, coeffs), whose ``Scaled`` weights may lie outside the double
+        range; the derivative multiplies each weight by its kappa."""
+        pieces = ((1j * self.t.ravel(), self.weighted.ravel()), (-self.rates, self.coeffs))
         if column == "value":
             return pieces
         return tuple((kappa, kappa * w) for kappa, w in pieces)
 
     def __call__(self, s):
         return self.value(s)
+
+
+def _powers(s, rate, count: int):
+    """W^0, ..., W^(count - 1) of W = e^{i rate s} on a last axis, for a long
+    double ``rate``: the phase is formed in long double and split hi + lo,
+    so the rounding of W, which W^p carries p-fold, is that of exp alone."""
+    theta = s * rate
+    hi = theta.astype(float)
+    table = np.empty(s.shape + (count,), dtype=complex)
+    table[..., 0] = 1.0
+    table[..., 1:] = (np.exp(1j * hi) * (1 + 1j * (theta - hi).astype(float)))[..., None]
+    return np.cumprod(table, axis=-1, out=table)
 
 
 def sample_grid(side_length: float, n: int = 512, corner_margin: float = 0.02):

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -41,6 +42,20 @@ def test_ray_radius_inverts_mu():
         r = float(ray_radius(t, lam))
         assert r > 0
         assert abs(r - lam / r - t) < 1e-12
+
+
+def test_ray_radius_against_mpmath():
+    # (t + sqrt(t^2 + 4 lambda))/2 cancels for t < 0; r(t) must hold a few
+    # ulp on both half-lines, lambda from 1e-8 to 1e5, |t| up to 1e5
+    lams = 10.0 ** np.arange(-8, 6)
+    ts = np.concatenate([-np.geomspace(1e-6, 1e5, 23), [0.0], np.geomspace(1e-6, 1e5, 23)])
+    with mpmath.workdps(40):
+        for lam in lams:
+            got = ray_radius(ts, lam)
+            for t, r in zip(ts, got):
+                want = (mpmath.mpf(t) + mpmath.sqrt(mpmath.mpf(t) ** 2 + 4 * mpmath.mpf(lam))) / 2
+                err = abs(mpmath.mpf(r) - want) / want
+                assert err <= 4 * np.finfo(float).eps, (lam, t, float(err))
 
 
 def test_in_upper_half():
@@ -346,15 +361,21 @@ def test_mixed_nr_requires_a_normal_derivative_on_side_1(geom):
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_folded_contour_trace_matches_unfolded_sum(lam, rng):
-    grids, _ = poincare._ray_grids(lam, 1.0, poincare.T_FACTOR, poincare.PANEL_ORDER)
-    t = np.concatenate([t_ray for t_ray, _, _ in grids])
+    offsets, step, _, k, signs, _ = poincare._ray_grids(
+        lam, 1.0, poincare.T_FACTOR, poincare.PANEL_ORDER
+    )
+    lattice = offsets + step * np.arange(k.shape[1])[:, None]
+    # the Fourier node sign * t of every node of every ray piece
+    t = (signs[:, None, None] * lattice).ravel()
     assert t.size == (1280 if lam == 0.0 else 2560)
-    w = rng.normal(size=t.size) + 1j * rng.normal(size=t.size)
+    nodes = rng.normal(size=k.shape) + 1j * rng.normal(size=k.shape)
+    w = nodes.ravel()
     rates = np.array([0.3 + 2.0j, -1.0 - 5.0j])
     coeffs = np.array([0.2 - 0.1j, 0.05j])
-    trace = ContourResidueTrace(side=1, t=t, weighted=w, rates=rates, coeffs=Scaled.of(coeffs))
+    folded = poincare._folded(nodes, signs)
+    trace = ContourResidueTrace(1, offsets, step, folded, rates, Scaled.of(coeffs))
     assert trace.t.size == 640
-    assert trace.t[0] >= 0.0 and np.all(np.diff(trace.t) > 0.0)
+    assert trace.t.ravel()[0] >= 0.0 and np.all(np.diff(trace.t.ravel()) > 0.0)
     s = np.linspace(-0.5, 0.5, 41)
     waves = np.exp(1j * np.multiply.outer(s, t))
     residues = np.exp(-np.multiply.outer(s, rates))
@@ -362,3 +383,46 @@ def test_folded_contour_trace_matches_unfolded_sum(lam, rng):
     derivative = np.real(waves @ (1j * t * w) - residues @ (rates * coeffs))
     assert np.max(np.abs(trace.value(s) - value)) <= 1e-13 * np.sum(np.abs(w))
     assert np.max(np.abs(trace.derivative(s) - derivative)) <= 1e-13 * np.sum(np.abs(t * w))
+
+
+def _extended_lattice_sums(trace, s):
+    """sum_{p,j} (i t)^q weighted[p, j] e^{i t s} over the lattice
+    t = offsets[j] + p step, for q = 0 and 1, summed in np.clongdouble from
+    the double s, offsets, step and weights."""
+    ld = np.longdouble
+    t = trace.offsets.astype(ld) + ld(trace.step) * np.arange(len(trace.weighted), dtype=ld)[:, None]
+    kappa = 1j * t.ravel()
+    terms = np.exp(np.multiply.outer(np.asarray(s, dtype=ld), kappa))
+    weights = trace.weighted.ravel().astype(np.clongdouble)
+    return terms @ weights, terms @ (kappa * weights)
+
+
+@pytest.mark.parametrize("t_factor", [40.0, 1280.0])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_contour_evaluation_matches_extended_precision(geom, lam, t_factor):
+    # value and derivative of the contour part of a solver trace against the
+    # same lattice sum in np.clongdouble, within 1e-14 of the largest
+    # reference value on the side
+    data = all_traces(symmetric_corner_compatible(lam, 1.0), geom)[0][0]
+    solved = symmetric_dirichlet_integral(data, lam, 1.0, n_max=16, t_factor=t_factor)
+    assert solved.weighted.shape == (int(t_factor), poincare.PANEL_ORDER)
+    trace = ContourResidueTrace(
+        1, solved.offsets, solved.step, solved.weighted, np.zeros(0), Scaled.of(np.zeros(0))
+    )
+    side = np.linspace(-0.5, 0.5, 65)
+    grid = np.random.default_rng(7).uniform(-0.5, 0.5, size=(4, 8))
+    points = (0.5, -0.37, side, grid)
+    references = []
+    for s in points:
+        total, slope = _extended_lattice_sums(trace, s)
+        references.append({"value": total.real, "derivative": slope.real})
+    for name, on_side in references[2].items():
+        scale = np.max(np.abs(on_side))
+        for s, reference in zip(points, references):
+            got = getattr(trace, name)(s)
+            if np.ndim(s):
+                assert isinstance(got, np.ndarray) and got.shape == np.shape(s)
+            else:
+                assert type(got) is float
+            err = np.max(np.abs(got - reference[name]))
+            assert err <= 1e-14 * scale, (name, np.shape(s), float(err / scale))

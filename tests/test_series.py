@@ -245,7 +245,7 @@ def test_series_evaluation_matches_extended_precision(geom, step, lam, m):
     "build",
     [
         lambda: FourierSeriesTrace(1, 1.0, [0, 3], [1.0, 2.0]),
-        lambda: ContourResidueTrace(2, np.ones(2), np.ones(2), np.ones(1), Scaled.of(np.ones(1))),
+        lambda: ContourResidueTrace(2, np.ones(2), 1.0, np.ones((3, 2)), np.ones(1), Scaled.of(np.ones(1))),
         lambda: BoundaryTrace.constant(1, 2.0),
     ],
     ids=["series", "contour", "boundary"],

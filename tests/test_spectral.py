@@ -157,6 +157,80 @@ def test_transform_reference(lam):
 
 
 
+
+def test_i0_i1_against_mpmath():
+    # e^{-|Re z|} i_0 and i_1 in all four quadrants, the band |Re z| < 1
+    # out to |Im z| = 1e4, both axes, z = 0 and |Re z| up to 700; i_1 is
+    # bounded only where |z| >= 1, as below that it cancels
+    quadrants = [
+        complex(sx * x, sy * y)
+        for x, y in [(0.3, 0.5), (3.0, 5.0), (30.0, 50.0), (300.0, 500.0), (3.0, 500.0)]
+        for sx in (1, -1)
+        for sy in (1, -1)
+    ]
+    band = [
+        complex(sx * x, sy * y)
+        for x in (1e-8, 1e-3, 0.5, 0.99)
+        for y in (1e2, 1e3, 1e4)
+        for sx in (1, -1)
+        for sy in (1, -1)
+    ]
+    axes = [s * r * u for r in (1e-8, 0.1, 1.0, 10.0, 700.0) for s in (1, -1) for u in (1, 1j)]
+    far = [complex(s * 700.0, y) for s in (1, -1) for y in (3.0, -1e3)]
+    z = np.array(quadrants + band + axes + far + [1e4j, 0.0], dtype=complex)
+    i0, i1 = spectral._i0_i1(z)
+    assert i0[-1] == 1.0 and i1[-1] == 0.0
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        for zj, got0, got1 in zip(z[:-1], i0, i1):
+            w = mpmath.mpc(zj)
+            scale = mpmath.exp(-abs(w.real))
+            want0 = mpmath.sinh(w) / w * scale
+            want1 = (mpmath.cosh(w) - mpmath.sinh(w) / w) / w * scale
+            assert abs(mpmath.mpc(got0) - want0) <= 4 * eps * abs(want0), zj
+            if abs(zj) >= 1.0:
+                assert abs(mpmath.mpc(got1) - want1) <= 8 * eps * abs(want1), zj
+
+
+def test_bessel_sums_at_contour_arguments(geom, monkeypatch):
+    # the one transform call of symmetric_dirichlet_integral(T = 80) takes
+    # both recurrences; sums at points of each against mpmath, relative to
+    # the sum of the moduli of their terms
+    calls = []
+    bessel_sums = spectral._bessel_sums
+
+    def captured(coeffs, z):
+        calls.append((coeffs, z))
+        return bessel_sums(coeffs, z)
+
+    monkeypatch.setattr(spectral, "_bessel_sums", captured)
+    data = all_traces(symmetric_corner_compatible(1.0, 1.0), geom)[0][0]
+    symmetric_dirichlet_integral(data, 1.0, 1.0, n_max=16, t_factor=80.0)
+    ((coeffs, z),) = calls
+    degree = len(coeffs)
+    forward = (np.abs(z) > degree) & (degree**2 * np.abs(z.real) <= 8.0 * np.abs(z) ** 2)
+    picks = np.random.default_rng(3)
+    index = np.concatenate(
+        [picks.choice(np.flatnonzero(branch), 12, replace=False) for branch in (forward, ~forward)]
+        + [[np.argmin(np.abs(z)), np.argmax(np.abs(z.real))]]
+    )
+    got = bessel_sums(coeffs, z[index])
+    with mpmath.workdps(30):
+        for i, zj in enumerate(z[index]):
+            w = mpmath.mpc(zj)
+            scale = mpmath.exp(-abs(w.real))
+            terms = [
+                mpmath.sqrt(mpmath.pi / (2 * w)) * mpmath.besseli(n + 0.5, w) * scale
+                if w != 0
+                else mpmath.mpf(n == 0)  # i_n(0) = [n = 0]; mu(k) = 0 at k = i sqrt(lambda)
+                for n in range(degree)
+            ]
+            for column in range(coeffs.shape[1]):
+                parts = [mpmath.mpf(c) * term for c, term in zip(coeffs[:, column], terms)]
+                err = abs(mpmath.mpc(got[column, i]) - mpmath.fsum(parts))
+                assert err <= 1e-14 * mpmath.fsum(map(abs, parts)), (zj, column)
+
+
 # -- batched transforms --------------------------------------------------------
 def _assert_same_scaled(got, want):
     """Equal to 1e-13 relative in mantissa, with an equal abs_log."""
