@@ -21,6 +21,9 @@ the mode roots in each half-plane.  Two entry points:
 Mode roots are found for all modes at once and kept as arrays
 (``ModeRootSet``), certified by defining-equation residuals; the mixed
 problem's roots are audited by an argument-principle count in the mu-plane.
+The symmetric transforms are summed at two base families of ray points and
+their images; the mixed solve makes one elimination over both rays and
+every residue circle.
 """
 from __future__ import annotations
 
@@ -36,8 +39,8 @@ from .problems import BCKind, ProblemSpec
 from .quadrature import QuadratureRule
 from .relations import ScaledElimination  # re-exported: callers patch and import it here
 from .scaledc import Scaled
-from .series import _mode_roots, _newton, _rotations, quadratic_mode_root
-from .spectral import Kind, SideSampler
+from .series import RESONANCE_RTOL, _mode_roots, _newton, _rotations, quadratic_mode_root
+from .spectral import Kind, SideSampler, transforms
 from .symbols import SideSymbol
 from .traces import ContourResidueTrace
 
@@ -111,6 +114,10 @@ def contour_nodes(side_length: float, t_factor: float = T_FACTOR, order: int = P
     """Gauss-Legendre panels of width step = 2 pi / l on [0, T], T = t_factor
     step, as a lattice: offsets (one panel's nodes), step, and the nodes
     t[p, j] = offsets[j] + p step and their weights, shaped (panels, order)."""
+    if not t_factor > 0.5:  # round(t_factor) panels, at least one
+        raise ParameterError(f"t_factor must exceed 0.5, got {t_factor}")
+    if not order >= 1:
+        raise ParameterError(f"order must be at least 1, got {order}")
     step = 2.0 * np.pi / side_length
     rule = QuadratureRule.panels((0.0, step), order)
     t = rule.nodes + step * np.arange(int(round(t_factor)))[:, None]
@@ -139,9 +146,10 @@ def _ray_grids(lam: float, side_length: float, t_factor: float, order: int):
     the rays, each piece's sign, and the fold factor.
 
     For lam > 0 each ray covers the whole t-line (the radius r(t) runs over
-    all of (0, inf) as t does over R): four pieces, fold factor 1.  At lam = 0
-    the upper ray only reaches t >= 0 and the lower only t <= 0: each ray is
-    a half-cover and the fold factor doubles.
+    all of (0, inf) as t does over R): four pieces, out-up, in-up, in-down
+    and out-down, fold factor 1.  At lam = 0 the upper ray only reaches
+    t >= 0 and the lower only t <= 0: each ray is a half-cover and the fold
+    factor doubles.
     """
     offsets, step, t, w = contour_nodes(side_length, t_factor, order)
     w = w * _taper(t / (t_factor * 2.0 * np.pi / side_length))
@@ -161,32 +169,47 @@ def _folded(nodes, signs):
 # -- symmetric Dirichlet ---------------------------------------------------
 def _delta_scaled(k, lam, side_length) -> Scaled:
     """Delta(k) = e(k) - e(-k)."""
-    half = side_length / 2.0
-    m = mu(k, lam)
-    return Scaled.from_exp(m * half) - Scaled.from_exp(-m * half)
+    plus, minus = Scaled.exp_pair(mu(k, lam) * (side_length / 2.0))
+    return plus - minus
 
 
 def _delta_prime_scaled(k, lam, side_length) -> Scaled:
     half = side_length / 2.0
-    m = mu(k, lam)
-    fac = half * (1.0 - lam / (k * k))
-    return fac * (Scaled.from_exp(m * half) + Scaled.from_exp(-m * half))
+    plus, minus = Scaled.exp_pair(mu(k, lam) * half)
+    return half * (1.0 - lam / (k * k)) * (plus + minus)
 
 
 def _symmetric_g(f, k, lam, side_length) -> Scaled:
     """G(k) = (e(ab k) + e(-ab k)) F(k) + (e(k) + e(-k)) F(ab k) + 2 F(a k),
     from ``f``, the transforms F at ``_rotations(k)``."""
     half = side_length / 2.0
-    m, m_ab = mu(k, lam), mu(ALPHA_BAR * k, lam)
-    out = (Scaled.from_exp(m_ab * half) + Scaled.from_exp(-m_ab * half)) * f[0]
-    out = out + (Scaled.from_exp(m * half) + Scaled.from_exp(-m * half)) * f[1]
-    return out + 2.0 * f[2]
+    ab_plus, ab_minus = Scaled.exp_pair(mu(ALPHA_BAR * k, lam) * half)
+    plus, minus = Scaled.exp_pair(mu(k, lam) * half)
+    return (ab_plus + ab_minus) * f[0] + (plus + minus) * f[1] + 2.0 * f[2]
 
 
 def _symmetric_g_scaled(sampler, k, lam, side_length) -> Scaled:
     """G(k) of the symmetric Dirichlet data of ``sampler``."""
     k = np.asarray(k, dtype=complex)
     return _symmetric_g(sampler.eval_scaled(_rotations(k)), k, lam, side_length)
+
+
+def _symmetric_images(lam, offsets, step, panels, roots):
+    """The images (``spectral.transforms``) of ``_rotations`` of the ray
+    pieces of ``_ray_grids`` and the mode roots: per rotation, a block per
+    piece on one of two base families on the lattice t, mu(k) at k = r(t)
+    e^{i pi/6} and +i t, then the rotated roots as their own base.  Over the
+    pieces, k -> lambda/conj(k) conjugates mu and k -> -k negates it; alpha_bar
+    k = -i r has mu = -i t, and alpha k = -conj(k) has mu = -conj(mu(k))."""
+    t = (offsets + step * np.arange(panels)[:, None]).ravel()
+    r = ray_radius(t, lam)
+    bases = [(r + lam / r) * (0.5 * SQRT3) + 0.5j * t, 1j * t]
+    pieces = ((0, 0), (0, 1), (1, 1), (1, 0)) if lam > 0 else ((0, 0), (1, 0))
+    blocks, rotated = [], ((0, 0, 0), (1, 0, 1), (0, 1, 1))  # (family, negate, conjugate)
+    for rotation, (family, negate, conjugate) in zip(_rotations(roots), rotated):
+        blocks += [(family, negate ^ n, conjugate ^ c) for n, c in pieces] + [(len(bases), 0, 0)]
+        bases.append(mu(rotation, lam))
+    return bases, blocks
 
 
 def dirichlet_mode_roots(lam: float, side_length: float, n_max: int) -> ModeRootSet:
@@ -215,30 +238,38 @@ def symmetric_dirichlet_integral(
     Dual to ``series.symmetric_dirichlet_dtn``: the known part is a contour
     integral of G/Delta along the two rays (each ray carrying its own half
     of the Fourier line), and the unknown part collapses to residue sums
-    over the mode roots s_n in the two half-planes.
+    over the mode roots s_n in the two half-planes.  Below sqrt(3 lambda)
+    l/2 = ``series.RESONANCE_RTOL`` it is the lambda = 0 trace, equal to
+    rounding: there the root pair k = +-i sqrt(lambda) divides a cancelled G
+    by a denominator of that size.
     """
-    if lam < 0:
-        raise ParameterError("the integral path requires lambda >= 0")
+    if not lam >= 0:
+        raise ParameterError(f"the integral path requires lambda >= 0, got lam {lam}")
+    if not n_max >= 0:
+        raise ParameterError(f"n_max must be at least 0, got {n_max}")
+    if math.sqrt(3.0 * lam) * (side_length / 2.0) < RESONANCE_RTOL:
+        lam = 0.0
     sampler = SideSampler(data, Kind.PHI, lam, side_length)
     offsets, step, w, k_ray, signs, fold = _ray_grids(lam, side_length, t_factor, order)
 
     # G on the two rays (whose Gauss nodes avoid t = 0, so k = 0 too) and at
     # the mode roots, in one evaluation
-    k_ray = k_ray.ravel()
     roots = dirichlet_mode_roots(lam, side_length, n_max)
     k = roots.k
-    g = _symmetric_g_scaled(sampler, np.concatenate([k_ray, k]), lam, side_length)
-    gd = g[: k_ray.size] / _delta_scaled(k_ray, lam, side_length)
+    points = np.concatenate([k_ray.ravel(), k])
+    images = _symmetric_images(lam, offsets, step, len(w), k)
+    g = _symmetric_g(transforms([sampler], _rotations(points), images)[0], points, lam, side_length)
+    n_ray = k_ray.size
+    gd = g[:n_ray] / _delta_scaled(points[:n_ray], lam, side_length)
     nodes = (-1j * fold / (2.0 * np.pi)) * w * gd.to_complex().reshape(signs.shape + w.shape)
 
     # residue data: coefficient and exponent rate mu(ab k) per root
     sign = np.where(roots.plus, -1.0, 1.0)
-    g = g[k_ray.size :]
     dprime = _delta_prime_scaled(k, lam, side_length)
     m_ab = mu(ALPHA_BAR * k, lam)
     denom = 1.0 - Scaled.from_exp(-sign * m_ab * side_length)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
-    coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g / (dprime * denom)
+    coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g[n_ray:] / (dprime * denom)
     return ContourResidueTrace(1, offsets, step, _folded(nodes, signs), m_ab, coeffs)
 
 
@@ -354,8 +385,10 @@ def d_root_set(
     D+/D-, and with ``audit=True`` the modes are counted in the mu-plane
     (``_audit_root_count``).
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ParameterError("the mixed Neumann-Robin mode set requires lambda > 0")
+    if not count >= 0:
+        raise ParameterError(f"count must be at least 0, got {count}")
     rl = math.sqrt(lam)
 
     # On mu = iy the two sides of the mode equation are unimodular and the
@@ -419,7 +452,8 @@ def _mode_equation_entire(symbols, k, lam: float, side_length: float):
             continue
         prod_a *= sym.hbar(a) * sym.h(ab)
         prod_b *= sym.h(a) * sym.hbar(ab)
-    val = Scaled.from_exp(-w) * prod_a - Scaled.from_exp(w) * prod_b
+    plus, minus = Scaled.exp_pair(w)
+    val = minus * prod_a - plus * prod_b
     # winding only needs the phase, which the mantissa carries
     return val.m
 
@@ -455,13 +489,18 @@ def root_circle_radius(k0, lam: float, side_length: float):
     return 0.3 * np.minimum(spacing / np.maximum(pullback, 1e-30), np.abs(k0))
 
 
-def residue_of_inhomogeneity(elim: ScaledElimination, k0, radius, nodes: int = 32):
-    """Residues at the D-roots ``k0`` of the elimination inhomogeneity
-    T/(H_2(ab k) D(k)), by trapezoid quadrature on circles of the given radii
-    (spectrally accurate for simple poles), in one call of ``elim.inhom``."""
-    offsets = np.multiply.outer(radius, np.exp(2j * np.pi * np.arange(nodes) / nodes))
-    vals = elim.inhom(np.asarray(k0, dtype=complex)[..., None] + offsets)
-    return (vals * offsets).sum().to_complex() / nodes
+def residue_circles(radius, nodes: int = 32):
+    """Offsets radius e^{2 pi i j / nodes} of the trapezoid nodes on circles
+    of the given radii, shaped (roots, nodes)."""
+    return np.multiply.outer(radius, np.exp(2j * np.pi * np.arange(nodes) / nodes))
+
+
+def residue_of_inhomogeneity(values: Scaled, offsets):
+    """Residues at the D-roots of the elimination inhomogeneity
+    T/(H_2(ab k) D(k)) from its ``values`` at the roots plus the
+    ``residue_circles`` ``offsets``, by the trapezoid rule (spectrally
+    accurate for simple poles), summed in Scaled arithmetic."""
+    return (values * offsets).sum().to_complex() / offsets.shape[-1]
 
 
 def mixed_nr_trace(
@@ -488,14 +527,16 @@ def mixed_nr_trace(
             f"mixed Neumann-Robin trace: lambda l^2 = {scaled_lam:.3g} lies "
             f"outside the certified range [{lo:g}, {hi:g}]"
         )
-    elim = ScaledElimination(problem)
     offsets, step, w, k_ray, signs, _ = _ray_grids(lam, side_length, t_factor, order)
-    rays = [elim.inhom(k).to_complex() for k in np.split(k_ray, 2)]
-    weighted = _folded(w * np.concatenate(rays) / (2.0 * np.pi), signs)
-
     roots = d_root_set(lam, side_length, count)
     k = roots.k
-    res = residue_of_inhomogeneity(elim, k, root_circle_radius(k, lam, side_length))
+    circle = residue_circles(root_circle_radius(k, lam, side_length))
+    # both rays and every residue circle in one elimination
+    points = np.concatenate([k_ray.ravel(), (k[:, None] + circle).ravel()])
+    values = ScaledElimination(problem).inhom(points)
+    rays = values[: k_ray.size].to_complex().reshape(k_ray.shape)
+    weighted = _folded(w * rays / (2.0 * np.pi), signs)
+    res = residue_of_inhomogeneity(values[k_ray.size :].reshape(circle.shape), circle)
     sign = np.where(roots.plus, 1.0, -1.0)
     p1 = _mixed_symbols(lam)[0].p(ALPHA * k)
     e6 = Scaled.from_exp(6.0 * mu(sign * 1j * ALPHA * k, lam) * side_length / (2.0 * SQRT3))

@@ -192,8 +192,8 @@ def relation_rows(samplers: ProblemSamplers, k, corner_values=None):
     if corner_values is not None:
         # C_j(a) = (e^{+-i beta_j}/(2 sin beta_j)) [e(-a) q_j(-l/2) - e(a) q_j(l/2)]
         q = np.asarray(corner_values, dtype=float)[:, :, None, None]
-        half = mu(args, lam) * (l / 2.0)
-        edges = Scaled.from_exp(-half) * q[:, 0] - Scaled.from_exp(half) * q[:, 1]
+        plus, minus = Scaled.exp_pair(mu(args, lam) * (l / 2.0))
+        edges = minus * q[:, 0] - plus * q[:, 1]
         beta = np.array([side.beta for side in samplers.problem.sides])
         phase = np.exp(np.multiply.outer((1j, -1j), beta)) * samplers.scale
         terms = terms + pref * (phase[:, :, None, None] * edges)[conj, sides, _SLOTS]
@@ -264,8 +264,7 @@ class ScaledElimination:
         """The inhomogeneity at a scalar k or elementwise over an array of k."""
         k = np.asarray(k, dtype=complex)
         acc, prod = walk_cycle(*relation_rows(self._samplers, k.ravel()))
-        out = acc / (1.0 - prod)
-        return Scaled(out.m.reshape(k.shape), out.sigma.reshape(k.shape))
+        return (acc / (1.0 - prod)).reshape(k.shape)
 
 
 # -- the 6x9 relation system ----------------------------------------------

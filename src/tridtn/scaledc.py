@@ -38,9 +38,19 @@ class Scaled:
         w = np.asarray(w, dtype=complex)
         return cls(m=np.exp(1j * w.imag), sigma=np.asarray(w.real, dtype=float))
 
+    @classmethod
+    def exp_pair(cls, w):
+        """exp(w) and exp(-w) from one exponential: conjugate mantissas."""
+        plus = cls.from_exp(w)
+        return plus, cls(m=np.conj(plus.m), sigma=-plus.sigma)
+
     def __getitem__(self, index) -> "Scaled":
         m, sigma = np.broadcast_arrays(self.m, self.sigma)
         return Scaled(m[index], sigma[index])
+
+    def reshape(self, shape) -> "Scaled":
+        m, sigma = np.broadcast_arrays(self.m, self.sigma)
+        return Scaled(m.reshape(shape), sigma.reshape(shape))
 
     def __mul__(self, other):
         other = _coerce(other)

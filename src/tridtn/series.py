@@ -89,11 +89,6 @@ def _check_resonance(resonant, labels, what: str):
         )
 
 
-def _e_scaled(k, lam, side_length) -> Scaled:
-    """e(k) = exp(mu(k) l / 2) as a Scaled value."""
-    return Scaled.from_exp(mu(k, lam) * (side_length / 2.0))
-
-
 def _rotations(k):
     """The rotated arguments k, alpha_bar k, alpha k, stacked."""
     return np.stack([k, ALPHA_BAR * k, ALPHA * k])
@@ -143,8 +138,8 @@ def symmetric_dirichlet_dtn(
     # theorem: the n = 0 coefficient is zero
     n, live, s_n = _series_mode_roots(lam, side_length, side_length, n_max)
     w = mu(ALPHA_BAR * s_n, lam) * (side_length / 2.0)
-    sinh = 0.5 * (Scaled.from_exp(w) - Scaled.from_exp(-w))
-    cosh = 0.5 * (Scaled.from_exp(w) + Scaled.from_exp(-w))
+    plus, minus = Scaled.exp_pair(w)
+    sinh, cosh = 0.5 * (plus - minus), 0.5 * (plus + minus)
     resonant = sinh.abs_log() < math.log(RESONANCE_RTOL) + np.abs(w.real)
     _check_resonance(resonant, n[live], "Dirichlet")
     f_k, f_ab, f_a = sampler.eval_scaled(_rotations(s_n))
@@ -156,8 +151,7 @@ def symmetric_dirichlet_dtn(
 
 def _mode_denominator(m, k, lam, side_length):
     """alpha_bar^m e(alpha_bar k) - e(-alpha_bar k), Scaled, with resonance test."""
-    e_plus = _e_scaled(ALPHA_BAR * k, lam, side_length)
-    e_minus = _e_scaled(-ALPHA_BAR * k, lam, side_length)
+    e_plus, e_minus = Scaled.exp_pair(mu(ALPHA_BAR * k, lam) * (side_length / 2.0))
     den = (ALPHA_BAR**m) * e_plus - e_minus
     scale = np.maximum(e_plus.abs_log(), e_minus.abs_log())
     return den, den.abs_log() < math.log(RESONANCE_RTOL) + scale

@@ -33,7 +33,10 @@ The i_n are carried as e^{-|Re z|} i_n(z), so no transform overflows; i_0
 and i_1 are seeded from one expm1 of -2|Re z| and the cos and sin of Im z.
 There is one three-term recurrence per transform set: ``transforms`` stacks
 the columns of all its samplers, each sampler's normalised on its own, and
-``SideSampler.eval_scaled`` and ``eval`` are one-sampler views of it.
+``SideSampler.eval_scaled`` and ``eval`` are one-sampler views of it.  A
+caller may name its points as images of fewer base points under z -> -z
+and z -> conj z; the recurrence then runs only at the base points, with the
+even and the odd degrees of each column as columns of their own.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -65,11 +69,6 @@ _FIRST_DEGREE = 32
 class Kind(str, Enum):
     PSI = "psi"
     PHI = "phi"
-
-
-def _check_k(k):
-    if np.any(np.asarray(k) == 0):
-        raise DomainError("spectral transforms are undefined at k = 0")
 
 
 # -- Legendre series of the samples ------------------------------------------
@@ -358,16 +357,49 @@ class SideSampler:
         return transforms([self], k)[0]
 
 
-def transforms(samplers, k) -> Scaled:
+def _unfold(sums, z, bases, blocks):
+    """Sums at every point of the image ``blocks`` of the ``bases``, and its
+    |Re z|, from the even- and odd-degree ``sums`` at the base points z."""
+    if blocks == ((0, 0, 0),):  # every point its own base
+        return sums[0], np.abs(z.real)
+    starts = list(accumulate(map(len, bases), initial=0))
+    spans = [slice(starts[family], starts[family + 1]) for family, _, _ in blocks]
+    ends = list(accumulate(span.stop - span.start for span in spans))
+    out = np.empty((sums.shape[1], ends[-1]), dtype=complex)
+    for span, end, (_, negate, conjugate) in zip(spans, ends, blocks):
+        here = out[:, end - (span.stop - span.start) : end]
+        (np.subtract if negate else np.add).reduce(sums[:, :, span], axis=0, out=here)
+        if conjugate:
+            np.conjugate(here, out=here)
+    return out, np.concatenate([np.abs(z.real[span]) for span in spans])
+
+
+def transforms(samplers, k, images=None) -> Scaled:
     """Transforms of every sampler at every point of ``k``, a Scaled value of
     shape ``(len(samplers),) + k.shape``, from one Bessel recurrence over
     the samplers' stacked columns; the samplers must share lam and side
-    length."""
+    length.
+
+    The recurrence runs only at the points of ``images`` = (bases, blocks),
+    by default ((mu(k),), ((0, 0, 0),)): ``bases`` are 1-D arrays of mu,
+    and k.ravel() is, in order, the blocks (family, negate, conjugate), each
+    len(bases[family]) points at that family's mu, negated and/or
+    conjugated.  Real Legendre columns give S(conj z) = conj S(z), and
+    i_n(-z) = (-1)^n i_n(z) (DLMF 10.47) gives S(-z) = S_even(z) - S_odd(z).
+    """
     lam, side_length = samplers[0].lam, samplers[0].side_length
     if any(s.lam != lam or s.side_length != side_length for s in samplers):
         raise ParameterError("batched transforms need one lam and one side length")
     k = np.asarray(k, dtype=complex)
-    _check_k(k)
+    if np.any(k == 0):
+        raise DomainError("spectral transforms are undefined at k = 0")
+    ks = k.ravel()
+    bases, blocks = images or ((mu(ks, lam),), ((0, 0, 0),))
+    z = np.concatenate(bases) * (side_length / 2.0)
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteError(
+            f"mu(k) l/2 is not finite at lam {lam}, side length {side_length}"
+        )
     series = [s._columns for s in samplers]
     columns = [column for sampler_columns, _ in series for column in sampler_columns]
     stacked = np.zeros((max(map(len, columns)), len(columns)))
@@ -375,16 +407,15 @@ def transforms(samplers, k) -> Scaled:
         stacked[: len(column), j] = column
     # each sampler's g column, followed by its g'/2 column for PHI
     first = np.cumsum([0] + [len(sampler_columns) for sampler_columns, _ in series[:-1]])
-    ks = k.ravel()
-    z = mu(ks, lam) * (side_length / 2.0)
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteError(
-            f"mu(k) l/2 is not finite at lam {lam}, side length {side_length}"
-        )
-    sums = _bessel_sums(stacked, z)
+    if any(negate for _, negate, _ in blocks):
+        # the even and the odd degrees of each column as columns of their own
+        odd = (np.arange(len(stacked)) % 2 == 1)[:, None]
+        stacked = np.concatenate([np.where(odd, 0.0, stacked), np.where(odd, stacked, 0.0)], axis=1)
+    sums = _bessel_sums(stacked, z).reshape(-1, len(columns), z.size)
+    sums, abs_re = _unfold(sums, z, bases, blocks)
     m = sums[first]
     phi = np.array([s.kind is Kind.PHI for s in samplers])
     m[phi] = sums[first[phi] + 1] + (lam / ks) * m[phi]
-    sigma = np.abs(z.real) + np.array([log_scale for _, log_scale in series])[:, None]
+    sigma = abs_re + np.array([log_scale for _, log_scale in series])[:, None]
     shape = (len(samplers),) + k.shape
     return Scaled(m.reshape(shape), sigma.reshape(shape))

@@ -135,6 +135,22 @@ def test_tiny_positive_lambda_is_solved_as_lambda_zero(tmp_path, kind, tail):
         assert np.max(np.abs(run - runs[0])) <= 1e-10
 
 
+def test_tiny_positive_lambda_integral_solve_matches_lambda_zero(tmp_path):
+    # the contour solver's root pair k = +-i sqrt(lam) cancels like the m = 0
+    # series mode; at lam 1e-40 it wrote traces near 1.6e4 (true 3.6)
+    runs = []
+    for lam in (0.0, 1e-40, 1e-200):
+        cfg = sym_dirichlet_cfg()
+        cfg["lam"] = lam
+        out = tmp_path / f"lam{lam}"
+        path = write_cfg(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(out), "--solver", "integral"]) == 0
+        runs.append(np.loadtxt(out / "traces.csv", delimiter=",", skiprows=1))
+        assert json.loads((out / "manifest.json").read_text())["residual_audit"] < 1e-2
+    for run in runs[1:]:
+        assert np.max(np.abs(run - runs[0])) <= 1e-10 * np.max(np.abs(runs[0]))
+
+
 @pytest.mark.parametrize("lam", [5e-20, 1e-18, 1e-16, 1e-14])
 def test_small_lambda_neumann_mean_is_accurate_or_refused(tmp_path, capsys, lam):
     # just above the lambda = 0 threshold the boundary mean, flux/(4 lam

@@ -22,6 +22,7 @@ from tridtn.poincare import (
     in_upper_half,
     mixed_nr_trace,
     ray_radius,
+    residue_circles,
     residue_of_inhomogeneity,
     root_circle_radius,
     symmetric_dirichlet_integral,
@@ -273,7 +274,7 @@ def test_array_inhom_matches_scalar_and_solve(geom, rng):
         assert abs(val - want) <= 1e-10 * abs(want)
 
 
-def test_mixed_nr_trace_makes_three_inhom_calls(geom, monkeypatch):
+def test_mixed_nr_trace_makes_one_inhom_call(geom, monkeypatch):
     _, problem = _mixed_problem(geom)
     calls = []
     inhom = ScaledElimination.inhom
@@ -284,8 +285,8 @@ def test_mixed_nr_trace_makes_three_inhom_calls(geom, monkeypatch):
 
     monkeypatch.setattr(ScaledElimination, "inhom", counted)
     mixed_nr_trace(problem, count=8, t_factor=4.0)
-    assert len(calls) == 3  # two rays, then every residue circle at once
-    assert calls[-1] == (34, 32)
+    # both rays (4 pieces of 4 panels of 16 nodes) and every residue circle
+    assert calls == [(4 * 4 * 16 + 34 * 32,)]
 
 
 def test_array_residues_match_per_root_trapezoid(geom):
@@ -293,7 +294,8 @@ def test_array_residues_match_per_root_trapezoid(geom):
     elim = ScaledElimination(problem)
     k = d_root_set(1.0, 1.0, 6).k
     radius = root_circle_radius(k, 1.0, 1.0)
-    got = residue_of_inhomogeneity(elim, k, radius)
+    offsets = residue_circles(radius)
+    got = residue_of_inhomogeneity(elim.inhom(k[:, None] + offsets), offsets)
     nodes = 32
     for k0, r, val in zip(k, radius, got):
         offsets = r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
@@ -426,3 +428,59 @@ def test_contour_evaluation_matches_extended_precision(geom, lam, t_factor):
                 assert type(got) is float
             err = np.max(np.abs(got - reference[name]))
             assert err <= 1e-14 * scale, (name, np.shape(s), float(err / scale))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+def test_symmetric_integral_images_match_every_point(geom, lam, monkeypatch):
+    # the transforms that symmetric_dirichlet_integral sums on its two base
+    # families, unfolded to all twelve (rotation, piece) blocks (six at
+    # lambda = 0) and the roots, against the sums at every point
+    calls = []
+    transforms = poincare.transforms
+
+    def captured(samplers, k, images=None):
+        calls.append((samplers, k, images))
+        return transforms(samplers, k, images)
+
+    monkeypatch.setattr(poincare, "transforms", captured)
+    data = all_traces(symmetric_corner_compatible(max(lam, 0.5), 1.0), geom)[0][0]
+    symmetric_dirichlet_integral(data, lam, 1.0, n_max=8, t_factor=8.0)
+    ((samplers, k, (bases, blocks)),) = calls
+    pieces, lattice = (4 if lam > 0 else 2), 8 * poincare.PANEL_ORDER
+    assert len(blocks) == 3 * pieces + 3
+    # the ray points are summed at two lattice families, the roots at their own
+    assert sum(map(len, bases)) == 2 * lattice + k.size - 3 * pieces * lattice
+    got, want = transforms(samplers, k, (bases, blocks)), transforms(samplers, k)
+    # relative at every point: 3.5e-12 at most, at the smallest values
+    assert np.all(np.abs(((got - want) / want).to_complex()) <= 1e-11)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda data: symmetric_dirichlet_integral(data, 1.0, 1.0, t_factor=0.4), "t_factor"),
+        (lambda data: symmetric_dirichlet_integral(data, 1.0, 1.0, order=0), "order"),
+        (lambda data: symmetric_dirichlet_integral(data, math.nan, 1.0), "lambda"),
+        (lambda data: symmetric_dirichlet_integral(data, 1.0, 1.0, n_max=-1), "n_max"),
+        (lambda data: d_root_set(1.0, 1.0, -1), "count"),
+    ],
+    ids=["t_factor", "order", "nan-lambda", "n_max", "count"],
+)
+def test_contour_solvers_check_their_parameters(call, name):
+    data = expression_trace("cos(2*pi*s/l)", 1, 1.0)
+    with pytest.raises(ParameterError, match=name):
+        call(data)
+
+
+@pytest.mark.parametrize("lam", [1e-35, 1e-40, 1e-100, 1e-200, 5e-324])
+def test_symmetric_integral_at_tiny_lambda_matches_lambda_zero(lam):
+    # the root pair k = +-i sqrt(lambda) divides a cancelled G by about
+    # sqrt(3 lambda) l; below the resonance threshold the trace is that of
+    # lambda = 0 (at lambda 1e-35 it was 7.9e16 times off)
+    data = expression_trace("cos(2*pi*s/l)", 1, 1.0)
+    s = np.linspace(-0.5, 0.5, 101)
+    want = symmetric_dirichlet_integral(data, 0.0, 1.0, n_max=32, t_factor=80.0)
+    got = symmetric_dirichlet_integral(data, lam, 1.0, n_max=32, t_factor=80.0)
+    for column in ("value", "derivative"):
+        exact = getattr(want, column)(s)
+        assert np.max(np.abs(getattr(got, column)(s) - exact)) <= 1e-10 * np.max(np.abs(exact))

@@ -439,3 +439,31 @@ def test_series_solve_samples_no_series_trace(tmp_path, monkeypatch):
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / f"o{j}")]) == 0
     assert entered == {"_full_trace_audit", "_finalize"}
     assert calls == []
+
+
+# -- transforms at images of base points ----------------------------------------
+@pytest.mark.parametrize("lam", [1.0, 0.3])
+def test_transforms_at_images_match_every_point(lam):
+    # base points with mu in the closed first quadrant: inside it, on both
+    # axes (k on the imaginary axis, k real) and at mu = 0 (k = i sqrt(lam));
+    # small |mu| for Miller's recurrence, large for the forward one
+    samplers = [SideSampler(s.trace, s.kind, lam, 1.0) for s in _batch()]
+    k = np.concatenate(
+        [
+            np.array([1.5 + 1.0j, 2.0 + 0.5j, 1.5, 1.05j, 3.0j, 1j * math.sqrt(lam)]),
+            np.array([400.0 + 30.0j, 500.0, 350.0 + 350.0j, 600.0j]),
+        ]
+    )
+    base = mu(k, lam)
+    assert np.all(base.real >= 0.0) and np.all(base.imag >= 0.0)
+    # mu at -k, lambda/conj(k), -lambda/conj(k) and k: (negate, conjugate)
+    points = np.concatenate([-k, lam / np.conj(k), -lam / np.conj(k), k])
+    blocks = [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 0)]
+    degree = max(len(column) for s in samplers for column in s._columns[0])
+    z = base * 0.5
+    forward = (np.abs(z) > degree) & (degree**2 * np.abs(z.real) <= 8.0 * np.abs(z) ** 2)
+    assert forward.any() and not forward.all()
+    got = transforms(samplers, points, ((base,), blocks))
+    want = transforms(samplers, points)
+    scale = np.max(np.abs(want.to_complex()), axis=1, keepdims=True)
+    assert np.all(np.abs(got.to_complex() - want.to_complex()) <= 1e-13 * scale)
