@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,19 +130,28 @@ def _truncation(cfg: dict, args) -> int:
 
 
 def _data_trace(entry: dict, side: int, side_length: float) -> BoundaryTrace:
+    """An expression, or a cubic spline through the rows (s, value) after the
+    header line of a {"samples": CSV file}: two or more rows of finite
+    numbers, s strictly increasing."""
     data = entry.get("data", "0")
     if isinstance(data, str):
         return expression_trace(data, side, side_length)
-    if isinstance(data, dict) and "samples" in data:
-        from scipy.interpolate import CubicSpline
+    path = data.get("samples") if isinstance(data, dict) else None
+    if not isinstance(path, str):
+        raise ConfigError(f"side {side}: 'data' {data!r} is neither an expression nor a samples file")
+    from scipy.interpolate import CubicSpline
 
-        try:
-            table = np.loadtxt(data["samples"], delimiter=",", skiprows=1, ndmin=2)
-        except OSError as exc:
-            raise ConfigError(f"cannot read samples {data['samples']}: {exc}") from exc
-        spline = CubicSpline(table[:, 0], table[:, 1])
-        return BoundaryTrace(side=side, value=spline, derivative=spline.derivative())
-    raise ConfigError(f"side {side}: 'data' must be an expression or a samples file")
+    try:
+        with warnings.catch_warnings():  # a file of no rows is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"side {side}: cannot read samples {path}: {exc}") from exc
+    if not (min(table.shape) > 1 and np.isfinite(table).all() and np.all(np.diff(table[:, 0]) > 0)):
+        raise ConfigError(f"side {side}: samples {path} must hold two or more rows s, value "
+                          "of finite numbers, s strictly increasing")
+    spline = CubicSpline(table[:, 0], table[:, 1])
+    return BoundaryTrace(side=side, value=spline, derivative=spline.derivative())
 
 
 def build_problem(cfg: dict) -> ProblemSpec:
@@ -432,6 +442,8 @@ def _pick_solver(command: str, requested) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be an integer >= 0, not {args.seed}")
         cfg = load_config(args.config)
         if args.command in _SOLVERS:
             args.solver = _pick_solver(args.command, args.solver or cfg.get("solver"))

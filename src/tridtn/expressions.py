@@ -1,4 +1,4 @@
-"""Boundary-data expressions: parsing, symbolic d/ds, compiled evaluation.
+"""Boundary-data expressions: parsing, symbolic d/ds, evaluation by a tree walk.
 
 Literals, ``s``, ``pi``, the side length ``l`` and ``sin cos exp sinh cosh``
 of a parenthesised argument, joined by ``+ -`` (loosest), ``* /`` and ``^``
@@ -6,9 +6,10 @@ of a parenthesised argument, joined by ``+ -`` (loosest), ``* /`` and ``^``
 ``^``, so ``-s^2`` is -(s^2).  ``parse_expression`` reads them by precedence
 climbing (Pratt, "Top down operator precedence", 1973) into a tree of
 ``Node`` records; its errors carry the byte offset of the offending token.
-``Node.diff`` is d/ds, for the Phi transforms of Dirichlet data, and
-``_compile`` turns a tree into nested closures once, so an evaluation does
-no per-node dispatch.  Numbers, pi and l are numpy floats: 1/0 is inf.
+``Node.diff`` is d/ds, for the Phi transforms of Dirichlet data, and a call
+of a ``Node`` evaluates its tree by one recursive walk.  Each tree is read
+about once per run, so nothing is compiled or folded.  Numbers, pi and l
+are numpy floats: 1/0 is inf.
 """
 from __future__ import annotations
 
@@ -53,10 +54,10 @@ def _tokenize(text: str):
 
 
 class Node(NamedTuple):
-    """One expression node: ``op`` 'num' (its ``value``), 's', 'pi', 'l', 'neg',
-    a function or a binary operator (at ``offset`` in the text) on ``args``.
-    A call compiles the tree each time and evaluates it at ``s`` as numpy
-    floats, so 0/0 is NaN as in ``expression_trace``, which compiles once."""
+    """One expression node: ``op`` 'num' (its ``value``; pi is one), 's', 'l',
+    'neg', a function or a binary operator (at ``offset`` in the text) on ``args``.
+    A call evaluates the tree at ``s`` as numpy floats, so 0/0 is NaN at a
+    Python float too, as in ``expression_trace``."""
 
     op: str
     args: tuple = ()
@@ -65,7 +66,18 @@ class Node(NamedTuple):
 
     def __call__(self, s, side_length):
         with np.errstate(all="ignore"):
-            return _compile(self, {})(np.asarray(s, dtype=float)[()], side_length)
+            return self._walk(np.asarray(s, dtype=float)[()], np.float64(side_length))
+
+    def _walk(self, s, side_length):
+        op, args, value, _ = self
+        if not args:
+            return s if op == "s" else side_length if op == "l" else np.float64(value)
+        a = args[0]._walk(s, side_length)
+        if op == "neg":
+            return -a
+        if op in _FUNCS:
+            return _FUNCS[op][0](a)
+        return _BINARY[op][1](a, args[1]._walk(s, side_length))
 
     def diff(self) -> "Node":
         """d/ds of this node, as a tree."""
@@ -95,31 +107,6 @@ def _free_of_s(node: Node) -> bool:
     return node.op != "s" and all(_free_of_s(arg) for arg in node.args)
 
 
-def _compile(node: Node, memo: dict):
-    """The tree as nested closures ``f(s, side_length)``, operands bound as
-    default arguments: cells would more than double the objects the garbage
-    collector tracks.  ``memo`` maps the ids of nodes of live trees to their
-    closures, so the subtrees a derivative shares with its tree compile once."""
-    if id(node) in memo:
-        return memo[id(node)]
-    op, a = node.op, _compile(node.args[0], memo) if node.args else None
-    if op == "s":
-        f = lambda s, side_length: s
-    elif op == "l":
-        f = lambda s, side_length: np.float64(side_length)
-    elif not node.args:
-        f = lambda s, side_length, c=np.float64(np.pi if op == "pi" else node.value): c
-    elif op == "neg":
-        f = lambda s, side_length, a=a: -a(s, side_length)
-    elif op in _FUNCS:
-        f = lambda s, side_length, a=a, g=_FUNCS[op][0]: g(a(s, side_length))
-    else:
-        b, g = _compile(node.args[1], memo), _BINARY[op][1]
-        f = lambda s, side_length, a=a, b=b, g=g: g(a(s, side_length), b(s, side_length))
-    memo[id(node)] = f
-    return f
-
-
 def parse_expression(text: str) -> Node:
     """Parse ``text`` into a tree; raises ExpressionError with byte offset."""
     tokens = _tokenize(text)
@@ -145,9 +132,9 @@ def parse_expression(text: str) -> Node:
         if tok.text == "-":
             node, depth = binary(3, level + 1)
             return Node("neg", (node,)), nested(depth + 1, tok)
-        if tok.kind == "num":
-            return Node("num", value=float(tok.text)), 1
-        if tok.text in ("s", "pi", "l"):
+        if tok.kind == "num" or tok.text == "pi":
+            return Node("num", value=np.pi if tok.text == "pi" else float(tok.text)), 1
+        if tok.text in ("s", "l"):
             return Node(tok.text), 1
         call = tok.text in _FUNCS
         if call or tok.text == "(":
@@ -187,16 +174,12 @@ def expression_trace(text: str, side: int, side_length: float) -> BoundaryTrace:
     d/ds that fails (a power whose exponent reads s) is an ExpressionError
     only where a transform reads it."""
     ast = parse_expression(text)
-    memo = {}
-    value = _compile(ast, memo)
-    # a copy: the derivative tree, and the ids of its nodes, die once compiled
-    derivative = functools.cache(lambda: _compile(ast.diff(), dict(memo)))
+    derivative = functools.cache(ast.diff)
 
-    def on_grid(func, s):
+    def on_grid(tree, s):
         s = np.asarray(s, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.array(np.broadcast_to(func(s, side_length), s.shape), dtype=float)
+        out = np.array(np.broadcast_to(tree(s, side_length), s.shape), dtype=float)
         return out if out.ndim else float(out)
 
-    return BoundaryTrace(side=side, value=lambda s: on_grid(value, s),
+    return BoundaryTrace(side=side, value=lambda s: on_grid(ast, s),
                          derivative=lambda s: on_grid(derivative(), s))

@@ -36,6 +36,7 @@ from .poincare import (
     _symmetric_g_scaled,
     dirichlet_mode_roots,
 )
+from .problems import check_lam
 from .quadrature import QuadratureRule
 from .relations import GlobalRelation
 from .scaledc import Scaled
@@ -106,6 +107,7 @@ def greens_eval(traces: TraceSet, lam: float, z, order: int = 16):
     evaluated once on the nodes of every rule, and each rule sums a
     points-by-nodes kernel.
     """
+    check_lam(lam)
     geom = traces.geometry
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
     zs, margins = np.asarray(point.z).ravel(), np.asarray(point.margin).ravel()
@@ -204,8 +206,7 @@ def fokas_eval(
     a-priori tail bound.  One global relation serves every point, and each
     ray evaluates rho~_j once on the nodes of all points.
     """
-    if lam <= 0.0:
-        raise ParameterError("the ray representation requires lam > 0")
+    check_lam(lam, positive=True)
     geom = traces.geometry
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
     zs = np.ravel(point.z)
@@ -244,8 +245,7 @@ def symmetric_interior(
     upper-half roots s_n^+ contribute in full, the lower-half roots s_n^-
     are split in two halves carrying the two rotated short kernels.
     """
-    if lam <= 0.0:
-        raise ParameterError("the symmetric ray representation requires lam > 0")
+    check_lam(lam, positive=True)
     geom = geometry or TriangleGeometry()
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
     side_length = geom.side_length

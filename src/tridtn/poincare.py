@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, ParameterError, RootFindError
 from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
-from .problems import BCKind, ProblemSpec
+from .problems import BCKind, ProblemSpec, check_lam
 from .quadrature import QuadratureRule
 from .relations import ScaledElimination  # re-exported: callers patch and import it here
 from .scaledc import Scaled
@@ -243,8 +243,7 @@ def symmetric_dirichlet_integral(
     rounding: there the root pair k = +-i sqrt(lambda) divides a cancelled G
     by a denominator of that size.
     """
-    if not lam >= 0:
-        raise ParameterError(f"the integral path requires lambda >= 0, got lam {lam}")
+    check_lam(lam)
     if not n_max >= 0:
         raise ParameterError(f"n_max must be at least 0, got {n_max}")
     if math.sqrt(3.0 * lam) * (side_length / 2.0) < RESONANCE_RTOL:
@@ -385,8 +384,7 @@ def d_root_set(
     D+/D-, and with ``audit=True`` the modes are counted in the mu-plane
     (``_audit_root_count``).
     """
-    if not lam > 0:
-        raise ParameterError("the mixed Neumann-Robin mode set requires lambda > 0")
+    check_lam(lam, positive=True)
     if not count >= 0:
         raise ParameterError(f"count must be at least 0, got {count}")
     rl = math.sqrt(lam)
@@ -548,8 +546,7 @@ def mixed_nr_trace(
 
 def _validate_mixed(problem: ProblemSpec):
     lam = problem.lam
-    if lam <= 0:
-        raise ParameterError("the mixed Neumann-Robin solver requires lambda > 0")
+    check_lam(lam, positive=True)
     sides = problem.sides
     g = math.sqrt(3.0 * lam)
     # the mode roots are those of beta = pi/2 on every side

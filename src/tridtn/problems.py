@@ -66,6 +66,12 @@ class AdmissibilityReport:
     violations: tuple
 
 
+def check_lam(lam: float, positive: bool = False):
+    """ParameterError unless ``lam`` is finite and >= 0 (> 0 if ``positive``)."""
+    if not (math.isfinite(lam) and (lam > 0.0 if positive else lam >= 0.0)):
+        raise ParameterError(f"lambda must be finite and {'>' if positive else '>='} 0, got {lam}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     lam: float
@@ -75,8 +81,7 @@ class ProblemSpec:
     def __post_init__(self):
         if len(self.sides) != 3:
             raise ParameterError("exactly three side conditions are required")
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ParameterError(f"lambda must be finite and >= 0, got {self.lam}")
+        check_lam(self.lam)
         kinds = {side.kind for side in self.sides}
         if BCKind.DIRICHLET in kinds and len(kinds) > 1:
             raise ParameterError(
@@ -153,8 +158,7 @@ def neumann_problem(lam, geometry, traces) -> ProblemSpec:
 
 def mixed_nr_problem(lam, geometry, robin_data, neumann_data_2, neumann_data_3) -> ProblemSpec:
     """Robin side 1 with gamma = sqrt(3 lambda), Neumann sides 2 and 3."""
-    if lam <= 0.0:
-        raise ParameterError("the mixed Robin/Neumann family needs lambda > 0")
+    check_lam(lam, positive=True)
     gamma = math.sqrt(3.0 * lam)
     sides = (
         SideCondition(BCKind.ROBIN, robin_data, gamma=gamma),

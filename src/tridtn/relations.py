@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, SolvabilityError
 from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, mu
-from .problems import ProblemSpec
+from .problems import ProblemSpec, check_lam
 from .scaledc import Scaled
 from .spectral import Kind, SideSampler, transforms
 
@@ -42,6 +42,7 @@ class GlobalRelation:
     """rho evaluators for a full (Dirichlet + Neumann) trace set."""
 
     def __init__(self, dirichlet, neumann, lam, side_length):
+        check_lam(lam)
         self.lam = lam
         self.side_length = side_length
         self._psi = [

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import AccuracyError, ParameterError, ResonanceError, RootFindError, SolvabilityError
 from .geometry import ALPHA, ALPHA_BAR, SQRT3, TriangleGeometry, mu
-from .problems import BCKind, ProblemSpec, SideCondition, dirichlet_problem, neumann_problem
+from .problems import BCKind, ProblemSpec, SideCondition, check_lam, dirichlet_problem, neumann_problem
 from .quadrature import QuadratureRule
 from .relations import mode_moment
 from .scaledc import Scaled
@@ -133,6 +133,7 @@ def symmetric_dirichlet_dtn(
     period-l Fourier series (modes are multiples of three in the shared
     period-3l labelling).
     """
+    check_lam(lam)
     sampler = SideSampler(data, Kind.PHI, lam, side_length)
     # at lambda = 0 the mean of the Neumann trace vanishes by the divergence
     # theorem: the n = 0 coefficient is zero

@@ -301,6 +301,27 @@ def test_solve_spline_samples_match_expressions(tmp_path):
     assert np.max(np.abs(runs[0] - runs[1])) < 1e-5
 
 
+@pytest.mark.parametrize(
+    "rows",
+    ["0.0,1\n0.1,x\n", "0.0,1\n", "-0.5\n0.0\n0.5\n", "-0.5,1\n0.0,nan\n0.5,1\n",
+     "-0.5,1\n0.5,1\n0.0,1\n", 5],
+    ids=["non-numeric", "one-row", "one-column", "nan", "s-not-increasing", "not-a-file"],
+)
+def test_malformed_samples_table_is_config_error(tmp_path, capsys, rows):
+    # each malformed table names its side and its file in one stderr line
+    samples = rows
+    if isinstance(rows, str):
+        samples = str(tmp_path / "table.csv")
+        Path(samples).write_text("s,value\n" + rows)
+    cfg = sym_dirichlet_cfg()
+    cfg["bc"][1]["data"] = {"samples": samples}
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "side 2" in lines[0] and str(samples) in lines[0], lines
+    assert not out.exists()
+
+
 def test_bad_expression_is_config_error(tmp_path):
     cfg = sym_dirichlet_cfg()
     cfg["bc"][0]["data"] = "sin(s"

@@ -1,7 +1,7 @@
 """The CLI input contract, on configs drawn from valid, invalid and extreme
-key values: every run exits 0, 2 or 3; a failed run prints exactly one line
-and no traceback, and leaves no files; a successful run writes only finite
-values."""
+key values and on valid and negative seeds: every run exits 0, 2 or 3 (2 for
+a negative seed); a failed run prints exactly one line and no traceback, and
+leaves no files; a successful run writes only finite values."""
 import contextlib
 import io
 import json
@@ -116,6 +116,9 @@ def test_cli_contract(cfg, command, data):
         argv = [command, "--config", str(path), "--out", str(out)]
         if solver is not None:
             argv += ["--solver", solver]
+        seed = data.draw(st.sampled_from([None, 0, 3, -1, -2**40]))
+        if seed is not None:
+            argv += ["--seed", str(seed)]
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
@@ -123,6 +126,8 @@ def test_cli_contract(cfg, command, data):
         # a warning prints its own lines to stderr outside a test run
         lines = [str(w.message) for w in caught] + err.getvalue().splitlines()
         assert code in (0, 2, 3)
+        if seed is not None and seed < 0:
+            assert code == 2, lines
         if code == 0:
             _check_outputs(out)
         else:

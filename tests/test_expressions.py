@@ -206,3 +206,26 @@ def test_expression_trace_vectorised():
     assert const(grid).shape == grid.shape and np.all(const(grid) == 2.5)
     assert const.d(grid).shape == grid.shape and np.all(const.d(grid) == 0.0)
     assert const(0.1) == 2.5 and isinstance(const(0.1), float)
+
+
+def test_long_atom_sum_matches_numpy():
+    # data like the CLI traces of manufactured fields: a sum of 80 atoms
+    # c*cos(a + b*s)*exp(d*s), over a thousand nodes, against direct numpy
+    c, a, b, d = np.random.default_rng(3).uniform([-3, -np.pi, -20, -5], [3, np.pi, 20, 5],
+                                                 size=(80, 4)).T
+    text = " + ".join(f"{ci:.17g}*cos({ai:.17g} + {bi:.17g}*s)*exp({di:.17g}*s)"
+                      for ci, ai, bi, di in zip(c, a, b, d))
+
+    def count(node):
+        return 1 + sum(count(arg) for arg in node.args)
+
+    assert count(parse_expression(text)) > 1000
+    trace = expression_trace(text, 1, 1.0)
+    for s in (np.linspace(-0.5, 0.5, 101), 0.123):
+        col = np.asarray(s)[..., None]
+        phase, env = a + b * col, c * np.exp(d * col)
+        terms = (env * np.cos(phase), env * (d * np.cos(phase) - b * np.sin(phase)))
+        for got, term in zip((trace(s), trace.d(s)), terms):
+            assert type(got) is type(s) and np.shape(got) == np.shape(s)
+            scale = np.sum(np.abs(term), axis=-1)
+            assert np.max(np.abs(got - np.sum(term, axis=-1)) / scale) < 1e-14

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tridtn.errors import AccuracyError, DomainError, ParameterError
+from tridtn.expressions import expression_trace
 from tridtn.geometry import TriangleGeometry
 from tridtn.interior import (
     InteriorPoint,
@@ -14,6 +15,9 @@ from tridtn.interior import (
     symmetric_interior,
 )
 from tridtn.oracle import all_traces, symmetric_corner_compatible
+from tridtn.poincare import d_root_set, symmetric_dirichlet_integral
+from tridtn.relations import GlobalRelation
+from tridtn.series import general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
 
 from conftest import manufactured_families
 
@@ -102,6 +106,32 @@ def test_fokas_rejects_lambda_zero(geom):
     traces = TraceSet.from_solution(sol, geom)
     with pytest.raises(ParameterError):
         fokas_eval(traces, 0.0, 0.0 + 0.0j)
+
+
+#: each public entry that takes lambda, called at lambda = lam on the data f
+LAMBDA_ENTRIES = {
+    "greens_eval": lambda f, lam: greens_eval(TraceSet(TriangleGeometry(), (f,) * 3, (f,) * 3),
+                                              lam, 0.1j),
+    "fokas_eval": lambda f, lam: fokas_eval(TraceSet(TriangleGeometry(), (f,) * 3, (f,) * 3),
+                                            lam, 0.1j),
+    "symmetric_interior": lambda f, lam: symmetric_interior(f, lam, 0.1j),
+    "symmetric_dirichlet_dtn": lambda f, lam: symmetric_dirichlet_dtn(f, lam, 1.0),
+    "general_dirichlet_dtn": lambda f, lam: general_dirichlet_dtn((f,) * 3, lam, 1.0),
+    "neumann_to_dirichlet": lambda f, lam: neumann_to_dirichlet((f,) * 3, lam, 1.0),
+    "symmetric_dirichlet_integral": lambda f, lam: symmetric_dirichlet_integral(f, lam, 1.0),
+    "d_root_set": lambda f, lam: d_root_set(lam, 1.0, 4),
+    "GlobalRelation": lambda f, lam: GlobalRelation((f,) * 3, (f,) * 3, lam, 1.0),
+}
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", list(LAMBDA_ENTRIES))
+def test_lambda_outside_the_domain_is_a_parameter_error(entry, lam):
+    # not the Laplace value (greens_eval at -1 or NaN), a NaN or a failure
+    # deeper down: the one message that ProblemSpec gives too
+    f = expression_trace("cos(2*pi*s/l)", 1, 1.0)
+    with pytest.raises(ParameterError, match=rf"^lambda must be finite and >=? 0, got {lam}$"):
+        LAMBDA_ENTRIES[entry](f, lam)
 
 
 def test_symmetric_interior_manufactured(geom, rng):
