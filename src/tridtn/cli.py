@@ -23,6 +23,7 @@ are complete, so a failed run leaves no output behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -129,13 +130,16 @@ def _truncation(cfg: dict, args) -> int:
     return args.truncation
 
 
-def _data_trace(entry: dict, side: int, side_length: float) -> BoundaryTrace:
+def _data_trace(entry: dict, side: int, side_length: float, read: dict) -> BoundaryTrace:
     """An expression, or a cubic spline through the rows (s, value) after the
     header line of a {"samples": CSV file}: two or more rows of finite
-    numbers, s strictly increasing."""
+    numbers, s strictly increasing.  ``read`` maps each expression the call
+    has parsed to its trace, which sides with the same expression share."""
     data = entry.get("data", "0")
     if isinstance(data, str):
-        return expression_trace(data, side, side_length)
+        if data not in read:
+            read[data] = expression_trace(data, side, side_length)
+        return read[data]
     path = data.get("samples") if isinstance(data, dict) else None
     if not isinstance(path, str):
         raise ConfigError(f"side {side}: 'data' {data!r} is neither an expression nor a samples file")
@@ -157,7 +161,7 @@ def _data_trace(entry: dict, side: int, side_length: float) -> BoundaryTrace:
 def build_problem(cfg: dict) -> ProblemSpec:
     lam = float(cfg["lam"])
     geom = TriangleGeometry(float(cfg["side_length"]))
-    sides = []
+    sides, read = [], {}
     for side, entry in enumerate(cfg["bc"], start=1):
         if "kind" not in entry:
             raise ConfigError(f"side {side}: each bc entry needs a 'kind'")
@@ -167,7 +171,7 @@ def build_problem(cfg: dict) -> ProblemSpec:
             raise ConfigError(f"side {side}: unknown bc kind {entry['kind']!r}") from exc
         if kind == BCKind.POINCARE:
             raise ConfigError(f"side {side}: no subcommand solves a 'poincare' side")
-        trace = _data_trace(entry, side, geom.side_length)
+        trace = _data_trace(entry, side, geom.side_length, read)
         try:
             kwargs = {
                 key: float(_number(f"bc.{key}", entry[key]))
@@ -202,7 +206,9 @@ def _solve_traces(spec: ProblemSpec, cfg: dict, solver: str, n: int):
     kinds = [side.kind for side in spec.sides]
     data = tuple(side.data for side in spec.sides)
     if kinds == [BCKind.ROBIN, BCKind.NEUMANN, BCKind.NEUMANN]:
-        # the mixed problem has one solver, the contour integral
+        # the mixed problem has one solver, the contour integral, for lam > 0
+        if spec.lam == 0.0:
+            raise ConfigError("the mixed Neumann-Robin solver needs lam > 0")
         count = max(n, 8)
         trace = mixed_nr_trace(spec, count=count)
         return {2: trace}, {"solver": "integral", "truncation": count}
@@ -316,9 +322,10 @@ def _cmd_verify(cfg, args):
     if not _three_objects(cfg.get("complement")):
         raise ConfigError("verify needs a 'complement' list of three sides of the other trace kind")
     lam, side_length = float(cfg["lam"]), float(cfg["side_length"])
+    # a map per list, so that the error of a non-finite trace names a side of its own list
     first, second = (
-        [_data_trace(entry, j, side_length) for j, entry in enumerate(cfg[key], start=1)]
-        for key in ("bc", "complement")
+        [_data_trace(entry, j, side_length, read) for j, entry in enumerate(cfg[key], start=1)]
+        for key, read in (("bc", {}), ("complement", {}))
     )
     kinds = {entry.get("kind") for entry in cfg["bc"]}
     if kinds == {"dirichlet"}:
@@ -410,6 +417,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: it keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tridtn",

@@ -1,4 +1,4 @@
-"""Boundary-data expressions: parsing, symbolic d/ds, evaluation by a tree walk.
+"""Boundary-data expressions: parsing, and evaluation with d/ds by a tree walk.
 
 Literals, ``s``, ``pi``, the side length ``l`` and ``sin cos exp sinh cosh``
 of a parenthesised argument, joined by ``+ -`` (loosest), ``* /`` and ``^``
@@ -6,14 +6,14 @@ of a parenthesised argument, joined by ``+ -`` (loosest), ``* /`` and ``^``
 ``^``, so ``-s^2`` is -(s^2).  ``parse_expression`` reads them by precedence
 climbing (Pratt, "Top down operator precedence", 1973) into a tree of
 ``Node`` records; its errors carry the byte offset of the offending token.
-``Node.diff`` is d/ds, for the Phi transforms of Dirichlet data, and a call
-of a ``Node`` evaluates its tree by one recursive walk.  Each tree is read
-about once per run, so nothing is compiled or folded.  Numbers, pi and l
-are numpy floats: 1/0 is inf.
+A call of a ``Node`` evaluates its tree by one recursive walk; ``Node.d``
+carries d/ds, for the Phi transforms of Dirichlet data, up the same walk
+(forward-mode differentiation), so no derivative tree is built.  Each tree
+is read about once per run, so nothing is compiled or folded.  Numbers, pi
+and l are numpy floats: 1/0 is inf.
 """
 from __future__ import annotations
 
-import functools
 import operator
 import re
 from typing import NamedTuple
@@ -32,7 +32,7 @@ _FUNCS = {"sin": (np.sin, 1, "cos"), "cos": (np.cos, -1, "sin"), "exp": (np.exp,
 _BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul),
            "/": (2, operator.truediv), "^": (4, np.power)}
 #: the deepest nesting a parse accepts, each operator, function call and pair
-#: of parentheses one level.  A derivative is at most about three times deeper,
+#: of parentheses one level.  d/ds is taken in the value's walk, no deeper,
 #: so a tree at this depth stays well inside Python's recursion limit of 1000.
 MAX_DEPTH = 100
 #: one token after optional whitespace; "bad" is a character no token starts
@@ -79,28 +79,34 @@ class Node(NamedTuple):
             return _FUNCS[op][0](a)
         return _BINARY[op][1](a, args[1]._walk(s, side_length))
 
-    def diff(self) -> "Node":
-        """d/ds of this node, as a tree."""
-        if not self.args:
-            return Node("num", value=1.0 if self.op == "s" else 0.0)
-        d = tuple(arg.diff() for arg in self.args)
-        if self.op in ("neg", "+", "-"):
-            return Node(self.op, d)
-        if self.op in _FUNCS:
-            _, sign, name = _FUNCS[self.op]
-            outer = Node(name, self.args)
-            return Node("*", (Node("neg", (outer,)) if sign < 0 else outer, d[0]))
-        (a, b), (da, db) = self.args, d
-        if self.op == "^":
-            if not _free_of_s(b):
-                raise ExpressionError("d/ds of a power needs a constant exponent", self.offset)
-            # d/ds a^c = c a^(c-1) a'
-            exponent = Node("-", (b, Node("num", value=1.0)))
-            return Node("*", (Node("*", (b, Node("^", (a, exponent)))), da))
-        cross = (Node("*", (da, b)), Node("*", (a, db)))
-        if self.op == "*":
-            return Node("+", cross)
-        return Node("/", (Node("-", cross), Node("^", (b, Node("num", value=2.0)))))
+    def d(self, s, side_length):
+        """(value, d/ds) of the tree at ``s`` from one forward-mode walk; d/ds
+        of a power whose exponent reads s is an ExpressionError."""
+        with np.errstate(all="ignore"):
+            return self._dual(np.asarray(s, dtype=float)[()], np.float64(side_length))
+
+    def _dual(self, s, side_length):
+        op, args, _, offset = self
+        if not args:
+            return self._walk(s, side_length), np.float64(1.0 if op == "s" else 0.0)
+        a, da = args[0]._dual(s, side_length)
+        if op == "neg":
+            return -a, -da
+        if op in _FUNCS:
+            func, sign, name = _FUNCS[op]
+            outer = _FUNCS[name][0](a)
+            return func(a), (-outer if sign < 0 else outer) * da
+        b, db = args[1]._dual(s, side_length)
+        value = _BINARY[op][1](a, b)
+        if op == "^":
+            if not _free_of_s(args[1]):
+                raise ExpressionError("d/ds of a power needs a constant exponent", offset)
+            return value, (b * np.power(a, b - 1.0)) * da  # d/ds a^c = c a^(c-1) a'
+        if op in ("+", "-"):
+            return value, _BINARY[op][1](da, db)
+        if op == "*":
+            return value, da * b + a * db
+        return value, (da * b - a * db) / np.power(b, 2.0)
 
 
 def _free_of_s(node: Node) -> bool:
@@ -170,16 +176,15 @@ def expression_trace(text: str, side: int, side_length: float) -> BoundaryTrace:
     """A BoundaryTrace evaluating the expression and its d/ds as float arrays
     shaped like ``s`` (a float for scalar ``s``), with numpy semantics: a
     division by zero or an overflow yields inf or NaN silently, and callers
-    check their results.  The derivative is built on its first call, so a
+    check their results.  The derivative is computed only when called, so a
     d/ds that fails (a power whose exponent reads s) is an ExpressionError
     only where a transform reads it."""
     ast = parse_expression(text)
-    derivative = functools.cache(ast.diff)
 
-    def on_grid(tree, s):
+    def on_grid(s, derivative=False):
         s = np.asarray(s, dtype=float)
-        out = np.array(np.broadcast_to(tree(s, side_length), s.shape), dtype=float)
+        out = ast.d(s, side_length)[1] if derivative else ast(s, side_length)
+        out = np.array(np.broadcast_to(out, s.shape), dtype=float)
         return out if out.ndim else float(out)
 
-    return BoundaryTrace(side=side, value=lambda s: on_grid(ast, s),
-                         derivative=lambda s: on_grid(derivative(), s))
+    return BoundaryTrace(side=side, value=on_grid, derivative=lambda s: on_grid(s, True))

@@ -143,6 +143,36 @@ def test_criterion_04_round_trips():
     _report(4, ok, f"worst {worst:.2e}, gauge spread {gauge_spread:.2e}")
 
 
+def test_criterion_04_round_trips_relative_to_the_trace_scale():
+    """The criterion-4 legs at N = 128, each bounded relative to the largest
+    exact trace it reproduces: the absolute 1e-6 above is the size of the
+    lambda = 1 traces themselves, so it cannot see a map off by a factor.
+    The error falls as about N^-4.3 (finite corner smoothness); at N = 128
+    the N->D->N leg, the largest, reads 3e-7."""
+    geom = TriangleGeometry(L)
+    s = sample_grid(L, n=512, corner_margin=0.02)
+
+    def scale(traces):
+        return max(float(np.max(np.abs(t(s)))) for t in traces)
+
+    def relative(got, exact):
+        return max(float(np.max(np.abs(g - t(s)))) for g, t in zip(got, exact)) / scale(exact)
+
+    d, n = all_traces(corner_smooth_solution(1.0, L, SMOOTH_K0S, smooth_order=3), geom)
+    back_d = neumann_to_dirichlet(general_dirichlet_dtn(d, 1.0, L, m_max=128), 1.0, L, m_max=128)
+    back_n = general_dirichlet_dtn(neumann_to_dirichlet(n, 1.0, L, m_max=128), 1.0, L, m_max=128)
+    d0, n0 = all_traces(corner_smooth_solution(0.0, L, SMOOTH_K0S, smooth_order=3), geom)
+    qd0 = [q.value(s) for q in neumann_to_dirichlet(n0, 0.0, L, m_max=128)]
+    offsets = [float(np.mean(q - t(s))) for q, t in zip(qd0, d0)]
+    legs = {
+        "D->N->D": relative([t.value(s) for t in back_d], d),
+        "N->D->N": relative([t.value(s) for t in back_n], n),
+        "N->D at lambda 0": relative([q - c for q, c in zip(qd0, offsets)], d0),
+        "gauge spread": (max(offsets) - min(offsets)) / scale(d0),
+    }
+    assert all(err <= 1e-6 for err in legs.values()), legs
+
+
 def test_criterion_05_dual_representation_and_elimination():
     """Series vs contour symmetric DtN; closed-form vs numeric elimination."""
     lam = 1.0

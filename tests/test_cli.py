@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tridtn.cli import _trace_values, main
+import tridtn.expressions
+from tridtn.cli import _trace_values, build_parser, main
 from tridtn.expressions import MAX_DEPTH
 from tridtn.traces import BoundaryTrace
 
@@ -50,6 +51,58 @@ def test_solve_byte_determinism(tmp_path):
         outs.append(out)
     for fname in ("traces.csv", "manifest.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def _count_parses(monkeypatch):
+    calls = []
+    parse = tridtn.expressions.parse_expression
+    monkeypatch.setattr(tridtn.expressions, "parse_expression",
+                        lambda text: calls.append(text) or parse(text))
+    return calls
+
+
+def test_identical_side_data_are_parsed_once(tmp_path, monkeypatch):
+    # the sides of a symmetric config share one trace; distinct data do not
+    calls = _count_parses(monkeypatch)
+    assert main(["solve", "--config", write_cfg(tmp_path, sym_dirichlet_cfg()),
+                 "--out", str(tmp_path / "sym")]) == 0
+    assert calls == ["cos(2*pi*s/l)"]
+    cfg = sym_dirichlet_cfg()
+    for entry, data in zip(cfg["bc"], ["cos(2*pi*s/l)", "s^2 - 1/12", "exp(s)"]):
+        entry["data"] = data
+    calls.clear()
+    path = write_cfg(tmp_path, cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "gen")]) == 0
+    assert calls == ["cos(2*pi*s/l)", "s^2 - 1/12", "exp(s)"]
+
+
+def test_verify_parses_six_distinct_data_six_times(tmp_path, monkeypatch):
+    calls = _count_parses(monkeypatch)
+    cfg = sym_dirichlet_cfg()
+    cfg["complement"] = [{"kind": "neumann", "data": f"{j}*s"} for j in (1, 2, 3)]
+    for j, entry in enumerate(cfg["bc"], start=1):
+        entry["data"] = f"{j}*cos(s)"
+    assert main(["verify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    assert sorted(calls) == ["1*cos(s)", "1*s", "2*cos(s)", "2*s", "3*cos(s)", "3*s"]
+
+
+def test_parser_is_built_once_and_calls_share_no_state(tmp_path):
+    assert build_parser() is build_parser()
+    cfg = sym_dirichlet_cfg()
+    cfg["complement"] = [{"kind": "neumann", "data": "0"}] * 3
+    cfg["sweep"] = [4, 8]
+    path = write_cfg(tmp_path, cfg)
+    for command in ("solve", "verify", "sweep"):
+        outs = [tmp_path / command / name for name in ("a", "b")]
+        for out in outs:
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+        for f in outs[0].iterdir():
+            assert f.read_bytes() == (outs[1] / f.name).read_bytes(), f
+    for seed, out in [(["--seed", "3"], "seeded"), ([], "default")]:
+        assert main(["verify", "--config", path, "--out", str(tmp_path / out)] + seed) == 0
+    seeds = [json.loads((tmp_path / out / "manifest.json").read_text())["seed"]
+             for out in ("seeded", "default")]
+    assert seeds == [3, 0]
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -202,6 +255,22 @@ def test_mixed_solve_outside_the_lambda_range_exits_3(tmp_path, capsys, lam):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "mixed Neumann-Robin trace" in lines[0], lines
     assert "certified range" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "oracle"])
+def test_mixed_solve_at_lambda_zero_is_config_error(tmp_path, monkeypatch, capsys, command):
+    # the mixed solver needs lam > 0: bad input, refused before solving
+    import tridtn.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the mixed solve ran")
+
+    monkeypatch.setattr(cli, "mixed_nr_trace", no_solve)
+    cfg = mixed_cfg(0.0)
+    cfg.update(sweep=[4, 8], oracle={"h": 1.0 / 16})
+    code, lines, out = _run_one_line(tmp_path, capsys, cfg, command)
+    assert code == 2 and "mixed Neumann-Robin solver needs lam > 0" in lines[0], lines
     assert not out.exists()
 
 
