@@ -12,6 +12,13 @@ Three independent representations are provided and cross-checked:
   integrals of the known data plus the residue series over the mode roots
   s_n, bypassing the Neumann trace entirely.
 
+The two ray evaluators integrate in r = |k| on one lattice mirrored at
+r = sqrt(lam) (``ray_lattice``), where the substitution r -> lam/r of the
+dr/r measure maps each half onto the other.  Every ray reads its side's
+transforms at SIDE_ROT[j] k = -i r, with mu = -i (r - lam/r) conjugated by
+r -> lam/r, so one transform call at the nodes of one half serves every
+ray and every point.
+
 All three need both phases and magnitudes over an exponentially large
 dynamic range near k = 0; products are therefore assembled in the Scaled
 representation and collapsed to complex only once per quadrature node.
@@ -31,22 +38,23 @@ from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, TriangleGeometry, mu
 from .poincare import (
     _delta_prime_scaled,
     _delta_scaled,
+    _ray_points,
     _rotations,
     _symmetric_g,
-    _symmetric_g_scaled,
+    _symmetric_images,
     dirichlet_mode_roots,
 )
 from .problems import check_lam
 from .quadrature import QuadratureRule
 from .relations import GlobalRelation
 from .scaledc import Scaled
-from .spectral import Kind, SideSampler
+from .spectral import Kind, SideSampler, transforms
 
 #: Ray arguments of l_1, l_2, l_3.
 RAY_ARGS = (-math.pi / 2.0, math.pi / 6.0, 5.0 * math.pi / 6.0)
 
 #: Gauss-Legendre order of the ray panels.
-RAY_ORDER = 24
+RAY_ORDER = 16
 
 
 @dataclass(frozen=True)
@@ -150,144 +158,131 @@ def greens_eval(traces: TraceSet, lam: float, z, order: int = 16):
 
 
 # -- the ray representation ------------------------------------------------
-@dataclass(frozen=True)
-class RayContour:
-    """Panelled quadrature along the rays l_1, l_2, l_3.
+def ray_lattice(lam: float, side_length: float, reach: float, order: int = RAY_ORDER):
+    """Panel edges, radii and weights of the ray quadrature, mirrored at
+    r = sqrt(lam).
 
-    Panels grow geometrically from ``r_min`` until their width reaches the
-    oscillation cap, then continue uniformly up to the truncation radius.
+    The edges run from sqrt(lam), each panel min(3 lo, 5/l) wide, until they
+    pass ``reach`` (at least one panel).  They do not depend on ``reach``,
+    so a shorter reach reads a prefix of the panels.  The radii, shaped
+    (2, panels, order), are the nodes rho and their mirror images lam/rho;
+    dr/r is invariant under r -> lam/r, so both halves carry the weights
+    w/rho of dr/r, shaped (panels, order).
     """
-
-    side_length: float
-    truncation: float
-    r_min: float = 0.0
-    order: int = RAY_ORDER
-    growth: float = 4.0
-
-    def radii(self):
-        r_min = self.r_min or 1e-6 * (2.0 * SQRT3 / self.side_length)
-        cap = 5.0 / self.side_length
-        edges = [r_min]
-        while edges[-1] < self.truncation:
-            lo = edges[-1]
-            edges.append(min(lo + min((self.growth - 1.0) * lo, cap), self.truncation))
-        rule = QuadratureRule.panels(edges, self.order)
-        return rule.nodes, rule.weights
-
-    def nodes(self, ray: int):
-        """(k, dk-weights) along ray ``ray`` (1, 2 or 3)."""
-        r, w = self.radii()
-        direction = cmath.exp(1j * RAY_ARGS[ray - 1])
-        return r * direction, w * direction
+    check_lam(lam, positive=True)
+    cap = 5.0 / side_length
+    edges = [math.sqrt(lam)]
+    while len(edges) < 2 or edges[-1] < reach:
+        edges.append(edges[-1] + min(3.0 * edges[-1], cap))
+    rule = QuadratureRule.panels(edges, order)
+    rho = rule.nodes.reshape(-1, order)
+    return np.array(edges), np.stack([rho, lam / rho]), rule.weights.reshape(rho.shape) / rho
 
 
-def _distance_to_side(geom: TriangleGeometry, z: complex, j: int) -> float:
-    return geom.inradius - (z * np.conj(SIDE_ROT[j])).real
+def _ray_quadrature(geom: TriangleGeometry, z, lam: float, tail: float, order: int):
+    """The located point(s) z, as an InteriorPoint and flat, the radii and
+    weights of the ``ray_lattice`` out to the largest reach tail/d_j over the
+    points and the rays j (d_j the distance from z to side j), and the number
+    of its panels that each ray (rows) reads for each point."""
+    check_lam(lam, positive=True)
+    point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
+    zs = np.ravel(point.z)
+    reach = tail / np.stack([geom.inradius - (zs * np.conj(SIDE_ROT[j])).real for j in (1, 2, 3)])
+    edges, r, w = ray_lattice(lam, geom.side_length, np.max(reach), order)
+    return point, zs, r, w, np.maximum(1, np.searchsorted(edges[:-1], reach))
 
 
 def _ray_phase(k, z, lam) -> Scaled:
     """exp{ i k z + (lam/(ik)) zbar } as a Scaled value (vectorised)."""
-    k = np.asarray(k, dtype=complex)
     return Scaled.from_exp(1j * k * z + lam * np.conj(z) / (1j * k))
 
 
-def fokas_eval(
-    traces: TraceSet,
-    lam: float,
-    z,
-    order: int = RAY_ORDER,
-    tail: float = 36.0,
-):
+def _ray_integrals(zs, lam: float, r, w, counts, parts):
+    """(1/2 pi i) sum_j int_{l_j} e^{ikz + (lam/ik) zbar} parts[j](|k|) dk/k
+    at each point of zs, with k = r e^{i RAY_ARGS[j]} on the radii r of
+    ``ray_lattice`` and ray j read over the first counts[j] panels of both
+    halves; ``parts`` are Scaled, shaped like r."""
+    half = w.size
+    total = np.zeros(zs.size, dtype=complex)
+    for j, part in enumerate(parts):
+        sizes = counts[j] * w.shape[1]
+        starts = np.cumsum(sizes) - sizes
+        prefix = np.arange(np.sum(sizes)) - np.repeat(starts, sizes)
+        nodes = np.stack([prefix, prefix + half])  # both halves of each point's panels
+        k = r.ravel()[nodes] * cmath.exp(1j * RAY_ARGS[j])
+        vals = _ray_phase(k, np.repeat(zs, sizes), lam) * part.reshape(-1)[nodes]
+        terms = w.ravel()[prefix] * vals.to_complex()
+        total += np.add.reduceat(terms.sum(axis=0), starts)
+    return total / (2j * math.pi)
+
+
+def fokas_eval(traces: TraceSet, lam: float, z, order: int = RAY_ORDER, tail: float = 36.0):
     """q(z) from the ray representation (lam > 0 only), at a point (a float)
     or an array of points (an array shaped like ``z``).
 
     On ray l_j the integrand decays like exp{-(r + lam/r) d_j} with d_j the
-    distance from z to side j, which sets both the truncation radius and an
-    a-priori tail bound.  One global relation serves every point, and each
-    ray evaluates rho~_j once on the nodes of all points.
+    distance from z to side j, which sets the reach tail/d_j of both halves
+    of the ``ray_lattice``.  Every ray reads rho~_j at SIDE_ROT[j] k = -i r,
+    where mu = -i (r - lam/r), conjugated under r -> lam/r: one transform
+    call, at the base points of one half, serves every ray and point.
     """
-    check_lam(lam, positive=True)
     geom = traces.geometry
-    point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
-    zs = np.ravel(point.z)
-    rho = GlobalRelation(traces.dirichlet, traces.neumann, lam, geom.side_length)
-    total = np.zeros(zs.size, dtype=complex)
-    for j in (1, 2, 3):
-        rays = [
-            RayContour(side_length=geom.side_length, truncation=tail / dist, order=order).nodes(j)
-            for dist in _distance_to_side(geom, zs, j)
-        ]
-        sizes = [k.size for k, _ in rays]
-        k = np.concatenate([np.empty(0), *(k for k, _ in rays)])
-        w = np.concatenate([np.empty(0), *(w for _, w in rays)])
-        vals = _ray_phase(k, np.repeat(zs, sizes), lam) * rho.rho_scaled(j, SIDE_ROT[j] * k)
-        terms = w / k * np.asarray(vals.to_complex(), dtype=complex)
-        total += [np.sum(t) for t in np.split(terms, np.cumsum(sizes)[:-1])]
-    out = (total / (2j * math.pi)).real
+    point, zs, r, w, counts = _ray_quadrature(geom, z, lam, tail, order)
+    relation = GlobalRelation(traces.dirichlet, traces.neumann, lam, geom.side_length)
+    images = ((-1j * (r[0] - lam / r[0]).ravel(),), ((0, 0, 0), (0, 0, 1)))
+    out = _ray_integrals(zs, lam, r, w, counts, relation.rhos(-1j * r, images)).real
     return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])
 
 
 # -- the symmetric Dirichlet problem ---------------------------------------
 def symmetric_interior(
-    f,
-    lam: float,
-    z,
-    geometry: TriangleGeometry | None = None,
-    n_max: int = 64,
-    order: int = RAY_ORDER,
-    tail: float = 36.0,
-) -> float:
-    """q(z) for the symmetric Dirichlet problem directly from the data f.
+    f, lam: float, z, geometry: TriangleGeometry | None = None, n_max: int = 64,
+    order: int = RAY_ORDER, tail: float = 36.0,
+):
+    """q(z) for the symmetric Dirichlet problem directly from the data f, at
+    a point (a float) or an array of points (an array shaped like ``z``).
 
     The representation splits into the known ray integrals (the F part of
     rho~_j plus the G/Delta terms produced by eliminating the rotated
     Psi arguments) and the residue series over the mode roots s_n: the
     upper-half roots s_n^+ contribute in full, the lower-half roots s_n^-
-    are split in two halves carrying the two rotated short kernels.
+    are split in two halves carrying the two rotated short kernels.  G is
+    read on rays 2 and 3 at k = r e^{i pi/6} and conj(k_3) = r e^{7i pi/6},
+    the pieces of ``symmetric_dirichlet_integral`` on t = r - lam/r, and
+    F(-i r) of every ray is the alpha_bar rotation of the upper piece: one
+    transform call serves the rays, the roots and every point.
     """
-    check_lam(lam, positive=True)
     geom = geometry or TriangleGeometry()
-    point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
+    point, zs, r, w, counts = _ray_quadrature(geom, z, lam, tail, order)
     side_length = geom.side_length
     sampler = SideSampler(f, Kind.PHI, lam, side_length)
-
-    total = 0.0 + 0.0j
-    for j in (1, 2, 3):
-        dist = _distance_to_side(geom, point.z, j)
-        contour = RayContour(side_length=side_length, truncation=tail / dist, order=order)
-        k, w = contour.nodes(j)
-        arg = SIDE_ROT[j] * k
-        env = Scaled.from_exp(mu(-1j * arg, lam) * (side_length / (2.0 * SQRT3)))
-        # known F part of rho~_j, and on rays 2 and 3 the G/Delta terms, from
-        # one transform evaluation per ray
-        if j == 1:
-            part = sampler.eval_scaled(arg)
-        else:
-            g_arg = k if j == 2 else np.conj(k)
-            f = sampler.eval_scaled(np.concatenate([arg[None], _rotations(g_arg)]))
-            g = _symmetric_g(f[1:], g_arg, lam, side_length)
-            # on ray 3 the Schwarz conjugate conj(G(conj k)) for real symmetric data
-            g = g if j == 2 else -g.conj()
-            part = f[0] + g / _delta_scaled(k, lam, side_length)
-        vals = _ray_phase(k, point.z, lam) * env * part
-        total += np.sum(w / k * np.asarray(vals.to_complex(), dtype=complex)) / (2j * math.pi)
+    t = (r[0] - lam / r[0]).ravel()
+    k_ray = _ray_points(t, lam)  # out-up, in-up, in-down, out-down
+    roots = dirichlet_mode_roots(lam, side_length, n_max)
+    k = roots.k
+    points = np.concatenate([k_ray.ravel(), k])
+    images = _symmetric_images(lam, t, k)
+    f_all = transforms([sampler], _rotations(points), images)[0]
+    g = _symmetric_g(f_all, points, lam, side_length)
+    n_ray = k_ray.size
+    gd = (g[:n_ray] / _delta_scaled(points[:n_ray], lam, side_length)).reshape((4,) + w.shape)
+    f_ray = f_all[1, : n_ray // 2].reshape(r.shape)  # F(-i r), r = rho and lam/rho
+    env = Scaled.from_exp(-(r + lam / r) * (side_length / (2.0 * SQRT3)))
+    # on ray 3 the Schwarz conjugate -conj(G/Delta)(conj k) for real symmetric data
+    parts = (env * f_ray, env * (f_ray + gd[:2]), env * (f_ray - gd[[3, 2]].conj()))
+    total = _ray_integrals(zs, lam, r, w, counts, parts)
 
     # residue series over the mode roots s_n
-    roots = dirichlet_mode_roots(lam, side_length, n_max)
-    k, plus = roots.k, roots.plus
-    g = _symmetric_g_scaled(sampler, k, lam, side_length)
-    denom = (
-        k
-        * _delta_prime_scaled(k, lam, side_length)
-        * _delta_scaled(ALPHA_BAR * k, lam, side_length)
-    )
+    dprime = _delta_prime_scaled(k, lam, side_length)
+    denom = k * dprime * _delta_scaled(ALPHA_BAR * k, lam, side_length)
     # E^2(w) = exp(mu(w) l / sqrt(3)): E^2(i k) on s_n^+, the mean of
     # E^2(i alpha k) and E^2(i alpha_bar k) on s_n^- (the two halves agree,
     # and average exactly, on s_n^+)
     short = side_length / SQRT3
     env = 0.5 * (
-        Scaled.from_exp(mu(1j * np.where(plus, k, ALPHA * k), lam) * short)
-        + Scaled.from_exp(mu(1j * np.where(plus, k, ALPHA_BAR * k), lam) * short)
+        Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA * k), lam) * short)
+        + Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA_BAR * k), lam) * short)
     )
-    res = np.sum((_ray_phase(k, point.z, lam) * env * g / denom).to_complex())
-    return float((total + res).real)
+    terms = _ray_phase(k, zs[:, None], lam) * (env * g[n_ray:] / denom)
+    out = (total + np.sum(terms.to_complex(), axis=1)).real
+    return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])

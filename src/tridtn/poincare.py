@@ -154,10 +154,15 @@ def _ray_grids(lam: float, side_length: float, t_factor: float, order: int):
     offsets, step, t, w = contour_nodes(side_length, t_factor, order)
     w = w * _taper(t / (t_factor * 2.0 * np.pi / side_length))
     if lam > 0:
-        out, inner = ray_radius(t, lam), ray_radius(-t, lam)
-        k = np.stack([out * RAY_UP, inner * RAY_UP, inner * RAY_DOWN, out * RAY_DOWN])
-        return offsets, step, w, k, np.array([1.0, -1.0, 1.0, -1.0]), 1.0
+        return offsets, step, w, _ray_points(t, lam), np.array([1.0, -1.0, 1.0, -1.0]), 1.0
     return offsets, step, w, np.stack([t * RAY_UP, t * RAY_DOWN]), np.array([1.0, -1.0]), 2.0
+
+
+def _ray_points(t, lam: float):
+    """The points k of the Fourier nodes t on the rays (lam > 0), stacked as
+    the pieces out-up, in-up, in-down and out-down."""
+    out, inner = ray_radius(t, lam), ray_radius(-t, lam)
+    return np.stack([out * RAY_UP, inner * RAY_UP, inner * RAY_DOWN, out * RAY_DOWN])
 
 
 def _folded(nodes, signs):
@@ -188,20 +193,14 @@ def _symmetric_g(f, k, lam, side_length) -> Scaled:
     return (ab_plus + ab_minus) * f[0] + (plus + minus) * f[1] + 2.0 * f[2]
 
 
-def _symmetric_g_scaled(sampler, k, lam, side_length) -> Scaled:
-    """G(k) of the symmetric Dirichlet data of ``sampler``."""
-    k = np.asarray(k, dtype=complex)
-    return _symmetric_g(sampler.eval_scaled(_rotations(k)), k, lam, side_length)
-
-
-def _symmetric_images(lam, offsets, step, panels, roots):
+def _symmetric_images(lam, t, roots):
     """The images (``spectral.transforms``) of ``_rotations`` of the ray
-    pieces of ``_ray_grids`` and the mode roots: per rotation, a block per
-    piece on one of two base families on the lattice t, mu(k) at k = r(t)
-    e^{i pi/6} and +i t, then the rotated roots as their own base.  Over the
-    pieces, k -> lambda/conj(k) conjugates mu and k -> -k negates it; alpha_bar
-    k = -i r has mu = -i t, and alpha k = -conj(k) has mu = -conj(mu(k))."""
-    t = (offsets + step * np.arange(panels)[:, None]).ravel()
+    pieces of ``_ray_grids`` on the Fourier nodes t (a 1-D array) and the
+    mode roots: per rotation, a block per piece on one of two base families
+    on t, mu(k) at k = r(t) e^{i pi/6} and +i t, then the rotated roots as
+    their own base.  Over the pieces, k -> lambda/conj(k) conjugates mu and
+    k -> -k negates it; alpha_bar k = -i r has mu = -i t, and alpha k =
+    -conj(k) has mu = -conj(mu(k))."""
     r = ray_radius(t, lam)
     bases = [(r + lam / r) * (0.5 * SQRT3) + 0.5j * t, 1j * t]
     pieces = ((0, 0), (0, 1), (1, 1), (1, 0)) if lam > 0 else ((0, 0), (1, 0))
@@ -256,7 +255,7 @@ def symmetric_dirichlet_integral(
     roots = dirichlet_mode_roots(lam, side_length, n_max)
     k = roots.k
     points = np.concatenate([k_ray.ravel(), k])
-    images = _symmetric_images(lam, offsets, step, len(w), k)
+    images = _symmetric_images(lam, (offsets + step * np.arange(len(w))[:, None]).ravel(), k)
     g = _symmetric_g(transforms([sampler], _rotations(points), images)[0], points, lam, side_length)
     n_ray = k_ray.size
     gd = g[:n_ray] / _delta_scaled(points[:n_ray], lam, side_length)

@@ -56,19 +56,21 @@ class GlobalRelation:
         env = Scaled.from_exp(mu(-1j * k, self.lam) * (self.side_length / (2.0 * SQRT3)))
         return env * (0.5j * psi + phi)
 
-    def rho_scaled(self, side: int, k) -> Scaled:
-        """rho_j(k) = E(-ik) [ (i/2) PSI_j(k) + PHI_j(k) ] as a 1-D Scaled array."""
-        k = np.atleast_1d(np.asarray(k, dtype=complex))
-        psi, phi = transforms([self._psi[side - 1], self._phi[side - 1]], k)
-        return self._rho(k, psi, phi)
+    def rhos(self, k, images=None) -> Scaled:
+        """rho_j(k) = E(-ik) [ (i/2) PSI_j(k) + PHI_j(k) ] of the three sides
+        at every point of k, shaped (3,) + k.shape, from one transform call;
+        ``images`` names the points as in ``spectral.transforms``."""
+        k = np.asarray(k, dtype=complex)
+        values = transforms(self._psi + self._phi, k, images)
+        return self._rho(k, values[:3], values[3:])
 
     def relative_residual(self, ks):
         """|sum_j rho~_j(k)| / max_j |rho~_j(k)| on a 1-D array of k (0 where
         every rho~_j vanishes)."""
         args = np.stack([SIDE_ROT[j] * np.asarray(ks, dtype=complex).ravel() for j in (1, 2, 3)])
-        # every sampler at every side's arguments; side j reads its own
-        values = transforms(self._psi + self._phi, args)
-        vals = [self._rho(args[j], values[j, j], values[3 + j, j]) for j in range(3)]
+        # every side at every side's arguments; side j reads its own
+        rhos = self.rhos(args)
+        vals = [rhos[j, j] for j in range(3)]
         scale = np.maximum.reduce([v.abs_log() for v in vals])
         with np.errstate(invalid="ignore"):
             out = np.exp((vals[0] + vals[1] + vals[2]).abs_log() - scale)

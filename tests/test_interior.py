@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 
 from tridtn.errors import AccuracyError, DomainError, ParameterError
 from tridtn.expressions import expression_trace
-from tridtn.geometry import TriangleGeometry
+from tridtn.geometry import SIDE_ROT, TriangleGeometry
 from tridtn.interior import (
+    RAY_ARGS,
     InteriorPoint,
-    RayContour,
     TraceSet,
     fokas_eval,
     greens_eval,
+    ray_lattice,
     symmetric_interior,
 )
 from tridtn.oracle import all_traces, symmetric_corner_compatible
@@ -20,6 +22,10 @@ from tridtn.relations import GlobalRelation
 from tridtn.series import general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
 
 from conftest import manufactured_families
+
+
+#: 0.104 l from sides 2 and 3 at once, on the axis through their vertex
+NEAR_VERTEX = -0.37 + 0.0j
 
 
 def interior_points(geom, rng, count, margin=0.1):
@@ -77,6 +83,9 @@ def test_evaluators_take_arrays_of_points(lam, geom, rng):
     evaluators = [(greens_eval, points)]
     if lam > 0.0:
         evaluators.append((fokas_eval, points[:4]))
+        evaluators.append(
+            (lambda ts, lam, z: symmetric_interior(ts.dirichlet[0], lam, z, geom, 16), points[:4])
+        )
     for evaluate, pts in evaluators:
         single = [evaluate(traces, lam, z) for z in pts]
         assert all(type(v) is float for v in single)
@@ -93,10 +102,20 @@ def test_array_of_points_outside_rejected(geom):
 
 
 def test_fokas_eval_manufactured(geom, rng):
-    lam = 1.0
+    check_fokas_eval(1.0, geom, rng)
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1e-4])
+def test_fokas_eval_at_small_lambda(lam, geom, rng):
+    """Below sqrt(lambda) the rays are resolved as finely, in lambda/r, as
+    above it."""
+    check_fokas_eval(lam, geom, rng)
+
+
+def check_fokas_eval(lam, geom, rng):
     for sol in manufactured_families(lam)[:2]:
         traces = TraceSet.from_solution(sol, geom)
-        for z in interior_points(geom, rng, 4):
+        for z in interior_points(geom, rng, 4) + [NEAR_VERTEX]:
             got = fokas_eval(traces, lam, z)
             assert abs(got - sol.q(z)) < 1e-6 * max(1.0, abs(sol.q(z)))
 
@@ -135,10 +154,18 @@ def test_lambda_outside_the_domain_is_a_parameter_error(entry, lam):
 
 
 def test_symmetric_interior_manufactured(geom, rng):
-    lam = 1.0
+    check_symmetric_interior(1.0, geom, rng)
+
+
+@pytest.mark.parametrize("lam", [0.1, 5.0])
+def test_symmetric_interior_off_unit_lambda(lam, geom, rng):
+    check_symmetric_interior(lam, geom, rng)
+
+
+def check_symmetric_interior(lam, geom, rng):
     sol = symmetric_corner_compatible(lam, 1.0)
     d, _ = all_traces(sol, geom)
-    for z in interior_points(geom, rng, 4):
+    for z in interior_points(geom, rng, 4) + [NEAR_VERTEX]:
         got = symmetric_interior(d[0], lam, z, geometry=geom, n_max=48)
         assert abs(got - sol.q(z)) < 1e-5 * max(1.0, abs(sol.q(z)))
 
@@ -153,10 +180,23 @@ def test_symmetric_interior_default_order_near_side(geom):
         assert abs(got - sol.q(z)) < 1e-5 * max(1.0, abs(sol.q(z)))
 
 
-def test_ray_contour_covers_truncation():
-    contour = RayContour(side_length=1.0, truncation=30.0)
-    r, w = contour.radii()
-    assert r[0] > 0 and r[-1] <= 30.0
-    assert abs(np.sum(w) - (30.0 - r[0] + w[0] * 0)) < 1.0  # weights sum ~ length
-    k, kw = contour.nodes(2)
-    assert abs(np.angle(k[0]) - math.pi / 6.0) < 1e-12
+def test_ray_lattice_covers_truncation():
+    """Both halves, rho and lam/rho, integrate dr/r out to the last edge R and
+    in to lam/R; a shorter reach reads a prefix of the panels."""
+    for lam in (1e-4, 1.0, 30.0):
+        root = math.sqrt(lam)
+        edges, r, w = ray_lattice(lam, 1.0, 30.0)
+        assert edges[0] == root and edges[-2] < 30.0 <= edges[-1]
+        assert np.all(r[0] > root) and np.allclose(r[0] * r[1], lam, rtol=1e-15)
+        total = np.sum(np.broadcast_to(w, r.shape))
+        assert abs(total - 2.0 * math.log(edges[-1] / root)) < 1e-13 * total
+        short_edges, short_r, short_w = ray_lattice(lam, 1.0, 7.0)
+        panels = short_w.shape[0]
+        assert np.array_equal(short_edges, edges[: panels + 1])
+        assert np.array_equal(short_r, r[:, :panels]) and np.array_equal(short_w, w[:panels])
+    # at least one panel when sqrt(lam) passes the reach
+    assert ray_lattice(100.0, 1.0, 1.0)[2].shape[0] == 1
+    # ray 2 points at pi/6, and every ray reads its side's transforms at -i r
+    assert abs(cmath.phase(cmath.exp(1j * RAY_ARGS[1])) - math.pi / 6.0) < 1e-15
+    for j in (1, 2, 3):
+        assert abs(SIDE_ROT[j] * cmath.exp(1j * RAY_ARGS[j - 1]) + 1j) < 1e-15

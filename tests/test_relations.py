@@ -105,7 +105,7 @@ def test_rho_rejects_origin(geom):
     d, n = all_traces(sol, geom)
     rel = GlobalRelation(d, n, 1.0, 1.0)
     with pytest.raises(DomainError):
-        rel.rho_scaled(1, 0.0)
+        rel.rhos(0.0)
 
 
 def test_relation_system_consistency_dirichlet(geom, rng):

@@ -10,12 +10,8 @@ import tridtn.spectral as spectral
 from tridtn.errors import DomainError, NonFiniteError, ParameterError
 from tridtn.geometry import TriangleGeometry, mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
-from tridtn.poincare import (
-    ScaledElimination,
-    _symmetric_g_scaled,
-    mixed_nr_trace,
-    symmetric_dirichlet_integral,
-)
+from tridtn.interior import TraceSet, fokas_eval, symmetric_interior
+from tridtn.poincare import ScaledElimination, mixed_nr_trace, symmetric_dirichlet_integral
 from tridtn.problems import mixed_nr_problem
 from tridtn.relations import GlobalRelation
 from tridtn.scaledc import Scaled
@@ -319,8 +315,12 @@ def test_one_bessel_recurrence_per_transform_set(monkeypatch, geom, rng):
     assert count(lambda: neumann_to_dirichlet(n, lam, 1.0, m_max=8)) == 1
     relation = GlobalRelation(d, n, lam, 1.0)
     assert count(lambda: relation.relative_residual(spectral_points(rng, 20))) == 1
-    sampler = SideSampler(d[0], Kind.PHI, lam, 1.0)
-    assert count(lambda: _symmetric_g_scaled(sampler, spectral_points(rng, 20), lam, 1.0)) == 1
+    # every ray of every point: one call for a point and one for six
+    traces = TraceSet(geom, d, n)
+    points = np.array([0.0, 0.1j, -0.1, 0.05 + 0.05j, -0.1 - 0.1j, 0.1 - 0.05j])
+    for z in (points[0], points):
+        assert count(lambda: fokas_eval(traces, lam, z)) == 1
+        assert count(lambda: symmetric_interior(d[0], lam, z, geom, n_max=8)) == 1
     sol = symmetric_corner_compatible(lam, 1.0)
     traces = all_traces(sol, geom)[1]
     robin = poincare_trace(sol, geom, 1, math.pi / 2.0, math.sqrt(3.0 * lam))
