@@ -250,6 +250,12 @@ def _trace_values(computed: dict, s) -> dict:
     return {j: values[trace] for j, trace in computed.items()}
 
 
+def _csv_rows(*columns) -> list:
+    """One %.17e line per row of ``columns``, as format(x, ".17e"): -0.0, inf, NaN too."""
+    line = ",".join(["%.17e"] * len(columns))
+    return [line % tuple(row) for row in np.column_stack(columns).tolist()]
+
+
 def _write_outputs(out_dir: Path, outputs: dict):
     """Write each output (file name -> text) to a temporary file in
     ``out_dir``, then rename them all into place; an OSError leaves no
@@ -309,13 +315,9 @@ def _cmd_solve(cfg, args):
     if audit is not None:
         _finite(audit, "residual audit")
     sides = sorted(columns)
-    rows = [
-        f"{s:.17e}," + ",".join(f"{columns[j][row]:.17e}" for j in sides)
-        for row, s in enumerate(s_grid)
-    ]
     header = "s," + ",".join(f"side{j}" for j in sides)
     fields = {"details": details, "residual_audit": audit, "samples": n_samples}
-    return "traces.csv", header, rows, fields
+    return "traces.csv", header, _csv_rows(s_grid, *(columns[j] for j in sides)), fields
 
 
 def _cmd_verify(cfg, args):
@@ -339,9 +341,8 @@ def _cmd_verify(cfg, args):
     rel = GlobalRelation(dirichlet, neumann, lam, side_length)
     residuals = _finite(rel.relative_residual(ks), "relative residual")
     worst = float(np.max(residuals))
-    rows = [f"{k.real:.17e},{k.imag:.17e},{r:.17e}" for k, r in zip(ks, residuals)]
-    header = "re_k,im_k,relative_residual"
-    return "audit.csv", header, rows, {"worst_relative_residual": worst}
+    rows = _csv_rows(ks.real, ks.imag, residuals)
+    return "audit.csv", "re_k,im_k,relative_residual", rows, {"worst_relative_residual": worst}
 
 
 def _cmd_interior(cfg, args):
@@ -360,9 +361,8 @@ def _cmd_interior(cfg, args):
     traces = TraceSet(spec.geometry, *_full_traces(spec, computed))
     evaluator = greens_eval if args.solver == "greens" else fokas_eval
     values = _finite(evaluator(traces, spec.lam, points), "interior values")
-    rows = [f"{z.real:.17e},{z.imag:.17e},{v:.17e}" for z, v in zip(points, values)]
     fields = {"details": details, "margin": margin, "points": len(points), "solver": args.solver}
-    return "interior.csv", "x,y,value", rows, fields
+    return "interior.csv", "x,y,value", _csv_rows(points.real, points.imag, values), fields
 
 
 def _cmd_sweep(cfg, args):
@@ -375,10 +375,8 @@ def _cmd_sweep(cfg, args):
         computed, _ = _solve_traces(spec, cfg, args.solver, n)
         runs[n] = _trace_values(computed, s_grid)
     finest = runs[ladder[-1]]
-    rows = []
-    for n in ladder[:-1]:
-        delta = max(float(np.max(np.abs(runs[n][j] - finest[j]))) for j in finest)
-        rows.append(f"{n},{delta:.17e}")
+    deltas = {n: max(np.max(np.abs(runs[n][j] - finest[j])) for j in finest) for n in ladder[:-1]}
+    rows = ["%d,%.17e" % row for row in deltas.items()]
     return "sweep.csv", "truncation,max_diff_to_finest", rows, {"ladder": ladder}
 
 
@@ -396,7 +394,7 @@ def _cmd_oracle(cfg, args):
         deltas[j] = float(np.max(np.abs(computed[j](s[keep]) - fd_vals[keep])))
     _finite(list(deltas.values()), "oracle difference")
     worst = max(deltas.values(), default=0.0)
-    rows = [f"{j},{delta:.17e}" for j, delta in deltas.items()]
+    rows = ["%d,%.17e" % row for row in deltas.items()]
     fields = {
         "details": details,
         "gauge_fixed": grid_solution.gauge_fixed,

@@ -3,9 +3,10 @@
 Literals, ``s``, ``pi``, the side length ``l`` and ``sin cos exp sinh cosh``
 of a parenthesised argument, joined by ``+ -`` (loosest), ``* /`` and ``^``
 (tightest, right-associative); a unary minus binds between ``* /`` and
-``^``, so ``-s^2`` is -(s^2).  ``parse_expression`` reads them by precedence
-climbing (Pratt, "Top down operator precedence", 1973) into a tree of
-``Node`` records; its errors carry the byte offset of the offending token.
+``^``, so ``-s^2`` is -(s^2).  ``parse_expression`` tokenizes the text in
+one ``re.findall`` pass and reads the tokens by precedence climbing (Pratt,
+"Top down operator precedence", 1973) into a tree of ``Node`` records; its
+errors carry the byte offset of the offending token.
 A call of a ``Node`` evaluates its tree by one recursive walk; ``Node.d``
 carries d/ds, for the Phi transforms of Dirichlet data, up the same walk
 (forward-mode differentiation), so no derivative tree is built.  Each tree
@@ -35,22 +36,13 @@ _BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul
 #: of parentheses one level.  d/ds is taken in the value's walk, no deeper,
 #: so a tree at this depth stays well inside Python's recursion limit of 1000.
 MAX_DEPTH = 100
-#: one token after optional whitespace; "bad" is a character no token starts
+#: one token after its leading whitespace: (whitespace, token, a character
+#: no token starts with); no token and no such character is the end
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<end>\Z)|(?P<bad>.))",
+    r"(\s*)(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*"
+    r"|[-+*/^()])|(.)|\Z)",
     re.DOTALL,
 )
-Token = NamedTuple("Token", [("kind", str), ("text", str), ("offset", int)])
-
-
-def _tokenize(text: str):
-    tokens = [Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-              for m in _TOKEN_RE.finditer(text)]
-    for tok in tokens:
-        if tok.kind == "bad":
-            raise ExpressionError(f"unexpected character {tok.text!r}", tok.offset)
-    return tokens
 
 
 class Node(NamedTuple):
@@ -115,60 +107,69 @@ def _free_of_s(node: Node) -> bool:
 
 def parse_expression(text: str) -> Node:
     """Parse ``text`` into a tree; raises ExpressionError with byte offset."""
-    tokens = _tokenize(text)
+    texts, offsets, at = [], [], 0
+    for space, token, bad in _TOKEN_RE.findall(text):
+        at += len(space)
+        if bad:
+            raise ExpressionError(f"unexpected character {bad!r}", at)
+        texts.append(token)
+        offsets.append(at)
+        at += len(token)
+    # each token's binding power as a binary operator; 0 ends an operand's chain
+    powers = [_BINARY[tok][0] if tok in _BINARY else 0 for tok in texts]
     pos = 0
 
     def expect(op: str):
         nonlocal pos
-        if tokens[pos].text != op:
-            raise ExpressionError(f"expected {op!r}", tokens[pos].offset)
+        if texts[pos] != op:
+            raise ExpressionError(f"expected {op!r}", offsets[pos])
         pos += 1
 
-    def nested(depth: int, tok: Token) -> int:
+    def nested(depth: int, at: int) -> int:
         if depth > MAX_DEPTH:
-            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", tok.offset)
+            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", offsets[at])
         return depth
 
     # operand and binary return (node, depth) of text starting ``level`` deep
     def operand(level: int) -> tuple:
         nonlocal pos
-        tok = tokens[pos]
-        nested(level, tok)
+        at, tok = pos, texts[pos]
+        nested(level, at)
         pos += 1
-        if tok.text == "-":
+        if tok == "-":
             node, depth = binary(3, level + 1)
-            return Node("neg", (node,)), nested(depth + 1, tok)
-        if tok.kind == "num" or tok.text == "pi":
-            return Node("num", value=np.pi if tok.text == "pi" else float(tok.text)), 1
-        if tok.text in ("s", "l"):
-            return Node(tok.text), 1
-        call = tok.text in _FUNCS
-        if call or tok.text == "(":
+            return Node("neg", (node,), 0.0, 0), nested(depth + 1, at)
+        if tok in ("s", "l"):
+            return Node(tok, (), 0.0, 0), 1
+        call = tok in _FUNCS
+        if call or tok == "(":
             if call:
                 expect("(")
             node, depth = binary(1, level + 1)
             expect(")")
-            return (Node(tok.text, (node,)) if call else node), nested(depth + 1, tok)
-        if tok.kind == "name":
-            raise ExpressionError(f"unknown identifier {tok.text!r}", tok.offset)
-        got = f"expected a value, got {tok.text!r}" if tok.text else "unexpected end of input"
-        raise ExpressionError(got, tok.offset)
+            return (Node(tok, (node,), 0.0, 0) if call else node), nested(depth + 1, at)
+        if not tok or tok in _BINARY or tok == ")":
+            got = f"expected a value, got {tok!r}" if tok else "unexpected end of input"
+            raise ExpressionError(got, offsets[at])
+        if tok != "pi" and (tok[0] == "_" or tok[0].isalpha()):
+            raise ExpressionError(f"unknown identifier {tok!r}", offsets[at])
+        return Node("num", (), np.pi if tok == "pi" else float(tok), 0), 1
 
     def binary(min_power: int, level: int) -> tuple:
         """An operand and the operators after it binding at least ``min_power``."""
         nonlocal pos
         node, depth = operand(level)
-        while _BINARY.get(tokens[pos].text, (0,))[0] >= min_power:
-            tok, power = tokens[pos], _BINARY[tokens[pos].text][0]
+        while powers[pos] >= min_power:
+            at, op = pos, texts[pos]
             pos += 1
-            right, right_depth = binary(power + (tok.text != "^"), level + 1)
-            node = Node(tok.text, (node, right), offset=tok.offset)
-            depth = nested(1 + max(depth, right_depth), tok)
+            right, right_depth = binary(powers[at] + (op != "^"), level + 1)
+            node = Node(op, (node, right), 0.0, offsets[at])
+            depth = nested(1 + max(depth, right_depth), at)
         return node, depth
 
     node = binary(1, 1)[0]
-    if tokens[pos].kind != "end":
-        raise ExpressionError(f"unexpected token {tokens[pos].text!r}", tokens[pos].offset)
+    if texts[pos]:
+        raise ExpressionError(f"unexpected token {texts[pos]!r}", offsets[pos])
     return node
 
 

@@ -1,9 +1,9 @@
 """Gauss-Legendre quadrature rules.
 
-``QuadratureRule.gauss`` and ``side`` give one rule on an interval (the
-spectral transforms sample each side trace on ``side`` rules of doubling
-order); ``panels`` builds composite rules for the Green's-function sides,
-the contour rays and the interior rays.  Nodes and weights are computed
+``QuadratureRule.gauss`` gives one rule on an interval; ``panels`` builds
+composite rules for the Green's-function sides, the contour rays and the
+interior rays.  The spectral transforms sample each side trace at the
+nodes of ``_leggauss`` of doubling order.  Nodes and weights are computed
 by Newton's method on the Legendre recurrence and cached per order.
 """
 from __future__ import annotations
@@ -63,11 +63,6 @@ class QuadratureRule:
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         return cls.panels((a, b), order)
-
-    @classmethod
-    def side(cls, side_length: float, order: int) -> "QuadratureRule":
-        half = side_length / 2.0
-        return cls.gauss(-half, half, order)
 
     def integrate(self, values: np.ndarray):
         return self.weights @ values

@@ -227,7 +227,7 @@ def _check_flux(data, lam: float, side_length: float, at_zero: bool):
         share = 3.0 * FLUX_ULPS * np.finfo(float).eps / four_lam_area
         if share <= MEAN_RTOL:
             return
-    rule = QuadratureRule.side(side_length, 128)
+    rule = QuadratureRule.gauss(-side_length / 2.0, side_length / 2.0, 128)
     vals = [np.asarray(t.value(rule.nodes), dtype=float) for t in data]
     total = sum(rule.integrate(v) for v in vals)
     scale = side_length * max(np.max(np.abs(v)) for v in vals)

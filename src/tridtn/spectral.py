@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteError, ParameterError
 from .geometry import mu
-from .quadrature import QuadratureRule
+from .quadrature import _leggauss
 from .scaledc import Scaled
 from .traces import ContourResidueTrace, FourierSeriesTrace
 
@@ -77,12 +77,12 @@ def _analysis_matrix(n: int):
     """Rows (k + 1/2) w_j P_k(x_j) over the n Gauss nodes x_j of [-1, 1]:
     they map samples at the nodes to the Legendre coefficients of the
     polynomial of degree n - 1 that interpolates them."""
-    rule = QuadratureRule.gauss(-1.0, 1.0, n)
+    nodes, weights = _leggauss(n)
     rows = np.ones((n, n))
-    rows[1] = rule.nodes
+    rows[1] = nodes
     for k in range(1, n - 1):
-        rows[k + 1] = ((2 * k + 1) * rule.nodes * rows[k] - k * rows[k - 1]) / (k + 1)
-    rows *= (np.arange(n) + 0.5)[:, None] * rule.weights
+        rows[k + 1] = ((2 * k + 1) * nodes * rows[k] - k * rows[k - 1]) / (k + 1)
+    rows *= (np.arange(n) + 0.5)[:, None] * weights
     rows.setflags(write=False)
     return rows
 
@@ -140,40 +140,45 @@ def _top_degree(z, degree: int) -> int:
     return int(np.ceil(np.max(np.fmin(az + 8.0 * np.cbrt(az) + 16.0, decay))))
 
 
-def _forward_sum(coeffs, z, lengths):
+def _forward_sum(coeffs, z, running):
     """sum_n coeffs[n] e^{-|Re z|} i_n(z) by the forward recurrence, shaped
-    (columns, points)."""
+    (columns, points); the first ``running[n]`` columns have terms at degree n."""
     inv = 1.0 / z
     f_prev, f = _i0_i1(z)
     acc = coeffs[0, :, None] * f_prev + coeffs[1, :, None] * f
+    step, term = np.empty_like(f), np.empty_like(acc)
     for n in range(1, len(coeffs) - 1):
-        f_prev, f = f, f_prev - ((2 * n + 1) * inv) * f
-        cols = np.count_nonzero(lengths > n + 1)  # the columns still running
-        acc[:cols] += coeffs[n + 1, :cols, None] * f
+        np.multiply(2 * n + 1, inv, out=step)
+        step *= f
+        f_prev, f = f, np.subtract(f_prev, step, out=f_prev)
+        cols = running[n + 1]
+        np.multiply(coeffs[n + 1, :cols, None], f, out=term[:cols])
+        acc[:cols] += term[:cols]
     return acc
 
 
-def _miller_sum(coeffs, z, lengths):
+def _miller_sum(coeffs, z, running):
     """sum_n coeffs[n] e^{-|Re z|} i_n(z) by Miller's backward recurrence,
-    shaped (columns, points).
+    shaped (columns, points), as ``_forward_sum``.
 
     The ratios i_n/i_{n-1} run down from ``_top_degree``.  The sum is nested
     in the ratios (Horner form, so nothing overflows) and normalised by the
     larger of i_0 and i_1 (i_0 vanishes at z = i pi m).
     """
-    az = np.abs(z)
     top = _top_degree(z, len(coeffs))
-    padded = np.zeros((top + 1, coeffs.shape[1]))
-    padded[: min(top + 1, len(coeffs))] = coeffs[: top + 1]
-    ratio = np.zeros(z.shape, dtype=complex)
-    acc = np.zeros((coeffs.shape[1], z.size), dtype=complex) + padded[top, :, None]
+    ratio, step = np.zeros(z.shape, dtype=complex), np.empty(z.shape, dtype=complex)
+    acc = np.zeros((coeffs.shape[1], z.size), dtype=complex)
+    acc += coeffs[top, :, None] if top < len(coeffs) else 0.0
     for n in range(top, 0, -1):
-        ratio = z / ((2 * n + 1) + z * ratio)
-        cols = np.count_nonzero(lengths > n - 1)
-        acc[:cols] *= ratio
-        acc[:cols] += padded[n - 1, :cols, None]
+        np.multiply(z, ratio, out=step)
+        np.add(2 * n + 1, step, out=step)
+        np.divide(z, step, out=ratio)
+        if n <= len(running):  # above the longest column, only the ratios run
+            cols = running[n - 1]
+            acc[:cols] *= ratio
+            acc[:cols] += coeffs[n - 1, :cols, None]
     i0, i1 = _i0_i1(z)
-    by_i1 = (np.abs(i1) > np.abs(i0)) & (az > 1.0)  # below 1, i_1 cancels
+    by_i1 = (np.abs(i1) > np.abs(i0)) & (np.abs(z) > 1.0)  # below 1, i_1 cancels
     return np.where(by_i1, i1 / np.where(by_i1, ratio, 1.0), i0) * acc
 
 
@@ -192,12 +197,13 @@ def _bessel_sums(coeffs, z):
     order = np.argsort(-lengths, kind="stable")
     coeffs, lengths = coeffs[:, order], lengths[order]
     az, n_deg = np.abs(z), len(coeffs)
+    running = np.count_nonzero(lengths > np.arange(n_deg)[:, None], axis=1).tolist()
     forward = (az > n_deg) & (n_deg**2 * np.abs(z.real) <= 8.0 * az**2)
     out = np.empty((coeffs.shape[1], z.size), dtype=complex)
     if forward.any():
-        out[:, forward] = _forward_sum(coeffs, z[forward], lengths)
+        out[:, forward] = _forward_sum(coeffs, z[forward], running)
     if not forward.all():
-        out[:, ~forward] = _miller_sum(coeffs, z[~forward], lengths)
+        out[:, ~forward] = _miller_sum(coeffs, z[~forward], running)
     out[order] = out.copy()
     return out
 
@@ -283,7 +289,7 @@ def _samplings(trace, column: str, side_length: float):
     side."""
     n = _FIRST_DEGREE
     while n <= MAX_DEGREE:
-        nodes = QuadratureRule.side(side_length, n).nodes
+        nodes = _leggauss(n)[0] * (side_length / 2.0)
         samples = np.broadcast_to(getattr(trace, column)(nodes), nodes.shape)
         with np.errstate(all="ignore"):
             coeffs = _analysis_matrix(n) @ samples.astype(float)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tridtn.expressions
-from tridtn.cli import _trace_values, build_parser, main
+from tridtn.cli import _csv_rows, _trace_values, build_parser, main
 from tridtn.expressions import MAX_DEPTH
 from tridtn.traces import BoundaryTrace
 
@@ -727,3 +727,8 @@ def test_mixed_manifest_names_the_contour_solver(tmp_path):
     assert main(["solve", "--config", path, "--out", str(out)]) == 0
     details = json.loads((out / "manifest.json").read_text())["details"]
     assert details == {"solver": "integral", "truncation": 8}
+
+
+def test_csv_rows_match_the_format_of_each_double():
+    column = np.array([-0.0, 5e-324, 1.7976931348623157e308, 1 / 3, np.inf, -np.inf, np.nan])
+    assert _csv_rows(column, -column) == [f"{x:.17e},{-x:.17e}" for x in column]

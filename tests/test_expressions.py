@@ -50,6 +50,73 @@ def test_errors_carry_offsets():
         parse_expression("1 2")
 
 
+#: (text, message, offset) of malformed inputs, as the recursive-descent
+#: parser over ``Token`` records reported them; a bad character anywhere is
+#: reported before any syntax error
+_GOLDEN_ERRORS = [
+    ("(s", "expected ')'", 2),
+    ("s)", "unexpected token ')'", 1),
+    ("((s)", "expected ')'", 4),
+    ("sin(s", "expected ')'", 5),
+    (")", "expected a value, got ')'", 0),
+    ("sin s", "expected '('", 4),
+    ("2**3", "expected a value, got '*'", 2),
+    ("3 4", "unexpected token '4'", 2),
+    ("foo", "unknown identifier 'foo'", 0),
+    ("foo(s)", "unknown identifier 'foo'", 0),
+    ("inf", "unknown identifier 'inf'", 0),
+    ("1e", "unexpected token 'e'", 1),
+    (".", "unexpected character '.'", 0),
+    ("$", "unexpected character '$'", 0),
+    ("s) $", "unexpected character '$'", 3),
+    ("", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 3),
+    ("s+", "unexpected end of input", 2),
+    ("s^", "unexpected end of input", 2),
+    ("-", "unexpected end of input", 1),
+    ("2 ^ -", "unexpected end of input", 5),
+    ("é", "unexpected character 'é'", 0),
+    ("s + é", "unexpected character 'é'", 4),
+    ("s\n@", "unexpected character '@'", 2),
+    ("1.5.2", "unexpected token '.2'", 3),
+    ("sin()", "expected a value, got ')'", 4),
+    ("()", "expected a value, got ')'", 1),
+    ("s+*s", "expected a value, got '*'", 2),
+    ("pi pi", "unexpected token 'pi'", 3),
+    ("exp(s))", "unexpected token ')'", 6),
+    ("cos", "expected '('", 3),
+    ("l(s)", "unexpected token '('", 1),
+]
+
+
+@pytest.mark.parametrize("text, message, offset", _GOLDEN_ERRORS)
+def test_error_messages_and_offsets(text, message, offset):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert err.value.offset == offset
+    assert str(err.value) == f"{message} (at offset {offset})"
+
+
+#: each nesting kind at n levels, with the offset at which n = MAX_DEPTH fails
+_NESTINGS = [
+    (lambda n: "(" * n + "s" + ")" * n, lambda n: n),
+    (lambda n: "-" * n + "s", lambda n: n),
+    (lambda n: "sin(" * n + "s" + ")" * n, lambda n: 4 * n),
+    (lambda n: "s" + "^s" * n, lambda n: 2 * n),
+    (lambda n: "s" + "+s" * n, lambda n: 2 * n - 1),
+]
+
+
+@pytest.mark.parametrize("nest, offset", _NESTINGS)
+def test_depth_boundary_of_each_nesting_kind(nest, offset):
+    # the leaf is one level, so n nestings make a tree n + 1 deep
+    assert parse_expression(nest(MAX_DEPTH - 1)) is not None
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(nest(MAX_DEPTH))
+    assert err.value.offset == offset(MAX_DEPTH)
+    assert str(err.value).startswith(f"expression nested deeper than {MAX_DEPTH} levels")
+
+
 def test_power_derivative_needs_constant_exponent():
     _, d = parse_expression("s^3").d(2.0, 1.0)
     assert abs(d - 12.0) < 1e-12

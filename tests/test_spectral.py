@@ -13,6 +13,7 @@ from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatibl
 from tridtn.interior import TraceSet, fokas_eval, symmetric_interior
 from tridtn.poincare import ScaledElimination, mixed_nr_trace, symmetric_dirichlet_integral
 from tridtn.problems import mixed_nr_problem
+from tridtn.quadrature import QuadratureRule
 from tridtn.relations import GlobalRelation
 from tridtn.scaledc import Scaled
 from tridtn.series import general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
@@ -186,6 +187,91 @@ def test_i0_i1_against_mpmath():
             assert abs(mpmath.mpc(got0) - want0) <= 4 * eps * abs(want0), zj
             if abs(zj) >= 1.0:
                 assert abs(mpmath.mpc(got1) - want1) <= 8 * eps * abs(want1), zj
+
+
+def _reference_bessel_sums(coeffs, z):
+    """``spectral._bessel_sums`` one column at a time, each step of each
+    recurrence a fresh expression and each column's terms stopping at its
+    last nonzero coefficient: the same operations in the same order."""
+    n_deg = len(coeffs)
+    az = np.abs(z)
+    forward = (az > n_deg) & (n_deg**2 * np.abs(z.real) <= 8.0 * az**2)
+    zf, zm = z[forward], z[~forward]
+    top = spectral._top_degree(zm, n_deg) if zm.size else 0
+    out = np.empty((coeffs.shape[1], z.size), dtype=complex)
+    for col, c in enumerate(coeffs.T):
+        length = n_deg - np.argmax(c[::-1] != 0.0)
+        inv = 1.0 / zf
+        f_prev, f = spectral._i0_i1(zf)
+        acc = c[0] * f_prev + c[1] * f
+        for n in range(1, n_deg - 1):
+            f_prev, f = f, f_prev - ((2 * n + 1) * inv) * f
+            if length > n + 1:
+                acc = acc + c[n + 1] * f
+        out[col, forward] = acc
+        ratio = np.zeros(zm.shape, dtype=complex)
+        acc = np.zeros(zm.shape, dtype=complex) + (c[top] if top < n_deg else 0.0)
+        for n in range(top, 0, -1):
+            ratio = zm / ((2 * n + 1) + zm * ratio)
+            if length > n - 1:
+                acc = acc * ratio + c[n - 1]
+        i0, i1 = spectral._i0_i1(zm)
+        by_i1 = (np.abs(i1) > np.abs(i0)) & (np.abs(zm) > 1.0)
+        out[col, ~forward] = np.where(by_i1, i1 / np.where(by_i1, ratio, 1.0), i0) * acc
+    return out
+
+
+def _bessel_case(name):
+    """(coeffs, z, which recurrences serve z) of one input kind."""
+    rng = np.random.default_rng(11)
+    coeffs = rng.standard_normal((40, 6))
+    for col, length in enumerate([40, 25, 3, 40, 12, 0]):
+        coeffs[length:, col] = 0.0  # columns of unequal length and one all-zero
+    far = rng.uniform(-2.0, 2.0, 30) + 1j * rng.choice([-1, 1], 30) * rng.uniform(60.0, 200.0, 30)
+    near = 30.0 * np.sqrt(rng.uniform(0, 1, 30)) * np.exp(2j * np.pi * rng.uniform(0, 1, 30))
+    near = np.concatenate([near, [0.0, 1j * np.pi, -3j * np.pi, 0.5]])
+    z, which = {
+        "forward": (far, {True}),
+        "miller": (near, {False}),
+        "mixed": (np.concatenate([near[:17], far, near[17:]]), {True, False}),
+        "all-zero": (np.concatenate([far, near]), {True, False}),
+        "single-column": (np.concatenate([far, near]), {True, False}),
+    }[name]
+    if name == "all-zero":
+        coeffs = np.zeros((8, 3))
+    if name == "single-column":
+        coeffs = coeffs[:, 1:2]
+    return coeffs, z, which
+
+
+@pytest.mark.parametrize("name", ["forward", "miller", "mixed", "all-zero", "single-column"])
+def test_bessel_sums_equal_the_reference_loop_bitwise(name):
+    coeffs, z, which = _bessel_case(name)
+    n_deg = len(coeffs)
+    forward = (np.abs(z) > n_deg) & (n_deg**2 * np.abs(z.real) <= 8.0 * np.abs(z) ** 2)
+    assert set(forward.tolist()) == which
+    got = spectral._bessel_sums(coeffs, z)
+    assert got.tobytes() == _reference_bessel_sums(coeffs, z).tobytes()
+
+
+@pytest.mark.parametrize("side_length", [1.0, 0.7, 3.1])
+def test_sampled_series_read_the_side_rule_nodes(side_length):
+    # the sampled nodes are those of the Gauss rule on the side, bit for
+    # bit, at every doubling (all even counts, so no node sits at the midpoint)
+    seen = []
+
+    def value(s):
+        seen.append(np.array(s))
+        return np.cos(s)
+
+    trace = BoundaryTrace(side=1, value=value, derivative=value)
+    for _ in spectral._samplings(trace, "value", side_length):
+        pass
+    counts = [len(s) for s in seen]
+    assert counts == [32 * 2**j for j in range(7)]
+    for n in (32, 64, 2048):
+        want = QuadratureRule.gauss(-side_length / 2.0, side_length / 2.0, n).nodes
+        assert seen[counts.index(n)].tobytes() == want.tobytes()
 
 
 def test_bessel_sums_at_contour_arguments(geom, monkeypatch):
