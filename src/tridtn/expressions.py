@@ -37,11 +37,13 @@ _BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul
 #: so a tree at this depth stays well inside Python's recursion limit of 1000.
 MAX_DEPTH = 100
 #: one token after its leading whitespace: (whitespace, token, a character
-#: no token starts with); no token and no such character is the end
+#: no token starts with); no token and no such character is the end.  Digits
+#: and whitespace are ASCII only, so all text before the first bad character
+#: is ASCII and each character offset is a byte offset.
 _TOKEN_RE = re.compile(
     r"(\s*)(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*"
     r"|[-+*/^()])|(.)|\Z)",
-    re.DOTALL,
+    re.DOTALL | re.ASCII,
 )
 
 

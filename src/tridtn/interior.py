@@ -32,7 +32,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bessel import bessel_k0, bessel_k1
 from .errors import AccuracyError, DomainError, ParameterError
 from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, TriangleGeometry, mu
 from .poincare import (
@@ -133,7 +132,12 @@ def greens_eval(traces: TraceSet, lam: float, z, order: int = 16):
     ends = accumulate(rule.nodes.size for rule in rules)
     qn = [np.asarray(trace(s_all), dtype=float) for trace in traces.neumann]
     qd = [np.asarray(trace(s_all), dtype=float) for trace in traces.dirichlet]
-    root = 2.0 * math.sqrt(lam) if lam > 0.0 else 0.0
+    if lam > 0.0:
+        # imported here so that importing the package loads no scipy; the
+        # margin check keeps every argument root * R > 0
+        from scipy.special import k0, k1
+
+        root = 2.0 * math.sqrt(lam)
     out = np.empty(zs.size)
     for n, rule, end in zip(groups, rules, ends):
         nodes = slice(end - rule.nodes.size, end)
@@ -146,8 +150,8 @@ def greens_eval(traces: TraceSet, lam: float, z, order: int = 16):
             # n'.(r' - r) as a real inner product of complex directions
             proj = np.real(np.conj(geom.side_normal(j)) * diff)
             if lam > 0.0:
-                kval = bessel_k0(root * r_dist)
-                dk = -root * bessel_k1(root * r_dist) * proj / r_dist
+                kval = k0(root * r_dist)
+                dk = -root * k1(root * r_dist) * proj / r_dist
             else:
                 kval = -np.log(r_dist)
                 dk = -proj / r_dist**2

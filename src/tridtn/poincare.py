@@ -19,8 +19,10 @@ the mode roots in each half-plane.  Two entry points:
   Neumann-Robin problem (Robin gamma = sqrt(3 lambda) on side 1).
 
 Mode roots are found for all modes at once and kept as arrays
-(``ModeRootSet``), certified by defining-equation residuals; the mixed
-problem's roots are audited by an argument-principle count in the mu-plane.
+(``ModeRootSet``), certified by defining-equation residuals.  The mixed
+problem's mode condition is one function of mu (``mixed_mode_terms``): it
+certifies each root of the phase equation, and an argument-principle count
+of its zeros in the mu-plane audits the set.
 The symmetric transforms are summed at two base families of ray points and
 their images; the mixed solve makes one elimination over both rays and
 every residue circle.
@@ -305,29 +307,6 @@ def closed_form_elimination(symbols, k, lam: float, side_length: float):
     return d, (g1, g2, g3)
 
 
-def closed_form_d(symbols, k, lam: float, side_length: float):
-    return closed_form_elimination(symbols, k, lam, side_length)[0]
-
-
-def closed_form_d_prime(symbols, k, lam: float, side_length: float):
-    """Analytic derivative of D(k), for Newton polishing, elementwise."""
-    a, ab = ALPHA * k, ALPHA_BAR * k
-    e3p = np.exp(1.5 * mu(k, lam) * side_length)
-    e3m = 1.0 / e3p
-    de3 = 1.5 * side_length * (1.0 - lam / (k * k))  # log-derivative of e^3(k)
-    pa = [sym.p(a) for sym in symbols]
-    pab = [sym.p(ab) for sym in symbols]
-    dpa = [ALPHA * sym.dp(a) for sym in symbols]
-    dpab = [ALPHA_BAR * sym.dp(ab) for sym in symbols]
-    r1 = pab[0] / (pa[1] * pa[2])
-    dr1 = r1 * (dpab[0] / pab[0] - dpa[1] / pa[1] - dpa[2] / pa[2])
-    q = (pa[0] * pa[1] * pa[2]) / (pab[0] * pab[1] * pab[2])
-    dq = q * sum(dpa[j] / pa[j] - dpab[j] / pab[j] for j in range(3))
-    s_val = e3m - e3p * q
-    ds = -de3 * e3m - de3 * e3p * q - e3p * dq
-    return dr1 * s_val + r1 * ds
-
-
 #: the most points a winding count samples its contour at
 MAX_WINDING_POINTS = 1 << 18
 
@@ -356,13 +335,28 @@ def argument_principle_count(func, box, samples_per_edge: int = 400) -> int:
         n *= 2
 
 
-def _mixed_symbols(lam: float):
-    g = math.sqrt(3.0 * lam)
-    return (
-        SideSymbol(lam, np.pi / 2.0, g),
-        SideSymbol(lam, np.pi / 2.0, 0.0),
-        SideSymbol(lam, np.pi / 2.0, 0.0),
-    )
+def _robin_symbol(lam: float) -> SideSymbol:
+    """The mixed problem's Robin condition on side 1: beta = pi/2, gamma =
+    sqrt(3 lambda)."""
+    return SideSymbol(lam, np.pi / 2.0, math.sqrt(3.0 * lam))
+
+
+def mixed_mode_terms(mu_value, lam: float, side_length: float):
+    """The two terms (t1, t2) of the mixed Neumann-Robin mode function
+    B = t1 - t2 at mu, elementwise over an array, as ``Scaled`` values.
+
+    Clearing the P-ratio poles of D(k) leaves
+    B = e^{-w} Hbar_1(ak) H_1(abk) - e^{w} H_1(ak) Hbar_1(abk), w = 3 mu l/2,
+    which vanishes iff e^6(k) P_1(ak)/P_1(abk) = 1, the mode condition (the
+    Neumann sides have P = -1 and cancel).  B is invariant under
+    k -> lambda/k, so it is a function of mu: k is the outer root of
+    k + lambda/k = mu, and w is read from mu itself, not from mu(k).
+    """
+    k = quadratic_mode_root(mu_value, lam)
+    robin = _robin_symbol(lam)
+    a, ab = ALPHA * k, ALPHA_BAR * k
+    plus, minus = Scaled.exp_pair(1.5 * mu_value * side_length)
+    return minus * (robin.hbar(a) * robin.h(ab)), plus * (robin.h(a) * robin.hbar(ab))
 
 
 def d_root_set(
@@ -374,13 +368,12 @@ def d_root_set(
 ) -> ModeRootSet:
     """Certified roots of D(k) = 0 for the mixed Neumann-Robin problem.
 
-    The mode function (``_mode_equation_entire``) is invariant under
-    k -> lambda/k, so each mode is one mu = k + lambda/k, on the imaginary
-    axis, where the mode equation is a monotone phase condition with one
-    solution per integer m, |m| <= count.  The outer k-branch of each mu is
-    polished on D with the analytic derivative and the inner one is
-    lambda/outer; both are certified by their residual and classified into
-    D+/D-, and with ``audit=True`` the modes are counted in the mu-plane
+    Each mode is one mu = k + lambda/k on the imaginary axis, where the mode
+    condition is a monotone phase equation with one solution per integer m,
+    |m| <= count.  Each mode is certified by the residual
+    |B| / (|t1| + |t2|) <= tol of ``mixed_mode_terms`` at that mu; its roots
+    are the outer k-branch and lambda/outer, classified into D+/D-.  With
+    ``audit=True`` the modes are counted in the mu-plane
     (``_audit_root_count``).
     """
     check_lam(lam, positive=True)
@@ -398,61 +391,29 @@ def d_root_set(
         dtheta = 3.0 * side_length + 2.0 * rl / (y * y + lam) + 4.0 * rl / (y * y + 4.0 * lam)
         return (theta - target) / dtheta
 
-    syms = _mixed_symbols(lam)
     # the modes m = +-(count + 1) only place the edges of the audit box
     m = np.arange(-count - 1, count + 2)
     target = 2.0 * np.pi * m
     y, converged = _newton(phase_step, target / (3.0 * side_length), 80, 1e-15)
     if not converged:
         raise RootFindError("phase equation failed to converge")
-    # the outer branch of each kept mode (at m = 0 the tie-break gives
-    # i sqrt(lambda)), polished on D; an overflow or NaN shows up as a
-    # residual that is not <= tol
-    outer = quadratic_mode_root(1j * y[1:-1], lam)
+    # an overflow or NaN shows up as a residual that is not <= tol
+    mu_kept = 1j * y[1:-1]
     with np.errstate(all="ignore"):
-        outer, _ = _newton(
-            lambda k: closed_form_d(syms, k, lam, side_length)
-            / closed_form_d_prime(syms, k, lam, side_length),
-            outer,
-            40,
-            1e-15,
-        )
-        k = np.stack([outer, lam / outer], axis=-1).ravel()
-        w = 1.5 * mu(k, lam) * side_length
-        scale = np.abs(np.exp(w)) + np.abs(np.exp(-w))
-        resid = np.abs(closed_form_d(syms, k, lam, side_length)) / scale
+        t1, t2 = mixed_mode_terms(mu_kept, lam, side_length)
+        resid = np.exp((t1 - t2).abs_log() - np.logaddexp(t1.abs_log(), t2.abs_log()))
     failed = ~(resid <= tol)
     if failed.any():
         raise RootFindError(f"D-root residual {np.max(resid[failed]):.2e} above tolerance")
-    roots = ModeRootSet.of(k, resid, np.repeat(m[1:-1], 2))
+    # the outer branch of each kept mode (at m = 0 the tie-break gives
+    # i sqrt(lambda)) and its image lambda/outer
+    outer = quadratic_mode_root(mu_kept, lam)
+    k = np.stack([outer, lam / outer], axis=-1).ravel()
+    roots = ModeRootSet.of(k, np.repeat(resid, 2), np.repeat(m[1:-1], 2))
     if audit:
         edges = (0.5 * (y[0] + y[1]), 0.5 * (y[-2] + y[-1]))
         _audit_root_count(roots.k, lam, side_length, edges)
     return roots
-
-
-def _mode_equation_entire(symbols, k, lam: float, side_length: float):
-    """Entire function whose zeros are exactly the D(k) = 0 mode roots,
-    elementwise over an array of k.
-
-    Clearing the P-ratio poles of D leaves
-    B(k) = e^3(-k) prod_j Hbar_j(ak) H_j(abk) - e^3(k) prod_j H_j(ak) Hbar_j(abk),
-    which vanishes iff e^6(k) prod_j P_j(ak)/P_j(abk) = 1, the mode condition.
-    """
-    a, ab = ALPHA * k, ALPHA_BAR * k
-    w = 1.5 * mu(k, lam) * side_length
-    prod_a = prod_b = 1.0 + 0.0j
-    for sym in symbols:
-        if sym.gamma == 0.0 and sym.beta == np.pi / 2.0:
-            # Neumann side: hbar = -h, the P ratio is identically 1 and the
-            # raw factors would inject spurious common zeros
-            continue
-        prod_a *= sym.hbar(a) * sym.h(ab)
-        prod_b *= sym.h(a) * sym.hbar(ab)
-    plus, minus = Scaled.exp_pair(w)
-    val = minus * prod_a - plus * prod_b
-    # winding only needs the phase, which the mantissa carries
-    return val.m
 
 
 def _audit_root_count(ks, lam: float, side_length: float, edges):
@@ -464,12 +425,20 @@ def _audit_root_count(ks, lam: float, side_length: float, edges):
     pairs = ks[np.argsort(mu(ks, lam).imag, kind="stable")]
     if pairs.size % 2 or np.any(np.abs(pairs[::2] * pairs[1::2] - lam) > 1e-8 * lam):
         raise RootFindError("D-roots do not pair up as (k, lambda/k)")
-    syms = _mixed_symbols(lam)
-    func = lambda z: _mode_equation_entire(syms, quadratic_mode_root(z, lam), lam, side_length)
-    got = argument_principle_count(func, (-0.5 / side_length, 0.5 / side_length, *edges))
-    if got != pairs.size // 2:
+    modes = pairs.size // 2
+
+    def mode_function(z):
+        t1, t2 = mixed_mode_terms(z, lam, side_length)
+        # winding only needs the phase, which the mantissa carries
+        return (t1 - t2).m
+
+    # each vertical edge carries about pi of phase per mode: at 4 samples per
+    # mode no step comes near 2 pi, which would pass as a small one
+    box = (-0.5 / side_length, 0.5 / side_length, *edges)
+    got = argument_principle_count(mode_function, box, max(400, 4 * modes))
+    if got != modes:
         raise RootFindError(
-            f"argument-principle count {got} != {pairs.size // 2} found modes "
+            f"argument-principle count {got} != {modes} found modes "
             "(possible missed or spurious roots)"
         )
 
@@ -496,8 +465,8 @@ def residue_of_inhomogeneity(values: Scaled, offsets):
     """Residues at the D-roots of the elimination inhomogeneity
     T/(H_2(ab k) D(k)) from its ``values`` at the roots plus the
     ``residue_circles`` ``offsets``, by the trapezoid rule (spectrally
-    accurate for simple poles), summed in Scaled arithmetic."""
-    return (values * offsets).sum().to_complex() / offsets.shape[-1]
+    accurate for simple poles), summed and returned in Scaled arithmetic."""
+    return (values * offsets).sum() / offsets.shape[-1]
 
 
 def mixed_nr_trace(
@@ -535,7 +504,7 @@ def mixed_nr_trace(
     weighted = _folded(w * rays / (2.0 * np.pi), signs)
     res = residue_of_inhomogeneity(values[k_ray.size :].reshape(circle.shape), circle)
     sign = np.where(roots.plus, 1.0, -1.0)
-    p1 = _mixed_symbols(lam)[0].p(ALPHA * k)
+    p1 = _robin_symbol(lam).p(ALPHA * k)
     e6 = Scaled.from_exp(6.0 * mu(sign * 1j * ALPHA * k, lam) * side_length / (2.0 * SQRT3))
     denom = 1.0 + e6 * np.where(sign > 0, 1.0 / p1, p1)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2

@@ -78,6 +78,8 @@ _GOLDEN_ERRORS = [
     ("é", "unexpected character 'é'", 0),
     ("s + é", "unexpected character 'é'", 4),
     ("s\n@", "unexpected character '@'", 2),
+    ("\u0663*s", "unexpected character '\u0663'", 0),
+    ("\u3000s)", "unexpected character '\\u3000'", 0),
     ("1.5.2", "unexpected token '.2'", 3),
     ("sin()", "expected a value, got ')'", 4),
     ("()", "expected a value, got ')'", 1),

@@ -14,12 +14,11 @@ from tridtn.poincare import (
     ScaledElimination,
     _audit_root_count,
     argument_principle_count,
-    closed_form_d,
-    closed_form_d_prime,
     closed_form_elimination,
     d_root_set,
     dirichlet_mode_roots,
     in_upper_half,
+    mixed_mode_terms,
     mixed_nr_trace,
     ray_radius,
     residue_circles,
@@ -93,25 +92,6 @@ def test_symmetric_dual_representation(geom):
     assert err < 1e-5
     d_err = np.max(np.abs(integral.derivative(s) - n[0].derivative(s)))
     assert d_err < 1e-5
-
-
-def test_closed_form_d_and_derivative():
-    lam = 1.0
-    syms = (
-        SideSymbol(lam, math.pi / 2.0, math.sqrt(3.0 * lam)),
-        SideSymbol(lam, math.pi / 2.0, 0.0),
-        SideSymbol(lam, math.pi / 2.0, 0.0),
-    )
-    k = 0.9 + 0.7j
-    h = 1e-6
-    fd = (closed_form_d(syms, k + h, lam, 1.0) - closed_form_d(syms, k - h, lam, 1.0)) / (2 * h)
-    assert abs(closed_form_d_prime(syms, k, lam, 1.0) - fd) < 1e-5 * max(1.0, abs(fd))
-    # elementwise over arrays; a scalar k still gives a complex value
-    ks = np.array([k, 0.3 - 1.2j, -2.0 + 0.4j])
-    assert isinstance(closed_form_d(syms, k, lam, 1.0), complex)
-    for f in (closed_form_d, closed_form_d_prime):
-        one_by_one = [f(syms, kk, lam, 1.0) for kk in ks]
-        assert np.allclose(f(syms, ks, lam, 1.0), one_by_one, rtol=1e-14, atol=0.0)
 
 
 def test_d_root_set_certified_and_audited():
@@ -192,7 +172,8 @@ def test_audit_box_lies_midway_between_modes(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "lam, count", [(5.0, 64), (10.0, 32), (1e-6, 40), (100.0, 64), (1000.0, 64)]
+    "lam, count",
+    [(5.0, 64), (10.0, 32), (1e-6, 40), (100.0, 64), (1000.0, 64), (100.0, 400), (1.0, 700)],
 )
 def test_audit_resolves_fast_phase_near_the_origin(lam, count):
     # in the k-plane the lambda/k images of the modes cluster at the
@@ -200,14 +181,14 @@ def test_audit_resolves_fast_phase_near_the_origin(lam, count):
     roots = d_root_set(lam, 1.0, count, audit=True)
     assert len(roots) == 2 * (2 * count + 1)
     # the audit only checks the set: each inner root is lambda/outer, never
-    # polished on its own, so none lands on another mode's root and is lost
+    # solved for on its own, so none lands on another mode's root and is lost
     unaudited = d_root_set(lam, 1.0, count, audit=False).k
     assert np.unique(unaudited).size == len(roots)
 
 
-@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0, 100.0, 1000.0])
+@pytest.mark.parametrize("lam", [1e-6, 1e-3, 1.0, 100.0, 1000.0, 1e-4, 1e-2])
 def test_d_root_set_over_counts_and_lambdas(lam):
-    for count in (0, 4, 8, 64):
+    for count in (0, 4, 8, 64, 800):
         roots = d_root_set(lam, 1.0, count, audit=True)
         assert len(roots) == 2 * (2 * count + 1)
         assert np.max(roots.residual) <= 1e-12
@@ -231,9 +212,42 @@ def test_d_root_records(lam):
 
 
 def test_d_root_set_refuses_nan(monkeypatch):
-    monkeypatch.setattr(poincare, "closed_form_d", lambda syms, k, lam, l: k * np.nan)
-    with pytest.raises(RootFindError):
+    def nan_terms(mu_value, lam, side_length):
+        return Scaled.of(mu_value * np.nan), Scaled.of(mu_value)
+
+    monkeypatch.setattr(poincare, "mixed_mode_terms", nan_terms)
+    with pytest.raises(RootFindError, match="residual"):
         d_root_set(1.0, 1.0, 4, audit=False)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0, 100.0, 1000.0])
+def test_certified_roots_are_zeros_of_the_closed_form_d(lam):
+    # the mirror D(k) of the full elimination, scaled by |e^3(k)| + |e^3(-k)|,
+    # vanishes at the roots that the mode function of mu certifies
+    roots = d_root_set(lam, 1.0, count=64)
+    symbols = (
+        SideSymbol(lam, math.pi / 2.0, math.sqrt(3.0 * lam)),
+        SideSymbol(lam, math.pi / 2.0, 0.0),
+        SideSymbol(lam, math.pi / 2.0, 0.0),
+    )
+    big_d = closed_form_elimination(symbols, roots.k, lam, 1.0)[0]
+    w = 1.5 * mu(roots.k, lam)
+    assert np.max(np.abs(big_d) / (np.abs(np.exp(w)) + np.abs(np.exp(-w)))) <= 1e-12
+
+
+def test_mode_terms_are_a_function_of_mu():
+    # B is invariant under k -> lambda/k: the outer root read from mu gives
+    # the value that the raw terms give at either k-branch
+    lam, side_length = 2.0, 1.0
+    k = np.array([0.9 + 0.7j, 3.0 - 1.2j, -0.4 + 2.5j])
+    robin = SideSymbol(lam, math.pi / 2.0, math.sqrt(3.0 * lam))
+    t1, t2 = mixed_mode_terms(mu(k, lam), lam, side_length)
+    got = (t1 - t2).to_complex()
+    for branch in (k, lam / k):
+        a, ab = ALPHA * branch, ALPHA_BAR * branch
+        w = 1.5 * mu(branch, lam) * side_length
+        want = np.exp(-w) * robin.hbar(a) * robin.h(ab) - np.exp(w) * robin.h(a) * robin.hbar(ab)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def _mixed_problem(geom, lam=1.0):
@@ -295,7 +309,7 @@ def test_array_residues_match_per_root_trapezoid(geom):
     k = d_root_set(1.0, 1.0, 6).k
     radius = root_circle_radius(k, 1.0, 1.0)
     offsets = residue_circles(radius)
-    got = residue_of_inhomogeneity(elim.inhom(k[:, None] + offsets), offsets)
+    got = residue_of_inhomogeneity(elim.inhom(k[:, None] + offsets), offsets).to_complex()
     nodes = 32
     for k0, r, val in zip(k, radius, got):
         offsets = r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
@@ -303,19 +317,31 @@ def test_array_residues_match_per_root_trapezoid(geom):
         assert abs(val - want) <= 1e-13 * abs(want)
 
 
-@pytest.mark.parametrize("lam", [1e-4, 1e-2, 100.0, 1000.0])
-def test_mixed_nr_trace_over_its_lambda_range(geom, lam):
-    # criterion-6 fields at the CLI default count; at large lambda they span
-    # many decades along a side, so the error is relative to the data scale
+def _mixed_trace_error(geom, lam, count):
+    """Largest error of ``mixed_nr_trace`` on |s| <= 0.45 l of a criterion-6
+    field, relative to the largest datum or exact trace value on the side:
+    at large lambda the fields span many decades along a side."""
     sol, problem = _mixed_problem(geom, lam)
     d, n = all_traces(sol, geom)
-    trace = mixed_nr_trace(problem, count=64)
+    trace = mixed_nr_trace(problem, count=count)
     side = np.linspace(-0.5, 0.5, 1001)
     scale = max(
         np.max(np.abs(f(side))) for f in (problem.side(1).data, n[1], n[2], d[1])
     )
     s = np.linspace(-0.45, 0.45, 129)
-    assert np.max(np.abs(trace.value(s) - d[1](s))) <= 5e-4 * scale
+    return np.max(np.abs(trace.value(s) - d[1](s))) / scale
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 100.0, 1000.0])
+def test_mixed_nr_trace_over_its_lambda_range(geom, lam):
+    # criterion-6 fields at the CLI default count
+    assert _mixed_trace_error(geom, lam, 64) <= 5e-4
+
+
+def test_mixed_nr_trace_at_800_modes(geom):
+    # residue terms whose exponents overflow a complex stay Scaled up to the
+    # trace's coefficients, so many modes give the same error as a few
+    assert _mixed_trace_error(geom, 1.0, 800) <= 5e-4
 
 
 @pytest.mark.parametrize("lam", [1e-5, 1e-6, 2e3, 1e6])
