@@ -37,10 +37,10 @@ from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, TriangleGeometry, mu
 from .poincare import (
     _delta_prime_scaled,
     _delta_scaled,
+    _contour_images,
     _ray_points,
     _rotations,
     _symmetric_g,
-    _symmetric_images,
     dirichlet_mode_roots,
 )
 from .problems import check_lam
@@ -251,29 +251,36 @@ def symmetric_interior(
     Psi arguments) and the residue series over the mode roots s_n: the
     upper-half roots s_n^+ contribute in full, the lower-half roots s_n^-
     are split in two halves carrying the two rotated short kernels.  G is
-    read on rays 2 and 3 at k = r e^{i pi/6} and conj(k_3) = r e^{7i pi/6},
-    the pieces of ``symmetric_dirichlet_integral`` on t = r - lam/r, and
-    F(-i r) of every ray is the alpha_bar rotation of the upper piece: one
-    transform call serves the rays, the roots and every point.
+    read on rays 2 and 3 at k = r e^{i pi/6} and conj(k_3) = r e^{7i pi/6}
+    for the outer radii r >= sqrt(lam) only, the out-up and out-down pieces
+    of ``symmetric_dirichlet_integral`` on t = r - lam/r; the inner half
+    r -> lam/r reads (G/Delta)(lam/conj k) = -conj (G/Delta)(k).  F(-i r)
+    of every ray, on both halves, is an image of +i t: one transform call
+    serves the rays, the roots and every point.
     """
     geom = geometry or TriangleGeometry()
     point, zs, r, w, counts = _ray_quadrature(geom, z, lam, tail, order)
     side_length = geom.side_length
     sampler = SideSampler(f, Kind.PHI, lam, side_length)
     t = (r[0] - lam / r[0]).ravel()
-    k_ray = _ray_points(t, lam)  # out-up, in-up, in-down, out-down
+    k_ray = _ray_points(t, lam)  # out-up, out-down
     roots = dirichlet_mode_roots(lam, side_length, n_max)
     k = roots.k
     points = np.concatenate([k_ray.ravel(), k])
-    images = _symmetric_images(lam, t, k)
-    f_all = transforms([sampler], _rotations(points), images)[0]
-    g = _symmetric_g(f_all, points, lam, side_length)
+    bases, blocks = _contour_images(lam, t, (0, 2, 1), k)
+    # then F(-i r) on both halves, mu = -i t at rho and +i t at lam/rho
+    f_points = np.concatenate([_rotations(points).ravel(), -1j * r.ravel()])
+    f_all = transforms([sampler], f_points, (bases, blocks + [(1, 1, 0), (1, 0, 0)]))[0]
+    g = _symmetric_g(f_all[: 3 * points.size].reshape((3, -1)), points, lam, side_length)
     n_ray = k_ray.size
-    gd = (g[:n_ray] / _delta_scaled(points[:n_ray], lam, side_length)).reshape((4,) + w.shape)
-    f_ray = f_all[1, : n_ray // 2].reshape(r.shape)  # F(-i r), r = rho and lam/rho
+    gd = g[:n_ray] / _delta_scaled(points[:n_ray], lam, side_length)
+    up, down = gd.to_complex().reshape((2,) + w.shape)
+    f_ray = f_all[3 * points.size :].reshape(r.shape)
     env = Scaled.from_exp(-(r + lam / r) * (side_length / (2.0 * SQRT3)))
-    # on ray 3 the Schwarz conjugate -conj(G/Delta)(conj k) for real symmetric data
-    parts = (env * f_ray, env * (f_ray + gd[:2]), env * (f_ray - gd[[3, 2]].conj()))
+    # the inner halves read (G/Delta)(lam/conj k) = -conj (G/Delta)(k), and
+    # ray 3 the Schwarz conjugate -conj(G/Delta)(conj k) for real symmetric data
+    ray2, ray3 = np.stack([up, -up.conj()]), np.stack([-down.conj(), down])
+    parts = (env * f_ray, env * (f_ray + ray2), env * (f_ray + ray3))
     total = _ray_integrals(zs, lam, r, w, counts, parts)
 
     # residue series over the mode roots s_n

@@ -23,9 +23,10 @@ Mode roots are found for all modes at once and kept as arrays
 problem's mode condition is one function of mu (``mixed_mode_terms``): it
 certifies each root of the phase equation, and an argument-principle count
 of its zeros in the mu-plane audits the set.
-The symmetric transforms are summed at two base families of ray points and
-their images; the mixed solve makes one elimination over both rays and
-every residue circle.
+For real data both ray integrands reflect under k -> lambda/conj(k), outer
+piece onto inner, so the solvers evaluate the outer pieces only, their
+transforms summed on two base families (``_contour_images``); the mixed
+solve sums the D- residue circles as images of the D+ ones.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .errors import AccuracyError, DomainError, ParameterError, RootFindError
 from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
 from .problems import BCKind, ProblemSpec, check_lam
 from .quadrature import QuadratureRule
-from .relations import ScaledElimination  # re-exported: callers patch and import it here
+from .relations import ARG_FACTORS, ScaledElimination  # callers patch ScaledElimination here
 from .scaledc import Scaled
 from .series import RESONANCE_RTOL, _mode_roots, _newton, _rotations, quadratic_mode_root
 from .spectral import Kind, SideSampler, transforms
@@ -143,34 +144,49 @@ def _taper(x):
 
 
 def _ray_grids(lam: float, side_length: float, t_factor: float, order: int):
-    """Offsets, step and tapered weights of the ``contour_nodes`` lattice t,
-    the points k (pieces, panels, order) of the Fourier nodes sign * t on
-    the rays, each piece's sign, and the fold factor.
+    """Offsets, step, the ``contour_nodes`` lattice t and its tapered
+    weights, and the points k of the Fourier nodes t and -t on the two rays
+    (``_ray_points``), shaped (2, panels, order).
 
     For lam > 0 each ray covers the whole t-line (the radius r(t) runs over
-    all of (0, inf) as t does over R): four pieces, out-up, in-up, in-down
-    and out-down, fold factor 1.  At lam = 0 the upper ray only reaches
-    t >= 0 and the lower only t <= 0: each ray is a half-cover and the fold
-    factor doubles.
+    all of (0, inf) as t does over R): its inner pieces, -t on the upper ray
+    and t on the lower, sit at k -> lambda/conj(k) of these outer ones, and
+    the solvers fill their integrands in by reflection.  At lam = 0, r(t) = t
+    and the upper ray only reaches t >= 0, the lower only t <= 0.
     """
     offsets, step, t, w = contour_nodes(side_length, t_factor, order)
     w = w * _taper(t / (t_factor * 2.0 * np.pi / side_length))
-    if lam > 0:
-        return offsets, step, w, _ray_points(t, lam), np.array([1.0, -1.0, 1.0, -1.0]), 1.0
-    return offsets, step, w, np.stack([t * RAY_UP, t * RAY_DOWN]), np.array([1.0, -1.0]), 2.0
+    return offsets, step, t, w, _ray_points(t, lam)
 
 
 def _ray_points(t, lam: float):
-    """The points k of the Fourier nodes t on the rays (lam > 0), stacked as
-    the pieces out-up, in-up, in-down and out-down."""
-    out, inner = ray_radius(t, lam), ray_radius(-t, lam)
-    return np.stack([out * RAY_UP, inner * RAY_UP, inner * RAY_DOWN, out * RAY_DOWN])
+    """The points r(t) e^{i pi/6} (out-up, Fourier node t) and their
+    negatives r(t) e^{7i pi/6} (out-down, node -t) of the nodes t >= 0."""
+    return np.multiply.outer((RAY_UP, RAY_DOWN), ray_radius(t, lam))
 
 
-def _folded(nodes, signs):
-    """Node weights of the pieces of ``_ray_grids`` summed onto the lattice
-    t >= 0, a piece on -t conjugated: Re[w e^{-i t s}] = Re[conj(w) e^{i t s}]."""
-    return np.sum(np.where(signs[:, None, None] > 0, nodes, np.conj(nodes)), axis=0)
+#: the block (family, negate, conjugate) of the out-up ray piece on the base
+#: families mu(r e^{i pi/6}) and i t, per unknown slot: alpha k = -conj(k),
+#: and alpha_bar k = -i r has mu = -i t
+_RAY_IMAGES = ((0, 0, 0), (0, 1, 1), (1, 0, 1))
+
+
+def _contour_images(lam, t, slots, own, mirrored=False):
+    """The images (``spectral.transforms``) of the points ARG_FACTORS[slot] k
+    for each slot in ``slots``, k being the out-up and out-down ray pieces
+    on the Fourier nodes t (a 1-D array), then the points ``own`` and, when
+    ``mirrored``, their negatives.  The ray pieces are images of two base
+    families on t, mu(r(t) e^{i pi/6}) and +i t; each rotation of ``own`` is
+    a base of its own.  k -> -k negates mu."""
+    r = ray_radius(t, lam)
+    bases = [(r + lam / r) * (0.5 * SQRT3) + 0.5j * t, 1j * t]
+    blocks = []
+    for slot in slots:
+        family, negate, conjugate = _RAY_IMAGES[slot]
+        blocks += [(family, negate, conjugate), (family, 1 - negate, conjugate)]
+        blocks += [(len(bases), 0, 0)] + [(len(bases), 1, 0)] * mirrored
+        bases.append(mu(ARG_FACTORS[slot] * own, lam))
+    return bases, blocks
 
 
 # -- symmetric Dirichlet ---------------------------------------------------
@@ -193,24 +209,6 @@ def _symmetric_g(f, k, lam, side_length) -> Scaled:
     ab_plus, ab_minus = Scaled.exp_pair(mu(ALPHA_BAR * k, lam) * half)
     plus, minus = Scaled.exp_pair(mu(k, lam) * half)
     return (ab_plus + ab_minus) * f[0] + (plus + minus) * f[1] + 2.0 * f[2]
-
-
-def _symmetric_images(lam, t, roots):
-    """The images (``spectral.transforms``) of ``_rotations`` of the ray
-    pieces of ``_ray_grids`` on the Fourier nodes t (a 1-D array) and the
-    mode roots: per rotation, a block per piece on one of two base families
-    on t, mu(k) at k = r(t) e^{i pi/6} and +i t, then the rotated roots as
-    their own base.  Over the pieces, k -> lambda/conj(k) conjugates mu and
-    k -> -k negates it; alpha_bar k = -i r has mu = -i t, and alpha k =
-    -conj(k) has mu = -conj(mu(k))."""
-    r = ray_radius(t, lam)
-    bases = [(r + lam / r) * (0.5 * SQRT3) + 0.5j * t, 1j * t]
-    pieces = ((0, 0), (0, 1), (1, 1), (1, 0)) if lam > 0 else ((0, 0), (1, 0))
-    blocks, rotated = [], ((0, 0, 0), (1, 0, 1), (0, 1, 1))  # (family, negate, conjugate)
-    for rotation, (family, negate, conjugate) in zip(_rotations(roots), rotated):
-        blocks += [(family, negate ^ n, conjugate ^ c) for n, c in pieces] + [(len(bases), 0, 0)]
-        bases.append(mu(rotation, lam))
-    return bases, blocks
 
 
 def dirichlet_mode_roots(lam: float, side_length: float, n_max: int) -> ModeRootSet:
@@ -250,27 +248,32 @@ def symmetric_dirichlet_integral(
     if math.sqrt(3.0 * lam) * (side_length / 2.0) < RESONANCE_RTOL:
         lam = 0.0
     sampler = SideSampler(data, Kind.PHI, lam, side_length)
-    offsets, step, w, k_ray, signs, fold = _ray_grids(lam, side_length, t_factor, order)
+    offsets, step, t, w, k_ray = _ray_grids(lam, side_length, t_factor, order)
 
     # G on the two rays (whose Gauss nodes avoid t = 0, so k = 0 too) and at
     # the mode roots, in one evaluation
     roots = dirichlet_mode_roots(lam, side_length, n_max)
     k = roots.k
     points = np.concatenate([k_ray.ravel(), k])
-    images = _symmetric_images(lam, (offsets + step * np.arange(len(w))[:, None]).ravel(), k)
+    images = _contour_images(lam, t.ravel(), (0, 2, 1), k)
     g = _symmetric_g(transforms([sampler], _rotations(points), images)[0], points, lam, side_length)
     n_ray = k_ray.size
     gd = g[:n_ray] / _delta_scaled(points[:n_ray], lam, side_length)
-    nodes = (-1j * fold / (2.0 * np.pi)) * w * gd.to_complex().reshape(signs.shape + w.shape)
+    up, down = gd.to_complex().reshape(k_ray.shape)
+    # the fold of the four pieces onto t >= 0, closed by (G/Delta)(lambda/conj k)
+    # = -conj (G/Delta)(k); the two half-covers at lambda = 0 sum the same
+    weighted = (-1j / np.pi) * w * (up - down.conj())
 
-    # residue data: coefficient and exponent rate mu(ab k) per root
+    # residue data: coefficient and exponent rate mu(ab k) per root; at
+    # lambda = 0 only the outer root of each mode is left and counts twice
+    fold = 1.0 if lam > 0 else 2.0
     sign = np.where(roots.plus, -1.0, 1.0)
     dprime = _delta_prime_scaled(k, lam, side_length)
     m_ab = mu(ALPHA_BAR * k, lam)
     denom = 1.0 - Scaled.from_exp(-sign * m_ab * side_length)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
     coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g[n_ray:] / (dprime * denom)
-    return ContourResidueTrace(1, offsets, step, _folded(nodes, signs), m_ab, coeffs)
+    return ContourResidueTrace(1, offsets, step, weighted, m_ab, coeffs)
 
 
 # -- closed-form elimination (verification mirror) -------------------------
@@ -391,12 +394,14 @@ def d_root_set(
         dtheta = 3.0 * side_length + 2.0 * rl / (y * y + lam) + 4.0 * rl / (y * y + 4.0 * lam)
         return (theta - target) / dtheta
 
-    # the modes m = +-(count + 1) only place the edges of the audit box
-    m = np.arange(-count - 1, count + 2)
-    target = 2.0 * np.pi * m
+    # theta is odd, so mode -m is mode m negated: solved for m >= 0, the
+    # modes m = -count-1..count+1 (whose ends only place the edges of the
+    # audit box) keep the roots of +-m, and their circles, exact negatives
+    target = 2.0 * np.pi * np.arange(count + 2)
     y, converged = _newton(phase_step, target / (3.0 * side_length), 80, 1e-15)
     if not converged:
         raise RootFindError("phase equation failed to converge")
+    y = np.concatenate([-y[:0:-1], y])
     # an overflow or NaN shows up as a residual that is not <= tol
     mu_kept = 1j * y[1:-1]
     with np.errstate(all="ignore"):
@@ -405,11 +410,13 @@ def d_root_set(
     failed = ~(resid <= tol)
     if failed.any():
         raise RootFindError(f"D-root residual {np.max(resid[failed]):.2e} above tolerance")
-    # the outer branch of each kept mode (at m = 0 the tie-break gives
-    # i sqrt(lambda)) and its image lambda/outer
-    outer = quadratic_mode_root(mu_kept, lam)
-    k = np.stack([outer, lam / outer], axis=-1).ravel()
-    roots = ModeRootSet.of(k, np.repeat(resid, 2), np.repeat(m[1:-1], 2))
+    # the outer branch of each mode m >= 0 and its image lambda/outer (at
+    # m = 0 the tie-break gives i sqrt(lambda), whose image is its negative)
+    outer = quadratic_mode_root(mu_kept[count:], lam)
+    half = np.stack([outer, lam / outer], axis=-1)
+    half[0, 1] = -outer[0]
+    k = np.concatenate([-half[:0:-1], half]).ravel()
+    roots = ModeRootSet.of(k, np.repeat(resid, 2), np.arange(-count, count + 1).repeat(2))
     if audit:
         edges = (0.5 * (y[0] + y[1]), 0.5 * (y[-2] + y[-1]))
         _audit_root_count(roots.k, lam, side_length, edges)
@@ -455,10 +462,16 @@ def root_circle_radius(k0, lam: float, side_length: float):
     return 0.3 * np.minimum(spacing / np.maximum(pullback, 1e-30), np.abs(k0))
 
 
-def residue_circles(radius, nodes: int = 32):
-    """Offsets radius e^{2 pi i j / nodes} of the trapezoid nodes on circles
-    of the given radii, shaped (roots, nodes)."""
-    return np.multiply.outer(radius, np.exp(2j * np.pi * np.arange(nodes) / nodes))
+#: trapezoid nodes per residue circle, an even number
+CIRCLE_NODES = 32
+
+
+def residue_circles(radius):
+    """Offsets radius e^{2 pi i j / CIRCLE_NODES} of the trapezoid nodes on
+    circles of the given radii, shaped (roots, CIRCLE_NODES); the second
+    half of each circle is the first negated, exactly."""
+    half = np.exp(2j * np.pi * np.arange(CIRCLE_NODES // 2) / CIRCLE_NODES)
+    return np.multiply.outer(radius, np.concatenate([half, -half]))
 
 
 def residue_of_inhomogeneity(values: Scaled, offsets):
@@ -479,9 +492,11 @@ def mixed_nr_trace(
 
     ``problem`` must carry the Robin condition with gamma = sqrt(3 lambda)
     on side 1 and Neumann conditions on sides 2 and 3.  The trace combines
-    the contour integral of the elimination inhomogeneity with residue sums
-    over the certified D-roots in the two half-planes.  Outside
-    ``MIXED_LAM_RANGE`` of lambda l^2 it raises ``AccuracyError``.
+    the contour integral of the elimination inhomogeneity X with residue sums
+    over the certified D-roots in the two half-planes.  X is evaluated on
+    the out-up and out-down ray pieces only: the inner pieces read
+    X(lambda/conj k) = conj X(k).  Outside ``MIXED_LAM_RANGE`` of lambda l^2
+    it raises ``AccuracyError``.
     """
     lam = problem.lam
     side_length = problem.geometry.side_length
@@ -493,17 +508,24 @@ def mixed_nr_trace(
             f"mixed Neumann-Robin trace: lambda l^2 = {scaled_lam:.3g} lies "
             f"outside the certified range [{lo:g}, {hi:g}]"
         )
-    offsets, step, w, k_ray, signs, _ = _ray_grids(lam, side_length, t_factor, order)
+    offsets, step, t, w, k_ray = _ray_grids(lam, side_length, t_factor, order)
     roots = d_root_set(lam, side_length, count)
-    k = roots.k
+    # the D- roots are the D+ roots negated, and so are their circles, with
+    # the nodes turned by half a circle: -k + c_j = -(k + c_{j + nodes/2})
+    k = roots.k[roots.plus]
     circle = residue_circles(root_circle_radius(k, lam, side_length))
+    nodes = (k[:, None] + circle).ravel()
     # both rays and every residue circle in one elimination
-    points = np.concatenate([k_ray.ravel(), (k[:, None] + circle).ravel()])
-    values = ScaledElimination(problem).inhom(points)
-    rays = values[: k_ray.size].to_complex().reshape(k_ray.shape)
-    weighted = _folded(w * rays / (2.0 * np.pi), signs)
-    res = residue_of_inhomogeneity(values[k_ray.size :].reshape(circle.shape), circle)
-    sign = np.where(roots.plus, 1.0, -1.0)
+    points = np.concatenate([k_ray.ravel(), nodes, -nodes])
+    images = _contour_images(lam, t.ravel(), (0, 1, 2), nodes, mirrored=True)
+    values = ScaledElimination(problem).inhom(points, images)
+    up, down = values[: k_ray.size].to_complex().reshape(k_ray.shape)
+    # the fold of the four pieces onto t >= 0, closed by X(lambda/conj k) = conj X(k)
+    weighted = (w / np.pi) * (up + down.conj())
+    circles = values[k_ray.size :].reshape((2,) + circle.shape)
+    k, sign = np.concatenate([k, -k]), np.repeat([1.0, -1.0], k.size)
+    # around -k the nodes are the negated ones turned by half: minus their sum
+    res = sign * residue_of_inhomogeneity(circles, circle).reshape(-1)
     p1 = _robin_symbol(lam).p(ALPHA * k)
     e6 = Scaled.from_exp(6.0 * mu(sign * 1j * ALPHA * k, lam) * side_length / (2.0 * SQRT3))
     denom = 1.0 + e6 * np.where(sign > 0, 1.0 / p1, p1)

@@ -166,7 +166,7 @@ class ProblemSamplers:
         )
 
 
-def relation_rows(samplers: ProblemSamplers, k, corner_values=None):
+def relation_rows(samplers: ProblemSamplers, k, corner_values=None, images=None):
     """The six global-relation rows at every point of the 1-D array ``k``,
     in exponent-carrying arithmetic: row r of RELATION_ROWS reads
 
@@ -176,12 +176,13 @@ def relation_rows(samplers: ProblemSamplers, k, corner_values=None):
     and ``rhs`` of shape (6, N).  Each term carries the prefactor E(-i f_rj k)
     (E(+i f_rj k) in the conjugate rows); the right side holds minus the data
     transforms, plus the corner terms when ``corner_values`` gives each
-    side's (q(-l/2), q(l/2))."""
+    side's (q(-l/2), q(l/2)).  ``images`` names the points ARG_FACTORS k,
+    in that order, as ``spectral.transforms`` does."""
     lam, l = samplers.lam, samplers.side_length
     args = np.multiply.outer(ARG_FACTORS, k)
     # the six prefactors, E(-i a) and E(+i a) at a = ARG_FACTORS[slot] k
     pref = Scaled.from_exp(mu(np.multiply.outer((-1j, 1j), args), lam) * (l / (2.0 * SQRT3)))
-    known = transforms(samplers.data, args) * samplers.scale[:, None, None]
+    known = transforms(samplers.data, args, images) * samplers.scale[:, None, None]
     conj, sides = _CONJ[:, None], np.arange(3)
     pref = pref[conj, _SLOTS]
     if samplers.symbols is None:
@@ -263,10 +264,10 @@ class ScaledElimination:
     def __init__(self, problem: ProblemSpec):
         self._samplers = ProblemSamplers(problem)
 
-    def inhom(self, k) -> Scaled:
-        """The inhomogeneity at a scalar k or elementwise over an array of k."""
+    def inhom(self, k, images=None) -> Scaled:
+        """The inhomogeneity at a scalar k or over an array of k; ``images`` as in relation_rows."""
         k = np.asarray(k, dtype=complex)
-        acc, prod = walk_cycle(*relation_rows(self._samplers, k.ravel()))
+        acc, prod = walk_cycle(*relation_rows(self._samplers, k.ravel(), images=images))
         return (acc / (1.0 - prod)).reshape(k.shape)
 
 
