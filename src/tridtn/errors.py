@@ -14,19 +14,6 @@ class ParameterError(TriDtnError, ValueError):
     """Inconsistent or unsupported problem parameters."""
 
 
-class ResonanceError(TriDtnError, ArithmeticError):
-    """A mode denominator vanished (interior eigenvalue hit).
-
-    Attributes
-    ----------
-    modes : list of mode labels whose denominators were below threshold.
-    """
-
-    def __init__(self, message, modes=None):
-        super().__init__(message)
-        self.modes = list(modes or [])
-
-
 class RootFindError(TriDtnError, ArithmeticError):
     """Newton/continuation failed to certify a spectral root."""
 

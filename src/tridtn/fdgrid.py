@@ -128,7 +128,7 @@ def _side_data(spec: ProblemSpec, grid: TriangularGrid, side: int):
     return i, j, np.broadcast_to(np.asarray(spec.side(side).data(s), dtype=float), s.shape)
 
 
-def fd_solve(spec: ProblemSpec, h: float, tol: float = 1e-12) -> GridSolution:
+def fd_solve(spec: ProblemSpec, h: float) -> GridSolution:
     """Solve the lattice system for ``spec`` and extract the unknown traces.
 
     Dirichlet problems return the Neumann traces (one-sided second-order
@@ -140,12 +140,12 @@ def fd_solve(spec: ProblemSpec, h: float, tol: float = 1e-12) -> GridSolution:
             raise ParameterError("the FD oracle supports beta = pi/2 sides only")
     grid = TriangularGrid(spec.side_length, _check_spacing(spec.side_length, h))
     if spec.is_dirichlet:
-        return _solve_dirichlet(spec, grid, tol)
-    return _solve_flux(spec, grid, tol)
+        return _solve_dirichlet(spec, grid)
+    return _solve_flux(spec, grid)
 
 
 # -- Dirichlet --------------------------------------------------------------
-def _solve_dirichlet(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> GridSolution:
+def _solve_dirichlet(spec: ProblemSpec, grid: TriangularGrid) -> GridSolution:
     m, h, lam = grid.m, grid.h, spec.lam
     # boundary data on the lattice; a corner takes the data of its first side
     values = np.full((m + 1, m + 1), np.nan)
@@ -172,7 +172,7 @@ def _solve_dirichlet(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> Gri
     a_mat = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     )
-    u, residual = _cg_solve(a_mat, b, tol)
+    u, residual = _cg_solve(a_mat, b)
     values[i, j] = u
     traces = {side: _extract_neumann(grid, values, side) for side in (1, 2, 3)}
     return GridSolution(grid=grid, values=values, traces=traces, cg_residual=residual)
@@ -200,7 +200,7 @@ def _extract_neumann(grid: TriangularGrid, values, side: int):
 
 
 # -- Neumann / Robin --------------------------------------------------------
-def _solve_flux(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> GridSolution:
+def _solve_flux(spec: ProblemSpec, grid: TriangularGrid) -> GridSolution:
     m, h, lam = grid.m, grid.h, spec.lam
     i, j = grid.nodes()
     number = _numbering(grid, i, j)
@@ -271,7 +271,7 @@ def _solve_flux(spec: ProblemSpec, grid: TriangularGrid, tol: float) -> GridSolu
                 f"compatibility condition (sum {total:.3e})"
             )
         b -= total / n
-    u, residual = _cg_solve(lhs, b, tol)
+    u, residual = _cg_solve(lhs, b)
     if gauge_fixed:
         u -= np.mean(u)
 
@@ -298,12 +298,12 @@ def cg(*args, **kwargs):
     return scipy_cg(*args, **kwargs)
 
 
-def _cg_solve(a_mat, b, tol):
+def _cg_solve(a_mat, b):
     from scipy import sparse
 
     diag = a_mat.diagonal()
     precond = sparse.diags(1.0 / diag)
-    u, info = cg(a_mat, b, rtol=tol, atol=0.0, M=precond, maxiter=20 * len(b))
+    u, info = cg(a_mat, b, rtol=1e-12, atol=0.0, M=precond, maxiter=20 * len(b))
     if info != 0:
         raise SolvabilityError(f"conjugate gradients failed to converge (info {info})")
     residual = float(np.linalg.norm(a_mat @ u - b) / max(np.linalg.norm(b), 1e-300))

@@ -34,20 +34,12 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, ParameterError
 from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, TriangleGeometry, mu
-from .poincare import (
-    _delta_prime_scaled,
-    _delta_scaled,
-    _contour_images,
-    _ray_points,
-    _rotations,
-    _symmetric_g,
-    dirichlet_mode_roots,
-)
+from .poincare import _delta_prime_scaled, _delta_scaled, _symmetric_rays
 from .problems import check_lam
 from .quadrature import QuadratureRule
 from .relations import GlobalRelation
 from .scaledc import Scaled
-from .spectral import Kind, SideSampler, transforms
+from .spectral import Kind, SideSampler
 
 #: Ray arguments of l_1, l_2, l_3.
 RAY_ARGS = (-math.pi / 2.0, math.pi / 6.0, 5.0 * math.pi / 6.0)
@@ -91,19 +83,9 @@ class TraceSet:
         if len(self.dirichlet) != 3 or len(self.neumann) != 3:
             raise ParameterError("TraceSet needs exactly three traces per kind")
 
-    @classmethod
-    def from_solution(cls, sol, geometry: TriangleGeometry) -> "TraceSet":
-        from .oracle import dirichlet_trace, neumann_trace
-
-        return cls(
-            geometry=geometry,
-            dirichlet=tuple(dirichlet_trace(sol, geometry, j) for j in (1, 2, 3)),
-            neumann=tuple(neumann_trace(sol, geometry, j) for j in (1, 2, 3)),
-        )
-
 
 # -- Green's representation ------------------------------------------------
-def greens_eval(traces: TraceSet, lam: float, z, order: int = 16):
+def greens_eval(traces: TraceSet, lam: float, z):
     """q(z) from the boundary-integral representation, at a point (a float)
     or an array of points (an array shaped like ``z``).
 
@@ -123,11 +105,11 @@ def greens_eval(traces: TraceSet, lam: float, z, order: int = 16):
             "evaluation point is too close to the boundary for the "
             f"Green's quadrature (margin {np.min(margins):.3e})"
         )
-    # composite per-side rule resolving the scale of the margin
+    # composite per-side rule of 16-point panels resolving the scale of the margin
     n_panels = np.maximum(4, np.ceil(geom.side_length / margins).astype(int))
     half = geom.side_length / 2.0
     groups = sorted(set(n_panels.tolist()))
-    rules = [QuadratureRule.panels(np.linspace(-half, half, n + 1), order) for n in groups]
+    rules = [QuadratureRule.panels(np.linspace(-half, half, n + 1), 16) for n in groups]
     s_all = np.concatenate([np.empty(0), *(rule.nodes for rule in rules)])
     ends = accumulate(rule.nodes.size for rule in rules)
     qn = [np.asarray(trace(s_all), dtype=float) for trace in traces.neumann]
@@ -183,15 +165,15 @@ def ray_lattice(lam: float, side_length: float, reach: float, order: int = RAY_O
     return np.array(edges), np.stack([rho, lam / rho]), rule.weights.reshape(rho.shape) / rho
 
 
-def _ray_quadrature(geom: TriangleGeometry, z, lam: float, tail: float, order: int):
+def _ray_quadrature(geom: TriangleGeometry, z, lam: float, order: int):
     """The located point(s) z, as an InteriorPoint and flat, the radii and
-    weights of the ``ray_lattice`` out to the largest reach tail/d_j over the
+    weights of the ``ray_lattice`` out to the largest reach 36/d_j over the
     points and the rays j (d_j the distance from z to side j), and the number
     of its panels that each ray (rows) reads for each point."""
     check_lam(lam, positive=True)
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
     zs = np.ravel(point.z)
-    reach = tail / np.stack([geom.inradius - (zs * np.conj(SIDE_ROT[j])).real for j in (1, 2, 3)])
+    reach = 36.0 / np.stack([geom.inradius - (zs * np.conj(SIDE_ROT[j])).real for j in (1, 2, 3)])
     edges, r, w = ray_lattice(lam, geom.side_length, np.max(reach), order)
     return point, zs, r, w, np.maximum(1, np.searchsorted(edges[:-1], reach))
 
@@ -220,18 +202,18 @@ def _ray_integrals(zs, lam: float, r, w, counts, parts):
     return total / (2j * math.pi)
 
 
-def fokas_eval(traces: TraceSet, lam: float, z, order: int = RAY_ORDER, tail: float = 36.0):
+def fokas_eval(traces: TraceSet, lam: float, z):
     """q(z) from the ray representation (lam > 0 only), at a point (a float)
     or an array of points (an array shaped like ``z``).
 
     On ray l_j the integrand decays like exp{-(r + lam/r) d_j} with d_j the
-    distance from z to side j, which sets the reach tail/d_j of both halves
+    distance from z to side j, which sets the reach 36/d_j of both halves
     of the ``ray_lattice``.  Every ray reads rho~_j at SIDE_ROT[j] k = -i r,
     where mu = -i (r - lam/r), conjugated under r -> lam/r: one transform
     call, at the base points of one half, serves every ray and point.
     """
     geom = traces.geometry
-    point, zs, r, w, counts = _ray_quadrature(geom, z, lam, tail, order)
+    point, zs, r, w, counts = _ray_quadrature(geom, z, lam, RAY_ORDER)
     relation = GlobalRelation(traces.dirichlet, traces.neumann, lam, geom.side_length)
     images = ((-1j * (r[0] - lam / r[0]).ravel(),), ((0, 0, 0), (0, 0, 1)))
     out = _ray_integrals(zs, lam, r, w, counts, relation.rhos(-1j * r, images)).real
@@ -241,7 +223,7 @@ def fokas_eval(traces: TraceSet, lam: float, z, order: int = RAY_ORDER, tail: fl
 # -- the symmetric Dirichlet problem ---------------------------------------
 def symmetric_interior(
     f, lam: float, z, geometry: TriangleGeometry | None = None, n_max: int = 64,
-    order: int = RAY_ORDER, tail: float = 36.0,
+    order: int = RAY_ORDER,
 ):
     """q(z) for the symmetric Dirichlet problem directly from the data f, at
     a point (a float) or an array of points (an array shaped like ``z``).
@@ -256,26 +238,18 @@ def symmetric_interior(
     of ``symmetric_dirichlet_integral`` on t = r - lam/r; the inner half
     r -> lam/r reads (G/Delta)(lam/conj k) = -conj (G/Delta)(k).  F(-i r)
     of every ray, on both halves, is an image of +i t: one transform call
-    serves the rays, the roots and every point.
+    (``poincare._symmetric_rays``) serves the rays, the roots and every point.
     """
     geom = geometry or TriangleGeometry()
-    point, zs, r, w, counts = _ray_quadrature(geom, z, lam, tail, order)
+    point, zs, r, w, counts = _ray_quadrature(geom, z, lam, order)
     side_length = geom.side_length
     sampler = SideSampler(f, Kind.PHI, lam, side_length)
-    t = (r[0] - lam / r[0]).ravel()
-    k_ray = _ray_points(t, lam)  # out-up, out-down
-    roots = dirichlet_mode_roots(lam, side_length, n_max)
+    # F(-i r) on both halves: mu = -i t at rho and +i t at lam/rho
+    roots, up, down, g_roots, f_ray = _symmetric_rays(
+        sampler, (r[0] - lam / r[0]).ravel(), n_max, -1j * r.ravel(), [(1, 1, 0), (1, 0, 0)]
+    )
     k = roots.k
-    points = np.concatenate([k_ray.ravel(), k])
-    bases, blocks = _contour_images(lam, t, (0, 2, 1), k)
-    # then F(-i r) on both halves, mu = -i t at rho and +i t at lam/rho
-    f_points = np.concatenate([_rotations(points).ravel(), -1j * r.ravel()])
-    f_all = transforms([sampler], f_points, (bases, blocks + [(1, 1, 0), (1, 0, 0)]))[0]
-    g = _symmetric_g(f_all[: 3 * points.size].reshape((3, -1)), points, lam, side_length)
-    n_ray = k_ray.size
-    gd = g[:n_ray] / _delta_scaled(points[:n_ray], lam, side_length)
-    up, down = gd.to_complex().reshape((2,) + w.shape)
-    f_ray = f_all[3 * points.size :].reshape(r.shape)
+    up, down, f_ray = up.reshape(w.shape), down.reshape(w.shape), f_ray.reshape(r.shape)
     env = Scaled.from_exp(-(r + lam / r) * (side_length / (2.0 * SQRT3)))
     # the inner halves read (G/Delta)(lam/conj k) = -conj (G/Delta)(k), and
     # ray 3 the Schwarz conjugate -conj(G/Delta)(conj k) for real symmetric data
@@ -294,6 +268,6 @@ def symmetric_interior(
         Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA * k), lam) * short)
         + Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA_BAR * k), lam) * short)
     )
-    terms = _ray_phase(k, zs[:, None], lam) * (env * g[n_ray:] / denom)
+    terms = _ray_phase(k, zs[:, None], lam) * (env * g_roots / denom)
     out = (total + np.sum(terms.to_complex(), axis=1)).real
     return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])

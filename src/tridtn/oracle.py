@@ -12,8 +12,8 @@ which satisfies q_xx + q_yy = 4 lambda q identically.  The three families:
   giving data invariant under the cyclic side permutation.
 
 Traces (Dirichlet, Neumann, oblique Robin) and their tangential derivatives
-are evaluated from the analytic gradient and Hessian, so oracle traces are
-exact up to roundoff.
+are evaluated from the analytic directional derivatives of the atoms
+(``ExpAtomSolution.derivative``), so oracle traces are exact up to roundoff.
 """
 from __future__ import annotations
 
@@ -81,73 +81,47 @@ class ExpAtomSolution:
         )
 
     # -- evaluation --------------------------------------------------------
-    def _sum(self, z, weight):
+    def derivative(self, z, *directions):
+        """The derivative of q along each unit complex direction in turn (q
+        itself for none): d/dd e^{A z + B zbar} = (A d + B conj d) e^{A z + B zbar},
+        so it is Re sum_t c_t prod_d (A_t d + B_t conj d) e^{A_t z + B_t zbar}."""
         z = np.asarray(z, dtype=complex)
         acc = np.zeros(z.shape, dtype=complex)
         for c, a, b in zip(self.coeffs, self.a_rates, self.b_rates):
-            acc += (c * weight(a, b)) * np.exp(a * z + b * np.conj(z))
+            for d in directions:
+                c = c * (a * d + b * d.conjugate())
+            acc += c * np.exp(a * z + b * np.conj(z))
         out = np.real(acc)
         return out if out.ndim else float(out)
 
     def q(self, z):
-        return self._sum(z, lambda a, b: 1.0)
-
-    def qx(self, z):
-        return self._sum(z, lambda a, b: a + b)
-
-    def qy(self, z):
-        return self._sum(z, lambda a, b: 1j * (a - b))
-
-    def qxx(self, z):
-        return self._sum(z, lambda a, b: (a + b) ** 2)
-
-    def qxy(self, z):
-        return self._sum(z, lambda a, b: 1j * (a - b) * (a + b))
-
-    def qyy(self, z):
-        return self._sum(z, lambda a, b: -((a - b) ** 2))
+        return self.derivative(z)
 
     def pde_residual(self, z):
         """q_xx + q_yy - 4 lambda q, from the analytic second derivatives."""
-        return self.qxx(z) + self.qyy(z) - 4.0 * self.lam * self.q(z)
-
-    def directional(self, z, direction: complex):
-        """Derivative along the unit complex ``direction``."""
-        return direction.real * self.qx(z) + direction.imag * self.qy(z)
-
-    def directional2(self, z, d1: complex, d2: complex):
-        """Second derivative d1 . Hessian . d2."""
-        return (
-            d1.real * d2.real * self.qxx(z)
-            + (d1.real * d2.imag + d1.imag * d2.real) * self.qxy(z)
-            + d1.imag * d2.imag * self.qyy(z)
-        )
+        return self.derivative(z, 1, 1) + self.derivative(z, 1j, 1j) - 4.0 * self.lam * self.q(z)
 
 
 # -- trace extraction ------------------------------------------------------
-def dirichlet_trace(sol: ExpAtomSolution, geom: TriangleGeometry, side: int) -> BoundaryTrace:
+def _side_trace(sol: ExpAtomSolution, geom: TriangleGeometry, side: int, terms) -> BoundaryTrace:
+    """The trace sum_i w_i (derivative of q along the directions d_i) on one
+    side, from ``terms`` = ((w_i, d_i), ...); its d/ds puts the side tangent
+    in front of every term's directions."""
     tang = geom.side_tangent(side)
 
-    def value(s):
-        return sol.q(geom.side_point(side, s))
+    def value(s, *lead):
+        z = geom.side_point(side, s)
+        return sum(w * sol.derivative(z, *lead, *dirs) for w, dirs in terms)
 
-    def derivative(s):
-        return sol.directional(geom.side_point(side, s), tang)
+    return BoundaryTrace(side=side, value=value, derivative=lambda s: value(s, tang))
 
-    return BoundaryTrace(side=side, value=value, derivative=derivative)
+
+def dirichlet_trace(sol: ExpAtomSolution, geom: TriangleGeometry, side: int) -> BoundaryTrace:
+    return _side_trace(sol, geom, side, ((1.0, ()),))
 
 
 def neumann_trace(sol: ExpAtomSolution, geom: TriangleGeometry, side: int) -> BoundaryTrace:
-    norm = geom.side_normal(side)
-    tang = geom.side_tangent(side)
-
-    def value(s):
-        return sol.directional(geom.side_point(side, s), norm)
-
-    def derivative(s):
-        return sol.directional2(geom.side_point(side, s), tang, norm)
-
-    return BoundaryTrace(side=side, value=value, derivative=derivative)
+    return _side_trace(sol, geom, side, ((1.0, (geom.side_normal(side),)),))
 
 
 def poincare_trace(
@@ -158,23 +132,9 @@ def poincare_trace(
     gamma: float,
 ) -> BoundaryTrace:
     """Data f = sin(beta) dq/dN + cos(beta) dq/dT + gamma q on one side."""
-    norm = geom.side_normal(side)
-    tang = geom.side_tangent(side)
-    sb, cb = math.sin(beta), math.cos(beta)
-
-    def value(s):
-        z = geom.side_point(side, s)
-        return sb * sol.directional(z, norm) + cb * sol.directional(z, tang) + gamma * sol.q(z)
-
-    def derivative(s):
-        z = geom.side_point(side, s)
-        return (
-            sb * sol.directional2(z, tang, norm)
-            + cb * sol.directional2(z, tang, tang)
-            + gamma * sol.directional(z, tang)
-        )
-
-    return BoundaryTrace(side=side, value=value, derivative=derivative)
+    norm, tang = geom.side_normal(side), geom.side_tangent(side)
+    terms = ((math.sin(beta), (norm,)), (math.cos(beta), (tang,)), (gamma, ()))
+    return _side_trace(sol, geom, side, terms)
 
 
 def all_traces(sol: ExpAtomSolution, geom: TriangleGeometry):

@@ -94,12 +94,12 @@ class ModeRootSet:
         return map(ModeRoot, *(a.tolist() for a in (self.k, self.residual, self.plus, self.label)))
 
 
-def in_upper_half(k, tol: float = 1e-10):
+def in_upper_half(k):
     """True for k in D+, elementwise; raises if a k sits on the contour, a
-    line through k = 0, within tol in angle (k = 0 included)."""
+    line through k = 0, within 1e-10 in angle (k = 0 included)."""
     # rotate so the contour becomes the real axis: k e^{-i pi/6}
     w = np.asarray(k, dtype=complex) * cmath.exp(-1j * np.pi / 6.0)
-    if np.any(np.abs(w.imag) <= tol * np.abs(w)):
+    if np.any(np.abs(w.imag) <= 1e-10 * np.abs(w)):
         raise DomainError("mode root lies on the inversion contour")
     return w.imag > 0
 
@@ -224,6 +224,25 @@ def dirichlet_mode_roots(lam: float, side_length: float, n_max: int) -> ModeRoot
     return ModeRootSet.of(k, resid, n)
 
 
+def _symmetric_rays(sampler: SideSampler, t, n_max: int, extra_k=(), extra_blocks=()):
+    """The symmetric Dirichlet problem's mode roots (``dirichlet_mode_roots``),
+    G/Delta on the out-up and out-down ray pieces of the Fourier nodes t (a
+    1-D array), G at the roots, and the transforms at the points ``extra_k``,
+    given as ``extra_blocks`` on the ray bases (``_contour_images``), all
+    from one ``transforms`` call of ``sampler``."""
+    lam, side_length = sampler.lam, sampler.side_length
+    roots = dirichlet_mode_roots(lam, side_length, n_max)
+    k_ray = _ray_points(t, lam)
+    points = np.concatenate([k_ray.ravel(), roots.k])
+    bases, blocks = _contour_images(lam, t, (0, 2, 1), roots.k)
+    f_points = np.concatenate([_rotations(points).ravel(), extra_k])
+    f = transforms([sampler], f_points, (bases, blocks + list(extra_blocks)))[0]
+    g = _symmetric_g(f[: 3 * points.size].reshape((3, -1)), points, lam, side_length)
+    gd = g[: k_ray.size] / _delta_scaled(k_ray.ravel(), lam, side_length)
+    up, down = gd.to_complex().reshape(k_ray.shape)
+    return roots, up, down, g[k_ray.size :], f[3 * points.size :]
+
+
 def symmetric_dirichlet_integral(
     data,
     lam: float,
@@ -248,21 +267,15 @@ def symmetric_dirichlet_integral(
     if math.sqrt(3.0 * lam) * (side_length / 2.0) < RESONANCE_RTOL:
         lam = 0.0
     sampler = SideSampler(data, Kind.PHI, lam, side_length)
-    offsets, step, t, w, k_ray = _ray_grids(lam, side_length, t_factor, order)
+    offsets, step, t, w, _ = _ray_grids(lam, side_length, t_factor, order)
 
     # G on the two rays (whose Gauss nodes avoid t = 0, so k = 0 too) and at
     # the mode roots, in one evaluation
-    roots = dirichlet_mode_roots(lam, side_length, n_max)
+    roots, up, down, g_roots, _ = _symmetric_rays(sampler, t.ravel(), n_max)
     k = roots.k
-    points = np.concatenate([k_ray.ravel(), k])
-    images = _contour_images(lam, t.ravel(), (0, 2, 1), k)
-    g = _symmetric_g(transforms([sampler], _rotations(points), images)[0], points, lam, side_length)
-    n_ray = k_ray.size
-    gd = g[:n_ray] / _delta_scaled(points[:n_ray], lam, side_length)
-    up, down = gd.to_complex().reshape(k_ray.shape)
     # the fold of the four pieces onto t >= 0, closed by (G/Delta)(lambda/conj k)
     # = -conj (G/Delta)(k); the two half-covers at lambda = 0 sum the same
-    weighted = (-1j / np.pi) * w * (up - down.conj())
+    weighted = (-1j / np.pi) * w * (up - down.conj()).reshape(w.shape)
 
     # residue data: coefficient and exponent rate mu(ab k) per root; at
     # lambda = 0 only the outer root of each mode is left and counts twice
@@ -272,7 +285,7 @@ def symmetric_dirichlet_integral(
     m_ab = mu(ALPHA_BAR * k, lam)
     denom = 1.0 - Scaled.from_exp(-sign * m_ab * side_length)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
-    coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g[n_ray:] / (dprime * denom)
+    coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g_roots / (dprime * denom)
     return ContourResidueTrace(1, offsets, step, weighted, m_ab, coeffs)
 
 
@@ -366,7 +379,6 @@ def d_root_set(
     lam: float,
     side_length: float,
     count: int,
-    tol: float = 1e-12,
     audit: bool = True,
 ) -> ModeRootSet:
     """Certified roots of D(k) = 0 for the mixed Neumann-Robin problem.
@@ -374,7 +386,7 @@ def d_root_set(
     Each mode is one mu = k + lambda/k on the imaginary axis, where the mode
     condition is a monotone phase equation with one solution per integer m,
     |m| <= count.  Each mode is certified by the residual
-    |B| / (|t1| + |t2|) <= tol of ``mixed_mode_terms`` at that mu; its roots
+    |B| / (|t1| + |t2|) <= 1e-12 of ``mixed_mode_terms`` at that mu; its roots
     are the outer k-branch and lambda/outer, classified into D+/D-.  With
     ``audit=True`` the modes are counted in the mu-plane
     (``_audit_root_count``).
@@ -402,12 +414,12 @@ def d_root_set(
     if not converged:
         raise RootFindError("phase equation failed to converge")
     y = np.concatenate([-y[:0:-1], y])
-    # an overflow or NaN shows up as a residual that is not <= tol
+    # an overflow or NaN shows up as a residual that is not <= 1e-12
     mu_kept = 1j * y[1:-1]
     with np.errstate(all="ignore"):
         t1, t2 = mixed_mode_terms(mu_kept, lam, side_length)
         resid = np.exp((t1 - t2).abs_log() - np.logaddexp(t1.abs_log(), t2.abs_log()))
-    failed = ~(resid <= tol)
+    failed = ~(resid <= 1e-12)
     if failed.any():
         raise RootFindError(f"D-root residual {np.max(resid[failed]):.2e} above tolerance")
     # the outer branch of each mode m >= 0 and its image lambda/outer (at

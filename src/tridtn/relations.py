@@ -86,7 +86,6 @@ class GlobalRelation:
 #: Argument factors alpha^n of the rotated unknowns X_j(alpha^n k), indexed
 #: by the unknown slot n (k, alpha k, alpha_bar k).
 ARG_FACTORS = (1.0 + 0.0j, ALPHA, ALPHA_BAR)
-_ARG_NAMES = ("k", "alpha*k", "abar*k")
 
 
 @dataclass(frozen=True)
@@ -280,8 +279,6 @@ class RelationSystem:
 
     matrix: np.ndarray
     rhs: np.ndarray
-    unknown_labels: tuple
-    row_labels: tuple
 
 
 def relation_system(
@@ -298,8 +295,7 @@ def relation_system(
     if k == 0:
         raise DomainError("relation system undefined at k = 0")
     samplers = ProblemSamplers(problem)
-    dirichlet = samplers.symbols is None
-    if not dirichlet and corner_values is None:
+    if samplers.symbols is not None and corner_values is None:
         if not problem.admissibility().corner_cancelling:
             raise SolvabilityError(
                 "corner terms do not cancel; corner_values are required"
@@ -308,18 +304,7 @@ def relation_system(
     matrix = np.zeros((6, 9), dtype=complex)
     # X_j(ARG_FACTORS[slot] k) is column 3 slot + j - 1
     matrix[np.arange(6)[:, None], 3 * _SLOTS + np.arange(3)] = coeffs.to_complex()[..., 0]
-    labels = tuple(
-        f"{'PSI' if dirichlet else 'Y'}{j}({_ARG_NAMES[slot]})"
-        for slot in range(3)
-        for j in (1, 2, 3)
-    )
-    row_labels = tuple(
-        ("conj " if row.conj else "") + f"relation at {_ARG_NAMES[row.slot]}"
-        for row in RELATION_ROWS
-    )
-    return RelationSystem(
-        matrix=matrix, rhs=rhs.to_complex()[:, 0], unknown_labels=labels, row_labels=row_labels
-    )
+    return RelationSystem(matrix=matrix, rhs=rhs.to_complex()[:, 0])
 
 
 # -- numeric elimination ---------------------------------------------------

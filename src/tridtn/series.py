@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, ParameterError, ResonanceError, RootFindError, SolvabilityError
+from .errors import AccuracyError, ParameterError, RootFindError, SolvabilityError
 from .geometry import ALPHA, ALPHA_BAR, SQRT3, TriangleGeometry, mu
 from .problems import BCKind, ProblemSpec, SideCondition, check_lam, dirichlet_problem, neumann_problem
 from .quadrature import QuadratureRule
@@ -46,7 +46,9 @@ from .spectral import Kind, SideSampler, series_legendre
 from .symbols import SideSymbol
 from .traces import FourierSeriesTrace
 
-#: relative threshold below which a mode denominator counts as resonant
+#: the w = sqrt(3 lambda) l/2 of the m = 0 mode below which the series maps
+#: (and ``poincare.symmetric_dirichlet_integral``) take that mode as at
+#: lambda = 0 (``_series_mode_roots``)
 RESONANCE_RTOL = 1e-10
 
 #: the rounding of the total flux, in units of eps times the perimeter times
@@ -81,14 +83,6 @@ def quadratic_mode_root(mu_value, lam: float):
     return k if k.ndim else complex(k)
 
 
-def _check_resonance(resonant, labels, what: str):
-    if np.any(resonant):
-        raise ResonanceError(
-            f"lambda sits at (or near) an interior {what} eigenvalue",
-            modes=[int(m) for m in labels[resonant]],
-        )
-
-
 def _rotations(k):
     """The rotated arguments k, alpha_bar k, alpha k, stacked."""
     return np.stack([k, ALPHA_BAR * k, ALPHA * k])
@@ -117,6 +111,11 @@ def _series_mode_roots(lam: float, side_length: float, period: float, m_max: int
     falls below RESONANCE_RTOL: its denominator, 2 sinh(w), is then a
     removable zero, and the coefficient has reached its lambda = 0 value to
     within that threshold."""
+    # No other mode denominator vanishes: at the outer root k of k + lambda/k
+    # = iy, Re mu(alpha_bar k) = sign(y) (sqrt(3)/2) sqrt(y^2 + 4 lambda) (+ at
+    # y = 0), so |Re w| >= pi/(2 sqrt 3) for m != 0, where the general maps'
+    # alpha_bar^m e(alpha_bar k) - e(-alpha_bar k) is at least 0.83 of its
+    # scale and the symmetric map's sinh(w) at least 0.49.
     m, live, k = _mode_roots(lam, period, m_max)
     if math.sqrt(3.0 * lam) * (side_length / 2.0) < RESONANCE_RTOL:
         k, live = k[m[live] != 0], live & (m != 0)
@@ -141,8 +140,6 @@ def symmetric_dirichlet_dtn(
     w = mu(ALPHA_BAR * s_n, lam) * (side_length / 2.0)
     plus, minus = Scaled.exp_pair(w)
     sinh, cosh = 0.5 * (plus - minus), 0.5 * (plus + minus)
-    resonant = sinh.abs_log() < math.log(RESONANCE_RTOL) + np.abs(w.real)
-    _check_resonance(resonant, n[live], "Dirichlet")
     f_k, f_ab, f_a = sampler.eval_scaled(_rotations(s_n))
     g = 2.0 * cosh * f_k + (2.0 * np.exp(1j * np.pi * n[live])) * f_ab + 2.0 * f_a
     coeffs = np.zeros(n.shape, dtype=complex)
@@ -150,25 +147,15 @@ def symmetric_dirichlet_dtn(
     return _finalize(1, side_length, 3 * n, coeffs)
 
 
-def _mode_denominator(m, k, lam, side_length):
-    """alpha_bar^m e(alpha_bar k) - e(-alpha_bar k), Scaled, with resonance test."""
-    e_plus, e_minus = Scaled.exp_pair(mu(ALPHA_BAR * k, lam) * (side_length / 2.0))
-    den = (ALPHA_BAR**m) * e_plus - e_minus
-    scale = np.maximum(e_plus.abs_log(), e_minus.abs_log())
-    return den, den.abs_log() < math.log(RESONANCE_RTOL) + scale
-
-
 def _chain_series(problem: ProblemSpec, m_max: int):
     """The three traces of the period-3l coefficient sequence that the sides
     share through CHAIN_WEIGHTS: at each live mode, the moment of the
-    unknowns (``relations.mode_moment``), after the resonance test and, for
-    Neumann data, the flux check; a mode without a root keeps 0."""
+    unknowns (``relations.mode_moment``), after the flux check for Neumann
+    data; a mode without a root keeps 0."""
     lam, l, dirichlet = problem.lam, problem.side_length, problem.is_dirichlet
     m, live, k = _series_mode_roots(lam, l, 3.0 * l, m_max)
     if not dirichlet:
         _check_flux([side.data for side in problem.sides], lam, l, at_zero=not live[m_max])
-    _, resonant = _mode_denominator(m[live], k, lam, l)
-    _check_resonance(resonant, m[live], "Dirichlet" if dirichlet else "Neumann")
     moments = np.zeros(m.shape, dtype=complex)
     moments[live] = mode_moment(problem, k).to_complex()
     out = []
@@ -250,21 +237,20 @@ def robin_mode_root(
     side_length: float,
     beta: float,
     gamma: float,
-    steps: int = 24,
-    tol: float = 1e-13,
 ) -> complex:
     """Root of e^2(k) P(alpha k)/P(alpha_bar k) = exp(2 pi i m / 3).
 
-    Tracked by continuation in gamma from the closed-form gamma = 0 seed
-    (where P is constant and the condition reduces to mu = 2 pi i m/(3l)),
-    with analytic-derivative Newton refinement at every step.
+    Tracked by continuation in gamma, in 24 steps, from the closed-form
+    gamma = 0 seed (where P is constant and the condition reduces to
+    mu = 2 pi i m/(3l)), with analytic-derivative Newton refinement at every
+    step.
     """
     if m == 0 and lam == 0.0:
         raise ParameterError("m = 0 mode degenerates at lambda = 0")
     k = quadratic_mode_root(2j * np.pi * m / (3.0 * side_length), lam)
     target = cmath.exp(2j * np.pi * m / 3.0)
     ell = side_length
-    for g in np.linspace(0.0, gamma, steps + 1)[1:] if gamma != 0.0 else (0.0,):
+    for g in np.linspace(0.0, gamma, 25)[1:] if gamma != 0.0 else (0.0,):
         sym = SideSymbol(lam, beta, float(g))
 
         def newton_step(kk):
@@ -279,7 +265,7 @@ def robin_mode_root(
             )
             return val / ((val + target) * logderiv)
 
-        k, converged = _newton(newton_step, k, 80, tol)
+        k, converged = _newton(newton_step, k, 80, 1e-13)
         if not converged:
             raise RootFindError(f"Robin mode root m={m} failed to converge")
     return k

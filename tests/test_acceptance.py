@@ -262,7 +262,7 @@ def test_criterion_07_interior_field():
     worst = 0.0
     for lam in (0.0, 1.0):
         for sol in manufactured_families(lam):
-            traces = TraceSet.from_solution(sol, geom)
+            traces = TraceSet(geom, *all_traces(sol, geom))
             for p in points:
                 exact = sol.q(p.z)
                 scale = max(1.0, abs(exact))

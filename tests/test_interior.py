@@ -47,7 +47,7 @@ def test_interior_point_locate(geom):
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_greens_eval_manufactured(lam, geom, rng):
     sol = manufactured_families(lam)[0]
-    traces = TraceSet.from_solution(sol, geom)
+    traces = TraceSet(geom, *all_traces(sol, geom))
     for z in interior_points(geom, rng, 6):
         got = greens_eval(traces, lam, z)
         assert abs(got - sol.q(z)) < 1e-9 * max(1.0, abs(sol.q(z)))
@@ -67,7 +67,7 @@ def test_greens_constant_identity(geom):
 
 def test_greens_margin_guard(geom):
     sol = manufactured_families(1.0)[0]
-    traces = TraceSet.from_solution(sol, geom)
+    traces = TraceSet(geom, *all_traces(sol, geom))
     z = geom.side_point(1, 0.0) - 1e-5 * geom.side_normal(1)
     with pytest.raises(AccuracyError):
         greens_eval(traces, 1.0, z)
@@ -78,7 +78,7 @@ def test_evaluators_take_arrays_of_points(lam, geom, rng):
     """An array of points gives what per-point calls give, in its shape;
     the margins span several panel counts of the Green's rule."""
     sol = manufactured_families(lam)[0]
-    traces = TraceSet.from_solution(sol, geom)
+    traces = TraceSet(geom, *all_traces(sol, geom))
     points = np.array(interior_points(geom, rng, 8, margin=0.04))
     evaluators = [(greens_eval, points)]
     if lam > 0.0:
@@ -96,7 +96,7 @@ def test_evaluators_take_arrays_of_points(lam, geom, rng):
 
 def test_array_of_points_outside_rejected(geom):
     sol = manufactured_families(1.0)[0]
-    traces = TraceSet.from_solution(sol, geom)
+    traces = TraceSet(geom, *all_traces(sol, geom))
     with pytest.raises(DomainError, match="outside"):
         greens_eval(traces, 1.0, np.array([0.05 + 0.02j, 1.0 + 1.0j]))
 
@@ -114,7 +114,7 @@ def test_fokas_eval_at_small_lambda(lam, geom, rng):
 
 def check_fokas_eval(lam, geom, rng):
     for sol in manufactured_families(lam)[:2]:
-        traces = TraceSet.from_solution(sol, geom)
+        traces = TraceSet(geom, *all_traces(sol, geom))
         for z in interior_points(geom, rng, 4) + [NEAR_VERTEX]:
             got = fokas_eval(traces, lam, z)
             assert abs(got - sol.q(z)) < 1e-6 * max(1.0, abs(sol.q(z)))
@@ -122,7 +122,7 @@ def check_fokas_eval(lam, geom, rng):
 
 def test_fokas_rejects_lambda_zero(geom):
     sol = manufactured_families(0.0)[0]
-    traces = TraceSet.from_solution(sol, geom)
+    traces = TraceSet(geom, *all_traces(sol, geom))
     with pytest.raises(ParameterError):
         fokas_eval(traces, 0.0, 0.0 + 0.0j)
 

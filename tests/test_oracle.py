@@ -43,8 +43,12 @@ def test_gradient_consistency(rng, geom):
     for z in 0.2 * (rng.standard_normal(5) + 1j * rng.standard_normal(5)):
         fx = (sol.q(z + h) - sol.q(z - h)) / (2.0 * h)
         fy = (sol.q(z + 1j * h) - sol.q(z - 1j * h)) / (2.0 * h)
-        assert abs(sol.qx(z) - fx) < 1e-6
-        assert abs(sol.qy(z) - fy) < 1e-6
+        assert abs(sol.derivative(z, 1) - fx) < 1e-6
+        assert abs(sol.derivative(z, 1j) - fy) < 1e-6
+        # a second derivative against a central difference of the first
+        d1, d2 = np.exp(2j * np.pi * rng.uniform(size=2))
+        fd = (sol.derivative(z + h * d2, d1) - sol.derivative(z - h * d2, d1)) / (2.0 * h)
+        assert abs(sol.derivative(z, d1, d2) - fd) < 1e-6
 
 
 def test_symmetrized_invariance(rng, geom):
@@ -61,8 +65,12 @@ def test_symmetrized_invariance(rng, geom):
 
 def test_trace_derivatives_match_fd(geom):
     sol = manufactured_families(1.0)[1]
-    for maker in (dirichlet_trace, neumann_trace):
-        tr = maker(sol, geom, 2)
+    traces = (
+        dirichlet_trace(sol, geom, 2),
+        neumann_trace(sol, geom, 2),
+        poincare_trace(sol, geom, 1, 0.8, 0.5),
+    )
+    for tr in traces:
         h = 1e-6
         for s in (-0.3, 0.0, 0.25):
             fd = (tr(s + h) - tr(s - h)) / (2.0 * h)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tridtn.errors import ParameterError, SolvabilityError
+from tridtn.geometry import ALPHA_BAR, SQRT3, mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
 from tridtn.problems import BCKind, SideCondition
 from tridtn.series import (
@@ -65,6 +66,19 @@ def test_quadratic_mode_root_array_matches_scalar_rule():
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
     with pytest.raises(ParameterError):
         quadratic_mode_root(np.array([1j, 0.0]), 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-20, 1e-8, 1e-3, 1.0, 13.16, 1e4, 1e6])
+def test_outer_root_rate_keeps_mode_denominators_away_from_zero(lam):
+    # Re mu(alpha_bar k) = sign(y) (sqrt(3)/2) sqrt(y^2 + 4 lambda) at the
+    # outer root k of k + lambda/k = iy (+ at y = 0): the series maps need no
+    # resonance guard, as their denominators are bounded below by it
+    m = np.arange(-300, 301)
+    for side_length in (1e-3, 1.0, 1e3):
+        y = 2.0 * np.pi * m[(m != 0) | (lam > 0.0)] / (3.0 * side_length)
+        k = quadratic_mode_root(1j * y, lam)
+        want = np.where(y < 0.0, -1.0, 1.0) * (0.5 * SQRT3) * np.sqrt(y * y + 4.0 * lam)
+        assert np.all(np.abs(mu(ALPHA_BAR * k, lam).real - want) <= 1e-14 * np.abs(want))
 
 
 def test_symmetric_dirichlet_corner_compatible(geom):
