@@ -17,7 +17,9 @@ r = sqrt(lam) (``ray_lattice``), where the substitution r -> lam/r of the
 dr/r measure maps each half onto the other.  Every ray reads its side's
 transforms at SIDE_ROT[j] k = -i r, with mu = -i (r - lam/r) conjugated by
 r -> lam/r, so one transform call at the nodes of one half serves every
-ray and every point.
+ray and every point.  Its spectrum, which does not depend on z (the ray
+parts, and the mode roots with their residue weights), is kept on the
+``TraceSet`` or data trace it derives from; a point costs one kernel sum.
 
 All three need both phases and magnitudes over an exponentially large
 dynamic range near k = 0; products are therefore assembled in the Scaled
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -73,11 +75,13 @@ class InteriorPoint:
 
 @dataclass(frozen=True)
 class TraceSet:
-    """Dirichlet and Neumann traces on all three sides."""
+    """Dirichlet and Neumann traces on all three sides, and the spectra that
+    ``fokas_eval`` keeps on them (outside equality)."""
 
     geometry: TriangleGeometry
     dirichlet: tuple
     neumann: tuple
+    spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.dirichlet) != 3 or len(self.neumann) != 3:
@@ -165,17 +169,22 @@ def ray_lattice(lam: float, side_length: float, reach: float, order: int = RAY_O
     return np.array(edges), np.stack([rho, lam / rho]), rule.weights.reshape(rho.shape) / rho
 
 
-def _ray_quadrature(geom: TriangleGeometry, z, lam: float, order: int):
-    """The located point(s) z, as an InteriorPoint and flat, the radii and
-    weights of the ``ray_lattice`` out to the largest reach 36/d_j over the
-    points and the rays j (d_j the distance from z to side j), and the number
-    of its panels that each ray (rows) reads for each point."""
+def _ray_spectrum(store: dict, key, geom: TriangleGeometry, z, lam: float, order: int, build):
+    """The located point(s) z, as an InteriorPoint and flat, the spectrum
+    ``store[key]`` = (edges, radii, weights, *build(radii, weights)) of a
+    ``ray_lattice`` out to at least the largest reach 36/d_j over the points
+    and the rays j (d_j the distance from z to side j), and the number of its
+    panels that each ray (rows) reads for each point.  A stored spectrum is
+    rebuilt, on this call's lattice, only if it falls short of that reach."""
     check_lam(lam, positive=True)
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
     zs = np.ravel(point.z)
     reach = 36.0 / np.stack([geom.inradius - (zs * np.conj(SIDE_ROT[j])).real for j in (1, 2, 3)])
-    edges, r, w = ray_lattice(lam, geom.side_length, np.max(reach), order)
-    return point, zs, r, w, np.maximum(1, np.searchsorted(edges[:-1], reach))
+    spectrum = store.get(key)
+    if spectrum is None or spectrum[0][-1] < np.max(reach):
+        edges, r, w = ray_lattice(lam, geom.side_length, np.max(reach), order)
+        spectrum = store[key] = (edges, r, w, *build(r, w))
+    return point, zs, spectrum, np.maximum(1, np.searchsorted(spectrum[0][:-1], reach))
 
 
 def _ray_phase(k, z, lam) -> Scaled:
@@ -210,13 +219,21 @@ def fokas_eval(traces: TraceSet, lam: float, z):
     distance from z to side j, which sets the reach 36/d_j of both halves
     of the ``ray_lattice``.  Every ray reads rho~_j at SIDE_ROT[j] k = -i r,
     where mu = -i (r - lam/r), conjugated under r -> lam/r: one transform
-    call, at the base points of one half, serves every ray and point.
+    call, at the base points of one half, serves every ray and point, and
+    its spectrum is kept in ``traces.spectra`` per (lam, order).
     """
     geom = traces.geometry
-    point, zs, r, w, counts = _ray_quadrature(geom, z, lam, RAY_ORDER)
-    relation = GlobalRelation(traces.dirichlet, traces.neumann, lam, geom.side_length)
-    images = ((-1j * (r[0] - lam / r[0]).ravel(),), ((0, 0, 0), (0, 0, 1)))
-    out = _ray_integrals(zs, lam, r, w, counts, relation.rhos(-1j * r, images)).real
+
+    def build(r, w):
+        relation = GlobalRelation(traces.dirichlet, traces.neumann, lam, geom.side_length)
+        images = ((-1j * (r[0] - lam / r[0]).ravel(),), ((0, 0, 0), (0, 0, 1)))
+        return (relation.rhos(-1j * r, images),)
+
+    point, zs, spectrum, counts = _ray_spectrum(
+        traces.spectra, (lam, RAY_ORDER), geom, z, lam, RAY_ORDER, build
+    )
+    _, r, w, rhos = spectrum
+    out = _ray_integrals(zs, lam, r, w, counts, rhos).real
     return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])
 
 
@@ -238,36 +255,43 @@ def symmetric_interior(
     of ``symmetric_dirichlet_integral`` on t = r - lam/r; the inner half
     r -> lam/r reads (G/Delta)(lam/conj k) = -conj (G/Delta)(k).  F(-i r)
     of every ray, on both halves, is an image of +i t: one transform call
-    (``poincare._symmetric_rays``) serves the rays, the roots and every point.
+    (``poincare._symmetric_rays``) serves the rays, the roots and every point,
+    and its spectrum is kept in ``f.spectra`` per (lam, l, n_max, order).
     """
     geom = geometry or TriangleGeometry()
-    point, zs, r, w, counts = _ray_quadrature(geom, z, lam, order)
     side_length = geom.side_length
-    sampler = SideSampler(f, Kind.PHI, lam, side_length)
-    # F(-i r) on both halves: mu = -i t at rho and +i t at lam/rho
-    roots, up, down, g_roots, f_ray = _symmetric_rays(
-        sampler, (r[0] - lam / r[0]).ravel(), n_max, -1j * r.ravel(), [(1, 1, 0), (1, 0, 0)]
-    )
-    k = roots.k
-    up, down, f_ray = up.reshape(w.shape), down.reshape(w.shape), f_ray.reshape(r.shape)
-    env = Scaled.from_exp(-(r + lam / r) * (side_length / (2.0 * SQRT3)))
-    # the inner halves read (G/Delta)(lam/conj k) = -conj (G/Delta)(k), and
-    # ray 3 the Schwarz conjugate -conj(G/Delta)(conj k) for real symmetric data
-    ray2, ray3 = np.stack([up, -up.conj()]), np.stack([-down.conj(), down])
-    parts = (env * f_ray, env * (f_ray + ray2), env * (f_ray + ray3))
-    total = _ray_integrals(zs, lam, r, w, counts, parts)
 
-    # residue series over the mode roots s_n
-    dprime = _delta_prime_scaled(k, lam, side_length)
-    denom = k * dprime * _delta_scaled(ALPHA_BAR * k, lam, side_length)
-    # E^2(w) = exp(mu(w) l / sqrt(3)): E^2(i k) on s_n^+, the mean of
-    # E^2(i alpha k) and E^2(i alpha_bar k) on s_n^- (the two halves agree,
-    # and average exactly, on s_n^+)
-    short = side_length / SQRT3
-    env = 0.5 * (
-        Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA * k), lam) * short)
-        + Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA_BAR * k), lam) * short)
+    def build(r, w):
+        sampler = SideSampler(f, Kind.PHI, lam, side_length)
+        # F(-i r) on both halves: mu = -i t at rho and +i t at lam/rho
+        roots, up, down, g_roots, f_ray = _symmetric_rays(
+            sampler, (r[0] - lam / r[0]).ravel(), n_max, -1j * r.ravel(), [(1, 1, 0), (1, 0, 0)]
+        )
+        k = roots.k
+        up, down, f_ray = up.reshape(w.shape), down.reshape(w.shape), f_ray.reshape(r.shape)
+        env = Scaled.from_exp(-(r + lam / r) * (side_length / (2.0 * SQRT3)))
+        # the inner halves read (G/Delta)(lam/conj k) = -conj (G/Delta)(k), and
+        # ray 3 the Schwarz conjugate -conj(G/Delta)(conj k) for real symmetric data
+        ray2, ray3 = np.stack([up, -up.conj()]), np.stack([-down.conj(), down])
+        parts = (env * f_ray, env * (f_ray + ray2), env * (f_ray + ray3))
+        # residue weights of the mode roots s_n
+        dprime = _delta_prime_scaled(k, lam, side_length)
+        denom = k * dprime * _delta_scaled(ALPHA_BAR * k, lam, side_length)
+        # E^2(w) = exp(mu(w) l / sqrt(3)): E^2(i k) on s_n^+, the mean of
+        # E^2(i alpha k) and E^2(i alpha_bar k) on s_n^- (the two halves agree,
+        # and average exactly, on s_n^+)
+        short = side_length / SQRT3
+        env = 0.5 * (
+            Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA * k), lam) * short)
+            + Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA_BAR * k), lam) * short)
+        )
+        return parts, k, env * g_roots / denom
+
+    point, zs, spectrum, counts = _ray_spectrum(
+        f.spectra, (lam, side_length, n_max, order), geom, z, lam, order, build
     )
-    terms = _ray_phase(k, zs[:, None], lam) * (env * g_roots / denom)
+    _, r, w, parts, k, residues = spectrum
+    total = _ray_integrals(zs, lam, r, w, counts, parts)
+    terms = _ray_phase(k, zs[:, None], lam) * residues
     out = (total + np.sum(terms.to_complex(), axis=1)).real
     return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])

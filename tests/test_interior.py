@@ -1,14 +1,16 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tridtn.errors import AccuracyError, DomainError, ParameterError
+from tridtn.errors import AccuracyError, DomainError, NonFiniteError, ParameterError
 from tridtn.expressions import expression_trace
 from tridtn.geometry import SIDE_ROT, TriangleGeometry
 from tridtn.interior import (
     RAY_ARGS,
+    RAY_ORDER,
     InteriorPoint,
     TraceSet,
     fokas_eval,
@@ -20,6 +22,7 @@ from tridtn.oracle import all_traces, symmetric_corner_compatible
 from tridtn.poincare import d_root_set, symmetric_dirichlet_integral
 from tridtn.relations import GlobalRelation
 from tridtn.series import general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
+from tridtn.traces import BoundaryTrace
 
 from conftest import manufactured_families
 
@@ -200,3 +203,97 @@ def test_ray_lattice_covers_truncation():
     assert abs(cmath.phase(cmath.exp(1j * RAY_ARGS[1])) - math.pi / 6.0) < 1e-15
     for j in (1, 2, 3):
         assert abs(SIDE_ROT[j] * cmath.exp(1j * RAY_ARGS[j - 1]) + 1j) < 1e-15
+
+
+# -- spectra kept on the trace objects -------------------------------------
+def stratified_points(geom, rng, count):
+    """``count`` points whose margins are drawn within equal strata between
+    0.1 l and 0.95 of the inradius, each on the level curve of its margin."""
+    strata = np.linspace(0.1 * geom.side_length, 0.95 * geom.inradius, count + 1)
+    rho = geom.inradius - rng.uniform(strata[:-1], strata[1:])
+    s = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), count) * rho
+    rot = np.array(SIDE_ROT[1:])[rng.integers(0, 3, count)]
+    return (rho + 1j * s) * rot
+
+
+def reach_orders(geom, rng, points):
+    """The points by increasing reach (decreasing margin), by decreasing
+    reach and shuffled."""
+    increasing = points[np.argsort(-geom.boundary_margin(points))]
+    return increasing, increasing[::-1], rng.permutation(points)
+
+
+def nan_trace(side):
+    return BoundaryTrace(
+        side=side, value=lambda s: np.full(np.shape(s), np.nan), derivative=np.zeros_like
+    )
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.3, 1.0, 30.0])
+def test_fokas_eval_warm_equals_cold(lam, geom, rng):
+    d, n = all_traces(manufactured_families(lam)[0], geom)
+    points = stratified_points(geom, rng, 8)
+    cold = {z: fokas_eval(TraceSet(geom, d, n), lam, z) for z in points}
+    for run in reach_orders(geom, rng, points):
+        traces = TraceSet(geom, d, n)
+        assert [fokas_eval(traces, lam, z) for z in run] == [cold[z] for z in run]
+        assert list(traces.spectra) == [(lam, RAY_ORDER)]
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.3, 1.0, 30.0])
+def test_symmetric_interior_warm_equals_cold(lam, geom, rng):
+    data = all_traces(symmetric_corner_compatible(lam, 1.0), geom)[0][0]
+    points = stratified_points(geom, rng, 8)
+    cold = {z: symmetric_interior(replace(data), lam, z, geom, n_max=16) for z in points}
+    for run in reach_orders(geom, rng, points):
+        f = replace(data)
+        assert [symmetric_interior(f, lam, z, geom, n_max=16) for z in run] == [
+            cold[z] for z in run
+        ]
+        assert list(f.spectra) == [(lam, 1.0, 16, RAY_ORDER)]
+
+
+def test_spectra_keep_their_keys_apart(geom, rng):
+    """Each lam, side length, n_max and order keeps a spectrum of its own."""
+    d, n = all_traces(manufactured_families(1.0)[0], geom)
+    traces = TraceSet(geom, d, n)
+    points = stratified_points(geom, rng, 2)
+    for lam in (0.5, 1.0, 0.5):
+        for z in points:
+            assert fokas_eval(traces, lam, z) == fokas_eval(TraceSet(geom, d, n), lam, z)
+    assert set(traces.spectra) == {(0.5, RAY_ORDER), (1.0, RAY_ORDER)}
+    data = d[0]
+    calls = [(16, 16, 1.0), (48, 16, 1.0), (16, 24, 1.0), (16, 16, 2.0), (16, 16, 1.0)]
+    for n_max, order, side_length in calls:
+        big = TriangleGeometry(side_length)
+        for z in points * side_length:
+            warm = symmetric_interior(data, 1.0, z, big, n_max, order)
+            assert warm == symmetric_interior(replace(data), 1.0, z, big, n_max, order)
+    assert set(data.spectra) == {(1.0, l, n_max, order) for n_max, order, l in calls}
+
+
+def test_a_failed_ray_call_stores_nothing(geom, rng):
+    nan = TraceSet(geom, tuple(nan_trace(j) for j in (1, 2, 3)), (nan_trace(1),) * 3)
+    for _ in range(2):
+        with pytest.raises(NonFiniteError):
+            fokas_eval(nan, 1.0, 0.1j)
+        with pytest.raises(NonFiniteError):
+            symmetric_interior(nan.dirichlet[0], 1.0, 0.1j, geom)
+    assert not nan.spectra and not nan.dirichlet[0].spectra
+
+    d, n = all_traces(manufactured_families(1.0)[0], geom)
+    traces = TraceSet(geom, d, n)
+    points = reach_orders(geom, rng, stratified_points(geom, rng, 6))[0]
+    for z in points:  # growing reach: each call replaces the one spectrum
+        fokas_eval(traces, 1.0, z)
+        symmetric_interior(d[0], 1.0, z, geom, n_max=16)
+    stored = [dict(traces.spectra), dict(d[0].spectra)]
+    assert [len(spectra) for spectra in stored] == [1, 1]
+    for args, error in (((1.0, 1.0 + 1.0j), DomainError), ((0.0, 0.1j), ParameterError)):
+        with pytest.raises(error):
+            fokas_eval(traces, *args)
+        with pytest.raises(error):
+            symmetric_interior(d[0], *args, geom)
+    for spectra, before in zip((traces.spectra, d[0].spectra), stored):
+        assert spectra.keys() == before.keys()
+        assert all(spectra[key] is before[key] for key in before)

@@ -401,12 +401,13 @@ def test_one_bessel_recurrence_per_transform_set(monkeypatch, geom, rng):
     assert count(lambda: neumann_to_dirichlet(n, lam, 1.0, m_max=8)) == 1
     relation = GlobalRelation(d, n, lam, 1.0)
     assert count(lambda: relation.relative_residual(spectral_points(rng, 20))) == 1
-    # every ray of every point: one call for a point and one for six
+    # every ray of every point: one call for six points, none for a later
+    # point that their spectrum reaches, and one for a point nearer a side
     traces = TraceSet(geom, d, n)
     points = np.array([0.0, 0.1j, -0.1, 0.05 + 0.05j, -0.1 - 0.1j, 0.1 - 0.05j])
-    for z in (points[0], points):
-        assert count(lambda: fokas_eval(traces, lam, z)) == 1
-        assert count(lambda: symmetric_interior(d[0], lam, z, geom, n_max=8)) == 1
+    for z, recurrences in ((points, 1), (points[0], 0), (0.2 + 0.0j, 1)):
+        assert count(lambda: fokas_eval(traces, lam, z)) == recurrences
+        assert count(lambda: symmetric_interior(d[0], lam, z, geom, n_max=8)) == recurrences
     sol = symmetric_corner_compatible(lam, 1.0)
     traces = all_traces(sol, geom)[1]
     robin = poincare_trace(sol, geom, 1, math.pi / 2.0, math.sqrt(3.0 * lam))
