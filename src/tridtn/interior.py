@@ -18,8 +18,11 @@ dr/r measure maps each half onto the other.  Every ray reads its side's
 transforms at SIDE_ROT[j] k = -i r, with mu = -i (r - lam/r) conjugated by
 r -> lam/r, so one transform call at the nodes of one half serves every
 ray and every point.  Its spectrum, which does not depend on z (the ray
-parts, and the mode roots with their residue weights), is kept on the
-``TraceSet`` or data trace it derives from; a point costs one kernel sum.
+parts, and the mode roots with their residue weights), is kept in the
+``spectra`` dict of the ``TraceSet`` or data trace it derives from, one
+entry per object, so repeated calls on one object at one lam cost one
+kernel sum per point.  Points nearer a side than RAY_KEEP_MARGIN l get a
+lattice of their own that is not kept.
 
 All three need both phases and magnitudes over an exponentially large
 dynamic range near k = 0; products are therefore assembled in the Scaled
@@ -49,6 +52,10 @@ RAY_ARGS = (-math.pi / 2.0, math.pi / 6.0, 5.0 * math.pi / 6.0)
 #: Gauss-Legendre order of the ray panels.
 RAY_ORDER = 16
 
+#: Relative margin below which a call's ray spectrum is not kept: a kept
+#: lattice reaches at most 36/(RAY_KEEP_MARGIN l), about 720 panels.
+RAY_KEEP_MARGIN = 0.01
+
 
 @dataclass(frozen=True)
 class InteriorPoint:
@@ -75,8 +82,8 @@ class InteriorPoint:
 
 @dataclass(frozen=True)
 class TraceSet:
-    """Dirichlet and Neumann traces on all three sides, and the spectra that
-    ``fokas_eval`` keeps on them (outside equality)."""
+    """Dirichlet and Neumann traces on all three sides.  ``spectra`` holds
+    the one ray spectrum that ``fokas_eval`` keeps (outside equality)."""
 
     geometry: TriangleGeometry
     dirichlet: tuple
@@ -169,21 +176,27 @@ def ray_lattice(lam: float, side_length: float, reach: float, order: int = RAY_O
     return np.array(edges), np.stack([rho, lam / rho]), rule.weights.reshape(rho.shape) / rho
 
 
-def _ray_spectrum(store: dict, key, geom: TriangleGeometry, z, lam: float, order: int, build):
+def _ray_spectrum(store: dict, geom: TriangleGeometry, z, lam: float, order: int, build, *extra):
     """The located point(s) z, as an InteriorPoint and flat, the spectrum
-    ``store[key]`` = (edges, radii, weights, *build(radii, weights)) of a
-    ``ray_lattice`` out to at least the largest reach 36/d_j over the points
-    and the rays j (d_j the distance from z to side j), and the number of its
-    panels that each ray (rows) reads for each point.  A stored spectrum is
-    rebuilt, on this call's lattice, only if it falls short of that reach."""
+    (edges, radii, weights, *build(radii, weights)) of a ``ray_lattice`` out
+    to at least the largest reach 36/d_j over the points and the rays j (d_j
+    the distance from z to side j), and the number of its panels that each
+    ray (rows) reads for each point.  ``store`` keeps one spectrum, under
+    (lam, l, order, *extra); it is reused while it covers the reach, and
+    otherwise built on this call's lattice and kept in its place unless a
+    point lies within RAY_KEEP_MARGIN l of a side."""
     check_lam(lam, positive=True)
     point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
     zs = np.ravel(point.z)
-    reach = 36.0 / np.stack([geom.inradius - (zs * np.conj(SIDE_ROT[j])).real for j in (1, 2, 3)])
+    dist = np.stack([geom.inradius - (zs * np.conj(SIDE_ROT[j])).real for j in (1, 2, 3)])
+    reach, key = 36.0 / dist, (lam, geom.side_length, order, *extra)
     spectrum = store.get(key)
     if spectrum is None or spectrum[0][-1] < np.max(reach):
         edges, r, w = ray_lattice(lam, geom.side_length, np.max(reach), order)
-        spectrum = store[key] = (edges, r, w, *build(r, w))
+        spectrum = (edges, r, w, *build(r, w))
+        if np.min(dist) >= RAY_KEEP_MARGIN * geom.side_length:
+            store.clear()
+            store[key] = spectrum
     return point, zs, spectrum, np.maximum(1, np.searchsorted(spectrum[0][:-1], reach))
 
 
@@ -220,7 +233,7 @@ def fokas_eval(traces: TraceSet, lam: float, z):
     of the ``ray_lattice``.  Every ray reads rho~_j at SIDE_ROT[j] k = -i r,
     where mu = -i (r - lam/r), conjugated under r -> lam/r: one transform
     call, at the base points of one half, serves every ray and point, and
-    its spectrum is kept in ``traces.spectra`` per (lam, order).
+    its spectrum is kept in ``traces.spectra`` (see ``_ray_spectrum``).
     """
     geom = traces.geometry
 
@@ -229,9 +242,7 @@ def fokas_eval(traces: TraceSet, lam: float, z):
         images = ((-1j * (r[0] - lam / r[0]).ravel(),), ((0, 0, 0), (0, 0, 1)))
         return (relation.rhos(-1j * r, images),)
 
-    point, zs, spectrum, counts = _ray_spectrum(
-        traces.spectra, (lam, RAY_ORDER), geom, z, lam, RAY_ORDER, build
-    )
+    point, zs, spectrum, counts = _ray_spectrum(traces.spectra, geom, z, lam, RAY_ORDER, build)
     _, r, w, rhos = spectrum
     out = _ray_integrals(zs, lam, r, w, counts, rhos).real
     return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])
@@ -256,7 +267,7 @@ def symmetric_interior(
     r -> lam/r reads (G/Delta)(lam/conj k) = -conj (G/Delta)(k).  F(-i r)
     of every ray, on both halves, is an image of +i t: one transform call
     (``poincare._symmetric_rays``) serves the rays, the roots and every point,
-    and its spectrum is kept in ``f.spectra`` per (lam, l, n_max, order).
+    and its spectrum is kept in ``f.spectra`` (see ``_ray_spectrum``).
     """
     geom = geometry or TriangleGeometry()
     side_length = geom.side_length
@@ -287,9 +298,7 @@ def symmetric_interior(
         )
         return parts, k, env * g_roots / denom
 
-    point, zs, spectrum, counts = _ray_spectrum(
-        f.spectra, (lam, side_length, n_max, order), geom, z, lam, order, build
-    )
+    point, zs, spectrum, counts = _ray_spectrum(f.spectra, geom, z, lam, order, build, n_max)
     _, r, w, parts, k, residues = spectrum
     total = _ray_integrals(zs, lam, r, w, counts, parts)
     terms = _ray_phase(k, zs[:, None], lam) * residues

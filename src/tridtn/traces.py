@@ -33,8 +33,8 @@ from .scaledc import Scaled
 class _Trace:
     """Base of the trace types.  ``legendre`` holds the chopped Legendre
     coefficients of ``value`` and ``derivative`` that ``spectral`` computes,
-    keyed by column and side length, and ``spectra`` the ray spectra of
-    ``interior.symmetric_interior`` on it, so both live as long as the trace.
+    keyed by column and side length, so they live as long as the trace, and
+    ``spectra`` what ``interior`` keeps on it (documented there).
     Traces compare by identity (``eq=False`` here and on every subclass):
     their fields are arrays and callables."""
 

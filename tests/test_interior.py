@@ -10,6 +10,7 @@ from tridtn.expressions import expression_trace
 from tridtn.geometry import SIDE_ROT, TriangleGeometry
 from tridtn.interior import (
     RAY_ARGS,
+    RAY_KEEP_MARGIN,
     RAY_ORDER,
     InteriorPoint,
     TraceSet,
@@ -237,7 +238,7 @@ def test_fokas_eval_warm_equals_cold(lam, geom, rng):
     for run in reach_orders(geom, rng, points):
         traces = TraceSet(geom, d, n)
         assert [fokas_eval(traces, lam, z) for z in run] == [cold[z] for z in run]
-        assert list(traces.spectra) == [(lam, RAY_ORDER)]
+        assert list(traces.spectra) == [(lam, 1.0, RAY_ORDER)]
 
 
 @pytest.mark.parametrize("lam", [1e-3, 0.3, 1.0, 30.0])
@@ -250,18 +251,19 @@ def test_symmetric_interior_warm_equals_cold(lam, geom, rng):
         assert [symmetric_interior(f, lam, z, geom, n_max=16) for z in run] == [
             cold[z] for z in run
         ]
-        assert list(f.spectra) == [(lam, 1.0, 16, RAY_ORDER)]
+        assert list(f.spectra) == [(lam, 1.0, RAY_ORDER, 16)]
 
 
-def test_spectra_keep_their_keys_apart(geom, rng):
-    """Each lam, side length, n_max and order keeps a spectrum of its own."""
+def test_a_new_key_replaces_the_kept_spectrum(geom, rng):
+    """A change of lam, side length, n_max or order builds the spectrum
+    anew, and the object keeps only the latest."""
     d, n = all_traces(manufactured_families(1.0)[0], geom)
     traces = TraceSet(geom, d, n)
     points = stratified_points(geom, rng, 2)
     for lam in (0.5, 1.0, 0.5):
         for z in points:
             assert fokas_eval(traces, lam, z) == fokas_eval(TraceSet(geom, d, n), lam, z)
-    assert set(traces.spectra) == {(0.5, RAY_ORDER), (1.0, RAY_ORDER)}
+    assert list(traces.spectra) == [(0.5, 1.0, RAY_ORDER)]
     data = d[0]
     calls = [(16, 16, 1.0), (48, 16, 1.0), (16, 24, 1.0), (16, 16, 2.0), (16, 16, 1.0)]
     for n_max, order, side_length in calls:
@@ -269,7 +271,7 @@ def test_spectra_keep_their_keys_apart(geom, rng):
         for z in points * side_length:
             warm = symmetric_interior(data, 1.0, z, big, n_max, order)
             assert warm == symmetric_interior(replace(data), 1.0, z, big, n_max, order)
-    assert set(data.spectra) == {(1.0, l, n_max, order) for n_max, order, l in calls}
+    assert list(data.spectra) == [(1.0, 1.0, 16, 16)]
 
 
 def test_a_failed_ray_call_stores_nothing(geom, rng):
@@ -295,5 +297,26 @@ def test_a_failed_ray_call_stores_nothing(geom, rng):
         with pytest.raises(error):
             symmetric_interior(d[0], *args, geom)
     for spectra, before in zip((traces.spectra, d[0].spectra), stored):
+        assert spectra.keys() == before.keys()
+        assert all(spectra[key] is before[key] for key in before)
+
+
+def test_a_point_near_a_side_keeps_no_lattice(geom, rng):
+    """A point within RAY_KEEP_MARGIN l of a side gets the value of a cold
+    call, and its long lattice is not kept: the kept spectrum stays as it
+    was, and a fresh object keeps none."""
+    d, n = all_traces(manufactured_families(1.0)[0], geom)
+    near = (geom.inradius - 0.5 * RAY_KEEP_MARGIN * geom.side_length) * SIDE_ROT[2]
+    traces, data = TraceSet(geom, d, n), replace(d[0])
+    fokas_eval(traces, 1.0, 0.1j)
+    symmetric_interior(data, 1.0, 0.1j, geom, n_max=16)
+    kept = [dict(traces.spectra), dict(data.spectra)]
+    cold = TraceSet(geom, d, n), replace(d[0])
+    assert fokas_eval(traces, 1.0, near) == fokas_eval(cold[0], 1.0, near)
+    assert symmetric_interior(data, 1.0, near, geom, n_max=16) == symmetric_interior(
+        cold[1], 1.0, near, geom, n_max=16
+    )
+    assert not cold[0].spectra and not cold[1].spectra
+    for spectra, before in zip((traces.spectra, data.spectra), kept):
         assert spectra.keys() == before.keys()
         assert all(spectra[key] is before[key] for key in before)
