@@ -45,7 +45,7 @@ from .scaledc import Scaled
 from .series import RESONANCE_RTOL, _mode_roots, _newton, _rotations, quadratic_mode_root
 from .spectral import Kind, SideSampler, transforms
 from .symbols import SideSymbol
-from .traces import ContourResidueTrace
+from .traces import ExponentialSumTrace
 
 RAY_UP = cmath.exp(1j * np.pi / 6.0)
 RAY_DOWN = cmath.exp(7j * np.pi / 6.0)
@@ -250,7 +250,7 @@ def symmetric_dirichlet_integral(
     n_max: int = 64,
     t_factor: float = T_FACTOR,
     order: int = PANEL_ORDER,
-) -> ContourResidueTrace:
+) -> ExponentialSumTrace:
     """Residue/contour form of the symmetric Dirichlet Neumann trace.
 
     Dual to ``series.symmetric_dirichlet_dtn``: the known part is a contour
@@ -286,7 +286,7 @@ def symmetric_dirichlet_integral(
     denom = 1.0 - Scaled.from_exp(-sign * m_ab * side_length)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
     coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g_roots / (dprime * denom)
-    return ContourResidueTrace(1, offsets, step, weighted, m_ab, coeffs)
+    return ExponentialSumTrace(1, offsets, step, weighted, m_ab, coeffs)
 
 
 # -- closed-form elimination (verification mirror) -------------------------
@@ -499,7 +499,7 @@ def mixed_nr_trace(
     count: int = 40,
     t_factor: float = T_FACTOR,
     order: int = PANEL_ORDER,
-) -> ContourResidueTrace:
+) -> ExponentialSumTrace:
     """Dirichlet trace on side 2 of the mixed Neumann-Robin problem.
 
     ``problem`` must carry the Robin condition with gamma = sqrt(3 lambda)
@@ -543,7 +543,7 @@ def mixed_nr_trace(
     denom = 1.0 + e6 * np.where(sign > 0, 1.0 / p1, p1)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
     coeffs = (sign * ALPHA_BAR * fac * res) / denom
-    return ContourResidueTrace(2, offsets, step, weighted, mu(ALPHA_BAR * k, lam), coeffs)
+    return ExponentialSumTrace(2, offsets, step, weighted, mu(ALPHA_BAR * k, lam), coeffs)
 
 
 def _validate_mixed(problem: ProblemSpec):

@@ -44,7 +44,7 @@ from .relations import mode_moment
 from .scaledc import Scaled
 from .spectral import Kind, SideSampler, series_legendre
 from .symbols import SideSymbol
-from .traces import FourierSeriesTrace
+from .traces import ExponentialSumTrace
 
 #: the w = sqrt(3 lambda) l/2 of the m = 0 mode below which the series maps
 #: (and ``poincare.symmetric_dirichlet_integral``) take that mode as at
@@ -88,12 +88,25 @@ def _rotations(k):
     return np.stack([k, ALPHA_BAR * k, ALPHA * k])
 
 
-def _finalize(side, side_length, modes, coeffs) -> FourierSeriesTrace:
-    """The series trace, with the imbalance bound sum_n |Im a_n| over the
-    Legendre coefficients a_n of its complex synthesis: |P_n| <= 1 on the
-    side, so it bounds the imaginary part of the synthesis there."""
+def _finalize(side, side_length, modes, coeffs) -> ExponentialSumTrace:
+    """The series sum_m coeffs[m] exp(-2 pi i m s/(3 l)) as a one-offset
+    lattice.  With g the gcd of the labels, label m goes to node |m|/g of
+    step 2 pi g/(3 l), formed in long double since the powers of the carrier
+    carry its rounding.  A label m <= 0 keeps its coefficient and a label
+    m > 0 takes its conjugate, as Re(c e^{-ix}) = Re(conj(c) e^{ix}).  The
+    imbalance, taken before the fold, is sum_n |Im a_n| over the Legendre
+    coefficients a_n of the complex series: |P_n| <= 1 on the side, so it
+    bounds the imaginary part that the real part drops there."""
+    modes, coeffs = np.asarray(modes, dtype=int), np.asarray(coeffs, dtype=complex)
+    if modes.shape != coeffs.shape:
+        raise ParameterError(f"series labels {modes.shape} and coeffs {coeffs.shape} do not match")
     imbalance = float(np.sum(np.abs(series_legendre(modes, coeffs).imag)))
-    return FourierSeriesTrace(side, side_length, modes, coeffs, imbalance)
+    g = int(np.gcd.reduce(modes)) or 1
+    weighted = np.zeros((np.max(np.abs(modes)) // g + 1, 1), dtype=complex)
+    np.add.at(weighted[:, 0], np.abs(modes) // g, np.where(modes > 0, np.conj(coeffs), coeffs))
+    step = 8 * np.arctan(np.longdouble(1)) * g / (3 * np.longdouble(side_length))
+    free = np.zeros(0)
+    return ExponentialSumTrace(side, np.zeros(1), step, weighted, free, Scaled.of(free), imbalance)
 
 
 def _mode_roots(lam: float, period: float, m_max: int):
@@ -124,7 +137,7 @@ def _series_mode_roots(lam: float, side_length: float, period: float, m_max: int
 
 def symmetric_dirichlet_dtn(
     data, lam: float, side_length: float, n_max: int = 64
-) -> FourierSeriesTrace:
+) -> ExponentialSumTrace:
     """Neumann trace for identical Dirichlet data on all three sides.
 
     ``data`` is the common Dirichlet trace f(s) (must be continuous across

@@ -13,17 +13,19 @@ beta), a factor that the callers who know beta apply.
 
 Both kinds are views of one Legendre series per trace, in x = s/(l/2):
 one column for g and, the first time a PHI view asks for it, one for g'.
-An exponential-sum trace, Re sum_j w_j e^{kappa_j s} (a Fourier series, or
-contour nodes plus residues), has its columns exactly from the Rayleigh
+An ``ExponentialSumTrace``, Re sum_j w_j e^{kappa_j s} (a Fourier series,
+or contour nodes plus residues), has its columns exactly from the Rayleigh
 expansion e^{zx} = sum_n (2n+1) i_n(z) P_n(x) (DLMF 10.60):
 a_n = (2n+1) sum_j w_j i_n(kappa_j l/2), from one table of the i_n built by
-Miller's ratio recurrence.  Any other trace is sampled on Gauss-Legendre
-nodes of the side, doubling the node count until the Legendre coefficients
-have decayed to a plateau.  Both are cut by the standardChop test of
-Aurentz & Trefethen ("Chopping a Chebyshev series", ACM TOMS 2017).  Each
-column is chopped on its own and cached on the trace (``trace.legendre``),
-so every sampler of that trace object, whatever its kind or lambda, reuses
-it.  With h = l/2 every transform of the chopped series is exact,
+Miller's ratio recurrence; a series, whose nodes sit at the arguments
+-i pi m/3, reads a table cached by max |m|.  Any other trace is sampled
+on Gauss-Legendre nodes of the side, doubling the node count until the
+Legendre coefficients have decayed to a plateau.  Both are cut by the
+standardChop test of Aurentz & Trefethen ("Chopping a Chebyshev series",
+ACM TOMS 2017).  Each column is chopped on its own and cached on the
+trace (``trace.legendre``), so every sampler of that trace object,
+whatever its kind or lambda, reuses it.  With h = l/2 every transform of
+the chopped series is exact,
 
     int_{-h}^{h} e^{mu s} P_n(s/h) ds = 2 h i_n(mu h),
 
@@ -52,7 +54,7 @@ from .errors import DomainError, NonFiniteError, ParameterError
 from .geometry import mu
 from .quadrature import _leggauss
 from .scaledc import Scaled
-from .traces import ContourResidueTrace, FourierSeriesTrace
+from .traces import ExponentialSumTrace
 
 #: standardChop tolerance: clean data are cut near CHOP_TOL^(7/6) (1e-14) of
 #: their largest Legendre coefficient, and data whose samples lost digits
@@ -263,13 +265,27 @@ def series_legendre(modes, weights):
     return _rayleigh(sums)
 
 
+def _series_labels(trace, side_length: float):
+    """The labels m = -g p of the nodes p step of a trace with no free piece
+    and one offset, 0, whose step l/2 is a multiple g of pi/3, so that its
+    nodes sit at the arguments -i pi m/3 of ``series_legendre``; None for
+    any other trace."""
+    if trace.rates.size or trace.offsets.tolist() != [0.0]:
+        return None
+    ratio = 3 * trace.step * np.longdouble(side_length) / (8 * np.arctan(np.longdouble(1)))
+    g = int(np.rint(ratio))
+    if g < 1 or abs(ratio - g) > g * np.finfo(float).eps:
+        return None
+    return -g * np.arange(len(trace.weighted))
+
+
 def _exponential_legendre(trace, column: str, side_length: float):
     """Legendre coefficients in s/(l/2), complex, of the exponential sum
     that ``trace.exponentials(column)`` gives, on a side of length l."""
     pieces = trace.exponentials(column)
-    if isinstance(trace, FourierSeriesTrace) and side_length == trace.side_length:
-        ((_, weights),) = pieces
-        return series_legendre(trace.modes, weights)
+    labels = _series_labels(trace, side_length)
+    if labels is not None:
+        return series_legendre(labels, pieces[0][1])
     z = [rates * (side_length / 2.0) for rates, _ in pieces]
     # the table carries e^{-|Re z|}, so the weights take e^{|Re z|}
     weights = [
@@ -302,14 +318,14 @@ def _legendre(trace, column: str, side_length: float, kind: Kind):
     ``trace.derivative`` (``column``) on a side of length l, computed once
     per trace object and side length and cached on the trace.
 
-    An exponential-sum trace (series or contour-plus-residue) has them from
+    An ``ExponentialSumTrace`` (series or contour-plus-residue) has them from
     its Rayleigh expansion, the real parts of ``_exponential_legendre``; any
     other trace is sampled at doubling node counts until they plateau.
     """
     key = (column, side_length)
     if key in trace.legendre:
         return trace.legendre[key]
-    if isinstance(trace, (FourierSeriesTrace, ContourResidueTrace)):
+    if isinstance(trace, ExponentialSumTrace):
         with np.errstate(all="ignore"):
             candidates = [_exponential_legendre(trace, column, side_length).real]
     else:

@@ -1,20 +1,20 @@
 """Boundary trace containers.
 
 A trace is a real-valued function of the side arclength s in [-l/2, l/2]
-together with its tangential derivative.  Series solvers return
-``FourierSeriesTrace`` objects whose carriers exp(-2 pi i m s / (3 l)) are
-integer powers of one exponential per point; the contour solvers return
-``ContourResidueTrace`` objects, a generalized Fourier integral on the
-lattice of its Gauss panels, whose carriers are powers of one exponential
-per point times those of one panel, plus residue exponentials.  Both are
-evaluated from those powers (``_powers``).  The plain ``BoundaryTrace``
-wraps arbitrary callables (manufactured solutions, parsed expressions,
-interpolated grid data).
+together with its tangential derivative.  The series and contour solvers
+return an ``ExponentialSumTrace``: a lattice of exponentials e^{i t s},
+t = offset + p step, whose carriers are powers of one exponential per
+point times those of one panel (``_powers``), plus free exponentials.  A
+contour solver's lattice holds the Gauss panels of a generalized Fourier
+integral and its free piece the residues; a Fourier series is a lattice
+with one offset, 0, one node per label and no free piece.  The plain
+``BoundaryTrace`` wraps arbitrary callables (manufactured solutions,
+parsed expressions, interpolated grid data).
 
 The spectral transforms see a trace only through the Legendre series of
-its ``value`` and ``derivative``.  The two exponential-sum traces give
-theirs exactly, through ``exponentials``: the rates kappa_j and weights w_j
-of Re sum_j w_j e^{kappa_j s}.  A ``BoundaryTrace`` is sampled on
+its ``value`` and ``derivative``.  An exponential-sum trace gives them
+exactly, through ``exponentials``: the rates kappa_j and weights w_j of
+Re sum_j w_j e^{kappa_j s}.  A ``BoundaryTrace`` is sampled on
 Gauss-Legendre nodes of the side until its coefficients reach a plateau.  A
 trace carries no resolution hint of its own, only the cache of those
 coefficients.
@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ParameterError
 from .scaledc import Scaled
 
 
@@ -72,86 +73,28 @@ class BoundaryTrace(_Trace):
 
 
 @dataclass(frozen=True, eq=False)
-class FourierSeriesTrace(_Trace):
-    """Real part of sum_m coeff[m] exp(-2 pi i m s / (3 l)).
-
-    ``modes`` holds the integer labels m; for single-side (period-l) series
-    all labels are multiples of three.  With g the gcd of the labels, each
-    point s takes one exponential W = exp(-2 pi i g s / (3 l)), its phase
-    formed in long double and split hi + lo so that the rounding of W, which
-    W^k carries k-fold, is that of exp alone.  ``synthesis`` and
-    ``derivative`` build W^0, ..., W^(max|m|/g) by one cumulative product
-    from W^0 and sum the labels m >= 0 against these powers, the labels
-    m < 0 against their conjugates.  ``imbalance`` is a bound on the
-    modulus of the imaginary part of the complex synthesis over the side:
-    sum_n |Im a_n| over its Legendre coefficients a_n, as |P_n| <= 1 there.
-    For real data it should sit at roundoff level.
-    """
-
-    side: int
-    side_length: float
-    modes: np.ndarray
-    coeffs: np.ndarray
-    imbalance: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", np.asarray(self.modes, dtype=int))
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex))
-        if self.modes.shape != self.coeffs.shape:
-            raise ValueError("modes and coeffs must have matching shapes")
-
-    @property
-    def carriers(self) -> np.ndarray:
-        """Carrier rates kappa_m = -2 pi i m / (3 l)."""
-        return -2j * np.pi * self.modes / (3.0 * self.side_length)
-
-    def _power_sum(self, s, weights):
-        """sum_m weights[m] W^(m/g), shaped like s (a complex for scalar s)."""
-        s = np.asarray(s, dtype=float)
-        g = int(np.gcd.reduce(self.modes)) or 1
-        power, behind = np.abs(self.modes) // g, (self.modes < 0).astype(int)
-        rate = -8 * np.arctan(np.longdouble(1)) * g / (3 * np.longdouble(self.side_length))
-        table = _powers(s, rate, power.max(initial=0) + 1)
-        split = np.zeros((2, table.shape[-1]), dtype=complex)
-        np.add.at(split, (behind, power), np.where(behind, np.conj(weights), weights))
-        both = table @ split.T
-        out = both[..., 0] + np.conj(both[..., 1])
-        return out if out.ndim else complex(out)
-
-    def synthesis(self, s):
-        """Complex mode sum before taking the real part."""
-        return self._power_sum(s, self.coeffs)
-
-    def value(self, s):
-        return np.real(self.synthesis(s))
-
-    def derivative(self, s):
-        return np.real(self._power_sum(s, self.carriers * self.coeffs))
-
-    def exponentials(self, column: str):
-        """``column`` ("value" or "derivative") as Re sum_j w_j e^{kappa_j s}:
-        one (kappa, w) piece, the carriers with weights coeffs, times the
-        carriers for the derivative."""
-        weights = self.coeffs if column == "value" else self.carriers * self.coeffs
-        return ((self.carriers, weights),)
-
-    def __call__(self, s):
-        return self.value(s)
-
-
-@dataclass(frozen=True, eq=False)
-class ContourResidueTrace(_Trace):
+class ExponentialSumTrace(_Trace):
     """Real part of sum_{p,j} weighted[p, j] e^{i t[p,j] s} + sum_r coeffs[r] e^{-rates[r] s}.
 
-    The first sum is the quadrature of a Fourier integral over the truncated
-    contour, folded onto the lattice t[p, j] = offsets[j] + p step of [0, T]
-    (a node at -t is stored at t with its weight conjugated), with the
-    weights and the 1/(2 pi) already in ``weighted`` (panels, order).  Each
-    point s takes one carrier W = e^{i step s} and sums the panel sums
-    sum_j weighted[p, j] e^{i offsets[j] s} against its powers W^p
-    (``_powers``).  The second sum collects the residues at the mode roots,
-    whose coefficients are ``Scaled`` because they may lie far outside the
-    double range while each product with its exponential stays moderate.
+    The first sum runs over the lattice t[p, j] = offsets[j] + p step,
+    ``weighted`` shaped (panels, offsets); each point s takes one carrier
+    W = e^{i step s}, sums each offset's column of ``weighted`` against its
+    powers W^p (``_powers``) in one matrix product, and those sums against
+    the e^{i offsets[j] s}.  The second, free piece has ``Scaled``
+    coefficients, as they may lie far outside the double range while each
+    product with its exponential stays moderate; an empty one costs no
+    ``Scaled`` work.
+
+    A contour solver's trace is the quadrature of a Fourier integral over
+    the truncated contour, folded onto the lattice of its Gauss panels in
+    [0, T] (a node at -t is stored at t with its weight conjugated), with
+    the weights and the 1/(2 pi) in ``weighted``, and the residues at the
+    mode roots as its free piece.  A Fourier series (``series._finalize``)
+    is a lattice with one offset, 0, one node per label, a long double
+    ``step`` and no free piece.  Its ``imbalance`` (0 for a contour trace)
+    bounds the modulus of the imaginary part of the complex series before
+    the fold: sum_n |Im a_n| over its Legendre coefficients a_n, as
+    |P_n| <= 1 on the side.  For real data it should sit at roundoff level.
     """
 
     side: int
@@ -160,31 +103,48 @@ class ContourResidueTrace(_Trace):
     weighted: np.ndarray
     rates: np.ndarray
     coeffs: Scaled
+    imbalance: float = 0.0
+
+    def __post_init__(self):
+        if np.ndim(self.offsets) != 1 or np.shape(self.weighted)[1:] != np.shape(self.offsets):
+            raise ParameterError("lattice weights must be shaped (panels, offsets)")
+        if np.shape(self.rates) != np.broadcast(self.coeffs.m, self.coeffs.sigma).shape:
+            raise ParameterError("free rates and coeffs must have matching shapes")
 
     @property
     def t(self):
-        return self.offsets + self.step * np.arange(len(self.weighted))[:, None]
+        """The lattice nodes, shaped like ``weighted``, in double precision."""
+        t = self.offsets + self.step * np.arange(len(self.weighted))[:, None]
+        return np.asarray(t, dtype=float)
 
-    def _synthesis(self, s, weighted, coeffs):
+    def _sum(self, s, derivative: bool):
         s = np.asarray(s, dtype=float)
-        panels = np.exp(1j * np.multiply.outer(s, self.offsets)) @ weighted.T
-        out = np.sum(_powers(s, np.longdouble(self.step), len(weighted)) * panels, axis=-1).real
-        residues = coeffs * Scaled.from_exp(-np.multiply.outer(s, self.rates))
-        out = out + np.real(np.sum(residues.to_complex(), axis=-1))
+        weighted = 1j * self.t * self.weighted if derivative else self.weighted
+        columns = _powers(s, np.longdouble(self.step), len(weighted)) @ weighted
+        out = np.sum(columns * np.exp(1j * np.multiply.outer(s, self.offsets)), axis=-1).real
+        if self.rates.size:
+            coeffs = -self.rates * self.coeffs if derivative else self.coeffs
+            residues = coeffs * Scaled.from_exp(-np.multiply.outer(s, self.rates))
+            out = out + np.real(np.sum(residues.to_complex(), axis=-1))
         return out if out.ndim else float(out)
 
+    def synthesis(self, s):
+        """The sum at ``s``.  ``value`` calls it, so a span patched onto this
+        name (``perfbench/spans.py``) times every value."""
+        return self._sum(s, derivative=False)
+
     def value(self, s):
-        return self._synthesis(s, self.weighted, self.coeffs)
+        return self.synthesis(s)
 
     def derivative(self, s):
-        """Analytic d/ds: a factor i t on the contour, -rate on the residues."""
-        return self._synthesis(s, 1j * self.t * self.weighted, -self.rates * self.coeffs)
+        """Analytic d/ds: a factor i t on the lattice, -rate on the free piece."""
+        return self._sum(s, derivative=True)
 
     def exponentials(self, column: str):
         """``column`` ("value" or "derivative") as Re sum_j w_j e^{kappa_j s}:
-        a contour piece (i t, weighted) over the lattice and a residue piece
-        (-rates, coeffs), whose ``Scaled`` weights may lie outside the double
-        range; the derivative multiplies each weight by its kappa."""
+        a lattice piece (i t, weighted) and a free piece (-rates, coeffs),
+        whose ``Scaled`` weights may lie outside the double range; the
+        derivative multiplies each weight by its kappa."""
         pieces = ((1j * self.t.ravel(), self.weighted.ravel()), (-self.rates, self.coeffs))
         if column == "value":
             return pieces
@@ -192,6 +152,10 @@ class ContourResidueTrace(_Trace):
 
     def __call__(self, s):
         return self.value(s)
+
+
+# kept only because perfbench/spans.py patches ``synthesis`` under this name
+FourierSeriesTrace = ExponentialSumTrace
 
 
 def _powers(s, rate, count: int):

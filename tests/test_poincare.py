@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -38,7 +39,6 @@ from tridtn.scaledc import Scaled
 from tridtn.series import _rotations, symmetric_dirichlet_dtn
 from tridtn.spectral import Kind, SideSampler
 from tridtn.symbols import SideSymbol
-from tridtn.traces import ContourResidueTrace
 
 from conftest import spectral_points
 
@@ -440,9 +440,7 @@ def test_folded_contour_trace_matches_unfolded_sum(geom, solver, lam, rng, monke
     # the solver's contour weights beside two residues of our own
     rates = np.array([0.3 + 2.0j, -1.0 - 5.0j])
     coeffs = np.array([0.2 - 0.1j, 0.05j])
-    folded = ContourResidueTrace(
-        trace.side, trace.offsets, trace.step, trace.weighted, rates, Scaled.of(coeffs)
-    )
+    folded = dataclasses.replace(trace, rates=rates, coeffs=Scaled.of(coeffs))
     assert folded.t.size == 8 * poincare.PANEL_ORDER
     assert folded.t.ravel()[0] >= 0.0 and np.all(np.diff(folded.t.ravel()) > 0.0)
     s = np.linspace(-0.5, 0.5, 41)
@@ -452,49 +450,6 @@ def test_folded_contour_trace_matches_unfolded_sum(geom, solver, lam, rng, monke
     derivative = np.real(waves @ (1j * t * nodes) - residues @ (rates * coeffs))
     assert np.max(np.abs(folded.value(s) - value)) <= 1e-13 * np.sum(np.abs(nodes))
     assert np.max(np.abs(folded.derivative(s) - derivative)) <= 1e-13 * np.sum(np.abs(t * nodes))
-
-
-def _extended_lattice_sums(trace, s):
-    """sum_{p,j} (i t)^q weighted[p, j] e^{i t s} over the lattice
-    t = offsets[j] + p step, for q = 0 and 1, summed in np.clongdouble from
-    the double s, offsets, step and weights."""
-    ld = np.longdouble
-    t = trace.offsets.astype(ld) + ld(trace.step) * np.arange(len(trace.weighted), dtype=ld)[:, None]
-    kappa = 1j * t.ravel()
-    terms = np.exp(np.multiply.outer(np.asarray(s, dtype=ld), kappa))
-    weights = trace.weighted.ravel().astype(np.clongdouble)
-    return terms @ weights, terms @ (kappa * weights)
-
-
-@pytest.mark.parametrize("t_factor", [40.0, 1280.0])
-@pytest.mark.parametrize("lam", [0.0, 1.0])
-def test_contour_evaluation_matches_extended_precision(geom, lam, t_factor):
-    # value and derivative of the contour part of a solver trace against the
-    # same lattice sum in np.clongdouble, within 1e-14 of the largest
-    # reference value on the side
-    data = all_traces(symmetric_corner_compatible(lam, 1.0), geom)[0][0]
-    solved = symmetric_dirichlet_integral(data, lam, 1.0, n_max=16, t_factor=t_factor)
-    assert solved.weighted.shape == (int(t_factor), poincare.PANEL_ORDER)
-    trace = ContourResidueTrace(
-        1, solved.offsets, solved.step, solved.weighted, np.zeros(0), Scaled.of(np.zeros(0))
-    )
-    side = np.linspace(-0.5, 0.5, 65)
-    grid = np.random.default_rng(7).uniform(-0.5, 0.5, size=(4, 8))
-    points = (0.5, -0.37, side, grid)
-    references = []
-    for s in points:
-        total, slope = _extended_lattice_sums(trace, s)
-        references.append({"value": total.real, "derivative": slope.real})
-    for name, on_side in references[2].items():
-        scale = np.max(np.abs(on_side))
-        for s, reference in zip(points, references):
-            got = getattr(trace, name)(s)
-            if np.ndim(s):
-                assert isinstance(got, np.ndarray) and got.shape == np.shape(s)
-            else:
-                assert type(got) is float
-            err = np.max(np.abs(got - reference[name]))
-            assert err <= 1e-14 * scale, (name, np.shape(s), float(err / scale))
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])

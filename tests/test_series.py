@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import tridtn.series as series
 from tridtn.errors import ParameterError, SolvabilityError
 from tridtn.geometry import ALPHA_BAR, SQRT3, mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
+from tridtn.poincare import PANEL_ORDER, symmetric_dirichlet_integral
 from tridtn.problems import BCKind, SideCondition
 from tridtn.series import (
     general_dirichlet_dtn,
@@ -14,7 +18,7 @@ from tridtn.series import (
 )
 from tridtn.spectral import Kind, SideSampler
 from tridtn.scaledc import Scaled
-from tridtn.traces import BoundaryTrace, ContourResidueTrace, FourierSeriesTrace, sample_grid
+from tridtn.traces import BoundaryTrace, ExponentialSumTrace, sample_grid
 
 from conftest import manufactured_families
 
@@ -199,50 +203,93 @@ def test_sample_grid_margins():
     assert s[0] >= -0.4 - 1e-12 and s[-1] <= 0.4 + 1e-12
 
 
-def test_imbalance_bounds_the_imaginary_synthesis(geom):
-    # sum |Im a_n| over the Legendre coefficients bounds max |Im synthesis|
+def _complex_series(modes, coeffs, s):
+    """sum_m coeffs[m] e^{-2 pi i m s/3} on a side of length 1, summed in
+    np.clongdouble."""
+    ld = np.longdouble
+    kappa = (-2j * 4 * np.arctan(ld(1)) / 3) * np.asarray(modes, dtype=ld)
+    return np.exp(np.multiply.outer(np.asarray(s, dtype=ld), kappa)) @ coeffs
+
+
+def test_imbalance_bounds_the_imaginary_synthesis(geom, monkeypatch):
+    # sum |Im a_n| over the Legendre coefficients bounds max |Im| of the
+    # complex series that the builder receives, before its fold
+    received = []
+
+    def finalize(side, side_length, modes, coeffs):
+        trace = build(side, side_length, modes, coeffs)
+        received.append((modes, coeffs, trace))
+        return trace
+
+    build = series._finalize
+    monkeypatch.setattr(series, "_finalize", finalize)
     lam = 1.0
     d, n = all_traces(manufactured_families(lam)[0], geom)
     common = all_traces(symmetric_corner_compatible(lam, 1.0), geom)[0][0]
-    sym = symmetric_dirichlet_dtn(common, lam, 1.0)
+    symmetric_dirichlet_dtn(common, lam, 1.0)
+    general_dirichlet_dtn(d, lam, 1.0)
+    neumann_to_dirichlet(n, lam, 1.0)
+    assert len(received) == 7
     s = sample_grid(1.0, n=257, corner_margin=0.0)
-    for trace in (sym, *general_dirichlet_dtn(d, lam, 1.0), *neumann_to_dirichlet(n, lam, 1.0)):
-        roundoff = np.finfo(float).eps * np.sum(np.abs(trace.coeffs))
-        assert trace.imbalance + roundoff >= np.max(np.abs(trace.synthesis(s).imag))
+    for modes, coeffs, trace in received:
+        roundoff = np.finfo(float).eps * np.sum(np.abs(coeffs))
+        assert trace.imbalance + roundoff >= np.max(np.abs(_complex_series(modes, coeffs, s).imag))
 
 
-def _extended_sums(trace, s):
-    """sum_m kappa_m^p coeffs[m] e^{kappa_m s}, kappa_m = -2 pi i m/(3 l), for
-    p = 0 and 1, summed in np.clongdouble from the double s and labels."""
-    pi = 4 * np.arctan(np.longdouble(1))
-    kappa = 1j * (-2 * pi / (3 * np.longdouble(trace.side_length))) * trace.modes.astype(np.longdouble)
-    terms = np.exp(np.multiply.outer(np.asarray(s, dtype=np.longdouble), kappa))
-    coeffs = trace.coeffs.astype(np.clongdouble)
-    return terms @ coeffs, terms @ (kappa * coeffs)
+def _extended_lattice_sums(trace, s, step):
+    """sum_{p,j} (i t)^q weighted[p, j] e^{i t s} over the lattice
+    t = offsets[j] + p step, for q = 0 and 1, summed in np.clongdouble from
+    the double s, offsets and weights and the long double ``step``."""
+    ld = np.longdouble
+    t = trace.offsets.astype(ld) + step * np.arange(len(trace.weighted), dtype=ld)[:, None]
+    kappa = 1j * t.ravel()
+    terms = np.exp(np.multiply.outer(np.asarray(s, dtype=ld), kappa))
+    weights = trace.weighted.ravel().astype(np.clongdouble)
+    return terms @ weights, terms @ (kappa * weights)
 
 
-@pytest.mark.parametrize("m", [16, 64, 256])
-@pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
-@pytest.mark.parametrize("step", [1, 3], ids=["general", "symmetric"])
-def test_series_evaluation_matches_extended_precision(geom, step, lam, m):
-    # value, derivative and synthesis of solver traces against the same
-    # series summed in np.clongdouble, within 1e-14 of the largest reference
-    # value on the side; the general trace comes from corner-singular data,
-    # whose modes decay slowly, and runs over every label up to m
-    if step == 1:
-        data = all_traces(manufactured_families(lam)[0], geom)[0]
-        trace = general_dirichlet_dtn(data, lam, 1.0, m_max=m)[0]
+#: (kind, lambda, largest label m for a series or T for a contour)
+EVALUATION_CASES = [
+    (kind, lam, m)
+    for kind in ("general", "symmetric")
+    for lam in (0.0, 1.0, 5.0)
+    for m in (16, 64, 256)
+] + [("contour", lam, t_factor) for lam in (0.0, 1.0) for t_factor in (40.0, 1280.0)]
+
+
+@pytest.mark.parametrize(
+    ("kind", "lam", "size"),
+    EVALUATION_CASES,
+    ids=["-".join(map(str, case)) for case in EVALUATION_CASES],
+)
+def test_series_evaluation_matches_extended_precision(geom, kind, lam, size):
+    # value and derivative of solver traces against the same lattice sum in
+    # np.clongdouble, within 1e-14 of the largest reference value on the
+    # side.  A series is a one-offset lattice whose reference step 2 pi g/(3 l)
+    # is formed here in long double; the general trace comes from
+    # corner-singular data, whose modes decay slowly, and runs over every
+    # label up to m.  A contour trace is read without its residues.
+    if kind == "contour":
+        data = all_traces(symmetric_corner_compatible(lam, 1.0), geom)[0][0]
+        solved = symmetric_dirichlet_integral(data, lam, 1.0, n_max=16, t_factor=size)
+        assert solved.weighted.shape == (int(size), PANEL_ORDER)
+        trace = dataclasses.replace(solved, rates=np.zeros(0), coeffs=Scaled.of(np.zeros(0)))
+        step, side = np.longdouble(trace.step), np.linspace(-0.5, 0.5, 65)
     else:
-        common = all_traces(symmetric_corner_compatible(lam, 1.0), geom)[0][0]
-        trace = symmetric_dirichlet_dtn(common, lam, 1.0, n_max=m)
-    assert np.gcd.reduce(trace.modes) == step and np.max(trace.modes) == step * m
-    side = np.linspace(-0.5, 0.5, 257)
+        if kind == "general":
+            data = all_traces(manufactured_families(lam)[0], geom)[0]
+            trace, g = general_dirichlet_dtn(data, lam, 1.0, m_max=size)[0], 1
+        else:
+            common = all_traces(symmetric_corner_compatible(lam, 1.0), geom)[0][0]
+            trace, g = symmetric_dirichlet_dtn(common, lam, 1.0, n_max=size), 3
+        assert trace.weighted.shape == (size + 1, 1) and not np.any(trace.offsets)
+        step, side = 8 * np.arctan(np.longdouble(1)) * g / 3, np.linspace(-0.5, 0.5, 257)
     grid = np.random.default_rng(7).uniform(-0.5, 0.5, size=(4, 8))
     points = (0.5, -0.37, side, grid)
     references = []
     for s in points:
-        total, slope = _extended_sums(trace, s)
-        references.append({"value": total.real, "derivative": slope.real, "synthesis": total})
+        total, slope = _extended_lattice_sums(trace, s, step)
+        references.append({"value": total.real, "derivative": slope.real})
     for name, on_side in references[2].items():
         scale = np.max(np.abs(on_side))
         for s, reference in zip(points, references):
@@ -250,7 +297,7 @@ def test_series_evaluation_matches_extended_precision(geom, step, lam, m):
             if np.ndim(s):
                 assert isinstance(got, np.ndarray) and got.shape == np.shape(s)
             else:
-                assert type(got) is (complex if name == "synthesis" else float)
+                assert type(got) is float
             err = np.max(np.abs(got - reference[name]))
             assert err <= 1e-14 * scale, (name, np.shape(s), float(err / scale))
 
@@ -258,8 +305,24 @@ def test_series_evaluation_matches_extended_precision(geom, step, lam, m):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: FourierSeriesTrace(1, 1.0, [0, 3], [1.0, 2.0]),
-        lambda: ContourResidueTrace(2, np.ones(2), 1.0, np.ones((3, 2)), np.ones(1), Scaled.of(np.ones(1))),
+        lambda: ExponentialSumTrace(2, np.ones(5), 1.0, np.ones((3, 2)), np.ones(1), Scaled.of(np.ones(1))),
+        lambda: ExponentialSumTrace(2, np.ones(2), 1.0, np.ones((3, 2)), np.ones(2), Scaled.of(np.ones(3))),
+        lambda: series._finalize(1, 1.0, [0, 3, 6], [1.0, 2.0]),
+    ],
+    ids=["lattice", "free", "series"],
+)
+def test_mismatched_shapes_raise_parameter_error(build):
+    # lattice weights whose last axis is not the offsets', free rates and
+    # coeffs of different shapes, series labels and coeffs of different shapes
+    with pytest.raises(ParameterError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: series._finalize(1, 1.0, [0, 3], [1.0, 2.0]),
+        lambda: ExponentialSumTrace(2, np.ones(2), 1.0, np.ones((3, 2)), np.ones(1), Scaled.of(np.ones(1))),
         lambda: BoundaryTrace.constant(1, 2.0),
     ],
     ids=["series", "contour", "boundary"],

@@ -16,9 +16,9 @@ from tridtn.problems import mixed_nr_problem
 from tridtn.quadrature import QuadratureRule
 from tridtn.relations import GlobalRelation
 from tridtn.scaledc import Scaled
-from tridtn.series import general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
+from tridtn.series import _finalize, general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
 from tridtn.spectral import Kind, SideSampler, transforms
-from tridtn.traces import BoundaryTrace, FourierSeriesTrace
+from tridtn.traces import BoundaryTrace, ExponentialSumTrace
 
 from conftest import manufactured_families, spectral_points
 
@@ -117,7 +117,7 @@ def _reference_traces():
     for m in (90, 192):
         modes = np.array([m, 1, 0, -m])
         coeffs = np.array([0.5, 0.3j, 0.3, 0.5])
-        trace = FourierSeriesTrace(side=1, side_length=1.0, modes=modes, coeffs=coeffs)
+        trace = _finalize(1, 1.0, modes, coeffs)
         rates = -2j * math.pi * modes / 3.0
         # Re(c e^{rs}) = (c e^{rs} + conj(c) e^{conj(r) s}) / 2
         yield trace, [(a / 2, r) for a, r in zip(coeffs, rates)] + [
@@ -323,9 +323,7 @@ def _assert_same_scaled(got, want):
 
 def _batch():
     """A mix of PSI and PHI samplers of different chopped degree."""
-    wave = FourierSeriesTrace(
-        side=2, side_length=1.0, modes=[90, 1, 0, -90], coeffs=[0.5, 0.3j, 0.3, 0.5]
-    )
+    wave = _finalize(2, 1.0, np.array([90, 1, 0, -90]), np.array([0.5, 0.3j, 0.3, 0.5]))
     kinds = (Kind.PSI, Kind.PHI, Kind.PHI, Kind.PSI)
     traces = (exp_trace(0.7), exp_trace(-0.4), wave, wave)
     return [SideSampler(trace, kind, 1.0, 1.0) for trace, kind in zip(traces, kinds)]
@@ -427,7 +425,8 @@ def _symmetric_series(lam):
 def _general_series():
     d = all_traces(manufactured_families(1.0)[0], TriangleGeometry(1.0))[0]
     trace = general_dirichlet_dtn(d, 1.0, 1.0, m_max=16)[1]
-    assert np.any(trace.modes < 0)
+    # the labels -16..16 fold onto the 17 nodes of one lattice
+    assert trace.weighted.shape == (17, 1)
     return trace
 
 
@@ -455,24 +454,39 @@ EXPONENTIAL_SUM_TRACES = {
 }
 
 
-@pytest.mark.parametrize("name", list(EXPONENTIAL_SUM_TRACES))
-def test_rayleigh_columns_match_the_sampled_series(name):
+def _assert_columns_match_the_sampled_trace(trace, side_length):
     # the same trace behind a BoundaryTrace is sampled on Gauss nodes
-    trace = EXPONENTIAL_SUM_TRACES[name]()
     sampled = BoundaryTrace(trace.side, trace.value, trace.derivative)
     for column in ("value", "derivative"):
-        got = spectral._legendre(trace, column, 1.0, Kind.PSI)
-        want = spectral._legendre(sampled, column, 1.0, Kind.PSI)
+        got = spectral._legendre(trace, column, side_length, Kind.PSI)
+        want = spectral._legendre(sampled, column, side_length, Kind.PSI)
         n = max(len(got), len(want))
         diff = np.pad(got, (0, n - len(got))) - np.pad(want, (0, n - len(want)))
         assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(want)), column
-    if isinstance(trace, FourierSeriesTrace):
-        # the cached table of |m|, signed by (-1)^n for negative labels,
-        # against the table of the series' own arguments
-        z = trace.carriers * (trace.side_length / 2.0)
-        direct = spectral._rayleigh(spectral._bessel_table(z) @ trace.coeffs)
-        got = spectral.series_legendre(trace.modes, trace.coeffs)
-        assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("name", list(EXPONENTIAL_SUM_TRACES))
+def test_rayleigh_columns_match_the_sampled_series(name):
+    trace = EXPONENTIAL_SUM_TRACES[name]()
+    _assert_columns_match_the_sampled_trace(trace, 1.0)
+    if not np.any(trace.offsets):
+        # a one-offset lattice at the series arguments takes the cached table
+        # of |m|, signed by (-1)^n for negative labels: it agrees with the
+        # general path, the table of the lattice's own arguments
+        assert spectral._series_labels(trace, 1.0) is not None
+        for column in ("value", "derivative"):
+            got = spectral._exponential_legendre(trace, column, 1.0)
+            ((kappa, weights), _) = trace.exponentials(column)
+            direct = spectral._rayleigh(spectral._bessel_table(kappa / 2.0) @ weights)
+            assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(np.abs(direct)), column
+
+
+def test_a_series_read_on_another_side_length_takes_the_general_path():
+    # the lattice of a series built for l = 1 sits at the series arguments
+    # -i pi m/3 only on that side length
+    trace = _general_series()
+    assert spectral._series_labels(trace, 1.3) is None
+    _assert_columns_match_the_sampled_trace(trace, 1.3)
 
 
 def test_series_solve_samples_no_series_trace(tmp_path, monkeypatch):
@@ -503,8 +517,8 @@ def test_series_solve_samples_no_series_trace(tmp_path, monkeypatch):
         return run
 
     for name in ("value", "derivative", "synthesis"):
-        method = getattr(FourierSeriesTrace, name)
-        monkeypatch.setattr(FourierSeriesTrace, name, counted(name, method))
+        method = getattr(ExponentialSumTrace, name)
+        monkeypatch.setattr(ExponentialSumTrace, name, counted(name, method))
     monkeypatch.setattr(cli, "_full_trace_audit", watched(cli._full_trace_audit))
     monkeypatch.setattr(series, "_finalize", watched(series._finalize))
     wave = "cos(2*pi*s/l)"
