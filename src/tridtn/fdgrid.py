@@ -2,20 +2,30 @@
 
 The lattice P(i, j) = z3 + (i (z2 - z3) + j (z1 - z3)) / M, i, j >= 0,
 i + j <= M, is aligned with the triangle so boundary nodes sit exactly on
-the sides.  Interior nodes carry the 6-neighbor stencil
+the sides.  Every problem assembles one operator on all the lattice nodes,
+the lumped P1 (piecewise-linear) form of -Laplacian + 4 lam: the stiffness,
+1/sqrt(3) per lattice edge and half that on a boundary edge, plus 4 lam
+times a third of the area of each adjacent lattice triangle, plus gamma ds
+on the diagonal at the nodes of a Robin side.  An interior row is the
+6-neighbor stencil of the triangular-lattice Laplacian times the area
+sqrt(3) h^2 / 2 of the node's hexagonal cell:
 
-    (2 / (3 h^2)) (sum of 6 neighbors - 6 u0) - 4 lam u0 = 0,
+    (1 / sqrt(3)) (6 u0 - sum of 6 neighbors) + 2 sqrt(3) lam h^2 u0.
 
-which is the triangular-lattice Laplacian.  Boundary rows for Neumann and
-Robin sides are assembled in the variational (P1) form; away from the
-corners this coincides with reflecting ghost nodes through the side and
-eliminating them symmetrically, and at the corners it supplies the
-consistent corner equation that plain ghost reflection leaves ambiguous.
-The system is symmetric positive definite for lam > 0 (or gamma > 0) and
-is solved by diagonally preconditioned conjugate gradients.  The sparse
-matrices and the solver come from ``scipy.sparse`` and
-``scipy.sparse.linalg``, imported on the first solve, so importing this
-module loads no scipy.
+Neumann and Robin problems solve the whole system against the load
+h * data (h/2 at a corner), and return the boundary node values as the
+Dirichlet traces.  Away from the corners their boundary rows coincide with
+reflecting ghost nodes through the side and eliminating them
+symmetrically, and at the corners they supply the consistent corner
+equation that plain ghost reflection leaves ambiguous.  Dirichlet problems
+solve the interior block against the boundary values and read the Neumann
+trace at each side node between the corners as the operator's residual
+there over h: the variational flux, the counterpart of the Neumann load.
+The systems are symmetric positive definite for lam > 0 (or gamma > 0, or
+on the interior block) and are solved by Jacobi-preconditioned conjugate
+gradients (``cg``).  The sparse matrices and the solver come from
+``scipy.sparse`` and ``scipy.sparse.linalg``, imported on the first solve,
+so importing this module loads no scipy.
 
 Index-to-side bookkeeping: i + j = M is side (1) with s = l/2 - i h,
 j = 0 is side (2) with s = -l/2 + i h, and i = 0 is side (3) with
@@ -36,13 +46,8 @@ from .problems import BCKind, ProblemSpec
 #: the acceptance spacing l/128
 MAX_DIVISIONS = 1024
 
-_NEIGHBOR_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-
 #: the lattice edges leaving a node towards later nodes
 _EDGE_STEPS = ((1, 0), (0, 1), (1, -1))
-
-#: the two inward lattice directions of each side, at +-60 degrees to it
-_INWARD_STEPS = {1: ((-1, 0), (0, -1)), 2: ((0, 1), (-1, 1)), 3: ((1, 0), (1, -1))}
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,13 @@ class TriangularGrid:
     @property
     def h(self) -> float:
         return self.side_length / self.m
+
+    @property
+    def ds(self):
+        """Arclength lumped onto a side's nodes: h, and h/2 at the corners."""
+        weight = np.full(self.m + 1, self.h)
+        weight[[0, -1]] = self.h / 2.0
+        return weight
 
     def nodes(self):
         """Index arrays (i, j) of the lattice nodes inside the closed
@@ -114,97 +126,15 @@ def _check_spacing(side_length: float, h: float) -> int:
     return m
 
 
-def _numbering(grid: TriangularGrid, i, j):
-    """Index array of the (m + 3) x (m + 3) lattice padded by one node: entry
-    [i + 1, j + 1] numbers the given nodes in order, -1 everywhere else."""
+def _operator(spec: ProblemSpec, grid: TriangularGrid, i, j):
+    """The numbering of the nodes (i, j) and the lumped P1 operator on them:
+    stiffness, 4 lam times the lumped mass, and gamma ds on the diagonal at
+    the nodes of the Robin sides.  Entry [i + 1, j + 1] of the numbering, an
+    (m + 3) x (m + 3) lattice padded by one node, numbers the nodes in
+    order; it is -1 everywhere else."""
+    n = i.size
     number = np.full((grid.m + 3, grid.m + 3), -1)
-    number[i + 1, j + 1] = np.arange(i.size)
-    return number
-
-
-def _side_data(spec: ProblemSpec, grid: TriangularGrid, side: int):
-    """A side's node indices and data, by increasing s: one data call."""
-    i, j, s = grid.side_nodes(side)
-    return i, j, np.broadcast_to(np.asarray(spec.side(side).data(s), dtype=float), s.shape)
-
-
-def fd_solve(spec: ProblemSpec, h: float) -> GridSolution:
-    """Solve the lattice system for ``spec`` and extract the unknown traces.
-
-    Dirichlet problems return the Neumann traces (one-sided second-order
-    normal differences through the lattice layers); derivative problems
-    return the Dirichlet traces (the boundary node values themselves).
-    """
-    for side in spec.sides:
-        if side.kind == BCKind.POINCARE:
-            raise ParameterError("the FD oracle supports beta = pi/2 sides only")
-    grid = TriangularGrid(spec.side_length, _check_spacing(spec.side_length, h))
-    if spec.is_dirichlet:
-        return _solve_dirichlet(spec, grid)
-    return _solve_flux(spec, grid)
-
-
-# -- Dirichlet --------------------------------------------------------------
-def _solve_dirichlet(spec: ProblemSpec, grid: TriangularGrid) -> GridSolution:
-    m, h, lam = grid.m, grid.h, spec.lam
-    # boundary data on the lattice; a corner takes the data of its first side
-    values = np.full((m + 1, m + 1), np.nan)
-    for side in (3, 2, 1):
-        i, j, data = _side_data(spec, grid, side)
-        values[i, j] = data
-    i, j = grid.nodes()
-    interior = (i > 0) & (j > 0) & (i + j < m)
-    i, j = i[interior], j[interior]
-    number = _numbering(grid, i, j)
-    n = i.size
-    rows, cols = [np.arange(n)], [np.arange(n)]
-    vals = [np.full(n, 6.0 + 6.0 * lam * h * h)]
-    b = np.zeros(n)
-    for di, dj in _NEIGHBOR_STEPS:
-        col = number[i + di + 1, j + dj + 1]
-        inner = col >= 0
-        rows.append(np.flatnonzero(inner))
-        cols.append(col[inner])
-        vals.append(np.full(rows[-1].size, -1.0))
-        b += np.where(inner, 0.0, values[i + di, j + dj])
-    from scipy import sparse
-
-    a_mat = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    u, residual = _cg_solve(a_mat, b)
-    values[i, j] = u
-    traces = {side: _extract_neumann(grid, values, side) for side in (1, 2, 3)}
-    return GridSolution(grid=grid, values=values, traces=traces, cg_residual=residual)
-
-
-def _extract_neumann(grid: TriangularGrid, values, side: int):
-    """One-sided second-order normal derivative at the side nodes.
-
-    The two inward lattice directions of a side node make +-60 degrees
-    with the side, so the sum of their directional derivatives is
-    sqrt(3) d/dn(inward).  Each directional derivative uses the 3-point
-    one-sided difference along its (exact) lattice line; the corners and
-    the nodes next to them, whose second-step neighbors leave the
-    triangle, are skipped.
-    """
-    i, j, s = (a[2:-2] for a in grid.side_nodes(side))
-    acc = 0.0
-    for di, dj in _INWARD_STEPS[side]:
-        acc = acc + (
-            -3.0 * values[i, j]
-            + 4.0 * values[i + di, j + dj]
-            - values[i + 2 * di, j + 2 * dj]
-        )
-    return s, -acc / (2.0 * SQRT3 * grid.h)
-
-
-# -- Neumann / Robin --------------------------------------------------------
-def _solve_flux(spec: ProblemSpec, grid: TriangularGrid) -> GridSolution:
-    m, h, lam = grid.m, grid.h, spec.lam
-    i, j = grid.nodes()
-    number = _numbering(grid, i, j)
-    n = i.size
+    number[i + 1, j + 1] = np.arange(n)
     sides = grid.on_sides(i, j)
 
     # stiffness: 1/sqrt(3) per interior lattice edge, 1/(2 sqrt(3)) per
@@ -231,22 +161,15 @@ def _solve_flux(spec: ProblemSpec, grid: TriangularGrid) -> GridSolution:
 
     # lumped mass: one third of each adjacent triangle; six lattice triangles
     # meet at an interior node, three at a side node and one at a corner
-    tri_area = SQRT3 / 4.0 * h * h
+    tri_area = SQRT3 / 4.0 * grid.h * grid.h
     mass = np.array([6, 3, 1])[np.sum(sides, axis=0)] * tri_area / 3.0
-    diag += 4.0 * lam * mass
+    diag += 4.0 * spec.lam * mass
 
-    # boundary data and Robin terms, lumped per boundary edge
-    b = np.zeros(n)
-    weight = np.full(m + 1, h)
-    weight[[0, -1]] = h / 2.0
     for side_no in (1, 2, 3):
         cond = spec.side(side_no)
-        gamma = cond.gamma if cond.kind == BCKind.ROBIN else 0.0
-        si, sj, data = _side_data(spec, grid, side_no)
-        row = number[si + 1, sj + 1]
-        b[row] += weight * data
-        if gamma:
-            diag[row] += gamma * weight
+        if cond.kind == BCKind.ROBIN and cond.gamma:
+            si, sj, _ = grid.side_nodes(side_no)
+            diag[number[si + 1, sj + 1]] += cond.gamma * grid.ds
     from scipy import sparse
 
     lhs = sparse.csr_matrix(
@@ -256,37 +179,64 @@ def _solve_flux(spec: ProblemSpec, grid: TriangularGrid) -> GridSolution:
         ),
         shape=(n, n),
     )
+    return number, lhs
 
-    gauge_fixed = lam == 0.0 and all(s.gamma == 0.0 for s in spec.sides)
-    if gauge_fixed:
-        # pure Neumann at lam = 0: kernel is the constant vector
-        total = float(np.sum(b))
-        scale = float(np.sum(np.abs(b))) if n else 1.0
-        # the lumped boundary quadrature leaves an O(h^2) flux imbalance even
-        # for exactly compatible data, so the rejection threshold must sit
-        # above that; genuinely incompatible data violates it at O(1)
-        if abs(total) > max(1e-8, 100.0 * h * h) * max(scale, 1.0):
-            raise SolvabilityError(
-                "pure-Neumann data at lam = 0 violates the zero-mean "
-                f"compatibility condition (sum {total:.3e})"
-            )
-        b -= total / n
-    u, residual = _cg_solve(lhs, b)
-    if gauge_fixed:
-        u -= np.mean(u)
 
-    values = np.full((m + 1, m + 1), np.nan)
-    values[i, j] = u
-    traces = {}
+def fd_solve(spec: ProblemSpec, h: float) -> GridSolution:
+    """Solve the lattice system for ``spec`` and extract the unknown traces.
+
+    Dirichlet problems return the Neumann traces at the side nodes between
+    the corners (the operator's residual there over h); derivative problems
+    return the Dirichlet traces (the boundary node values themselves).
+    """
+    for side in spec.sides:
+        if side.kind == BCKind.POINCARE:
+            raise ParameterError("the FD oracle supports beta = pi/2 sides only")
+    grid = TriangularGrid(spec.side_length, _check_spacing(spec.side_length, h))
+    i, j = grid.nodes()
+    number, lhs = _operator(spec, grid, i, j)
+    sides = {}  # side -> node numbers, arclengths and data, by increasing s
     for side_no in (1, 2, 3):
         si, sj, s = grid.side_nodes(side_no)
-        traces[side_no] = (s, values[si, sj])
+        data = np.asarray(spec.side(side_no).data(s), dtype=float)
+        sides[side_no] = number[si + 1, sj + 1], s, np.broadcast_to(data, s.shape)
+    gauge_fixed = False
+    if spec.is_dirichlet:
+        # boundary values; a corner takes the data of its first side
+        u = np.zeros(i.size)
+        for row, _, data in reversed(sides.values()):
+            u[row] = data
+        inner = ~np.any(grid.on_sides(i, j), axis=0)
+        u[inner], residual = _cg_solve(lhs[inner][:, inner], -(lhs @ u)[inner])
+        flux = lhs @ u / grid.h
+        traces = {side: (s[1:-1], flux[row[1:-1]]) for side, (row, s, _) in sides.items()}
+    else:
+        # the Neumann data, lumped per boundary edge
+        b = np.zeros(i.size)
+        for row, _, data in sides.values():
+            b[row] += grid.ds * data
+        gauge_fixed = spec.lam == 0.0 and all(cond.gamma == 0.0 for cond in spec.sides)
+        if gauge_fixed:
+            # pure Neumann at lam = 0: kernel is the constant vector
+            total = float(np.sum(b))
+            scale = float(np.sum(np.abs(b)))
+            # the lumped boundary quadrature leaves an O(h^2) flux imbalance
+            # even for exactly compatible data, so the rejection threshold
+            # must sit above that; incompatible data violates it at O(1)
+            if abs(total) > max(1e-8, 100.0 * grid.h * grid.h) * max(scale, 1.0):
+                raise SolvabilityError(
+                    "pure-Neumann data at lam = 0 violates the zero-mean "
+                    f"compatibility condition (sum {total:.3e})"
+                )
+            b -= total / b.size
+        u, residual = _cg_solve(lhs, b)
+        if gauge_fixed:
+            u -= np.mean(u)
+        traces = {side: (s, u[row]) for side, (row, s, _) in sides.items()}
+    values = np.full((grid.m + 1, grid.m + 1), np.nan)
+    values[i, j] = u
     return GridSolution(
-        grid=grid,
-        values=values,
-        traces=traces,
-        gauge_fixed=gauge_fixed,
-        cg_residual=residual,
+        grid=grid, values=values, traces=traces, gauge_fixed=gauge_fixed, cg_residual=residual
     )
 
 

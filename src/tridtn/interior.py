@@ -56,6 +56,11 @@ RAY_ORDER = 16
 #: lattice reaches at most 36/(RAY_KEEP_MARGIN l), about 720 panels.
 RAY_KEEP_MARGIN = 0.01
 
+#: The lambda l^2 below which ``symmetric_interior`` raises AccuracyError:
+#: its rays read at rounding down to here and lose digits roughly like
+#: lambda^(-1/2) below about 1e-34 (6e-10 of the field at 1e-40).
+SYMMETRIC_LAM_MIN = 1e-30
+
 
 @dataclass(frozen=True)
 class InteriorPoint:
@@ -268,9 +273,16 @@ def symmetric_interior(
     of every ray, on both halves, is an image of +i t: one transform call
     (``poincare._symmetric_rays``) serves the rays, the roots and every point,
     and its spectrum is kept in ``f.spectra`` (see ``_ray_spectrum``).
+    Below lambda l^2 = SYMMETRIC_LAM_MIN it raises AccuracyError.
     """
     geom = geometry or TriangleGeometry()
     side_length = geom.side_length
+    check_lam(lam, positive=True)
+    if lam * side_length**2 < SYMMETRIC_LAM_MIN:
+        raise AccuracyError(
+            f"symmetric_interior loses accuracy below lambda l^2 = {SYMMETRIC_LAM_MIN:g} "
+            f"(lambda {lam:.3e}, l {side_length:g})"
+        )
 
     def build(r, w):
         sampler = SideSampler(f, Kind.PHI, lam, side_length)

@@ -42,7 +42,7 @@ from .problems import BCKind, ProblemSpec, check_lam
 from .quadrature import QuadratureRule
 from .relations import ARG_FACTORS, ScaledElimination  # callers patch ScaledElimination here
 from .scaledc import Scaled
-from .series import RESONANCE_RTOL, _mode_roots, _newton, _rotations, quadratic_mode_root
+from .series import RESONANCE_RTOL, _newton, _rotations, _series_mode_roots, quadratic_mode_root
 from .spectral import Kind, SideSampler, transforms
 from .symbols import SideSymbol
 from .traces import ExponentialSumTrace
@@ -52,6 +52,7 @@ RAY_DOWN = cmath.exp(7j * np.pi / 6.0)
 
 #: default contour truncation T = 40 (2 pi / l), panels of width 2 pi / l
 T_FACTOR = 40.0
+#: Gauss-Legendre order of the contour panels
 PANEL_ORDER = 16
 
 #: the lambda l^2 over which ``mixed_nr_trace`` is certified: at count 64 and
@@ -113,16 +114,15 @@ def ray_radius(t, lam: float):
         return np.where(t < 0.0, 2.0 * lam / (root - t), 0.5 * (t + root))
 
 
-def contour_nodes(side_length: float, t_factor: float = T_FACTOR, order: int = PANEL_ORDER):
+def contour_nodes(side_length: float, t_factor: float = T_FACTOR):
     """Gauss-Legendre panels of width step = 2 pi / l on [0, T], T = t_factor
     step, as a lattice: offsets (one panel's nodes), step, and the nodes
-    t[p, j] = offsets[j] + p step and their weights, shaped (panels, order)."""
+    t[p, j] = offsets[j] + p step and their weights, shaped (panels,
+    PANEL_ORDER)."""
     if not t_factor > 0.5:  # round(t_factor) panels, at least one
         raise ParameterError(f"t_factor must exceed 0.5, got {t_factor}")
-    if not order >= 1:
-        raise ParameterError(f"order must be at least 1, got {order}")
     step = 2.0 * np.pi / side_length
-    rule = QuadratureRule.panels((0.0, step), order)
+    rule = QuadratureRule.panels((0.0, step), PANEL_ORDER)
     t = rule.nodes + step * np.arange(int(round(t_factor)))[:, None]
     return rule.nodes, step, t, np.broadcast_to(rule.weights, t.shape)
 
@@ -143,10 +143,10 @@ def _taper(x):
     return g1 / (g0 + g1)
 
 
-def _ray_grids(lam: float, side_length: float, t_factor: float, order: int):
+def _ray_grids(lam: float, side_length: float, t_factor: float):
     """Offsets, step, the ``contour_nodes`` lattice t and its tapered
     weights, and the points k of the Fourier nodes t and -t on the two rays
-    (``_ray_points``), shaped (2, panels, order).
+    (``_ray_points``), shaped (2, panels, PANEL_ORDER).
 
     For lam > 0 each ray covers the whole t-line (the radius r(t) runs over
     all of (0, inf) as t does over R): its inner pieces, -t on the upper ray
@@ -154,7 +154,7 @@ def _ray_grids(lam: float, side_length: float, t_factor: float, order: int):
     the solvers fill their integrands in by reflection.  At lam = 0, r(t) = t
     and the upper ray only reaches t >= 0, the lower only t <= 0.
     """
-    offsets, step, t, w = contour_nodes(side_length, t_factor, order)
+    offsets, step, t, w = contour_nodes(side_length, t_factor)
     w = w * _taper(t / (t_factor * 2.0 * np.pi / side_length))
     return offsets, step, t, w, _ray_points(t, lam)
 
@@ -213,8 +213,9 @@ def _symmetric_g(f, k, lam, side_length) -> Scaled:
 
 def dirichlet_mode_roots(lam: float, side_length: float, n_max: int) -> ModeRootSet:
     """The roots s_n of e^2(k) = 1 (mu = 2 pi i n / l), both branches where
-    distinct; at lambda = 0 the inner one is k = 0 and n = 0 has none."""
-    n, live, outer = _mode_roots(lam, side_length, n_max)
+    distinct; at lambda = 0 the inner one is k = 0.  n = 0 has no roots at
+    lambda = 0, nor where ``series._series_mode_roots`` takes it as there."""
+    n, live, outer = _series_mode_roots(lam, side_length, side_length, n_max)
     k = np.stack([outer, lam / outer], axis=-1)
     keep = np.ones(k.shape, dtype=bool)
     keep[:, 1] = (lam > 0) & (np.abs(k[:, 1] - outer) > 1e-12 * np.abs(outer))
@@ -249,7 +250,6 @@ def symmetric_dirichlet_integral(
     side_length: float,
     n_max: int = 64,
     t_factor: float = T_FACTOR,
-    order: int = PANEL_ORDER,
 ) -> ExponentialSumTrace:
     """Residue/contour form of the symmetric Dirichlet Neumann trace.
 
@@ -267,7 +267,7 @@ def symmetric_dirichlet_integral(
     if math.sqrt(3.0 * lam) * (side_length / 2.0) < RESONANCE_RTOL:
         lam = 0.0
     sampler = SideSampler(data, Kind.PHI, lam, side_length)
-    offsets, step, t, w, _ = _ray_grids(lam, side_length, t_factor, order)
+    offsets, step, t, w, _ = _ray_grids(lam, side_length, t_factor)
 
     # G on the two rays (whose Gauss nodes avoid t = 0, so k = 0 too) and at
     # the mode roots, in one evaluation
@@ -498,7 +498,6 @@ def mixed_nr_trace(
     problem: ProblemSpec,
     count: int = 40,
     t_factor: float = T_FACTOR,
-    order: int = PANEL_ORDER,
 ) -> ExponentialSumTrace:
     """Dirichlet trace on side 2 of the mixed Neumann-Robin problem.
 
@@ -520,7 +519,7 @@ def mixed_nr_trace(
             f"mixed Neumann-Robin trace: lambda l^2 = {scaled_lam:.3g} lies "
             f"outside the certified range [{lo:g}, {hi:g}]"
         )
-    offsets, step, t, w, k_ray = _ray_grids(lam, side_length, t_factor, order)
+    offsets, step, t, w, k_ray = _ray_grids(lam, side_length, t_factor)
     roots = d_root_set(lam, side_length, count)
     # the D- roots are the D+ roots negated, and so are their circles, with
     # the nodes turned by half a circle: -k + c_j = -(k + c_{j + nodes/2})

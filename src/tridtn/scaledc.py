@@ -68,12 +68,6 @@ class Scaled:
     def __neg__(self):
         return Scaled(-self.m, self.sigma)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, (int, np.integer)):
-            return NotImplemented
-        base = self.normalized()
-        return Scaled(base.m**n, n * base.sigma)
-
     def __add__(self, other):
         other = _coerce(other)
         sig = np.maximum(self.sigma, other.sigma)

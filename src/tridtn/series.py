@@ -47,8 +47,9 @@ from .symbols import SideSymbol
 from .traces import ExponentialSumTrace
 
 #: the w = sqrt(3 lambda) l/2 of the m = 0 mode below which the series maps
-#: (and ``poincare.symmetric_dirichlet_integral``) take that mode as at
-#: lambda = 0 (``_series_mode_roots``)
+#: (and ``poincare.symmetric_dirichlet_integral`` and
+#: ``poincare.dirichlet_mode_roots``) take that mode as at lambda = 0
+#: (``_series_mode_roots``)
 RESONANCE_RTOL = 1e-10
 
 #: the rounding of the total flux, in units of eps times the perimeter times
@@ -119,7 +120,8 @@ def _mode_roots(lam: float, period: float, m_max: int):
 
 
 def _series_mode_roots(lam: float, side_length: float, period: float, m_max: int):
-    """``_mode_roots`` for the series maps, which take the m = 0 mode as at
+    """``_mode_roots`` for the series maps and the symmetric mode roots of
+    ``poincare.dirichlet_mode_roots``, which take the m = 0 mode as at
     lambda = 0 also once its w = mu(alpha_bar k_0) l/2 = sqrt(3 lambda) l/2
     falls below RESONANCE_RTOL: its denominator, 2 sinh(w), is then a
     removable zero, and the coefficient has reached its lambda = 0 value to

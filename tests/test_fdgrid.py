@@ -65,36 +65,27 @@ def _side_nodes(m, side):
     }[side]
 
 
+def _node_index(m):
+    """Row numbers of the unit-side lattice nodes, i outer and j inner."""
+    nodes = [(i, j) for i in range(m + 1) for j in range(m + 1 - i)]
+    return {node: row for row, node in enumerate(nodes)}
+
+
 def _loop_system(spec, m):
     """The lattice matrix and right-hand side of a unit-side problem,
-    assembled one node and one edge at a time."""
+    assembled one node and one edge at a time: the whole P1 system of a
+    Neumann or Robin problem, and the interior block of a Dirichlet one
+    against its boundary values g, with right-hand side -A_IB g."""
     from scipy import sparse
 
     h, lam = 1.0 / m, spec.lam
-    nodes = [(i, j) for i in range(m + 1) for j in range(m + 1 - i)]
+    index = _node_index(m)
 
     def data(i, j, side=None):
         side = side or _node_sides(m, i, j)[0]
         return float(spec.side(side).data(_arclength(m, side, i, j)))
 
-    if spec.is_dirichlet:
-        index = {}
-        for node in nodes:
-            if not _node_sides(m, *node):
-                index[node] = len(index)
-        a_mat = sparse.lil_matrix((len(index), len(index)))
-        b = np.zeros(len(index))
-        for (i, j), row in index.items():
-            a_mat[row, row] = 6.0 + 6.0 * lam * h * h
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)):
-                if (i + di, j + dj) in index:
-                    a_mat[row, index[(i + di, j + dj)]] = -1.0
-                else:
-                    b[row] += data(i + di, j + dj)
-        return sparse.csr_matrix(a_mat), b
-    index = {node: row for row, node in enumerate(nodes)}
-    a_mat = sparse.lil_matrix((len(nodes), len(nodes)))
-    b = np.zeros(len(nodes))
+    a_mat = sparse.lil_matrix((len(index), len(index)))
     for (i, j), row in index.items():
         for nb in ((i + 1, j), (i, j + 1), (i + 1, j - 1)):
             if nb in index:
@@ -111,6 +102,12 @@ def _loop_system(spec, m):
             a >= 0 and c >= 0 and a + c <= m - 2 for a, c in ((i - 1, j), (i, j - 1), (i - 1, j - 1))
         )
         a_mat[row, row] += 4.0 * lam * (up + down) * (math.sqrt(3.0) / 4.0 * h * h) / 3.0
+    if spec.is_dirichlet:
+        inner = np.array([not _node_sides(m, *node) for node in index])
+        g = np.array([data(*node) for node in index if _node_sides(m, *node)])
+        a_inner = sparse.csr_matrix(a_mat)[inner]
+        return a_inner[:, inner], -(a_inner[:, ~inner] @ g)
+    b = np.zeros(len(index))
     for side in (1, 2, 3):
         cond = spec.side(side)
         for (i, j) in _side_nodes(m, side):
@@ -119,6 +116,28 @@ def _loop_system(spec, m):
             if cond.kind == BCKind.ROBIN:
                 a_mat[index[(i, j)], index[(i, j)]] += cond.gamma * weight
     return sparse.csr_matrix(a_mat), b
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_interior_rows_are_the_six_neighbor_stencil(lam):
+    """sqrt(3) times an interior row of the one lattice operator is the
+    classical stencil: 6 + 6 lam h^2 on the diagonal and -1 for each of the
+    six neighbors."""
+    from tridtn.fdgrid import _operator
+
+    m = 8
+    grid, index = TriangularGrid(1.0, m), _node_index(m)
+    zero = tuple(BoundaryTrace.constant(j, 0.0) for j in (1, 2, 3))
+    _, lhs = _operator(dirichlet_problem(lam, TriangleGeometry(1.0), zero), grid, *grid.nodes())
+    rows = lhs.toarray()
+    interior = [node for node in index if not _node_sides(m, *node)]
+    assert len(interior) == 21
+    for i, j in interior:
+        stencil = np.zeros(len(index))
+        stencil[index[i, j]] = 6.0 + 6.0 * lam / m**2
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)):
+            stencil[index[i + di, j + dj]] = -1.0
+        assert np.max(np.abs(math.sqrt(3.0) * rows[index[i, j]] - stencil)) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin"])

@@ -12,6 +12,7 @@ from tridtn.interior import (
     RAY_ARGS,
     RAY_KEEP_MARGIN,
     RAY_ORDER,
+    SYMMETRIC_LAM_MIN,
     InteriorPoint,
     TraceSet,
     fokas_eval,
@@ -19,7 +20,7 @@ from tridtn.interior import (
     ray_lattice,
     symmetric_interior,
 )
-from tridtn.oracle import all_traces, symmetric_corner_compatible
+from tridtn.oracle import ExpAtomSolution, all_traces, symmetric_corner_compatible
 from tridtn.poincare import d_root_set, symmetric_dirichlet_integral
 from tridtn.relations import GlobalRelation
 from tridtn.series import general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
@@ -182,6 +183,26 @@ def test_symmetric_interior_default_order_near_side(geom):
     for z in (geom.inradius - 0.1 + 0.2j, geom.inradius - 0.1 - 0.2j):
         got = symmetric_interior(d[0], lam, z, geometry=geom, n_max=48)
         assert abs(got - sol.q(z)) < 1e-5 * max(1.0, abs(sol.q(z)))
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e-22, 1e-30])
+def test_symmetric_interior_near_lambda_zero(lam, geom):
+    """Below the resonance threshold the mode roots drop the m = 0 pair
+    +-i sqrt(lam), as the series maps do, and the field stays at rounding."""
+    sol = ExpAtomSolution.plane_wave(lam, 2.0 + 0.3j).symmetrized()
+    d, _ = all_traces(sol, geom)
+    z = np.array([0.05 + 0.1j, -0.1 - 0.05j, 0.0, NEAR_VERTEX])
+    got = symmetric_interior(d[0], lam, z, geometry=geom, n_max=48)
+    exact = sol.q(z)
+    assert np.max(np.abs(got - exact) / np.maximum(1.0, np.abs(exact))) < 1e-12
+
+
+def test_symmetric_interior_rejects_lambda_below_its_range(geom):
+    sol = ExpAtomSolution.plane_wave(1e-40, 2.0 + 0.3j).symmetrized()
+    d, _ = all_traces(sol, geom)
+    for lam in (1e-40, 0.5 * SYMMETRIC_LAM_MIN):
+        with pytest.raises(AccuracyError, match=r"below lambda l\^2"):
+            symmetric_interior(d[0], lam, 0.1j, geometry=geom, n_max=48)
 
 
 def test_ray_lattice_covers_truncation():

@@ -425,7 +425,7 @@ def test_folded_contour_trace_matches_unfolded_sum(geom, solver, lam, rng, monke
         data = expression_trace(NON_EVEN, 1, 1.0)
         trace = symmetric_dirichlet_integral(data, lam, 1.0, n_max=4, t_factor=8.0)
         factor, reflect = -1j / (2.0 * np.pi), -1.0
-    offsets, step, lattice, w, k = poincare._ray_grids(lam, 1.0, 8.0, poincare.PANEL_ORDER)
+    offsets, step, lattice, w, k = poincare._ray_grids(lam, 1.0, 8.0)
     assert np.array_equal(captured["k"][: k.size], k.ravel())
     values = captured["values"][: k.size]
     if solver == "symmetric":
@@ -515,7 +515,7 @@ def _general_mixed_problem(geom, lam):
 def test_mixed_inhomogeneity_reflects_onto_the_inner_pieces(geom, lam):
     # X(lambda/conj k) = conj X(k) on the outer ray pieces, which is how
     # mixed_nr_trace fills in the inner ones (at most 1.6e-13 per point)
-    k = poincare._ray_grids(lam, 1.0, 8.0, poincare.PANEL_ORDER)[-1]
+    k = poincare._ray_grids(lam, 1.0, 8.0)[-1]
     elim = ScaledElimination(_general_mixed_problem(geom, lam))
     outer = elim.inhom(k).to_complex()
     inner = elim.inhom(lam / np.conj(k)).to_complex()
@@ -528,7 +528,7 @@ def test_symmetric_integrand_reflects_onto_the_inner_pieces(lam):
     # even (at most 3.6e-14 of the largest value), while the evenness
     # (G/Delta)(-k) = (G/Delta)(k) fails on them at O(1)
     sampler = SideSampler(expression_trace(NON_EVEN, 1, 1.0), Kind.PHI, lam, 1.0)
-    k = poincare._ray_grids(lam, 1.0, 16.0, poincare.PANEL_ORDER)[-1].ravel()
+    k = poincare._ray_grids(lam, 1.0, 16.0)[-1].ravel()
 
     def g_over_delta(points):
         f = poincare.transforms([sampler], _rotations(points))[0]
@@ -579,12 +579,11 @@ def test_residue_circles_are_antisymmetric():
     "call, name",
     [
         (lambda data: symmetric_dirichlet_integral(data, 1.0, 1.0, t_factor=0.4), "t_factor"),
-        (lambda data: symmetric_dirichlet_integral(data, 1.0, 1.0, order=0), "order"),
         (lambda data: symmetric_dirichlet_integral(data, math.nan, 1.0), "lambda"),
         (lambda data: symmetric_dirichlet_integral(data, 1.0, 1.0, n_max=-1), "n_max"),
         (lambda data: d_root_set(1.0, 1.0, -1), "count"),
     ],
-    ids=["t_factor", "order", "nan-lambda", "n_max", "count"],
+    ids=["t_factor", "nan-lambda", "n_max", "count"],
 )
 def test_contour_solvers_check_their_parameters(call, name):
     data = expression_trace("cos(2*pi*s/l)", 1, 1.0)
