@@ -25,8 +25,10 @@ certifies each root of the phase equation, and an argument-principle count
 of its zeros in the mu-plane audits the set.
 For real data both ray integrands reflect under k -> lambda/conj(k), outer
 piece onto inner, so the solvers evaluate the outer pieces only, their
-transforms summed on two base families (``_contour_images``); the mixed
-solve sums the D- residue circles as images of the D+ ones.
+transforms summed on two base families (``_contour_images``).  Residues are
+taken in closed form, never on circles: G/Delta' at the symmetric roots, and
+-acc/prod' of the cycle walk (``ScaledElimination.residues``) at the mixed
+problem's D+ roots and their negatives, the D- roots.
 """
 from __future__ import annotations
 
@@ -56,8 +58,9 @@ T_FACTOR = 40.0
 PANEL_ORDER = 16
 
 #: the lambda l^2 over which ``mixed_nr_trace`` is certified: at count 64 and
-#: T = 40 it errs on |s| <= 0.45 l by at most 2.2e-4 of the largest datum or
-#: exact trace value on the side (criterion-6 fields; 7e-4 at 1e-5)
+#: T = 40 it errs on |s| <= 0.45 l by at most 4.3e-4 (at 3e-4, of 15 values)
+#: of the largest datum or exact trace value on the side (criterion-6 fields;
+#: 7.0e-4 at 1e-5), an error of the contour truncation, not of the residues
 MIXED_LAM_RANGE = (1e-4, 1e3)
 
 
@@ -171,21 +174,22 @@ def _ray_points(t, lam: float):
 _RAY_IMAGES = ((0, 0, 0), (0, 1, 1), (1, 0, 1))
 
 
-def _contour_images(lam, t, slots, own, mirrored=False):
+def _contour_images(lam, t, slots, own=None):
     """The images (``spectral.transforms``) of the points ARG_FACTORS[slot] k
     for each slot in ``slots``, k being the out-up and out-down ray pieces
-    on the Fourier nodes t (a 1-D array), then the points ``own`` and, when
-    ``mirrored``, their negatives.  The ray pieces are images of two base
-    families on t, mu(r(t) e^{i pi/6}) and +i t; each rotation of ``own`` is
-    a base of its own.  k -> -k negates mu."""
+    on the Fourier nodes t (a 1-D array), then the points ``own`` if given.
+    The ray pieces are images of two base families on t, mu(r(t) e^{i pi/6})
+    and +i t; each rotation of ``own`` is a base of its own.  k -> -k
+    negates mu."""
     r = ray_radius(t, lam)
     bases = [(r + lam / r) * (0.5 * SQRT3) + 0.5j * t, 1j * t]
     blocks = []
     for slot in slots:
         family, negate, conjugate = _RAY_IMAGES[slot]
         blocks += [(family, negate, conjugate), (family, 1 - negate, conjugate)]
-        blocks += [(len(bases), 0, 0)] + [(len(bases), 1, 0)] * mirrored
-        bases.append(mu(ARG_FACTORS[slot] * own, lam))
+        if own is not None:
+            blocks.append((len(bases), 0, 0))
+            bases.append(mu(ARG_FACTORS[slot] * own, lam))
     return bases, blocks
 
 
@@ -357,7 +361,7 @@ def _robin_symbol(lam: float) -> SideSymbol:
     return SideSymbol(lam, np.pi / 2.0, math.sqrt(3.0 * lam))
 
 
-def mixed_mode_terms(mu_value, lam: float, side_length: float):
+def mixed_mode_terms(mu_value, lam: float, side_length: float, w=None):
     """The two terms (t1, t2) of the mixed Neumann-Robin mode function
     B = t1 - t2 at mu, elementwise over an array, as ``Scaled`` values.
 
@@ -366,21 +370,17 @@ def mixed_mode_terms(mu_value, lam: float, side_length: float):
     which vanishes iff e^6(k) P_1(ak)/P_1(abk) = 1, the mode condition (the
     Neumann sides have P = -1 and cancel).  B is invariant under
     k -> lambda/k, so it is a function of mu: k is the outer root of
-    k + lambda/k = mu, and w is read from mu itself, not from mu(k).
+    k + lambda/k = mu, and w is read from mu itself, not from mu(k), or
+    given as ``w`` by a caller that knows it up to whole turns 2 pi i.
     """
     k = quadratic_mode_root(mu_value, lam)
     robin = _robin_symbol(lam)
     a, ab = ALPHA * k, ALPHA_BAR * k
-    plus, minus = Scaled.exp_pair(1.5 * mu_value * side_length)
+    plus, minus = Scaled.exp_pair(1.5 * mu_value * side_length if w is None else w)
     return minus * (robin.hbar(a) * robin.h(ab)), plus * (robin.h(a) * robin.hbar(ab))
 
 
-def d_root_set(
-    lam: float,
-    side_length: float,
-    count: int,
-    audit: bool = True,
-) -> ModeRootSet:
+def d_root_set(lam: float, side_length: float, count: int, audit: bool = True) -> ModeRootSet:
     """Certified roots of D(k) = 0 for the mixed Neumann-Robin problem.
 
     Each mode is one mu = k + lambda/k on the imaginary axis, where the mode
@@ -400,24 +400,29 @@ def d_root_set(
     # equation collapses to the strictly increasing phase condition
     # theta(y) = 2 pi m, one root per integer m.  (Continuation in gamma
     # from the Neumann seeds alone misses the pair of modes that enters
-    # through mu = 0, so the phase equation is solved directly.)
-    def phase_step(y):
-        theta = 3.0 * side_length * y + 2.0 * np.arctan(y / rl) + 2.0 * np.arctan(y / (2.0 * rl))
+    # through mu = 0, so the phase equation is solved directly.)  Mode m is
+    # y = 2 pi m/(3 l) + delta, Newton in delta: neither theta - 2 pi m nor
+    # w = 3 mu l/2 = i pi m + (3/2) i l delta is formed from 3 l y.
+    base = 2.0 * np.pi * np.arange(count + 2) / (3.0 * side_length)
+
+    def phase_step(delta):
+        y = base + delta
+        theta = 3.0 * side_length * delta + 2.0 * np.arctan(y / rl) + 2.0 * np.arctan(y / (2.0 * rl))
         dtheta = 3.0 * side_length + 2.0 * rl / (y * y + lam) + 4.0 * rl / (y * y + 4.0 * lam)
-        return (theta - target) / dtheta
+        return theta / dtheta
 
     # theta is odd, so mode -m is mode m negated: solved for m >= 0, the
     # modes m = -count-1..count+1 (whose ends only place the edges of the
-    # audit box) keep the roots of +-m, and their circles, exact negatives
-    target = 2.0 * np.pi * np.arange(count + 2)
-    y, converged = _newton(phase_step, target / (3.0 * side_length), 80, 1e-15)
+    # audit box) keep the roots of +-m exact negatives
+    delta, converged = _newton(phase_step, np.zeros(count + 2), 80, 1e-15)
     if not converged:
         raise RootFindError("phase equation failed to converge")
-    y = np.concatenate([-y[:0:-1], y])
+    m, delta = np.arange(-count - 1, count + 2), np.concatenate([-delta[:0:-1], delta])
+    y = 2.0 * np.pi * m / (3.0 * side_length) + delta
     # an overflow or NaN shows up as a residual that is not <= 1e-12
-    mu_kept = 1j * y[1:-1]
+    mu_kept, w = 1j * y[1:-1], 1j * (np.pi * (m % 2) + 1.5 * side_length * delta)[1:-1]
     with np.errstate(all="ignore"):
-        t1, t2 = mixed_mode_terms(mu_kept, lam, side_length)
+        t1, t2 = mixed_mode_terms(mu_kept, lam, side_length, w)
         resid = np.exp((t1 - t2).abs_log() - np.logaddexp(t1.abs_log(), t2.abs_log()))
     failed = ~(resid <= 1e-12)
     if failed.any():
@@ -428,7 +433,7 @@ def d_root_set(
     half = np.stack([outer, lam / outer], axis=-1)
     half[0, 1] = -outer[0]
     k = np.concatenate([-half[:0:-1], half]).ravel()
-    roots = ModeRootSet.of(k, np.repeat(resid, 2), np.arange(-count, count + 1).repeat(2))
+    roots = ModeRootSet.of(k, np.repeat(resid, 2), m[1:-1].repeat(2))
     if audit:
         edges = (0.5 * (y[0] + y[1]), 0.5 * (y[-2] + y[-1]))
         _audit_root_count(roots.k, lam, side_length, edges)
@@ -462,42 +467,20 @@ def _audit_root_count(ks, lam: float, side_length: float, edges):
         )
 
 
-def root_circle_radius(k0, lam: float, side_length: float):
-    """Safe residue-circle radius around each D-root in ``k0``.
-
-    The mode roots are uniformly spaced in mu; pulling the spacing back
-    through dk/dmu = 1/(1 - lambda/k^2) keeps the circle clear of the
-    neighbouring poles even where the lambda/k branch clusters near zero.
-    """
-    spacing = 2.0 * np.pi / (3.0 * side_length)
-    pullback = np.abs(1.0 - lam / (k0 * k0))
-    return 0.3 * np.minimum(spacing / np.maximum(pullback, 1e-30), np.abs(k0))
-
-
-#: trapezoid nodes per residue circle, an even number
-CIRCLE_NODES = 32
-
-
-def residue_circles(radius):
-    """Offsets radius e^{2 pi i j / CIRCLE_NODES} of the trapezoid nodes on
-    circles of the given radii, shaped (roots, CIRCLE_NODES); the second
-    half of each circle is the first negated, exactly."""
-    half = np.exp(2j * np.pi * np.arange(CIRCLE_NODES // 2) / CIRCLE_NODES)
-    return np.multiply.outer(radius, np.concatenate([half, -half]))
-
-
-def residue_of_inhomogeneity(values: Scaled, offsets):
-    """Residues at the D-roots of the elimination inhomogeneity
-    T/(H_2(ab k) D(k)) from its ``values`` at the roots plus the
-    ``residue_circles`` ``offsets``, by the trapezoid rule (spectrally
-    accurate for simple poles), summed and returned in Scaled arithmetic."""
-    return (values * offsets).sum() / offsets.shape[-1]
+def residue_of_inhomogeneity(elimination: ScaledElimination, k, lam: float) -> Scaled:
+    """Residues of the inhomogeneity T/(H_2(ab k) D(k)) at the D-roots ``k``
+    (``ScaledElimination.residues``); AccuracyError where one is not finite."""
+    res = elimination.residues(k)
+    bad = ~(np.isfinite(res.m) & (res.sigma < np.inf))
+    if bad.any():
+        raise AccuracyError(
+            f"mixed Neumann-Robin residue at k = {k[bad][0]:.6g} not finite, lambda {lam:g}"
+        )
+    return res
 
 
 def mixed_nr_trace(
-    problem: ProblemSpec,
-    count: int = 40,
-    t_factor: float = T_FACTOR,
+    problem: ProblemSpec, count: int = 40, t_factor: float = T_FACTOR
 ) -> ExponentialSumTrace:
     """Dirichlet trace on side 2 of the mixed Neumann-Robin problem.
 
@@ -506,11 +489,11 @@ def mixed_nr_trace(
     the contour integral of the elimination inhomogeneity X with residue sums
     over the certified D-roots in the two half-planes.  X is evaluated on
     the out-up and out-down ray pieces only: the inner pieces read
-    X(lambda/conj k) = conj X(k).  Outside ``MIXED_LAM_RANGE`` of lambda l^2
-    it raises ``AccuracyError``.
+    X(lambda/conj k) = conj X(k).  Its residues are closed-form, from one
+    elimination at all roots.  Outside ``MIXED_LAM_RANGE`` of lambda l^2, or
+    at a residue that is not finite, it raises ``AccuracyError``.
     """
-    lam = problem.lam
-    side_length = problem.geometry.side_length
+    lam, side_length = problem.lam, problem.geometry.side_length
     _validate_mixed(problem)
     lo, hi = MIXED_LAM_RANGE
     scaled_lam = lam * side_length * side_length
@@ -521,22 +504,16 @@ def mixed_nr_trace(
         )
     offsets, step, t, w, k_ray = _ray_grids(lam, side_length, t_factor)
     roots = d_root_set(lam, side_length, count)
-    # the D- roots are the D+ roots negated, and so are their circles, with
-    # the nodes turned by half a circle: -k + c_j = -(k + c_{j + nodes/2})
-    k = roots.k[roots.plus]
-    circle = residue_circles(root_circle_radius(k, lam, side_length))
-    nodes = (k[:, None] + circle).ravel()
-    # both rays and every residue circle in one elimination
-    points = np.concatenate([k_ray.ravel(), nodes, -nodes])
-    images = _contour_images(lam, t.ravel(), (0, 1, 2), nodes, mirrored=True)
-    values = ScaledElimination(problem).inhom(points, images)
-    up, down = values[: k_ray.size].to_complex().reshape(k_ray.shape)
+    elimination = ScaledElimination(problem)
+    # both rays in one elimination, summed on their two base families
+    images = _contour_images(lam, t.ravel(), (0, 1, 2))
+    up, down = elimination.inhom(k_ray.ravel(), images).to_complex().reshape(k_ray.shape)
     # the fold of the four pieces onto t >= 0, closed by X(lambda/conj k) = conj X(k)
     weighted = (w / np.pi) * (up + down.conj())
-    circles = values[k_ray.size :].reshape((2,) + circle.shape)
+    # the D- roots are the D+ roots negated
+    k = roots.k[roots.plus]
     k, sign = np.concatenate([k, -k]), np.repeat([1.0, -1.0], k.size)
-    # around -k the nodes are the negated ones turned by half: minus their sum
-    res = sign * residue_of_inhomogeneity(circles, circle).reshape(-1)
+    res = residue_of_inhomogeneity(elimination, k, lam)
     p1 = _robin_symbol(lam).p(ALPHA * k)
     e6 = Scaled.from_exp(6.0 * mu(sign * 1j * ALPHA * k, lam) * side_length / (2.0 * SQRT3))
     denom = 1.0 + e6 * np.where(sign > 0, 1.0 / p1, p1)

@@ -221,6 +221,22 @@ def walk_cycle(coeffs, rhs):
     return acc, prod
 
 
+def cycle_log_derivative(samplers: ProblemSamplers, k):
+    """d/dk log prod of ``walk_cycle`` at the 1-D array ``k``, the sum over
+    ELIMINATION_CYCLE of d log c[r, nxt] - d log c[r, own]: a coefficient
+    E(s f k) H_j(f k) (s = -i; s = +i and Hbar_j in the conjugate rows) has
+    d log c = (l/(2 sqrt 3)) s f (1 - lambda/(s f k)^2) + f H_j'(f k)/H_j(f k)."""
+    f, s = np.array(ARG_FACTORS)[:, None], np.array([-1j, 1j])[:, None, None, None]
+    dlog = (samplers.side_length / (2.0 * SQRT3)) * s * f * (1.0 - samplers.lam / (s * f * k) ** 2)
+    if samplers.symbols is not None:
+        dlog = dlog + f * np.array(
+            [[sym.dh(f * k) / sym.h(f * k) for sym in samplers.symbols],
+             [sym.dhbar(f * k) / sym.hbar(f * k) for sym in samplers.symbols]]
+        )
+    dlog = np.broadcast_to(dlog, (2, 3, 3, k.size))[_CONJ[:, None], np.arange(3), _SLOTS]
+    return sum(dlog[r, nxt] - dlog[r, own] for r, own, nxt in ELIMINATION_CYCLE)
+
+
 def eliminate_rows(samplers: ProblemSamplers, k):
     """(acc, couplings, prod) with X_2(abar k)(1 - prod) = acc + sum_j
     couplings[j - 1] X_j(k) at every point of the 1-D array ``k``: the data
@@ -268,6 +284,13 @@ class ScaledElimination:
         k = np.asarray(k, dtype=complex)
         acc, prod = walk_cycle(*relation_rows(self._samplers, k.ravel(), images=images))
         return (acc / (1.0 - prod)).reshape(k.shape)
+
+    def residues(self, k) -> Scaled:
+        """The residues -acc/(prod d log prod/dk) of the inhomogeneity at its
+        simple poles ``k`` (a 1-D array), the zeros of 1 - prod."""
+        k = np.asarray(k, dtype=complex)
+        acc, prod = walk_cycle(*relation_rows(self._samplers, k))
+        return -acc / (prod * cycle_log_derivative(self._samplers, k))
 
 
 # -- the 6x9 relation system ----------------------------------------------

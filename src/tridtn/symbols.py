@@ -8,9 +8,8 @@ global relation through
     P(k)    = H(k) / Hbar(k),
 
 where Hbar is the Schwarz conjugate, Hbar(k) = conj(H(conj(k))) for real
-parameters.  H, Hbar and P accept scalars or arrays of k.  Analytic
-k-derivatives are provided for the root finding and residue computations
-downstream.
+parameters.  H, Hbar, P and their analytic k-derivatives accept scalars
+or arrays of k; the residues of the mixed solver read the derivatives.
 """
 from __future__ import annotations
 
@@ -49,17 +48,17 @@ class SideSymbol:
         w = k / self.phase
         return w + self.lam / w - self.gamma
 
-    def dh(self, k: complex) -> complex:
+    def dh(self, k):
         w = k * self.phase
         return self.phase * (1.0 - self.lam / (w * w))
 
-    def dhbar(self, k: complex) -> complex:
+    def dhbar(self, k):
         w = k / self.phase
         return (1.0 - self.lam / (w * w)) / self.phase
 
-    def p(self, k: complex) -> complex:
+    def p(self, k):
         return self.h(k) / self.hbar(k)
 
-    def dp(self, k: complex) -> complex:
+    def dp(self, k):
         hb = self.hbar(k)
         return (self.dh(k) * hb - self.h(k) * self.dhbar(k)) / (hb * hb)

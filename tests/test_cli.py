@@ -248,6 +248,16 @@ def test_mixed_solve_at_large_lambda(tmp_path):
     assert traces.shape == (33, 2) and np.all(np.isfinite(traces))
 
 
+def test_mixed_solve_past_a_thousand_modes(tmp_path):
+    # the phase of each mode root is reduced by its 2 pi m, so truncation
+    # 1100 certifies (it exited 3 with a 1.02e-12 residual); about 50 ms
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, mixed_cfg(1.0))
+    assert main(["solve", "--config", cfg, "--truncation", "1100", "--out", str(out)]) == 0
+    traces = np.loadtxt(out / "traces.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(traces))
+
+
 @pytest.mark.parametrize("lam", [1e-6, 1e6])
 def test_mixed_solve_outside_the_lambda_range_exits_3(tmp_path, capsys, lam):
     out = tmp_path / "o"

@@ -28,9 +28,6 @@ from tridtn.poincare import (
     mixed_mode_terms,
     mixed_nr_trace,
     ray_radius,
-    residue_circles,
-    residue_of_inhomogeneity,
-    root_circle_radius,
     symmetric_dirichlet_integral,
 )
 from tridtn.problems import mixed_nr_problem
@@ -118,16 +115,6 @@ def test_d_root_set_certified_and_audited():
     for ks in labels.values():
         if len(ks) == 2:
             assert abs(ks[0] * ks[1] - 1.0) < 1e-8
-
-
-def test_root_circle_radius_clears_neighbours():
-    roots = list(d_root_set(1.0, 1.0, count=5, audit=False))
-    for root in roots:
-        r = root_circle_radius(root.k, 1.0, 1.0)
-        assert r > 0
-        for other in roots:
-            if other is not root:
-                assert abs(other.k - root.k) > r
 
 
 def test_argument_principle_plain_zero():
@@ -223,7 +210,7 @@ def test_d_root_records(lam):
 
 
 def test_d_root_set_refuses_nan(monkeypatch):
-    def nan_terms(mu_value, lam, side_length):
+    def nan_terms(mu_value, lam, side_length, w=None):
         return Scaled.of(mu_value * np.nan), Scaled.of(mu_value)
 
     monkeypatch.setattr(poincare, "mixed_mode_terms", nan_terms)
@@ -302,31 +289,77 @@ def test_array_inhom_matches_scalar_and_solve(geom, rng):
 def test_mixed_nr_trace_makes_one_inhom_call(geom, monkeypatch):
     _, problem = _mixed_problem(geom)
     calls = []
-    inhom = ScaledElimination.inhom
+    inhom, residues = ScaledElimination.inhom, ScaledElimination.residues
 
-    def counted(self, k, images=None):
-        calls.append(np.shape(k))
+    def counted_inhom(self, k, images=None):
+        calls.append(("inhom", np.shape(k), images is not None))
         return inhom(self, k, images)
 
-    monkeypatch.setattr(ScaledElimination, "inhom", counted)
+    def counted_residues(self, k):
+        calls.append(("residues", np.shape(k)))
+        return residues(self, k)
+
+    monkeypatch.setattr(ScaledElimination, "inhom", counted_inhom)
+    monkeypatch.setattr(ScaledElimination, "residues", counted_residues)
     mixed_nr_trace(problem, count=8, t_factor=4.0)
-    # both rays (their 2 outer pieces of 4 panels of 16 nodes) and every
-    # residue circle
-    assert calls == [(2 * 4 * 16 + 34 * 32,)]
+    # both rays (their 2 outer pieces of 4 panels of 16 nodes), imaged, and
+    # the 2 (2 count + 1) D+ roots and their negatives
+    assert calls == [("inhom", (2 * 4 * 16,), True), ("residues", (2 * (2 * 8 + 1),))]
 
 
-def test_array_residues_match_per_root_trapezoid(geom):
-    _, problem = _mixed_problem(geom)
-    elim = ScaledElimination(problem)
-    k = d_root_set(1.0, 1.0, 6).k
-    radius = root_circle_radius(k, 1.0, 1.0)
-    offsets = residue_circles(radius)
-    got = residue_of_inhomogeneity(elim.inhom(k[:, None] + offsets), offsets).to_complex()
-    nodes = 32
-    for k0, r, val in zip(k, radius, got):
-        offsets = r * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        want = np.sum(elim.inhom(k0 + offsets).to_complex() * offsets) / nodes
-        assert abs(val - want) <= 1e-13 * abs(want)
+def _circle_residues(elim, k, lam, nodes=128):
+    """Residues of the inhomogeneity at the D-roots k by the trapezoid rule
+    on circles clear of the neighbouring roots: the mode spacing 2 pi/(3 l)
+    in mu, pulled back through dk/dmu = 1/(1 - lambda/k^2)."""
+    pullback = np.abs(1.0 - lam / (k * k))
+    radius = 0.3 * np.minimum(2.0 * np.pi / 3.0 / pullback, np.abs(k))
+    offsets = np.multiply.outer(radius, np.exp(2j * np.pi * np.arange(nodes) / nodes))
+    return (elim.inhom(k[:, None] + offsets) * offsets).sum() / nodes
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1.0, 1e3])
+def test_closed_form_residues_match_a_128_node_circle(geom, lam):
+    # at most 7e-13 (lambda 1e3), 5e-14 below
+    elim = ScaledElimination(_mixed_problem(geom, lam)[1])
+    k = d_root_set(lam, 1.0, 16).k
+    got, want = elim.residues(k), _circle_residues(elim, k, lam)
+    assert np.max(np.exp((got - want).abs_log() - want.abs_log())) <= 1e-11
+
+
+def test_closed_form_residues_at_800_modes_stay_scaled(geom):
+    # every 40th root and the D- roots of modes 797-800: the largest
+    # residues overflow a complex (exponents up to 726); compared in Scaled,
+    # 5.4e-12 at most
+    elim = ScaledElimination(_mixed_problem(geom, 1.0)[1])
+    k = d_root_set(1.0, 1.0, 800).k
+    k = np.concatenate([k[::40], k[-4:]])
+    got, want = elim.residues(k), _circle_residues(elim, k, 1.0)
+    assert np.max(got.sigma) > 710.0
+    assert np.max(np.exp((got - want).abs_log() - want.abs_log())) <= 1e-10
+
+
+def test_mixed_nr_trace_refuses_a_residue_that_is_not_finite(geom, monkeypatch):
+    residues = ScaledElimination.residues
+
+    def one_nan(self, k):
+        res = residues(self, k)
+        return Scaled(np.where(np.arange(res.m.size) == 3, np.nan, res.m), res.sigma)
+
+    monkeypatch.setattr(ScaledElimination, "residues", one_nan)
+    with pytest.raises(AccuracyError, match="residue at k = .* not finite, lambda 1"):
+        mixed_nr_trace(_mixed_problem(geom, 1.0)[1], count=4, t_factor=4.0)
+
+
+@pytest.mark.parametrize("lam, bound", [(0.5, 1e-8), (1.0, 5e-10), (2.0, 1e-11)])
+def test_mixed_nr_trace_near_the_centre(geom, lam, bound):
+    # count 64, T 320 on |s| <= 0.3 l, relative to the largest exact value
+    # there: 3.0e-9, 8.1e-11 and 1.0e-12; 32-node residue circles left
+    # 1.3e-8, 6.6e-7 and 1.1e-8
+    sol, problem = _mixed_problem(geom, lam)
+    exact = all_traces(sol, geom)[0][1]
+    s = np.linspace(-0.3, 0.3, 129)
+    got = mixed_nr_trace(problem, count=64, t_factor=320.0).value(s)
+    assert np.max(np.abs(got - exact(s))) <= bound * np.max(np.abs(exact(s)))
 
 
 def _mixed_trace_error(geom, lam, count):
@@ -479,9 +512,9 @@ def test_symmetric_integral_images_match_every_point(geom, lam, monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_mixed_images_match_every_point(geom, lam, monkeypatch):
-    # the transforms of the one elimination of mixed_nr_trace, summed on the
-    # two ray families and the D+ residue circles and unfolded to the D-
-    # circles, against the sums at every point
+    # the transforms of the ray elimination of mixed_nr_trace, summed on the
+    # two ray families, against the sums at every point; the residues sum
+    # theirs at the roots themselves
     calls = []
     transforms = relations.transforms
 
@@ -491,10 +524,11 @@ def test_mixed_images_match_every_point(geom, lam, monkeypatch):
 
     monkeypatch.setattr(relations, "transforms", captured)
     mixed_nr_trace(_mixed_problem(geom, lam)[1], count=4, t_factor=4.0)
-    ((samplers, k, (bases, blocks)),) = calls
-    # per rotation: two ray pieces, the D+ circles and their negatives
-    assert len(blocks) == 3 * 4
-    assert sum(map(len, bases)) == 2 * 4 * poincare.PANEL_ORDER + 3 * 9 * poincare.CIRCLE_NODES
+    ((samplers, k, (bases, blocks)), (_, roots, root_images)) = calls
+    # per rotation: the two ray pieces
+    assert len(blocks) == 3 * 2
+    assert sum(map(len, bases)) == 2 * 4 * poincare.PANEL_ORDER
+    assert roots.shape == (3, 2 * 9) and root_images is None
     got, want = transforms(samplers, k, (bases, blocks)), transforms(samplers, k)
     assert np.all(np.abs(((got - want) / want).to_complex()) <= 1e-11)
 
@@ -556,7 +590,7 @@ def test_symmetric_integral_on_non_even_data(lam):
 
 @pytest.mark.parametrize("lam", [1e-3, 0.5, 1.0, 2.0, 100.0])
 def test_d_roots_of_plus_minus_m_are_exact_negatives(lam):
-    # mixed_nr_trace reads the D- residue circles as images of the D+ ones
+    # mixed_nr_trace takes the D- residues at the D+ roots negated
     roots = d_root_set(lam, 1.0, 16)
     upper, lower = roots.k[roots.plus], roots.k[~roots.plus]
     assert upper.size == lower.size
@@ -565,14 +599,15 @@ def test_d_roots_of_plus_minus_m_are_exact_negatives(lam):
     assert all(label[-k] == -label[k] for k in upper.tolist())
 
 
-def test_residue_circles_are_antisymmetric():
-    radius = np.array([0.3, 1e-3, 7.0])
-    offsets = residue_circles(radius)
-    half = poincare.CIRCLE_NODES // 2
-    assert offsets.shape == (3, 2 * half)
-    assert np.array_equal(offsets[:, half:], -offsets[:, :half])
-    turns = np.exp(2j * np.pi * np.arange(2 * half) / (2 * half))
-    assert np.all(np.abs(offsets - np.multiply.outer(radius, turns)) <= 1e-15 * radius[:, None])
+@pytest.mark.parametrize("count", [2000, 5000])
+@pytest.mark.parametrize("lam", [1.0, 1e3])
+def test_d_root_set_past_a_thousand_modes(lam, count):
+    # each mode is carried as 2 pi m/(3 l) + delta, so its residual stays at
+    # rounding (9.5e-16 at most); with the phase rounded by pi m eps it
+    # exceeded the 1e-12 tolerance from count 1100 (lambda 1) and 1500 (1e3)
+    roots = d_root_set(lam, 1.0, count)
+    assert len(roots) == 2 * (2 * count + 1)
+    assert np.max(roots.residual) <= 1e-14
 
 
 @pytest.mark.parametrize(

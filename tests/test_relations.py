@@ -14,9 +14,12 @@ from tridtn.relations import (
     RELATION_ROWS,
     GlobalRelation,
     ProblemSamplers,
+    cycle_log_derivative,
     eliminate_rows,
     eliminate_second_side,
+    relation_rows,
     relation_system,
+    walk_cycle,
 )
 from tridtn.series import general_dirichlet_dtn, symmetric_dirichlet_dtn
 from tridtn.traces import BoundaryTrace
@@ -210,6 +213,31 @@ def test_scaled_elimination_of_a_dirichlet_problem_matches_the_dense_solve(geom,
         want = eliminate_second_side(problem, k)
         assert abs(got[i] - want.inhom) <= 1e-10 * abs(want.inhom)
         assert np.allclose(coeffs[:, i], want.coeffs, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "mixed"])
+def test_cycle_log_derivative_matches_a_difference_of_the_product(geom, rng, kind):
+    """d log prod/dk of the cycle walk against a fourth-order central
+    difference of prod along k, for the Dirichlet rows (+-i/2) and the
+    Robin/Neumann rows (H_j, Hbar_j)."""
+    sol = manufactured_families(1.0)[0]
+    d, n = all_traces(sol, geom)
+    if kind == "dirichlet":
+        problem = dirichlet_problem(1.0, geom, d)
+    else:
+        robin = poincare_trace(sol, geom, 1, math.pi / 2.0, math.sqrt(3.0))
+        problem = mixed_nr_problem(1.0, geom, robin, n[1], n[2])
+    samplers = ProblemSamplers(problem)
+    k = spectral_points(rng, 16)
+    step = 1e-4 * k
+
+    def prod(z):
+        return walk_cycle(*relation_rows(samplers, z))[1]
+
+    diff = 8.0 * (prod(k + step) - prod(k - step)) - (prod(k + 2 * step) - prod(k - 2 * step))
+    want = (diff / (12.0 * step * prod(k))).to_complex()
+    got = cycle_log_derivative(samplers, k)
+    assert np.max(np.abs(got - want) / np.abs(got)) <= 1e-10  # 5.2e-12 seen
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
