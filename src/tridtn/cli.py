@@ -34,19 +34,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DomainError, NonFiniteError, TriDtnError
+from .errors import ConfigError, DomainError, NonFiniteError, ParameterError, TriDtnError
 from .expressions import expression_trace
 from .fdgrid import TriangularGrid, _check_spacing, fd_solve
 from .geometry import TriangleGeometry
 from .interior import TraceSet, fokas_eval, greens_eval
-from .poincare import mixed_nr_trace, symmetric_dirichlet_integral
+from .poincare import mixed_nr_trace, symmetric_dirichlet_integral, validate_mixed
 from .problems import BCKind, ProblemSpec, SideCondition
 from .relations import GlobalRelation
-from .series import (
-    general_dirichlet_dtn,
-    neumann_to_dirichlet,
-    symmetric_dirichlet_dtn,
-)
+from .series import general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
 from .traces import BoundaryTrace, sample_grid
 
 #: the solvers each subcommand accepts (from --solver or the config key
@@ -194,13 +190,8 @@ def build_problem(cfg: dict) -> ProblemSpec:
     return spec
 
 
-def _is_symmetric(cfg: dict) -> bool:
-    datas = [entry.get("data", "0") for entry in cfg["bc"]]
-    return all(isinstance(d, str) for d in datas) and len(set(datas)) == 1
-
-
 # -- solver dispatch --------------------------------------------------------
-def _solve_traces(spec: ProblemSpec, cfg: dict, solver: str, n: int):
+def _solve_traces(spec: ProblemSpec, solver: str, n: int):
     """Returns (dict side -> computed BoundaryTrace, manifest details); the
     details name the solver that ran."""
     kinds = [side.kind for side in spec.sides]
@@ -209,17 +200,23 @@ def _solve_traces(spec: ProblemSpec, cfg: dict, solver: str, n: int):
         # the mixed problem has one solver, the contour integral, for lam > 0
         if spec.lam == 0.0:
             raise ConfigError("the mixed Neumann-Robin solver needs lam > 0")
+        try:
+            validate_mixed(spec)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
         count = max(n, 8)
         trace = mixed_nr_trace(spec, count=count)
         return {2: trace}, {"solver": "integral", "truncation": count}
     details = {"solver": solver, "truncation": n}
     dirichlet = all(k == BCKind.DIRICHLET for k in kinds)
+    # build_problem gives the sides of one expression text one shared trace
+    symmetric = dirichlet and data[1] is data[0] and data[2] is data[0]
     if solver == "integral":
-        if not (dirichlet and _is_symmetric(cfg)):
+        if not symmetric:
             raise ConfigError("the integral solver needs symmetric Dirichlet data")
         trace = symmetric_dirichlet_integral(data[0], spec.lam, spec.side_length, n_max=n)
         return {1: trace, 2: trace, 3: trace}, details
-    if dirichlet and _is_symmetric(cfg):
+    if symmetric:
         trace = symmetric_dirichlet_dtn(data[0], spec.lam, spec.side_length, n_max=n)
         return {1: trace, 2: trace, 3: trace}, details
     if dirichlet:
@@ -292,7 +289,7 @@ def _full_traces(spec, computed):
     return (found, known) if kinds == {BCKind.NEUMANN} else None
 
 
-def _full_trace_audit(spec, computed, cfg, seed: int):
+def _full_trace_audit(spec, computed, seed: int):
     """Global-relation residual of known data plus computed traces."""
     full = _full_traces(spec, computed)
     if full is None:
@@ -307,11 +304,11 @@ def _full_trace_audit(spec, computed, cfg, seed: int):
 def _cmd_solve(cfg, args):
     spec = build_problem(cfg)
     n = _truncation(cfg, args)
-    computed, details = _solve_traces(spec, cfg, args.solver, n)
+    computed, details = _solve_traces(spec, args.solver, n)
     n_samples = cfg.get("samples", 256)
     s_grid = sample_grid(spec.side_length, n_samples + 1, corner_margin=0.0)
     columns = _trace_values(computed, s_grid)
-    audit = _full_trace_audit(spec, computed, cfg, args.seed)
+    audit = _full_trace_audit(spec, computed, args.seed)
     if audit is not None:
         _finite(audit, "residual audit")
     sides = sorted(columns)
@@ -357,7 +354,7 @@ def _cmd_interior(cfg, args):
     points = points[spec.geometry.boundary_margin(points) >= margin]
     if points.size == 0:
         raise ConfigError("no 'interior.divisions' lattice point lies 'interior.margin' inside")
-    computed, details = _solve_traces(spec, cfg, "series", _truncation(cfg, args))
+    computed, details = _solve_traces(spec, "series", _truncation(cfg, args))
     traces = TraceSet(spec.geometry, *_full_traces(spec, computed))
     evaluator = greens_eval if args.solver == "greens" else fokas_eval
     values = _finite(evaluator(traces, spec.lam, points), "interior values")
@@ -372,7 +369,7 @@ def _cmd_sweep(cfg, args):
     s_grid = sample_grid(spec.side_length, n_samples + 1, corner_margin=0.0)
     runs = {}
     for n in ladder:
-        computed, _ = _solve_traces(spec, cfg, args.solver, n)
+        computed, _ = _solve_traces(spec, args.solver, n)
         runs[n] = _trace_values(computed, s_grid)
     finest = runs[ladder[-1]]
     deltas = {n: max(np.max(np.abs(runs[n][j] - finest[j])) for j in finest) for n in ladder[:-1]}
@@ -383,7 +380,7 @@ def _cmd_sweep(cfg, args):
 def _cmd_oracle(cfg, args):
     spec = build_problem(cfg)
     n = _truncation(cfg, args)
-    computed, details = _solve_traces(spec, cfg, args.solver, n)
+    computed, details = _solve_traces(spec, args.solver, n)
     h = float(cfg.get("oracle", {}).get("h", spec.side_length / 64))
     grid_solution = fd_solve(spec, h)
     margin = float(cfg.get("oracle", {}).get("corner_margin", 0.02)) * spec.side_length

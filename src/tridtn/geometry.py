@@ -113,11 +113,14 @@ class TriangleGeometry:
         return (self.side_point(side, -half), self.side_point(side, half))
 
     # -- point queries ----------------------------------------------------
+    def side_distances(self, z):
+        """Signed distances to sides 1, 2 and 3, stacked on a first axis."""
+        z = np.asarray(z, dtype=complex)
+        return np.stack([self.inradius - np.real(z * np.conj(_side_rot(j))) for j in (1, 2, 3)])
+
     def boundary_margin(self, z):
         """Signed distance to the nearest side (positive strictly inside)."""
-        z = np.asarray(z, dtype=complex)
-        dists = [self.inradius - np.real(z * np.conj(_side_rot(j))) for j in (1, 2, 3)]
-        out = np.minimum(np.minimum(dists[0], dists[1]), dists[2])
+        out = np.min(self.side_distances(z), axis=0)
         return out if out.ndim else float(out)
 
     def contains(self, z, margin: float = 0.0):

@@ -17,7 +17,9 @@ r = sqrt(lam) (``ray_lattice``), where the substitution r -> lam/r of the
 dr/r measure maps each half onto the other.  Every ray reads its side's
 transforms at SIDE_ROT[j] k = -i r, with mu = -i (r - lam/r) conjugated by
 r -> lam/r, so one transform call at the nodes of one half serves every
-ray and every point.  Its spectrum, which does not depend on z (the ray
+ray and every point; ``symmetric_interior`` makes that call, and takes
+the G/Delta' residues, through ``poincare._symmetric_rays``.  Points are
+located by their distances to the sides (``TriangleGeometry.side_distances``).  Its spectrum, which does not depend on z (the ray
 parts, and the mode roots with their residue weights), is kept in the
 ``spectra`` dict of the ``TraceSet`` or data trace it derives from, one
 entry per object, so repeated calls on one object at one lam cost one
@@ -38,12 +40,13 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ParameterError
-from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, TriangleGeometry, mu
-from .poincare import _delta_prime_scaled, _delta_scaled, _symmetric_rays
+from .geometry import ALPHA, ALPHA_BAR, SQRT3, TriangleGeometry, mu
+from .poincare import _symmetric_rays
 from .problems import check_lam
 from .quadrature import QuadratureRule
 from .relations import GlobalRelation
 from .scaledc import Scaled
+from .series import _delta_scaled
 from .spectral import Kind, SideSampler
 
 #: Ray arguments of l_1, l_2, l_3.
@@ -62,27 +65,25 @@ RAY_KEEP_MARGIN = 0.01
 SYMMETRIC_LAM_MIN = 1e-30
 
 
-@dataclass(frozen=True)
-class InteriorPoint:
-    """An evaluation point strictly inside the triangle, or an array of
-    such points with their margins."""
+def _locate(z, geometry: TriangleGeometry):
+    """The evaluation point(s) z, flat, their distances to the three sides,
+    shaped (3, points), and their margins, the nearest of those; DomainError
+    if a point is not strictly inside the triangle."""
+    zs = np.ravel(np.asarray(z, dtype=complex))
+    dist = geometry.side_distances(zs)
+    margins = np.min(dist, axis=0)
+    outside = ~(margins > 0.0)  # NaN points too
+    if outside.any():
+        first = np.argmax(outside)
+        raise DomainError(
+            f"evaluation point {zs[first]} lies outside the triangle (margin {margins[first]:.3e})"
+        )
+    return zs, dist, margins
 
-    z: complex | np.ndarray
-    margin: float | np.ndarray
 
-    @classmethod
-    def locate(cls, z, geometry: TriangleGeometry) -> "InteriorPoint":
-        margin = geometry.boundary_margin(z)
-        outside = np.asarray(margin) <= 0.0
-        if outside.any():
-            first = np.argmax(outside.ravel())
-            raise DomainError(
-                f"evaluation point {np.ravel(z)[first]} lies outside the "
-                f"triangle (margin {np.ravel(margin)[first]:.3e})"
-            )
-        if np.ndim(z):
-            return cls(z=np.asarray(z, dtype=complex), margin=margin)
-        return cls(z=complex(z), margin=float(margin))
+def _shaped(values, z):
+    """``values``, one per point of z, shaped like z, or a float for a scalar z."""
+    return values.reshape(np.shape(z)) if np.ndim(z) else float(values[0])
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,7 @@ def greens_eval(traces: TraceSet, lam: float, z):
     """
     check_lam(lam)
     geom = traces.geometry
-    point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
-    zs, margins = np.asarray(point.z).ravel(), np.asarray(point.margin).ravel()
+    zs, _, margins = _locate(z, geom)
     if (margins < 1e-3 * geom.side_length).any():
         raise AccuracyError(
             "evaluation point is too close to the boundary for the "
@@ -156,7 +156,7 @@ def greens_eval(traces: TraceSet, lam: float, z):
             integrand = kval * qn[j - 1][nodes] - qd[j - 1][nodes] * dk
             total = total + np.sum(rule.weights * integrand, axis=1)
         out[pick] = total / (2.0 * math.pi)
-    return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])
+    return _shaped(out, z)
 
 
 # -- the ray representation ------------------------------------------------
@@ -182,27 +182,25 @@ def ray_lattice(lam: float, side_length: float, reach: float, order: int = RAY_O
 
 
 def _ray_spectrum(store: dict, geom: TriangleGeometry, z, lam: float, order: int, build, *extra):
-    """The located point(s) z, as an InteriorPoint and flat, the spectrum
-    (edges, radii, weights, *build(radii, weights)) of a ``ray_lattice`` out
-    to at least the largest reach 36/d_j over the points and the rays j (d_j
-    the distance from z to side j), and the number of its panels that each
-    ray (rows) reads for each point.  ``store`` keeps one spectrum, under
+    """The point(s) z, flat (``_locate``), the spectrum (edges, radii,
+    weights, *build(radii, weights)) of a ``ray_lattice`` out to at least the
+    largest reach 36/d_j over the points and the rays j (d_j the distance
+    from z to side j), and the number of its panels that each ray (rows)
+    reads for each point.  ``store`` keeps one spectrum, under
     (lam, l, order, *extra); it is reused while it covers the reach, and
     otherwise built on this call's lattice and kept in its place unless a
     point lies within RAY_KEEP_MARGIN l of a side."""
     check_lam(lam, positive=True)
-    point = z if isinstance(z, InteriorPoint) else InteriorPoint.locate(z, geom)
-    zs = np.ravel(point.z)
-    dist = np.stack([geom.inradius - (zs * np.conj(SIDE_ROT[j])).real for j in (1, 2, 3)])
+    zs, dist, margins = _locate(z, geom)
     reach, key = 36.0 / dist, (lam, geom.side_length, order, *extra)
     spectrum = store.get(key)
     if spectrum is None or spectrum[0][-1] < np.max(reach):
         edges, r, w = ray_lattice(lam, geom.side_length, np.max(reach), order)
         spectrum = (edges, r, w, *build(r, w))
-        if np.min(dist) >= RAY_KEEP_MARGIN * geom.side_length:
+        if np.min(margins) >= RAY_KEEP_MARGIN * geom.side_length:
             store.clear()
             store[key] = spectrum
-    return point, zs, spectrum, np.maximum(1, np.searchsorted(spectrum[0][:-1], reach))
+    return zs, spectrum, np.maximum(1, np.searchsorted(spectrum[0][:-1], reach))
 
 
 def _ray_phase(k, z, lam) -> Scaled:
@@ -247,10 +245,9 @@ def fokas_eval(traces: TraceSet, lam: float, z):
         images = ((-1j * (r[0] - lam / r[0]).ravel(),), ((0, 0, 0), (0, 0, 1)))
         return (relation.rhos(-1j * r, images),)
 
-    point, zs, spectrum, counts = _ray_spectrum(traces.spectra, geom, z, lam, RAY_ORDER, build)
+    zs, spectrum, counts = _ray_spectrum(traces.spectra, geom, z, lam, RAY_ORDER, build)
     _, r, w, rhos = spectrum
-    out = _ray_integrals(zs, lam, r, w, counts, rhos).real
-    return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])
+    return _shaped(_ray_integrals(zs, lam, r, w, counts, rhos).real, z)
 
 
 # -- the symmetric Dirichlet problem ---------------------------------------
@@ -287,8 +284,8 @@ def symmetric_interior(
     def build(r, w):
         sampler = SideSampler(f, Kind.PHI, lam, side_length)
         # F(-i r) on both halves: mu = -i t at rho and +i t at lam/rho
-        roots, up, down, g_roots, f_ray = _symmetric_rays(
-            sampler, (r[0] - lam / r[0]).ravel(), n_max, -1j * r.ravel(), [(1, 1, 0), (1, 0, 0)]
+        roots, up, down, residues, f_ray = _symmetric_rays(
+            sampler, (r[0] - lam / r[0]).ravel(), n_max, r
         )
         k = roots.k
         up, down, f_ray = up.reshape(w.shape), down.reshape(w.shape), f_ray.reshape(r.shape)
@@ -298,8 +295,7 @@ def symmetric_interior(
         ray2, ray3 = np.stack([up, -up.conj()]), np.stack([-down.conj(), down])
         parts = (env * f_ray, env * (f_ray + ray2), env * (f_ray + ray3))
         # residue weights of the mode roots s_n
-        dprime = _delta_prime_scaled(k, lam, side_length)
-        denom = k * dprime * _delta_scaled(ALPHA_BAR * k, lam, side_length)
+        denom = k * _delta_scaled(ALPHA_BAR * k, lam, side_length)
         # E^2(w) = exp(mu(w) l / sqrt(3)): E^2(i k) on s_n^+, the mean of
         # E^2(i alpha k) and E^2(i alpha_bar k) on s_n^- (the two halves agree,
         # and average exactly, on s_n^+)
@@ -308,11 +304,10 @@ def symmetric_interior(
             Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA * k), lam) * short)
             + Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA_BAR * k), lam) * short)
         )
-        return parts, k, env * g_roots / denom
+        return parts, k, env * residues / denom
 
-    point, zs, spectrum, counts = _ray_spectrum(f.spectra, geom, z, lam, order, build, n_max)
+    zs, spectrum, counts = _ray_spectrum(f.spectra, geom, z, lam, order, build, n_max)
     _, r, w, parts, k, residues = spectrum
     total = _ray_integrals(zs, lam, r, w, counts, parts)
     terms = _ray_phase(k, zs[:, None], lam) * residues
-    out = (total + np.sum(terms.to_complex(), axis=1)).real
-    return out.reshape(np.shape(point.z)) if np.ndim(point.z) else float(out[0])
+    return _shaped((total + np.sum(terms.to_complex(), axis=1)).real, z)

@@ -26,9 +26,10 @@ of its zeros in the mu-plane audits the set.
 For real data both ray integrands reflect under k -> lambda/conj(k), outer
 piece onto inner, so the solvers evaluate the outer pieces only, their
 transforms summed on two base families (``_contour_images``).  Residues are
-taken in closed form, never on circles: G/Delta' at the symmetric roots, and
--acc/prod' of the cycle walk (``ScaledElimination.residues``) at the mixed
-problem's D+ roots and their negatives, the D- roots.
+taken in closed form, never on circles: G/Delta' at the symmetric roots
+(``_symmetric_rays``, for this module and ``interior``), and -acc/prod' of
+the cycle walk (``ScaledElimination.residues``) at the mixed problem's D+
+roots and their negatives, the D- roots.
 """
 from __future__ import annotations
 
@@ -39,12 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ParameterError, RootFindError
-from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
+from .geometry import ALPHA, ALPHA_BAR, SQRT3, exp_e, mu
 from .problems import BCKind, ProblemSpec, check_lam
 from .quadrature import QuadratureRule
 from .relations import ARG_FACTORS, ScaledElimination  # callers patch ScaledElimination here
 from .scaledc import Scaled
 from .series import RESONANCE_RTOL, _newton, _rotations, _series_mode_roots, quadratic_mode_root
+from .series import _delta_scaled, _symmetric_g  # G and Delta, owned by series
 from .spectral import Kind, SideSampler, transforms
 from .symbols import SideSymbol
 from .traces import ExponentialSumTrace
@@ -117,19 +119,6 @@ def ray_radius(t, lam: float):
         return np.where(t < 0.0, 2.0 * lam / (root - t), 0.5 * (t + root))
 
 
-def contour_nodes(side_length: float, t_factor: float = T_FACTOR):
-    """Gauss-Legendre panels of width step = 2 pi / l on [0, T], T = t_factor
-    step, as a lattice: offsets (one panel's nodes), step, and the nodes
-    t[p, j] = offsets[j] + p step and their weights, shaped (panels,
-    PANEL_ORDER)."""
-    if not t_factor > 0.5:  # round(t_factor) panels, at least one
-        raise ParameterError(f"t_factor must exceed 0.5, got {t_factor}")
-    step = 2.0 * np.pi / side_length
-    rule = QuadratureRule.panels((0.0, step), PANEL_ORDER)
-    t = rule.nodes + step * np.arange(int(round(t_factor)))[:, None]
-    return rule.nodes, step, t, np.broadcast_to(rule.weights, t.shape)
-
-
 def _taper(x):
     """C-infinity rolloff: 1 for x <= 1/2, 0 for x >= 1, smooth between.
 
@@ -147,9 +136,12 @@ def _taper(x):
 
 
 def _ray_grids(lam: float, side_length: float, t_factor: float):
-    """Offsets, step, the ``contour_nodes`` lattice t and its tapered
-    weights, and the points k of the Fourier nodes t and -t on the two rays
-    (``_ray_points``), shaped (2, panels, PANEL_ORDER).
+    """The contour lattice and its ray points: Gauss-Legendre panels of width
+    step = 2 pi / l on [0, T], T = t_factor step, as offsets (one panel's
+    nodes), step, the nodes t[p, j] = offsets[j] + p step and their tapered
+    weights, shaped (panels, PANEL_ORDER), and the points k of the Fourier
+    nodes t and -t on the two rays (``_ray_points``), shaped (2, panels,
+    PANEL_ORDER).
 
     For lam > 0 each ray covers the whole t-line (the radius r(t) runs over
     all of (0, inf) as t does over R): its inner pieces, -t on the upper ray
@@ -157,9 +149,13 @@ def _ray_grids(lam: float, side_length: float, t_factor: float):
     the solvers fill their integrands in by reflection.  At lam = 0, r(t) = t
     and the upper ray only reaches t >= 0, the lower only t <= 0.
     """
-    offsets, step, t, w = contour_nodes(side_length, t_factor)
-    w = w * _taper(t / (t_factor * 2.0 * np.pi / side_length))
-    return offsets, step, t, w, _ray_points(t, lam)
+    if not t_factor > 0.5:  # round(t_factor) panels, at least one
+        raise ParameterError(f"t_factor must exceed 0.5, got {t_factor}")
+    step = 2.0 * np.pi / side_length
+    rule = QuadratureRule.panels((0.0, step), PANEL_ORDER)
+    t = rule.nodes + step * np.arange(int(round(t_factor)))[:, None]
+    w = rule.weights * _taper(t / (t_factor * 2.0 * np.pi / side_length))
+    return rule.nodes, step, t, w, _ray_points(t, lam)
 
 
 def _ray_points(t, lam: float):
@@ -194,27 +190,6 @@ def _contour_images(lam, t, slots, own=None):
 
 
 # -- symmetric Dirichlet ---------------------------------------------------
-def _delta_scaled(k, lam, side_length) -> Scaled:
-    """Delta(k) = e(k) - e(-k)."""
-    plus, minus = Scaled.exp_pair(mu(k, lam) * (side_length / 2.0))
-    return plus - minus
-
-
-def _delta_prime_scaled(k, lam, side_length) -> Scaled:
-    half = side_length / 2.0
-    plus, minus = Scaled.exp_pair(mu(k, lam) * half)
-    return half * (1.0 - lam / (k * k)) * (plus + minus)
-
-
-def _symmetric_g(f, k, lam, side_length) -> Scaled:
-    """G(k) = (e(ab k) + e(-ab k)) F(k) + (e(k) + e(-k)) F(ab k) + 2 F(a k),
-    from ``f``, the transforms F at ``_rotations(k)``."""
-    half = side_length / 2.0
-    ab_plus, ab_minus = Scaled.exp_pair(mu(ALPHA_BAR * k, lam) * half)
-    plus, minus = Scaled.exp_pair(mu(k, lam) * half)
-    return (ab_plus + ab_minus) * f[0] + (plus + minus) * f[1] + 2.0 * f[2]
-
-
 def dirichlet_mode_roots(lam: float, side_length: float, n_max: int) -> ModeRootSet:
     """The roots s_n of e^2(k) = 1 (mu = 2 pi i n / l), both branches where
     distinct; at lambda = 0 the inner one is k = 0.  n = 0 has no roots at
@@ -229,23 +204,30 @@ def dirichlet_mode_roots(lam: float, side_length: float, n_max: int) -> ModeRoot
     return ModeRootSet.of(k, resid, n)
 
 
-def _symmetric_rays(sampler: SideSampler, t, n_max: int, extra_k=(), extra_blocks=()):
+def _symmetric_rays(sampler: SideSampler, t, n_max: int, radii=None):
     """The symmetric Dirichlet problem's mode roots (``dirichlet_mode_roots``),
     G/Delta on the out-up and out-down ray pieces of the Fourier nodes t (a
-    1-D array), G at the roots, and the transforms at the points ``extra_k``,
-    given as ``extra_blocks`` on the ray bases (``_contour_images``), all
+    1-D array), the residues G/Delta' at the roots and, given the ``radii``
+    r and lambda/r of the nodes (r - lambda/r = t), F(-i r) at both: all
     from one ``transforms`` call of ``sampler``."""
     lam, side_length = sampler.lam, sampler.side_length
     roots = dirichlet_mode_roots(lam, side_length, n_max)
-    k_ray = _ray_points(t, lam)
-    points = np.concatenate([k_ray.ravel(), roots.k])
-    bases, blocks = _contour_images(lam, t, (0, 2, 1), roots.k)
-    f_points = np.concatenate([_rotations(points).ravel(), extra_k])
-    f = transforms([sampler], f_points, (bases, blocks + list(extra_blocks)))[0]
+    k_ray, k = _ray_points(t, lam), roots.k
+    points = np.concatenate([k_ray.ravel(), k])
+    bases, blocks = _contour_images(lam, t, (0, 2, 1), k)
+    f_points = _rotations(points).ravel()
+    if radii is not None:
+        f_points = np.concatenate([f_points, -1j * np.ravel(radii)])
+        blocks += [(1, 1, 0), (1, 0, 0)]
+    f = transforms([sampler], f_points, (bases, blocks))[0]
     g = _symmetric_g(f[: 3 * points.size].reshape((3, -1)), points, lam, side_length)
     gd = g[: k_ray.size] / _delta_scaled(k_ray.ravel(), lam, side_length)
     up, down = gd.to_complex().reshape(k_ray.shape)
-    return roots, up, down, g[k_ray.size :], f[3 * points.size :]
+    # Delta'(k) = (l/2) (1 - lambda/k^2) (e(k) + e(-k))
+    half = side_length / 2.0
+    plus, minus = Scaled.exp_pair(mu(k, lam) * half)
+    residues = g[k_ray.size :] / (half * (1.0 - lam / (k * k)) * (plus + minus))
+    return roots, up, down, residues, f[3 * points.size :]
 
 
 def symmetric_dirichlet_integral(
@@ -275,7 +257,7 @@ def symmetric_dirichlet_integral(
 
     # G on the two rays (whose Gauss nodes avoid t = 0, so k = 0 too) and at
     # the mode roots, in one evaluation
-    roots, up, down, g_roots, _ = _symmetric_rays(sampler, t.ravel(), n_max)
+    roots, up, down, residues, _ = _symmetric_rays(sampler, t.ravel(), n_max)
     k = roots.k
     # the fold of the four pieces onto t >= 0, closed by (G/Delta)(lambda/conj k)
     # = -conj (G/Delta)(k); the two half-covers at lambda = 0 sum the same
@@ -285,11 +267,10 @@ def symmetric_dirichlet_integral(
     # lambda = 0 only the outer root of each mode is left and counts twice
     fold = 1.0 if lam > 0 else 2.0
     sign = np.where(roots.plus, -1.0, 1.0)
-    dprime = _delta_prime_scaled(k, lam, side_length)
     m_ab = mu(ALPHA_BAR * k, lam)
     denom = 1.0 - Scaled.from_exp(-sign * m_ab * side_length)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2
-    coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * g_roots / (dprime * denom)
+    coeffs = (fold * sign * 1j * ALPHA_BAR * fac) * residues / denom
     return ExponentialSumTrace(1, offsets, step, weighted, m_ab, coeffs)
 
 
@@ -301,33 +282,26 @@ def closed_form_elimination(symbols, k, lam: float, side_length: float):
     Verification mirror of the numeric route: the eliminated relation reads
     D(k) H_2(ab k) Y_2(ab k) = sum_j Gamma_j(k) H_j(k) Y_j(k) + T(k) + C(k).
     """
-    e = lambda kk: np.exp(mu(kk, lam) * side_length / 2.0)
     a, ab = ALPHA * k, ALPHA_BAR * k
+    e_k, e_mk, e_ab, e_mab = (exp_e(x, lam, side_length) for x in (k, -k, ab, -ab))
     pk = [sym.p(k) for sym in symbols]
     pa = [sym.p(a) for sym in symbols]
     pab = [sym.p(ab) for sym in symbols]
     d = (pab[0] / (pa[1] * pa[2])) * (
-        e(-k) ** 3 - e(k) ** 3 * (pa[0] * pa[1] * pa[2]) / (pab[0] * pab[1] * pab[2])
+        e_mk**3 - e_k**3 * (pa[0] * pa[1] * pa[2]) / (pab[0] * pab[1] * pab[2])
     )
-    g1 = (1.0 / pk[0]) * (
-        e(-ab) - e(-k) ** 2 * e(ab) * pk[0] * pab[0] / (pa[1] * pa[2])
+    g1 = (1.0 / pk[0]) * (e_mab - e_mk**2 * e_ab * pk[0] * pab[0] / (pa[1] * pa[2]))
+    g2 = (e_mk**2 * pab[0] / (pk[1] * pa[1])) * (
+        e_mab - e_k**4 * e_ab * pk[1] * pa[1] / (pab[0] * pab[2])
     )
-    g2 = (
-        e(-k) ** 2
-        * pab[0]
-        / (pk[1] * pa[1])
-        * (e(-ab) - e(k) ** 4 * e(ab) * pk[1] * pa[1] / (pab[0] * pab[2]))
-    )
-    g3 = (
-        e(k) ** 2
-        * pa[0]
-        / (pk[2] * pab[2])
-        * (e(-ab) - e(-k) ** 2 * e(ab) * pk[2] * pab[2] / (pa[0] * pa[1]))
+    g3 = (e_k**2 * pa[0] / (pk[2] * pab[2])) * (
+        e_mab - e_mk**2 * e_ab * pk[2] * pab[2] / (pa[0] * pa[1])
     )
     return d, (g1, g2, g3)
 
 
-#: the most points a winding count samples its contour at
+#: the most points a winding count samples its contour at, unless one
+#: doubling of its first sampling needs more
 MAX_WINDING_POINTS = 1 << 18
 
 
@@ -335,12 +309,13 @@ def argument_principle_count(func, box, samples_per_edge: int = 400) -> int:
     """Number of zeros of ``func`` (analytic, no poles) inside the rectangle
     ``box`` = (re_min, re_max, im_min, im_max): its winding number along the
     edges from n = ``samples_per_edge`` points per edge, n doubled until no
-    argument step exceeds pi/2 (one beyond pi aliases), up to
-    ``MAX_WINDING_POINTS`` points."""
+    argument step exceeds pi/2 (one beyond pi aliases), up to the larger of
+    ``MAX_WINDING_POINTS`` points and one doubling of the first 4 n."""
     re0, re1, im0, im1 = box
     corners = np.array([complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)])
     steps = np.roll(corners, -1) - corners
     n = samples_per_edge
+    budget = max(MAX_WINDING_POINTS, 8 * n)
     while True:
         path = (corners[:, None] + steps[:, None] * (np.arange(n) / n)).ravel()
         vals = np.asarray(func(path), dtype=complex)
@@ -350,7 +325,7 @@ def argument_principle_count(func, box, samples_per_edge: int = 400) -> int:
         d = (np.diff(args, append=args[:1]) + np.pi) % (2.0 * np.pi) - np.pi
         if np.max(np.abs(d)) <= np.pi / 2.0:
             return int(round(np.sum(d) / (2.0 * np.pi)))
-        if 2 * vals.size > MAX_WINDING_POINTS:
+        if 2 * vals.size > budget:
             raise RootFindError(f"argument-principle contour unresolved at {vals.size} points")
         n *= 2
 
@@ -494,7 +469,7 @@ def mixed_nr_trace(
     at a residue that is not finite, it raises ``AccuracyError``.
     """
     lam, side_length = problem.lam, problem.geometry.side_length
-    _validate_mixed(problem)
+    validate_mixed(problem)
     lo, hi = MIXED_LAM_RANGE
     scaled_lam = lam * side_length * side_length
     if not lo <= scaled_lam <= hi:
@@ -522,7 +497,8 @@ def mixed_nr_trace(
     return ExponentialSumTrace(2, offsets, step, weighted, mu(ALPHA_BAR * k, lam), coeffs)
 
 
-def _validate_mixed(problem: ProblemSpec):
+def validate_mixed(problem: ProblemSpec):
+    """ParameterError unless ``mixed_nr_trace`` solves ``problem``."""
     lam = problem.lam
     check_lam(lam, positive=True)
     sides = problem.sides

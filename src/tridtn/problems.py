@@ -27,6 +27,10 @@ from .symbols import SideSymbol
 from .traces import BoundaryTrace
 
 
+#: tolerance of the beta offsets in units of pi/3 and of the gamma constraints
+ADMISSIBILITY_TOL = 1e-10
+
+
 class BCKind(str, Enum):
     DIRICHLET = "dirichlet"
     NEUMANN = "neumann"
@@ -99,7 +103,7 @@ class ProblemSpec:
     def side(self, j: int) -> SideCondition:
         return self.sides[j - 1]
 
-    def admissibility(self, tol: float = 1e-10) -> AdmissibilityReport:
+    def admissibility(self) -> AdmissibilityReport:
         """Check the solvability and corner-cancellation conditions."""
         if self.is_dirichlet:
             return AdmissibilityReport(True, True, 0, 0, ())
@@ -110,7 +114,7 @@ class ProblemSpec:
         def step(delta, label):
             ratio = delta / (math.pi / 3.0)
             nearest = round(ratio)
-            if abs(ratio - nearest) > tol:
+            if abs(ratio - nearest) > ADMISSIBILITY_TOL:
                 violations.append(f"{label}: beta offset {delta} is not a multiple of pi/3")
                 return None
             return nearest
@@ -124,11 +128,11 @@ class ProblemSpec:
 
         if n_step is not None:
             lhs = math.sin(3.0 * b1) * (cubic(g2) - (-1.0) ** n_step * cubic(g1))
-            if abs(lhs) > tol * scale:
+            if abs(lhs) > ADMISSIBILITY_TOL * scale:
                 violations.append(f"gamma constraint on sides 1/2 violated ({lhs:.3e})")
         if m_step is not None:
             lhs = math.sin(3.0 * b1) * (cubic(g3) - (-1.0) ** m_step * cubic(g1))
-            if abs(lhs) > tol * scale:
+            if abs(lhs) > ADMISSIBILITY_TOL * scale:
                 violations.append(f"gamma constraint on sides 1/3 violated ({lhs:.3e})")
 
         corner = (

@@ -62,9 +62,6 @@ class Scaled:
         other = _coerce(other)
         return Scaled(self.m / other.m, self.sigma - other.sigma)
 
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
     def __neg__(self):
         return Scaled(-self.m, self.sigma)
 
@@ -85,10 +82,6 @@ class Scaled:
 
     def __rsub__(self, other):
         return _coerce(other) + (-self)
-
-    def conj(self) -> "Scaled":
-        """Complex conjugate (sigma is real)."""
-        return Scaled(np.conj(self.m), self.sigma)
 
     def normalized(self) -> "Scaled":
         """Fold the mantissa magnitude into sigma, leaving the larger

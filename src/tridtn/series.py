@@ -10,7 +10,9 @@ roots of
 (the period-l problems use only m = 3n).  Three maps are provided:
 
 * ``symmetric_dirichlet_dtn`` -- identical Dirichlet data on the three
-  sides; the common Neumann trace is a period-l series.
+  sides; the common Neumann trace is a period-l series, (2i/l) G/Delta(ab k)
+  at the roots s_n.  G(k) and Delta(k) = e(k) - e(-k) are formed here only
+  (``_symmetric_g``, ``_delta_scaled``), and ``poincare`` reads them too.
 * ``general_dirichlet_dtn`` -- arbitrary Dirichlet data; the three Neumann
   traces share one period-3l coefficient sequence M(k_m), distributed to
   the sides by cube-root-of-unity chain weights.
@@ -110,31 +112,37 @@ def _finalize(side, side_length, modes, coeffs) -> ExponentialSumTrace:
     return ExponentialSumTrace(side, np.zeros(1), step, weighted, free, Scaled.of(free), imbalance)
 
 
-def _mode_roots(lam: float, period: float, m_max: int):
-    """Labels m = -m_max..m_max, the mask of the modes that have a root and
-    those roots, k + lambda/k = 2 pi i m / period.  At lambda = 0 the m = 0
-    mode has none (its coefficient is fixed to zero by the callers)."""
-    m = np.arange(-m_max, m_max + 1)
-    live = (m != 0) | (lam != 0.0)
-    return m, live, quadratic_mode_root(2j * np.pi * m[live] / period, lam)
-
-
 def _series_mode_roots(lam: float, side_length: float, period: float, m_max: int):
-    """``_mode_roots`` for the series maps and the symmetric mode roots of
-    ``poincare.dirichlet_mode_roots``, which take the m = 0 mode as at
-    lambda = 0 also once its w = mu(alpha_bar k_0) l/2 = sqrt(3 lambda) l/2
-    falls below RESONANCE_RTOL: its denominator, 2 sinh(w), is then a
-    removable zero, and the coefficient has reached its lambda = 0 value to
-    within that threshold."""
+    """Labels m = -m_max..m_max, the mask of the live modes and their roots
+    k + lambda/k = 2 pi i m / period, for the series maps and
+    ``poincare.dirichlet_mode_roots``.  The m = 0 mode has none at lambda = 0
+    (the callers fix its coefficient to zero), nor once its w =
+    mu(alpha_bar k_0) l/2 = sqrt(3 lambda) l/2 falls below RESONANCE_RTOL:
+    its denominator, 2 sinh(w), is then a removable zero, and the
+    coefficient is at its lambda = 0 value to within that threshold."""
     # No other mode denominator vanishes: at the outer root k of k + lambda/k
     # = iy, Re mu(alpha_bar k) = sign(y) (sqrt(3)/2) sqrt(y^2 + 4 lambda) (+ at
     # y = 0), so |Re w| >= pi/(2 sqrt 3) for m != 0, where the general maps'
     # alpha_bar^m e(alpha_bar k) - e(-alpha_bar k) is at least 0.83 of its
     # scale and the symmetric map's sinh(w) at least 0.49.
-    m, live, k = _mode_roots(lam, period, m_max)
-    if math.sqrt(3.0 * lam) * (side_length / 2.0) < RESONANCE_RTOL:
-        k, live = k[m[live] != 0], live & (m != 0)
-    return m, live, k
+    m = np.arange(-m_max, m_max + 1)
+    live = (m != 0) | (math.sqrt(3.0 * lam) * (side_length / 2.0) >= RESONANCE_RTOL)
+    return m, live, quadratic_mode_root(2j * np.pi * m[live] / period, lam)
+
+
+def _delta_scaled(k, lam, side_length) -> Scaled:
+    """Delta(k) = e(k) - e(-k)."""
+    plus, minus = Scaled.exp_pair(mu(k, lam) * (side_length / 2.0))
+    return plus - minus
+
+
+def _symmetric_g(f, k, lam, side_length) -> Scaled:
+    """G(k) = (e(ab k) + e(-ab k)) F(k) + (e(k) + e(-k)) F(ab k) + 2 F(a k),
+    from ``f``, the transforms F at ``_rotations(k)``."""
+    half = side_length / 2.0
+    ab_plus, ab_minus = Scaled.exp_pair(mu(ALPHA_BAR * k, lam) * half)
+    plus, minus = Scaled.exp_pair(mu(k, lam) * half)
+    return (ab_plus + ab_minus) * f[0] + (plus + minus) * f[1] + 2.0 * f[2]
 
 
 def symmetric_dirichlet_dtn(
@@ -145,20 +153,18 @@ def symmetric_dirichlet_dtn(
     ``data`` is the common Dirichlet trace f(s) (must be continuous across
     the corners, f(-l/2) = f(l/2)).  Returns the common Neumann trace as a
     period-l Fourier series (modes are multiples of three in the shared
-    period-3l labelling).
+    period-3l labelling), whose coefficient at the root s_n is
+    (2i/l) G(s_n)/Delta(alpha_bar s_n).
     """
     check_lam(lam)
     sampler = SideSampler(data, Kind.PHI, lam, side_length)
     # at lambda = 0 the mean of the Neumann trace vanishes by the divergence
     # theorem: the n = 0 coefficient is zero
     n, live, s_n = _series_mode_roots(lam, side_length, side_length, n_max)
-    w = mu(ALPHA_BAR * s_n, lam) * (side_length / 2.0)
-    plus, minus = Scaled.exp_pair(w)
-    sinh, cosh = 0.5 * (plus - minus), 0.5 * (plus + minus)
-    f_k, f_ab, f_a = sampler.eval_scaled(_rotations(s_n))
-    g = 2.0 * cosh * f_k + (2.0 * np.exp(1j * np.pi * n[live])) * f_ab + 2.0 * f_a
+    g = _symmetric_g(sampler.eval_scaled(_rotations(s_n)), s_n, lam, side_length)
+    delta = _delta_scaled(ALPHA_BAR * s_n, lam, side_length)
     coeffs = np.zeros(n.shape, dtype=complex)
-    coeffs[live] = ((1j / side_length) * g / sinh).to_complex()
+    coeffs[live] = ((2j / side_length) * g / delta).to_complex()
     return _finalize(1, side_length, 3 * n, coeffs)
 
 
@@ -192,8 +198,6 @@ def general_dirichlet_dtn(
     m = 0 mode at lambda = 0, the m = 0 coefficient, the total Neumann flux,
     is zero.
     """
-    if len(data) != 3:
-        raise ParameterError("expected one Dirichlet trace per side")
     return _chain_series(dirichlet_problem(lam, TriangleGeometry(side_length), data), m_max)
 
 
@@ -211,8 +215,6 @@ def neumann_to_dirichlet(
     the rounding of the flux; just above it, ``_check_flux`` raises
     ``AccuracyError`` while that rounding still moves the mean.
     """
-    if len(data) != 3:
-        raise ParameterError("expected one Neumann trace per side")
     return _chain_series(neumann_problem(lam, TriangleGeometry(side_length), data), m_max)
 
 
@@ -315,8 +317,6 @@ def robin_moment(
     where the q_j are the unknown Dirichlet traces of the oblique Robin
     problem with common (beta, gamma) and data triple ``data``.
     """
-    if len(data) != 3:
-        raise ParameterError("expected one data trace per side")
     sides = tuple(SideCondition(BCKind.POINCARE, t, beta=beta, gamma=gamma) for t in data)
     problem = ProblemSpec(lam, TriangleGeometry(side_length), sides)
     k = robin_mode_root(m, lam, side_length, beta, gamma)

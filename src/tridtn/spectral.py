@@ -282,20 +282,16 @@ def _series_labels(trace, side_length: float):
 def _exponential_legendre(trace, column: str, side_length: float):
     """Legendre coefficients in s/(l/2), complex, of the exponential sum
     that ``trace.exponentials(column)`` gives, on a side of length l."""
-    pieces = trace.exponentials(column)
+    (lattice_rates, lattice), (rates, free) = trace.exponentials(column)
     labels = _series_labels(trace, side_length)
     if labels is not None:
-        return series_legendre(labels, pieces[0][1])
-    z = [rates * (side_length / 2.0) for rates, _ in pieces]
-    # the table carries e^{-|Re z|}, so the weights take e^{|Re z|}
-    weights = [
-        Scaled(w.m, w.sigma + np.abs(zj.real)).to_complex()
-        if isinstance(w, Scaled)
-        else w * np.exp(np.abs(zj.real))
-        for zj, (_, w) in zip(z, pieces)
-    ]
-    z = np.concatenate(z)
-    return _rayleigh(_bessel_table(z) @ np.concatenate(weights))
+        return series_legendre(labels, lattice)
+    z_free = rates * (side_length / 2.0)
+    # the table carries e^{-|Re z|}, so the weights take e^{|Re z|}: 1 on the
+    # lattice, whose rates are i t
+    free = Scaled(free.m, free.sigma + np.abs(z_free.real)).to_complex()
+    z = np.concatenate([lattice_rates * (side_length / 2.0), z_free])
+    return _rayleigh(_bessel_table(z) @ np.concatenate([lattice, free]))
 
 
 # -- one Legendre series per trace --------------------------------------------

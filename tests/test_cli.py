@@ -284,6 +284,94 @@ def test_mixed_solve_at_lambda_zero_is_config_error(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gamma", [0.0, -math.sqrt(3.0)], ids=["zero", "negative"])
+@pytest.mark.parametrize("command", ["solve", "sweep", "oracle"])
+def test_mixed_config_the_solver_cannot_take_is_config_error(tmp_path, monkeypatch, capsys, command, gamma):
+    # Robin gamma = 0 and -sqrt(3 lam) pass the admissibility check, but the
+    # mixed solver takes only +sqrt(3 lam): bad input, refused before solving
+    import tridtn.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the mixed solve ran")
+
+    monkeypatch.setattr(cli, "mixed_nr_trace", no_solve)
+    cfg = mixed_cfg(1.0)
+    cfg["bc"][0]["gamma"] = gamma
+    cfg.update(sweep=[4, 8], oracle={"h": 1.0 / 16})
+    code, lines, out = _run_one_line(tmp_path, capsys, cfg, command)
+    assert code == 2 and lines[0].startswith("config error:"), lines
+    assert "gamma = sqrt(3 lambda) on side 1" in lines[0], lines
+    assert not out.exists()
+
+
+DIRICHLET_ZERO = {"kind": "dirichlet", "data": "0"}
+
+
+def _bc(*entries):
+    return lambda cfg: {**cfg, "bc": list(entries)}
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("solve", lambda cfg: [cfg], "config root must be an object"),
+        ("solve", lambda cfg: {k: v for k, v in cfg.items() if k != "lam"}, "required key 'lam'"),
+        ("solve", lambda cfg: {k: v for k, v in cfg.items() if k != "side_length"}, "'side_length'"),
+        ("solve", lambda cfg: {k: v for k, v in cfg.items() if k != "bc"}, "required key 'bc'"),
+        ("sweep", lambda cfg: {**cfg, "sweep": [8]}, "at least two truncations"),
+        ("solve", _bc({"data": "0"}, DIRICHLET_ZERO, DIRICHLET_ZERO), "side 1: each bc entry needs a 'kind'"),
+        ("solve", _bc(DIRICHLET_ZERO, {"kind": "cauchy"}, DIRICHLET_ZERO), "side 2: unknown bc kind"),
+        ("solve", _bc(DIRICHLET_ZERO, {"kind": "neumann"}, DIRICHLET_ZERO), "mixed Dirichlet/derivative"),
+        (
+            "solve",
+            _bc({"kind": "neumann"}, {"kind": "robin", "gamma": math.sqrt(3.0)}, {"kind": "neumann"}),
+            "unsupported side-condition combination: neumann, robin, neumann",
+        ),
+        ("verify", lambda cfg: cfg, "verify needs a 'complement'"),
+    ],
+    ids=["root-list", "no-lam", "no-side-length", "no-bc", "sweep-of-one", "no-kind", "unknown-kind",
+         "dirichlet-and-neumann", "neumann-robin-neumann", "verify-no-complement"],
+)
+def test_refused_config_exits_2_with_one_line(tmp_path, capsys, command, edit, message):
+    code, lines, out = _run_one_line(tmp_path, capsys, edit(sym_dirichlet_cfg(truncation=8)), command)
+    assert code == 2 and lines[0].startswith("config error:") and message in lines[0], lines
+    assert not out.exists()
+
+
+def _spy_on_series_maps(monkeypatch):
+    """The names of the series maps that the CLI calls, in call order."""
+    import tridtn.cli as cli
+
+    ran = []
+    for name in ("symmetric_dirichlet_dtn", "general_dirichlet_dtn"):
+        def spy(*args, _name=name, _map=getattr(cli, name), **kwargs):
+            ran.append(_name)
+            return _map(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    return ran
+
+
+def test_one_expression_text_on_every_side_runs_the_symmetric_map(tmp_path, monkeypatch, capsys):
+    # sides with one expression text share one trace, which is what makes
+    # the data symmetric
+    ran = _spy_on_series_maps(monkeypatch)
+    code, _, _ = _run_one_line(tmp_path, capsys, sym_dirichlet_cfg(truncation=8))
+    assert code == 0 and ran == ["symmetric_dirichlet_dtn"]
+
+
+def test_equal_valued_but_differently_written_data_run_the_general_map(tmp_path, monkeypatch, capsys):
+    ran = _spy_on_series_maps(monkeypatch)
+    cfg = sym_dirichlet_cfg(truncation=8)
+    cfg["bc"][1]["data"] = "cos(2*pi*s/l) + 0"
+    code, _, _ = _run_one_line(tmp_path / "series", capsys, cfg)
+    assert code == 0 and ran == ["general_dirichlet_dtn"]
+    cfg["solver"] = "integral"
+    code, lines, out = _run_one_line(tmp_path / "integral", capsys, cfg)
+    assert code == 2 and "integral solver needs symmetric Dirichlet data" in lines[0], lines
+    assert not out.exists() and ran == ["general_dirichlet_dtn"]
+
+
 @pytest.mark.parametrize("data, side_length", [("cos(2*pi*s/l)", 1e300), ("10^400", 1.0)])
 def test_expression_overflow_names_the_side(tmp_path, capsys, data, side_length):
     # an overflowing power is inf, as in numpy, so the failure is reported

@@ -53,6 +53,11 @@ def test_boundary_margin_and_contains(geom):
     assert not geom.contains(geom.z1 * 1.01)
     for j in (1, 2, 3):
         assert abs(geom.boundary_margin(geom.side_point(j, 0.1))) < 1e-14
+        assert abs(geom.side_distances(geom.side_point(j, 0.1))[j - 1]) < 1e-14
+    z = np.array([0.0, 0.1 + 0.05j, -0.2 - 0.1j, geom.z1 * 1.01])
+    dist = geom.side_distances(z)
+    assert dist.shape == (3, z.size)
+    assert np.array_equal(np.min(dist, axis=0), geom.boundary_margin(z))
 
 
 def test_invalid_side_length():

@@ -13,7 +13,6 @@ from tridtn.interior import (
     RAY_KEEP_MARGIN,
     RAY_ORDER,
     SYMMETRIC_LAM_MIN,
-    InteriorPoint,
     TraceSet,
     fokas_eval,
     greens_eval,
@@ -42,11 +41,22 @@ def interior_points(geom, rng, count, margin=0.1):
     return out
 
 
-def test_interior_point_locate(geom):
-    p = InteriorPoint.locate(0.05 + 0.02j, geom)
-    assert p.margin > 0
-    with pytest.raises(DomainError):
-        InteriorPoint.locate(1.0 + 1.0j, geom)
+def test_evaluators_refuse_an_outside_point(geom):
+    sol = manufactured_families(1.0)[0]
+    traces = TraceSet(geom, *all_traces(sol, geom))
+    data = expression_trace("cos(2*pi*s/l)", 1, geom.side_length)
+    for evaluate in (
+        lambda z: greens_eval(traces, 1.0, z),
+        lambda z: fokas_eval(traces, 1.0, z),
+        lambda z: symmetric_interior(data, 1.0, z, geom),
+    ):
+        assert math.isfinite(evaluate(0.05 + 0.02j))
+        for z in (1.0 + 1.0j, complex(math.nan, 0.0)):
+            with pytest.raises(DomainError, match="outside"):
+                evaluate(z)
+        # one point outside refuses the whole array
+        with pytest.raises(DomainError, match="outside"):
+            evaluate(np.array([0.05 + 0.02j, 1.01 * geom.side_point(2, 0.1)]))
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])

@@ -599,12 +599,15 @@ def test_d_roots_of_plus_minus_m_are_exact_negatives(lam):
     assert all(label[-k] == -label[k] for k in upper.tolist())
 
 
-@pytest.mark.parametrize("count", [2000, 5000])
-@pytest.mark.parametrize("lam", [1.0, 1e3])
+@pytest.mark.parametrize(
+    "lam, count", [(1.0, 2000), (1.0, 5000), (1e3, 2000), (1e3, 5000), (1e-4, 4500), (0.1, 5000)]
+)
 def test_d_root_set_past_a_thousand_modes(lam, count):
     # each mode is carried as 2 pi m/(3 l) + delta, so its residual stays at
     # rounding (9.5e-16 at most); with the phase rounded by pi m eps it
-    # exceeded the 1e-12 tolerance from count 1100 (lambda 1) and 1500 (1e3)
+    # exceeded the 1e-12 tolerance from count 1100 (lambda 1) and 1500 (1e3).
+    # At small lambda the audit needs one doubling of its first 4 samples per
+    # mode and edge, past MAX_WINDING_POINTS from count 4500
     roots = d_root_set(lam, 1.0, count)
     assert len(roots) == 2 * (2 * count + 1)
     assert np.max(roots.residual) <= 1e-14

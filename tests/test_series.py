@@ -5,10 +5,10 @@ import pytest
 
 import tridtn.series as series
 from tridtn.errors import ParameterError, SolvabilityError
-from tridtn.geometry import ALPHA_BAR, SQRT3, mu
+from tridtn.geometry import ALPHA_BAR, SQRT3, TriangleGeometry, mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
 from tridtn.poincare import PANEL_ORDER, symmetric_dirichlet_integral
-from tridtn.problems import BCKind, SideCondition
+from tridtn.problems import BCKind, ProblemSpec, SideCondition, dirichlet_problem
 from tridtn.series import (
     general_dirichlet_dtn,
     neumann_to_dirichlet,
@@ -196,6 +196,46 @@ def test_sin_beta_zero_rejected():
         SideCondition(BCKind.POINCARE, data[0], beta=0.0)
     with pytest.raises(ParameterError):
         robin_moment(1, data, 1.0, 1.0, beta=0.0, gamma=0.0)
+
+
+ZEROS = tuple(BoundaryTrace.zero(j) for j in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SideCondition(BCKind.NEUMANN, ZEROS[0], gamma=1.0), "gamma = 0"),
+        (lambda: SideCondition(BCKind.ROBIN, ZEROS[0], beta=1.0, gamma=1.0), "beta = pi/2"),
+        (lambda: SideCondition(BCKind.DIRICHLET, ZEROS[0]).symbol(1.0), "no H symbol"),
+        (lambda: dirichlet_problem(1.0, TriangleGeometry(), ZEROS[:2]), "three side"),
+        (
+            lambda: ProblemSpec(
+                1.0,
+                TriangleGeometry(),
+                tuple(map(SideCondition, ("dirichlet", "neumann", "neumann"), ZEROS)),
+            ),
+            "mixed Dirichlet",
+        ),
+        (lambda: general_dirichlet_dtn(ZEROS[:2], 1.0, 1.0), "three side"),
+        (lambda: neumann_to_dirichlet(ZEROS[:2], 1.0, 1.0), "three side"),
+        (lambda: robin_moment(1, ZEROS[:2], 1.0, 1.0, beta=np.pi / 2.0, gamma=0.0), "three side"),
+    ],
+    ids=["neumann-gamma", "robin-beta", "dirichlet-symbol", "two-sides", "dirichlet-and-neumann",
+         "general-two-traces", "neumann-two-traces", "robin-two-traces"],
+)
+def test_refused_problems_raise_parameter_error(build, match):
+    # the series maps leave the count of sides to ProblemSpec
+    with pytest.raises(ParameterError, match=match):
+        build()
+
+
+def test_beta_offset_off_the_pi_over_3_lattice_is_inadmissible():
+    betas = (np.pi / 2.0, np.pi / 2.0 + 0.3, np.pi / 2.0)
+    sides = tuple(SideCondition(BCKind.POINCARE, t, beta=b) for t, b in zip(ZEROS, betas))
+    report = ProblemSpec(1.0, TriangleGeometry(), sides).admissibility()
+    assert not report.admissible and report.n_step is None and report.m_step == 0
+    assert len(report.violations) == 1
+    assert report.violations[0].startswith("beta_2 - beta_1") and "multiple of pi/3" in report.violations[0]
 
 
 def test_sample_grid_margins():
