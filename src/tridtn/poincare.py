@@ -20,7 +20,9 @@ the mode roots in each half-plane.  Two entry points:
 
 Mode roots are found for all modes at once and kept as arrays
 (``ModeRootSet``), certified by defining-equation residuals.  The mixed
-problem's mode condition is one function of mu (``mixed_mode_terms``): it
+problem's mode condition is one function of mu (``mixed_mode_terms``, in
+plain complex arithmetic, as its e^{+-w} has |Re w| <= 3/4 wherever it is
+read): it
 certifies each root of the phase equation, and an argument-principle count
 of its zeros in the mu-plane audits the set.
 For real data both ray integrands reflect under k -> lambda/conj(k), outer
@@ -28,8 +30,9 @@ piece onto inner, so the solvers evaluate the outer pieces only, their
 transforms summed on two base families (``_contour_images``).  Residues are
 taken in closed form, never on circles: G/Delta' at the symmetric roots
 (``_symmetric_rays``, for this module and ``interior``), and -acc/prod' of
-the cycle walk (``ScaledElimination.residues``) at the mixed problem's D+
-roots and their negatives, the D- roots.
+the cycle walk (``ScaledElimination.residues``, closed-form exponents and
+plain complex mantissas) at the mixed problem's D+ roots and their
+negatives, the D- roots.
 """
 from __future__ import annotations
 
@@ -338,7 +341,7 @@ def _robin_symbol(lam: float) -> SideSymbol:
 
 def mixed_mode_terms(mu_value, lam: float, side_length: float, w=None):
     """The two terms (t1, t2) of the mixed Neumann-Robin mode function
-    B = t1 - t2 at mu, elementwise over an array, as ``Scaled`` values.
+    B = t1 - t2 at mu, elementwise over an array, as complex values.
 
     Clearing the P-ratio poles of D(k) leaves
     B = e^{-w} Hbar_1(ak) H_1(abk) - e^{w} H_1(ak) Hbar_1(abk), w = 3 mu l/2,
@@ -347,12 +350,15 @@ def mixed_mode_terms(mu_value, lam: float, side_length: float, w=None):
     k -> lambda/k, so it is a function of mu: k is the outer root of
     k + lambda/k = mu, and w is read from mu itself, not from mu(k), or
     given as ``w`` by a caller that knows it up to whole turns 2 pi i.
+    Both callers keep |Re w| <= 3/4, so e^{+-w} needs no exponent:
+    ``d_root_set`` passes w on the imaginary axis, and its audit box has
+    |Re mu| l <= 1/2.
     """
     k = quadratic_mode_root(mu_value, lam)
     robin = _robin_symbol(lam)
     a, ab = ALPHA * k, ALPHA_BAR * k
-    plus, minus = Scaled.exp_pair(1.5 * mu_value * side_length if w is None else w)
-    return minus * (robin.hbar(a) * robin.h(ab)), plus * (robin.h(a) * robin.hbar(ab))
+    plus = np.exp(1.5 * mu_value * side_length if w is None else w)
+    return robin.hbar(a) * robin.h(ab) / plus, plus * (robin.h(a) * robin.hbar(ab))
 
 
 def d_root_set(lam: float, side_length: float, count: int, audit: bool = True) -> ModeRootSet:
@@ -394,11 +400,10 @@ def d_root_set(lam: float, side_length: float, count: int, audit: bool = True) -
         raise RootFindError("phase equation failed to converge")
     m, delta = np.arange(-count - 1, count + 2), np.concatenate([-delta[:0:-1], delta])
     y = 2.0 * np.pi * m / (3.0 * side_length) + delta
-    # an overflow or NaN shows up as a residual that is not <= 1e-12
+    # a NaN shows up as a residual that is not <= 1e-12
     mu_kept, w = 1j * y[1:-1], 1j * (np.pi * (m % 2) + 1.5 * side_length * delta)[1:-1]
-    with np.errstate(all="ignore"):
-        t1, t2 = mixed_mode_terms(mu_kept, lam, side_length, w)
-        resid = np.exp((t1 - t2).abs_log() - np.logaddexp(t1.abs_log(), t2.abs_log()))
+    t1, t2 = mixed_mode_terms(mu_kept, lam, side_length, w)
+    resid = np.abs(t1 - t2) / (np.abs(t1) + np.abs(t2))
     failed = ~(resid <= 1e-12)
     if failed.any():
         raise RootFindError(f"D-root residual {np.max(resid[failed]):.2e} above tolerance")
@@ -426,14 +431,10 @@ def _audit_root_count(ks, lam: float, side_length: float, edges):
         raise RootFindError("D-roots do not pair up as (k, lambda/k)")
     modes = pairs.size // 2
 
-    def mode_function(z):
-        t1, t2 = mixed_mode_terms(z, lam, side_length)
-        # winding only needs the phase, which the mantissa carries
-        return (t1 - t2).m
-
     # each vertical edge carries about pi of phase per mode: at 4 samples per
     # mode no step comes near 2 pi, which would pass as a small one
     box = (-0.5 / side_length, 0.5 / side_length, *edges)
+    mode_function = lambda z: np.subtract(*mixed_mode_terms(z, lam, side_length))  # noqa: E731
     got = argument_principle_count(mode_function, box, max(400, 4 * modes))
     if got != modes:
         raise RootFindError(

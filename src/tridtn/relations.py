@@ -14,18 +14,20 @@ Schwarz-conjugate relation (valid for real data) replaces E(-i .) by
 E(+i .), i/2 by -i/2, H by Hbar, C by Cbar and rotates with (1, alpha,
 alpha_bar).  Both families at k, alpha k, alpha_bar k are the six rows of
 RELATION_ROWS, in the nine unknowns X_j at the three rotated arguments.
-``relation_rows`` assembles them at arrays of k in ``Scaled`` arithmetic,
-and ``walk_cycle`` eliminates the six unknowns at alpha k and alpha_bar k
+``relation_rows`` assembles them at arrays of k as ``Scaled`` rows, each
+exponent in closed form and each mantissa a plain complex array, and
+``walk_cycle`` eliminates the six unknowns at alpha k and alpha_bar k
 along ELIMINATION_CYCLE, expressing X_2(alpha_bar k) through the three
-X_j(k).  Every user reads these two: the inhomogeneity of the contour
-solvers (``ScaledElimination``), the moments that the series maps and the
-oblique Robin modes read at mode roots (``mode_moment``), and the 6x9
-system (``relation_system``), whose dense solve (``eliminate_second_side``)
-is the reference for the walk.
+X_j(k): a cumulative sum of exponents and a cumulative product of
+mantissas over the cycle, and one rescaled sum of its six terms.  Every
+user reads these two: the inhomogeneity of the contour solvers
+(``ScaledElimination``), the moments that the series maps and the oblique
+Robin modes read at mode roots (``mode_moment``), and the 6x9 system
+(``relation_system``), whose dense solve (``eliminate_second_side``) is
+the reference for the walk.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,7 @@ from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, mu
 from .problems import ProblemSpec, check_lam
 from .scaledc import Scaled
 from .spectral import Kind, SideSampler, transforms
+from .symbols import symbol_slopes, symbol_values
 
 
 # -- rho functions and the residual audit ----------------------------------
@@ -141,9 +144,8 @@ ELIMINATION_CYCLE = _elimination_cycle(RELATION_ROWS)
 
 # -- one assembly of the six rows, one walk of their cycle ------------------
 _CONJ = np.array([int(row.conj) for row in RELATION_ROWS])
-#: the unknown slot of each row's side-j term, and where that slot is k itself
+#: the unknown slot of each row's side-j term
 _SLOTS = np.array([[u for _, _, u in row.terms] for row in RELATION_ROWS])
-_AT_K = _SLOTS == 0
 
 
 class ProblemSamplers:
@@ -151,7 +153,10 @@ class ProblemSamplers:
     of its unknowns: PHI of Dirichlet data, with the unknowns PSI_j at +-i/2,
     or PSI of Poincare data, whose transform F_j is ``scale[j - 1]`` PSI_j
     with scale 1/(2 sin beta_j), with the unknowns Y_j at H_j (Hbar_j in the
-    conjugate rows).  ``symbols`` is None for a Dirichlet problem."""
+    conjugate rows).  The coefficients are ``symbols.symbol_values`` of
+    ``turns`` and ``gammas``, shaped for (family, side, slot, point): turns
+    e^{i beta_j} (e^{-i beta_j} in the conjugate family) and gammas gamma_j,
+    or for a Dirichlet problem turns 0 and gammas -+i/2."""
 
     def __init__(self, problem: ProblemSpec):
         self.problem = problem
@@ -159,48 +164,85 @@ class ProblemSamplers:
         dirichlet = problem.is_dirichlet
         kind = Kind.PHI if dirichlet else Kind.PSI
         self.data = [SideSampler(side.data, kind, self.lam, self.side_length) for side in problem.sides]
-        self.symbols = None if dirichlet else [side.symbol(self.lam) for side in problem.sides]
-        self.scale = np.array(
-            [1.0 if dirichlet else 0.5 / math.sin(side.beta) for side in problem.sides]
-        )
+        beta, gamma = np.array([(side.beta, side.gamma) for side in problem.sides]).T
+        self.scale = np.ones(3) if dirichlet else 0.5 / np.sin(beta)
+        turn = np.zeros(3) if dirichlet else np.exp(1j * beta)
+        self.turns = np.stack([turn, turn.conj()])[:, :, None, None]
+        self.gammas = (np.array([[-0.5j], [0.5j]]) if dirichlet else gamma)[..., None, None]
+
+
+#: the (family, side, slot) of each row's three terms: it gathers (2, 3, 3, N)
+#: arrays, base and conjugate family by side and unknown slot, into rows
+_PICK = (_CONJ[:, None], np.arange(3), _SLOTS)
+
+#: the floor of a term's exponent below the largest in a sum: e^-600 =
+#: 2.6e-261 is far below the rounding of the sum, and the floor keeps exp()
+#: and the products with small mantissas off their slow underflow path
+_FLOOR = -600.0
+
+#: points per block of the row assembly: its (2, 3, 3, block) temporaries
+#: stay in cache, and its peak memory, page faults included, stays small
+_BLOCK = 2048
+
+
+def _prefactors(args, lam, side_length):
+    """lambda/a at the arguments ``args`` = ARG_FACTORS k (conj(f) lambda/k,
+    as |f| = 1), shaped (3, N), and the prefactors E(-i a) of the base rows
+    and E(+i a) of the conjugate rows as unit phases and real exponents,
+    shaped (2, 1, 3, N): with nu = (a - lambda/a) l/(2 sqrt 3),
+    mu(-+i a) l/(2 sqrt 3) = -+i nu, so E(-i a) = e^{Im nu} e^{-i Re nu}
+    and E(+i a) = 1/E(-i a)."""
+    inv = np.conj(ARG_FACTORS)[:, None] * (lam / args[0])
+    nu = (args - inv) * (side_length / (2.0 * SQRT3))
+    phase = np.exp(-1j * nu.real)
+    return inv, np.array([phase, phase.conj()])[:, None], np.array([nu.imag, -nu.imag])[:, None]
+
+
+def _rescaled_sum(m, sigma, axis=0):
+    """The sum of the terms m e^sigma along ``axis`` as the mantissa and
+    exponent of one Scaled value, each term rescaled to the largest exponent
+    at its point; ``m`` and ``sigma`` are overwritten."""
+    top = sigma.max(axis=axis, keepdims=True)
+    m *= np.exp(np.maximum(sigma - top, _FLOOR, out=sigma), out=sigma)
+    return m.sum(axis=axis), top.squeeze(axis)
 
 
 def relation_rows(samplers: ProblemSamplers, k, corner_values=None, images=None):
     """The six global-relation rows at every point of the 1-D array ``k``,
-    in exponent-carrying arithmetic: row r of RELATION_ROWS reads
+    in exponent-carrying form: row r of RELATION_ROWS reads
 
         sum_j coeffs[r, j - 1] X_j(f_rj k) = rhs[r],
 
     f_rj the factor of its side-j term, with ``coeffs`` of shape (6, 3, N)
-    and ``rhs`` of shape (6, N).  Each term carries the prefactor E(-i f_rj k)
-    (E(+i f_rj k) in the conjugate rows); the right side holds minus the data
+    and ``rhs`` of shape (6, N), both ``Scaled``.  Each term carries the
+    prefactor E(-i f_rj k) (E(+i f_rj k) in the conjugate rows), whose
+    exponent, closed-form (``_prefactors``), is the coefficient's; a data
+    term adds the transform's.  The right side holds minus the data
     transforms, plus the corner terms when ``corner_values`` gives each
-    side's (q(-l/2), q(l/2)).  ``images`` names the points ARG_FACTORS k,
-    in that order, as ``spectral.transforms`` does."""
-    lam, l = samplers.lam, samplers.side_length
+    side's (q(-l/2), q(l/2)), summed at the largest of their exponents.
+    ``images`` names the points ARG_FACTORS k, in that order, as
+    ``spectral.transforms`` does."""
+    l, n = samplers.side_length, k.size
     args = np.multiply.outer(ARG_FACTORS, k)
-    # the six prefactors, E(-i a) and E(+i a) at a = ARG_FACTORS[slot] k
-    pref = Scaled.from_exp(mu(np.multiply.outer((-1j, 1j), args), lam) * (l / (2.0 * SQRT3)))
-    known = transforms(samplers.data, args, images) * samplers.scale[:, None, None]
-    conj, sides = _CONJ[:, None], np.arange(3)
-    pref = pref[conj, _SLOTS]
-    if samplers.symbols is None:
-        coeffs = pref * np.where(_CONJ, -0.5j, 0.5j)[:, None, None]
-    else:
-        h = np.array(
-            [[(sym.hbar if c else sym.h)(args) for sym in samplers.symbols] for c in (0, 1)]
-        )
-        coeffs = pref * h[conj, sides, _SLOTS]
-    terms = pref * known[sides, _SLOTS]
-    if corner_values is not None:
-        # C_j(a) = (e^{+-i beta_j}/(2 sin beta_j)) [e(-a) q_j(-l/2) - e(a) q_j(l/2)]
-        q = np.asarray(corner_values, dtype=float)[:, :, None, None]
-        plus, minus = Scaled.exp_pair(mu(args, lam) * (l / 2.0))
-        edges = minus * q[:, 0] - plus * q[:, 1]
-        beta = np.array([side.beta for side in samplers.problem.sides])
-        phase = np.exp(np.multiply.outer((1j, -1j), beta)) * samplers.scale
-        terms = terms + pref * (phase[:, :, None, None] * edges)[conj, sides, _SLOTS]
-    return coeffs, -(terms[:, 0] + terms[:, 1] + terms[:, 2])
+    known = transforms(samplers.data, args, images)
+    inv, phase, sigma = _prefactors(args, samplers.lam, l)
+    coeffs = Scaled(np.empty((6, 3, n), dtype=complex), sigma[_CONJ[:, None], 0, _SLOTS])
+    rhs = Scaled(np.empty((6, n), dtype=complex), np.empty((6, n)))
+    for at in (np.s_[..., i : i + _BLOCK] for i in range(0, n, _BLOCK)):
+        coeffs.m[at] = (symbol_values(samplers.turns, samplers.gammas, args[at], inv[at]) * phase[at])[_PICK]
+        terms = Scaled(phase[at] * known.m[at] * -samplers.scale[:, None, None], sigma[at] + known.sigma[at])
+        if corner_values is not None:
+            # C_j(a) = (e^{+-i beta_j}/(2 sin beta_j)) [e(-a) q_j(-l/2) - e(a) q_j(l/2)]
+            plus, minus = Scaled.exp_pair((args[at] + inv[at]) * (l / 2.0))
+            q = np.asarray(corner_values, dtype=float)[:, :, None, None]
+            edges = Scaled(phase[at], sigma[at]) * (minus * q[:, 0] - plus * q[:, 1])
+            terms = terms - edges * (samplers.turns * samplers.scale[:, None, None])
+        rhs.m[at], rhs.sigma[at] = _rescaled_sum(terms.m[_PICK], terms.sigma[_PICK], axis=1)
+    return coeffs, rhs
+
+
+#: ELIMINATION_CYCLE as arrays: the rows, their own terms, their next terms
+_ROWS, _OWN, _NEXT = np.array(ELIMINATION_CYCLE).T
 
 
 def walk_cycle(coeffs, rhs):
@@ -212,29 +254,53 @@ def walk_cycle(coeffs, rhs):
         X_2(abar k) (1 - prod) = acc,
 
     the terms of the unknowns at k left in ``rhs``.  ``rhs`` stacks any
-    number of right-hand sides, shape (6, ...) broadcasting against k."""
-    prod, acc = Scaled.of(1.0), Scaled.of(0.0)
-    for r, own, nxt in ELIMINATION_CYCLE:
-        c_self = coeffs[r, own]
-        acc = acc + prod * (rhs[r] / c_self)
-        prod = prod * (-(coeffs[r, nxt] / c_self))
-    return acc, prod
+    number of right-hand sides, shape (6, ...) broadcasting against k.
+
+    The walk is a cumulative product of the step ratios -c[r, nxt]/c[r, own],
+    mantissas and exponents apart, and one rescaled sum of its six terms.
+    The mantissas stay in the double range.  A coefficient is E(s a) H_j(a),
+    a = f k (+-i/2 in place of H_j in Dirichlet rows), with |E| carried in
+    the exponent, so its mantissa is a unit phase times H_j(a), and that of
+    a step ratio is a unit phase times H_j(a)/H_i(a'), where every argument
+    has the modulus |k|.  As H_j(w) = w e^{i beta_j} + (lambda/w)
+    e^{-i beta_j} - gamma_j, each |H| is at most |k| + lambda/|k| + |gamma|,
+    and a ratio tends to a unit phase for |k| >> sqrt(lambda) + |gamma| and
+    for lambda/|k| >> |k| + |gamma|.  So a product of six
+    ratios leaves [1e-300, 1e300] only where some |H_i(a')| falls to about
+    1e-50 of that bound, within that relative distance of a zero of a
+    symbol, where the row no longer determines its unknown.  A term of
+    ``acc`` is a product of at most five ratios times a right-hand mantissa
+    (a transform mantissa, at most the data's scale, times a unit phase)
+    over a coefficient mantissa, and the sum rescales each term by
+    e^{sigma - top} <= 1."""
+    inv, c_s = 1.0 / coeffs.m[_ROWS, _OWN], coeffs.sigma[_ROWS, _OWN]
+    # prod before each step and after the last
+    prod_m = np.cumprod(np.concatenate([np.ones_like(inv[:1]), coeffs.m[_ROWS, _NEXT] * -inv]), axis=0)
+    prod_s = np.cumsum(np.concatenate([np.zeros_like(c_s[:1]), coeffs.sigma[_ROWS, _NEXT] - c_s]), axis=0)
+    # a row's term of acc: prod before its step times its right side over its own coefficient
+    lead = (slice(None),) + (None,) * (np.ndim(rhs.m) - 2)
+    step_m, step_s = (prod_m[:-1] * inv)[lead], (prod_s[:-1] - c_s)[lead]
+    acc = Scaled(*_rescaled_sum(rhs.m[_ROWS] * step_m, rhs.sigma[_ROWS] + step_s))
+    return acc, Scaled(prod_m[-1], prod_s[-1])
 
 
-def cycle_log_derivative(samplers: ProblemSamplers, k):
-    """d/dk log prod of ``walk_cycle`` at the 1-D array ``k``, the sum over
-    ELIMINATION_CYCLE of d log c[r, nxt] - d log c[r, own]: a coefficient
-    E(s f k) H_j(f k) (s = -i; s = +i and Hbar_j in the conjugate rows) has
-    d log c = (l/(2 sqrt 3)) s f (1 - lambda/(s f k)^2) + f H_j'(f k)/H_j(f k)."""
-    f, s = np.array(ARG_FACTORS)[:, None], np.array([-1j, 1j])[:, None, None, None]
-    dlog = (samplers.side_length / (2.0 * SQRT3)) * s * f * (1.0 - samplers.lam / (s * f * k) ** 2)
-    if samplers.symbols is not None:
-        dlog = dlog + f * np.array(
-            [[sym.dh(f * k) / sym.h(f * k) for sym in samplers.symbols],
-             [sym.dhbar(f * k) / sym.hbar(f * k) for sym in samplers.symbols]]
-        )
-    dlog = np.broadcast_to(dlog, (2, 3, 3, k.size))[_CONJ[:, None], np.arange(3), _SLOTS]
-    return sum(dlog[r, nxt] - dlog[r, own] for r, own, nxt in ELIMINATION_CYCLE)
+def cycle_log_derivative(samplers: ProblemSamplers, k, coeffs):
+    """d/dk log prod of ``walk_cycle`` at the 1-D array ``k``, from the rows
+    ``coeffs`` that ``relation_rows`` assembled there: the sum over
+    ELIMINATION_CYCLE of d log c[r, nxt] - d log c[r, own].  A coefficient
+    c = E(s a) H_j(a), a = f k (s = -i; s = +i and Hbar_j in the conjugate
+    rows), has k d log c/dk = (l/(2 sqrt 3)) s mu(a) + a H_j'(a)/H_j(a),
+    with a H_j'(a) from ``symbols.symbol_slopes`` and 1/H_j(a) the unit
+    phase of E over the mantissa of c."""
+    l = samplers.side_length
+    args = np.multiply.outer(ARG_FACTORS, k)
+    inv, phase, _ = _prefactors(args, samplers.lam, l)
+    # k d/dk log E(s a), and a H_j'(a) times the phase of E: over the
+    # mantissa of c, a H_j'(a)/H_j(a)
+    e_slopes = np.array([-1j, 1j])[:, None, None, None] * ((l / (2.0 * SQRT3)) * (args + inv))
+    slopes = symbol_slopes(samplers.turns, args, inv) * phase
+    dlog = e_slopes[_CONJ[:, None], 0, _SLOTS] + slopes[_PICK] / coeffs.m
+    return (dlog[_ROWS, _NEXT] - dlog[_ROWS, _OWN]).sum(axis=0) / k
 
 
 def eliminate_rows(samplers: ProblemSamplers, k):
@@ -244,7 +310,7 @@ def eliminate_rows(samplers: ProblemSamplers, k):
     sides, each unknown's column holding minus its coefficient in the two
     rows that read it at k and an exact zero (sigma = -inf) in the others."""
     coeffs, rhs = relation_rows(samplers, k)
-    at_k = _AT_K[..., None]
+    at_k = (_SLOTS == 0)[..., None]
     stacked = Scaled(
         np.concatenate([rhs.m[:, None], np.where(at_k, -coeffs.m, 0.0)], axis=1),
         np.concatenate([rhs.sigma[:, None], np.where(at_k, coeffs.sigma, -np.inf)], axis=1),
@@ -269,11 +335,12 @@ class ScaledElimination:
     unknowns X_j(k), acc/(1 - prod) of the cycle walk over the data column;
     for a Poincare problem it is T(k)/(H_2(abar k) D(k)).
 
-    Every intermediate of the walk is a ratio of well-scaled quantities,
-    which keeps the result relatively accurate at arbitrarily large |k| (or
-    near k = 0), where the plain double-precision solve of the assembled
-    system (``eliminate_second_side``) loses all digits to its exponential
-    dynamic range.
+    The walk keeps each exponent apart from its mantissa, and every mantissa
+    is a product of H ratios and unit phases (``walk_cycle``), which keeps
+    the result relatively accurate at arbitrarily large |k| (or near
+    k = 0), where the plain double-precision solve of the assembled system
+    (``eliminate_second_side``) loses all digits to its exponential dynamic
+    range.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -289,8 +356,9 @@ class ScaledElimination:
         """The residues -acc/(prod d log prod/dk) of the inhomogeneity at its
         simple poles ``k`` (a 1-D array), the zeros of 1 - prod."""
         k = np.asarray(k, dtype=complex)
-        acc, prod = walk_cycle(*relation_rows(self._samplers, k))
-        return -acc / (prod * cycle_log_derivative(self._samplers, k))
+        coeffs, rhs = relation_rows(self._samplers, k)
+        acc, prod = walk_cycle(coeffs, rhs)
+        return -acc / (prod * cycle_log_derivative(self._samplers, k, coeffs))
 
 
 # -- the 6x9 relation system ----------------------------------------------
@@ -317,13 +385,9 @@ def relation_system(
     """
     if k == 0:
         raise DomainError("relation system undefined at k = 0")
-    samplers = ProblemSamplers(problem)
-    if samplers.symbols is not None and corner_values is None:
-        if not problem.admissibility().corner_cancelling:
-            raise SolvabilityError(
-                "corner terms do not cancel; corner_values are required"
-            )
-    coeffs, rhs = relation_rows(samplers, np.array([k], dtype=complex), corner_values)
+    if corner_values is None and not (problem.is_dirichlet or problem.admissibility().corner_cancelling):
+        raise SolvabilityError("corner terms do not cancel; corner_values are required")
+    coeffs, rhs = relation_rows(ProblemSamplers(problem), np.array([k], dtype=complex), corner_values)
     matrix = np.zeros((6, 9), dtype=complex)
     # X_j(ARG_FACTORS[slot] k) is column 3 slot + j - 1
     matrix[np.arange(6)[:, None], 3 * _SLOTS + np.arange(3)] = coeffs.to_complex()[..., 0]

@@ -9,7 +9,10 @@ global relation through
 
 where Hbar is the Schwarz conjugate, Hbar(k) = conj(H(conj(k))) for real
 parameters.  H, Hbar, P and their analytic k-derivatives accept scalars
-or arrays of k; the residues of the mixed solver read the derivatives.
+or arrays of k.  ``symbol_values`` and ``symbol_slopes`` own the formulas
+for H and k H' (Hbar and k Hbar' with e^{-i beta}); given lambda/k they
+evaluate all sides of a problem at once, as the relation rows and the
+residues of the mixed solver do.
 """
 from __future__ import annotations
 
@@ -26,6 +29,18 @@ def _reject_zero(k, what: str):
         raise DomainError(f"{what} undefined at k = 0")
 
 
+def symbol_values(turn, gamma, k, inv):
+    """H(k) = k e^{i beta} + (lambda/k) e^{-i beta} - gamma from ``turn`` =
+    e^{i beta} and ``inv`` = lambda/k, elementwise; turn = e^{-i beta} gives
+    Hbar(k).  Arrays of turn and gamma evaluate several sides at once."""
+    return k * turn + inv * np.conj(turn) - gamma
+
+
+def symbol_slopes(turn, k, inv):
+    """k H'(k) = k e^{i beta} - (lambda/k) e^{-i beta}, as ``symbol_values``."""
+    return k * turn - inv * np.conj(turn)
+
+
 @dataclass(frozen=True)
 class SideSymbol:
     """H/P evaluator for one side condition (lambda, beta, gamma)."""
@@ -40,21 +55,17 @@ class SideSymbol:
 
     def h(self, k):
         _reject_zero(k, "H(k)")
-        w = k * self.phase
-        return w + self.lam / w - self.gamma
+        return symbol_values(self.phase, self.gamma, k, self.lam / k)
 
     def hbar(self, k):
         _reject_zero(k, "Hbar(k)")
-        w = k / self.phase
-        return w + self.lam / w - self.gamma
+        return symbol_values(self.phase.conjugate(), self.gamma, k, self.lam / k)
 
     def dh(self, k):
-        w = k * self.phase
-        return self.phase * (1.0 - self.lam / (w * w))
+        return symbol_slopes(self.phase, k, self.lam / k) / k
 
     def dhbar(self, k):
-        w = k / self.phase
-        return (1.0 - self.lam / (w * w)) / self.phase
+        return symbol_slopes(self.phase.conjugate(), k, self.lam / k) / k
 
     def p(self, k):
         return self.h(k) / self.hbar(k)

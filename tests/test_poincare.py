@@ -211,7 +211,7 @@ def test_d_root_records(lam):
 
 def test_d_root_set_refuses_nan(monkeypatch):
     def nan_terms(mu_value, lam, side_length, w=None):
-        return Scaled.of(mu_value * np.nan), Scaled.of(mu_value)
+        return mu_value * np.nan, mu_value
 
     monkeypatch.setattr(poincare, "mixed_mode_terms", nan_terms)
     with pytest.raises(RootFindError, match="residual"):
@@ -240,7 +240,7 @@ def test_mode_terms_are_a_function_of_mu():
     k = np.array([0.9 + 0.7j, 3.0 - 1.2j, -0.4 + 2.5j])
     robin = SideSymbol(lam, math.pi / 2.0, math.sqrt(3.0 * lam))
     t1, t2 = mixed_mode_terms(mu(k, lam), lam, side_length)
-    got = (t1 - t2).to_complex()
+    got = t1 - t2
     for branch in (k, lam / k):
         a, ab = ALPHA * branch, ALPHA_BAR * branch
         w = 1.5 * mu(branch, lam) * side_length
@@ -272,10 +272,11 @@ def test_mixed_nr_trace_against_oracle(geom):
     assert d_err < 2e-3
 
 
-def test_array_inhom_matches_scalar_and_solve(geom, rng):
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_array_inhom_matches_scalar_and_solve(geom, rng, lam):
     """The array cycle walk equals per-point calls and, at moderate |k|,
     the inhomogeneity of the plain 6x6 elimination."""
-    _, problem = _mixed_problem(geom)
+    _, problem = _mixed_problem(geom, lam)
     elim = ScaledElimination(problem)
     ks = np.concatenate([spectral_points(rng, 12), [40.0 - 25.0j, 0.02 + 0.01j]])
     got = np.asarray(elim.inhom(ks).to_complex())
@@ -284,6 +285,58 @@ def test_array_inhom_matches_scalar_and_solve(geom, rng):
     for k, val in zip(ks[:12], got):
         want = eliminate_second_side(problem, k).inhom
         assert abs(val - want) <= 1e-10 * abs(want)
+
+
+def _mp_walk(coeffs, rhs):
+    """acc and prod of the cycle walk over the rows (coeffs, rhs) in 40-digit
+    arithmetic, each entry m e^sigma read exactly, per point."""
+    def read(x, *index):
+        return mpmath.mpc(complex(x.m[index])) * mpmath.exp(mpmath.mpf(float(x.sigma[index])))
+
+    out = []
+    for i in range(rhs.m.shape[-1]):
+        acc, prod = mpmath.mpc(0), mpmath.mpc(1)
+        for r, own, nxt in relations.ELIMINATION_CYCLE:
+            c_own = read(coeffs, r, own, i)
+            acc += prod * read(rhs, r, i) / c_own
+            prod *= -read(coeffs, r, nxt, i) / c_own
+        out.append((acc, prod))
+    return out
+
+
+def _mp_relative_error(got, want):
+    return max(
+        abs(mpmath.mpc(complex(got.m[i])) * mpmath.exp(mpmath.mpf(float(got.sigma[i]))) - w) / abs(w)
+        for i, w in enumerate(want)
+    )
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e3])
+def test_walk_matches_a_40_digit_walk_at_the_extremes(geom, lam):
+    # on the last contour panel at T = 1280 (both rays) and at the roots of
+    # modes 4999-5000 at count 5000 the rows' exponents reach |sigma| ~ 6000,
+    # far beyond the double range: the inhomogeneity and the residues agree
+    # with the same walk of the same rows in 40-digit arithmetic.  A double
+    # exponent near |sigma| is exact to eps |sigma|, the relative error it
+    # leaves in e^sigma, so the bound is 1e-13 plus 8 eps max |sigma| of the
+    # rows (4.3e-12 on the rays at lambda 1e3, 2.4e-13 at the roots)
+    problem = _mixed_problem(geom, lam)[1]
+    samplers, elim = relations.ProblemSamplers(problem), ScaledElimination(problem)
+    k_ray = poincare._ray_points(poincare._ray_grids(lam, 1.0, 1280.0)[2][-1], lam).ravel()
+    roots = d_root_set(lam, 1.0, 5000, audit=False)
+    k_root = roots.k[np.abs(roots.label) >= 4999]
+    for k, got in ((k_ray, elim.inhom(k_ray)), (k_root, elim.residues(k_root))):
+        coeffs, rhs = relations.relation_rows(samplers, k)
+        dlog = relations.cycle_log_derivative(samplers, k, coeffs)
+        bound = 1e-13 + 8.0 * np.finfo(float).eps * max(np.max(np.abs(x.sigma)) for x in (coeffs, rhs))
+        assert bound < 2e-11 and np.max(np.abs(coeffs.sigma)) > 1000.0
+        with mpmath.workdps(40):
+            walks = _mp_walk(coeffs, rhs)
+            if k is k_ray:
+                want = [acc / (1 - prod) for acc, prod in walks]
+            else:
+                want = [-acc / (prod * complex(d)) for (acc, prod), d in zip(walks, dlog)]
+            assert _mp_relative_error(got, want) <= bound
 
 
 def test_mixed_nr_trace_makes_one_inhom_call(geom, monkeypatch):
