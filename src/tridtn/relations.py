@@ -175,15 +175,6 @@ class ProblemSamplers:
 #: arrays, base and conjugate family by side and unknown slot, into rows
 _PICK = (_CONJ[:, None], np.arange(3), _SLOTS)
 
-#: the floor of a term's exponent below the largest in a sum: e^-600 =
-#: 2.6e-261 is far below the rounding of the sum, and the floor keeps exp()
-#: and the products with small mantissas off their slow underflow path
-_FLOOR = -600.0
-
-#: points per block of the row assembly: its (2, 3, 3, block) temporaries
-#: stay in cache, and its peak memory, page faults included, stays small
-_BLOCK = 2048
-
 
 def _prefactors(args, lam, side_length):
     """lambda/a at the arguments ``args`` = ARG_FACTORS k (conj(f) lambda/k,
@@ -203,7 +194,7 @@ def _rescaled_sum(m, sigma, axis=0):
     exponent of one Scaled value, each term rescaled to the largest exponent
     at its point; ``m`` and ``sigma`` are overwritten."""
     top = sigma.max(axis=axis, keepdims=True)
-    m *= np.exp(np.maximum(sigma - top, _FLOOR, out=sigma), out=sigma)
+    m *= np.exp(np.subtract(sigma, top, out=sigma), out=sigma)
     return m.sum(axis=axis), top.squeeze(axis)
 
 
@@ -222,23 +213,22 @@ def relation_rows(samplers: ProblemSamplers, k, corner_values=None, images=None)
     side's (q(-l/2), q(l/2)), summed at the largest of their exponents.
     ``images`` names the points ARG_FACTORS k, in that order, as
     ``spectral.transforms`` does."""
-    l, n = samplers.side_length, k.size
+    l = samplers.side_length
     args = np.multiply.outer(ARG_FACTORS, k)
     known = transforms(samplers.data, args, images)
     inv, phase, sigma = _prefactors(args, samplers.lam, l)
-    coeffs = Scaled(np.empty((6, 3, n), dtype=complex), sigma[_CONJ[:, None], 0, _SLOTS])
-    rhs = Scaled(np.empty((6, n), dtype=complex), np.empty((6, n)))
-    for at in (np.s_[..., i : i + _BLOCK] for i in range(0, n, _BLOCK)):
-        coeffs.m[at] = (symbol_values(samplers.turns, samplers.gammas, args[at], inv[at]) * phase[at])[_PICK]
-        terms = Scaled(phase[at] * known.m[at] * -samplers.scale[:, None, None], sigma[at] + known.sigma[at])
-        if corner_values is not None:
-            # C_j(a) = (e^{+-i beta_j}/(2 sin beta_j)) [e(-a) q_j(-l/2) - e(a) q_j(l/2)]
-            plus, minus = Scaled.exp_pair((args[at] + inv[at]) * (l / 2.0))
-            q = np.asarray(corner_values, dtype=float)[:, :, None, None]
-            edges = Scaled(phase[at], sigma[at]) * (minus * q[:, 0] - plus * q[:, 1])
-            terms = terms - edges * (samplers.turns * samplers.scale[:, None, None])
-        rhs.m[at], rhs.sigma[at] = _rescaled_sum(terms.m[_PICK], terms.sigma[_PICK], axis=1)
-    return coeffs, rhs
+    coeffs = Scaled(
+        (symbol_values(samplers.turns, samplers.gammas, args, inv) * phase)[_PICK],
+        sigma[_CONJ[:, None], 0, _SLOTS],
+    )
+    terms = Scaled(phase * known.m * -samplers.scale[:, None, None], sigma + known.sigma)
+    if corner_values is not None:
+        # C_j(a) = (e^{+-i beta_j}/(2 sin beta_j)) [e(-a) q_j(-l/2) - e(a) q_j(l/2)]
+        plus, minus = Scaled.exp_pair((args + inv) * (l / 2.0))
+        q = np.asarray(corner_values, dtype=float)[:, :, None, None]
+        edges = Scaled(phase, sigma) * (minus * q[:, 0] - plus * q[:, 1])
+        terms = terms - edges * (samplers.turns * samplers.scale[:, None, None])
+    return coeffs, Scaled(*_rescaled_sum(terms.m[_PICK], terms.sigma[_PICK], axis=1))
 
 
 #: ELIMINATION_CYCLE as arrays: the rows, their own terms, their next terms
@@ -284,22 +274,18 @@ def walk_cycle(coeffs, rhs):
     return acc, Scaled(prod_m[-1], prod_s[-1])
 
 
-def cycle_log_derivative(samplers: ProblemSamplers, k, coeffs):
-    """d/dk log prod of ``walk_cycle`` at the 1-D array ``k``, from the rows
-    ``coeffs`` that ``relation_rows`` assembled there: the sum over
-    ELIMINATION_CYCLE of d log c[r, nxt] - d log c[r, own].  A coefficient
+def cycle_log_derivative(samplers: ProblemSamplers, k):
+    """d/dk log prod of ``walk_cycle`` at the 1-D array ``k``, the sum over
+    ELIMINATION_CYCLE of d log c[r, nxt] - d log c[r, own]: a coefficient
     c = E(s a) H_j(a), a = f k (s = -i; s = +i and Hbar_j in the conjugate
     rows), has k d log c/dk = (l/(2 sqrt 3)) s mu(a) + a H_j'(a)/H_j(a),
-    with a H_j'(a) from ``symbols.symbol_slopes`` and 1/H_j(a) the unit
-    phase of E over the mantissa of c."""
+    with a H_j'(a) from ``symbols.symbol_slopes``."""
     l = samplers.side_length
     args = np.multiply.outer(ARG_FACTORS, k)
-    inv, phase, _ = _prefactors(args, samplers.lam, l)
-    # k d/dk log E(s a), and a H_j'(a) times the phase of E: over the
-    # mantissa of c, a H_j'(a)/H_j(a)
+    inv = _prefactors(args, samplers.lam, l)[0]
     e_slopes = np.array([-1j, 1j])[:, None, None, None] * ((l / (2.0 * SQRT3)) * (args + inv))
-    slopes = symbol_slopes(samplers.turns, args, inv) * phase
-    dlog = e_slopes[_CONJ[:, None], 0, _SLOTS] + slopes[_PICK] / coeffs.m
+    h_slopes = symbol_slopes(samplers.turns, args, inv) / symbol_values(samplers.turns, samplers.gammas, args, inv)
+    dlog = e_slopes[_CONJ[:, None], 0, _SLOTS] + h_slopes[_PICK]
     return (dlog[_ROWS, _NEXT] - dlog[_ROWS, _OWN]).sum(axis=0) / k
 
 
@@ -356,9 +342,8 @@ class ScaledElimination:
         """The residues -acc/(prod d log prod/dk) of the inhomogeneity at its
         simple poles ``k`` (a 1-D array), the zeros of 1 - prod."""
         k = np.asarray(k, dtype=complex)
-        coeffs, rhs = relation_rows(self._samplers, k)
-        acc, prod = walk_cycle(coeffs, rhs)
-        return -acc / (prod * cycle_log_derivative(self._samplers, k, coeffs))
+        acc, prod = walk_cycle(*relation_rows(self._samplers, k))
+        return -acc / (prod * cycle_log_derivative(self._samplers, k))
 
 
 # -- the 6x9 relation system ----------------------------------------------
