@@ -28,11 +28,12 @@ of its zeros in the mu-plane audits the set.
 For real data both ray integrands reflect under k -> lambda/conj(k), outer
 piece onto inner, so the solvers evaluate the outer pieces only, their
 transforms summed on two base families (``_contour_images``).  Residues are
-taken in closed form, never on circles: G/Delta' at the symmetric roots
-(``_symmetric_rays``, for this module and ``interior``), and -acc/prod' of
-the cycle walk (``ScaledElimination.residues``, closed-form exponents and
-plain complex mantissas) at the mixed problem's D+ roots and their
-negatives, the D- roots.
+taken in closed form, never on circles, from the same evaluation as the
+rays: G/Delta' at the symmetric roots (``_symmetric_rays``, for this module
+and ``interior``), and -acc/prod' of the cycle walk at the mixed problem's
+D+ roots and their negatives, the D- roots, which
+``ScaledElimination.inhom_and_residues`` walks in one pass with the ray
+points (one transform recurrence, one row assembly, one walk).
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ParameterError, RootFindError
-from .geometry import ALPHA, ALPHA_BAR, SQRT3, exp_e, mu
+from .geometry import ALPHA, ALPHA_BAR, SQRT3, mu
 from .problems import BCKind, ProblemSpec, check_lam
 from .quadrature import QuadratureRule
 from .relations import ARG_FACTORS, ScaledElimination  # callers patch ScaledElimination here
@@ -277,32 +278,6 @@ def symmetric_dirichlet_integral(
     return ExponentialSumTrace(1, offsets, step, weighted, m_ab, coeffs)
 
 
-# -- closed-form elimination (verification mirror) -------------------------
-def closed_form_elimination(symbols, k, lam: float, side_length: float):
-    """D(k) and Gamma_j(k) of the eliminated relation, from side symbols,
-    at a scalar k or elementwise over an array of k.
-
-    Verification mirror of the numeric route: the eliminated relation reads
-    D(k) H_2(ab k) Y_2(ab k) = sum_j Gamma_j(k) H_j(k) Y_j(k) + T(k) + C(k).
-    """
-    a, ab = ALPHA * k, ALPHA_BAR * k
-    e_k, e_mk, e_ab, e_mab = (exp_e(x, lam, side_length) for x in (k, -k, ab, -ab))
-    pk = [sym.p(k) for sym in symbols]
-    pa = [sym.p(a) for sym in symbols]
-    pab = [sym.p(ab) for sym in symbols]
-    d = (pab[0] / (pa[1] * pa[2])) * (
-        e_mk**3 - e_k**3 * (pa[0] * pa[1] * pa[2]) / (pab[0] * pab[1] * pab[2])
-    )
-    g1 = (1.0 / pk[0]) * (e_mab - e_mk**2 * e_ab * pk[0] * pab[0] / (pa[1] * pa[2]))
-    g2 = (e_mk**2 * pab[0] / (pk[1] * pa[1])) * (
-        e_mab - e_k**4 * e_ab * pk[1] * pa[1] / (pab[0] * pab[2])
-    )
-    g3 = (e_k**2 * pa[0] / (pk[2] * pab[2])) * (
-        e_mab - e_mk**2 * e_ab * pk[2] * pab[2] / (pa[0] * pa[1])
-    )
-    return d, (g1, g2, g3)
-
-
 #: the most points a winding count samples its contour at, unless one
 #: doubling of its first sampling needs more
 MAX_WINDING_POINTS = 1 << 18
@@ -443,10 +418,10 @@ def _audit_root_count(ks, lam: float, side_length: float, edges):
         )
 
 
-def residue_of_inhomogeneity(elimination: ScaledElimination, k, lam: float) -> Scaled:
-    """Residues of the inhomogeneity T/(H_2(ab k) D(k)) at the D-roots ``k``
-    (``ScaledElimination.residues``); AccuracyError where one is not finite."""
-    res = elimination.residues(k)
+def residue_of_inhomogeneity(res: Scaled, k, lam: float) -> Scaled:
+    """The residues ``res`` of the inhomogeneity T/(H_2(ab k) D(k)) at the
+    D-roots ``k`` (``ScaledElimination.inhom_and_residues``), checked:
+    AccuracyError where one is not finite."""
     bad = ~(np.isfinite(res.m) & (res.sigma < np.inf))
     if bad.any():
         raise AccuracyError(
@@ -465,9 +440,9 @@ def mixed_nr_trace(
     the contour integral of the elimination inhomogeneity X with residue sums
     over the certified D-roots in the two half-planes.  X is evaluated on
     the out-up and out-down ray pieces only: the inner pieces read
-    X(lambda/conj k) = conj X(k).  Its residues are closed-form, from one
-    elimination at all roots.  Outside ``MIXED_LAM_RANGE`` of lambda l^2, or
-    at a residue that is not finite, it raises ``AccuracyError``.
+    X(lambda/conj k) = conj X(k).  Its residues are closed-form, from the
+    same elimination as the rays.  Outside ``MIXED_LAM_RANGE`` of lambda
+    l^2, or at a residue that is not finite, it raises ``AccuracyError``.
     """
     lam, side_length = problem.lam, problem.geometry.side_length
     validate_mixed(problem)
@@ -480,16 +455,16 @@ def mixed_nr_trace(
         )
     offsets, step, t, w, k_ray = _ray_grids(lam, side_length, t_factor)
     roots = d_root_set(lam, side_length, count)
-    elimination = ScaledElimination(problem)
-    # both rays in one elimination, summed on their two base families
-    images = _contour_images(lam, t.ravel(), (0, 1, 2))
-    up, down = elimination.inhom(k_ray.ravel(), images).to_complex().reshape(k_ray.shape)
-    # the fold of the four pieces onto t >= 0, closed by X(lambda/conj k) = conj X(k)
-    weighted = (w / np.pi) * (up + down.conj())
     # the D- roots are the D+ roots negated
     k = roots.k[roots.plus]
     k, sign = np.concatenate([k, -k]), np.repeat([1.0, -1.0], k.size)
-    res = residue_of_inhomogeneity(elimination, k, lam)
+    # both rays, summed on their two base families, and the roots in one elimination
+    images = _contour_images(lam, t.ravel(), (0, 1, 2), k)
+    x, res = ScaledElimination(problem).inhom_and_residues(k_ray.ravel(), k, images)
+    up, down = x.to_complex().reshape(k_ray.shape)
+    # the fold of the four pieces onto t >= 0, closed by X(lambda/conj k) = conj X(k)
+    weighted = (w / np.pi) * (up + down.conj())
+    res = residue_of_inhomogeneity(res, k, lam)
     p1 = _robin_symbol(lam).p(ALPHA * k)
     e6 = Scaled.from_exp(6.0 * mu(sign * 1j * ALPHA * k, lam) * side_length / (2.0 * SQRT3))
     denom = 1.0 + e6 * np.where(sign > 0, 1.0 / p1, p1)

@@ -20,11 +20,10 @@ exponent in closed form and each mantissa a plain complex array, and
 along ELIMINATION_CYCLE, expressing X_2(alpha_bar k) through the three
 X_j(k): a cumulative sum of exponents and a cumulative product of
 mantissas over the cycle, and one rescaled sum of its six terms.  Every
-user reads these two: the inhomogeneity of the contour solvers
-(``ScaledElimination``), the moments that the series maps and the oblique
-Robin modes read at mode roots (``mode_moment``), and the 6x9 system
-(``relation_system``), whose dense solve (``eliminate_second_side``) is
-the reference for the walk.
+user reads these two: the contour solvers' inhomogeneity and its residues
+(``ScaledElimination``, one assembly and one walk for the ray points and
+the poles together), and the moments that the series maps and the
+oblique Robin modes read at mode roots (``mode_moment``).
 """
 from __future__ import annotations
 
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolvabilityError
 from .geometry import ALPHA, ALPHA_BAR, SIDE_ROT, SQRT3, mu
 from .problems import ProblemSpec, check_lam
 from .scaledc import Scaled
@@ -316,6 +314,10 @@ def mode_moment(problem: ProblemSpec, k) -> Scaled:
     return -acc / (couplings[0] * samplers.scale[0])
 
 
+#: no points, for the one-sided views of ``ScaledElimination.inhom_and_residues``
+_NONE = np.empty(0, dtype=complex)
+
+
 class ScaledElimination:
     """The inhomogeneity of the eliminated relation, X_2(abar k) at zero
     unknowns X_j(k), acc/(1 - prod) of the cycle walk over the data column;
@@ -324,91 +326,28 @@ class ScaledElimination:
     The walk keeps each exponent apart from its mantissa, and every mantissa
     is a product of H ratios and unit phases (``walk_cycle``), which keeps
     the result relatively accurate at arbitrarily large |k| (or near
-    k = 0), where the plain double-precision solve of the assembled system
-    (``eliminate_second_side``) loses all digits to its exponential dynamic
-    range.
+    k = 0), where a plain double-precision solve of the assembled rows loses
+    all digits to their exponential dynamic range.
     """
 
     def __init__(self, problem: ProblemSpec):
         self._samplers = ProblemSamplers(problem)
 
+    def inhom_and_residues(self, k, poles, images=None):
+        """The inhomogeneity at the 1-D array ``k`` and its residues
+        -acc/(prod d log prod/dk) at its simple poles ``poles`` (a 1-D
+        array), the zeros of 1 - prod, from one assembly and one walk of the
+        rows at both; ``images`` names the points ARG_FACTORS k and
+        ARG_FACTORS poles, slot by slot, as in relation_rows."""
+        acc, prod = walk_cycle(*relation_rows(self._samplers, np.concatenate([k, poles]), images=images))
+        n, dlog = k.size, cycle_log_derivative(self._samplers, poles)
+        return acc[:n] / (1.0 - prod[:n]), -acc[n:] / (prod[n:] * dlog)
+
     def inhom(self, k, images=None) -> Scaled:
         """The inhomogeneity at a scalar k or over an array of k; ``images`` as in relation_rows."""
         k = np.asarray(k, dtype=complex)
-        acc, prod = walk_cycle(*relation_rows(self._samplers, k.ravel(), images=images))
-        return (acc / (1.0 - prod)).reshape(k.shape)
+        return self.inhom_and_residues(k.ravel(), _NONE, images)[0].reshape(k.shape)
 
     def residues(self, k) -> Scaled:
-        """The residues -acc/(prod d log prod/dk) of the inhomogeneity at its
-        simple poles ``k`` (a 1-D array), the zeros of 1 - prod."""
-        k = np.asarray(k, dtype=complex)
-        acc, prod = walk_cycle(*relation_rows(self._samplers, k))
-        return -acc / (prod * cycle_log_derivative(self._samplers, k))
-
-
-# -- the 6x9 relation system ----------------------------------------------
-@dataclass(frozen=True)
-class RelationSystem:
-    """Rows: base relation at (k, alpha k, alpha_bar k), then their Schwarz
-    conjugates.  Columns: X_j(w) for j = 1..3 and w in (k, alpha k,
-    alpha_bar k), in that order."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
-def relation_system(
-    problem: ProblemSpec, k: complex, corner_values=None
-) -> RelationSystem:
-    """The 6x9 global-relation system at spectral point k, filled from
-    ``relation_rows``.
-
-    ``corner_values``: optional per-side (q(-l/2), q(l/2)) triples for the
-    corner terms of Poincare-type rows.  When omitted, the corner terms are
-    dropped, which is exact when the corner-cancellation condition holds and
-    an error otherwise.
-    """
-    if k == 0:
-        raise DomainError("relation system undefined at k = 0")
-    if corner_values is None and not (problem.is_dirichlet or problem.admissibility().corner_cancelling):
-        raise SolvabilityError("corner terms do not cancel; corner_values are required")
-    coeffs, rhs = relation_rows(ProblemSamplers(problem), np.array([k], dtype=complex), corner_values)
-    matrix = np.zeros((6, 9), dtype=complex)
-    # X_j(ARG_FACTORS[slot] k) is column 3 slot + j - 1
-    matrix[np.arange(6)[:, None], 3 * _SLOTS + np.arange(3)] = coeffs.to_complex()[..., 0]
-    return RelationSystem(matrix=matrix, rhs=rhs.to_complex()[:, 0])
-
-
-# -- numeric elimination ---------------------------------------------------
-@dataclass(frozen=True)
-class Elimination:
-    """X_2(abar k) = sum_j coeff[j] X_j(k) + inhom, from the 6x6 solve."""
-
-    coeffs: np.ndarray
-    inhom: complex
-    condition: float
-
-
-def eliminate_second_side(
-    problem: ProblemSpec, k: complex, corner_values=None
-) -> Elimination:
-    """Solve the six relations for the unknowns at alpha k / alpha_bar k and
-    return the row expressing X_2(alpha_bar k) through the X_j(k): the dense
-    reference for the cycle walk."""
-    system = relation_system(problem, k, corner_values=corner_values)
-    mat, rhs = system.matrix, system.rhs
-    scale = np.max(np.abs(mat), axis=1)
-    scale = np.where(scale > 0, scale, 1.0)
-    mat = mat / scale[:, None]
-    rhs = rhs / scale
-    a = mat[:, 3:9]
-    b = mat[:, 0:3]
-    target = 4  # X_2(abar k), column 3 * 2 + 1 of the system
-    sol_inhom = np.linalg.solve(a, rhs)
-    sol_coupling = np.linalg.solve(a, b)
-    cond = float(np.linalg.cond(a))
-    return Elimination(
-        coeffs=-sol_coupling[target, :],
-        inhom=complex(sol_inhom[target]),
-        condition=cond,
-    )
+        """The residues of the inhomogeneity at its simple poles ``k`` (a 1-D array)."""
+        return self.inhom_and_residues(_NONE, np.asarray(k, dtype=complex))[1]

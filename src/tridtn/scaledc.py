@@ -95,12 +95,6 @@ class Scaled:
         mant = np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e)
         return Scaled(mant, self.sigma + e * _LN2)
 
-    def sum(self) -> "Scaled":
-        """Sum over the last axis, rescaled to the largest exponent."""
-        norm = self.normalized()
-        top = np.max(norm.sigma, axis=-1)
-        return Scaled(np.sum(norm.m * np.exp(norm.sigma - top[..., None]), axis=-1), top)
-
     def to_complex(self):
         """Collapse to complex; raises OverflowError if exp(sigma) overflows."""
         norm = self.normalized()

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .scaledc import Scaled
+from .scaledc import _COLLAPSE_LIMIT, Scaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +82,9 @@ class ExponentialSumTrace(_Trace):
     powers W^p (``_powers``) in one matrix product, and those sums against
     the e^{i offsets[j] s}.  The second, free piece has ``Scaled``
     coefficients, as they may lie far outside the double range while each
-    product with its exponential stays moderate; an empty one costs no
-    ``Scaled`` work.
+    product with its exponential stays moderate: each term is summed as
+    one complex exponential, exp(log m + sigma - s rate), with no
+    ``Scaled`` work, and OverflowError where one is too large to collapse.
 
     A contour solver's trace is the quadrature of a Fourier integral over
     the truncated contour, folded onto the lattice of its Gauss panels in
@@ -123,9 +124,14 @@ class ExponentialSumTrace(_Trace):
         columns = _powers(s, np.longdouble(self.step), len(weighted)) @ weighted
         out = np.sum(columns * np.exp(1j * np.multiply.outer(s, self.offsets)), axis=-1).real
         if self.rates.size:
-            coeffs = -self.rates * self.coeffs if derivative else self.coeffs
-            residues = coeffs * Scaled.from_exp(-np.multiply.outer(s, self.rates))
-            out = out + np.real(np.sum(residues.to_complex(), axis=-1))
+            # each term as one exponential, exp(log c.m + c.sigma - s rate)
+            m = -self.rates * self.coeffs.m if derivative else self.coeffs.m
+            with np.errstate(divide="ignore"):
+                w = np.log(m) + self.coeffs.sigma - np.multiply.outer(s, self.rates)
+            if np.any(w.real > _COLLAPSE_LIMIT):
+                raise OverflowError("residue term too large to collapse to complex")
+            with np.errstate(under="ignore"):
+                out = out + np.sum(np.exp(w), axis=-1).real
         return out if out.ndim else float(out)
 
     def synthesis(self, s):

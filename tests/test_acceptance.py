@@ -23,7 +23,6 @@ from tridtn.oracle import (
     symmetric_corner_compatible,
 )
 from tridtn.poincare import (
-    closed_form_elimination,
     d_root_set,
     dirichlet_mode_roots,
     mixed_nr_trace,
@@ -37,7 +36,7 @@ from tridtn.problems import (
     mixed_nr_problem,
     neumann_problem,
 )
-from tridtn.relations import GlobalRelation, eliminate_second_side
+from tridtn.relations import GlobalRelation
 from tridtn.series import (
     general_dirichlet_dtn,
     neumann_to_dirichlet,
@@ -48,6 +47,7 @@ from tridtn.symbols import SideSymbol
 from tridtn.traces import sample_grid
 
 from conftest import manufactured_families, spectral_points
+from reference import closed_form_elimination, eliminate_second_side
 
 L = 1.0
 SMOOTH_K0S = [0.9 + 0.3j, 1.4 - 0.5j, 0.7 + 1.1j, 1.9 + 0.2j, 0.5 - 0.9j,

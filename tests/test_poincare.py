@@ -21,7 +21,6 @@ from tridtn.poincare import (
     ScaledElimination,
     _audit_root_count,
     argument_principle_count,
-    closed_form_elimination,
     d_root_set,
     dirichlet_mode_roots,
     in_upper_half,
@@ -31,13 +30,14 @@ from tridtn.poincare import (
     symmetric_dirichlet_integral,
 )
 from tridtn.problems import mixed_nr_problem
-from tridtn.relations import eliminate_second_side
 from tridtn.scaledc import Scaled
 from tridtn.series import _rotations, symmetric_dirichlet_dtn
 from tridtn.spectral import Kind, SideSampler
 from tridtn.symbols import SideSymbol
+from tridtn.traces import ExponentialSumTrace
 
 from conftest import spectral_points
+from reference import closed_form_elimination, eliminate_second_side, scaled_free_piece, scaled_sum
 
 #: symmetric Dirichlet data that are not even in s, so (G/Delta)(-k) is not
 #: (G/Delta)(k) and the lower ray carries what the upper one does not
@@ -341,22 +341,52 @@ def test_walk_matches_a_40_digit_walk_at_the_extremes(geom, lam):
 def test_mixed_nr_trace_makes_one_inhom_call(geom, monkeypatch):
     _, problem = _mixed_problem(geom)
     calls = []
-    inhom, residues = ScaledElimination.inhom, ScaledElimination.residues
+    solve = ScaledElimination.inhom_and_residues
 
-    def counted_inhom(self, k, images=None):
-        calls.append(("inhom", np.shape(k), images is not None))
-        return inhom(self, k, images)
+    def counted(self, k, poles, images=None):
+        calls.append((np.shape(k), np.shape(poles), images is not None))
+        return solve(self, k, poles, images)
 
-    def counted_residues(self, k):
-        calls.append(("residues", np.shape(k)))
-        return residues(self, k)
-
-    monkeypatch.setattr(ScaledElimination, "inhom", counted_inhom)
-    monkeypatch.setattr(ScaledElimination, "residues", counted_residues)
+    monkeypatch.setattr(ScaledElimination, "inhom_and_residues", counted)
     mixed_nr_trace(problem, count=8, t_factor=4.0)
-    # both rays (their 2 outer pieces of 4 panels of 16 nodes), imaged, and
-    # the 2 (2 count + 1) D+ roots and their negatives
-    assert calls == [("inhom", (2 * 4 * 16,), True), ("residues", (2 * (2 * 8 + 1),))]
+    # one elimination: both rays (their 2 outer pieces of 4 panels of 16
+    # nodes) and the 2 (2 count + 1) D+ roots and their negatives, imaged
+    assert calls == [((2 * 4 * 16,), (2 * (2 * 8 + 1),), True)]
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1.0, 1e3])
+def test_one_elimination_equals_inhom_and_residues_alone(geom, lam, monkeypatch):
+    # the ray values and residues of the one elimination of mixed_nr_trace,
+    # and of the same call on the last panel at T = 1280 with the roots of
+    # modes 999-1000, against inhom on the rays alone (same images) and
+    # residues at the roots alone.  The rays agree to the bit; the residues
+    # to 3.1e-14 at most (lambda 1e3, (64, 320)): summed beside the rays,
+    # the roots' transforms come from even and odd degrees apart, 7e-16
+    # from the plain sums, and the walk's terms cancel about 40-fold there
+    problem = _mixed_problem(geom, lam)[1]
+    elim, solve = ScaledElimination(problem), ScaledElimination.inhom_and_residues
+    cases = []
+
+    def captured(self, k, poles, images=None):
+        cases.append((k, poles, solve(self, k, poles, images)))
+        return cases[-1][-1]
+
+    monkeypatch.setattr(ScaledElimination, "inhom_and_residues", captured)
+    for count, t_factor in ((4, 4.0), (64, 320.0)):
+        mixed_nr_trace(problem, count, t_factor)
+        cases[-1] += (poincare._ray_grids(lam, 1.0, t_factor)[2].ravel(),)
+    monkeypatch.undo()
+    t = poincare._ray_grids(lam, 1.0, 1280.0)[2][-1]
+    roots = d_root_set(lam, 1.0, 1000, audit=False)
+    poles = roots.k[np.abs(roots.label) >= 999]
+    k = poincare._ray_points(t, lam).ravel()
+    images = poincare._contour_images(lam, t, (0, 1, 2), poles)
+    cases.append((k, poles, elim.inhom_and_residues(k, poles, images), t))
+    for k, poles, (x, res), t in cases:
+        alone = elim.inhom(k, poincare._contour_images(lam, t, (0, 1, 2)))
+        assert np.max(np.exp((x - alone).abs_log() - alone.abs_log())) <= 1e-14
+        alone = elim.residues(poles)
+        assert np.max(np.exp((res - alone).abs_log() - alone.abs_log())) <= 1e-13
 
 
 def _circle_residues(elim, k, lam, nodes=128):
@@ -366,7 +396,7 @@ def _circle_residues(elim, k, lam, nodes=128):
     pullback = np.abs(1.0 - lam / (k * k))
     radius = 0.3 * np.minimum(2.0 * np.pi / 3.0 / pullback, np.abs(k))
     offsets = np.multiply.outer(radius, np.exp(2j * np.pi * np.arange(nodes) / nodes))
-    return (elim.inhom(k[:, None] + offsets) * offsets).sum() / nodes
+    return scaled_sum(elim.inhom(k[:, None] + offsets) * offsets) / nodes
 
 
 @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e3])
@@ -391,13 +421,13 @@ def test_closed_form_residues_at_800_modes_stay_scaled(geom):
 
 
 def test_mixed_nr_trace_refuses_a_residue_that_is_not_finite(geom, monkeypatch):
-    residues = ScaledElimination.residues
+    solve = ScaledElimination.inhom_and_residues
 
-    def one_nan(self, k):
-        res = residues(self, k)
-        return Scaled(np.where(np.arange(res.m.size) == 3, np.nan, res.m), res.sigma)
+    def one_nan(self, k, poles, images=None):
+        x, res = solve(self, k, poles, images)
+        return x, Scaled(np.where(np.arange(res.m.size) == 3, np.nan, res.m), res.sigma)
 
-    monkeypatch.setattr(ScaledElimination, "residues", one_nan)
+    monkeypatch.setattr(ScaledElimination, "inhom_and_residues", one_nan)
     with pytest.raises(AccuracyError, match="residue at k = .* not finite, lambda 1"):
         mixed_nr_trace(_mixed_problem(geom, 1.0)[1], count=4, t_factor=4.0)
 
@@ -439,6 +469,69 @@ def test_mixed_nr_trace_at_800_modes(geom):
     # residue terms whose exponents overflow a complex stay Scaled up to the
     # trace's coefficients, so many modes give the same error as a few
     assert _mixed_trace_error(geom, 1.0, 800) <= 5e-4
+
+
+@pytest.mark.parametrize(
+    "solver, lam, size",
+    [
+        ("symmetric", 0.0, 16),
+        ("symmetric", 1.0, 16),
+        ("symmetric", 5.0, 64),
+        ("mixed", 1e-4, 4),
+        ("mixed", 1.0, 64),
+        ("mixed", 1.0, 800),
+    ],
+)
+def test_free_piece_matches_its_scaled_form(geom, solver, lam, size):
+    # each residue term summed as one complex exponential, against the same
+    # terms formed and collapsed in Scaled arithmetic, on |s| <= 0.4 l and
+    # relative to the free piece's largest value there; at 800 modes some
+    # coefficients lie beyond the double range
+    if solver == "symmetric":
+        data = all_traces(symmetric_corner_compatible(max(lam, 0.5), 1.0), geom)[0][0]
+        trace = symmetric_dirichlet_integral(data, lam, 1.0, n_max=size, t_factor=80.0)
+    else:
+        trace = mixed_nr_trace(_mixed_problem(geom, lam)[1], count=size, t_factor=40.0)
+    assert (np.max(np.abs(trace.coeffs.sigma)) > 710.0) == (size == 800)
+    free = dataclasses.replace(trace, weighted=np.zeros_like(trace.weighted))
+    s = np.linspace(-0.4, 0.4, 129)
+    for column in ("value", "derivative"):
+        got = getattr(free, column)(s)
+        want = scaled_free_piece(trace, s, derivative=column == "derivative")
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_free_piece_with_large_exponents_matches_a_40_digit_sum(geom):
+    # at lambda l^2 = 1e3 the terms' exponents reach 225, each rounded to
+    # about eps 225: the Scaled form errs by 1.3e-14 of the largest value
+    # on |s| <= 0.4 l, the one exponential per term by 2.5e-15
+    trace = mixed_nr_trace(_mixed_problem(geom, 1e3)[1], count=4, t_factor=40.0)
+    free = dataclasses.replace(trace, weighted=np.zeros_like(trace.weighted))
+    s = np.linspace(-0.4, 0.4, 129)
+    terms = list(zip(trace.coeffs.m, trace.coeffs.sigma, trace.rates))
+    assert max(sigma for _, sigma, _ in terms) > 190.0
+
+    def exact(x, derivative):
+        total = mpmath.mpf(0)
+        for m, sigma, rate in terms:
+            term = mpmath.mpc(m) * mpmath.exp(mpmath.mpf(sigma) - mpmath.mpf(x) * mpmath.mpc(rate))
+            total += (-mpmath.mpc(rate) * term if derivative else term).real
+        return float(total)
+
+    with mpmath.workdps(40):
+        for column in ("value", "derivative"):
+            want = np.array([exact(x, column == "derivative") for x in s])
+            got = getattr(free, column)(s)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_free_piece_refuses_a_term_beyond_the_double_range():
+    # 0.5 e^{800 - s}: beyond the range at s = 0, 0.5 e^700 at s = 100
+    coeffs = Scaled(np.full(1, 0.5 + 0j), np.full(1, 800.0))
+    trace = ExponentialSumTrace(2, np.zeros(1), 1.0, np.zeros((1, 1)), np.ones(1), coeffs)
+    with pytest.raises(OverflowError):
+        trace.value(np.array([0.0, 100.0]))
+    assert abs(trace.value(100.0) / (0.5 * math.exp(700.0)) - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("lam", [1e-5, 1e-6, 2e3, 1e6])
@@ -502,7 +595,11 @@ def test_folded_contour_trace_matches_unfolded_sum(geom, solver, lam, rng, monke
         return Scaled.of(captured["values"])
 
     if solver == "mixed":
-        monkeypatch.setattr(ScaledElimination, "inhom", lambda self, k, images=None: random_values(k))
+        monkeypatch.setattr(
+            ScaledElimination,
+            "inhom_and_residues",
+            lambda self, k, poles, images=None: (random_values(k), Scaled.of(np.ones(poles.size))),
+        )
         trace = mixed_nr_trace(_mixed_problem(geom, lam)[1], count=2, t_factor=8.0)
         factor, reflect = 1.0 / (2.0 * np.pi), 1.0
     else:
@@ -564,9 +661,9 @@ def test_symmetric_integral_images_match_every_point(geom, lam, monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_mixed_images_match_every_point(geom, lam, monkeypatch):
-    # the transforms of the ray elimination of mixed_nr_trace, summed on the
-    # two ray families, against the sums at every point; the residues sum
-    # theirs at the roots themselves
+    # the transforms of the one elimination of mixed_nr_trace, the rays
+    # summed on their two families and the roots at their own, against the
+    # sums at every point
     calls = []
     transforms = relations.transforms
 
@@ -576,11 +673,12 @@ def test_mixed_images_match_every_point(geom, lam, monkeypatch):
 
     monkeypatch.setattr(relations, "transforms", captured)
     mixed_nr_trace(_mixed_problem(geom, lam)[1], count=4, t_factor=4.0)
-    ((samplers, k, (bases, blocks)), (_, roots, root_images)) = calls
-    # per rotation: the two ray pieces
-    assert len(blocks) == 3 * 2
-    assert sum(map(len, bases)) == 2 * 4 * poincare.PANEL_ORDER
-    assert roots.shape == (3, 2 * 9) and root_images is None
+    ((samplers, k, (bases, blocks)),) = calls
+    # per rotation: the two ray pieces and the roots
+    assert len(blocks) == 3 * (2 + 1)
+    roots = 2 * 9
+    assert sum(map(len, bases)) == 2 * 4 * poincare.PANEL_ORDER + 3 * roots
+    assert k.shape == (3, 2 * 4 * poincare.PANEL_ORDER + roots)
     got, want = transforms(samplers, k, (bases, blocks)), transforms(samplers, k)
     assert np.all(np.abs(((got - want) / want).to_complex()) <= 1e-11)
 

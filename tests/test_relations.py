@@ -16,15 +16,14 @@ from tridtn.relations import (
     ProblemSamplers,
     cycle_log_derivative,
     eliminate_rows,
-    eliminate_second_side,
     relation_rows,
-    relation_system,
     walk_cycle,
 )
 from tridtn.series import general_dirichlet_dtn, symmetric_dirichlet_dtn
 from tridtn.traces import BoundaryTrace
 
 from conftest import manufactured_families, spectral_points
+from reference import eliminate_second_side, relation_system
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])

@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import tridtn.relations as relations
 import tridtn.spectral as spectral
 from tridtn.errors import DomainError, NonFiniteError, ParameterError
 from tridtn.geometry import TriangleGeometry, mu
@@ -409,8 +410,17 @@ def test_one_bessel_recurrence_per_transform_set(monkeypatch, geom, rng):
     sol = symmetric_corner_compatible(lam, 1.0)
     traces = all_traces(sol, geom)[1]
     robin = poincare_trace(sol, geom, 1, math.pi / 2.0, math.sqrt(3.0 * lam))
-    elim = ScaledElimination(mixed_nr_problem(lam, geom, robin, traces[1], traces[2]))
+    problem = mixed_nr_problem(lam, geom, robin, traces[1], traces[2])
+    elim = ScaledElimination(problem)
     assert count(lambda: elim.inhom(spectral_points(rng, 20).reshape(4, 5))) == 1
+    # a mixed solve: its rays and roots in one recurrence, one assembly of
+    # the rows and one walk of their cycle
+    steps = []
+    for name in ("relation_rows", "walk_cycle"):
+        step = getattr(relations, name)
+        monkeypatch.setattr(relations, name, lambda *a, f=step, n=name, **kw: steps.append(n) or f(*a, **kw))
+    assert count(lambda: mixed_nr_trace(problem, count=4, t_factor=4.0)) == 1
+    assert steps == ["relation_rows", "walk_cycle"]
 
 
 # -- Legendre series of exponential-sum traces -----------------------------------
