@@ -19,20 +19,19 @@ transforms at SIDE_ROT[j] k = -i r, with mu = -i (r - lam/r) conjugated by
 r -> lam/r, so one transform call at the nodes of one half serves every
 ray and every point; ``symmetric_interior`` makes that call, and takes
 the G/Delta' residues, through ``poincare._symmetric_rays``.  Points are
-located by their distances to the sides (``TriangleGeometry.side_distances``).  Its spectrum, which does not depend on z (the ray
-parts, and the mode roots with their residue weights), is kept in the
-``spectra`` dict of the ``TraceSet`` or data trace it derives from, one
-entry per object, so repeated calls on one object at one lam cost one
-kernel sum per point.  Points nearer a side than RAY_KEEP_MARGIN l get a
-lattice of their own that is not kept.
+located by their distances to the sides (``TriangleGeometry.side_distances``).
 
-All three need both phases and magnitudes over an exponentially large
-dynamic range near k = 0; products are therefore assembled in the Scaled
-representation and collapsed to complex only once per quadrature node.
+Both fields are sums of atoms e^{ikz + (lam/ik) zbar + L} whose weights
+e^L carry all of the exponential range and do not depend on z, so the
+spectrum is a list of node blocks (k, L), one per ray and one of mode
+roots, with L formed once by ``Scaled.log``; a point costs one guarded
+exponential (``scaledc.collapse``) per atom (``_field``).  The spectrum is
+kept in the ``spectra`` dict of the ``TraceSet`` or data trace it derives
+from, one entry per object; points nearer a side than RAY_KEEP_MARGIN l
+get a lattice of their own that is not kept.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -45,7 +44,7 @@ from .poincare import _symmetric_rays
 from .problems import check_lam
 from .quadrature import QuadratureRule
 from .relations import GlobalRelation
-from .scaledc import Scaled
+from .scaledc import Scaled, collapse
 from .series import _delta_scaled
 from .spectral import Kind, SideSampler
 
@@ -182,49 +181,56 @@ def ray_lattice(lam: float, side_length: float, reach: float, order: int = RAY_O
 
 
 def _ray_spectrum(store: dict, geom: TriangleGeometry, z, lam: float, order: int, build, *extra):
-    """The point(s) z, flat (``_locate``), the spectrum (edges, radii,
-    weights, *build(radii, weights)) of a ``ray_lattice`` out to at least the
-    largest reach 36/d_j over the points and the rays j (d_j the distance
-    from z to side j), and the number of its panels that each ray (rows)
-    reads for each point.  ``store`` keeps one spectrum, under
-    (lam, l, order, *extra); it is reused while it covers the reach, and
-    otherwise built on this call's lattice and kept in its place unless a
-    point lies within RAY_KEEP_MARGIN l of a side."""
+    """The point(s) z, flat (``_locate``), the spectrum (edges, *build(radii,
+    weights)) of a ``ray_lattice`` out to the largest reach 36/d_j over the
+    points and rays j (d_j the distance to side j), and the panel count that
+    each ray (rows) reads for each point.  ``store`` keeps one spectrum,
+    under (lam, l, order, *extra), reused while it covers the reach and else
+    replaced by this call's, unless a point lies within RAY_KEEP_MARGIN l of
+    a side."""
     check_lam(lam, positive=True)
     zs, dist, margins = _locate(z, geom)
     reach, key = 36.0 / dist, (lam, geom.side_length, order, *extra)
     spectrum = store.get(key)
     if spectrum is None or spectrum[0][-1] < np.max(reach):
         edges, r, w = ray_lattice(lam, geom.side_length, np.max(reach), order)
-        spectrum = (edges, r, w, *build(r, w))
+        spectrum = (edges, *build(r, w))
         if np.min(margins) >= RAY_KEEP_MARGIN * geom.side_length:
             store.clear()
             store[key] = spectrum
     return zs, spectrum, np.maximum(1, np.searchsorted(spectrum[0][:-1], reach))
 
 
-def _ray_phase(k, z, lam) -> Scaled:
-    """exp{ i k z + (lam/(ik)) zbar } as a Scaled value (vectorised)."""
-    return Scaled.from_exp(1j * k * z + lam * np.conj(z) / (1j * k))
+def _ray_blocks(r, w, parts):
+    """The node blocks (k, L) of the rays, stacked and shaped (3, panels,
+    2 order): on ray j, k = r e^{i RAY_ARGS[j]} at the radii r of
+    ``ray_lattice`` and L = log(parts[j] w/(2 pi i)), ``parts`` Scaled and
+    shaped like r; a row holds both halves of a panel."""
+    k = np.exp(1j * np.array(RAY_ARGS))[:, None, None, None] * r
+    logs = np.stack([(part * (w / (2j * math.pi))).log() for part in parts])
+    return tuple(np.concatenate([x[:, 0], x[:, 1]], axis=-1) for x in (k, logs))
 
 
-def _ray_integrals(zs, lam: float, r, w, counts, parts):
-    """(1/2 pi i) sum_j int_{l_j} e^{ikz + (lam/ik) zbar} parts[j](|k|) dk/k
-    at each point of zs, with k = r e^{i RAY_ARGS[j]} on the radii r of
-    ``ray_lattice`` and ray j read over the first counts[j] panels of both
-    halves; ``parts`` are Scaled, shaped like r."""
-    half = w.size
-    total = np.zeros(zs.size, dtype=complex)
-    for j, part in enumerate(parts):
-        sizes = counts[j] * w.shape[1]
-        starts = np.cumsum(sizes) - sizes
-        prefix = np.arange(np.sum(sizes)) - np.repeat(starts, sizes)
-        nodes = np.stack([prefix, prefix + half])  # both halves of each point's panels
-        k = r.ravel()[nodes] * cmath.exp(1j * RAY_ARGS[j])
-        vals = _ray_phase(k, np.repeat(zs, sizes), lam) * part.reshape(-1)[nodes]
-        terms = w.ravel()[prefix] * vals.to_complex()
-        total += np.add.reduceat(terms.sum(axis=0), starts)
-    return total / (2j * math.pi)
+def _atoms(k, z, lam: float, logs):
+    """e^{ikz + (lam/ik) zbar + L} of the nodes k with log weights L at z."""
+    return collapse(1j * k * z + lam * np.conj(z) / (1j * k) + logs)
+
+
+def _field(zs, lam: float, counts, rays, residues=None):
+    """Re sum of ``_atoms`` at each point of zs over the ray blocks, ray j
+    over its first counts[j] rows, in one gather, and the residue block
+    (k, L), if any, in full."""
+    k, logs = rays
+    sizes = (counts * k.shape[-1]).T.ravel()  # one segment per (point, ray)
+    starts = np.cumsum(sizes) - sizes
+    shift = starts - np.tile(np.arange(3) * k[0].size, zs.size)  # segments count from their block
+    nodes = np.arange(np.sum(sizes)) - np.repeat(shift, sizes)
+    z_nodes = np.repeat(zs, counts.sum(axis=0) * k.shape[-1])
+    atoms = _atoms(k.ravel()[nodes], z_nodes, lam, logs.ravel()[nodes])
+    total = np.add.reduceat(atoms, starts[::3])
+    if residues is not None:
+        total += _atoms(residues[0], zs[:, None], lam, residues[1]).sum(axis=1)
+    return total.real
 
 
 def fokas_eval(traces: TraceSet, lam: float, z):
@@ -243,11 +249,10 @@ def fokas_eval(traces: TraceSet, lam: float, z):
     def build(r, w):
         relation = GlobalRelation(traces.dirichlet, traces.neumann, lam, geom.side_length)
         images = ((-1j * (r[0] - lam / r[0]).ravel(),), ((0, 0, 0), (0, 0, 1)))
-        return (relation.rhos(-1j * r, images),)
+        return (_ray_blocks(r, w, relation.rhos(-1j * r, images)),)
 
-    zs, spectrum, counts = _ray_spectrum(traces.spectra, geom, z, lam, RAY_ORDER, build)
-    _, r, w, rhos = spectrum
-    return _shaped(_ray_integrals(zs, lam, r, w, counts, rhos).real, z)
+    zs, (_, rays), counts = _ray_spectrum(traces.spectra, geom, z, lam, RAY_ORDER, build)
+    return _shaped(_field(zs, lam, counts, rays), z)
 
 
 # -- the symmetric Dirichlet problem ---------------------------------------
@@ -266,11 +271,10 @@ def symmetric_interior(
     read on rays 2 and 3 at k = r e^{i pi/6} and conj(k_3) = r e^{7i pi/6}
     for the outer radii r >= sqrt(lam) only, the out-up and out-down pieces
     of ``symmetric_dirichlet_integral`` on t = r - lam/r; the inner half
-    r -> lam/r reads (G/Delta)(lam/conj k) = -conj (G/Delta)(k).  F(-i r)
-    of every ray, on both halves, is an image of +i t: one transform call
-    (``poincare._symmetric_rays``) serves the rays, the roots and every point,
-    and its spectrum is kept in ``f.spectra`` (see ``_ray_spectrum``).
-    Below lambda l^2 = SYMMETRIC_LAM_MIN it raises AccuracyError.
+    r -> lam/r reads (G/Delta)(lam/conj k) = -conj (G/Delta)(k), and F(-i r)
+    on both halves is an image of +i t: one ``poincare._symmetric_rays``
+    call serves rays, roots and points, kept in ``f.spectra``.  Below
+    lambda l^2 = SYMMETRIC_LAM_MIN it raises AccuracyError.
     """
     geom = geometry or TriangleGeometry()
     side_length = geom.side_length
@@ -304,10 +308,7 @@ def symmetric_interior(
             Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA * k), lam) * short)
             + Scaled.from_exp(mu(1j * np.where(roots.plus, k, ALPHA_BAR * k), lam) * short)
         )
-        return parts, k, env * residues / denom
+        return _ray_blocks(r, w, parts), (k, (env * residues / denom).log())
 
-    zs, spectrum, counts = _ray_spectrum(f.spectra, geom, z, lam, order, build, n_max)
-    _, r, w, parts, k, residues = spectrum
-    total = _ray_integrals(zs, lam, r, w, counts, parts)
-    terms = _ray_phase(k, zs[:, None], lam) * residues
-    return _shaped((total + np.sum(terms.to_complex(), axis=1)).real, z)
+    zs, (_, rays, residues), counts = _ray_spectrum(f.spectra, geom, z, lam, order, build, n_max)
+    return _shaped(_field(zs, lam, counts, rays, residues), z)

@@ -14,16 +14,16 @@ Schwarz-conjugate relation (valid for real data) replaces E(-i .) by
 E(+i .), i/2 by -i/2, H by Hbar, C by Cbar and rotates with (1, alpha,
 alpha_bar).  Both families at k, alpha k, alpha_bar k are the six rows of
 RELATION_ROWS, in the nine unknowns X_j at the three rotated arguments.
-``relation_rows`` assembles them at arrays of k as ``Scaled`` rows, each
-exponent in closed form and each mantissa a plain complex array, and
-``walk_cycle`` eliminates the six unknowns at alpha k and alpha_bar k
-along ELIMINATION_CYCLE, expressing X_2(alpha_bar k) through the three
-X_j(k): a cumulative sum of exponents and a cumulative product of
-mantissas over the cycle, and one rescaled sum of its six terms.  Every
-user reads these two: the contour solvers' inhomogeneity and its residues
-(``ScaledElimination``, one assembly and one walk for the ray points and
-the poles together), and the moments that the series maps and the
-oblique Robin modes read at mode roots (``mode_moment``).
+``relation_rows`` assembles them, without C_j, at arrays of k as
+``Scaled`` rows, each exponent in closed form and each mantissa a plain
+complex array, and ``walk_cycle`` eliminates the six unknowns at alpha k
+and alpha_bar k along ELIMINATION_CYCLE, expressing X_2(alpha_bar k)
+through the three X_j(k): a cumulative sum of exponents and a cumulative
+product of mantissas over the cycle, and one rescaled sum of its six
+terms.  Every user reads these two: the contour solvers' inhomogeneity
+and its residues (``ScaledElimination``, one assembly and one walk for
+the ray points and the poles together), and the moments that the series
+maps and the oblique Robin modes read at mode roots (``mode_moment``).
 """
 from __future__ import annotations
 
@@ -196,7 +196,7 @@ def _rescaled_sum(m, sigma, axis=0):
     return m.sum(axis=axis), top.squeeze(axis)
 
 
-def relation_rows(samplers: ProblemSamplers, k, corner_values=None, images=None):
+def relation_rows(samplers: ProblemSamplers, k, images=None):
     """The six global-relation rows at every point of the 1-D array ``k``,
     in exponent-carrying form: row r of RELATION_ROWS reads
 
@@ -207,8 +207,10 @@ def relation_rows(samplers: ProblemSamplers, k, corner_values=None, images=None)
     prefactor E(-i f_rj k) (E(+i f_rj k) in the conjugate rows), whose
     exponent, closed-form (``_prefactors``), is the coefficient's; a data
     term adds the transform's.  The right side holds minus the data
-    transforms, plus the corner terms when ``corner_values`` gives each
-    side's (q(-l/2), q(l/2)), summed at the largest of their exponents.
+    transforms, summed at the largest of their exponents, and no corner
+    term C_j: it cancels in Poincare rows whose betas differ by even
+    multiples of pi/3, as on the Neumann and Robin sides that the solvers
+    take.
     ``images`` names the points ARG_FACTORS k, in that order, as
     ``spectral.transforms`` does."""
     l = samplers.side_length
@@ -219,14 +221,8 @@ def relation_rows(samplers: ProblemSamplers, k, corner_values=None, images=None)
         (symbol_values(samplers.turns, samplers.gammas, args, inv) * phase)[_PICK],
         sigma[_CONJ[:, None], 0, _SLOTS],
     )
-    terms = Scaled(phase * known.m * -samplers.scale[:, None, None], sigma + known.sigma)
-    if corner_values is not None:
-        # C_j(a) = (e^{+-i beta_j}/(2 sin beta_j)) [e(-a) q_j(-l/2) - e(a) q_j(l/2)]
-        plus, minus = Scaled.exp_pair((args + inv) * (l / 2.0))
-        q = np.asarray(corner_values, dtype=float)[:, :, None, None]
-        edges = Scaled(phase, sigma) * (minus * q[:, 0] - plus * q[:, 1])
-        terms = terms - edges * (samplers.turns * samplers.scale[:, None, None])
-    return coeffs, Scaled(*_rescaled_sum(terms.m[_PICK], terms.sigma[_PICK], axis=1))
+    m, s = phase * known.m * -samplers.scale[:, None, None], sigma + known.sigma
+    return coeffs, Scaled(*_rescaled_sum(m[_PICK], s[_PICK], axis=1))
 
 
 #: ELIMINATION_CYCLE as arrays: the rows, their own terms, their next terms

@@ -5,7 +5,8 @@ of exponentials whose individual factors overflow double precision long
 before the ratio does.  ``Scaled`` stores x = m * exp(sigma) with a complex
 mantissa ``m`` and a real exponent ``sigma``; products add exponents, sums
 rescale to the largest exponent, and only the final ratio is collapsed to a
-plain complex number.  All operations broadcast over numpy arrays.
+plain complex number, by ``collapse``, the one guarded exponential.  All
+operations broadcast over numpy arrays.
 """
 from __future__ import annotations
 
@@ -84,12 +85,9 @@ class Scaled:
         return _coerce(other) + (-self)
 
     def normalized(self) -> "Scaled":
-        """Fold the mantissa magnitude into sigma, leaving the larger
-        mantissa component in [1/2, 1).
-
-        The rescaling is by an exact power of two, so subnormal mantissas
-        stay finite where dividing by |m| would overflow.
-        """
+        """Fold the mantissa magnitude into sigma by an exact power of two,
+        leaving the larger mantissa component in [1/2, 1): subnormal
+        mantissas stay finite where dividing by |m| would overflow."""
         m = np.asarray(self.m, dtype=complex)
         _, e = np.frexp(np.maximum(np.abs(m.real), np.abs(m.imag)))
         mant = np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e)
@@ -98,17 +96,26 @@ class Scaled:
     def to_complex(self):
         """Collapse to complex; raises OverflowError if exp(sigma) overflows."""
         norm = self.normalized()
-        if np.any(norm.sigma > _COLLAPSE_LIMIT):
-            raise OverflowError("scaled value too large to collapse to complex")
-        with np.errstate(under="ignore"):
-            out = norm.m * np.exp(norm.sigma)
+        out = norm.m * collapse(norm.sigma)
         return out if out.ndim else complex(out)
+
+    def log(self):
+        """log m + sigma, complex (elementwise; real part -inf at exact zeros)."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.asarray(self.m, dtype=complex)) + self.sigma
 
     def abs_log(self):
         """log |x| (elementwise, -inf for exact zeros)."""
-        with np.errstate(divide="ignore"):
-            out = np.log(np.abs(self.m)) + self.sigma
+        out = self.log().real
         return out if np.ndim(out) else float(out)
+
+
+def collapse(logs):
+    """exp(logs): OverflowError where a real part passes _COLLAPSE_LIMIT, quiet underflow."""
+    if np.max(np.real(logs), initial=-np.inf) > _COLLAPSE_LIMIT:
+        raise OverflowError("scaled value too large to collapse to complex")
+    with np.errstate(under="ignore"):
+        return np.exp(logs)
 
 
 def _coerce(value) -> Scaled:

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError
-from .scaledc import _COLLAPSE_LIMIT, Scaled
+from .scaledc import Scaled, collapse
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +81,8 @@ class ExponentialSumTrace(_Trace):
     W = e^{i step s}, sums each offset's column of ``weighted`` against its
     powers W^p (``_powers``) in one matrix product, and those sums against
     the e^{i offsets[j] s}.  The second, free piece has ``Scaled``
-    coefficients, as they may lie far outside the double range while each
-    product with its exponential stays moderate: each term is summed as
-    one complex exponential, exp(log m + sigma - s rate), with no
-    ``Scaled`` work, and OverflowError where one is too large to collapse.
+    coefficients c, which may lie far outside the double range while each
+    term stays moderate: a term is one ``scaledc.collapse`` of log c - s rate.
 
     A contour solver's trace is the quadrature of a Fourier integral over
     the truncated contour, folded onto the lattice of its Gauss panels in
@@ -124,14 +122,8 @@ class ExponentialSumTrace(_Trace):
         columns = _powers(s, np.longdouble(self.step), len(weighted)) @ weighted
         out = np.sum(columns * np.exp(1j * np.multiply.outer(s, self.offsets)), axis=-1).real
         if self.rates.size:
-            # each term as one exponential, exp(log c.m + c.sigma - s rate)
-            m = -self.rates * self.coeffs.m if derivative else self.coeffs.m
-            with np.errstate(divide="ignore"):
-                w = np.log(m) + self.coeffs.sigma - np.multiply.outer(s, self.rates)
-            if np.any(w.real > _COLLAPSE_LIMIT):
-                raise OverflowError("residue term too large to collapse to complex")
-            with np.errstate(under="ignore"):
-                out = out + np.sum(np.exp(w), axis=-1).real
+            coeffs = self.coeffs * -self.rates if derivative else self.coeffs
+            out = out + np.sum(collapse(coeffs.log() - np.multiply.outer(s, self.rates)), axis=-1).real
         return out if out.ndim else float(out)
 
     def synthesis(self, s):

@@ -15,13 +15,15 @@ computes, which only the tests read.
 """
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from tridtn import relations
 from tridtn.errors import DomainError, SolvabilityError
-from tridtn.geometry import ALPHA, ALPHA_BAR, exp_e
+from tridtn.geometry import ALPHA, ALPHA_BAR, exp_E, exp_e
 from tridtn.problems import ProblemSpec
 from tridtn.scaledc import Scaled
 
@@ -41,21 +43,33 @@ def relation_system(problem: ProblemSpec, k: complex, corner_values=None) -> Rel
     """The 6x9 global-relation system at spectral point k, filled from
     ``relation_rows``.
 
-    ``corner_values``: optional per-side (q(-l/2), q(l/2)) triples for the
-    corner terms of Poincare-type rows.  When omitted, the corner terms are
-    dropped, which is exact when the corner-cancellation condition holds and
-    an error otherwise.
+    ``corner_values``: optional per-side (q(-l/2), q(l/2)) pairs for the
+    corner terms of Poincare-type rows, which ``relation_rows`` leaves out:
+    each row's side-j term at a = f k subtracts its prefactor E(-+i a)
+    times C_j(a) = (e^{+-i beta_j}/(2 sin beta_j)) [e(-a) q_j(-l/2) -
+    e(a) q_j(l/2)] (upper signs in the base rows).  When omitted, the corner
+    terms are dropped, which is exact when the corner-cancellation
+    condition holds and an error otherwise.
     """
     if k == 0:
         raise DomainError("relation system undefined at k = 0")
     if corner_values is None and not (problem.is_dirichlet or problem.admissibility().corner_cancelling):
         raise SolvabilityError("corner terms do not cancel; corner_values are required")
     samplers = relations.ProblemSamplers(problem)
-    coeffs, rhs = relations.relation_rows(samplers, np.array([k], dtype=complex), corner_values)
+    coeffs, rhs = relations.relation_rows(samplers, np.array([k], dtype=complex))
     matrix = np.zeros((6, 9), dtype=complex)
     # X_j(ARG_FACTORS[slot] k) is column 3 slot + j - 1
     matrix[np.arange(6)[:, None], 3 * relations._SLOTS + np.arange(3)] = coeffs.to_complex()[..., 0]
-    return RelationSystem(matrix=matrix, rhs=rhs.to_complex()[:, 0])
+    rhs = rhs.to_complex()[:, 0]
+    if corner_values is not None:
+        lam, l = problem.lam, problem.side_length
+        for r, row in enumerate(relations.RELATION_ROWS):
+            s = 1j if row.conj else -1j
+            for (_, f, _), side, (lo, hi) in zip(row.terms, problem.sides, corner_values):
+                a = f * k
+                c = cmath.exp(-s * side.beta) / (2.0 * math.sin(side.beta))
+                rhs[r] -= exp_E(s * a, lam, l) * c * (exp_e(-a, lam, l) * lo - exp_e(a, lam, l) * hi)
+    return RelationSystem(matrix=matrix, rhs=rhs)
 
 
 @dataclass(frozen=True)

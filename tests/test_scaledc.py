@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tridtn.scaledc import Scaled
+from tridtn.scaledc import Scaled, collapse
 
 from reference import scaled_sum
 
@@ -32,8 +32,13 @@ def test_huge_exponent_ratios():
     big = Scaled.from_exp(1000.0 + 0.3j)
     slightly_smaller = Scaled.from_exp(999.0 + 0.3j)
     assert abs(complex((big / slightly_smaller).to_complex()) - np.e) < 1e-12
-    with pytest.raises(OverflowError):
-        big.to_complex()
+    for collapsing in (big.to_complex, lambda: collapse(big.log())):
+        with pytest.raises(OverflowError):
+            collapsing()
+    # the log collapses once 999 is taken off, and underflows quietly to 0
+    assert abs(collapse(big.log() - 999.0) - np.e * np.exp(0.3j)) < 1e-12
+    with np.errstate(under="raise"):
+        assert collapse(big.log() - 2000.0) == 0.0
 
 
 def test_cancellation_in_sums():
