@@ -37,6 +37,7 @@ ALPHA_BAR = ALPHA.conjugate()
 
 #: Per-side rotation factors (index 0 unused; sides are 1-based).
 SIDE_ROT = (None, 1.0 + 0.0j, ALPHA_BAR, ALPHA)
+_CONJ_ROT = np.conj(SIDE_ROT[1:])
 
 
 def mu(k, lam):
@@ -115,8 +116,7 @@ class TriangleGeometry:
     # -- point queries ----------------------------------------------------
     def side_distances(self, z):
         """Signed distances to sides 1, 2 and 3, stacked on a first axis."""
-        z = np.asarray(z, dtype=complex)
-        return np.stack([self.inradius - np.real(z * np.conj(_side_rot(j))) for j in (1, 2, 3)])
+        return self.inradius - np.real(np.multiply.outer(_CONJ_ROT, np.asarray(z, dtype=complex)))
 
     def boundary_margin(self, z):
         """Signed distance to the nearest side (positive strictly inside)."""

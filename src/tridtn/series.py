@@ -44,7 +44,7 @@ from .problems import BCKind, ProblemSpec, SideCondition, check_lam, dirichlet_p
 from .quadrature import QuadratureRule
 from .relations import mode_moment
 from .scaledc import Scaled
-from .spectral import Kind, SideSampler, series_legendre
+from .spectral import Kind, SideSampler
 from .symbols import SideSymbol
 from .traces import ExponentialSumTrace
 
@@ -93,20 +93,24 @@ def _rotations(k):
 
 def _finalize(side, side_length, modes, coeffs) -> ExponentialSumTrace:
     """The series sum_m coeffs[m] exp(-2 pi i m s/(3 l)) as a one-offset
-    lattice.  With g the gcd of the labels, label m goes to node |m|/g of
-    step 2 pi g/(3 l), formed in long double since the powers of the carrier
-    carry its rounding.  A label m <= 0 keeps its coefficient and a label
-    m > 0 takes its conjugate, as Re(c e^{-ix}) = Re(conj(c) e^{ix}).  The
-    imbalance, taken before the fold, is sum_n |Im a_n| over the Legendre
-    coefficients a_n of the complex series: |P_n| <= 1 on the side, so it
-    bounds the imaginary part that the real part drops there."""
+    lattice.  With g the gcd of the labels, label m goes to node p = |m|/g
+    of step 2 pi g/(3 l), formed in long double since the powers of the
+    carrier carry its rounding.  A label m <= 0 keeps its coefficient and a
+    label m > 0 takes its conjugate, as Re(c e^{-ix}) = Re(conj(c) e^{ix}).
+    The imaginary part that this fold drops is Im sum_p (c_{-p} - conj(c_p))
+    e^{ipx}, so the imbalance, sum_{p>0} |c_{-p} - conj(c_p)| + |Im c_0|,
+    bounds it on the whole line."""
     modes, coeffs = np.asarray(modes, dtype=int), np.asarray(coeffs, dtype=complex)
     if modes.shape != coeffs.shape:
         raise ParameterError(f"series labels {modes.shape} and coeffs {coeffs.shape} do not match")
-    imbalance = float(np.sum(np.abs(series_legendre(modes, coeffs).imag)))
     g = int(np.gcd.reduce(modes)) or 1
-    weighted = np.zeros((np.max(np.abs(modes)) // g + 1, 1), dtype=complex)
-    np.add.at(weighted[:, 0], np.abs(modes) // g, np.where(modes > 0, np.conj(coeffs), coeffs))
+    nodes = np.abs(modes) // g
+    folded = np.where(modes > 0, np.conj(coeffs), coeffs)
+    weighted = np.zeros((nodes.max() + 1, 1), dtype=complex)
+    unpaired = np.zeros(len(weighted), dtype=complex)
+    np.add.at(weighted[:, 0], nodes, folded)
+    np.add.at(unpaired, nodes, np.where(modes > 0, -folded, folded))
+    imbalance = float(np.sum(np.abs(unpaired[1:])) + abs(unpaired[0].imag))
     step = 8 * np.arctan(np.longdouble(1)) * g / (3 * np.longdouble(side_length))
     free = np.zeros(0)
     return ExponentialSumTrace(side, np.zeros(1), step, weighted, free, Scaled.of(free), imbalance)

@@ -13,19 +13,20 @@ beta), a factor that the callers who know beta apply.
 
 Both kinds are views of one Legendre series per trace, in x = s/(l/2):
 one column for g and, the first time a PHI view asks for it, one for g'.
-An ``ExponentialSumTrace``, Re sum_j w_j e^{kappa_j s} (a Fourier series,
-or contour nodes plus residues), has its columns exactly from the Rayleigh
-expansion e^{zx} = sum_n (2n+1) i_n(z) P_n(x) (DLMF 10.60):
-a_n = (2n+1) sum_j w_j i_n(kappa_j l/2), from one table of the i_n built by
-Miller's ratio recurrence; a series, whose nodes sit at the arguments
--i pi m/3, reads a table cached by max |m|.  Any other trace is sampled
-on Gauss-Legendre nodes of the side, doubling the node count until the
-Legendre coefficients have decayed to a plateau.  Both are cut by the
-standardChop test of Aurentz & Trefethen ("Chopping a Chebyshev series",
-ACM TOMS 2017).  Each column is chopped on its own and cached on the
-trace (``trace.legendre``), so every sampler of that trace object,
-whatever its kind or lambda, reuses it.  With h = l/2 every transform of
-the chopped series is exact,
+Every trace is sampled on Gauss-Legendre nodes of the side, doubling the
+node count until the Legendre coefficients have decayed to a plateau, and
+is cut by the standardChop test of Aurentz & Trefethen ("Chopping a
+Chebyshev series", ACM TOMS 2017).  An ``ExponentialSumTrace``,
+Re sum_j w_j e^{kappa_j s} (a Fourier series, or contour nodes plus
+residues), only starts higher.  The Legendre coefficients of e^{zx} are
+(2n + 1) i_n(z) (DLMF 10.60), which fall below rounding past the degree
+``_top_degree`` of z = kappa l/2 (the turning point |z| and its Airy
+layer, or a Gaussian decay for large Re z).  Its first node count
+(``_first_nodes``) is the power of two past that degree over all kappa,
+so its first sampling resolves it to rounding, with no aliasing.  Each
+column is chopped on its own and cached on the trace (``trace.legendre``),
+so every sampler of that trace object, whatever its kind or lambda, reuses
+it.  With h = l/2 every transform of the chopped series is exact,
 
     int_{-h}^{h} e^{mu s} P_n(s/h) ds = 2 h i_n(mu h),
 
@@ -210,96 +211,25 @@ def _bessel_sums(coeffs, z):
     return out
 
 
-# -- Legendre series of exponential sums ------------------------------------
-def _bessel_table(z):
-    """Rows n = 0, 1, ... of e^{-|Re z|} i_n(z), one column per point of a
-    1-D array z, from the ratios of one Miller recurrence normalised as in
-    ``_miller_sum``.  The rows end at the Miller start that keeps the ratios
-    accurate up to where i_n has decayed by e^-18, so the last rows have
-    decayed by about e^-36, below rounding; MAX_DEGREE rows at most."""
-    top = _top_degree(z, _top_degree(z, 0))
-    table = np.empty((min(top + 1, MAX_DEGREE), z.size), dtype=complex)
-    ratio = np.zeros(z.shape, dtype=complex)
-    for n in range(top, 0, -1):
-        ratio = z / ((2 * n + 1) + z * ratio)
-        if n < len(table):
-            table[n] = ratio
-    i0, i1 = _i0_i1(z)
-    by_i1 = (np.abs(i1) > np.abs(i0)) & (np.abs(z) > 1.0)  # below 1, i_1 cancels
-    table[1] = np.where(by_i1, i1, i0 * table[1])
-    np.cumprod(table[1:], axis=0, out=table[1:])
-    table[0] = i0
-    return table
-
-
-def _rayleigh(sums):
-    """(2n + 1) sums[n]: the Legendre coefficients on [-1, 1] of
-    sum_j w_j e^{z_j x} from sums[n] = sum_j w_j i_n(z_j), by the Rayleigh
-    expansion e^{zx} = sum_n (2n + 1) i_n(z) P_n(x) (DLMF 10.60)."""
-    return (2 * np.arange(len(sums)) + 1) * sums
-
-
-@lru_cache(maxsize=16)
-def _series_table(m_max: int):
-    """``_bessel_table`` at the series arguments -i pi m/3, m = 0..m_max."""
-    table = _bessel_table(-1j * np.pi * np.arange(m_max + 1) / 3.0)
-    table.setflags(write=False)
-    return table
-
-
-def series_legendre(modes, weights):
-    """Legendre coefficients in s/(l/2), complex, of
-    sum_m weights[m] exp(-2 pi i m s/(3 l)) on its side of length l.
-
-    The arguments -i pi m/3 depend on neither l nor lambda, so their Bessel
-    table is cached by max |m|; a negative label reads the column of |m|,
-    as i_n(-z) = (-1)^n i_n(z).
-    """
-    modes = np.asarray(modes)
-    table = _series_table(int(np.max(np.abs(modes))))
-    signed = np.zeros((2, table.shape[1]), dtype=complex)
-    np.add.at(signed, ((modes < 0).astype(int), np.abs(modes)), weights)
-    sums = np.empty(len(table), dtype=complex)
-    sums[0::2] = table[0::2] @ (signed[0] + signed[1])
-    sums[1::2] = table[1::2] @ (signed[0] - signed[1])
-    return _rayleigh(sums)
-
-
-def _series_labels(trace, side_length: float):
-    """The labels m = -g p of the nodes p step of a trace with no free piece
-    and one offset, 0, whose step l/2 is a multiple g of pi/3, so that its
-    nodes sit at the arguments -i pi m/3 of ``series_legendre``; None for
-    any other trace."""
-    if trace.rates.size or trace.offsets.tolist() != [0.0]:
-        return None
-    ratio = 3 * trace.step * np.longdouble(side_length) / (8 * np.arctan(np.longdouble(1)))
-    g = int(np.rint(ratio))
-    if g < 1 or abs(ratio - g) > g * np.finfo(float).eps:
-        return None
-    return -g * np.arange(len(trace.weighted))
-
-
-def _exponential_legendre(trace, column: str, side_length: float):
-    """Legendre coefficients in s/(l/2), complex, of the exponential sum
-    that ``trace.exponentials(column)`` gives, on a side of length l."""
-    (lattice_rates, lattice), (rates, free) = trace.exponentials(column)
-    labels = _series_labels(trace, side_length)
-    if labels is not None:
-        return series_legendre(labels, lattice)
-    z_free = rates * (side_length / 2.0)
-    # the table carries e^{-|Re z|}, so the weights take e^{|Re z|}: 1 on the
-    # lattice, whose rates are i t
-    free = Scaled(free.m, free.sigma + np.abs(z_free.real)).to_complex()
-    z = np.concatenate([lattice_rates * (side_length / 2.0), z_free])
-    return _rayleigh(_bessel_table(z) @ np.concatenate([lattice, free]))
-
-
 # -- one Legendre series per trace --------------------------------------------
+def _first_nodes(trace, side_length: float) -> int:
+    """The node count at which ``_samplings`` starts: _FIRST_DEGREE, or for
+    an ``ExponentialSumTrace`` the power of two past the degree where the
+    Legendre coefficients (2n + 1) i_n(z) of each of its exponentials
+    e^{kappa s}, z = kappa l/2, have decayed below rounding (``_top_degree``
+    taken twice, past e^-18 and then about e^-36), MAX_DEGREE at most.  The
+    first sampling then resolves the trace with no aliasing."""
+    if not isinstance(trace, ExponentialSumTrace):
+        return _FIRST_DEGREE
+    z = np.append(-trace.rates, 1j * np.max(np.abs(trace.t))) * (side_length / 2.0)
+    top = _top_degree(z, _top_degree(z, 0))
+    return min(max(2 ** top.bit_length(), _FIRST_DEGREE), MAX_DEGREE)
+
+
 def _samplings(trace, column: str, side_length: float):
     """Legendre coefficients of the interpolants of ``trace.<column>`` on
-    n = _FIRST_DEGREE, 2 _FIRST_DEGREE, ..., MAX_DEGREE Gauss nodes of the
-    side."""
-    n = _FIRST_DEGREE
+    n = _first_nodes, 2 n, ..., MAX_DEGREE Gauss nodes of the side."""
+    n = _first_nodes(trace, side_length)
     while n <= MAX_DEGREE:
         nodes = _leggauss(n)[0] * (side_length / 2.0)
         samples = np.broadcast_to(getattr(trace, column)(nodes), nodes.shape)
@@ -311,22 +241,13 @@ def _samplings(trace, column: str, side_length: float):
 
 def _legendre(trace, column: str, side_length: float, kind: Kind):
     """Chopped Legendre coefficients in s/(l/2) of ``trace.value`` or
-    ``trace.derivative`` (``column``) on a side of length l, computed once
-    per trace object and side length and cached on the trace.
-
-    An ``ExponentialSumTrace`` (series or contour-plus-residue) has them from
-    its Rayleigh expansion, the real parts of ``_exponential_legendre``; any
-    other trace is sampled at doubling node counts until they plateau.
-    """
+    ``trace.derivative`` (``column``) on a side of length l, sampled at
+    doubling node counts until they plateau, computed once per trace object
+    and side length and cached on the trace."""
     key = (column, side_length)
     if key in trace.legendre:
         return trace.legendre[key]
-    if isinstance(trace, ExponentialSumTrace):
-        with np.errstate(all="ignore"):
-            candidates = [_exponential_legendre(trace, column, side_length).real]
-    else:
-        candidates = _samplings(trace, column, side_length)
-    for coeffs in candidates:
+    for coeffs in _samplings(trace, column, side_length):
         if not np.all(np.isfinite(coeffs)):
             raise NonFiniteError(
                 f"side {trace.side} trace is not finite "

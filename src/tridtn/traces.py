@@ -12,11 +12,12 @@ with one offset, 0, one node per label and no free piece.  The plain
 parsed expressions, interpolated grid data).
 
 The spectral transforms see a trace only through the Legendre series of
-its ``value`` and ``derivative``.  An exponential-sum trace gives them
-exactly, through ``exponentials``: the rates kappa_j and weights w_j of
-Re sum_j w_j e^{kappa_j s}.  A ``BoundaryTrace`` is sampled on
-Gauss-Legendre nodes of the side until its coefficients reach a plateau.  A
-trace carries no resolution hint of its own, only the cache of those
+its ``value`` and ``derivative``, which every trace gets the same way: it
+is sampled on Gauss-Legendre nodes of the side, at doubling node counts,
+until its coefficients reach a plateau.  An exponential-sum trace only
+starts higher, at a count that resolves its largest exponential to
+rounding (``spectral._first_nodes``), so its first sampling is its last.
+A trace carries no resolution hint of its own, only the cache of those
 coefficients.
 """
 from __future__ import annotations
@@ -92,8 +93,9 @@ class ExponentialSumTrace(_Trace):
     is a lattice with one offset, 0, one node per label, a long double
     ``step`` and no free piece.  Its ``imbalance`` (0 for a contour trace)
     bounds the modulus of the imaginary part of the complex series before
-    the fold: sum_n |Im a_n| over its Legendre coefficients a_n, as
-    |P_n| <= 1 on the side.  For real data it should sit at roundoff level.
+    the fold, on the whole line: sum_{p>0} |c_{-p} - conj(c_p)| + |Im c_0|
+    over the coefficients c_m of labels m (``series._finalize``).  For real
+    data it should sit at roundoff level.
     """
 
     side: int
@@ -137,16 +139,6 @@ class ExponentialSumTrace(_Trace):
     def derivative(self, s):
         """Analytic d/ds: a factor i t on the lattice, -rate on the free piece."""
         return self._sum(s, derivative=True)
-
-    def exponentials(self, column: str):
-        """``column`` ("value" or "derivative") as Re sum_j w_j e^{kappa_j s}:
-        a lattice piece (i t, weighted) and a free piece (-rates, coeffs),
-        whose ``Scaled`` weights may lie outside the double range; the
-        derivative multiplies each weight by its kappa."""
-        pieces = ((1j * self.t.ravel(), self.weighted.ravel()), (-self.rates, self.coeffs))
-        if column == "value":
-            return pieces
-        return tuple((kappa, kappa * w) for kappa, w in pieces)
 
     def __call__(self, s):
         return self.value(s)

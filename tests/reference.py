@@ -11,7 +11,10 @@ computes, which only the tests read.
   trapezoid circles that the closed-form residues are tested against);
 * ``scaled_free_piece`` evaluates the free piece of an
   ``ExponentialSumTrace`` in ``Scaled`` arithmetic, the form the trace
-  used before it summed each term as one complex exponential.
+  used before it summed each term as one complex exponential;
+* ``rayleigh_columns`` gives the Legendre columns of an
+  ``ExponentialSumTrace`` from its exponentials, by the Rayleigh expansion
+  over a Miller table of i_n, where the package samples the trace.
 """
 from __future__ import annotations
 
@@ -143,3 +146,52 @@ def scaled_free_piece(trace, s, derivative: bool = False):
     coeffs = -trace.rates * trace.coeffs if derivative else trace.coeffs
     terms = coeffs * Scaled.from_exp(-np.multiply.outer(s, trace.rates))
     return np.real(np.sum(terms.to_complex(), axis=-1))
+
+
+# -- Legendre columns of exponential sums -----------------------------------
+def _miller_table(z):
+    """Rows n = 0, 1, ... of e^{-|Re z|} i_n(z), one column per point of a
+    1-D array z: the ratios i_n/i_{n-1} of Miller's backward recurrence,
+    started past the turning point |z| and its Airy layer or, for large
+    Re z, past the decay i_n/i_0 ~ exp(-n^2 Re z/(2|z|^2)) by e^-36, and
+    multiplied up from the larger of i_0 and i_1 (i_0 vanishes at
+    z = i pi m)."""
+    az = np.abs(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decay = np.sqrt(72.0 * az**2 / np.abs(z.real)) + 16.0
+    top = int(np.ceil(np.max(np.fmin(az + 8.0 * np.cbrt(az) + 16.0, decay))))
+    table = np.empty((top + 1, z.size), dtype=complex)
+    ratio = np.zeros(z.shape, dtype=complex)
+    for n in range(top, 0, -1):
+        ratio = table[n] = z / ((2 * n + 1) + z * ratio)
+    # e^{-|x|} (sinh z, cosh z), z = x + iy, from one expm1(-2|x|)
+    em = np.expm1(-2.0 * np.abs(z.real))
+    sh, ch = np.copysign(-0.5 * em, z.real), 1.0 + 0.5 * em
+    sinh = sh * np.cos(z.imag) + 1j * ch * np.sin(z.imag)
+    cosh = ch * np.cos(z.imag) + 1j * sh * np.sin(z.imag)
+    inv = 1.0 / np.where(z == 0.0, 1.0, z)
+    i0 = np.where(z == 0.0, 1.0, sinh * inv)
+    i1 = (cosh - i0) * inv
+    by_i1 = (np.abs(i1) > np.abs(i0)) & (az > 1.0)  # below 1, i_1 cancels
+    table[1] = np.where(by_i1, i1, i0 * table[1])
+    np.cumprod(table[1:], axis=0, out=table[1:])
+    table[0] = i0
+    return table
+
+
+def rayleigh_columns(trace, column: str, side_length: float):
+    """Legendre coefficients in s/(l/2), complex, of ``trace.<column>``
+    ("value" or "derivative") for an ``ExponentialSumTrace``
+    Re sum_j w_j e^{kappa_j s}, by the Rayleigh expansion
+    e^{zx} = sum_n (2n + 1) i_n(z) P_n(x) (DLMF 10.60):
+    a_n = (2n + 1) sum_j w_j i_n(kappa_j l/2).  The table carries
+    e^{-|Re z|}, so the weights take e^{|Re z|}: 1 on the lattice, whose
+    rates are i t.  The derivative multiplies each weight by its kappa."""
+    kappa = np.concatenate([1j * trace.t.ravel(), -trace.rates])
+    z = kappa * (side_length / 2.0)
+    free = Scaled(trace.coeffs.m, trace.coeffs.sigma + np.abs(z[trace.t.size :].real))
+    weights = np.concatenate([trace.weighted.ravel(), free.to_complex() * np.ones(trace.rates.shape)])
+    if column == "derivative":
+        weights = kappa * weights
+    table = _miller_table(z)
+    return (2 * np.arange(len(table)) + 1) * (table @ weights)

@@ -252,8 +252,8 @@ def _complex_series(modes, coeffs, s):
 
 
 def test_imbalance_bounds_the_imaginary_synthesis(geom, monkeypatch):
-    # sum |Im a_n| over the Legendre coefficients bounds max |Im| of the
-    # complex series that the builder receives, before its fold
+    # the imbalance bounds max |Im| of the complex series that the builder
+    # receives, before its fold
     received = []
 
     def finalize(side, side_length, modes, coeffs):

@@ -22,6 +22,7 @@ from tridtn.spectral import Kind, SideSampler, transforms
 from tridtn.traces import BoundaryTrace, ExponentialSumTrace
 
 from conftest import manufactured_families, spectral_points
+from reference import rayleigh_columns
 
 
 def exp_trace(c, side=1, amplitude=1.0):
@@ -479,46 +480,46 @@ def _assert_columns_match_the_sampled_trace(trace, side_length):
 def test_rayleigh_columns_match_the_sampled_series(name):
     trace = EXPONENTIAL_SUM_TRACES[name]()
     _assert_columns_match_the_sampled_trace(trace, 1.0)
-    if not np.any(trace.offsets):
-        # a one-offset lattice at the series arguments takes the cached table
-        # of |m|, signed by (-1)^n for negative labels: it agrees with the
-        # general path, the table of the lattice's own arguments
-        assert spectral._series_labels(trace, 1.0) is not None
-        for column in ("value", "derivative"):
-            got = spectral._exponential_legendre(trace, column, 1.0)
-            ((kappa, weights), _) = trace.exponentials(column)
-            direct = spectral._rayleigh(spectral._bessel_table(kappa / 2.0) @ weights)
-            assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(np.abs(direct)), column
+    # the sampled columns agree with the Rayleigh expansion of the
+    # exponentials over a Miller table of i_n, an independent reference,
+    # cut by the same chop
+    for column in ("value", "derivative"):
+        got = spectral._legendre(trace, column, 1.0, Kind.PSI)
+        want = rayleigh_columns(trace, column, 1.0).real
+        want = want[: max(2, spectral._chop(want) or len(want))]
+        n = max(len(got), len(want))
+        diff = np.pad(got, (0, n - len(got))) - np.pad(want, (0, n - len(want)))
+        assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(want)), column
 
 
 def test_a_series_read_on_another_side_length_takes_the_general_path():
     # the lattice of a series built for l = 1 sits at the series arguments
     # -i pi m/3 only on that side length
     trace = _general_series()
-    assert spectral._series_labels(trace, 1.3) is None
     _assert_columns_match_the_sampled_trace(trace, 1.3)
 
 
-def test_series_solve_samples_no_series_trace(tmp_path, monkeypatch):
-    # the residual audit and the imbalance take the series' Legendre columns
-    # from its Rayleigh expansion: neither calls the series' synthesis
+def test_series_solve_samples_each_trace_once_per_column(tmp_path, monkeypatch):
+    # the residual audit reads each computed trace's Legendre columns from
+    # one sampling per column, at its a-priori node count; the imbalance
+    # of _finalize samples nothing
     import tridtn.cli as cli
     import tridtn.series as series
 
-    active, entered, calls = [], set(), []
+    active, entered, reads, samples = [], set(), [], []
 
     def counted(name, method):
-        def run(self, *args, **kwargs):
+        def run(self, s, *args, **kwargs):
             if active:
-                calls.append((active[-1], name))
-            return method(self, *args, **kwargs)
+                samples.append((active[-1], self, name, np.size(s)))
+            return method(self, s, *args, **kwargs)
 
         return run
 
-    def watched(fn):
+    def watched(fn, label):
         def run(*args, **kwargs):
-            active.append(fn.__name__)
-            entered.add(fn.__name__)
+            active.append(label)
+            entered.add(label)
             try:
                 return fn(*args, **kwargs)
             finally:
@@ -526,11 +527,17 @@ def test_series_solve_samples_no_series_trace(tmp_path, monkeypatch):
 
         return run
 
-    for name in ("value", "derivative", "synthesis"):
-        method = getattr(ExponentialSumTrace, name)
-        monkeypatch.setattr(ExponentialSumTrace, name, counted(name, method))
-    monkeypatch.setattr(cli, "_full_trace_audit", watched(cli._full_trace_audit))
-    monkeypatch.setattr(series, "_finalize", watched(series._finalize))
+    legendre = watched(spectral._legendre, "_legendre")
+
+    def read(trace, column, side_length, kind):
+        if isinstance(trace, ExponentialSumTrace) and (column, side_length) not in trace.legendre:
+            reads.append((trace, column, spectral._first_nodes(trace, side_length)))
+        return legendre(trace, column, side_length, kind)
+
+    for name in ("value", "derivative"):
+        monkeypatch.setattr(ExponentialSumTrace, name, counted(name, getattr(ExponentialSumTrace, name)))
+    monkeypatch.setattr(spectral, "_legendre", read)
+    monkeypatch.setattr(series, "_finalize", watched(series._finalize, "_finalize"))
     wave = "cos(2*pi*s/l)"
     for j, (kind, sides) in enumerate(
         [
@@ -548,8 +555,15 @@ def test_series_solve_samples_no_series_trace(tmp_path, monkeypatch):
         path = tmp_path / f"cfg{j}.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / f"o{j}")]) == 0
-    assert entered == {"_full_trace_audit", "_finalize"}
-    assert calls == []
+    assert entered == {"_legendre", "_finalize"}
+    assert not [sample for sample in samples if sample[0] == "_finalize"]
+    assert len(reads) >= 6 and {column for _, column, _ in reads} == {"value", "derivative"}
+    sampled = [(trace, name, size) for label, trace, name, size in samples if label == "_legendre"]
+    assert len(sampled) == len(reads)
+    for trace, column, nodes in reads:
+        assert [
+            size for other, name, size in sampled if other is trace and name == column
+        ] == [nodes], column
 
 
 # -- transforms at images of base points ----------------------------------------
