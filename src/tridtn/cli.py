@@ -129,8 +129,10 @@ def _truncation(cfg: dict, args) -> int:
 def _data_trace(entry: dict, side: int, side_length: float, read: dict) -> BoundaryTrace:
     """An expression, or a cubic spline through the rows (s, value) after the
     header line of a {"samples": CSV file}: two or more rows of finite
-    numbers, s strictly increasing.  ``read`` maps each expression the call
-    has parsed to its trace, which sides with the same expression share."""
+    numbers, s strictly increasing from at most -l/2 to at least l/2 (to
+    1e-6 l), so the spline never extrapolates.  ``read`` maps each
+    expression the call has parsed to its trace, which sides with the same
+    expression share."""
     data = entry.get("data", "0")
     if isinstance(data, str):
         if data not in read:
@@ -150,6 +152,10 @@ def _data_trace(entry: dict, side: int, side_length: float, read: dict) -> Bound
     if not (min(table.shape) > 1 and np.isfinite(table).all() and np.all(np.diff(table[:, 0]) > 0)):
         raise ConfigError(f"side {side}: samples {path} must hold two or more rows s, value "
                           "of finite numbers, s strictly increasing")
+    half, slack = side_length / 2.0, 1e-6 * side_length
+    if table[0, 0] > slack - half or table[-1, 0] < half - slack:
+        raise ConfigError(f"side {side}: samples {path} cover s in [{table[0, 0]:g}, {table[-1, 0]:g}], "
+                          f"not the side [{-half:g}, {half:g}]")
     spline = CubicSpline(table[:, 0], table[:, 1])
     return BoundaryTrace(side=side, value=spline, derivative=spline.derivative())
 

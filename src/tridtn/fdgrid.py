@@ -97,7 +97,7 @@ class TriangularGrid:
         if side == 3:
             j = self.m - t
             return np.zeros_like(t), j, half - j * h
-        raise ValueError(f"side index must be 1, 2 or 3, got {side}")
+        raise ParameterError(f"side index must be 1, 2 or 3, got {side}")
 
 
 @dataclass

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
+
 SQRT3 = math.sqrt(3.0)
 
 #: Primitive cube root of unity used for the 120-degree rotations.
@@ -69,7 +71,7 @@ class TriangleGeometry:
 
     def __post_init__(self):
         if not (self.side_length > 0.0 and math.isfinite(self.side_length)):
-            raise ValueError(f"side_length must be positive, got {self.side_length}")
+            raise ParameterError(f"side_length must be finite and positive, got {self.side_length}")
 
     # -- vertices ---------------------------------------------------------
     @property
@@ -130,5 +132,5 @@ class TriangleGeometry:
 
 def _side_rot(side: int) -> complex:
     if side not in (1, 2, 3):
-        raise ValueError(f"side index must be 1, 2 or 3, got {side}")
+        raise ParameterError(f"side index must be 1, 2 or 3, got {side}")
     return SIDE_ROT[side]

@@ -52,11 +52,13 @@ from .scaledc import Scaled
 from .series import RESONANCE_RTOL, _newton, _rotations, _series_mode_roots, quadratic_mode_root
 from .series import _delta_scaled, _symmetric_g  # G and Delta, owned by series
 from .spectral import Kind, SideSampler, transforms
-from .symbols import SideSymbol
+from .symbols import symbol_values
 from .traces import ExponentialSumTrace
 
 RAY_UP = cmath.exp(1j * np.pi / 6.0)
 RAY_DOWN = cmath.exp(7j * np.pi / 6.0)
+#: e^{+-i beta} of the mixed problem's Robin side 1 (beta = pi/2, gamma = sqrt(3 lambda))
+ROBIN_TURNS = (cmath.exp(1j * np.pi / 2.0), cmath.exp(1j * np.pi / 2.0).conjugate())
 
 #: default contour truncation T = 40 (2 pi / l), panels of width 2 pi / l
 T_FACTOR = 40.0
@@ -308,12 +310,6 @@ def argument_principle_count(func, box, samples_per_edge: int = 400) -> int:
         n *= 2
 
 
-def _robin_symbol(lam: float) -> SideSymbol:
-    """The mixed problem's Robin condition on side 1: beta = pi/2, gamma =
-    sqrt(3 lambda)."""
-    return SideSymbol(lam, np.pi / 2.0, math.sqrt(3.0 * lam))
-
-
 def mixed_mode_terms(mu_value, lam: float, side_length: float, w=None):
     """The two terms (t1, t2) of the mixed Neumann-Robin mode function
     B = t1 - t2 at mu, elementwise over an array, as complex values.
@@ -330,10 +326,10 @@ def mixed_mode_terms(mu_value, lam: float, side_length: float, w=None):
     |Re mu| l <= 1/2.
     """
     k = quadratic_mode_root(mu_value, lam)
-    robin = _robin_symbol(lam)
-    a, ab = ALPHA * k, ALPHA_BAR * k
+    args = np.array([ALPHA * k, ALPHA_BAR * k])
+    h, hbar = (symbol_values(turn, math.sqrt(3.0 * lam), args, lam / args) for turn in ROBIN_TURNS)
     plus = np.exp(1.5 * mu_value * side_length if w is None else w)
-    return robin.hbar(a) * robin.h(ab) / plus, plus * (robin.h(a) * robin.hbar(ab))
+    return hbar[0] * h[1] / plus, plus * (h[0] * hbar[1])
 
 
 def d_root_set(lam: float, side_length: float, count: int, audit: bool = True) -> ModeRootSet:
@@ -465,7 +461,8 @@ def mixed_nr_trace(
     # the fold of the four pieces onto t >= 0, closed by X(lambda/conj k) = conj X(k)
     weighted = (w / np.pi) * (up + down.conj())
     res = residue_of_inhomogeneity(res, k, lam)
-    p1 = _robin_symbol(lam).p(ALPHA * k)
+    a = ALPHA * k
+    p1 = np.divide(*(symbol_values(turn, math.sqrt(3.0 * lam), a, lam / a) for turn in ROBIN_TURNS))
     e6 = Scaled.from_exp(6.0 * mu(sign * 1j * ALPHA * k, lam) * side_length / (2.0 * SQRT3))
     denom = 1.0 + e6 * np.where(sign > 0, 1.0 / p1, p1)
     fac = 1.0 - lam / (ALPHA_BAR * k) ** 2

@@ -23,7 +23,6 @@ from enum import Enum
 
 from .errors import ParameterError
 from .geometry import TriangleGeometry
-from .symbols import SideSymbol
 from .traces import BoundaryTrace
 
 
@@ -54,11 +53,6 @@ class SideCondition:
             raise ParameterError("Neumann/Robin sides fix beta = pi/2")
         if kind == BCKind.POINCARE and math.sin(self.beta) == 0.0:
             raise ParameterError("Poincare side needs sin(beta) != 0")
-
-    def symbol(self, lam: float) -> SideSymbol:
-        if self.kind == BCKind.DIRICHLET:
-            raise ParameterError("Dirichlet sides have no H symbol")
-        return SideSymbol(lam=lam, beta=self.beta, gamma=self.gamma)
 
 
 @dataclass(frozen=True)

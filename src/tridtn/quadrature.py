@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 def _legendre_and_derivative(n: int, x):
     """P_n(x) and P_n'(x) by the three-term recurrence."""
@@ -61,7 +63,7 @@ class QuadratureRule:
     @classmethod
     def gauss(cls, a: float, b: float, order: int) -> "QuadratureRule":
         if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
+            raise ParameterError(f"order must be >= 1, got {order}")
         return cls.panels((a, b), order)
 
     def integrate(self, values: np.ndarray):

@@ -45,7 +45,7 @@ from .quadrature import QuadratureRule
 from .relations import mode_moment
 from .scaledc import Scaled
 from .spectral import Kind, SideSampler
-from .symbols import SideSymbol
+from .symbols import symbol_slopes, symbol_values
 from .traces import ExponentialSumTrace
 
 #: the w = sqrt(3 lambda) l/2 of the m = 0 mode below which the series maps
@@ -264,26 +264,22 @@ def robin_mode_root(
     Tracked by continuation in gamma, in 24 steps, from the closed-form
     gamma = 0 seed (where P is constant and the condition reduces to
     mu = 2 pi i m/(3l)), with analytic-derivative Newton refinement at every
-    step.
+    step.  Its log-derivative is l (1 - lambda/k^2) plus the a H'(a)/H(a)
+    terms over k, as ``relations.cycle_log_derivative`` forms it.
     """
     if m == 0 and lam == 0.0:
         raise ParameterError("m = 0 mode degenerates at lambda = 0")
     k = quadratic_mode_root(2j * np.pi * m / (3.0 * side_length), lam)
     target = cmath.exp(2j * np.pi * m / 3.0)
-    ell = side_length
+    turn = cmath.exp(1j * beta)
+    turns = np.array([[turn], [turn.conjugate()]])  # rows H, Hbar; columns alpha k, alpha_bar k
     for g in np.linspace(0.0, gamma, 25)[1:] if gamma != 0.0 else (0.0,):
-        sym = SideSymbol(lam, beta, float(g))
-
         def newton_step(kk):
-            a, ab = ALPHA * kk, ALPHA_BAR * kk
-            e2 = cmath.exp(mu(kk, lam) * ell)
-            pa, pab = sym.p(a), sym.p(ab)
-            val = e2 * pa / pab - target
-            logderiv = (
-                ell * (1.0 - lam / (kk * kk))
-                + ALPHA * sym.dp(a) / pa
-                - ALPHA_BAR * sym.dp(ab) / pab
-            )
+            args = np.array([ALPHA * kk, ALPHA_BAR * kk])
+            h = symbol_values(turns, g, args, lam / args)
+            p, dlog = h[0] / h[1], np.subtract(*(symbol_slopes(turns, args, lam / args) / h))
+            val = cmath.exp(mu(kk, lam) * side_length) * p[0] / p[1] - target
+            logderiv = side_length * (1.0 - lam / (kk * kk)) + (dlog[0] - dlog[1]) / kk
             return val / ((val + target) * logderiv)
 
         k, converged = _newton(newton_step, k, 80, 1e-13)

@@ -85,7 +85,8 @@ def _analysis_matrix(n: int):
     rows[1] = nodes
     for k in range(1, n - 1):
         rows[k + 1] = ((2 * k + 1) * nodes * rows[k] - k * rows[k - 1]) / (k + 1)
-    rows *= (np.arange(n) + 0.5)[:, None] * weights
+        rows[k - 1] *= (k - 0.5) * weights  # read for the last time above
+    rows[-2:] *= (np.arange(n - 2, n) + 0.5)[:, None] * weights
     rows.setflags(write=False)
     return rows
 

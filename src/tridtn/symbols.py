@@ -8,25 +8,17 @@ global relation through
     P(k)    = H(k) / Hbar(k),
 
 where Hbar is the Schwarz conjugate, Hbar(k) = conj(H(conj(k))) for real
-parameters.  H, Hbar, P and their analytic k-derivatives accept scalars
-or arrays of k.  ``symbol_values`` and ``symbol_slopes`` own the formulas
-for H and k H' (Hbar and k Hbar' with e^{-i beta}); given lambda/k they
-evaluate all sides of a problem at once, as the relation rows and the
-residues of the mixed solver do.
+parameters.  ``symbol_values`` and ``symbol_slopes`` are the only
+evaluators of H and k H' (Hbar and k Hbar' with e^{-i beta}), elementwise
+over broadcast arrays of k, lambda/k, turns and gammas: the relation rows
+and ``relations.cycle_log_derivative`` evaluate all sides of a problem at
+once, the mixed problem's mode function and residues its Robin side, and
+``series.robin_mode_root`` reads P and d log P/dk = (k H'/H - k Hbar'/Hbar)/k
+from one call each.
 """
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DomainError
-
-
-def _reject_zero(k, what: str):
-    if np.any(k == 0):
-        raise DomainError(f"{what} undefined at k = 0")
 
 
 def symbol_values(turn, gamma, k, inv):
@@ -39,37 +31,3 @@ def symbol_values(turn, gamma, k, inv):
 def symbol_slopes(turn, k, inv):
     """k H'(k) = k e^{i beta} - (lambda/k) e^{-i beta}, as ``symbol_values``."""
     return k * turn - inv * np.conj(turn)
-
-
-@dataclass(frozen=True)
-class SideSymbol:
-    """H/P evaluator for one side condition (lambda, beta, gamma)."""
-
-    lam: float
-    beta: float
-    gamma: float
-
-    @property
-    def phase(self) -> complex:
-        return cmath.exp(1j * self.beta)
-
-    def h(self, k):
-        _reject_zero(k, "H(k)")
-        return symbol_values(self.phase, self.gamma, k, self.lam / k)
-
-    def hbar(self, k):
-        _reject_zero(k, "Hbar(k)")
-        return symbol_values(self.phase.conjugate(), self.gamma, k, self.lam / k)
-
-    def dh(self, k):
-        return symbol_slopes(self.phase, k, self.lam / k) / k
-
-    def dhbar(self, k):
-        return symbol_slopes(self.phase.conjugate(), k, self.lam / k) / k
-
-    def p(self, k):
-        return self.h(k) / self.hbar(k)
-
-    def dp(self, k):
-        hb = self.hbar(k)
-        return (self.dh(k) * hb - self.h(k) * self.dhbar(k)) / (hb * hb)

@@ -4,9 +4,10 @@ computes, which only the tests read.
 * ``relation_system`` fills the 6x9 global-relation system at one k from
   ``relations.relation_rows``, and ``eliminate_second_side`` solves it
   densely: the reference for the cycle walk at moderate |k|;
-* ``closed_form_elimination`` gives D(k) and Gamma_j(k) of the eliminated
-  relation from the side symbols, the mirror of criterion 5 and of the
-  mixed mode roots;
+* ``side_h`` writes out the symbol H(k) of a side (beta, gamma) without
+  ``tridtn.symbols``, and ``closed_form_elimination`` gives D(k) and
+  Gamma_j(k) of the eliminated relation from it, the mirror of criterion 5,
+  of the mixed mode roots and of the Robin mode roots;
 * ``scaled_sum`` sums ``Scaled`` values over their last axis (the
   trapezoid circles that the closed-form residues are tested against);
 * ``scaled_free_piece`` evaluates the free piece of an
@@ -107,17 +108,25 @@ def eliminate_second_side(problem: ProblemSpec, k: complex, corner_values=None) 
 
 
 # -- closed-form elimination ----------------------------------------------
-def closed_form_elimination(symbols, k, lam: float, side_length: float):
-    """D(k) and Gamma_j(k) of the eliminated relation, from side symbols,
-    at a scalar k or elementwise over an array of k:
+def side_h(k, lam: float, beta: float, gamma: float):
+    """H(k) = k e^{i beta} + lambda/(k e^{i beta}) - gamma; -beta gives Hbar(k)."""
+    return k * np.exp(1j * beta) + lam / (k * np.exp(1j * beta)) - gamma
+
+
+def side_p(k, lam: float, beta: float, gamma: float):
+    """P(k) = H(k)/Hbar(k) of a side (beta, gamma)."""
+    return side_h(k, lam, beta, gamma) / side_h(k, lam, -beta, gamma)
+
+
+def closed_form_elimination(sides, k, lam: float, side_length: float):
+    """D(k) and Gamma_j(k) of the eliminated relation, from the (beta_j,
+    gamma_j) pairs ``sides``, at a scalar k or elementwise over an array of k:
 
         D(k) H_2(ab k) Y_2(ab k) = sum_j Gamma_j(k) H_j(k) Y_j(k) + T(k) + C(k).
     """
     a, ab = ALPHA * k, ALPHA_BAR * k
     e_k, e_mk, e_ab, e_mab = (exp_e(x, lam, side_length) for x in (k, -k, ab, -ab))
-    pk = [sym.p(k) for sym in symbols]
-    pa = [sym.p(a) for sym in symbols]
-    pab = [sym.p(ab) for sym in symbols]
+    pk, pa, pab = ([side_p(x, lam, *side) for side in sides] for x in (k, a, ab))
     d = (pab[0] / (pa[1] * pa[2])) * (
         e_mk**3 - e_k**3 * (pa[0] * pa[1] * pa[2]) / (pab[0] * pab[1] * pab[2])
     )

@@ -43,11 +43,10 @@ from tridtn.series import (
     symmetric_dirichlet_dtn,
 )
 from tridtn.spectral import Kind, SideSampler
-from tridtn.symbols import SideSymbol
 from tridtn.traces import sample_grid
 
 from conftest import manufactured_families, spectral_points
-from reference import closed_form_elimination, eliminate_second_side
+from reference import closed_form_elimination, eliminate_second_side, side_h
 
 L = 1.0
 SMOOTH_K0S = [0.9 + 0.3j, 1.4 - 0.5j, 0.7 + 1.1j, 1.9 + 0.2j, 0.5 - 0.9j,
@@ -192,17 +191,15 @@ def test_criterion_05_dual_representation_and_elimination():
         for j in (1, 2, 3)
     )
     problem = ProblemSpec(lam=lam, geometry=geom, sides=sides)
-    sym = SideSymbol(lam, beta, gamma)
-    syms = (sym, sym, sym)
     psi = [SideSampler(t, Kind.PSI, lam, L) for t in d]
     rng = np.random.default_rng(5)
     elim_err = 0.0
     for _ in range(20):
         k = complex((0.5 + 2.5 * rng.random()) * cmath.exp(2j * np.pi * rng.random()))
         numeric = eliminate_second_side(problem, k)
-        big_d, gammas = closed_form_elimination(syms, k, lam, L)
-        h2ab = sym.h(ALPHA_BAR * k)
-        closed_coeffs = [gammas[j] * syms[j].h(k) / (big_d * h2ab) for j in range(3)]
+        big_d, gammas = closed_form_elimination(((beta, gamma),) * 3, k, lam, L)
+        h2ab = side_h(ALPHA_BAR * k, lam, beta, gamma)
+        closed_coeffs = [gammas[j] * side_h(k, lam, beta, gamma) / (big_d * h2ab) for j in range(3)]
         for j in range(3):
             elim_err = max(elim_err, _rel(closed_coeffs[j], numeric.coeffs[j]))
         # the closed-form inhomogeneity, realized through the exact unknowns

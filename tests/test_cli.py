@@ -471,8 +471,10 @@ def test_solve_spline_samples_match_expressions(tmp_path):
 @pytest.mark.parametrize(
     "rows",
     ["0.0,1\n0.1,x\n", "0.0,1\n", "-0.5\n0.0\n0.5\n", "-0.5,1\n0.0,nan\n0.5,1\n",
-     "-0.5,1\n0.5,1\n0.0,1\n", 5],
-    ids=["non-numeric", "one-row", "one-column", "nan", "s-not-increasing", "not-a-file"],
+     "-0.5,1\n0.5,1\n0.0,1\n", 5,
+     "".join(f"{x:.17e},{math.cos(2 * math.pi * x):.17e}\n" for x in np.linspace(-0.2, 0.2, 21))],
+    ids=["non-numeric", "one-row", "one-column", "nan", "s-not-increasing", "not-a-file",
+         "short-of-the-side"],
 )
 def test_malformed_samples_table_is_config_error(tmp_path, capsys, rows):
     # each malformed table names its side and its file in one stderr line

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tridtn.errors import ParameterError
+from tridtn.fdgrid import TriangularGrid
 from tridtn.geometry import (
     ALPHA,
     ALPHA_BAR,
@@ -14,6 +16,7 @@ from tridtn.geometry import (
     exp_e,
     mu,
 )
+from tridtn.quadrature import QuadratureRule
 
 finite_k = st.complex_numbers(
     min_magnitude=1e-2, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -61,10 +64,23 @@ def test_boundary_margin_and_contains(geom):
 
 
 def test_invalid_side_length():
-    with pytest.raises(ValueError):
-        TriangleGeometry(-1.0)
-    with pytest.raises(ValueError):
-        TriangleGeometry(0.0)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            TriangleGeometry(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TriangleGeometry().side_point(4, 0.0),
+        lambda: TriangularGrid(1.0, 8).side_nodes(4),
+        lambda: QuadratureRule.gauss(-1.0, 1.0, 0),
+    ],
+    ids=["side-point", "grid-side-nodes", "gauss-order"],
+)
+def test_geometry_entry_points_raise_parameter_error(build):
+    with pytest.raises(ParameterError):
+        build()
 
 
 @given(k=finite_k, lam=st.floats(0.1, 5.0, allow_subnormal=False))

@@ -33,11 +33,10 @@ from tridtn.problems import mixed_nr_problem
 from tridtn.scaledc import Scaled
 from tridtn.series import _rotations, symmetric_dirichlet_dtn
 from tridtn.spectral import Kind, SideSampler
-from tridtn.symbols import SideSymbol
 from tridtn.traces import ExponentialSumTrace
 
 from conftest import spectral_points
-from reference import closed_form_elimination, eliminate_second_side, scaled_free_piece, scaled_sum
+from reference import closed_form_elimination, eliminate_second_side, scaled_free_piece, scaled_sum, side_h
 
 #: symmetric Dirichlet data that are not even in s, so (G/Delta)(-k) is not
 #: (G/Delta)(k) and the lower ray carries what the upper one does not
@@ -223,12 +222,8 @@ def test_certified_roots_are_zeros_of_the_closed_form_d(lam):
     # the mirror D(k) of the full elimination, scaled by |e^3(k)| + |e^3(-k)|,
     # vanishes at the roots that the mode function of mu certifies
     roots = d_root_set(lam, 1.0, count=64)
-    symbols = (
-        SideSymbol(lam, math.pi / 2.0, math.sqrt(3.0 * lam)),
-        SideSymbol(lam, math.pi / 2.0, 0.0),
-        SideSymbol(lam, math.pi / 2.0, 0.0),
-    )
-    big_d = closed_form_elimination(symbols, roots.k, lam, 1.0)[0]
+    sides = ((math.pi / 2.0, math.sqrt(3.0 * lam)), (math.pi / 2.0, 0.0), (math.pi / 2.0, 0.0))
+    big_d = closed_form_elimination(sides, roots.k, lam, 1.0)[0]
     w = 1.5 * mu(roots.k, lam)
     assert np.max(np.abs(big_d) / (np.abs(np.exp(w)) + np.abs(np.exp(-w)))) <= 1e-12
 
@@ -238,13 +233,16 @@ def test_mode_terms_are_a_function_of_mu():
     # the value that the raw terms give at either k-branch
     lam, side_length = 2.0, 1.0
     k = np.array([0.9 + 0.7j, 3.0 - 1.2j, -0.4 + 2.5j])
-    robin = SideSymbol(lam, math.pi / 2.0, math.sqrt(3.0 * lam))
     t1, t2 = mixed_mode_terms(mu(k, lam), lam, side_length)
     got = t1 - t2
+
+    def h(x, beta=math.pi / 2.0):  # H_1 of the Robin side, Hbar_1 at -beta
+        return side_h(x, lam, beta, math.sqrt(3.0 * lam))
+
     for branch in (k, lam / k):
         a, ab = ALPHA * branch, ALPHA_BAR * branch
         w = 1.5 * mu(branch, lam) * side_length
-        want = np.exp(-w) * robin.hbar(a) * robin.h(ab) - np.exp(w) * robin.h(a) * robin.hbar(ab)
+        want = np.exp(-w) * h(a, -math.pi / 2.0) * h(ab) - np.exp(w) * h(a) * h(ab, -math.pi / 2.0)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 

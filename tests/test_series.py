@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import tridtn.series as series
 from tridtn.errors import ParameterError, SolvabilityError
-from tridtn.geometry import ALPHA_BAR, SQRT3, TriangleGeometry, mu
+from tridtn.geometry import ALPHA, ALPHA_BAR, SQRT3, TriangleGeometry, mu
 from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatible
 from tridtn.poincare import PANEL_ORDER, symmetric_dirichlet_integral
 from tridtn.problems import BCKind, ProblemSpec, SideCondition, dirichlet_problem
@@ -13,6 +14,7 @@ from tridtn.series import (
     general_dirichlet_dtn,
     neumann_to_dirichlet,
     quadratic_mode_root,
+    robin_mode_root,
     robin_moment,
     symmetric_dirichlet_dtn,
 )
@@ -21,6 +23,7 @@ from tridtn.scaledc import Scaled
 from tridtn.traces import BoundaryTrace, ExponentialSumTrace, sample_grid
 
 from conftest import manufactured_families
+from reference import side_p
 
 
 SMOOTH_K0S = [0.9 + 0.3j, 1.4 - 0.5j, 0.7 + 1.1j, 1.9 + 0.2j, 0.5 - 0.9j,
@@ -190,6 +193,19 @@ def test_robin_moment_matches_manufactured(lam, beta, gamma, geom):
         assert abs(got - want) <= 1e-10 * abs(want), (m, abs(got - want) / abs(want))
 
 
+@pytest.mark.parametrize(
+    "lam, beta, gamma", [(1.0, np.pi / 2.0, 0.0), (1.0, 1.0, 0.5), (2.0, 1.2, 0.3)]
+)
+def test_robin_mode_roots_solve_their_condition(lam, beta, gamma):
+    # e^2(k) P(alpha k)/P(alpha_bar k) = e^{2 pi i m/3} at l = 1, with P
+    # written out in the tests, not read from ``tridtn.symbols``
+    for m in (1, 2, 4, -5, 16, -31):
+        k = robin_mode_root(m, lam, 1.0, beta, gamma)
+        ratio = side_p(ALPHA * k, lam, beta, gamma) / side_p(ALPHA_BAR * k, lam, beta, gamma)
+        resid = abs(cmath.exp(mu(k, lam)) * ratio - cmath.exp(2j * np.pi * m / 3.0))
+        assert resid <= 1e-12, (m, resid)
+
+
 def test_sin_beta_zero_rejected():
     data = [BoundaryTrace.zero(j) for j in (1, 2, 3)]
     with pytest.raises(ParameterError):
@@ -206,7 +222,6 @@ ZEROS = tuple(BoundaryTrace.zero(j) for j in (1, 2, 3))
     [
         (lambda: SideCondition(BCKind.NEUMANN, ZEROS[0], gamma=1.0), "gamma = 0"),
         (lambda: SideCondition(BCKind.ROBIN, ZEROS[0], beta=1.0, gamma=1.0), "beta = pi/2"),
-        (lambda: SideCondition(BCKind.DIRICHLET, ZEROS[0]).symbol(1.0), "no H symbol"),
         (lambda: dirichlet_problem(1.0, TriangleGeometry(), ZEROS[:2]), "three side"),
         (
             lambda: ProblemSpec(
@@ -220,7 +235,7 @@ ZEROS = tuple(BoundaryTrace.zero(j) for j in (1, 2, 3))
         (lambda: neumann_to_dirichlet(ZEROS[:2], 1.0, 1.0), "three side"),
         (lambda: robin_moment(1, ZEROS[:2], 1.0, 1.0, beta=np.pi / 2.0, gamma=0.0), "three side"),
     ],
-    ids=["neumann-gamma", "robin-beta", "dirichlet-symbol", "two-sides", "dirichlet-and-neumann",
+    ids=["neumann-gamma", "robin-beta", "two-sides", "dirichlet-and-neumann",
          "general-two-traces", "neumann-two-traces", "robin-two-traces"],
 )
 def test_refused_problems_raise_parameter_error(build, match):

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from tridtn.oracle import all_traces, poincare_trace, symmetric_corner_compatibl
 from tridtn.interior import TraceSet, fokas_eval, symmetric_interior
 from tridtn.poincare import ScaledElimination, mixed_nr_trace, symmetric_dirichlet_integral
 from tridtn.problems import mixed_nr_problem
-from tridtn.quadrature import QuadratureRule
+from tridtn.quadrature import QuadratureRule, _leggauss
 from tridtn.relations import GlobalRelation
 from tridtn.scaledc import Scaled
 from tridtn.series import _finalize, general_dirichlet_dtn, neumann_to_dirichlet, symmetric_dirichlet_dtn
@@ -254,6 +255,20 @@ def test_bessel_sums_equal_the_reference_loop_bitwise(name):
     assert set(forward.tolist()) == which
     got = spectral._bessel_sums(coeffs, z)
     assert got.tobytes() == _reference_bessel_sums(coeffs, z).tobytes()
+
+
+def test_analysis_matrix_is_built_without_a_second_matrix():
+    # each row is scaled by (k + 1/2) w once the recurrence has read it, so
+    # the build holds the n x n matrix and a few rows, never a scaling matrix
+    n = 1024
+    _leggauss(n)
+    tracemalloc.start()
+    try:
+        rows = spectral._analysis_matrix.__wrapped__(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (n, n) and peak <= 1.1 * n * n * 8, peak
 
 
 @pytest.mark.parametrize("side_length", [1.0, 0.7, 3.1])

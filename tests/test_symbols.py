@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from tridtn.symbols import SideSymbol
+from tridtn.symbols import symbol_slopes, symbol_values
 
 
 def _mp_derivative(f, k):
@@ -22,14 +23,21 @@ def _mp_derivative(f, k):
 )
 def test_derivatives_match_central_differences_on_arrays(lam, beta, gamma):
     # k on arrays: near |k| = sqrt(lambda), where H' passes through zero at
-    # k e^{+-i beta} = +-sqrt(lambda), and up to |k| = 1e4
-    sym = SideSymbol(lam, beta, gamma)
+    # k e^{+-i beta} = +-sqrt(lambda), and up to |k| = 1e4; H' and Hbar' are
+    # the slopes k H' of ``symbol_slopes`` over k
     rl = math.sqrt(lam)
     angles = np.exp(1j * np.linspace(0.1, 2.0 * np.pi, 7))
     radii = np.array([0.97, 1.0, 1.03, 3.0, 1e2, 1e4])
     k = np.multiply.outer(radii * rl, angles)
     k = np.concatenate([k.ravel(), [rl * np.exp(-1j * beta), rl * np.exp(1j * beta), 1e4 + 0j]])
-    for value, derivative in ((sym.h, sym.dh), (sym.hbar, sym.dhbar), (sym.p, sym.dp)):
+    turn = cmath.exp(1j * beta)
+    for t in (turn, turn.conjugate()):
+        def value(z, t=t):
+            return symbol_values(t, gamma, z, lam / z)
+
+        def derivative(z, t=t):
+            return symbol_slopes(t, z, lam / z) / z
+
         got = derivative(k)
         assert got.shape == k.shape
         want = np.array([_mp_derivative(value, z) for z in k])
@@ -44,7 +52,7 @@ def test_derivatives_match_central_differences_on_arrays(lam, beta, gamma):
 def test_dh_vanishes_where_h_is_stationary():
     # H'(k) = e^{i beta} (1 - lambda/(k e^{i beta})^2) is 0 at k e^{i beta} = sqrt(lambda)
     lam, beta = 2.0, 0.7
-    sym = SideSymbol(lam, beta, 0.5)
+    turn = cmath.exp(1j * beta)
     k = math.sqrt(lam) * np.exp(np.array([-1j, 1j]) * beta)
-    assert abs(sym.dh(k[0])) <= 1e-15
-    assert abs(sym.dhbar(k[1])) <= 1e-15
+    assert abs(symbol_slopes(turn, k[0], lam / k[0]) / k[0]) <= 1e-15
+    assert abs(symbol_slopes(turn.conjugate(), k[1], lam / k[1]) / k[1]) <= 1e-15
